@@ -8,8 +8,11 @@ with ``python -m repro.experiments.corel20`` / ``corel50``.
 Environments are session-scoped: corpus rendering and feature extraction are
 paid once, and the benchmarked body is the evaluation protocol itself.
 
-At session end the individual ``BENCH_*.json`` artifacts at the repository
-root — ``BENCH_solver`` / ``BENCH_index`` / ``BENCH_service`` /
+Every artifact is written under ``benchmarks/out/`` (git-ignored), so a
+test run never modifies a tracked file; the ``BENCH_*.json`` at the
+repository root are the numbers recorded by earlier PRs.  At session end
+the individual ``BENCH_*.json`` artifacts in ``benchmarks/out/`` —
+``BENCH_solver`` / ``BENCH_index`` / ``BENCH_service`` /
 ``BENCH_parallel`` / ``BENCH_logdb`` / ``BENCH_obs`` (the observability
 overhead numbers from ``test_obs_overhead.py``) / ``BENCH_cluster`` (the
 multi-process soak from ``test_cluster_soak.py``) / ``BENCH_graph`` (the
@@ -44,11 +47,11 @@ from repro.experiments.corel20 import table1_config
 from repro.experiments.corel50 import table2_config
 from repro.experiments.pipeline import build_environment
 
-#: Repository root — where benchmarks drop their ``BENCH_*.json`` artifacts.
-REPO_ROOT = Path(__file__).resolve().parents[1]
+#: Where benchmarks drop their ``BENCH_*.json`` artifacts (git-ignored).
+ARTIFACT_DIR = Path(__file__).resolve().parent / "out"
 
 #: The aggregated ratchet file.
-SUMMARY_PATH = REPO_ROOT / "BENCH_summary.json"
+SUMMARY_PATH = ARTIFACT_DIR / "BENCH_summary.json"
 
 #: Number of evaluation queries used by the benchmark runs.  Large enough for
 #: stable orderings, small enough for pytest-benchmark wall-clock budgets.
@@ -100,7 +103,8 @@ SOAK_TIMEOUT_SECONDS = float(os.environ.get("REPRO_SOAK_TIMEOUT", "900"))
 
 
 def pytest_configure(config):
-    """Register the benchmark-local markers."""
+    """Create the artifact directory; register the benchmark-local markers."""
+    ARTIFACT_DIR.mkdir(exist_ok=True)
     config.addinivalue_line(
         "markers",
         "soak: long-running multi-process soak benchmark "
@@ -152,7 +156,7 @@ def pytest_sessionfinish(session, exitstatus):
     (sorted keys) so it only churns when a benchmark's numbers do.
     """
     artifacts = {}
-    for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+    for path in sorted(ARTIFACT_DIR.glob("BENCH_*.json")):
         if path == SUMMARY_PATH:
             continue
         try:

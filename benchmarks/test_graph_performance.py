@@ -15,8 +15,9 @@ records the quality side:
   log-rich vs cold-start) is recorded so the cost numbers above are never
   read without the retrieval quality they purchase.
 
-Results are emitted to ``BENCH_graph.json`` at the repository root and
-folded into ``BENCH_summary.json`` with the other artifacts.
+Results are emitted to ``BENCH_graph.json`` under the git-ignored
+``benchmarks/out/`` and folded into ``BENCH_summary.json`` there with the
+other artifacts.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.evaluation.protocol import EvaluationProtocol
 from repro.experiments.ablations import run_graph_ablation
 from repro.graph import GraphCache, LabelPropagationFeedback
 
-#: Where the benchmark artifact is written (repository root).
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_graph.json"
+#: Where the benchmark artifact is written (git-ignored ``benchmarks/out/``).
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_graph.json"
 
 #: A propagation round may cost at most this multiple of an LRF-CSVM round.
 ROUND_RATIO_CEILING = 2.0

@@ -13,9 +13,8 @@ KD-tree is exercised on a separate low-dimensional pool — branch-and-bound
 pruning is a low-d technique, and benchmarking it where it structurally
 cannot win would say nothing about the implementation.
 
-The measured numbers are emitted to ``BENCH_index.json`` at the repository
-root (alongside ``BENCH_solver.json``) so future PRs can track the serving
-trajectory.
+The measured numbers are emitted to ``BENCH_index.json`` under the
+git-ignored ``benchmarks/out/`` (alongside ``BENCH_solver.json``).
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from repro.feedback.base import FeedbackContext
 from repro.index import BruteForceIndex, IVFIndex, KDTreeIndex, LSHIndex
 from repro.logdb.simulation import LogSimulationConfig, collect_feedback_log
 
-#: Where the benchmark artifact is written (repository root).
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_index.json"
+#: Where the benchmark artifact is written (git-ignored ``benchmarks/out/``).
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_index.json"
 
 #: Recall cutoff of the quality assertions.
 RECALL_K = 20

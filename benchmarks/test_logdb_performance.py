@@ -18,9 +18,10 @@ Asserted invariants (CI):
   ``indices`` / ``indptr``, same dense values.
 
 The artifact also records the file-backed store's batched shipping
-throughput (unasserted context).  Results land in ``BENCH_logdb.json`` at
-the repository root alongside the other ``BENCH_*.json`` artifacts, and the
-benchmarks conftest folds them all into ``BENCH_summary.json``.
+throughput (unasserted context).  Results land in ``BENCH_logdb.json`` under
+the git-ignored ``benchmarks/out/`` alongside the other ``BENCH_*.json``
+artifacts, and the benchmarks conftest folds them all into
+``BENCH_summary.json`` there.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from repro.logdb import FileLogStore, LogDatabase, LogSession, RelevanceMatrix
 
-#: Where the benchmark artifact is written (repository root).
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_logdb.json"
+#: Where the benchmark artifact is written (git-ignored ``benchmarks/out/``).
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_logdb.json"
 
 #: Appended sessions (the acceptance criterion pins N = 2 000).
 N_SESSIONS = 2_000

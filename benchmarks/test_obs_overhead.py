@@ -25,8 +25,9 @@ concurrent sessions, 100k-vector pool, two interleaved feedback rounds,
   round must yield a complete span tree (``service.round`` under
   ``service.feedback_batch``, with solver spans beneath).
 
-Measured numbers land in ``BENCH_obs.json`` at the repository root and
-are folded into ``BENCH_summary.json`` by the benchmarks conftest.
+Measured numbers land in ``BENCH_obs.json`` under the git-ignored
+``benchmarks/out/`` and are folded into ``BENCH_summary.json`` there by the
+benchmarks conftest.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from repro.datasets.pool import GaussianPoolConfig, make_pool_dataset
 from repro.obs import InMemoryExporter, build_span_tree
 from repro.service import FeedbackRequest, RetrievalService, SearchRequest
 
-#: Where the benchmark artifact is written (repository root).
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
+#: Where the benchmark artifact is written (git-ignored ``benchmarks/out/``).
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_obs.json"
 
 #: Concurrent sessions driven through the service (the PR 3 wave size).
 NUM_SESSIONS = 64

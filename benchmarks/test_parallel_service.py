@@ -16,8 +16,9 @@ The wave win is batching + lock-free read sharing and holds on any machine;
 the thread pool's additional solver fan-out scales with cores (NumPy
 releases the GIL in the dense kernels), so the artifact also records
 ``cpu_count``/``max_workers`` — compare ``BENCH_parallel.json`` across
-hosts to see the scaling.  Results land at the repository root alongside
-``BENCH_solver.json`` / ``BENCH_index.json`` / ``BENCH_service.json``.
+hosts to see the scaling.  Results land under the git-ignored
+``benchmarks/out/`` alongside ``BENCH_solver.json`` / ``BENCH_index.json`` /
+``BENCH_service.json``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.cbir.database import ImageDatabase
 from repro.datasets.pool import GaussianPoolConfig, make_pool_dataset
 from repro.service import FeedbackRequest, RetrievalService, SearchRequest
 
-#: Where the benchmark artifact is written (repository root).
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
+#: Where the benchmark artifact is written (git-ignored ``benchmarks/out/``).
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_parallel.json"
 
 #: Concurrent sessions served per wave.
 NUM_SESSIONS = 64

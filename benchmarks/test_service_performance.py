@@ -11,9 +11,9 @@ asserts the headline invariants so regressions are caught in CI:
 * **interleaved feedback rounds** — 64 sessions advancing round-robin
   through the service report sessions/sec and p50 per-round latency.
 
-The measured numbers are emitted to ``BENCH_service.json`` at the
-repository root (alongside ``BENCH_solver.json`` / ``BENCH_index.json``) so
-future PRs can track the serving trajectory.
+The measured numbers are emitted to ``BENCH_service.json`` under the
+git-ignored ``benchmarks/out/`` (alongside ``BENCH_solver.json`` /
+``BENCH_index.json``).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.cbir.database import ImageDatabase
 from repro.datasets.pool import GaussianPoolConfig, make_pool_dataset
 from repro.service import FeedbackRequest, RetrievalService, SearchRequest
 
-#: Where the benchmark artifact is written (repository root).
-ARTIFACT_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
+#: Where the benchmark artifact is written (git-ignored ``benchmarks/out/``).
+ARTIFACT_PATH = Path(__file__).resolve().parent / "out" / "BENCH_service.json"
 
 #: Concurrent sessions driven through the service.
 NUM_SESSIONS = 64

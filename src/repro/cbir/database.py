@@ -112,8 +112,8 @@ class ImageDatabase:
         self._check_index(int(indices.max()))
         return self._features[indices]
 
-    def log_vectors_of(self, image_indices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """User-log vectors ``r_i`` (rows) for *image_indices* (all by default)."""
+    def log_vectors_of(self, image_indices: Sequence[int]) -> np.ndarray:
+        """Dense user-log vectors ``r_i`` (rows) of *image_indices*."""
         return self.log_database.log_vectors(image_indices)
 
     def resolve_query_features(self, query: Query) -> np.ndarray:

@@ -34,7 +34,12 @@ from repro.core.unlabeled_selection import (
     make_selection_strategy,
 )
 from repro.exceptions import ValidationError
-from repro.feedback.base import FeedbackContext, FeedbackMemory, RelevanceFeedbackAlgorithm
+from repro.feedback.base import (
+    FeedbackContext,
+    FeedbackMemory,
+    RelevanceFeedbackAlgorithm,
+    log_vectors_informative,
+)
 from repro.svm.kernels import Kernel, RBFKernel, build_kernel
 from repro.svm.svc import SVC
 from repro.utils.rng import RandomState, ensure_rng
@@ -152,16 +157,19 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             self._remember(memory, path="visual-only", candidates=candidates)
             return self._expand_scores(scores, candidates, num_images)
 
-        log_matrix = snapshot.log_vectors()
-        log_labeled = log_matrix[labeled_indices]
-        if not np.any(np.abs(log_labeled).sum(axis=1) > 0):
+        log_labeled = snapshot.log_vectors(labeled_indices)
+        if not log_vectors_informative(log_labeled):
             scores = self._visual_only_scores(
                 visual_labeled, labels, pool_features, context, visual_gamma
             )
             self._remember(memory, path="visual-only", candidates=candidates)
             return self._expand_scores(scores, candidates, num_images)
 
-        pool_log = log_matrix if candidates is None else log_matrix[candidates]
+        # The pool's log modality stays sparse (images x sessions); only the
+        # training rows above and the selected unlabeled rows below are dense.
+        pool_log = snapshot.log_rows()
+        if candidates is not None:
+            pool_log = pool_log[candidates]
         log_gamma = self._frozen_gamma(
             context, self.config.log_kernel, "resolved_gamma_log", log_labeled
         )
@@ -192,13 +200,16 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         )
 
         # ---- stage 2: coupled-SVM training (Figure 1, part 2) -------------
+        unlabeled_indices = (
+            unlabeled_positions if candidates is None else candidates[unlabeled_positions]
+        )
         coupled = CoupledSVM(self._coupled_config(visual_gamma, log_gamma))
         coupled.fit(
             visual_labeled,
             log_labeled,
             labels,
             pool_features[unlabeled_positions],
-            pool_log[unlabeled_positions],
+            snapshot.log_vectors(unlabeled_indices),
             pseudo_labels,
         )
         self.last_result_ = coupled.result_
@@ -349,12 +360,16 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         log_labeled: np.ndarray,
         labels: np.ndarray,
         features: np.ndarray,
-        log_matrix: np.ndarray,
+        pool_log,
         context: FeedbackContext,
         visual_gamma: Union[float, str],
         log_gamma: Union[float, str],
     ) -> np.ndarray:
-        """Combined SVM distance used to choose the unlabeled samples."""
+        """Combined SVM distance used to choose the unlabeled samples.
+
+        *pool_log* is the scored pool's sparse log rows, aligned with
+        *features*.
+        """
         visual_svm = SVC(
             C=self.config.C_visual,
             kernel=self.config.kernel,
@@ -380,7 +395,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             initial_alphas=self._warm_alphas(context, "warm_alpha_log"),
         )
         self._store_warm(context, visual_svm=visual_svm, log_svm=log_svm)
-        return visual_svm.decision_function(features) + log_svm.decision_function(log_matrix)
+        return visual_svm.decision_function(features) + log_svm.decision_function(pool_log)
 
     # ------------------------------------------------------- session memory
     @staticmethod

@@ -22,7 +22,24 @@ from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import ValidationError
 from repro.logdb.log_database import LogSnapshot
 
-__all__ = ["FeedbackMemory", "FeedbackContext", "RelevanceFeedbackAlgorithm"]
+__all__ = [
+    "FeedbackMemory",
+    "FeedbackContext",
+    "RelevanceFeedbackAlgorithm",
+    "log_vectors_informative",
+]
+
+
+def log_vectors_informative(log_vectors: np.ndarray) -> bool:
+    """Whether the labelled images' log vectors carry any signal to learn from.
+
+    The one rule the log-aware strategies share: a log SVM is only worth
+    training when at least one labelled image was ever judged in the log
+    (some entry of the block is non-zero).  Otherwise — an empty log, or
+    feedback on images no session has touched — they degrade to the
+    visual modality.
+    """
+    return bool(np.any(log_vectors))
 
 
 @dataclass
@@ -82,7 +99,9 @@ class FeedbackContext:
         evaluation protocol capture one snapshot per round batch, so every
         strategy in the batch sees one consistent relevance matrix even
         while concurrent sessions keep appending; ``None`` (the default)
-        makes :meth:`log_snapshot` capture a fresh one on demand.
+        makes :meth:`log_snapshot` ask the log database for its current
+        one on demand (the same object for as long as the log version is
+        unchanged).
     """
 
     database: ImageDatabase
@@ -135,8 +154,8 @@ class FeedbackContext:
         """The log snapshot this round reads ``R`` through.
 
         Returns the injected :attr:`log` when the round's orchestrator
-        captured one, otherwise captures a fresh snapshot from the
-        database's log — either way, every subsequent log read of the round
+        captured one, otherwise the database log's current snapshot —
+        either way, every subsequent log read of the round
         should go through the returned object so the round is internally
         consistent under concurrent appends.
         """

@@ -12,7 +12,11 @@ from typing import Union
 
 import numpy as np
 
-from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
+from repro.feedback.base import (
+    FeedbackContext,
+    RelevanceFeedbackAlgorithm,
+    log_vectors_informative,
+)
 from repro.svm.kernels import Kernel
 from repro.svm.svc import SVC
 
@@ -63,19 +67,13 @@ class LRF2SVMs(RelevanceFeedbackAlgorithm):
             # the visual-only baseline.
             return visual_scores
 
-        log_matrix = snapshot.log_vectors()
-        labeled_log = log_matrix[context.labeled_indices]
-        if not _log_vectors_informative(labeled_log):
+        labeled_log = snapshot.log_vectors(context.labeled_indices)
+        if not log_vectors_informative(labeled_log):
             return visual_scores
 
+        # Train on the labelled images' small dense block; score the whole
+        # pool through the snapshot's sparse rows (never a dense R).
         log_svm = SVC(C=self.C_log, kernel=self.log_kernel, gamma=self.gamma)
         log_svm.fit(labeled_log, context.labels)
-        log_scores = log_svm.decision_function(log_matrix)
+        log_scores = log_svm.decision_function(snapshot.log_rows())
         return visual_scores + log_scores
-
-
-def _log_vectors_informative(log_vectors: np.ndarray) -> bool:
-    """Whether the labelled log vectors carry any signal to learn from."""
-    if log_vectors.size == 0 or log_vectors.shape[1] == 0:
-        return False
-    return bool(np.any(np.abs(log_vectors).sum(axis=1) > 0))

@@ -5,8 +5,9 @@ training a margin classifier per round (the LRF-CSVM family), the user's
 ±1 judgements are **propagated** over a sparse affinity graph whose edges
 mix visual k-NN similarity with log co-relevance mined from the round's
 :class:`~repro.logdb.log_database.LogSnapshot`.  The visual graph is
-session-independent and cached process-wide; the per-round work is one
-sparse fuse plus an iterative solve — no SMO, no Gram matrices.
+session-independent and cached process-wide, the fused matrix is memoised
+per log version on the shared snapshot; the per-round work is an iterative
+solve — no SMO, no Gram matrices.
 
 Like every scheme in :mod:`repro.feedback`, the algorithm is a stateless
 strategy: all parameters are JSON-serialisable constructor arguments, so
@@ -27,6 +28,7 @@ from repro.graph.cache import GraphCache, default_graph_cache
 from repro.graph.kernel import fuse_with_log
 from repro.graph.propagation import PROPAGATION_METHODS, PropagationResult, propagate_labels
 from repro.index.base import VectorIndex
+from repro.logdb.log_database import LogSnapshot
 from repro.obs import get_hub
 
 __all__ = ["LabelPropagationFeedback"]
@@ -116,7 +118,7 @@ class LabelPropagationFeedback(RelevanceFeedbackAlgorithm):
         path = "graph-visual"
         snapshot = context.log_snapshot()
         if self.eta > 0.0 and not snapshot.is_empty:
-            fused = fuse_with_log(weights, snapshot, eta=self.eta)
+            fused = self._fused_weights(graph, snapshot)
             if fused is not weights:
                 path = "graph-fused"
                 weights = fused
@@ -147,6 +149,23 @@ class LabelPropagationFeedback(RelevanceFeedbackAlgorithm):
         return result.scores
 
     # ------------------------------------------------------------- internals
+    def _fused_weights(self, graph: AffinityGraph, snapshot: LogSnapshot):
+        """``fuse_with_log`` of *graph* and *snapshot*, once per log version.
+
+        The fusion is a pure function of the visual graph, the snapshot and
+        ``eta``, and the log database hands every round of one log version
+        the same snapshot — so the result is memoised on the snapshot and
+        ``R^T R`` is mined once per (version, graph) instead of every
+        round.  The entry holds *graph* itself: a live object's ``id()``
+        cannot be recycled, so the key can never hand back another graph's
+        fusion.
+        """
+        _, fused = snapshot.derived(
+            ("graph.fused", id(graph), self.eta),
+            lambda: (graph, fuse_with_log(graph.weights, snapshot, eta=self.eta)),
+        )
+        return fused
+
     def _propagate(self, weights, seeds: np.ndarray) -> PropagationResult:
         return propagate_labels(
             weights,

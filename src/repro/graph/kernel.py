@@ -30,8 +30,8 @@ def log_corelevance(snapshot: LogSnapshot) -> sparse.csr_matrix:
     """Sparse image × image co-relevance affinity mined from *snapshot*.
 
     Computes ``S = R^T R`` over the snapshot's CSR view
-    (:meth:`~repro.logdb.log_database.LogSnapshot.log_csr` — the dense
-    path is never touched), zeroes the diagonal, drops negative entries
+    (:meth:`~repro.logdb.log_database.LogSnapshot.log_csr`), zeroes the
+    diagonal, drops negative entries
     (net disagreement is no affinity) and rescales to ``[0, 1]`` so the
     log modality is commensurate with rbf visual weights.
 

@@ -21,9 +21,10 @@ afterwards.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import LogDatabaseError
 from repro.logdb.relevance_matrix import RelevanceMatrix
@@ -38,10 +39,21 @@ class LogSnapshot:
     """An immutable, versioned capture of the relevance matrix ``R``.
 
     A snapshot is what feedback strategies and the evaluation protocol
-    consume: taken once per round (or batch of rounds), it guarantees every
-    log read inside that round sees the same ``R`` — same number of
-    sessions, same judgements — even while other sessions keep appending to
-    the underlying store.
+    consume: it guarantees every log read inside a round sees the same
+    ``R`` — same number of sessions, same judgements — even while other
+    sessions keep appending to the underlying store.
+    :meth:`LogDatabase.snapshot` hands out **one snapshot object per log
+    version**, so everything derived from it (:meth:`log_rows`,
+    :meth:`log_csr`, anything memoised through :meth:`derived`) is built
+    once per version and shared by every round, session and scheduler
+    thread that reads that version.
+
+    ``R`` stays sparse throughout: a session judges the ~20 images one
+    round returned, so the matrix is a fraction of a percent dense and no
+    accessor here ever allocates ``num_images x num_sessions`` floats.
+    :meth:`log_vectors` returns the small dense block of the requested
+    images only; full-pool consumers (the log SVM's decision function,
+    the graph family's co-relevance kernel) read the sparse views.
 
     Attributes
     ----------
@@ -54,20 +66,20 @@ class LogSnapshot:
 
     Notes
     -----
-    Thread-safe: the dense user-log-vector view is materialised lazily at
-    most once under an internal lock and returned read-only, so any number
-    of rounds (including the parallel scheduler's worker threads) may share
-    one snapshot.
+    Thread-safe: derived views are built at most once under an internal
+    lock and their buffers are marked read-only, so any number of rounds
+    (including the parallel scheduler's worker threads) may share one
+    snapshot.
     """
 
-    __slots__ = ("version", "matrix", "_dense", "_csr", "_dense_lock")
+    __slots__ = ("version", "matrix", "_derived", "_lock")
 
     def __init__(self, matrix: RelevanceMatrix) -> None:
         self.matrix = matrix
         self.version = int(matrix.num_sessions)
-        self._dense: Optional[np.ndarray] = None
-        self._csr = None
-        self._dense_lock = threading.Lock()
+        self._derived: Dict[Hashable, Any] = {}
+        # Re-entrant: a derived value may be built from another one.
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ info
     @property
@@ -86,74 +98,104 @@ class LogSnapshot:
         return self.version == 0
 
     # --------------------------------------------------------------- queries
-    def log_vectors(self, image_indices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """User-log vectors (one **row per image**) for *image_indices*.
+    def log_vectors(self, image_indices: Sequence[int]) -> np.ndarray:
+        """Dense user-log vectors (one **row per image**) of *image_indices*.
 
-        All images by default; the full dense view is computed once per
-        snapshot and shared read-only, so a batch of rounds served off one
-        snapshot densifies ``R`` exactly once.
+        The block a strategy trains on: the labelled images, the selected
+        unlabeled ones.  It is sliced out of :meth:`log_rows`, so the cost
+        is proportional to the judgements of the requested images, not to
+        the pool.  Duplicate and unsorted indices are honoured as given.
 
         Returns
         -------
         numpy.ndarray
-            Read-only ``(len(image_indices), num_sessions)`` array (slicing
-            it produces ordinary writable copies).
+            A fresh, writable, C-contiguous
+            ``(len(image_indices), num_sessions)`` array (zero columns on
+            an empty log).
+
+        Raises
+        ------
+        LogDatabaseError
+            If an index is negative or not below :attr:`num_images`.
         """
-        dense = self._dense_vectors()
-        if image_indices is None:
-            return dense
         indices = np.asarray(image_indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_images):
             raise LogDatabaseError("image_indices out of range")
-        return dense[indices]
+        return self.log_rows()[indices].toarray()
 
     def log_vector(self, image_index: int) -> np.ndarray:
         """Dense user-log vector ``r_i`` of one image."""
         return self.matrix.log_vector(image_index)
 
-    def log_csr(self):
+    def log_rows(self) -> sparse.csr_matrix:
+        """The user-log vectors of **every** image as a shared sparse matrix.
+
+        ``R`` transposed: row ``i`` is the log vector ``r_i``.  This is
+        what full-pool log scoring consumes — the kernels accept it as
+        their left operand and cost ``O(nnz x n_SV)`` — and row-slicing it
+        (``log_rows()[candidates]``) restricts scoring to a candidate set.
+        Built at most once per snapshot.
+
+        Returns
+        -------
+        scipy.sparse.csr_matrix
+            Read-only ``(num_images, num_sessions)`` matrix.
+        """
+        return self.derived("log_rows", lambda: _frozen(self.matrix.tocsr().T.tocsr()))
+
+    def log_csr(self) -> sparse.csr_matrix:
         """The captured ``R`` as a shared read-only CSR matrix.
 
-        The **sparse** accessor for consumers that never need dense ``R``
-        — e.g. the graph family's log co-relevance kernel computes
-        ``R^T R`` straight off this view.  Materialised at most once per
-        snapshot (one CSR copy whose buffers are marked read-only) and
-        entirely independent of the dense :meth:`log_vectors` cache: a
-        snapshot read only through ``log_csr`` never pays the dense
-        densification (``logdb.snapshot_densifications`` stays untouched).
+        The sessions-major view — e.g. the graph family's log co-relevance
+        kernel computes ``R^T R`` straight off it.  Built at most once per
+        snapshot.
 
         Returns
         -------
         scipy.sparse.csr_matrix
             Read-only ``(num_sessions, num_images)`` matrix.
         """
-        if self._csr is None:
-            with self._dense_lock:
-                if self._csr is None:
-                    csr = self.matrix.tocsr()
-                    csr.data.setflags(write=False)
-                    csr.indices.setflags(write=False)
-                    csr.indptr.setflags(write=False)
-                    self._csr = csr
-        return self._csr
+        return self.derived("log_csr", lambda: _frozen(self.matrix.tocsr()))
 
-    def _dense_vectors(self) -> np.ndarray:
-        """The cached read-only dense ``(num_images, num_sessions)`` view."""
-        if self._dense is None:
-            with self._dense_lock:
-                if self._dense is None:
-                    hub = get_hub()
-                    with hub.timer("logdb.snapshot_densify_seconds"):
-                        dense = self.matrix.log_vectors()
-                    hub.count("logdb.snapshot_densifications")
-                    dense.setflags(write=False)
-                    self._dense = dense
-        return self._dense
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed at most once per snapshot under *key*.
+
+        A snapshot never changes and is shared by every reader of its log
+        version, so a value that is a pure function of it (and of whatever
+        *key* names) can be computed by the first caller and reused until
+        the log grows.  The graph family memoises its fused affinity
+        matrix here.  Entries live exactly as long as the snapshot.
+
+        Parameters
+        ----------
+        key:
+            Hashable identity of the derived value; callers namespace their
+            keys (``("graph.fused", ...)``) to stay out of each other's way.
+        build:
+            Zero-argument factory, called under the snapshot's lock (at
+            most one build runs at a time) only when *key* is absent.  The
+            result is shared between threads, so it must not be mutated.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        with self._lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"LogSnapshot(version={self.version}, num_images={self.num_images})"
         )
+
+
+def _frozen(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
+    """*matrix* with its three CSR buffers marked read-only (it is shared)."""
+    for buffer in (matrix.data, matrix.indices, matrix.indptr):
+        buffer.setflags(write=False)
+    return matrix
 
 
 class LogDatabase:
@@ -202,6 +244,8 @@ class LogDatabase:
             )
         self._store = store
         self._matrix_cache: Optional[RelevanceMatrix] = None
+        # The one snapshot of the cached matrix (see snapshot()).
+        self._snapshot_cache: Optional[LogSnapshot] = None
         # Guards cache advancement only; storage locking lives in the store.
         self._lock = threading.RLock()
 
@@ -210,11 +254,12 @@ class LogDatabase:
         """Copy/pickle support: a consistent store snapshot, minus the lock.
 
         The store serialises itself consistently (its own lock); the matrix
-        cache is dropped (lazily regrown), so a copy taken mid-append-burst
-        can never pair a stale cache with a longer log.
+        and snapshot caches are dropped (lazily regrown), so a copy taken
+        mid-append-burst can never pair a stale cache with a longer log.
         """
         state = self.__dict__.copy()
         state["_matrix_cache"] = None
+        state["_snapshot_cache"] = None
         del state["_lock"]
         return state
 
@@ -367,22 +412,35 @@ class LogDatabase:
             return cache
 
     def snapshot(self) -> LogSnapshot:
-        """An immutable, versioned :class:`LogSnapshot` of the current log.
+        """The immutable, versioned :class:`LogSnapshot` of the current log.
 
         The object every log *reader* should hold for the duration of a
         round: its length and contents never change, no matter how many
-        sessions other threads or processes append meanwhile.
+        sessions other threads or processes append meanwhile.  While the
+        log version is unchanged every call returns the **same** object, so
+        the sparse views and memoised values hanging off it are built once
+        per version, not once per round; the first call after an append
+        returns a new one (holders of the old one keep a frozen view).
         """
         hub = get_hub()
         if not hub.enabled:
-            return LogSnapshot(self.relevance_matrix())
+            return self._shared_snapshot()
         with hub.span("logdb.snapshot") as span:
-            snapshot = LogSnapshot(self.relevance_matrix())
+            snapshot = self._shared_snapshot()
             span.set(version=snapshot.version)
         return snapshot
 
-    def log_vectors(self, image_indices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """User-log vectors for *image_indices* (rows), all images by default.
+    def _shared_snapshot(self) -> LogSnapshot:
+        """The cached snapshot, replaced whenever the matrix cache advanced."""
+        with self._lock:
+            matrix = self.relevance_matrix()
+            snapshot = self._snapshot_cache
+            if snapshot is None or snapshot.matrix is not matrix:
+                snapshot = self._snapshot_cache = LogSnapshot(matrix)
+            return snapshot
+
+    def log_vectors(self, image_indices: Sequence[int]) -> np.ndarray:
+        """Dense user-log vectors of *image_indices* (one row per image).
 
         With an empty log the vectors have zero columns; callers that need a
         non-degenerate representation should check :attr:`is_empty` first.

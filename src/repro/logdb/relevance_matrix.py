@@ -9,7 +9,7 @@ coupled SVM.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -109,15 +109,15 @@ class RelevanceMatrix:
             )
         return np.asarray(self._matrix[:, image_index].todense()).ravel()
 
-    def log_vectors(self, image_indices: Optional[Sequence[int]] = None) -> np.ndarray:
+    def log_vectors(self, image_indices: Sequence[int]) -> np.ndarray:
         """Dense matrix of user-log vectors, one **row per image**.
 
-        Returns an ``(len(image_indices), num_sessions)`` array (all images by
-        default), i.e. the transpose of ``R`` restricted to the requested
-        columns — the layout the SVMs consume directly.
+        Returns an ``(len(image_indices), num_sessions)`` array, i.e. the
+        transpose of ``R`` restricted to the requested columns — the layout
+        the SVMs train on.  There is deliberately no all-images form: the
+        whole of ``R`` stays sparse (:meth:`tocsr`); :meth:`toarray` is the
+        one explicit way to densify a small matrix.
         """
-        if image_indices is None:
-            return np.asarray(self._matrix.todense()).T.copy()
         indices = np.asarray(image_indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_images):
             raise LogDatabaseError("image_indices out of range")

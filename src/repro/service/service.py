@@ -458,8 +458,9 @@ class RetrievalService:
             ]
             try:
                 # One versioned log snapshot for the whole batch: every
-                # round scores against the same immutable R (densified at
-                # most once), no matter what concurrent sessions append.
+                # round scores against the same immutable sparse R — the
+                # object shared by all batches of this log version — no
+                # matter what concurrent sessions append.
                 log_snapshot = self.database.log_database.snapshot()
                 contexts: List[FeedbackContext] = []
                 round_indices: List[int] = []

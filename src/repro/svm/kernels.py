@@ -4,6 +4,15 @@ All kernels operate on ``(N, D)`` row matrices and return an ``(N, M)`` Gram
 matrix.  The RBF kernel supports the ``"scale"`` gamma convention
 (``1 / (D * var(X))``) so default settings behave sensibly for the 36-d
 visual features and for the high-dimensional, sparse log vectors alike.
+
+**Sparse left operand.**  ``kernel(a, b)`` accepts a scipy-sparse *a* (the
+rows being scored — in practice the whole pool's log vectors,
+:meth:`~repro.logdb.log_database.LogSnapshot.log_rows`) against dense *b*
+(the support vectors).  Every kernel here is a function of ``a @ b.T`` and
+the row norms, which a sparse matrix supplies in ``O(nnz x M)``; the result
+is always a dense ``ndarray``.  Log entries are −1/0/+1, so those dot
+products and squared norms are small integers — exact in any summation
+order — and the sparse evaluation is bit-identical to the dense one.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.arrays import pairwise_squared_distances
+from repro.utils.arrays import as_row_matrix, pairwise_squared_distances
 
 __all__ = [
     "Kernel",
@@ -26,6 +35,12 @@ __all__ = [
 ]
 
 
+def _row_products(a, b: np.ndarray) -> np.ndarray:
+    """Dense ``a @ b.T`` for dense or scipy-sparse rows *a* and dense *b*."""
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    return as_row_matrix(a) @ b.T
+
+
 class Kernel(abc.ABC):
     """Abstract Mercer kernel ``k(x, y)`` evaluated on row matrices."""
 
@@ -33,8 +48,8 @@ class Kernel(abc.ABC):
     name: str = "kernel"
 
     @abc.abstractmethod
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Gram matrix between the rows of *a* and the rows of *b*."""
+    def __call__(self, a, b: np.ndarray) -> np.ndarray:
+        """Gram matrix between the rows of *a* (dense or sparse) and of *b*."""
 
     def gram(self, x: np.ndarray) -> np.ndarray:
         """Symmetric Gram matrix of *x* with itself."""
@@ -69,10 +84,8 @@ class LinearKernel(Kernel):
 
     name = "linear"
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        return a @ b.T
+    def __call__(self, a, b: np.ndarray) -> np.ndarray:
+        return _row_products(a, b)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -119,7 +132,7 @@ class RBFKernel(Kernel):
             )
         return float(self.gamma_)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def __call__(self, a, b: np.ndarray) -> np.ndarray:
         gamma = self._resolved_gamma()
         squared = pairwise_squared_distances(a, b)
         return np.exp(-gamma * squared)
@@ -143,10 +156,8 @@ class PolynomialKernel(Kernel):
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        return (self.gamma * (a @ b.T) + self.coef0) ** self.degree
+    def __call__(self, a, b: np.ndarray) -> np.ndarray:
+        return (self.gamma * _row_products(a, b) + self.coef0) ** self.degree
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.svm.kernels import Kernel
+from repro.utils.arrays import as_row_matrix
 
 __all__ = ["SVMModel"]
 
@@ -56,9 +57,13 @@ class SVMModel:
         """Number of support vectors retained by the model."""
         return int(self.support_vectors.shape[0])
 
-    def decision_function(self, x: np.ndarray) -> np.ndarray:
-        """Signed distance-like score ``f(x)`` for each row of *x*."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def decision_function(self, x) -> np.ndarray:
+        """Signed distance-like score ``f(x)`` for each row of *x*.
+
+        *x* may be a scipy-sparse row matrix (the pool's log vectors); it
+        reaches the kernel as is, see :mod:`repro.svm.kernels`.
+        """
+        x = as_row_matrix(x)
         if self.num_support_vectors == 0:
             return np.full(x.shape[0], self.bias)
         gram = self.kernel(x, self.support_vectors)

@@ -5,11 +5,13 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "zscore",
     "minmax_scale",
     "l2_normalize_rows",
+    "as_row_matrix",
     "pairwise_squared_distances",
     "stable_entropy",
 ]
@@ -60,15 +62,33 @@ def l2_normalize_rows(matrix: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
     return data / np.maximum(norms, eps)
 
 
-def pairwise_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def as_row_matrix(rows):
+    """*rows* as a 2-D float64 row matrix; a scipy-sparse matrix passes through.
+
+    The kernels and the SVM decision function take either layout as their
+    left operand: dense rows are coerced to float64, a sparse matrix (e.g.
+    :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`) is left sparse
+    so products with it cost ``O(nnz)``.
+    """
+    if sparse.issparse(rows):
+        return rows
+    return np.atleast_2d(np.asarray(rows, dtype=np.float64))
+
+
+def pairwise_squared_distances(a, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of *a* and rows of *b*.
 
     Uses the ``|a|^2 + |b|^2 - 2 a.b`` expansion, clipped at zero to guard
-    against tiny negative values from floating-point cancellation.
+    against tiny negative values from floating-point cancellation.  *a* may
+    be scipy-sparse (row norms and ``a @ b.T`` are then sparse products);
+    the result is always a dense ``(len(a), len(b))`` array.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    a_sq = np.sum(a * a, axis=1)[:, None]
+    if sparse.issparse(a):
+        a_sq = np.asarray(a.multiply(a).sum(axis=1)).reshape(-1, 1)
+    else:
+        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        a_sq = np.sum(a * a, axis=1)[:, None]
     b_sq = np.sum(b * b, axis=1)[None, :]
     # In-place updates keep the accumulation order of the naive
     # ``a_sq + b_sq - 2ab`` expression (bit-identical results) while

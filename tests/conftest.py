@@ -17,6 +17,14 @@ from repro.synth.categories import corel_category_specs
 from repro.synth.generator import CorelLikeGenerator
 
 
+def pytest_configure(config):
+    """Register the suite-local markers."""
+    config.addinivalue_line(
+        "markers",
+        "slow: multi-second end-to-end experiment (deselect with -m \"not slow\")",
+    )
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """A deterministic RNG for ad-hoc randomness inside tests."""

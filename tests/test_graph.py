@@ -3,7 +3,7 @@
 Covers the tentpole and its satellites: deterministic k-NN graph
 construction (any exhaustive index backend, bit-identical), persistence,
 the process-level graph cache, the fused visual/log kernel (sparse-only:
-the dense snapshot path must stay untouched), the clamped-propagation /
+``R`` is never densified) and its per-log-version memo, the clamped-propagation /
 α-spreading solvers, and the ``"lrf-graph"`` algorithm end to end —
 registry, cold start, service integration (serial, parallel and cluster
 schedulers) and bit-identical replay from a reloaded
@@ -36,7 +36,7 @@ from repro.index.brute_force import BruteForceIndex
 from repro.index.ivf import IVFIndex
 from repro.index.kd_tree import KDTreeIndex
 from repro.index.lsh import LSHIndex
-from repro.logdb import LogDatabase
+from repro.logdb import LogDatabase, LogSnapshot, RelevanceMatrix
 from repro.service import FileSessionStore, RetrievalService, SearchRequest
 
 
@@ -254,33 +254,38 @@ class TestLogCorelevanceKernel:
         affinity = log_corelevance(snapshot)
         assert affinity.nnz == 0
 
-    def test_never_densifies_the_snapshot(self):
-        from repro.obs import InMemoryExporter, configure, disable
-
+    def test_never_densifies_the_snapshot(self, monkeypatch):
         snapshot = self._snapshot([{0: 1, 1: 1}], num_images=3)
-        configure(exporters=[InMemoryExporter()])
-        try:
-            visual = sparse.identity(3, format="csr")
-            fuse_with_log(visual, snapshot, eta=0.5)
-            from repro.obs import get_hub
 
-            hub = get_hub()
-            assert hub.metrics.counter("logdb.snapshot_densifications").value == 0
-        finally:
-            disable()
-        # The dense cache slot must still be empty; the CSR view is cached.
-        assert snapshot._dense is None
-        assert snapshot._csr is not None
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the graph kernel must never densify R")
+
+        # Every way of getting a dense R out of the snapshot's matrix.
+        monkeypatch.setattr(RelevanceMatrix, "toarray", forbidden)
+        monkeypatch.setattr(RelevanceMatrix, "log_vectors", forbidden)
+        monkeypatch.setattr(LogSnapshot, "log_vectors", forbidden)
+        visual = sparse.identity(3, format="csr")
+        fused = fuse_with_log(visual, snapshot, eta=0.5)
+        assert sparse.issparse(fused)
+        # Only the sessions-major CSR view was built (and is cached).
+        assert set(snapshot._derived) == {"log_csr"}
 
     def test_log_csr_is_read_only_and_shared(self):
         snapshot = self._snapshot([{0: 1}], num_images=2)
         view = snapshot.log_csr()
         assert view is snapshot.log_csr()
+        assert view.shape == (1, 2)
+        for buffer in (view.data, view.indices, view.indptr):
+            with pytest.raises(ValueError):
+                buffer[0] = 99
+        # The images-major view is its transpose, independently cached and
+        # equally read-only; dense blocks still work afterwards.
+        rows = snapshot.log_rows()
+        assert rows is snapshot.log_rows() and rows is not view
+        np.testing.assert_array_equal(rows.toarray(), view.toarray().T)
         with pytest.raises(ValueError):
-            view.data[0] = 99.0
-        # Dense path still works afterwards and is unaffected.
-        dense = snapshot.log_vectors()
-        assert dense.shape == (2, 1)
+            rows.data[0] = 99.0
+        assert snapshot.log_vectors([0, 1]).shape == (2, 1)
 
     def test_fuse_validations_and_degradations(self):
         empty = LogDatabase(3).snapshot()
@@ -451,6 +456,81 @@ class TestLabelPropagationFeedback:
         for _ in range(3):
             algorithm.score(self._context(small_database, [0, 40], [1, -1]))
         assert cache.misses == 1 and cache.hits == 2
+
+    def test_fusion_is_memoised_per_log_version_graph_and_eta(
+        self, small_dataset, small_log, monkeypatch
+    ):
+        import copy
+
+        import repro.graph.feedback as graph_feedback
+
+        fusions = []
+
+        def counting_fuse(visual, snapshot, *, eta):
+            fusions.append((snapshot.version, eta))
+            return fuse_with_log(visual, snapshot, eta=eta)
+
+        monkeypatch.setattr(graph_feedback, "fuse_with_log", counting_fuse)
+        database = ImageDatabase(small_dataset, log_database=copy.deepcopy(small_log))
+        cache = GraphCache()
+        algorithm = LabelPropagationFeedback(k=8, eta=0.5, cache=cache)
+        graph = algorithm._visual_graph(database)
+
+        def fused_now():
+            return algorithm._fused_weights(graph, database.log_database.snapshot())
+
+        version = database.log_database.num_sessions
+        first = fused_now()
+        for _ in range(3):
+            algorithm.score(self._context(database, [0, 40], [1, -1]))
+        assert fused_now() is first
+        assert fusions == [(version, 0.5)]
+        # The memoised matrix is the one an unmemoised fusion produces.
+        fresh = fuse_with_log(graph.weights, database.log_database.snapshot(), eta=0.5)
+        assert (first != fresh).nnz == 0
+        np.testing.assert_array_equal(first.data, fresh.data)
+        np.testing.assert_array_equal(first.indices, fresh.indices)
+
+        # Another eta, and another graph over the same snapshot, fuse anew.
+        other_eta = LabelPropagationFeedback(k=8, eta=0.25, cache=cache)
+        other_eta.score(self._context(database, [0, 40], [1, -1]))
+        other_graph = LabelPropagationFeedback(k=5, eta=0.5, cache=cache)
+        other_graph.score(self._context(database, [0, 40], [1, -1]))
+        assert fusions == [(version, 0.5), (version, 0.25), (version, 0.5)]
+
+        # An append starts a new version: one more fusion, a different matrix.
+        database.log_database.record_judgements({0: 1, 1: 1, 40: -1})
+        algorithm.score(self._context(database, [0, 40], [1, -1]))
+        algorithm.score(self._context(database, [0, 40], [1, -1]))
+        assert fusions[3:] == [(version + 1, 0.5)]
+        assert fused_now() is not first
+
+    def test_memo_never_serves_another_graphs_fusion(self, small_dataset, small_log):
+        """A graph dropped by its cache stays alive inside the memo entry,
+        so a later graph can never be handed its ``id()`` — and its fusion."""
+        import copy
+        import gc
+        import weakref
+
+        database = ImageDatabase(small_dataset, log_database=copy.deepcopy(small_log))
+        snapshot = database.log_database.snapshot()
+        first = LabelPropagationFeedback(k=8, eta=0.5, cache=GraphCache())
+        graph = first._visual_graph(database)
+        first._fused_weights(graph, snapshot)
+        alive = weakref.ref(graph)
+        del first, graph
+        gc.collect()
+        assert alive() is not None  # pinned by the snapshot's memo entry
+
+        for _ in range(5):
+            algorithm = LabelPropagationFeedback(k=4, eta=0.5, cache=GraphCache())
+            other = algorithm._visual_graph(database)
+            assert id(other) != id(alive())
+            fused = algorithm._fused_weights(other, snapshot)
+            expected = fuse_with_log(other.weights, snapshot, eta=0.5)
+            assert (fused != expected).nnz == 0
+            del algorithm, other
+            gc.collect()
 
     def test_exact_index_is_used_approximate_is_not(self, small_dataset):
         database = ImageDatabase(small_dataset)

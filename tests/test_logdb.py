@@ -102,7 +102,8 @@ class TestRelevanceMatrix:
     def test_empty_matrix(self):
         matrix = RelevanceMatrix.empty(num_images=4)
         assert matrix.num_sessions == 0
-        assert matrix.log_vectors().shape == (4, 0)
+        assert matrix.log_vectors([0, 3]).shape == (2, 0)
+        assert matrix.toarray().shape == (0, 4)
 
     def test_append_session(self):
         matrix = RelevanceMatrix.empty(num_images=4)
@@ -162,7 +163,9 @@ class TestLogDatabase:
     def test_empty_log_vectors(self):
         log = LogDatabase(num_images=3)
         assert log.is_empty
-        assert log.log_vectors().shape == (3, 0)
+        assert log.log_vectors([0, 1, 2]).shape == (3, 0)
+        assert log.snapshot().log_vectors([0, 1, 2]).shape == (3, 0)
+        assert log.snapshot().log_rows().shape == (3, 0)
 
     def test_statistics(self):
         log = LogDatabase(num_images=5)
@@ -257,8 +260,11 @@ class TestLogDatabaseConcurrency:
     def test_snapshot_isolation_under_append_burst(self):
         log = LogDatabase(num_images=10)
         log.record_judgements({1: 1, 2: -1})
+        everything = np.arange(10)
         snapshot = log.snapshot()
-        frozen = snapshot.log_vectors().copy()
+        frozen = snapshot.log_vectors(everything)
+        frozen_rows = snapshot.log_rows().toarray()
+        frozen_csr = snapshot.log_csr().toarray()
         version = snapshot.version
 
         stop = threading.Event()
@@ -270,10 +276,13 @@ class TestLogDatabaseConcurrency:
             w.start()
         try:
             for _ in range(50):
-                # Mid-burst, the snapshot never changes length or contents.
+                # Mid-burst, the snapshot never changes length or contents,
+                # through any of its accessors.
                 assert snapshot.version == version
-                assert snapshot.log_vectors().shape == frozen.shape
-                np.testing.assert_array_equal(snapshot.log_vectors(), frozen)
+                assert snapshot.log_vectors(everything).shape == frozen.shape
+                np.testing.assert_array_equal(snapshot.log_vectors(everything), frozen)
+                np.testing.assert_array_equal(snapshot.log_rows().toarray(), frozen_rows)
+                np.testing.assert_array_equal(snapshot.log_csr().toarray(), frozen_csr)
         finally:
             stop.set()
             for w in writers:
@@ -281,20 +290,180 @@ class TestLogDatabaseConcurrency:
         # A fresh snapshot sees the appends; versions are totally ordered
         # and the old snapshot is the prefix of the new one.
         later = log.snapshot()
+        assert later is not snapshot
         assert later.version > version
         np.testing.assert_array_equal(
-            later.log_vectors()[:, :version], frozen
+            later.log_vectors(everything)[:, :version], frozen
+        )
+        np.testing.assert_array_equal(
+            later.log_rows()[:, :version].toarray(), frozen_rows
         )
 
-    def test_snapshot_dense_view_is_read_only(self):
+    def test_snapshot_sparse_views_are_read_only(self):
         log = LogDatabase(num_images=4)
         log.record_judgements({0: 1})
-        vectors = log.snapshot().log_vectors()
-        with pytest.raises(ValueError):
-            vectors[0, 0] = 5.0
-        # Sliced reads are ordinary writable copies.
-        sliced = log.snapshot().log_vectors([0, 1])
-        sliced[0, 0] = 5.0
+        snapshot = log.snapshot()
+        for view in (snapshot.log_rows(), snapshot.log_csr()):
+            for buffer in (view.data, view.indices, view.indptr):
+                with pytest.raises(ValueError):
+                    buffer[0] = 5
+        # Slices of a shared view, and the dense blocks, are ordinary
+        # writable copies that never write through.
+        sliced = snapshot.log_rows()[[0, 1]]
+        sliced.data[0] = 5.0
+        block = snapshot.log_vectors([0, 1])
+        block[0, 0] = 5.0
+        np.testing.assert_array_equal(snapshot.log_vectors([0, 1]), [[1.0], [0.0]])
+
+
+class TestSharedSnapshot:
+    """One snapshot object per log version; sparse accessor edges."""
+
+    @staticmethod
+    def _log(num_images=6):
+        log = LogDatabase(num_images=num_images)
+        log.record_judgements({0: 1, 2: -1})
+        log.record_judgements({2: 1, 5: 1})
+        return log
+
+    def test_same_object_while_version_unchanged(self):
+        log = self._log()
+        first = log.snapshot()
+        assert log.snapshot() is first
+        assert first.matrix is log.relevance_matrix()
+        assert first.log_rows() is log.snapshot().log_rows()
+        assert first.log_csr() is log.snapshot().log_csr()
+
+    def test_new_object_after_append_and_old_one_frozen(self):
+        log = self._log()
+        old = log.snapshot()
+        old_rows = old.log_rows()
+        before = old_rows.toarray()
+        log.record_judgements({1: 1})
+        new = log.snapshot()
+        assert new is not old
+        assert (old.version, new.version) == (2, 3)
+        assert old.log_rows() is old_rows
+        np.testing.assert_array_equal(old_rows.toarray(), before)
+        assert new.log_rows().shape == (6, 3)
+        assert log.snapshot() is new
+
+    def test_append_through_second_file_handle_yields_new_snapshot(self, tmp_path):
+        from repro.logdb import FileLogStore
+
+        log = LogDatabase(store=FileLogStore(tmp_path / "log", num_images=6))
+        log.record_judgements({0: 1})
+        old = log.snapshot()
+        assert log.snapshot() is old
+        # Another handle (another process, in production) lands a session.
+        FileLogStore(tmp_path / "log", num_images=6).append(
+            LogSession(judgements={3: -1})
+        )
+        new = log.snapshot()
+        assert new is not old and new.version == 2
+        np.testing.assert_array_equal(new.log_vectors([3]), [[0.0, -1.0]])
+        np.testing.assert_array_equal(old.log_vectors([3]), [[0.0]])
+
+    def test_shared_across_threads_with_one_build(self, monkeypatch):
+        import sys
+
+        log = self._log()
+        builds = []
+        original = RelevanceMatrix.tocsr
+
+        def counting_tocsr(self):
+            builds.append(threading.get_ident())
+            return original(self)
+
+        monkeypatch.setattr(RelevanceMatrix, "tocsr", counting_tocsr)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def reader():
+            barrier.wait(timeout=10)
+            snapshot = log.snapshot()
+            seen.append((snapshot, snapshot.log_rows()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8
+        assert len({id(snapshot) for snapshot, _ in seen}) == 1
+        assert len({id(rows) for _, rows in seen}) == 1
+        assert len(builds) == 1
+
+    def test_copied_and_pickled_logs_carry_no_snapshot(self):
+        log = self._log()
+        original = log.snapshot()
+        for clone in (copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+            assert clone._snapshot_cache is None
+            assert clone._matrix_cache is None
+            snapshot = clone.snapshot()
+            assert snapshot is not original
+            assert snapshot.matrix is not original.matrix
+            np.testing.assert_array_equal(
+                snapshot.log_rows().toarray(), original.log_rows().toarray()
+            )
+        assert log.snapshot() is original
+
+    def test_derived_values_are_built_once_per_snapshot(self):
+        log = self._log()
+        snapshot = log.snapshot()
+        calls = []
+
+        def build():
+            calls.append(1)
+            return object()
+
+        value = snapshot.derived(("test", 1), build)
+        assert snapshot.derived(("test", 1), build) is value
+        assert snapshot.derived(("test", 2), build) is not value
+        assert len(calls) == 2
+        # A derived value may itself be built from the snapshot's views.
+        assert snapshot.derived("nnz", lambda: snapshot.log_rows().nnz) == 4
+        log.record_judgements({1: 1})
+        assert log.snapshot().derived(("test", 1), build) is not value
+
+    @pytest.mark.parametrize("bad", [[6], [-1], [0, 99], [2, -3]])
+    def test_out_of_range_indices_rejected(self, bad):
+        log = self._log()
+        with pytest.raises(LogDatabaseError):
+            log.snapshot().log_vectors(bad)
+        with pytest.raises(LogDatabaseError):
+            log.log_vectors(bad)
+        with pytest.raises(LogDatabaseError):
+            log.relevance_matrix().log_vectors(bad)
+
+    def test_duplicate_and_unsorted_indices_keep_their_order(self):
+        log = self._log()
+        dense = log.relevance_matrix().toarray().T
+        order = [5, 2, 2, 0, 4]
+        block = log.snapshot().log_vectors(order)
+        assert block.flags["C_CONTIGUOUS"] and block.flags["WRITEABLE"]
+        np.testing.assert_array_equal(block, dense[order])
+        np.testing.assert_array_equal(log.log_vectors(order), dense[order])
+        np.testing.assert_array_equal(
+            log.snapshot().log_rows()[order].toarray(), dense[order]
+        )
+        assert log.snapshot().log_vectors([]).shape == (0, 2)
+
+    def test_indices_are_required(self):
+        log = self._log()
+        for accessor in (
+            log.snapshot().log_vectors,
+            log.log_vectors,
+            log.relevance_matrix().log_vectors,
+        ):
+            with pytest.raises(TypeError):
+                accessor()
 
 
 class TestSimulatedUser:

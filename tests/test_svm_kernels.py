@@ -186,3 +186,71 @@ class TestMakeKernel:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             make_kernel("sigmoid")
+
+
+@st.composite
+def _ternary_logs(draw):
+    """``(pool rows, support vectors)`` of a random ternary log.
+
+    The pool is an images × sessions matrix with −1/0/+1 entries, biased
+    towards zero like a real log; shapes include a 0-session log, all-zero
+    rows (never-judged images) and a single support vector.
+    """
+    num_images = draw(st.integers(1, 12))
+    num_sessions = draw(st.integers(0, 9))
+    entry = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0])
+    pool = draw(hnp.arrays(np.float64, (num_images, num_sessions), elements=entry))
+    blank = draw(st.lists(st.integers(0, num_images - 1), max_size=3))
+    pool[blank] = 0.0
+    picked = draw(st.lists(st.integers(0, num_images - 1), min_size=1, max_size=5))
+    return pool, pool[picked]
+
+
+class TestSparseLeftOperand:
+    """``kernel(sparse rows, sv)`` is the dense evaluation, bit for bit."""
+
+    KERNELS = (
+        LinearKernel(),
+        RBFKernel(gamma=0.37),
+        PolynomialKernel(degree=3, gamma=0.5, coef0=1.0),
+    )
+
+    @given(_ternary_logs())
+    @settings(max_examples=60, deadline=None)
+    def test_ternary_logs_evaluate_exactly(self, log):
+        from scipy import sparse
+
+        pool, support_vectors = log
+        for layout in (sparse.csr_matrix, sparse.csc_matrix, sparse.csr_array):
+            rows = layout(pool)
+            for kernel in self.KERNELS:
+                dense = kernel(pool, support_vectors)
+                result = kernel(rows, support_vectors)
+                assert type(result) is np.ndarray
+                assert result.shape == (pool.shape[0], support_vectors.shape[0])
+                np.testing.assert_array_equal(result, dense)
+
+    @given(_ternary_logs(), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_decision_function_passes_sparse_rows_through(self, log, bias, seed):
+        from scipy import sparse
+
+        from repro.svm.model import SVMModel
+
+        pool, support_vectors = log
+        coefficients = np.random.default_rng(seed).normal(size=support_vectors.shape[0])
+        for kernel in self.KERNELS:
+            model = SVMModel(support_vectors, coefficients, bias, kernel)
+            np.testing.assert_array_equal(
+                model.decision_function(sparse.csr_matrix(pool)),
+                model.decision_function(pool),
+            )
+
+    def test_model_without_support_vectors_scores_sparse_rows(self):
+        from scipy import sparse
+
+        from repro.svm.model import SVMModel
+
+        model = SVMModel(np.zeros((0, 4)), np.zeros(0), -0.25, LinearKernel())
+        scores = model.decision_function(sparse.csr_matrix((7, 4)))
+        np.testing.assert_array_equal(scores, np.full(7, -0.25))
