@@ -12,8 +12,8 @@ Every artifact is written under ``benchmarks/out/`` (git-ignored), so a
 test run never modifies a tracked file; the ``BENCH_*.json`` at the
 repository root are the numbers recorded by earlier PRs.  At session end
 the individual ``BENCH_*.json`` artifacts in ``benchmarks/out/`` —
-``BENCH_solver`` / ``BENCH_index`` / ``BENCH_service`` /
-``BENCH_parallel`` / ``BENCH_logdb`` / ``BENCH_obs`` (the observability
+``BENCH_solver`` / ``BENCH_index`` / ``BENCH_service`` / ``BENCH_logdb`` /
+``BENCH_obs`` (the observability
 overhead numbers from ``test_obs_overhead.py``) / ``BENCH_cluster`` (the
 multi-process soak from ``test_cluster_soak.py``) / ``BENCH_graph`` (the
 graph-feedback cost/quality numbers from

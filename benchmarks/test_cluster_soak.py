@@ -4,10 +4,10 @@ Simulates the production traffic shape — many independent per-call clients,
 each driving complete sessions (open → ``NUM_ROUNDS`` feedback rounds →
 close) — against two deployments of the *same* serving stack:
 
-* **baseline** — one :class:`~repro.service.RetrievalService` with the
-  ``parallel`` scheduler over file-backed stores, called directly by the
-  client threads.  Concurrent per-call clients do not batch: each call is
-  its own wave, so each round pays a full-pool scan for one query.
+* **baseline** — one :class:`~repro.service.RetrievalService` over
+  file-backed stores, called directly by the client threads.  Concurrent
+  per-call clients do not batch: each call is its own wave, so each round
+  pays a full-pool scan for one query.
 * **cluster** — a :class:`~repro.cluster.ClusterRouter` over
   ``NUM_WORKERS`` worker processes sharing the same store layout.  The
   router coalesces the concurrent per-call clients into batched waves, so
@@ -129,7 +129,6 @@ def _cluster_config(tmp_path, **overrides):
         session_dir=tmp_path / "sessions",
         log_dir=tmp_path / "log",
         num_workers=NUM_WORKERS,
-        scheduler="parallel",
         coalesce_window=0.004,
         max_wave=64,
         request_timeout=120.0,
@@ -234,7 +233,7 @@ def _percentiles(latencies):
 
 
 def _run_baseline(dataset, tmp_path):
-    """Single-process parallel-scheduler service, per-call clients."""
+    """Single-process service, per-call clients."""
     config = _cluster_config(tmp_path)  # same stack parameters
     service = build_worker_service(lambda: dataset, config)
     frontend = _Frontend(

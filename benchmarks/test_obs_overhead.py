@@ -20,8 +20,8 @@ concurrent sessions, 100k-vector pool, two interleaved feedback rounds,
 
 * **Does enabling observability change behaviour?**  The same workload
   runs with the hub enabled and an in-memory exporter: rankings must be
-  bit-identical to the disabled run, every layer (service, scheduler,
-  solver, index, logdb) must record nonzero metrics, and every feedback
+  bit-identical to the disabled run, every layer (service, solver,
+  index, logdb) must record nonzero metrics, and every feedback
   round must yield a complete span tree (``service.round`` under
   ``service.feedback_batch``, with solver spans beneath).
 
@@ -211,7 +211,6 @@ def test_disabled_overhead_within_two_percent(pool_database):
 
     layer_totals = {
         "service": total("service.rounds_scored"),
-        "scheduler": total("scheduler.flushes"),
         "solver": total("solver.smo.solves"),
         "index": total("index.queries"),
         "logdb": total("logdb.sessions_appended"),

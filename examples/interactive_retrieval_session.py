@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    CBIREngine,
     CorelDatasetConfig,
     ImageDatabase,
     LogSimulationConfig,
+    RetrievalService,
     SimulatedUser,
     build_corel_dataset,
     collect_feedback_log,
@@ -46,8 +46,10 @@ def main() -> None:
     )
     database = ImageDatabase(dataset, log_database=log)
 
-    # The engine refines with the paper's LRF-CSVM and records every round.
-    engine = CBIREngine(database, algorithm="lrf-csvm", record_log=True)
+    # The service refines with the paper's LRF-CSVM and records every round.
+    service = RetrievalService(
+        database, default_algorithm="lrf-csvm", log_policy="per_round"
+    )
     user = SimulatedUser(dataset, noise_rate=0.05, random_state=21)
 
     query_index = int(dataset.indices_of_category(3)[0])
@@ -56,7 +58,8 @@ def main() -> None:
           f"(category '{dataset.category_name_of(query_index)}')")
 
     sessions_before = database.log_database.num_sessions
-    result = engine.start_query(query_index, top_k=TOP_K)
+    result = service.open_session(query_index, top_k=TOP_K)
+    session_id = result.session_id
     print(f"  round 0 (no learning)     P@{TOP_K} = {precision(result, relevant):.2f}")
 
     judged: set[int] = set()
@@ -65,10 +68,13 @@ def main() -> None:
         to_judge = [int(i) for i in result.image_indices if int(i) not in judged][:TOP_K]
         judgements = user.judge(query_index, to_judge)
         judged.update(judgements)
-        result = engine.feedback(judgements, top_k=database.num_images)
+        result = service.submit_feedback(
+            session_id, judgements, top_k=database.num_images
+        )
         print(f"  round {round_index} (LRF-CSVM)        P@{TOP_K} = {precision(result, relevant):.2f} "
               f"({len(judged)} images judged so far)")
 
+    service.close_session(session_id)
     recorded = database.log_database.num_sessions - sessions_before
     print(f"\nThe log database grew by {recorded} sessions during this query "
           f"(now {database.log_database.num_sessions} total) — future queries benefit from them.")

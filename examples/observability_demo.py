@@ -2,16 +2,15 @@
 
 This demo switches the process-wide :mod:`repro.obs` hub on (it is off —
 and effectively free — by default), drives a small ``per_round`` workload
-through a parallel-scheduler :class:`RetrievalService`, and prints what
-the instrumentation saw:
+through a :class:`RetrievalService`, and prints what the instrumentation
+saw:
 
 * the full metrics snapshot — solver iterations, index candidates
-  scanned, log append latency, scheduler wave occupancy, lock waits —
-  rendered by :func:`repro.obs.render_snapshot`;
+  scanned, log append latency, lock waits — rendered by
+  :func:`repro.obs.render_snapshot`;
 * the complete span tree of one feedback round's wave: the
   ``service.feedback_batch`` span, its per-session ``service.round``
-  children (which ran on pool worker threads — context propagation
-  carries parentage across the fan-out), and the SMO solves beneath.
+  children, and the SMO solves beneath.
 
 The metric catalogue and span taxonomy are documented in
 ``docs/observability.md``; ``benchmarks/test_obs_overhead.py`` asserts
@@ -71,8 +70,6 @@ def main() -> None:
             database,
             default_algorithm="lrf-csvm",
             log_policy="per_round",
-            scheduler="parallel",
-            max_workers=4,
         )
         responses = service.open_sessions(
             [SearchRequest(query=i, top_k=TOP_K) for i in range(NUM_SESSIONS)]
@@ -90,7 +87,6 @@ def main() -> None:
             )
         last = responses[0]
         service.close_sessions([r.session_id for r in responses])
-        service.shutdown()
 
         print("=" * 72)
         print("metrics snapshot (render_snapshot):")

@@ -1,17 +1,15 @@
-"""Thread-pool serving: many client threads, one thread-safe service.
+"""Many client threads, one thread-safe service.
 
 This demo drives one shared :class:`RetrievalService` from several client
 threads at once — the scenario the service's lock discipline exists for:
-striped per-session locks let disjoint sessions proceed in parallel, the
-shared log database takes atomic appends from every closing session, and a
-``scheduler="parallel"`` service additionally fans each wave's feedback
-solves across its own worker pool.  At the end it prints the measured
-throughput of the threaded run against a serial one-session-at-a-time
-baseline, and verifies the rankings agree ranking-for-ranking.
+striped per-session locks let disjoint sessions proceed in parallel, and
+the shared log database takes atomic appends from every closing session.
+At the end it prints the measured throughput of the threaded run against a
+serial one-session-at-a-time baseline, and verifies the rankings agree
+ranking-for-ranking.
 
-Compare with ``examples/service_sessions.py`` (single-threaded waves) and
-the tracked benchmark artifact ``BENCH_parallel.json`` (the 100k-pool
-version of this measurement, asserted in CI).
+Compare with ``examples/service_sessions.py`` (single-threaded waves); the
+scale-out path is the process cluster (``examples/cluster_serving.py``).
 
 Run with::
 
@@ -20,7 +18,6 @@ Run with::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -84,11 +81,9 @@ def main() -> None:
     serial_rankings = [drive_session(serial_service, dataset, q) for q in queries]
     serial_seconds = time.perf_counter() - start
 
-    # ---- threaded run: 8 client threads, one parallel-scheduler service --
+    # ---- threaded run: 8 client threads, one shared service --------------
     database = ImageDatabase(dataset, log_database=collect_feedback_log(dataset))
-    service = RetrievalService(
-        database, default_algorithm="rf-svm", scheduler="parallel"
-    )
+    service = RetrievalService(database, default_algorithm="rf-svm")
     threaded_rankings = {}
     barrier = threading.Barrier(NUM_CLIENT_THREADS)
 
@@ -110,7 +105,6 @@ def main() -> None:
     for thread in threads:
         thread.join()
     threaded_seconds = time.perf_counter() - start
-    service.shutdown()
 
     # ---- the concurrency guarantee: same rankings, session for session ---
     for serial, rankings in enumerate(serial_rankings):
@@ -135,17 +129,11 @@ def main() -> None:
         f"  rankings bit-identical to the serial run; "
         f"log grew to {grown} sessions with no lost records"
     )
-    if (os.cpu_count() or 1) < 2:
-        print(
-            "  (single-core host: threading only adds overhead here — the "
-            "fan-out wins on multi-core,\n   and wave-based batch calls win "
-            "everywhere; see BENCH_parallel.json)"
-        )
-    else:
-        print(
-            "\n(The 100k-pool version of this measurement is tracked in "
-            "BENCH_parallel.json.)"
-        )
+    print(
+        "  (client threads are about safety, not speed: the solver loop holds "
+        "the GIL,\n   wave calls are what batch, and the process cluster is "
+        "what scales out)"
+    )
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
 """Concurrent feedback sessions through the retrieval service.
 
-This example shows the session-oriented API that replaced driving
-:class:`CBIREngine` objects directly: several simulated users open sessions
-against one shared database (their first-round searches are served by a
-single micro-batched index pass), interleave feedback rounds, persist one
+This example shows the session-oriented API: several simulated users open
+sessions against one shared database (their first-round searches are served
+by a single batched index pass), interleave feedback rounds, persist one
 session to disk mid-flight and resume it in a "fresh process", and finally
 close their sessions — which is the moment their rounds join the shared
 feedback log and start helping future users.
@@ -62,9 +61,7 @@ def main() -> None:
     responses = service.open_sessions(
         [SearchRequest(query=q, top_k=TOP_K) for q in queries]
     )
-    print(f"\nOpened {len(responses)} sessions "
-          f"({service.scheduler.searches_served_} searches in "
-          f"{service.scheduler.flushes_} flush)")
+    print(f"\nOpened {len(responses)} sessions in one batched search")
 
     # ---- interleaved feedback rounds ------------------------------------
     current = responses

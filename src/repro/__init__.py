@@ -5,7 +5,7 @@ Log into Relevance Feedback by Coupled SVM for Content-Based Image
 Retrieval"* (ICDE 2005): the coupled support vector machine, the LRF-CSVM
 relevance-feedback algorithm, every baseline it is compared against, and all
 the substrates the evaluation needs (synthetic COREL-like corpus, feature
-extraction, an SMO-based SVM, the user-feedback log database, a CBIR engine
+extraction, an SMO-based SVM, the user-feedback log database, CBIR search
 and the evaluation harness).
 
 Quick start (the session-oriented service API)::
@@ -27,14 +27,11 @@ Quick start (the session-oriented service API)::
                   dataset.category_of(0) else -1)
          for i in initial.image_indices})
     service.close_session(initial.session_id)   # rounds land in the log
-
-(:class:`CBIREngine` remains as a deprecated single-session adapter over
-the service.)
 """
 
 from __future__ import annotations
 
-from repro.cbir import CBIREngine, ImageDatabase, Query, RetrievalResult, SearchEngine
+from repro.cbir import ImageDatabase, Query, RetrievalResult, SearchEngine
 from repro.cluster import ClusterConfig, ClusterRouter, ClusterWorker
 from repro.core import CoupledSVM, CoupledSVMConfig, LRFCSVM
 from repro.datasets import (
@@ -97,8 +94,6 @@ from repro.service import (
     FeedbackRequest,
     FileSessionStore,
     InMemorySessionStore,
-    MicroBatchScheduler,
-    ParallelScheduler,
     RankingResponse,
     RetrievalService,
     SearchRequest,
@@ -141,7 +136,6 @@ __all__ = [
     "SearchEngine",
     "Query",
     "RetrievalResult",
-    "CBIREngine",
     # index
     "VectorIndex",
     "BruteForceIndex",
@@ -178,8 +172,6 @@ __all__ = [
     "SessionStore",
     "InMemorySessionStore",
     "FileSessionStore",
-    "MicroBatchScheduler",
-    "ParallelScheduler",
     # cluster
     "ClusterConfig",
     "ClusterRouter",

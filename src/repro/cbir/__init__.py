@@ -1,16 +1,14 @@
-"""Content-based image retrieval engine.
+"""Content-based image retrieval: the shared corpus and first-round search.
 
-Ties the feature store, the feedback-log database and the relevance-feedback
-algorithms together into an interactive retrieval loop: initial query by
-visual similarity, rounds of relevance feedback, and automatic recording of
-every feedback round into the log database (the long-term-learning resource
-the paper exploits).
+:class:`ImageDatabase` ties the feature store, the attached vector index and
+the feedback-log database together; :class:`SearchEngine` ranks it by visual
+similarity.  The interactive loop on top (sessions, feedback rounds, log
+growth) is :class:`repro.service.RetrievalService`.
 """
 
 from __future__ import annotations
 
 from repro.cbir.database import ImageDatabase
-from repro.cbir.engine import CBIREngine, FeedbackRound
 from repro.cbir.query import Query, RetrievalResult
 from repro.cbir.search import SearchEngine
 from repro.cbir.similarity import (
@@ -25,8 +23,6 @@ __all__ = [
     "SearchEngine",
     "Query",
     "RetrievalResult",
-    "CBIREngine",
-    "FeedbackRound",
     "euclidean_distances",
     "manhattan_distances",
     "cosine_distances",

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import ValidationError
-from repro.service.service import LOG_POLICIES, SCHEDULERS
+from repro.service.service import LOG_POLICIES
 from repro.utils.faults import FaultPlan
 
 __all__ = [
@@ -97,7 +97,7 @@ class ClusterConfig:
         the index shards the pool).
     index_params:
         Constructor parameters for that index backend.
-    default_algorithm, log_policy, distance, scheduler:
+    default_algorithm, log_policy, distance:
         Forwarded to each worker's :class:`~repro.service.RetrievalService`.
     session_ttl, sweep_interval:
         TTL configuration of the shared session store (the sweep throttle
@@ -154,7 +154,6 @@ class ClusterConfig:
     default_algorithm: str = "lrf-csvm"
     log_policy: str = "on_close"
     distance: str = "euclidean"
-    scheduler: str = "micro-batch"
     session_ttl: Optional[float] = None
     sweep_interval: float = 0.0
     coalesce_window: float = 0.003
@@ -177,10 +176,6 @@ class ClusterConfig:
         if self.log_policy not in LOG_POLICIES:
             raise ValidationError(
                 f"log_policy must be one of {LOG_POLICIES}, got {self.log_policy!r}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValidationError(
-                f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
             )
         if self.coalesce_window < 0:
             raise ValidationError(

@@ -114,7 +114,6 @@ def build_worker_service(
         default_algorithm=config.default_algorithm,
         log_policy=config.log_policy,
         distance=config.distance,
-        scheduler=config.scheduler,
     )
 
 

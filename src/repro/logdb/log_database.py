@@ -45,7 +45,7 @@ class LogSnapshot:
     :meth:`LogDatabase.snapshot` hands out **one snapshot object per log
     version**, so everything derived from it (:meth:`log_rows`,
     :meth:`log_csr`, anything memoised through :meth:`derived`) is built
-    once per version and shared by every round, session and scheduler
+    once per version and shared by every round, session and client
     thread that reads that version.
 
     ``R`` stays sparse throughout: a session judges the ~20 images one
@@ -68,8 +68,7 @@ class LogSnapshot:
     -----
     Thread-safe: derived views are built at most once under an internal
     lock and their buffers are marked read-only, so any number of rounds
-    (including the parallel scheduler's worker threads) may share one
-    snapshot.
+    (on any number of client threads) may share one snapshot.
     """
 
     __slots__ = ("version", "matrix", "_derived", "_lock")
@@ -346,8 +345,8 @@ class LogDatabase:
         """Record every session in *sessions* as one atomic append batch.
 
         The batch lands entirely or not at all (the store validates up
-        front), so a reader observes the log either before a scheduler
-        flush or after it, never half-applied.
+        front), so a reader observes the log either before a wave's
+        append or after it, never half-applied.
         """
         hub = get_hub()
         if not hub.enabled:

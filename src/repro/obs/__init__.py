@@ -3,8 +3,8 @@
 ``repro.obs`` answers "why was this feedback round slow?" at runtime: a
 :class:`MetricsRegistry` of thread-safe counters/gauges/histograms, a
 :class:`Tracer` that assembles per-feedback-round span trees (session open →
-scheduler wave → coupled-SMO solves → log append) whose parent/child links
-survive :class:`~repro.service.scheduler.ParallelScheduler` thread fan-out,
+feedback batch → coupled-SMO solves → log append) whose parent/child links
+survive thread fan-out under :func:`contextvars.copy_context`,
 and pluggable exporters (in-memory, crash-safe JSONL).  Everything is off by
 default behind a process-wide hub with a true no-op fast path —
 :func:`configure` turns it on, :func:`disable` turns it back off, and

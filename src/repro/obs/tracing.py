@@ -1,13 +1,13 @@
 """Per-round span trees with context propagation across thread fan-out.
 
 A :class:`Span` is one timed operation (a feedback round, an SMO solve, a
-scheduler flush).  Spans form trees: the :class:`Tracer` keeps the *current*
+log append).  Spans form trees: the :class:`Tracer` keeps the *current*
 span in a :class:`contextvars.ContextVar`, so a span opened inside another
 span's ``with`` block records it as its parent — including across threads,
-because :class:`repro.service.scheduler.ParallelScheduler` submits each job
-under :func:`contextvars.copy_context`, which snapshots the submitting
-thread's current span into the worker.  That is the whole propagation
-mechanism; no thread-locals, no explicit plumbing through call signatures.
+when a job is submitted under :func:`contextvars.copy_context`, which
+snapshots the submitting thread's current span into the worker.  That is
+the whole propagation mechanism; no thread-locals, no explicit plumbing
+through call signatures.
 
 A disabled tracer returns a shared :data:`NULL_SPAN` whose methods are
 no-ops, mirroring the metrics registry's disabled fast path.  Finished spans
@@ -35,7 +35,7 @@ __all__ = [
 
 #: The ambient current span, shared by all tracers in the process.  A
 #: ContextVar (not a thread-local) so that ``contextvars.copy_context()``
-#: carries the active span into scheduler worker threads.
+#: carries the active span into worker threads.
 _CURRENT_SPAN: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )

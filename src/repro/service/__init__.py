@@ -1,7 +1,6 @@
 """repro.service — the session-oriented retrieval-service API.
 
-The multi-user interaction surface of the system (and the replacement for
-driving :class:`~repro.cbir.engine.CBIREngine` objects directly):
+The multi-user interaction surface of the system:
 
 * :class:`RetrievalService` — the facade: ``open_session`` →
   ``submit_feedback``\\ * → ``close_session`` over one shared database.
@@ -12,11 +11,6 @@ driving :class:`~repro.cbir.engine.CBIREngine` objects directly):
 * :class:`SessionStore` (+ :class:`InMemorySessionStore`,
   :class:`FileSessionStore`) — thread-safe session persistence with
   lock-aware TTL eviction and atomic on-disk writes.
-* :class:`MicroBatchScheduler` — batches first-round searches through
-  :meth:`VectorIndex.batch_search` and session closes into log appends.
-* :class:`ParallelScheduler` — the same batching plus a thread pool that
-  fans independent per-session work across workers (true parallel serving
-  with bit-identical results).
 
 Every public entry point of the service is thread-safe; see
 :mod:`repro.service.service` for the lock discipline.
@@ -30,15 +24,13 @@ from repro.service.dtos import (
     SearchRequest,
     SessionView,
 )
-from repro.service.scheduler import MicroBatchScheduler, ParallelScheduler
-from repro.service.service import LOG_POLICIES, SCHEDULERS, RetrievalService
+from repro.service.service import LOG_POLICIES, RetrievalService
 from repro.service.state import SessionState
 from repro.service.store import FileSessionStore, InMemorySessionStore, SessionStore
 
 __all__ = [
     "RetrievalService",
     "LOG_POLICIES",
-    "SCHEDULERS",
     "SearchRequest",
     "FeedbackRequest",
     "RankingResponse",
@@ -47,6 +39,4 @@ __all__ = [
     "SessionStore",
     "InMemorySessionStore",
     "FileSessionStore",
-    "MicroBatchScheduler",
-    "ParallelScheduler",
 ]

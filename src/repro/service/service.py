@@ -8,15 +8,15 @@ owning an explicit session (``open_session`` → ``submit_feedback``\\ * →
 strategies; everything a session accumulates lives in its
 :class:`~repro.service.state.SessionState`, which any
 :class:`~repro.service.store.SessionStore` backend can persist and a fresh
-service can resume bit-identically.  Waves of first-round searches are
-micro-batched through the scheduler, and closed sessions' rounds are what
-grows the shared log database — the long-term resource the paper's LRF-CSVM
-exploits.
+service can resume bit-identically.  A wave of first-round searches is one
+:meth:`~repro.cbir.search.SearchEngine.batch_search` call, and closed
+sessions' rounds are what grows the shared log database — the long-term
+resource the paper's LRF-CSVM exploits.
 
 Thread safety and lock discipline
 ---------------------------------
 Every public entry point is safe to call from any number of threads.  The
-service layers three locks (acquired strictly in this order, see
+service layers two locks (acquired strictly in this order, see
 :data:`repro.utils.concurrency.LOCK_ORDER`):
 
 1. **Session stripes** (:class:`~repro.utils.concurrency.StripedLockMap`)
@@ -31,27 +31,23 @@ service layers three locks (acquired strictly in this order, see
    the features, the index and the log vectors); :meth:`attach_index` /
    :meth:`build_index` / :meth:`detach_index` and the deferred KD-tree
    rebuild hold it exclusively.
-3. **Scheduler wave mutex** — one wave's enqueue→flush is exclusive, so
-   concurrent waves keep the "one wave = one ``batch_search`` flush"
-   property; queued log records land in the shared log as one atomic
-   append batch.  The log target is a pluggable
-   :class:`~repro.logdb.store.LogStore` behind the
-   :class:`~repro.logdb.log_database.LogDatabase` façade (which carries
-   its own innermost synchronisation) — give the database a
-   file-backed store and many service *processes* ship their logs into
-   one directory.  Feedback rounds read the log through a versioned
-   immutable :class:`~repro.logdb.log_database.LogSnapshot` captured
-   once per batch, so scoring sees a consistent relevance matrix while
-   appends continue.
 
-Running on a :class:`~repro.service.scheduler.ParallelScheduler` adds a
-thread pool *inside* a wave: independent per-session feedback solves and
-bookkeeping fan out across workers (NumPy releases the GIL in the dense
-kernels), while rankings and log records stay bit-identical to serial
-execution.  Strategy instances passed by the caller (instance-backed
-sessions) are served one group at a time and never cloned — their thread
-safety remains the caller's responsibility; registry-named algorithms are
-materialised per round and are fully safe.
+Below them sit only the stores' own locks.  A wave's log records land in
+the shared log as **one** atomic :meth:`~repro.logdb.store.LogStore.extend`
+batch; the log target is a pluggable :class:`~repro.logdb.store.LogStore`
+behind the :class:`~repro.logdb.log_database.LogDatabase` façade (which
+carries its own innermost synchronisation) — give the database a
+file-backed store and many service *processes* ship their logs into one
+directory.  Feedback rounds read the log through a versioned immutable
+:class:`~repro.logdb.log_database.LogSnapshot` captured once per batch, so
+scoring sees a consistent relevance matrix while appends continue.
+
+A wave runs on its calling thread: client threads are what parallelise
+in-process serving (NumPy releases the GIL in the dense kernels), and the
+process cluster (:mod:`repro.cluster`) is the scale-out path.  Strategy
+instances passed by the caller (instance-backed sessions) are never cloned —
+their thread safety remains the caller's responsibility; registry-named
+algorithms are materialised per round and are fully safe.
 """
 
 from __future__ import annotations
@@ -59,10 +55,11 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.cbir.database import ImageDatabase
-from repro.cbir.query import Query
+from repro.cbir.query import Query, RetrievalResult
 from repro.cbir.search import SearchEngine
 from repro.exceptions import SessionError, ValidationError
 from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
@@ -72,25 +69,23 @@ from repro.logdb.session import LogSession
 from repro.logdb.store import _session_document, _session_from_document
 from repro.obs import get_hub, lock_wait_recorder
 from repro.service.dtos import FeedbackRequest, RankingResponse, SearchRequest, SessionView
-from repro.service.scheduler import MicroBatchScheduler, ParallelScheduler
 from repro.service.state import SessionState
 from repro.service.store import InMemorySessionStore, SessionStore
 from repro.utils.concurrency import ReadWriteLock, StripedLockMap
 from repro.utils.faults import trip as _fault_trip
 
-__all__ = ["RetrievalService", "LOG_POLICIES", "SCHEDULERS"]
+__all__ = ["RetrievalService", "LOG_POLICIES"]
 
 #: When closed sessions' judgements reach the shared log database:
 #: ``on_close`` appends one log session per completed round at close time
 #: (the service default — in-flight sessions never contaminate each other),
-#: ``per_round`` appends immediately after every round (the legacy
-#: :class:`CBIREngine` behaviour), ``off`` never appends (evaluation runs).
+#: ``per_round`` appends immediately after every round, ``off`` never
+#: appends (evaluation runs).
 LOG_POLICIES = ("on_close", "per_round", "off")
 
-#: Scheduler choices: ``micro-batch`` serves waves cooperatively on the
-#: calling thread; ``parallel`` additionally fans independent per-session
-#: work across a thread pool (see :class:`ParallelScheduler`).
-SCHEDULERS = ("micro-batch", "parallel")
+#: Query-block size handed to :meth:`SearchEngine.batch_search`, so an
+#: arbitrarily large open wave stays memory-bounded.
+SEARCH_CHUNK_SIZE = 1024
 
 
 class RetrievalService:
@@ -110,32 +105,24 @@ class RetrievalService:
         Metric of the first-round retrieval.
     index:
         ``None`` to use whatever index the database carries, a backend name
-        (built and attached), or an already-built index (attached) — the
-        same semantics the engine had.
+        (built and attached), or an already-built index (attached).
     session_ttl:
         Convenience: TTL installed on the *default* store.  Pass a
         pre-configured store to control TTL per backend.
     clock:
         Seconds-returning callable used for timestamps and TTL eviction
         (injectable for tests); defaults to :func:`time.time`.
-    scheduler:
-        One of :data:`SCHEDULERS` (default ``micro-batch``).
-    max_workers:
-        Thread-pool size of the ``parallel`` scheduler (defaults to the
-        CPU count); rejected for ``micro-batch``, which is single-threaded
-        by definition.
 
     Raises
     ------
     ValidationError
-        For an unknown log policy or scheduler, a ``session_ttl`` passed
-        alongside an explicit store, or ``max_workers`` without the
-        parallel scheduler.
+        For an unknown log policy, or a ``session_ttl`` passed alongside an
+        explicit store.
 
     Notes
     -----
     All entry points are thread-safe; see the module docstring for the
-    lock discipline and the bit-identity guarantees of parallel serving.
+    lock discipline.
     """
 
     def __init__(
@@ -149,20 +136,10 @@ class RetrievalService:
         index: Union[None, str, VectorIndex] = None,
         session_ttl: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
-        scheduler: str = "micro-batch",
-        max_workers: Optional[int] = None,
     ) -> None:
         if log_policy not in LOG_POLICIES:
             raise ValidationError(
                 f"log_policy must be one of {LOG_POLICIES}, got {log_policy!r}"
-            )
-        if scheduler not in SCHEDULERS:
-            raise ValidationError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
-        if max_workers is not None and scheduler != "parallel":
-            raise ValidationError(
-                "max_workers only applies to the 'parallel' scheduler"
             )
         if store is not None and session_ttl is not None:
             raise ValidationError(
@@ -180,17 +157,9 @@ class RetrievalService:
         )
         self.default_algorithm = default_algorithm
         self.log_policy = log_policy
-        if scheduler == "parallel":
-            self.scheduler: MicroBatchScheduler = ParallelScheduler(
-                self.search_engine, database.log_database, max_workers=max_workers
-            )
-        else:
-            self.scheduler = MicroBatchScheduler(
-                self.search_engine, database.log_database
-            )
         self._clock = clock if clock is not None else time.time
         self._id_counter = itertools.count(1)
-        # Lock discipline (module docstring): stripes → attachment → wave.
+        # Lock discipline (module docstring): stripes → attachment.
         # The wait recorders consult the observability hub at call time, so
         # lock-wait accounting follows repro.obs.configure()/disable() live.
         self._session_locks = StripedLockMap(
@@ -210,7 +179,7 @@ class RetrievalService:
 
         Requires both the ``on_close`` policy (the only policy with
         unflushed rounds at close time) and a store that can persist the
-        intent record; otherwise closes use the legacy order.
+        intent record; otherwise closes delete, then append.
         """
         return self.log_policy == "on_close" and getattr(
             self.store, "supports_close_intents", False
@@ -250,12 +219,13 @@ class RetrievalService:
     def open_sessions(
         self, requests: Sequence[Union[SearchRequest, int, Query]]
     ) -> List[RankingResponse]:
-        """Open a wave of sessions with one micro-batched first-round search.
+        """Open a wave of sessions with one batched first-round search.
 
-        Every request's search is queued on the scheduler and served by a
-        single :meth:`~repro.cbir.search.SearchEngine.batch_search` flush —
-        per session this produces the same ranking as a dedicated engine,
-        but the wave costs one vectorised pass instead of N dispatches.
+        The wave's queries go through a single
+        :meth:`~repro.cbir.search.SearchEngine.batch_search` call (one per
+        distinct ``top_k``; waves are nearly always uniform) — per session
+        this produces the same ranking as a dedicated search, but the wave
+        costs one vectorised pass instead of N dispatches.
 
         Parameters
         ----------
@@ -271,25 +241,21 @@ class RetrievalService:
         ------
         SessionError
             If an id is requested twice in the wave or already exists; the
-            failed wave leaves no sessions and no queued work behind.
+            failed wave leaves no sessions behind.
 
         Notes
         -----
-        Thread-safe: the wave holds its sessions' stripes end to end, the
-        attachment read-lock while searching, and the scheduler's wave
-        mutex around its single flush.  On the parallel scheduler the
-        post-flush bookkeeping (state snapshots, store writes) fans out
-        across the pool.
+        Thread-safe: the wave holds its sessions' stripes end to end and
+        the attachment read-lock while searching.
         """
         coerced = [self._coerce_search(request, {}) for request in requests]
         if not coerced:
             return []
         now = self._tick()
         self._drain_deferred_rebuild()
-        # Build and validate every state of the wave BEFORE enqueueing any
-        # work: a mid-wave failure must not leak queued searches into the
-        # next flush, and two requests claiming one id would otherwise
-        # silently hand one user the other's ranking.
+        # Build and validate every state of the wave BEFORE serving any of
+        # it: two requests claiming one id would otherwise silently hand one
+        # user the other's ranking.
         states: List[SessionState] = []
         wave_ids = set()
         for request in coerced:
@@ -314,25 +280,30 @@ class RetrievalService:
                         raise SessionError(
                             f"session '{state.session_id}' already exists"
                         )
+                by_top_k: Dict[Optional[int], List[SessionState]] = {}
+                for state in states:
+                    by_top_k.setdefault(state.top_k, []).append(state)
+                results: Dict[str, RetrievalResult] = {}
                 with self._attachment.read_locked():
-                    with self.scheduler.exclusive():
-                        for state in states:
-                            self.scheduler.enqueue_search(
-                                state.session_id, state.query, state.top_k
-                            )
-                        results = self.scheduler.flush()
-
-                def finalize(state: SessionState) -> RankingResponse:
+                    for top_k, group in by_top_k.items():
+                        batched = self.search_engine.batch_search(
+                            [state.query for state in group],
+                            top_k=top_k,
+                            chunk_size=SEARCH_CHUNK_SIZE,
+                        )
+                        for state, result in zip(group, batched):
+                            results[state.session_id] = result
+                # Nothing is stored until every search of the wave succeeded.
+                responses = []
+                for state in states:
                     result = results[state.session_id]
                     state.record_ranking(result)
                     self.store.put(state)
-                    return RankingResponse(
-                        session_id=state.session_id, round_index=0, result=result
+                    responses.append(
+                        RankingResponse(
+                            session_id=state.session_id, round_index=0, result=result
+                        )
                     )
-
-                responses = self.scheduler.run_jobs(
-                    [lambda s=state: finalize(s) for state in states]
-                )
         if hub.enabled:
             hub.count("service.sessions_opened", len(states))
             hub.set_gauge("service.open_sessions", len(self.store))
@@ -386,8 +357,7 @@ class RetrievalService:
         :meth:`RelevanceFeedbackAlgorithm.rank_batch` pass; every other
         round is an independent solve over its own
         :class:`SessionState` — which is what keeps concurrent sessions
-        bit-identical to dedicated single-user runs, and what the parallel
-        scheduler fans across its thread pool.
+        bit-identical to dedicated single-user runs.
 
         Parameters
         ----------
@@ -491,31 +461,28 @@ class RetrievalService:
                     state.memory.meta = mem_meta
                 raise
 
-            # The wave mutex brackets this batch's enqueues and their flush
-            # (mirroring open/close): a concurrent wave's flush can neither
-            # steal nor split the batch's per_round log records, so they
-            # land as one atomic append.
             responses = []
-            with self.scheduler.exclusive():
-                for request, state, result, round_index in zip(
-                    coerced, states, results, round_indices
-                ):
-                    if self.log_policy == "per_round":
-                        self.scheduler.enqueue_log_append(
-                            self._log_session(state, request.judgements)
-                        )
-                    state.record_ranking(result)
-                    state.last_active = now
-                    self.store.put(state)
-                    responses.append(
-                        RankingResponse(
-                            session_id=state.session_id,
-                            round_index=round_index,
-                            result=result,
-                            solver_stats=state.solver_stats(),
-                        )
+            for state, result, round_index in zip(states, results, round_indices):
+                state.record_ranking(result)
+                state.last_active = now
+                self.store.put(state)
+                responses.append(
+                    RankingResponse(
+                        session_id=state.session_id,
+                        round_index=round_index,
+                        result=result,
+                        solver_stats=state.solver_stats(),
                     )
-                self.scheduler.flush()
+                )
+            if self.log_policy == "per_round":
+                # One extend = one atomic append: concurrent batches can
+                # neither split nor interleave this batch's records.
+                self.database.log_database.extend(
+                    [
+                        self._log_session(state, request.judgements)
+                        for request, state in zip(coerced, states)
+                    ]
+                )
         if hub.enabled:
             hub.count("service.rounds_scored", len(coerced))
             hub.observe("service.feedback_batch_seconds", batch_span.duration)
@@ -562,8 +529,8 @@ class RetrievalService:
         or by the cluster router's reconciliation), and the token makes
         every replay — including a router re-sending the whole close to a
         surviving worker — exactly-once.  Without intent support (or under
-        other log policies) the legacy order runs: enqueue appends, delete,
-        flush.
+        other log policies) the plain order runs: delete the sessions, then
+        append the wave's records as one atomic batch.
 
         Parameters
         ----------
@@ -592,8 +559,7 @@ class RetrievalService:
                 self._session_locks.all_of(session_ids):
             # Pre-validate the whole wave (unknown/closed/duplicated ids)
             # BEFORE mutating anything: a bad id mid-wave must not leave
-            # earlier sessions deleted with their log records stranded on
-            # the queue.
+            # earlier sessions deleted with their log records unwritten.
             seen_ids = set()
             states = []
             for session_id in session_ids:
@@ -606,17 +572,17 @@ class RetrievalService:
             if self._durable_close:
                 views = self._close_durably(states)
             else:
-                with self.scheduler.exclusive():
-                    for state in states:
-                        if self.log_policy == "on_close":
-                            for judged in state.round_judgements:
-                                self.scheduler.enqueue_log_append(
-                                    self._log_session(state, judged)
-                                )
-                        state.closed = True
-                        views.append(state.view())
-                        self.store.delete(state.session_id)
-                    self.scheduler.flush()
+                records: List[LogSession] = []
+                for state in states:
+                    if self.log_policy == "on_close":
+                        records.extend(
+                            self._log_session(state, judged)
+                            for judged in state.round_judgements
+                        )
+                    state.closed = True
+                    views.append(state.view())
+                    self.store.delete(state.session_id)
+                self.database.log_database.extend(records)
         if hub.enabled:
             hub.count("service.sessions_closed", len(views))
             hub.set_gauge("service.open_sessions", len(self.store))
@@ -744,7 +710,7 @@ class RetrievalService:
             self.database.log_database.extend_once(records, str(token))
 
     def discard_session(self, session_id: str) -> None:
-        """Abandon a session without recording anything (the engine's reset).
+        """Abandon a session without recording anything.
 
         A missing or expired id is a no-op.  Thread-safe (holds the
         session's stripe).
@@ -883,12 +849,11 @@ class RetrievalService:
             return self.database.detach_index()
 
     def shutdown(self) -> None:
-        """Release scheduler worker threads (no-op for ``micro-batch``).
+        """A no-op: the service owns no threads or other resources to release.
 
-        The service remains usable afterwards — the parallel scheduler
-        re-creates its pool on demand.
+        Kept because ``bench/`` and teardown code call it; the service
+        remains usable afterwards.
         """
-        self.scheduler.shutdown()
 
     # -------------------------------------------------------------- internals
     def _tick(self) -> float:
@@ -920,15 +885,14 @@ class RetrievalService:
         """Score every round of the batch; results in request order.
 
         Rounds are grouped by (strategy, ``top_k``), preserving request
-        order inside every group, then turned into scheduler jobs:
+        order inside every group:
 
         * a group whose algorithm overrides ``rank_batch`` (a genuinely
           vectorised batch path) — or whose sessions share a caller-owned
-          instance — stays one job, keeping the vectorised win / the
-          caller's sequencing;
-        * every other round becomes its own job with a **freshly
-          materialised** strategy, so jobs share no mutable state and the
-          parallel scheduler may run them on any thread.
+          instance — is one ``rank_batch`` call, keeping the vectorised
+          win / the caller's sequencing;
+        * every other round is ranked by a **freshly materialised**
+          strategy, so no two rounds share mutable strategy state.
         """
         groups: Dict[object, List[int]] = {}
         for position, (request, state) in enumerate(zip(coerced, states)):
@@ -936,84 +900,55 @@ class RetrievalService:
                 position
             )
 
-        jobs = []
-        job_positions: List[List[int]] = []
+        results: List[object] = [None] * len(coerced)
         for positions in groups.values():
             lead_state = states[positions[0]]
             top_k = coerced[positions[0]].top_k
             algorithm = self._materialize(lead_state)
-            batch_overridden = (
-                type(algorithm).rank_batch is not RelevanceFeedbackAlgorithm.rank_batch
-            )
             label = (
                 lead_state.algorithm
                 if lead_state.instance is None
                 else type(lead_state.instance).__name__
             )
-            if lead_state.instance is not None or batch_overridden:
-                group_contexts = [contexts[position] for position in positions]
-                jobs.append(
-                    self._traced_round(
-                        lambda a=algorithm, c=group_contexts, k=top_k: a.rank_batch(
-                            c, top_k=k
-                        ),
-                        [states[position].session_id for position in positions],
-                        label,
+            if (
+                lead_state.instance is not None
+                or type(algorithm).rank_batch
+                is not RelevanceFeedbackAlgorithm.rank_batch
+            ):
+                with self._traced_round(
+                    [states[position].session_id for position in positions], label
+                ):
+                    outcome = algorithm.rank_batch(
+                        [contexts[position] for position in positions], top_k=top_k
                     )
-                )
-                job_positions.append(list(positions))
+                for position, result in zip(positions, outcome):
+                    results[position] = result
             else:
-                for job_index, position in enumerate(positions):
+                for position in positions:
                     # The probe instance serves the group's first round (it
-                    # is fresh and unshared); the rest materialise their
-                    # own so no two jobs touch the same strategy object.
-                    if job_index == 0:
-                        job = (
-                            lambda a=algorithm, c=contexts[position], k=top_k: (
-                                [a.rank(c, top_k=k)]
-                            )
+                    # is fresh and unshared); the rest materialise their own.
+                    if position != positions[0]:
+                        algorithm = self._materialize(states[position])
+                    with self._traced_round([states[position].session_id], label):
+                        results[position] = algorithm.rank(
+                            contexts[position], top_k=top_k
                         )
-                    else:
-                        job = (
-                            lambda s=states[position], c=contexts[position], k=top_k: (
-                                [self._materialize(s).rank(c, top_k=k)]
-                            )
-                        )
-                    jobs.append(
-                        self._traced_round(job, [states[position].session_id], label)
-                    )
-                    job_positions.append([position])
-
-        results: List[object] = [None] * len(coerced)
-        for positions, outcome in zip(job_positions, self.scheduler.run_jobs(jobs)):
-            for position, result in zip(positions, outcome):
-                results[position] = result
         return results
 
     @staticmethod
-    def _traced_round(
-        job: Callable[[], object], session_ids: Sequence[str], algorithm: str
-    ) -> Callable[[], object]:
-        """Wrap a scoring job in a ``service.round`` span (no-op when disabled).
-
-        The wrapper opens its span on whatever thread the scheduler runs the
-        job on; the parallel scheduler copies the submitting context, so the
-        span's parent is the batch span that was open at submission time.
-        """
+    @contextmanager
+    def _traced_round(session_ids: Sequence[str], algorithm: str) -> Iterator[None]:
+        """A ``service.round`` span around one scoring call (no-op when disabled)."""
         hub = get_hub()
         if not hub.enabled:
-            return job
+            yield
+            return
         attrs: Dict[str, object] = {"algorithm": algorithm, "rounds": len(session_ids)}
         if len(session_ids) == 1:
             attrs["session_id"] = session_ids[0]
-
-        def traced() -> object:
-            with hub.span("service.round", **attrs) as span:
-                outcome = job()
-            hub.observe("service.round_seconds", span.duration)
-            return outcome
-
-        return traced
+        with hub.span("service.round", **attrs) as span:
+            yield
+        hub.observe("service.round_seconds", span.duration)
 
     def _new_state(self, request: SearchRequest, now: float) -> SessionState:
         """Build the fresh state of one request (existence checked later)."""

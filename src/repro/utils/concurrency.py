@@ -47,9 +47,8 @@ WaitCallback = Callable[[str, float], None]
 #:
 #: 1. session stripes  (``StripedLockMap.all_of`` — sorted stripe order)
 #: 2. attachment read/write lock (``ReadWriteLock``)
-#: 3. scheduler wave mutex (``MicroBatchScheduler.exclusive``)
-#: 4. store mutex / per-file atomic replace (internal to the stores)
-#: 5. log append lock (innermost: the ``LogStore`` backend's batch mutex —
+#: 3. store mutex / per-file atomic replace (internal to the stores)
+#: 4. log append lock (innermost: the ``LogStore`` backend's batch mutex —
 #:    or its cross-process file lock — plus the ``LogDatabase`` façade's
 #:    matrix-cache lock)
 #:
@@ -58,7 +57,6 @@ WaitCallback = Callable[[str, float], None]
 LOCK_ORDER = (
     "session-stripes",
     "attachment-rwlock",
-    "scheduler-mutex",
     "store-mutex",
     "logdb-lock",
 )

@@ -1,4 +1,4 @@
-"""Tests for the CBIR engine layer (repro.cbir)."""
+"""Tests for the CBIR layer (repro.cbir)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cbir.database import ImageDatabase
-from repro.cbir.engine import CBIREngine
 from repro.cbir.query import Query, RetrievalResult
 from repro.cbir.search import SearchEngine
 from repro.cbir.similarity import (
@@ -16,7 +15,6 @@ from repro.cbir.similarity import (
     manhattan_distances,
 )
 from repro.exceptions import DatabaseError, ValidationError
-from repro.feedback.rf_svm import RFSVM
 
 
 class TestSimilarity:
@@ -153,60 +151,3 @@ class TestSearchEngine:
             precisions.append(hits)
         random_baseline = 12 / small_dataset.num_images
         assert np.mean(precisions) > 2 * random_baseline
-
-
-class TestCBIREngine:
-    def test_feedback_flow_and_logging(self, small_dataset, small_log):
-        database = ImageDatabase(small_dataset, log_database=small_log)
-        sessions_before = database.log_database.num_sessions
-        engine = CBIREngine(database, algorithm=RFSVM(C=5.0))
-        initial = engine.start_query(0, top_k=10)
-        assert len(initial) == 10
-
-        judgements = {
-            int(i): (1 if small_dataset.category_of(int(i)) == small_dataset.category_of(0) else -1)
-            for i in initial.image_indices
-        }
-        refined = engine.feedback(judgements)
-        assert isinstance(refined, RetrievalResult)
-        assert database.log_database.num_sessions == sessions_before + 1
-        assert len(engine.rounds) == 1
-        assert engine.accumulated_judgements == judgements
-
-    def test_feedback_before_query_rejected(self, small_database):
-        engine = CBIREngine(small_database, algorithm="rf-svm")
-        with pytest.raises(ValidationError):
-            engine.feedback({0: 1})
-
-    def test_invalid_judgement_value_rejected(self, small_database):
-        engine = CBIREngine(small_database, algorithm="rf-svm")
-        engine.start_query(0)
-        with pytest.raises(ValidationError):
-            engine.feedback({0: 2})
-
-    def test_judgements_accumulate_across_rounds(self, small_database, small_dataset):
-        engine = CBIREngine(small_database, algorithm=RFSVM(C=5.0), record_log=False)
-        initial = engine.start_query(0, top_k=6)
-        first = {int(i): 1 if small_dataset.category_of(int(i)) == 0 else -1
-                 for i in initial.image_indices[:3]}
-        second = {int(i): 1 if small_dataset.category_of(int(i)) == 0 else -1
-                  for i in initial.image_indices[3:]}
-        engine.feedback(first)
-        engine.feedback(second)
-        assert len(engine.accumulated_judgements) == len({**first, **second})
-        assert len(engine.rounds) == 2
-
-    def test_record_log_disabled(self, small_dataset, small_log):
-        database = ImageDatabase(small_dataset, log_database=small_log)
-        before = database.log_database.num_sessions
-        engine = CBIREngine(database, algorithm="euclidean", record_log=False)
-        initial = engine.start_query(1, top_k=5)
-        engine.feedback({int(initial.image_indices[0]): 1, int(initial.image_indices[1]): -1})
-        assert database.log_database.num_sessions == before
-
-    def test_reset_clears_session(self, small_database):
-        engine = CBIREngine(small_database, algorithm="euclidean", record_log=False)
-        engine.start_query(2, top_k=5)
-        engine.reset()
-        assert engine.active_query is None
-        assert engine.rounds == []

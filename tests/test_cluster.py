@@ -78,8 +78,6 @@ class TestConfigValidation:
             ClusterConfig(num_workers=0, **good)
         with pytest.raises(ValidationError, match="log_policy"):
             ClusterConfig(log_policy="sometimes", **good)
-        with pytest.raises(ValidationError, match="scheduler"):
-            ClusterConfig(scheduler="cosmic", **good)
         with pytest.raises(ValidationError, match="coalesce_window"):
             ClusterConfig(coalesce_window=-1, **good)
         with pytest.raises(ValidationError, match="max_wave"):

@@ -167,20 +167,24 @@ class TestKillDuringCloseWave:
             tmp_path, fault_plan=plan, coalesce_window=0.05, retry_limit=3
         )
         with ClusterRouter(_factory, config) as router:
-            session_ids = []
-            for i in range(6):
+            # Client-chosen ids, salted until the rendezvous hash sends every
+            # other one to the victim: router-minted ids are random, and a
+            # draw with none on the victim never runs the armed protocol.
+            session_ids = [
+                next(
+                    candidate
+                    for candidate in (f"close-{i}-{salt}" for salt in range(256))
+                    if rendezvous_owner(candidate, [0, 1]) == i % 2
+                )
+                for i in range(6)
+            ]
+            for i, session_id in enumerate(session_ids):
                 opened = router.open_session(
-                    i % 4, top_k=8, algorithm="euclidean"
+                    i % 4, top_k=8, algorithm="euclidean", session_id=session_id
                 )
                 router.submit_feedback(
-                    opened.session_id, {int(opened.image_indices[0]): 1}
+                    session_id, {int(opened.image_indices[0]): 1}
                 )
-                session_ids.append(opened.session_id)
-            # Make sure the victim actually owns some of the sessions so
-            # the armed wave really runs the close protocol.
-            assert any(
-                rendezvous_owner(sid, [0, 1]) == victim for sid in session_ids
-            )
             views = {}
 
             def closer(sid):

@@ -102,8 +102,6 @@ class TestDocstrings:
         "cls",
         [
             repro.RetrievalService,
-            repro.service.MicroBatchScheduler,
-            repro.service.ParallelScheduler,
             repro.service.SessionStore,
             repro.service.InMemorySessionStore,
             repro.service.FileSessionStore,

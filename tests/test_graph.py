@@ -5,8 +5,8 @@ construction (any exhaustive index backend, bit-identical), persistence,
 the process-level graph cache, the fused visual/log kernel (sparse-only:
 ``R`` is never densified) and its per-log-version memo, the clamped-propagation /
 α-spreading solvers, and the ``"lrf-graph"`` algorithm end to end —
-registry, cold start, service integration (serial, parallel and cluster
-schedulers) and bit-identical replay from a reloaded
+registry, cold start, service integration (in-process and through the
+cluster) and bit-identical replay from a reloaded
 :class:`~repro.service.FileSessionStore`.
 """
 
@@ -584,23 +584,12 @@ class TestServiceIntegration:
             responses.append(service.submit_feedback(opened.session_id, judgements))
         return opened.session_id, responses
 
-    def test_serves_through_serial_scheduler(self, graph_database, small_dataset):
+    def test_serves_through_the_service(self, graph_database, small_dataset):
         service = RetrievalService(graph_database, log_policy="off")
         _, responses = self._drive_session(service, small_dataset)
         assert responses[-1].round_index == 2
         assert len(responses[0].image_indices) == 10  # session top_k
         assert np.isfinite(responses[-1].scores).all()
-
-    def test_parallel_scheduler_matches_serial(self, graph_database, small_dataset):
-        serial = RetrievalService(graph_database, log_policy="off")
-        parallel = RetrievalService(
-            graph_database, log_policy="off", scheduler="parallel", max_workers=4
-        )
-        _, serial_responses = self._drive_session(serial, small_dataset)
-        _, parallel_responses = self._drive_session(parallel, small_dataset)
-        for left, right in zip(serial_responses, parallel_responses):
-            np.testing.assert_array_equal(left.image_indices, right.image_indices)
-            np.testing.assert_array_equal(left.scores, right.scores)
 
     def test_reloaded_session_replays_bit_identically(
         self, graph_database, small_dataset, tmp_path
@@ -649,8 +638,8 @@ def _cluster_dataset_factory():
 
 class TestClusterIntegration:
     def test_cluster_serves_lrf_graph_bit_identically(self, tmp_path):
-        """The acceptance criterion's third scheduler: a 2-worker cluster
-        serves ``"lrf-graph"`` with the same rankings as one process."""
+        """A 2-worker cluster serves ``"lrf-graph"`` with the same rankings
+        as one process."""
         config = ClusterConfig(
             session_dir=tmp_path / "sessions",
             log_dir=tmp_path / "log",

@@ -6,9 +6,10 @@ The load-bearing properties:
   all-tables, IVF ``n_probe == n_clusters``, KD-tree which is always exact)
   reproduces the :class:`BruteForceIndex` ranking **bit-for-bit**;
 * ``save`` → ``load`` round-trips produce identical search results;
-* the serving layers (``SearchEngine``, ``ImageDatabase``, ``CBIREngine``,
-  candidate-pruned ``LRFCSVM``) use the index without changing exact-path
-  results, and fall back to the exact scan when no index fits.
+* the serving layers (``SearchEngine``, ``ImageDatabase``,
+  ``RetrievalService``, candidate-pruned ``LRFCSVM``) use the index without
+  changing exact-path results, and fall back to the exact scan when no index
+  fits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.cbir.database import ImageDatabase
-from repro.cbir.engine import CBIREngine
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
 from repro.cbir.similarity import manhattan_distances
@@ -37,6 +37,7 @@ from repro.index import (
     load_index,
     make_index,
 )
+from repro.service import RetrievalService
 
 #: Exhaustive-settings factory per backend: each must match brute force
 #: bit-for-bit on any input.
@@ -396,7 +397,7 @@ class TestSearchEngineIndexing:
 
         typing.get_type_hints(SearchEngine.__init__)
         typing.get_type_hints(ImageDatabase.build_index)
-        typing.get_type_hints(CBIREngine.__init__)
+        typing.get_type_hints(RetrievalService.__init__)
 
     def test_experiment_config_index_knob_validation(self):
         from repro.exceptions import ConfigurationError
@@ -457,12 +458,14 @@ class TestImageDatabaseIndex:
         )
         database.detach_index()
 
-    def test_engine_index_kwarg_builds_and_attaches(self, small_dataset):
+    def test_service_index_kwarg_builds_and_attaches(self, small_dataset):
         database = ImageDatabase(small_dataset)
-        engine = CBIREngine(database, algorithm="euclidean", index="brute-force")
+        service = RetrievalService(
+            database, default_algorithm="euclidean", index="brute-force"
+        )
         assert database.index is not None and database.index.kind == "brute-force"
-        result = engine.start_query(0, top_k=10)
-        assert len(result) == 10
+        response = service.open_session(0, top_k=10)
+        assert len(response.image_indices) == 10
         database.detach_index()
 
 

@@ -6,8 +6,8 @@ Four concerns are pinned here:
   guard, and the disabled registry's shared null instruments;
 * the tracer — span nesting/parentage, the ``NULL_SPAN`` fast path, and the
   tree re-assembly helpers;
-* context propagation across :class:`ParallelScheduler` thread fan-out — the
-  8-thread stress asserts every job's span hangs off the submitting wave's
+* context propagation across thread-pool fan-out
+  (``contextvars.copy_context().run``) — the 8-thread stress asserts every job's span hangs off the submitting wave's
   root and never off another session's (no cross-trace leakage);
 * the JSONL exporter's write-temp-then-``os.replace`` crash safety, plus the
   end-to-end service instrumentation (per-round span trees, DTO solver
@@ -247,19 +247,16 @@ class TestTracer:
 
 
 class TestParallelPropagation:
-    def test_eight_thread_fanout_keeps_parents_and_traces_apart(
-        self, small_database
-    ):
-        """8 caller threads share one pool-backed scheduler; every job span
-        must hang off its own caller's root — never another session's."""
-        from repro.cbir.search import SearchEngine
-        from repro.service import ParallelScheduler
+    def test_eight_thread_fanout_keeps_parents_and_traces_apart(self):
+        """8 caller threads share one thread pool, submitting each job under
+        ``contextvars.copy_context().run``; every job span must hang off its
+        own caller's root — never another session's."""
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
 
         exporter = InMemoryExporter()
         tracer = Tracer([exporter])
-        scheduler = ParallelScheduler(
-            SearchEngine(small_database), small_database.log_database, max_workers=4
-        )
+        pool = ThreadPoolExecutor(max_workers=4)
         JOBS_PER_WAVE = 6
         errors = []
         roots = {}
@@ -276,12 +273,13 @@ class TestParallelPropagation:
                 barrier.wait(timeout=30)
                 with tracer.span("wave", thread=thread_index) as root:
                     roots[thread_index] = root
-                    results = scheduler.run_jobs(
-                        [
-                            lambda j=j: job(thread_index, j)
-                            for j in range(JOBS_PER_WAVE)
-                        ]
-                    )
+                    futures = [
+                        pool.submit(
+                            contextvars.copy_context().run, job, thread_index, j
+                        )
+                        for j in range(JOBS_PER_WAVE)
+                    ]
+                    results = [future.result(timeout=60) for future in futures]
                 assert results == [thread_index] * JOBS_PER_WAVE
             except BaseException as error:  # noqa: BLE001 - reported to the test
                 errors.append(error)
@@ -293,7 +291,7 @@ class TestParallelPropagation:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
-        scheduler.shutdown()
+        pool.shutdown()
         assert not errors, f"wave raised: {errors[0]!r}"
 
         job_spans = [span for span in exporter.spans if span.name == "job"]
@@ -309,7 +307,7 @@ class TestParallelPropagation:
         self, small_dataset, small_database
     ):
         """An enabled per-round workload yields a complete span tree: batch →
-        round → solve, with the scheduler flush under the open wave."""
+        round → solve, with the index search under the open wave."""
         import copy
 
         from repro.cbir.database import ImageDatabase
@@ -318,12 +316,11 @@ class TestParallelPropagation:
         database = ImageDatabase(
             small_dataset, log_database=copy.deepcopy(small_database.log_database)
         )
+        database.build_index("brute-force")
         exporter = InMemoryExporter()
         obs.configure(exporters=[exporter])
         try:
-            service = RetrievalService(
-                database, scheduler="parallel", max_workers=4, log_policy="on_close"
-            )
+            service = RetrievalService(database, log_policy="on_close")
             responses = service.open_sessions(
                 [
                     SearchRequest(query=i, top_k=8, algorithm="lrf-csvm")
@@ -361,18 +358,18 @@ class TestParallelPropagation:
                 ancestor = by_id[ancestor.parent_id]
             assert ancestor.name == "service.feedback_batch"
         open_spans = [s for s in spans if s.name == "service.open_sessions"]
-        flush_spans = [s for s in spans if s.name == "scheduler.flush"]
-        assert open_spans and flush_spans
+        search_spans = [s for s in spans if s.name == "index.search"]
+        assert open_spans and search_spans
         assert any(
-            f.parent_id == open_spans[0].span_id for f in flush_spans
-        ), "the open wave's flush must nest under service.open_sessions"
+            s.parent_id == open_spans[0].span_id for s in search_spans
+        ), "the open wave's batched search must nest under service.open_sessions"
 
     def test_enabled_metrics_cover_every_layer_and_match_disabled_rankings(
         self, small_dataset, small_database
     ):
         """Observability on vs off: identical rankings, and the enabled run
-        records nonzero metrics for service, scheduler, solver, index (via
-        logdb matrix use) and logdb layers."""
+        records nonzero metrics for service, solver, index and logdb
+        layers."""
         import copy
 
         from repro.cbir.database import ImageDatabase
@@ -425,7 +422,6 @@ class TestParallelPropagation:
             return state.get("value", state.get("count", 0))
 
         assert total("service.rounds_scored") == 3
-        assert total("scheduler.flushes") > 0
         assert total("solver.smo.solves") > 0
         assert total("index.queries") > 0
         assert total("index.ivf.cells_probed") > 0

@@ -24,7 +24,6 @@ class TestPublicAPI:
             "LRFCSVM",
             "SVC",
             "ImageDatabase",
-            "CBIREngine",
             "LogDatabase",
             "ExperimentRunner",
             "build_corel_dataset",

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.cbir.database import ImageDatabase
-from repro.cbir.engine import CBIREngine
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
 from repro.evaluation.protocol import EvaluationProtocol, ProtocolConfig
@@ -21,7 +18,6 @@ from repro.service import (
     FeedbackRequest,
     FileSessionStore,
     InMemorySessionStore,
-    MicroBatchScheduler,
     RetrievalService,
     SearchRequest,
     SessionState,
@@ -95,6 +91,11 @@ class TestSessionLifecycle:
 
         view = service.close_session(response.session_id)
         assert view.closed and view.rounds_completed == 2
+        # Judgements accumulate across the session's rounds.
+        assert dict(view.judgements) == {
+            **judgements,
+            int(refined.image_indices[0]): 1,
+        }
         assert fresh_database.log_database.num_sessions == before + 2
         recorded = fresh_database.log_database.sessions[-2]
         assert recorded.query_index == 0
@@ -331,15 +332,35 @@ class TestSessionPersistence:
 
 
 class TestMicroBatching:
-    def test_open_sessions_single_flush(self, fresh_database):
+    def test_open_wave_is_one_batch_search_per_top_k(self, fresh_database, monkeypatch):
         service = RetrievalService(fresh_database)
-        flushes_before = service.scheduler.flushes_
-        responses = service.open_sessions(
+        calls = []
+        batch_search = service.search_engine.batch_search
+
+        def spy(queries, **kwargs):
+            calls.append((len(queries), kwargs["top_k"]))
+            return batch_search(queries, **kwargs)
+
+        monkeypatch.setattr(service.search_engine, "batch_search", spy)
+        uniform = service.open_sessions(
             [SearchRequest(query=i, top_k=8) for i in range(12)]
         )
-        assert len(responses) == 12
-        assert service.scheduler.flushes_ == flushes_before + 1
-        assert service.scheduler.searches_served_ == 12
+        assert len(uniform) == 12
+        assert calls == [(12, 8)]
+
+        del calls[:]
+        top_ks = [8, 5, 8, None, 5, 8]
+        mixed = service.open_sessions(
+            [SearchRequest(query=i, top_k=k) for i, k in enumerate(top_ks)]
+        )
+        assert sorted(calls, key=str) == sorted([(3, 8), (2, 5), (1, None)], key=str)
+        # Grouping must not reorder the wave: response i answers request i.
+        solo = SearchEngine(fresh_database)
+        for i, (response, k) in enumerate(zip(mixed, top_ks)):
+            np.testing.assert_array_equal(
+                response.image_indices,
+                solo.search(Query(query_index=i), top_k=k).image_indices,
+            )
 
     def test_batched_first_round_matches_per_query(self, fresh_database):
         batched = RetrievalService(fresh_database).open_sessions(
@@ -410,26 +431,14 @@ class TestMicroBatching:
             )
             np.testing.assert_array_equal(context.labels, solo.labels)
 
-    def test_scheduler_counters(self, fresh_database):
-        scheduler = MicroBatchScheduler(
-            SearchEngine(fresh_database), fresh_database.log_database
-        )
-        assert scheduler.flush() == {}
-        assert scheduler.flushes_ == 0  # empty flushes don't count
-        scheduler.enqueue_search("a", Query(query_index=0), 5)
-        scheduler.enqueue_search("b", Query(query_index=1), 5)
-        results = scheduler.flush()
-        assert set(results) == {"a", "b"}
-        assert scheduler.pending == (0, 0)
 
-
-class TestServiceEngineEquivalence:
-    def test_interleaved_sessions_match_dedicated_engines(
+class TestInterleavedSessionEquivalence:
+    def test_interleaved_sessions_match_dedicated_sessions(
         self, small_dataset, fresh_database
     ):
         """64 interleaved service sessions reproduce dedicated single-user
-        CBIREngine runs ranking-for-ranking, and their closes grow the
-        shared log (the PR's acceptance criterion, at test scale)."""
+        runs (one ``log_policy="off"`` service session each, served per
+        call) ranking-for-ranking, and their closes grow the shared log."""
         num_sessions = 64
         algorithms = ["euclidean", "rf-svm", "lrf-2svms", "lrf-csvm"]
         service = RetrievalService(fresh_database, log_policy="on_close")
@@ -471,7 +480,7 @@ class TestServiceEngineEquivalence:
             ]
         )
 
-        # Dedicated single-user engines, same judgements, untouched log.
+        # Dedicated single-user sessions, same judgements, untouched log.
         # Rankings must agree index-for-index; scores of the learning
         # schemes are exact, while the distance-only euclidean scheme is
         # served batched (different BLAS accumulation order) so its scores
@@ -482,27 +491,30 @@ class TestServiceEngineEquivalence:
             else:
                 np.testing.assert_array_equal(served, dedicated)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for i in range(num_sessions):
-                scheme = algorithms[i % len(algorithms)]
-                engine = CBIREngine(
-                    fresh_database, algorithm=scheme, record_log=False
-                )
-                initial = engine.start_query(i % small_dataset.num_images, top_k=10)
-                np.testing.assert_array_equal(
-                    responses[i].image_indices, initial.image_indices
-                )
-                engine_r1 = engine.feedback(round1[i], top_k=10)
-                np.testing.assert_array_equal(
-                    first[i].image_indices, engine_r1.image_indices
-                )
-                assert_scores(scheme, first[i].scores, engine_r1.scores)
-                engine_r2 = engine.feedback(round2[i], top_k=10)
-                np.testing.assert_array_equal(
-                    second[i].image_indices, engine_r2.image_indices
-                )
-                assert_scores(scheme, second[i].scores, engine_r2.scores)
+        dedicated = RetrievalService(fresh_database, log_policy="off")
+        for i in range(num_sessions):
+            scheme = algorithms[i % len(algorithms)]
+            initial = dedicated.open_session(
+                i % small_dataset.num_images, top_k=10, algorithm=scheme
+            )
+            np.testing.assert_array_equal(
+                responses[i].image_indices, initial.image_indices
+            )
+            solo_r1 = dedicated.submit_feedback(
+                initial.session_id, round1[i], top_k=10
+            )
+            np.testing.assert_array_equal(
+                first[i].image_indices, solo_r1.image_indices
+            )
+            assert_scores(scheme, first[i].scores, solo_r1.scores)
+            solo_r2 = dedicated.submit_feedback(
+                initial.session_id, round2[i], top_k=10
+            )
+            np.testing.assert_array_equal(
+                second[i].image_indices, solo_r2.image_indices
+            )
+            assert_scores(scheme, second[i].scores, solo_r2.scores)
+            dedicated.discard_session(initial.session_id)
 
         before = fresh_database.log_database.num_sessions
         service.close_sessions([r.session_id for r in responses])
@@ -510,21 +522,6 @@ class TestServiceEngineEquivalence:
             fresh_database.log_database.num_sessions
             == before + 2 * num_sessions
         )
-
-    def test_engine_is_service_backed(self, fresh_database):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine = CBIREngine(fresh_database, algorithm="euclidean", record_log=False)
-        assert isinstance(engine.service, RetrievalService)
-        engine.start_query(0, top_k=5)
-        assert engine.session_id is not None
-        assert engine.service.num_open_sessions == 1
-        engine.reset()
-        assert engine.service.num_open_sessions == 0
-
-    def test_engine_emits_deprecation_warning(self, fresh_database):
-        with pytest.warns(DeprecationWarning):
-            CBIREngine(fresh_database, algorithm="euclidean", record_log=False)
 
 
 class TestRunnerThroughService:
@@ -571,7 +568,7 @@ class TestRunnerThroughService:
 class TestBatchRobustness:
     """Regression tests for wave/batch validation (code-review findings)."""
 
-    def test_duplicate_wave_session_id_rejected_without_queue_leak(self, fresh_database):
+    def test_duplicate_wave_session_id_rejected(self, fresh_database):
         service = RetrievalService(fresh_database)
         with pytest.raises(SessionError, match="twice in one wave"):
             service.open_sessions(
@@ -580,11 +577,9 @@ class TestBatchRobustness:
                     SearchRequest(query=1, top_k=5, session_id="dup"),
                 ]
             )
-        # Nothing half-opened, nothing queued for the next flush.
-        assert service.num_open_sessions == 0
-        assert service.scheduler.pending == (0, 0)
+        assert service.num_open_sessions == 0  # nothing half-opened
 
-    def test_failed_wave_leaves_scheduler_queue_empty(self, fresh_database):
+    def test_failed_wave_opens_none_of_its_sessions(self, fresh_database):
         service = RetrievalService(fresh_database)
         existing = service.open_session(SearchRequest(query=0, top_k=5, session_id="held"))
         with pytest.raises(SessionError):
@@ -594,7 +589,6 @@ class TestBatchRobustness:
                     SearchRequest(query=2, top_k=5, session_id="held"),
                 ]
             )
-        assert service.scheduler.pending == (0, 0)
         assert [v.session_id for v in service.list_sessions()] == [existing.session_id]
 
     def test_duplicate_session_in_feedback_batch_rejected(self, small_dataset, fresh_database):

@@ -11,8 +11,7 @@ open / feedback / close traffic and asserts the PR's guarantees:
 The rest of the module pins the individual mechanisms: striped locks and
 the read-write lock, lock-aware TTL eviction that cannot race a live round,
 atomic crash-safe ``FileSessionStore`` writes, the KD-tree deferred-rebuild
-guard, and :class:`ParallelScheduler` ≡ :class:`MicroBatchScheduler`
-bit-identity.
+guard, and wave ≡ per-call serving bit-identity.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.service import (
     FeedbackRequest,
     FileSessionStore,
     InMemorySessionStore,
-    ParallelScheduler,
     RetrievalService,
     SearchRequest,
     SessionState,
@@ -90,10 +88,8 @@ def _drive_session(service, dataset, query_index, algorithm, session_id=None):
 class TestConcurrentServiceStress:
     """≥8 threads hammering one service: logs, ids, and bit-identity."""
 
-    def _run_stress(self, dataset, database, *, scheduler="micro-batch", **kwargs):
-        service = RetrievalService(
-            database, log_policy="on_close", scheduler=scheduler, **kwargs
-        )
+    def _run_stress(self, dataset, database, **kwargs):
+        service = RetrievalService(database, log_policy="on_close", **kwargs)
         results = {}
         errors = []
         barrier = threading.Barrier(NUM_THREADS)
@@ -124,18 +120,11 @@ class TestConcurrentServiceStress:
         assert not any(thread.is_alive() for thread in threads), "worker deadlocked"
         return service, results
 
-    @pytest.mark.parametrize(
-        "scheduler_kwargs",
-        [{"scheduler": "micro-batch"}, {"scheduler": "parallel", "max_workers": 4}],
-        ids=["micro-batch", "parallel"],
-    )
     def test_stress_no_lost_logs_no_duplicate_ids_bit_identical(
-        self, small_dataset, fresh_database, scheduler_kwargs
+        self, small_dataset, fresh_database
     ):
         log_before = fresh_database.log_database.num_sessions
-        service, results = self._run_stress(
-            small_dataset, fresh_database, **scheduler_kwargs
-        )
+        service, results = self._run_stress(small_dataset, fresh_database)
         total_sessions = NUM_THREADS * SESSIONS_PER_THREAD
 
         # -- no duplicate session ids, store drained -----------------------
@@ -219,113 +208,190 @@ class TestConcurrentServiceStress:
         assert service.num_open_sessions == 1
 
 
-class TestParallelScheduler:
-    def test_parallel_results_bit_identical_to_micro_batch(
+class TestWaveServing:
+    """What a wave is now that it is one call: the same results as per-call
+    serving, atomic log batches, and nothing left behind on failure."""
+
+    def test_waves_bit_identical_to_per_call_serving(
+        self, small_dataset, small_log
+    ):
+        """The same sessions served one call at a time and as waves: every
+        per-round ranking and the log-record stream agree exactly."""
+        import copy
+
+        algorithms = ["euclidean", "rf-svm", "lrf-csvm", "lrf-2svms"]
+        queries = [i % small_dataset.num_images for i in range(12)]
+
+        def serve(as_waves):
+            database = ImageDatabase(
+                small_dataset, log_database=copy.deepcopy(small_log)
+            )
+            log_before = database.log_database.num_sessions
+            service = RetrievalService(database, log_policy="on_close")
+
+            def each(call, items):
+                if as_waves:
+                    return call(items)
+                return [call([item])[0] for item in items]
+
+            responses = each(
+                service.open_sessions,
+                [
+                    SearchRequest(
+                        query=q, top_k=10, algorithm=algorithms[i % len(algorithms)]
+                    )
+                    for i, q in enumerate(queries)
+                ],
+            )
+            rounds = [[np.asarray(r.image_indices).copy() for r in responses]]
+            for _ in range(NUM_ROUNDS):
+                responses = each(
+                    service.submit_feedback_batch,
+                    [
+                        FeedbackRequest(
+                            session_id=r.session_id,
+                            judgements=_category_judgements(
+                                small_dataset, q, r.image_indices
+                            ),
+                            top_k=10,
+                        )
+                        for q, r in zip(queries, responses)
+                    ],
+                )
+                rounds.append([np.asarray(r.image_indices).copy() for r in responses])
+            each(service.close_sessions, [r.session_id for r in responses])
+            records = [
+                (session.query_index, dict(session.judgements))
+                for session in database.log_database.sessions[log_before:]
+            ]
+            return rounds, records
+
+        per_call_rounds, per_call_records = serve(as_waves=False)
+        wave_rounds, wave_records = serve(as_waves=True)
+        for per_call_round, wave_round in zip(per_call_rounds, wave_rounds):
+            for per_call_ranking, wave_ranking in zip(per_call_round, wave_round):
+                np.testing.assert_array_equal(per_call_ranking, wave_ranking)
+        assert len(wave_records) == len(queries) * NUM_ROUNDS
+        assert wave_records == per_call_records
+
+    def test_concurrent_per_round_batches_land_contiguously(
         self, small_dataset, fresh_database
     ):
-        """Same waves, both schedulers: rankings agree index-for-index."""
-        algorithms = ["euclidean", "rf-svm", "lrf-csvm", "lrf-2svms"]
-        waves = {}
-        for name, kwargs in (
-            ("serial", {"scheduler": "micro-batch"}),
-            ("parallel", {"scheduler": "parallel", "max_workers": 4}),
-        ):
-            service = RetrievalService(fresh_database, log_policy="off", **kwargs)
-            requests = [
-                SearchRequest(
-                    query=i % small_dataset.num_images,
-                    top_k=10,
-                    algorithm=algorithms[i % len(algorithms)],
-                )
-                for i in range(12)
-            ]
-            responses = service.open_sessions(requests)
-            rounds = [[np.asarray(r.image_indices).copy() for r in responses]]
-            for _ in range(2):
-                batch = [
-                    FeedbackRequest(
-                        session_id=r.session_id,
-                        judgements=_category_judgements(
-                            small_dataset,
-                            i % small_dataset.num_images,
-                            r.image_indices,
-                        ),
-                        top_k=10,
-                    )
-                    for i, r in enumerate(responses)
-                ]
-                responses = service.submit_feedback_batch(batch)
-                rounds.append([np.asarray(r.image_indices).copy() for r in responses])
-            service.close_sessions([r.session_id for r in responses])
-            service.shutdown()
-            waves[name] = rounds
-        for serial_round, parallel_round in zip(waves["serial"], waves["parallel"]):
-            for serial_ranking, parallel_ranking in zip(serial_round, parallel_round):
-                np.testing.assert_array_equal(serial_ranking, parallel_ranking)
+        """8 threads submit ``per_round`` feedback batches at once: each gets
+        its own sessions' results back, and each batch's records sit
+        together in the log, in request order (one atomic ``extend``)."""
+        import sys
 
-    def test_max_workers_requires_parallel_scheduler(self, fresh_database):
-        with pytest.raises(ValidationError):
-            RetrievalService(fresh_database, max_workers=4)
-        with pytest.raises(ValidationError):
-            RetrievalService(fresh_database, scheduler="warp-drive")
-
-    def test_run_jobs_preserves_order_and_raises_first_error(self, fresh_database):
-        from repro.cbir.search import SearchEngine
-
-        scheduler = ParallelScheduler(
-            SearchEngine(fresh_database),
-            fresh_database.log_database,
-            max_workers=4,
-        )
-        with scheduler:
-            assert scheduler.run_jobs([lambda i=i: i * i for i in range(20)]) == [
-                i * i for i in range(20)
-            ]
-
-            def boom():
-                raise RuntimeError("job failed")
-
-            with pytest.raises(RuntimeError, match="job failed"):
-                scheduler.run_jobs([lambda: 1, boom, lambda: 3])
-
-    def test_single_flush_discipline_preserved(self, fresh_database):
+        batch_width = 4
         service = RetrievalService(
-            fresh_database, scheduler="parallel", max_workers=2
+            fresh_database, log_policy="per_round", default_algorithm="rf-svm"
         )
-        flushes_before = service.scheduler.flushes_
-        responses = service.open_sessions(
-            [SearchRequest(query=i, top_k=8) for i in range(12)]
+        log_before = fresh_database.log_database.num_sessions
+        barrier = threading.Barrier(NUM_THREADS)
+        served = {}  # thread -> (queries, per-round judgements, per-round rankings)
+        errors = []
+
+        def worker(thread_index):
+            try:
+                queries = [
+                    (thread_index * batch_width + i) % small_dataset.num_images
+                    for i in range(batch_width)
+                ]
+                responses = service.open_sessions(
+                    [SearchRequest(query=q, top_k=10) for q in queries]
+                )
+                submitted, rankings = [], []
+                barrier.wait(timeout=30)
+                for round_number in range(1, NUM_ROUNDS + 1):
+                    requests = [
+                        FeedbackRequest(
+                            session_id=r.session_id,
+                            judgements=_category_judgements(
+                                small_dataset, q, r.image_indices
+                            ),
+                            top_k=10,
+                        )
+                        for q, r in zip(queries, responses)
+                    ]
+                    responses = service.submit_feedback_batch(requests)
+                    assert [(r.session_id, r.round_index) for r in responses] == [
+                        (request.session_id, round_number) for request in requests
+                    ]
+                    submitted.append([dict(r.judgements) for r in requests])
+                    rankings.append(
+                        [np.asarray(r.image_indices).copy() for r in responses]
+                    )
+                served[thread_index] = (queries, submitted, rankings)
+            except BaseException as error:  # noqa: BLE001 - reported to the test
+                errors.append(error)
+
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(NUM_THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous_interval)
+        assert not errors, f"worker raised: {errors[0]!r}"
+        assert not any(thread.is_alive() for thread in threads), "worker deadlocked"
+        assert len(served) == NUM_THREADS
+
+        # -- every batch's records are contiguous, in request order --------
+        recorded = [
+            (session.query_index, dict(session.judgements))
+            for session in fresh_database.log_database.sessions[log_before:]
+        ]
+        assert len(recorded) == NUM_THREADS * NUM_ROUNDS * batch_width
+        for queries, submitted, _ in served.values():
+            for judgements in submitted:
+                batch = list(zip(queries, judgements))
+                assert any(
+                    recorded[start : start + batch_width] == batch
+                    for start in range(len(recorded))
+                )
+
+        # -- every thread got its own sessions' rankings (serial replay) ---
+        replay = RetrievalService(
+            fresh_database, log_policy="off", default_algorithm="rf-svm"
         )
-        assert len(responses) == 12
-        assert service.scheduler.flushes_ == flushes_before + 1
-        service.shutdown()
+        for queries, submitted, rankings in served.values():
+            for position, query_index in enumerate(queries):
+                session_id = replay.open_session(query_index, top_k=10).session_id
+                for judgements, ranking in zip(submitted, rankings):
+                    response = replay.submit_feedback(
+                        session_id, judgements[position], top_k=10
+                    )
+                    np.testing.assert_array_equal(
+                        response.image_indices, ranking[position]
+                    )
+                replay.discard_session(session_id)
+
+    @pytest.mark.parametrize("log_policy", ["on_close", "per_round"])
+    def test_failed_search_wave_leaves_nothing_behind(self, fresh_database, log_policy):
+        """A wave whose search raises opens no session and logs nothing, and
+        the service serves the next wave normally."""
+        service = RetrievalService(fresh_database, log_policy=log_policy)
+        log_before = fresh_database.log_database.num_sessions
+        with pytest.raises(Exception):
+            service.open_sessions(
+                [
+                    SearchRequest(query=0, top_k=5),
+                    # Wrong dimensionality: batch_search raises mid-wave.
+                    SearchRequest(query=Query(feature_vector=np.ones(3)), top_k=5),
+                ]
+            )
+        assert service.num_open_sessions == 0
+        assert fresh_database.log_database.num_sessions == log_before
+        assert len(service.open_sessions([SearchRequest(query=0, top_k=5)])) == 1
 
 
 class TestFlushAndLogRobustness:
     """Regression tests for review findings on the atomic-append discipline."""
-
-    def test_failed_search_flush_keeps_queued_log_appends(self, fresh_database):
-        """A search wave that raises must not discard other callers' queued
-        log records — they stay queued for the next flush."""
-        from repro.cbir.search import SearchEngine
-        from repro.logdb.session import LogSession
-        from repro.service import MicroBatchScheduler
-
-        scheduler = MicroBatchScheduler(
-            SearchEngine(fresh_database), fresh_database.log_database
-        )
-        log_before = fresh_database.log_database.num_sessions
-        scheduler.enqueue_log_append(LogSession(judgements={0: 1}))
-        # A query with the wrong dimensionality makes batch_search raise.
-        scheduler.enqueue_search(
-            "bad", Query(feature_vector=np.ones(3)), 5
-        )
-        with pytest.raises(Exception):
-            scheduler.flush()
-        assert scheduler.pending == (0, 1)  # the append survived
-        assert fresh_database.log_database.num_sessions == log_before
-        scheduler.flush()
-        assert fresh_database.log_database.num_sessions == log_before + 1
 
     def test_log_extend_is_all_or_nothing(self, fresh_database):
         from repro.exceptions import LogDatabaseError
@@ -371,10 +437,9 @@ class TestFlushAndLogRobustness:
                     ),
                 ]
             )
-        # Both sessions rolled back: no recorded rounds, nothing queued.
+        # Both sessions rolled back: no recorded rounds.
         assert service.get_session(good.session_id).rounds_completed == 0
         assert service.get_session(bad.session_id).rounds_completed == 0
-        assert service.scheduler.pending == (0, 0)
         # The good session still works — and its close logs exactly one round.
         before = fresh_database.log_database.num_sessions
         service.submit_feedback(good.session_id, judgements)
@@ -403,8 +468,8 @@ class TestFlushAndLogRobustness:
         assert store.session_ids() == ["job.tmp-1"]
 
     def test_close_wave_prevalidates_before_mutating(self, small_dataset, fresh_database):
-        """A bad id mid-wave must not close earlier sessions or strand
-        their log records on the scheduler queue."""
+        """A bad id mid-wave must not close earlier sessions or log their
+        rounds."""
         service = RetrievalService(fresh_database, log_policy="on_close")
         log_before = fresh_database.log_database.num_sessions
         response = service.open_session(0, top_k=6)
@@ -414,9 +479,8 @@ class TestFlushAndLogRobustness:
         )
         with pytest.raises(SessionError):
             service.close_sessions([response.session_id, "bogus"])
-        # Nothing mutated: the session is still open, nothing queued/logged.
+        # Nothing mutated: the session is still open, nothing logged.
         assert response.session_id in service.store
-        assert service.scheduler.pending == (0, 0)
         assert fresh_database.log_database.num_sessions == log_before
         with pytest.raises(SessionError, match="twice in one close wave"):
             service.close_sessions([response.session_id, response.session_id])
@@ -442,40 +506,6 @@ class TestFlushAndLogRobustness:
                 ]
             )
         assert service.num_open_sessions == 0
-        assert service.scheduler.pending == (0, 0)
-
-    def test_shutdown_during_wave_does_not_fail_submissions(self, fresh_database):
-        """shutdown() racing an in-flight run_jobs waits instead of killing
-        the wave's remaining submissions."""
-        from repro.cbir.search import SearchEngine
-
-        scheduler = ParallelScheduler(
-            SearchEngine(fresh_database), fresh_database.log_database, max_workers=2
-        )
-        release = threading.Event()
-        started = threading.Event()
-
-        def slow_job(i):
-            started.set()
-            release.wait(timeout=30)
-            return i
-
-        outcome = {}
-
-        def wave():
-            outcome["results"] = scheduler.run_jobs(
-                [lambda i=i: slow_job(i) for i in range(6)]
-            )
-
-        wave_thread = threading.Thread(target=wave)
-        wave_thread.start()
-        assert started.wait(timeout=10)
-        shutdown_thread = threading.Thread(target=scheduler.shutdown)
-        shutdown_thread.start()
-        release.set()
-        wave_thread.join(timeout=30)
-        shutdown_thread.join(timeout=30)
-        assert outcome["results"] == list(range(6))
 
     def test_skewed_payload_pair_degrades_to_cold_memory(self):
         """A crash between the store's two renames (bundle one round ahead
