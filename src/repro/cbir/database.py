@@ -7,6 +7,7 @@ which are exactly the two modalities of Section 2 of the paper.
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -21,6 +22,11 @@ from repro.logdb.log_database import LogDatabase
 from repro.logdb.store import LogStore
 
 __all__ = ["ImageDatabase"]
+
+#: Serialises the first computation of any database's ``feature_sq_norms``.
+#: Module-level so an :class:`ImageDatabase` holds no lock of its own and
+#: stays picklable; it is held for one pass over one feature matrix.
+_NORMS_LOCK = threading.Lock()
 
 
 class ImageDatabase:
@@ -40,6 +46,10 @@ class ImageDatabase:
     normalize:
         Whether to standardise feature columns (recommended; keeps the RBF
         and Euclidean geometry balanced across the three descriptor types).
+
+    The feature matrix is fixed at construction; :attr:`feature_sq_norms`
+    caches its squared row norms (computed on first use) for the SVM scoring
+    passes.
     """
 
     def __init__(
@@ -58,6 +68,7 @@ class ImageDatabase:
             self._features = self.normalizer.fit_transform(dataset.features)
         else:
             self._features = np.asarray(dataset.features, dtype=np.float64)
+        self._feature_sq_norms: Optional[np.ndarray] = None  # lazy, see property
 
         if isinstance(log_database, LogStore):
             log_database = LogDatabase(store=log_database)
@@ -86,6 +97,28 @@ class ImageDatabase:
     def features(self) -> np.ndarray:
         """The ``(N, D)`` normalised visual feature matrix ``X``."""
         return self._features
+
+    @property
+    def feature_sq_norms(self) -> np.ndarray:
+        """Squared row norms of :attr:`features`, ``(N,)`` and read-only.
+
+        Exactly ``np.sum(features * features, axis=1)``, computed on first
+        use and once per database (the features never change after
+        construction; concurrent first readers wait for one computation).
+        The SVM strategies pass it (or its ``[candidates]`` slice) to
+        ``decision_function`` so a feedback round does not recompute the
+        pool's norms for every model it scores; a database that only serves
+        distance searches never pays for it.
+        """
+        norms = self._feature_sq_norms
+        if norms is None:
+            with _NORMS_LOCK:
+                norms = self._feature_sq_norms
+                if norms is None:
+                    norms = np.sum(self._features * self._features, axis=1)
+                    norms.setflags(write=False)
+                    self._feature_sq_norms = norms
+        return norms
 
     @property
     def has_log(self) -> bool:

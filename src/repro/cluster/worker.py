@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import queue
 import time
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cbir.database import ImageDatabase
 from repro.exceptions import ClusterError, ReproError
@@ -35,6 +35,7 @@ from repro.logdb.file_store import FileLogStore
 from repro.logdb.log_database import LogDatabase
 from repro.service.service import RetrievalService
 from repro.service.store import FileSessionStore
+from repro.utils.blas import limit_blas_threads
 from repro.utils.faults import install_plan, trip as _fault_trip
 
 from repro.cluster.messages import (
@@ -121,11 +122,16 @@ class _WorkerServer:
     """Dispatches one request envelope to the service's wave APIs."""
 
     def __init__(
-        self, worker_id: int, service: RetrievalService, config: ClusterConfig
+        self,
+        worker_id: int,
+        service: RetrievalService,
+        config: ClusterConfig,
+        blas_threads: Optional[int],
     ) -> None:
         self.worker_id = worker_id
         self.service = service
         self.config = config
+        self.blas_threads = blas_threads
         self._started_at = time.time()
         self._served = 0
 
@@ -199,6 +205,7 @@ class _WorkerServer:
             "open_sessions": self.service.num_open_sessions,
             "served_items": self._served,
             "uptime_seconds": time.time() - self._started_at,
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -213,7 +220,16 @@ def run_worker(
 
     Exits on an :data:`~repro.cluster.messages.OP_SHUTDOWN` envelope, or
     silently when the parent router process disappears.
+
+    Before anything else the process caps its BLAS thread pools at its share
+    of the usable CPUs, ``max(1, CPUs // num_workers)``: every worker keeping
+    the library default (one thread per CPU) oversubscribes the machine
+    ``num_workers`` times over (``docs/cluster.md``, "CPU budget").  The
+    applied value is reported as ``blas_threads`` in the worker's stats.
     """
+    blas_threads = limit_blas_threads(
+        max(1, len(os.sched_getaffinity(0)) // config.num_workers)
+    )
     parent_pid = os.getppid()
     if config.fault_plan is not None:
         # Arm the deterministic fault seam before the stack is built, so
@@ -225,7 +241,7 @@ def run_worker(
 
         configure()
     service = build_worker_service(dataset_factory, config)
-    server = _WorkerServer(worker_id, service, config)
+    server = _WorkerServer(worker_id, service, config, blas_threads)
     while True:
         try:
             first = request_queue.get(timeout=_IDLE_WAKE)

@@ -331,29 +331,44 @@ class CoupledSVM:
         self.result_ = result
         return self
 
-    def decision_function(self, visual_features: np.ndarray, log_vectors) -> np.ndarray:
+    def decision_function(
+        self,
+        visual_features: np.ndarray,
+        log_vectors,
+        *,
+        visual_sq_norms: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Coupled relevance score ``f_w(x) + f_u(r)`` for each image.
 
         *log_vectors* holds one row per image, aligned with
         *visual_features*; it may be scipy-sparse (the pool's
         :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`), in which
         case the log SVM scores it in ``O(nnz x n_SV)``.
+        *visual_sq_norms* optionally carries the squared row norms of
+        *visual_features* (see :meth:`SVC.decision_function
+        <repro.svm.svc.SVC.decision_function>`).
         """
-        self._check_fitted()
-        visual_scores = self.visual_svm_.decision_function(visual_features)
-        log_scores = self.log_svm_.decision_function(log_vectors)
+        visual_scores, log_scores = self.modality_decisions(
+            visual_features, log_vectors, visual_sq_norms=visual_sq_norms
+        )
         return visual_scores + log_scores
 
     def modality_decisions(
-        self, visual_features: np.ndarray, log_vectors
+        self,
+        visual_features: np.ndarray,
+        log_vectors,
+        *,
+        visual_sq_norms: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-modality decision values ``(f_w(x), f_u(r))``.
 
-        *log_vectors* may be scipy-sparse, as in :meth:`decision_function`.
+        Arguments as in :meth:`decision_function`.
         """
         self._check_fitted()
         return (
-            self.visual_svm_.decision_function(visual_features),
+            self.visual_svm_.decision_function(
+                visual_features, squared_norms=visual_sq_norms
+            ),
             self.log_svm_.decision_function(log_vectors),
         )
 

@@ -140,9 +140,11 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         candidates = self._candidate_set(context)
         if candidates is None:
             pool_features = features
+            pool_sq_norms = database.feature_sq_norms
             pool_labeled_positions = labeled_indices
         else:
             pool_features = features[candidates]
+            pool_sq_norms = database.feature_sq_norms[candidates]
             pool_labeled_positions = np.searchsorted(candidates, labeled_indices)
 
         # One snapshot for the whole round: every log read below sees the
@@ -152,7 +154,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             # Cold start: with no log the coupled formulation collapses to a
             # single-modality SVM, so behave exactly like RF-SVM.
             scores = self._visual_only_scores(
-                visual_labeled, labels, pool_features, context, visual_gamma
+                visual_labeled, labels, pool_features, pool_sq_norms, context, visual_gamma
             )
             self._remember(memory, path="visual-only", candidates=candidates)
             return self._expand_scores(scores, candidates, num_images)
@@ -160,7 +162,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         log_labeled = snapshot.log_vectors(labeled_indices)
         if not log_vectors_informative(log_labeled):
             scores = self._visual_only_scores(
-                visual_labeled, labels, pool_features, context, visual_gamma
+                visual_labeled, labels, pool_features, pool_sq_norms, context, visual_gamma
             )
             self._remember(memory, path="visual-only", candidates=candidates)
             return self._expand_scores(scores, candidates, num_images)
@@ -180,6 +182,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             log_labeled,
             labels,
             pool_features,
+            pool_sq_norms,
             pool_log,
             context,
             visual_gamma,
@@ -218,7 +221,9 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         )
 
         # ---- stage 3: retrieval by coupled decision (Figure 1, part 3) ----
-        scores = coupled.decision_function(pool_features, pool_log)
+        scores = coupled.decision_function(
+            pool_features, pool_log, visual_sq_norms=pool_sq_norms
+        )
         return self._expand_scores(scores, candidates, num_images)
 
     # ------------------------------------------------------------- internals
@@ -336,6 +341,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         visual_labeled: np.ndarray,
         labels: np.ndarray,
         features: np.ndarray,
+        sq_norms: np.ndarray,
         context: FeedbackContext,
         gamma: Union[float, str],
     ) -> np.ndarray:
@@ -352,7 +358,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             initial_alphas=self._warm_alphas(context, "warm_alpha_visual"),
         )
         self._store_warm(context, visual_svm=classifier)
-        return classifier.decision_function(features)
+        return classifier.decision_function(features, squared_norms=sq_norms)
 
     def _selection_scores(
         self,
@@ -360,6 +366,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         log_labeled: np.ndarray,
         labels: np.ndarray,
         features: np.ndarray,
+        sq_norms: np.ndarray,
         pool_log,
         context: FeedbackContext,
         visual_gamma: Union[float, str],
@@ -367,8 +374,8 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
     ) -> np.ndarray:
         """Combined SVM distance used to choose the unlabeled samples.
 
-        *pool_log* is the scored pool's sparse log rows, aligned with
-        *features*.
+        *sq_norms* and *pool_log* are the scored pool's squared feature
+        norms and sparse log rows, both aligned with *features*.
         """
         visual_svm = SVC(
             C=self.config.C_visual,
@@ -395,7 +402,9 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             initial_alphas=self._warm_alphas(context, "warm_alpha_log"),
         )
         self._store_warm(context, visual_svm=visual_svm, log_svm=log_svm)
-        return visual_svm.decision_function(features) + log_svm.decision_function(pool_log)
+        return visual_svm.decision_function(
+            features, squared_norms=sq_norms
+        ) + log_svm.decision_function(pool_log)
 
     # ------------------------------------------------------- session memory
     @staticmethod

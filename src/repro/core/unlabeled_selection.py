@@ -21,6 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.utils.arrays import stable_top_k
 from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = [
@@ -109,13 +110,17 @@ class NearLabeledSelection(UnlabeledSelectionStrategy):
         half_positive = budget // 2 + budget % 2
         half_negative = budget // 2
 
-        order = candidates[np.argsort(-scores[candidates], kind="stable")]
-        positives = order[:half_positive]
-        negatives = order[::-1][:half_negative]
+        # Two selections instead of a sort of the whole pool.  Positives come
+        # best first (ties by ascending index); negatives are that same
+        # order read from its far end — worst first, ties by *descending*
+        # index — hence the reversed views.
+        pool_scores = scores[candidates]
+        positives = candidates[stable_top_k(-pool_scores, half_positive)]
+        negatives = candidates[::-1][stable_top_k(pool_scores[::-1], half_negative)]
         # Guard against overlap when the candidate pool is tiny.
-        negatives = np.array([i for i in negatives if i not in set(positives.tolist())])
+        negatives = negatives[~np.isin(negatives, positives)]
 
-        indices = np.concatenate([positives, negatives]).astype(np.int64)
+        indices = np.concatenate([positives, negatives])
         labels = np.concatenate(
             [np.ones(len(positives)), -np.ones(len(negatives))]
         )

@@ -21,6 +21,7 @@ from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import ValidationError
 from repro.logdb.log_database import LogSnapshot
+from repro.utils.arrays import stable_top_k
 
 __all__ = [
     "FeedbackMemory",
@@ -179,16 +180,23 @@ class RelevanceFeedbackAlgorithm(abc.ABC):
         """Relevance score of **every** database image (higher = more relevant)."""
 
     def rank(self, context: FeedbackContext, *, top_k: Optional[int] = None) -> RetrievalResult:
-        """Rank all database images by decreasing relevance score."""
+        """Rank all database images by decreasing relevance score.
+
+        Ties rank by ascending database index.  With *top_k* only the
+        *top_k* best are selected and sorted
+        (:func:`~repro.utils.arrays.stable_top_k`) — the same prefix the
+        full stable sort would give.
+        """
         scores = np.asarray(self.score(context), dtype=np.float64).ravel()
         if scores.shape[0] != context.database.num_images:
             raise ValidationError(
                 f"{self.name}: score() must return one score per database image "
                 f"({context.database.num_images}), got {scores.shape[0]}"
             )
-        ranking = np.argsort(-scores, kind="stable")
-        if top_k is not None:
-            ranking = ranking[: int(top_k)]
+        if top_k is None:
+            ranking = np.argsort(-scores, kind="stable")
+        else:
+            ranking = stable_top_k(-scores, int(top_k))
         return RetrievalResult(
             image_indices=ranking,
             scores=scores[ranking],

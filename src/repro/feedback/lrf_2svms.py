@@ -57,7 +57,10 @@ class LRF2SVMs(RelevanceFeedbackAlgorithm):
 
         visual_svm = SVC(C=self.C_visual, kernel=self.kernel, gamma=self.gamma)
         visual_svm.fit(context.labeled_features(), context.labels)
-        visual_scores = visual_svm.decision_function(context.database.features)
+        database = context.database
+        visual_scores = visual_svm.decision_function(
+            database.features, squared_norms=database.feature_sq_norms
+        )
 
         # One snapshot for the whole round: the log-SVM's training rows and
         # the scored pool read the same R even under concurrent appends.

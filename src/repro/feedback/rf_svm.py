@@ -42,4 +42,7 @@ class RFSVM(RelevanceFeedbackAlgorithm):
             return self._fallback_scores(context)
         classifier = self._make_svc()
         classifier.fit(context.labeled_features(), context.labels)
-        return classifier.decision_function(context.database.features)
+        database = context.database
+        return classifier.decision_function(
+            database.features, squared_norms=database.feature_sq_norms
+        )

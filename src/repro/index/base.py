@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.obs import get_hub
+from repro.utils.arrays import stable_top_k
 from repro.utils.io import load_array_bundle, save_array_bundle
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (cycle guard)
@@ -448,10 +449,10 @@ class VectorIndex(abc.ABC):
     def _full_scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact top-k by scanning every indexed vector (query-blocked).
 
-        Small ``k`` uses an ``argpartition`` selection (O(N) instead of a
-        full O(N log N) sort per query) with explicit boundary-tie handling,
-        so the output — including the (distance, ascending index) tie rule —
-        is bit-for-bit what the stable full ``argsort`` produces.
+        Each row's k nearest come from
+        :func:`~repro.utils.arrays.stable_top_k`, so the output — including
+        the (distance, ascending index) tie rule — is bit-for-bit what the
+        stable full ``argsort`` produces.
         """
         num_queries = queries.shape[0]
         hub = get_hub()
@@ -462,25 +463,10 @@ class VectorIndex(abc.ABC):
         for start in range(0, num_queries, _QUERY_BLOCK):
             block = queries[start : start + _QUERY_BLOCK]
             dist = self._distance(block, self._vectors)
-            if 4 * k >= dist.shape[1]:
-                # Selection buys nothing when k is a large fraction of N.
-                order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-                indices[start : start + block.shape[0]] = order
-                distances[start : start + block.shape[0]] = np.take_along_axis(
-                    dist, order, axis=1
-                )
-                continue
-            partitioned = np.argpartition(dist, k - 1, axis=1)[:, :k]
-            kth = np.take_along_axis(dist, partitioned, axis=1).max(axis=1)
             for row in range(block.shape[0]):
-                row_dist = dist[row]
-                # Everything at or below the k-th distance competes; ties at
-                # the boundary resolve by ascending database index, exactly
-                # like the stable argsort.
-                contenders = np.flatnonzero(row_dist <= kth[row])
-                order = np.lexsort((contenders, row_dist[contenders]))[:k]
-                indices[start + row] = contenders[order]
-                distances[start + row] = row_dist[contenders[order]]
+                nearest = stable_top_k(dist[row], k)
+                indices[start + row] = nearest
+                distances[start + row] = dist[row, nearest]
         return distances, indices
 
     @staticmethod

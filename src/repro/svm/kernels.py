@@ -13,6 +13,13 @@ the row norms, which a sparse matrix supplies in ``O(nnz x M)``; the result
 is always a dense ``ndarray``.  Log entries are −1/0/+1, so those dot
 products and squared norms are small integers — exact in any summation
 order — and the sparse evaluation is bit-identical to the dense one.
+
+**Row norms passed in.**  ``kernel(a, b, a_sq=...)`` takes the squared row
+norms of *a* when the caller already holds them (the pool's, cached by
+:class:`~repro.cbir.database.ImageDatabase`); only the RBF kernel reads
+them, the others ignore the argument.  Full-pool scoring never calls a
+kernel on the whole pool at once: :meth:`SVMModel.decision_function
+<repro.svm.model.SVMModel.decision_function>` evaluates it block by block.
 """
 
 from __future__ import annotations
@@ -48,8 +55,17 @@ class Kernel(abc.ABC):
     name: str = "kernel"
 
     @abc.abstractmethod
-    def __call__(self, a, b: np.ndarray) -> np.ndarray:
-        """Gram matrix between the rows of *a* (dense or sparse) and of *b*."""
+    def __call__(
+        self, a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Gram matrix between the rows of *a* (dense or sparse) and of *b*.
+
+        *a_sq* optionally carries the squared row norms of *a*
+        (``np.sum(a * a, axis=1)``) for kernels that are functions of the
+        distance; it never changes the result.  Subclasses must accept it —
+        :meth:`SVMModel.decision_function
+        <repro.svm.model.SVMModel.decision_function>` always passes it.
+        """
 
     def gram(self, x: np.ndarray) -> np.ndarray:
         """Symmetric Gram matrix of *x* with itself."""
@@ -84,7 +100,9 @@ class LinearKernel(Kernel):
 
     name = "linear"
 
-    def __call__(self, a, b: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         return _row_products(a, b)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
@@ -94,6 +112,11 @@ class LinearKernel(Kernel):
 
 class RBFKernel(Kernel):
     """The Gaussian RBF kernel ``k(x, y) = exp(-gamma |x - y|^2)``.
+
+    Evaluated as ``exp`` of the scaled
+    :func:`~repro.utils.arrays.pairwise_squared_distances`, in place on that
+    one ``(len(a), len(b))`` buffer; ``a_sq`` (the squared row norms of *a*)
+    is forwarded to it.
 
     Parameters
     ----------
@@ -132,10 +155,15 @@ class RBFKernel(Kernel):
             )
         return float(self.gamma_)
 
-    def __call__(self, a, b: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         gamma = self._resolved_gamma()
-        squared = pairwise_squared_distances(a, b)
-        return np.exp(-gamma * squared)
+        # The distance matrix is a fresh temporary: scale and exponentiate
+        # it in place instead of allocating two more of its size.
+        values = pairwise_squared_distances(a, b, a_sq=a_sq)
+        values *= -gamma
+        return np.exp(values, out=values)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -156,7 +184,9 @@ class PolynomialKernel(Kernel):
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
 
-    def __call__(self, a, b: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         return (self.gamma * _row_products(a, b) + self.coef0) ** self.degree
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:

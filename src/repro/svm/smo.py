@@ -231,24 +231,33 @@ class SMOSolver:
             alphas = self._project_feasible(start, y, c)
             gradient = q @ alphas - 1.0
 
-        active = np.ones(n, dtype=bool)
+        # Fixed for the whole solve: the class masks and the "below the upper
+        # bound" threshold every working-set selection compares against.
+        positive = y > 0
+        negative = y < 0
+        upper = c - _BOUND_EPS
+        # The working set as a boolean mask; ``None`` (always, unless
+        # shrinking has dropped something) means every sample is in it.
+        active: Optional[np.ndarray] = None
         shrink_interval = min(1000, max(n, 32))
         next_shrink = shrink_interval
 
         iterations = 0
         converged = False
         while iterations < self.max_iter:
-            selection = self._select_working_set(y, alphas, c, gradient, q, q_diag, active)
+            selection = self._select_working_set(
+                y, positive, negative, alphas, upper, gradient, q, q_diag, active
+            )
             if selection is None:
-                if active.all():
+                if active is None:
                     converged = True
                     break
                 # The shrunk problem is solved: reconstruct the full gradient
                 # and re-check optimality over every sample before stopping.
                 gradient = q @ alphas - 1.0
-                active[:] = True
+                active = None
                 selection = self._select_working_set(
-                    y, alphas, c, gradient, q, q_diag, active
+                    y, positive, negative, alphas, upper, gradient, q, q_diag, active
                 )
                 if selection is None:
                     converged = True
@@ -257,10 +266,12 @@ class SMOSolver:
             self._update_pair(i, j, y, alphas, c, gradient, q, q_diag, active)
             iterations += 1
             if self.shrinking and iterations >= next_shrink:
-                self._shrink(y, alphas, c, gradient, active)
+                active = self._shrink(
+                    y, positive, negative, alphas, upper, gradient, active
+                )
                 next_shrink += shrink_interval
 
-        if not active.all():
+        if active is not None:
             # max_iter hit while shrunk: the inactive gradient entries are
             # stale, so rebuild before recovering the bias and objective.
             gradient = q @ alphas - 1.0
@@ -281,15 +292,26 @@ class SMOSolver:
     # --------------------------------------------------------------- details
     @staticmethod
     def _candidate_sets(
-        y: np.ndarray, alphas: np.ndarray, c: np.ndarray, active: np.ndarray
+        positive: np.ndarray,
+        negative: np.ndarray,
+        alphas: np.ndarray,
+        upper: np.ndarray,
+        active: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The "up"/"low" candidate sets of the KKT violation certificate."""
-        in_up = active & (
-            ((y > 0) & (alphas < c - _BOUND_EPS)) | ((y < 0) & (alphas > _BOUND_EPS))
-        )
-        in_low = active & (
-            ((y > 0) & (alphas > _BOUND_EPS)) | ((y < 0) & (alphas < c - _BOUND_EPS))
-        )
+        """The "up"/"low" candidate sets of the KKT violation certificate.
+
+        *positive* / *negative* are the class masks ``y > 0`` / ``y < 0``
+        and *upper* is ``c - _BOUND_EPS`` — constants of a solve, computed
+        once by :meth:`_solve`; *active* restricts both sets to the shrunk
+        working set (``None`` = every sample).
+        """
+        below = alphas < upper
+        above = alphas > _BOUND_EPS
+        in_up = (positive & below) | (negative & above)
+        in_low = (positive & above) | (negative & below)
+        if active is not None:
+            in_up &= active
+            in_low &= active
         return in_up, in_low
 
     @staticmethod
@@ -319,12 +341,14 @@ class SMOSolver:
     def _select_working_set(
         self,
         y: np.ndarray,
+        positive: np.ndarray,
+        negative: np.ndarray,
         alphas: np.ndarray,
-        c: np.ndarray,
+        upper: np.ndarray,
         gradient: np.ndarray,
         q_matrix: np.ndarray,
         q_diag: np.ndarray,
-        active: np.ndarray,
+        active: Optional[np.ndarray],
     ) -> Optional[Tuple[int, int]]:
         """LIBSVM WSS2 selection on the active set; ``None`` signals optimality.
 
@@ -335,7 +359,7 @@ class SMOSolver:
         """
         minus_y_grad = -y * gradient
 
-        in_up, in_low = self._candidate_sets(y, alphas, c, active)
+        in_up, in_low = self._candidate_sets(positive, negative, alphas, upper, active)
         if not in_up.any() or not in_low.any():
             return None
 
@@ -362,11 +386,13 @@ class SMOSolver:
     def _shrink(
         self,
         y: np.ndarray,
+        positive: np.ndarray,
+        negative: np.ndarray,
         alphas: np.ndarray,
-        c: np.ndarray,
+        upper: np.ndarray,
         gradient: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
+        active: Optional[np.ndarray],
+    ) -> Optional[np.ndarray]:
         """Deactivate bound samples whose KKT condition holds with margin.
 
         A sample pinned at a bound belongs to only one of the up/low sets; it
@@ -374,17 +400,22 @@ class SMOSolver:
         ``tolerance`` inside the current ``[G_min, G_max]`` certificate, so it
         is dropped from the working set.  Convergence is still verified on
         the full set (see :meth:`solve`), keeping the heuristic exact.
+
+        Returns the new working-set mask, ``None`` while it still holds
+        every sample.
         """
         minus_y_grad = -y * gradient
-        in_up, in_low = self._candidate_sets(y, alphas, c, active)
+        in_up, in_low = self._candidate_sets(positive, negative, alphas, upper, active)
         if not in_up.any() or not in_low.any():
-            return
+            return active
         g_max = float(minus_y_grad[in_up].max())
         g_min = float(minus_y_grad[in_low].min())
         shrinkable = (in_up & ~in_low & (minus_y_grad < g_min + self.tolerance)) | (
             in_low & ~in_up & (minus_y_grad > g_max - self.tolerance)
         )
-        active &= ~shrinkable
+        if not shrinkable.any():
+            return active
+        return ~shrinkable if active is None else active & ~shrinkable
 
     @staticmethod
     def _update_pair(
@@ -396,7 +427,7 @@ class SMOSolver:
         gradient: np.ndarray,
         q_matrix: np.ndarray,
         q_diag: np.ndarray,
-        active: np.ndarray,
+        active: Optional[np.ndarray],
     ) -> None:
         """Analytic two-variable update with clipping to the per-sample box."""
         old_alpha_i = alphas[i]
@@ -451,7 +482,7 @@ class SMOSolver:
                     alphas[j] = total
         delta_i = alphas[i] - old_alpha_i
         delta_j = alphas[j] - old_alpha_j
-        if active.all():
+        if active is None:
             gradient += q_matrix[i] * delta_i + q_matrix[j] * delta_j
         else:
             # Only the active entries are kept fresh while shrunk; the rest

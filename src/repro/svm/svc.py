@@ -198,10 +198,19 @@ class SVC:
         self.result_ = result
         return self
 
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Signed decision values ``f(x)`` for each row of *features*."""
+    def decision_function(
+        self, features, *, squared_norms: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Signed decision values ``f(x)`` for each row of *features*.
+
+        *features* may be scipy-sparse; *squared_norms* optionally carries
+        its squared row norms — both as in
+        :meth:`SVMModel.decision_function
+        <repro.svm.model.SVMModel.decision_function>`, which scores the rows
+        block by block.
+        """
         self._check_fitted()
-        return self.model_.decision_function(features)
+        return self.model_.decision_function(features, x_sq=squared_norms)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted ±1 labels for each row of *features*."""

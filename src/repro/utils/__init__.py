@@ -1,9 +1,10 @@
 """Small shared utilities: RNG, validation, arrays, atomic IO, concurrency,
-and the deterministic fault-injection seam."""
+the BLAS thread budget and the deterministic fault-injection seam."""
 
 from __future__ import annotations
 
 from repro.utils.arrays import l2_normalize_rows, minmax_scale, zscore
+from repro.utils.blas import limit_blas_threads
 from repro.utils.concurrency import LOCK_ORDER, ReadWriteLock, StripedLockMap, WaitCallback
 from repro.utils.faults import FaultPlan, FaultRule
 from repro.utils.io import load_array_bundle, load_json, save_array_bundle, save_json
@@ -38,4 +39,5 @@ __all__ = [
     "LOCK_ORDER",
     "FaultPlan",
     "FaultRule",
+    "limit_blas_threads",
 ]

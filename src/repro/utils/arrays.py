@@ -13,6 +13,7 @@ __all__ = [
     "l2_normalize_rows",
     "as_row_matrix",
     "pairwise_squared_distances",
+    "stable_top_k",
     "stable_entropy",
 ]
 
@@ -75,31 +76,60 @@ def as_row_matrix(rows):
     return np.atleast_2d(np.asarray(rows, dtype=np.float64))
 
 
-def pairwise_squared_distances(a, b: np.ndarray) -> np.ndarray:
+def pairwise_squared_distances(
+    a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Squared Euclidean distances between rows of *a* and rows of *b*.
 
     Uses the ``|a|^2 + |b|^2 - 2 a.b`` expansion, clipped at zero to guard
     against tiny negative values from floating-point cancellation.  *a* may
     be scipy-sparse (row norms and ``a @ b.T`` are then sparse products);
     the result is always a dense ``(len(a), len(b))`` array.
+
+    *a_sq* is the ``(len(a),)`` vector of squared row norms of *a*, for
+    callers that score the same rows again and again (the pool's features:
+    :attr:`~repro.cbir.database.ImageDatabase.feature_sq_norms`).  It must
+    be what ``np.sum(a * a, axis=1)`` returns; the result is then bit for
+    bit the one computed without it.
     """
+    a = as_row_matrix(a)
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if sparse.issparse(a):
-        a_sq = np.asarray(a.multiply(a).sum(axis=1)).reshape(-1, 1)
-    else:
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        a_sq = np.sum(a * a, axis=1)[:, None]
+    if a_sq is None:
+        if sparse.issparse(a):
+            a_sq = np.asarray(a.multiply(a).sum(axis=1)).ravel()
+        else:
+            a_sq = np.sum(a * a, axis=1)
     b_sq = np.sum(b * b, axis=1)[None, :]
     # In-place updates keep the accumulation order of the naive
     # ``a_sq + b_sq - 2ab`` expression (bit-identical results) while
     # avoiding two full (Q, N) temporaries — on serving-sized batches the
     # extra allocations used to dominate the matmul itself.
-    squared = a_sq + b_sq
+    squared = a_sq[:, None] + b_sq
     product = a @ b.T
     product *= 2.0
     squared -= product
     np.maximum(squared, 0.0, out=squared)
     return squared
+
+
+def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the *k* smallest entries of 1-D *values*, by ``(value, index)``.
+
+    Element for element ``np.argsort(values, kind="stable")[:k]`` — ties,
+    also those straddling the k-th place, resolve by ascending index — but
+    an ``argpartition`` selection (O(N)) finds the k-th value first and only
+    the entries at or below it are sorted.  When *k* is a large fraction of
+    N the selection buys nothing and the full stable sort runs.  Negate
+    *values* for the *k* largest; reverse them (``values[::-1]``) for ties
+    by descending index.
+    """
+    if k < 1 or 4 * k >= values.shape[0]:
+        return np.argsort(values, kind="stable")[:k]
+    kth = values[np.argpartition(values, k - 1)[k - 1]]
+    # Everything at or below the k-th value competes; ``contenders`` is
+    # ascending, so the stable sort breaks ties by index.
+    contenders = np.flatnonzero(values <= kth)
+    return contenders[np.argsort(values[contenders], kind="stable")[:k]]
 
 
 def stable_entropy(values: np.ndarray, *, bins: int = 64, eps: float = 1e-12) -> float:

@@ -10,14 +10,21 @@ The load-bearing guarantees:
   re-route or fail with typed errors, nothing hangs, and after recovery
   the shared log holds **exactly one** record per completed round (no
   losses, no duplicates);
-* the whole fleet dying surfaces :class:`NoWorkersError`, not a deadlock.
+* the whole fleet dying surfaces :class:`NoWorkersError`, not a deadlock;
+* every worker caps its BLAS pools at its share of the usable CPUs, a
+  restarted worker included, and reports the applied value.
 """
 
 from __future__ import annotations
 
 import collections
+import logging
+import multiprocessing
+import os
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -37,6 +44,8 @@ from repro.obs import configure, get_hub
 from repro.service import RetrievalService, SearchRequest
 from repro.service.store import FileSessionStore
 from repro.cbir.database import ImageDatabase
+from repro.utils import blas
+from repro.utils.blas import blas_thread_counts, limit_blas_threads
 
 POOL_CONFIG = GaussianPoolConfig(
     num_vectors=300, dim=6, num_clusters=5, num_queries=4, seed=11
@@ -388,3 +397,118 @@ class TestWorkerDeath:
                 assert router.close_session(opened.session_id).closed
         finally:
             get_hub().enabled = False
+
+
+def _limit_in_child(limit, pipe):
+    pipe.send((limit_blas_threads(limit), blas_thread_counts()))
+    pipe.close()
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.time() + timeout
+    while not predicate() and time.time() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+class _FakePool:
+    def __init__(self, threads):
+        self.threads = threads
+
+    def set_num_threads(self, count):
+        self.threads = count
+
+    def get_num_threads(self):
+        return self.threads
+
+
+class TestBlasThreadBudget:
+    """``run_worker`` caps the worker's BLAS pools at ``CPUs // num_workers``."""
+
+    @pytest.fixture()
+    def default_threads(self):
+        counts = blas_thread_counts()
+        if not counts:
+            pytest.skip("no controllable BLAS thread pool is loaded in this process")
+        return max(counts)
+
+    def test_limit_reaches_the_pools_of_the_calling_process_only(self, default_threads):
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_limit_in_child, args=(1, sender))
+        child.start()
+        sender.close()
+        assert receiver.poll(20), "the child never reported"
+        applied, child_counts = receiver.recv()
+        child.join(10)
+        assert not child.is_alive()
+        assert applied == 1
+        assert child_counts and set(child_counts) == {1}
+        assert max(blas_thread_counts()) == default_threads  # the parent's pools
+
+    def test_limit_never_raises_a_thread_count(self, default_threads):
+        assert limit_blas_threads(default_threads + 7) == default_threads
+        assert max(blas_thread_counts()) == default_threads
+
+    def test_workers_report_their_share_of_the_cpus(self, cluster, default_threads):
+        per_worker = cluster.stats()["per_worker"]
+        assert set(per_worker) == {0, 1}
+        usable = len(os.sched_getaffinity(0))
+        expected = min(default_threads, max(1, usable // 2))
+        assert [stats["blas_threads"] for stats in per_worker.values()] == [expected] * 2
+        assert 2 * expected <= max(usable, 2)
+
+    def test_a_restarted_worker_applies_the_same_budget(self, tmp_path, default_threads):
+        config = _config(tmp_path, num_workers=2, auto_restart=True)
+        with ClusterRouter(_factory, config) as router:
+            before = router.stats()["per_worker"]
+            victim = router.worker_for("anything")
+            router.kill_worker(victim)
+            assert _wait_for(lambda: router.restarts == 1)
+            assert _wait_for(lambda: router.alive_worker_ids == [0, 1])
+            after = router.stats()["per_worker"]
+            assert after[victim]["pid"] != before[victim]["pid"]
+            assert after[victim]["blas_threads"] == before[victim]["blas_threads"]
+            assert after[victim]["blas_threads"] is not None
+
+    def test_a_single_worker_keeps_the_library_default(self, tmp_path, default_threads):
+        with ClusterRouter(_factory, _config(tmp_path, num_workers=1)) as router:
+            assert router.stats()["per_worker"][0]["blas_threads"] == default_threads
+        assert max(blas_thread_counts()) == default_threads  # the router's own pools
+
+    def test_no_controllable_blas_is_a_logged_no_op(self, monkeypatch, caplog):
+        monkeypatch.setattr(blas, "_pools", lambda: [])
+        with caplog.at_level(logging.WARNING, logger="repro.utils.blas"):
+            assert limit_blas_threads(1) is None
+        assert len(caplog.records) == 1
+        assert "no controllable BLAS" in caplog.records[0].getMessage()
+
+    def test_a_blas_that_cannot_be_driven_is_a_logged_no_op(self, monkeypatch, caplog):
+        def broken():
+            raise OSError("symbol lookup failed")
+
+        monkeypatch.setattr(blas, "_pools", broken)
+        with caplog.at_level(logging.WARNING, logger="repro.utils.blas"):
+            assert limit_blas_threads(1) is None
+        assert len(caplog.records) == 1
+
+    def test_threadpoolctl_is_used_when_importable(self, monkeypatch):
+        # The package is not a dependency: a stand-in with the 3.x surface the
+        # helper reads shows the path is wired (unverified against the real one).
+        pools = [_FakePool(8), _FakePool(2), _FakePool(1)]
+        selected = []
+
+        class Controller:
+            lib_controllers = pools
+
+            def select(self, **kwargs):
+                selected.append(kwargs)
+                return self
+
+        fake = types.ModuleType("threadpoolctl")
+        fake.ThreadpoolController = Controller
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        assert limit_blas_threads(2) == 2
+        assert [pool.threads for pool in pools] == [2, 2, 1]
+        assert selected == [{"user_api": "blas"}]
+        assert blas_thread_counts() == [2, 2, 1]

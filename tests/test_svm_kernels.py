@@ -118,7 +118,7 @@ class _CountingKernel(Kernel):
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, a, b):
+    def __call__(self, a, b, *, a_sq=None):
         self.calls += 1
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.atleast_2d(np.asarray(b, dtype=np.float64))

@@ -74,6 +74,19 @@ class TestPairwiseSquaredDistances:
         distances = pairwise_squared_distances(a, a)
         np.testing.assert_allclose(np.diag(distances), 0.0, atol=1e-9)
 
+    def test_row_norms_passed_in_change_nothing(self):
+        from scipy import sparse
+
+        rng = np.random.default_rng(6)
+        a = rng.integers(-1, 2, size=(9, 5)).astype(np.float64)
+        b = rng.normal(size=(4, 5))
+        a_sq = np.sum(a * a, axis=1)
+        expected = pairwise_squared_distances(a, b)
+        np.testing.assert_array_equal(pairwise_squared_distances(a, b, a_sq=a_sq), expected)
+        np.testing.assert_array_equal(
+            pairwise_squared_distances(sparse.csr_matrix(a), b, a_sq=a_sq), expected
+        )
+
     @given(
         hnp.arrays(
             np.float64,
