@@ -8,10 +8,9 @@ alive set), in-flight rounds reconcile against the shared on-disk
 stores, and the feedback log still ends up with exactly one record per
 round — nothing lost, nothing duplicated.
 
-Compare with ``examples/parallel_service.py`` (threads in one process)
-and the tracked soak benchmark ``benchmarks/test_cluster_soak.py`` /
-``BENCH_cluster.json`` (the CI-asserted ≥2× throughput version of this
-workload).  Topology and protocol: ``docs/cluster.md``.
+Compare with ``examples/parallel_service.py`` (threads in one process);
+the ``cluster_mixed`` workload of ``bench/run.py`` measures this tier end
+to end.  Topology and protocol: ``docs/cluster.md``.
 
 Run with::
 

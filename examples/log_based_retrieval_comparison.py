@@ -1,7 +1,7 @@
 """Compare all four retrieval schemes over many queries (a mini Table 1).
 
 This example runs the paper's evaluation protocol — the same one the
-benchmark harness and ``python -m repro.experiments.corel20`` use — at a
+paper-fidelity tests and ``python -m repro.experiments.corel20`` use — at a
 small scale and prints the Table-1-style comparison with improvement
 percentages over the RF-SVM baseline, plus the Figure-3-style series.
 

@@ -13,8 +13,7 @@ saw:
   children, and the SMO solves beneath.
 
 The metric catalogue and span taxonomy are documented in
-``docs/observability.md``; ``benchmarks/test_obs_overhead.py`` asserts
-the disabled-mode overhead stays ≤2%.
+``docs/observability.md``.
 
 Run with::
 

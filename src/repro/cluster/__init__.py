@@ -29,7 +29,7 @@ The companion index backend — process-internal sharding with a
 bit-identical scatter-gather merge — lives in
 :class:`repro.index.ShardedVectorIndex`; the two compose (workers shard
 the *sessions*, the index shards the *pool*).  See ``docs/cluster.md``
-for topology, failure semantics and the soak benchmark.
+for topology, failure semantics and the CPU budget.
 """
 
 from repro.cluster.faults import ALL_POINTS

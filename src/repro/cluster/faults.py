@@ -44,7 +44,7 @@ each one is a distinct crash window the protocol must survive:
 
 The ``"exit"`` action at any of these points is the deterministic
 equivalent of a SIGKILL landing exactly there; the fault-matrix test in
-``tests/test_cluster_fault_matrix.py`` walks the full protocol-step ×
+``tests/test_cluster_faults.py`` walks the full protocol-step ×
 fault-point grid and asserts exactly-once log records at every cell.
 """
 

@@ -90,9 +90,8 @@ def build_worker_service(
     worker still gets its own file-backed log store (swapped in below) and
     its own session store, which is where all mutable state lives.
 
-    Splitting this out keeps :func:`run_worker` testable in-process: the
-    soak benchmark builds its single-process baseline through the exact
-    same path, so baseline and cluster serve identical stacks.
+    Splitting this out keeps :func:`run_worker` testable in-process: a
+    single-process baseline built here serves the identical stack.
     """
     built = dataset_factory()
     log_store = FileLogStore(config.log_dir, num_images=built.num_images)

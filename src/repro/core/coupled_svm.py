@@ -41,8 +41,8 @@ one :meth:`CoupledSVM.fit` — only the pseudo-labels and the unlabeled bound
   rows, so label switching performs no kernel evaluations at all.
 
 The per-solve SMO iteration counts and per-modality Gram/kernel counters are
-recorded in :class:`CoupledSVMResult`, making the speedup observable (and
-asserted in ``benchmarks/test_solver_performance.py``).  Setting
+recorded in :class:`CoupledSVMResult`, making the saving observable (the
+counts are checked in ``tests/test_paper_fidelity.py``).  Setting
 ``warm_start=False`` in the config restores cold starts for comparison; the
 fitted models agree within solver tolerance either way.
 """
@@ -81,7 +81,7 @@ class CoupledSVMConfig:
         Final regularisation weight ρ of the unlabeled samples.  The paper
         leaves the threshold open ("whether existing an optimal parameter for
         the scheme is still an open question"); the default was chosen by the
-        ρ ablation (``benchmarks/test_ablation_rho.py``) — small values keep
+        ρ ablation (``tests/test_paper_fidelity.py``) — small values keep
         the noisy pseudo-labels from dominating the labelled feedback.
     rho_start:
         Initial value ρ* of the annealing schedule (``1e-4`` in Figure 1).
@@ -158,7 +158,7 @@ class CoupledSVMResult:
         first pair; ``total_solver_iterations`` is the headline number.
     visual_gram_computations, log_gram_computations:
         Full training-Gram computations per modality (1 each with the
-        caching pipeline — asserted by the solver benchmark).
+        caching pipeline).
     kernel_evaluations:
         Kernel-matrix entries evaluated during :meth:`CoupledSVM.fit`.
     """

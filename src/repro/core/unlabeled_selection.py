@@ -9,7 +9,7 @@ Figure 1 uses, is to take the samples with the largest combined SVM score
 budget and the smallest combined score (most confidently irrelevant, seeded
 with −1) for the other half.
 
-All three variants are implemented so the ablation benchmark can compare
+All three variants are implemented so the selection ablation can compare
 them.
 """
 
@@ -131,7 +131,7 @@ class BoundaryProximitySelection(UnlabeledSelectionStrategy):
     """Active-learning-style strategy: samples closest to the decision boundary.
 
     Included because the paper reports trying it and finding it *unhelpful*;
-    the ablation benchmark reproduces that comparison.
+    the selection ablation reproduces that comparison.
     """
 
     name = "boundary"

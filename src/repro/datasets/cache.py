@@ -1,9 +1,8 @@
 """On-disk caching of extracted feature matrices.
 
 Rendering a paper-scale corpus and extracting Canny/DWT features for every
-image takes tens of seconds; the benchmark harness therefore caches the
-feature matrix (plus labels) keyed by the dataset configuration so repeated
-runs are instant.
+image takes tens of seconds; caching the feature matrix (plus labels) keyed
+by the dataset configuration makes repeated runs instant.
 """
 
 from __future__ import annotations

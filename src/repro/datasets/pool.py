@@ -1,7 +1,7 @@
-"""Synthetic feature pools for index benchmarking.
+"""Synthetic feature pools for large-pool tests and demos.
 
 The Corel-style corpora render actual images, which caps how large a pool a
-benchmark can afford to build.  The index benchmarks instead need *feature
+run can afford to build.  Index and serving tests instead need *feature
 matrices* that are (a) orders of magnitude larger than the rendered corpora
 and (b) clustered the way real image features are — a Gaussian mixture
 delivers both at negligible cost, with the number of mixture components
@@ -98,8 +98,8 @@ def make_pool_dataset(
     """Wrap a Gaussian pool into a feature-only :class:`ImageDataset`.
 
     The service and database layers consume datasets, not raw matrices, so
-    pool-scale benchmarks (e.g. the retrieval-service benchmark on the 100k
-    pool) need a dataset whose *features* are the pool.  The image list is
+    pool-scale runs (e.g. a retrieval service over a 100k pool) need a
+    dataset whose *features* are the pool.  The image list is
     a single shared 2×2 placeholder — nothing downstream of feature
     extraction reads pixels — which keeps a 100k-image dataset at the cost
     of one array.

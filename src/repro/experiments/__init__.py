@@ -7,7 +7,7 @@
 
 Each driver exposes a configuration builder plus a ``run_*`` function that
 returns the populated :class:`~repro.evaluation.results.ResultsTable`; the
-benchmark harness and the ``python -m repro.experiments.corel20`` entry
+paper-fidelity tests and the ``python -m repro.experiments.corel20`` entry
 points both go through the same code path.
 """
 

@@ -169,8 +169,9 @@ PAPER_SCALE = {
     "num_queries": 200,
 }
 
-#: Benchmark preset: small enough for a single pytest-benchmark round while
-#: still exercising every stage at a statistically meaningful size.
+#: Scaled preset (``--quick`` runs, paper-fidelity tests): small enough
+#: for a run of seconds while still exercising every stage at a
+#: statistically meaningful size.
 BENCH_SCALE = {
     "images_per_category": 30,
     "num_sessions": 60,

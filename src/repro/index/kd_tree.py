@@ -5,8 +5,7 @@ the widest spread, leaves hold up to ``leaf_size`` points scanned densely.
 Search is exact — branch-and-bound with ``(distance, index)``-ordered
 pruning, so results (including tie handling) are bit-for-bit identical to
 :class:`repro.index.brute_force.BruteForceIndex`.  KD-trees pay off in low
-dimensions; past ~15 dimensions pruning degrades towards a full scan, which
-is why the benchmark exercises this backend on a low-dimensional pool.
+dimensions; past ~15 dimensions pruning degrades towards a full scan.
 
 Growth is **truly incremental** up to a point: :meth:`KDTreeIndex.add`
 routes each new point down the existing splitting planes into the leaf that

@@ -217,7 +217,7 @@ class LogDatabase:
     sessions the store committed since the cache was built — O(new
     judgements + one CSR concatenation), not O(whole log) — and the result
     is bit-identical to a from-scratch
-    :meth:`RelevanceMatrix.from_sessions` build (benchmark-asserted).  This
+    :meth:`RelevanceMatrix.from_sessions` build (tested).  This
     also absorbs sessions shipped by *other processes* through a shared
     file store.
 

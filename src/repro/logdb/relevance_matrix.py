@@ -157,7 +157,7 @@ class RelevanceMatrix:
         The result is **bit-identical** to
         :meth:`from_sessions` over the concatenated session sequence (both
         produce canonical CSR: rows in order, columns sorted, no
-        duplicates), which the log-append benchmark asserts.
+        duplicates), which ``tests/test_logdb.py`` checks.
 
         Parameters
         ----------

@@ -4,21 +4,20 @@ An exporter receives each finished :class:`~repro.obs.tracing.Span` from
 the tracer, from whichever thread closed the span, so both implementations
 here are internally locked.  :class:`InMemoryExporter` is the test/demo
 workhorse; :class:`JSONLExporter` persists spans as one-JSON-object-per-line
-files using the same write-temp-then-:func:`os.replace` idiom as
-:mod:`repro.utils.io`, so a crash mid-flush can never leave a torn or
-truncated trace file behind — readers see the previous complete flush or
-the new one.
+files through :func:`repro.utils.io.atomic_text_file`, so a crash mid-flush can
+never leave a torn or truncated trace file behind — readers see the previous
+complete flush or the new one.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import List, Union
 
 from repro.obs.tracing import Span
+from repro.utils.io import atomic_text_file
 
 __all__ = ["SpanExporter", "InMemoryExporter", "JSONLExporter"]
 
@@ -68,10 +67,12 @@ class JSONLExporter(SpanExporter):
     """Writes finished spans to a JSON-lines file, atomically per flush.
 
     Spans are buffered in memory and flushed — every ``flush_every`` spans
-    and on explicit :meth:`flush` — by rewriting the *entire* file via a
-    same-directory temp file and :func:`os.replace`.  That trades a little
-    rewrite work for the strong guarantee the rest of the repo's stores
-    already give: a reader (or a crash) can never observe a torn line.
+    and on explicit :meth:`flush` — by rewriting the *entire* file
+    atomically.  That trades a little rewrite work for the strong guarantee
+    the rest of the repo's stores already give: a reader (or a crash) can
+    never observe a torn line.  Flushes are serialised, so the file only
+    ever grows: a flush that started earlier can never land after, and
+    overwrite, one that carries more spans.
 
     Parameters
     ----------
@@ -88,6 +89,7 @@ class JSONLExporter(SpanExporter):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.flush_every = int(flush_every)
         self._lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self._documents: List[str] = []
         self._pending = 0
 
@@ -103,17 +105,11 @@ class JSONLExporter(SpanExporter):
 
     def flush(self) -> None:
         """Atomically rewrite the file with every span exported so far."""
-        with self._lock:
-            if not self._documents:
-                return
-            payload = "\n".join(self._documents) + "\n"
-            self._pending = 0
-        tag = f".tmp-{os.getpid()}-{threading.get_ident()}"
-        temp = self.path.with_name(self.path.name + tag)
-        try:
-            with temp.open("w", encoding="utf-8") as handle:
+        with self._write_lock:
+            with self._lock:
+                if not self._documents:
+                    return
+                payload = "\n".join(self._documents) + "\n"
+                self._pending = 0
+            with atomic_text_file(self.path) as handle:
                 handle.write(payload)
-            os.replace(temp, self.path)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise

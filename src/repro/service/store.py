@@ -62,7 +62,7 @@ class SessionStore(abc.ABC):
         sweeps.  The service calls :meth:`evict_expired` on **every** API
         entry; for the file backend a sweep is O(sessions) disk probes, so
         under sustained traffic an unthrottled sweep per call dominates the
-        round itself (the cluster soak generator surfaced this).  ``0.0``
+        round itself (a many-client cluster load surfaced this).  ``0.0``
         (the default) sweeps on every call — the original behaviour, and
         what deterministic TTL tests rely on.
     """
@@ -312,7 +312,7 @@ class FileSessionStore(SessionStore):
     ------------
     Re-parsing the JSON document and inflating the npz bundle on *every*
     :meth:`get` put ~1–2 ms of pure deserialisation on each feedback
-    round's hot path (the cluster soak generator surfaced this).  The
+    round's hot path (a many-client cluster load surfaced this).  The
     store therefore keeps a bounded per-process read cache, validated by
     ``stat`` of the JSON commit record: every :func:`os.replace` commit
     produces a fresh ``(inode, mtime_ns, size)``, so a hit is returned

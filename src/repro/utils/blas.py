@@ -7,11 +7,12 @@ BLAS threads on CPUs cores.  :func:`limit_blas_threads` caps the pools of
 the calling process; the cluster worker calls it with its share of the
 CPUs (see ``docs/cluster.md``, "CPU budget").
 
-``threadpoolctl`` does the work when it is importable.  Without it the
-OpenBLAS shared objects are found in ``/proc/self/maps`` and driven through
-``ctypes`` — numpy's ``scipy_openblas_set_num_threads64_`` and scipy's
+The cap works on Linux with OpenBLAS: the shared objects are found in
+``/proc/self/maps`` and driven through ``ctypes`` — numpy's
+``scipy_openblas_set_num_threads64_`` and scipy's
 ``scipy_openblas_set_num_threads`` are the two spellings in the wheels this
-repo is tested with.
+repo is tested with.  Elsewhere (no ``/proc``, another BLAS) nothing is
+found, and :func:`limit_blas_threads` logs once and returns ``None``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ _SYMBOL_SPELLINGS = tuple(
 )
 
 
-def _openblas_pools() -> List[_Pool]:
+def _pools() -> List[_Pool]:
     """The OpenBLAS copies mapped into this process, via ``ctypes``."""
     try:
         with open("/proc/self/maps") as maps:
@@ -67,16 +68,6 @@ def _openblas_pools() -> List[_Pool]:
             pools.append((setter, getter))
             break
     return pools
-
-
-def _pools() -> List[_Pool]:
-    """Every controllable BLAS pool of this process."""
-    try:
-        import threadpoolctl
-    except ImportError:
-        return _openblas_pools()
-    controllers = threadpoolctl.ThreadpoolController().select(user_api="blas").lib_controllers
-    return [(c.set_num_threads, c.get_num_threads) for c in controllers]
 
 
 def blas_thread_counts() -> List[int]:

@@ -1,6 +1,6 @@
-"""Lightweight persistence helpers (JSON documents, numpy bundles, file locks).
+"""Lightweight persistence helpers (text, JSON documents, numpy bundles, file locks).
 
-Both savers are **atomic**: the payload is written to a same-directory
+Every saver is **atomic**: the payload is written to a same-directory
 temporary file and moved into place with :func:`os.replace`, so a reader (or
 a crash, or a parallel writer of a *different* file) can never observe a
 truncated document — it sees either the previous complete file or the new
@@ -22,11 +22,12 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Union
+from typing import Any, Dict, Iterator, Mapping, TextIO, Union
 
 import numpy as np
 
 __all__ = [
+    "atomic_text_file",
     "save_json",
     "load_json",
     "save_array_bundle",
@@ -66,12 +67,34 @@ class _NumpyJSONEncoder(json.JSONEncoder):
         return super().default(obj)
 
 
+@contextmanager
+def atomic_text_file(path: PathLike) -> Iterator[TextIO]:
+    """Open *path* for writing text (UTF-8) so that it lands atomically.
+
+    The ``with`` body writes to a same-directory temporary file, which is
+    renamed over *path* with :func:`os.replace` when the body completes.  A
+    failure anywhere (crash, killed process, serialisation error) leaves any
+    previous file at *path* intact and no temp file behind.  Parent
+    directories are created as needed.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temp = _temp_sibling(target)
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_json(document: Mapping[str, Any], path: PathLike) -> Path:
     """Serialise *document* to *path* as pretty-printed JSON, atomically.
 
-    The document is written to a same-directory temporary file and renamed
-    over *path* with :func:`os.replace`; a failure mid-write (crash, killed
-    process, serialisation error) leaves any previous file at *path* intact.
+    Written through :func:`atomic_text_file`: a failure mid-write (crash,
+    killed process, serialisation error) leaves any previous file at *path*
+    intact.
 
     Parameters
     ----------
@@ -85,18 +108,10 @@ def save_json(document: Mapping[str, Any], path: PathLike) -> Path:
     Path
         The path actually written.
     """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    temp = _temp_sibling(target)
-    try:
-        with temp.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True, cls=_NumpyJSONEncoder)
-            handle.write("\n")
-        os.replace(temp, target)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-    return target
+    with atomic_text_file(path) as handle:
+        json.dump(document, handle, indent=2, sort_keys=True, cls=_NumpyJSONEncoder)
+        handle.write("\n")
+    return Path(path)
 
 
 def load_json(path: PathLike) -> Dict[str, Any]:

@@ -15,8 +15,8 @@ class ProgressReporter:
     """Periodically prints progress for a fixed-length unit of work.
 
     The reporter is intentionally simple (single line, updated at most once
-    per ``min_interval`` seconds) so that it is safe to use from benchmark
-    harnesses and batch jobs where a full progress-bar library would be noise.
+    per ``min_interval`` seconds) so that it is safe to use from experiment
+    scripts and batch jobs where a full progress-bar library would be noise.
     """
 
     def __init__(

@@ -8,7 +8,9 @@ Three checks keep the docs honest in CI:
   docstring — and so does every public method of the
   service/index/cluster API classes;
 * every relative link and every referenced repository path inside
-  ``docs/*.md`` and ``README.md`` resolves to a real file;
+  ``docs/*.md`` and ``README.md`` resolves to a real file, and so does
+  every path a docstring or comment under ``src/repro`` or ``examples``
+  cites;
 * the README quickstart snippet actually executes.
 """
 
@@ -46,12 +48,30 @@ REQUIRED_DOC_PAGES = (
     "graph.md",
 )
 
+#: Python files whose docstrings and comments are gated like the docs.
+CODE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py")) + sorted(
+    (REPO_ROOT / "examples").glob("*.py")
+)
+
 #: Inline-code tokens that look like repository paths, e.g.
-#: ``benchmarks/test_parallel_service.py`` or ``docs/service.md``.
-_PATH_TOKEN = re.compile(r"`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\.(?:py|md|json))`")
+#: ``examples/parallel_service.py``, ``docs/service.md`` or a root-level
+#: ``BENCHMARK.json``.
+_PATH_TOKEN = re.compile(r"`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*\.(?:py|md|json))`")
+
+#: Bare names of files a store writes at run time, not repository files.
+_RUNTIME_FILE_NAMES = {"manifest.json"}
 
 #: Markdown links: ``[text](target)``.
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
+
+
+def _missing_paths(path):
+    tokens = set(_PATH_TOKEN.findall(path.read_text(encoding="utf-8")))
+    return sorted(
+        token
+        for token in tokens - _RUNTIME_FILE_NAMES
+        if not (REPO_ROOT / token).exists()
+    )
 
 
 def _public_symbols(module):
@@ -170,12 +190,24 @@ class TestDocTree:
 
     @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
     def test_referenced_code_paths_exist(self, doc):
-        text = doc.read_text(encoding="utf-8")
-        missing = []
-        for token in _PATH_TOKEN.findall(text):
-            if not (REPO_ROOT / token).exists():
-                missing.append(token)
+        missing = _missing_paths(doc)
         assert not missing, f"{doc.name} references missing paths: {missing}"
+
+    def test_paths_cited_in_code_exist(self):
+        missing = {
+            str(path.relative_to(REPO_ROOT)): paths
+            for path in CODE_FILES
+            if (paths := _missing_paths(path))
+        }
+        assert not missing, f"code cites missing paths: {missing}"
+
+    @pytest.mark.parametrize(
+        "token, cited",
+        [("BENCH_index.json", True), ("docs/graph.md", True), ("benchmarks/conftest.py", True),
+         ("repro.utils.io", False), ("README", False)],
+    )
+    def test_path_token_spots_nested_and_root_level_files(self, token, cited):
+        assert _PATH_TOKEN.findall(f"see `{token}` here") == ([token] if cited else [])
 
     def test_doc_symbols_still_exist(self):
         """Backtick identifiers like `repro.service.RetrievalService` (and

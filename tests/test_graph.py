@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve
 
 from repro.cbir.database import ImageDatabase
 from repro.cluster import ClusterConfig, ClusterRouter
@@ -378,6 +382,83 @@ class TestPropagation:
         assert not result.converged
         assert result.iterations == 2
         assert result.delta > 0.0
+
+
+def _seeded_graph(num_nodes, density, seed):
+    """A random symmetric weighted graph whose every component has a ±1 seed."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((num_nodes, num_nodes)) < density
+    upper = np.triu(rng.uniform(0.1, 1.0, (num_nodes, num_nodes)) * mask, 1)
+    weights = sparse.csr_matrix(upper + upper.T)
+    seeds = np.where(rng.random(num_nodes) < 0.3, rng.choice([-1.0, 1.0], num_nodes), 0.0)
+    _, component = connected_components(weights, directed=False)
+    for label in np.unique(component):
+        members = np.flatnonzero(component == label)
+        if not seeds[members].any():
+            seeds[rng.choice(members)] = rng.choice([-1.0, 1.0])
+    return weights, seeds
+
+
+def _inverse_degrees(weights):
+    degrees = np.asarray(weights.sum(axis=1)).ravel()
+    return np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
+
+
+def _harmonic_solution(weights, seeds):
+    """Zhu, Ghahramani & Lafferty (2003): ``(I − P_uu) f_u = P_ul y_l``, ``P = D⁻¹W``."""
+    unlabeled = seeds == 0
+    transition = (sparse.diags(_inverse_degrees(weights)) @ weights).tocsr()
+    scores = seeds.copy()
+    if unlabeled.any():
+        system = sparse.identity(int(unlabeled.sum())) - transition[unlabeled][:, unlabeled]
+        rhs = transition[unlabeled][:, ~unlabeled] @ seeds[~unlabeled]
+        scores[unlabeled] = spsolve(system.tocsc(), rhs)
+    return scores
+
+
+def _spreading_solution(weights, seeds, alpha):
+    """Zhou et al. (2004): ``(I − αS) f = (1 − α) y``, ``S = D^{-1/2} W D^{-1/2}``."""
+    root = sparse.diags(np.sqrt(_inverse_degrees(weights)))
+    system = sparse.identity(weights.shape[0]) - alpha * (root @ weights @ root)
+    return spsolve(system.tocsc(), (1.0 - alpha) * seeds)
+
+
+class TestPropagationClosedForms:
+    """The iterative solvers against independent direct solves of their fixed points."""
+
+    @given(st.integers(2, 12), st.floats(0.2, 0.9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_propagation_reaches_the_harmonic_solution(self, num_nodes, density, seed):
+        weights, seeds = _seeded_graph(num_nodes, density, seed)
+        clamped = propagate_labels(weights, seeds, tol=1e-14, max_iter=50_000)
+        assert clamped.converged
+        np.testing.assert_allclose(clamped.scores, _harmonic_solution(weights, seeds), atol=1e-10)
+
+    @given(st.integers(2, 12), st.floats(0.2, 0.9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_spreading_reaches_its_closed_form(self, num_nodes, density, seed):
+        weights, seeds = _seeded_graph(num_nodes, density, seed)
+        spread = propagate_labels(
+            weights, seeds, method="spreading", alpha=0.85, tol=1e-14, max_iter=50_000
+        )
+        assert spread.converged
+        np.testing.assert_allclose(
+            spread.scores, _spreading_solution(weights, seeds, 0.85), atol=1e-10
+        )
+
+    @pytest.mark.parametrize("method", ["propagation", "spreading"])
+    def test_symmetric_triangle_splits_the_unlabelled_node_evenly(self, method):
+        triangle = sparse.csr_matrix(np.ones((3, 3)) - np.eye(3))
+        result = propagate_labels(triangle, np.array([1.0, -1.0, 0.0]), method=method, tol=1e-14)
+        assert result.scores[2] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["propagation", "spreading"])
+    def test_isolated_labelled_node_keeps_its_seed(self, method):
+        graph = sparse.dok_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        seeds = np.array([-1.0, 0.0, 1.0])
+        result = propagate_labels(graph, seeds, method=method, tol=1e-14, max_iter=1000)
+        assert result.scores[2] == pytest.approx(1.0, abs=1e-12)
+        assert result.scores[1] < 0  # the unlabelled node takes its neighbour's label
 
 
 class TestLabelPropagationFeedback:

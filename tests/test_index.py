@@ -237,6 +237,19 @@ class TestApproximateBehaviour:
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[2] == 1.0
 
+    def test_ivf_recall_at_20_on_a_100k_pool(self):
+        """Probing 4 of 128 cells still finds ≥ 90% of the exact top-20."""
+        vectors, queries = make_gaussian_pool(GaussianPoolConfig(
+            num_vectors=100000, dim=16, num_clusters=96, cluster_std=0.15, num_queries=100, seed=17
+        ))
+        _, truth = BruteForceIndex().build(vectors).search(queries, 20)
+        index = IVFIndex(
+            n_clusters=128, n_probe=4, kmeans_iters=8, train_size=20_000, seed=29
+        ).build(vectors)
+        _, found = index.search(queries, 20)
+        hits = sum(len(set(a.tolist()) & set(b.tolist())) for a, b in zip(found, truth))
+        assert hits / truth.size >= 0.9
+
     def test_lsh_exact_fallback_fills_k(self, pool):
         vectors, queries = pool
         # Aggressive hashing: buckets will often hold fewer than k members,

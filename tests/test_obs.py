@@ -9,7 +9,8 @@ Four concerns are pinned here:
 * context propagation across thread-pool fan-out
   (``contextvars.copy_context().run``) — the 8-thread stress asserts every job's span hangs off the submitting wave's
   root and never off another session's (no cross-trace leakage);
-* the JSONL exporter's write-temp-then-``os.replace`` crash safety, plus the
+* the JSONL exporter's write-temp-then-``os.replace`` crash safety and flush
+  ordering, plus the
   end-to-end service instrumentation (per-round span trees, DTO solver
   stats, and bit-identical rankings with observability on or off).
 """
@@ -17,12 +18,12 @@ Four concerns are pinned here:
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 
-import repro.obs.exporters as exporters_module
 from repro import obs
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -470,7 +471,7 @@ class TestJSONLExporter:
         def dying_replace(src, dst):
             raise OSError("simulated crash mid-replace")
 
-        monkeypatch.setattr(exporters_module.os, "replace", dying_replace)
+        monkeypatch.setattr(os, "replace", dying_replace)
         with pytest.raises(OSError, match="simulated crash"):
             exporter.flush()
         monkeypatch.undo()
@@ -484,6 +485,36 @@ class TestJSONLExporter:
             for line in path.read_text(encoding="utf-8").splitlines()
         ]
         assert names == ["committed", "doomed"]
+
+    def test_concurrent_flushes_never_regress_the_file(self, tmp_path, monkeypatch):
+        """A flush stalled inside os.replace must not land after a later,
+        fuller flush and overwrite it with fewer spans."""
+        path = tmp_path / "spans.jsonl"
+        exporter = JSONLExporter(path, flush_every=100)
+        tracer = Tracer([exporter])
+        real_replace, stalled, release = os.replace, threading.Event(), threading.Event()
+
+        def replace(src, dst):
+            if not stalled.is_set():
+                stalled.set()
+                release.wait(10)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        self._span(tracer, "first")
+        older = threading.Thread(target=exporter.flush)
+        older.start()
+        assert stalled.wait(10)
+        self._span(tracer, "second")
+        newer = threading.Thread(target=exporter.flush)
+        newer.start()
+        newer.join(0.2)  # an unordered flush finishes here, before the stalled one
+        release.set()
+        older.join(10)
+        newer.join(10)
+        assert not older.is_alive() and not newer.is_alive()
+        names = [json.loads(line)["name"] for line in path.read_text().splitlines()]
+        assert names == ["first", "second"]
 
     def test_rejects_bad_flush_every(self, tmp_path):
         with pytest.raises(ValueError, match="flush_every"):

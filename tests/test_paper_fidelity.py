@@ -1,0 +1,227 @@
+"""The paper's own claims, checked on scaled Corel-20 / Corel-50 set-ups.
+
+Tables 1 and 2 (§6.4): every learning scheme beats Euclidean, the log-based
+schemes beat RF-SVM, LRF-CSVM is at least level with LRF-2SVMs, and the gain
+is smaller on the more diverse 50-category corpus.  Ablations: §6.5 (ρ,
+unlabeled selection), §6.3 (log size) and a MAP floor for the graph family.
+The warm-start solver's SMO-iteration and kernel-evaluation counts are read
+off the same Corel-20 feedback rounds.  Tables print with ``pytest -s``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.cbir.query import Query
+from repro.cbir.search import SearchEngine
+from repro.core.coupled_svm import CoupledSVM, CoupledSVMConfig
+from repro.core.unlabeled_selection import NearLabeledSelection
+from repro.datasets.splits import relevance_labels
+from repro.evaluation.reporting import render_improvement_table
+from repro.experiments.ablations import (
+    run_graph_ablation,
+    run_log_ablation,
+    run_rho_ablation,
+    run_selection_ablation,
+)
+from repro.experiments.config import BENCH_SCALE
+from repro.experiments.corel20 import table1_config
+from repro.experiments.corel50 import table2_config
+from repro.experiments.pipeline import build_environment, run_paper_experiment
+from repro.svm.svc import SVC
+
+pytestmark = pytest.mark.slow
+
+#: Feedback rounds (query indices) aggregated by the solver counts.
+SOLVER_QUERY_INDICES = (0, 1, 2, 3, 4, 5, 6, 7)
+
+
+@pytest.fixture(scope="module")
+def corel20_config():
+    return table1_config(
+        images_per_category=BENCH_SCALE["images_per_category"],
+        num_sessions=90,
+        num_queries=BENCH_SCALE["num_queries"],
+    )
+
+
+@pytest.fixture(scope="module")
+def corel50_config():
+    return table2_config(
+        images_per_category=20, num_sessions=120, num_queries=BENCH_SCALE["num_queries"]
+    )
+
+
+@pytest.fixture(scope="module")
+def corel20_environment(corel20_config):
+    return build_environment(corel20_config)
+
+
+@pytest.fixture(scope="module")
+def corel50_environment(corel50_config):
+    return build_environment(corel50_config)
+
+
+@pytest.fixture(scope="module")
+def table1(corel20_config, corel20_environment):
+    table = run_paper_experiment(corel20_config, environment=corel20_environment)
+    print("\n" + render_improvement_table(table, title="Table 1 (scaled) — 20-Category"))
+    return table
+
+
+@pytest.fixture(scope="module")
+def table2(corel50_config, corel50_environment):
+    table = run_paper_experiment(corel50_config, environment=corel50_environment)
+    print("\n" + render_improvement_table(table, title="Table 2 (scaled) — 50-Category"))
+    return table
+
+
+def _maps(table):
+    return {name: table.result(name).map_score for name in table.methods}
+
+
+class TestTables:
+    def test_table1_corel20_ordering(self, table1):
+        maps = _maps(table1)
+        assert maps["rf-svm"] > maps["euclidean"]
+        assert maps["lrf-2svms"] > maps["rf-svm"]
+        assert maps["lrf-csvm"] > maps["rf-svm"]
+        assert maps["lrf-csvm"] >= maps["lrf-2svms"] - 0.02
+        # The paper's top-20 gain over RF-SVM is +42%; at this scale it
+        # must be clearly positive.
+        assert table1.improvement_over_baseline("lrf-csvm", 20) > 0.05
+
+    def test_table2_corel50_ordering(self, table2):
+        maps = _maps(table2)
+        assert maps["rf-svm"] > maps["euclidean"]
+        assert maps["lrf-2svms"] > maps["rf-svm"] - 0.005
+        assert maps["lrf-csvm"] > maps["rf-svm"] - 0.005
+        assert maps["lrf-csvm"] >= maps["lrf-2svms"] - 0.02
+
+    def test_improvement_shrinks_with_diversity(self, table1, table2):
+        improvement20 = table1.improvement_over_baseline("lrf-csvm")
+        improvement50 = table2.improvement_over_baseline("lrf-csvm")
+        assert improvement20 > 0.0
+        assert improvement50 > -0.02
+        assert improvement20 >= improvement50 - 0.05
+
+
+class TestAblations:
+    def test_rho_sweep_prefers_a_small_weight(self, corel20_config, corel20_environment):
+        rho_values = (0.01, 0.02, 0.05, 0.1, 0.25)
+        result = run_rho_ablation(
+            corel20_config, rho_values=rho_values, environment=corel20_environment
+        )
+        assert len(result.map_scores) == len(rho_values)
+        assert all(0.0 <= score <= 1.0 for score in result.map_scores)
+        # Pseudo-labels are noisy, so an aggressive transductive weight
+        # must not be the optimum.
+        assert result.best_value() <= 0.1
+
+    def test_near_labeled_selection_not_worse_than_boundary(
+        self, corel20_config, corel20_environment
+    ):
+        strategies = ("near-labeled", "boundary", "random")
+        result = run_selection_ablation(
+            corel20_config, strategies=strategies, environment=corel20_environment
+        )
+        scores = dict(zip(result.values, result.map_scores))
+        assert set(scores) == set(strategies)
+        assert scores["near-labeled"] >= scores["boundary"] - 0.02
+
+    def test_full_log_beats_cold_start(self, corel20_config, corel20_environment):
+        session_counts = (0, 30, 90)
+        result = run_log_ablation(
+            corel20_config,
+            session_counts=session_counts,
+            noise_rates=(corel20_config.log.noise_rate,),
+            dataset=corel20_environment[0],
+        )
+        scores = {n: score for (n, _), score in zip(result.values, result.map_scores)}
+        assert len(result.map_scores) == len(session_counts)
+        assert scores[90] >= scores[0] - 0.01
+
+    def test_graph_and_svm_beat_random_in_both_regimes(self, corel20_config, corel20_environment):
+        config = replace(
+            corel20_config,
+            protocol=replace(corel20_config.protocol, num_queries=8),
+            graph_params={"k": 10},
+        )
+        result = run_graph_ablation(config, eta_values=(0.0, 0.5), environment=corel20_environment)
+        graph_maps = np.asarray(result.map_scores, dtype=float)
+        csvm_maps = [table.result("lrf-csvm").map_score for table in result.tables]
+        assert np.all(np.isfinite(graph_maps))
+        assert graph_maps.min() > 0.1
+        assert min(csvm_maps) > 0.1
+
+
+@pytest.fixture(scope="module")
+def coupled_workloads(corel20_environment):
+    """``CoupledSVM.fit`` inputs: Corel-20 LRF-CSVM rounds replayed up to the coupled stage."""
+    dataset, database = corel20_environment
+    engine = SearchEngine(database)
+    features = database.features
+    log_matrix = database.log_database.relevance_matrix().toarray().T.copy()
+    config = CoupledSVMConfig()
+    workloads = []
+    for query_index in SOLVER_QUERY_INDICES:
+        labeled = engine.search(Query(query_index=query_index), top_k=20).image_indices
+        labels = relevance_labels(dataset, query_index, labeled)
+        if np.unique(labels).size < 2:
+            labels[-1] = -labels[-1]
+        visual_svm = SVC(C=config.C_visual, kernel=config.kernel, gamma=config.gamma)
+        log_svm = SVC(C=config.C_log, kernel=config.log_kernel)
+        scores = visual_svm.fit(features[labeled], labels).decision_function(
+            features
+        ) + log_svm.fit(log_matrix[labeled], labels).decision_function(log_matrix)
+        unlabeled, pseudo_labels = NearLabeledSelection().select(scores, labeled, 20)
+        workloads.append(
+            {
+                "labeled": (features[labeled], log_matrix[labeled], labels),
+                "unlabeled": (features[unlabeled], log_matrix[unlabeled]),
+                "pseudo_labels": pseudo_labels,
+                "pool": (features, log_matrix),
+            }
+        )
+    return workloads
+
+
+def _fit(workload, **config):
+    return CoupledSVM(CoupledSVMConfig(**config)).fit(
+        *workload["labeled"], *workload["unlabeled"], workload["pseudo_labels"].copy()
+    )
+
+
+class TestWarmStartSolver:
+    def test_warm_start_cuts_iterations_and_kernel_work(self, coupled_workloads):
+        total_warm = total_cold = 0
+        for workload in coupled_workloads:
+            warm = _fit(workload, warm_start=True).result_
+            cold = _fit(workload, warm_start=False).result_
+            for result in (warm, cold):
+                assert result.visual_gram_computations == 1
+                assert result.log_gram_computations == 1
+            # Without the Gram cache every alternating solve pair rebuilt both
+            # modalities' Grams; the two final packaging fits are excluded.
+            samples = warm.pseudo_labels.shape[0] + len(workload["labeled"][2])
+            solve_pairs = (len(warm.solver_iterations) - 2) // 2
+            assert warm.kernel_evaluations * 5 <= solve_pairs * 2 * samples * samples
+            total_warm += warm.total_solver_iterations
+            total_cold += cold.total_solver_iterations
+        assert total_cold >= 3 * total_warm, (total_warm, total_cold)
+
+    def test_warm_and_cold_agree_at_tight_tolerance(self, coupled_workloads):
+        for workload in coupled_workloads[:2]:
+            warm = _fit(workload, warm_start=True, tolerance=1e-8)
+            cold = _fit(workload, warm_start=False, tolerance=1e-8)
+            np.testing.assert_array_equal(
+                warm.result_.pseudo_labels, cold.result_.pseudo_labels
+            )
+            np.testing.assert_allclose(
+                warm.decision_function(*workload["pool"]),
+                cold.decision_function(*workload["pool"]),
+                atol=1e-6,
+            )

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
 
 import numpy as np
 import pytest
 
-from repro.utils.io import load_array_bundle, load_json, save_array_bundle, save_json
+from repro.utils.io import (
+    atomic_text_file, load_array_bundle, load_json, save_array_bundle, save_json
+)
 from repro.utils.progress import ProgressReporter, track
 
 
@@ -28,6 +31,33 @@ class TestJsonIO:
     def test_creates_parent_directories(self, tmp_path):
         path = save_json({"a": 1}, tmp_path / "nested" / "deep" / "doc.json")
         assert path.exists()
+
+    def test_unserialisable_document_keeps_previous_file(self, tmp_path):
+        path = save_json({"a": 1}, tmp_path / "doc.json")
+        with pytest.raises(TypeError):
+            save_json({"a": object()}, path)
+        assert load_json(path) == {"a": 1}
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+
+class TestAtomicTextFile:
+    def test_file_appears_only_when_the_body_completes(self, tmp_path):
+        path = tmp_path / "nested" / "out.txt"
+        with atomic_text_file(path) as handle:
+            handle.write("new\n")
+            assert not path.exists()
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(path.parent) == ["out.txt"]
+
+    def test_failed_body_keeps_previous_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_text_file(path) as handle:
+                handle.write("torn")
+                raise RuntimeError("crash mid-write")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestArrayBundleIO:
