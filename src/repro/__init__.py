@@ -69,8 +69,6 @@ from repro.graph import (
 from repro.index import (
     BruteForceIndex,
     IVFIndex,
-    KDTreeIndex,
-    LSHIndex,
     ShardedVectorIndex,
     VectorIndex,
     available_indexes,
@@ -139,8 +137,6 @@ __all__ = [
     # index
     "VectorIndex",
     "BruteForceIndex",
-    "KDTreeIndex",
-    "LSHIndex",
     "IVFIndex",
     "ShardedVectorIndex",
     "make_index",

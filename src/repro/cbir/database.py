@@ -182,11 +182,14 @@ class ImageDatabase:
     def build_index(self, kind: str = "brute-force", **kwargs) -> "VectorIndex":
         """Build and attach an ANN index over the feature matrix.
 
+        The index is built once: the features are fixed at construction,
+        so it stays valid for the database's lifetime.
+
         Parameters
         ----------
         kind:
-            Registry name of the backend (``brute-force``, ``kd-tree``,
-            ``lsh``, ``ivf``).
+            Registry name of the backend (``brute-force``, ``ivf``,
+            ``sharded``).
         kwargs:
             Backend parameters, forwarded to
             :func:`repro.index.registry.make_index`.

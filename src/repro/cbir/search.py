@@ -80,24 +80,10 @@ class SearchEngine:
     @property
     def index(self) -> Optional["VectorIndex"]:
         """The index this engine will rank with, if any."""
-        explicit = self._index
-        if explicit is not None:
-            if explicit.size != self.database.num_images:
-                # The index was grown (or the database swapped) after
-                # construction: fail fast rather than return out-of-range
-                # image indices.
-                raise ValidationError(
-                    f"the engine's index now covers {explicit.size} vectors but "
-                    f"the database holds {self.database.num_images}; rebuild the "
-                    "engine with a matching index"
-                )
-            return explicit
+        if self._index is not None:
+            return self._index
         attached = self.database.index
-        if (
-            attached is not None
-            and attached.metric == self.distance_name
-            and attached.size == self.database.num_images
-        ):
+        if attached is not None and attached.metric == self.distance_name:
             return attached
         return None
 

@@ -92,9 +92,9 @@ class ClusterConfig:
     num_workers:
         Worker processes to spawn.
     index:
-        Registry name of the index each worker builds over the pool
-        (``sharded`` composes naturally: processes shard the sessions,
-        the index shards the pool).
+        Registry name of the index each worker builds once over the pool
+        (``brute-force``, ``ivf`` or ``sharded``; ``sharded`` composes
+        naturally: processes shard the sessions, the index shards the pool).
     index_params:
         Constructor parameters for that index backend.
     default_algorithm, log_policy, distance:

@@ -231,16 +231,14 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         """Index-generated candidate pool (sorted), or ``None`` for exact.
 
         Falls back to the exact path (``None``) whenever pruning is
-        disabled, no index is attached, the index is stale, the probes
-        cover the whole pool anyway (the restricted path would only add
-        copies), or the pool would be too small to host the transductive
-        stage.
+        disabled, no index is attached, the probes cover the whole pool
+        anyway (the restricted path would only add copies), or the pool
+        would be too small to host the transductive stage.
         """
         if self.candidate_size is None:
             return None
         database = context.database
-        index = database.index
-        if index is None or index.size != database.num_images:
+        if database.index is None:
             return None
         candidates = self._probe_candidates(context)
         if candidates.size >= database.num_images:

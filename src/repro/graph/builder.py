@@ -3,8 +3,8 @@
 The :class:`KNNGraphBuilder` turns an ``(N, D)`` feature matrix into the
 sparse affinity graph the label-propagation feedback family operates on.
 Neighbour lists come from :meth:`repro.index.VectorIndex.batch_search` —
-any backend works, and exhaustive configurations (brute force, KD-tree,
-``n_probe >= n_clusters`` IVF, ``num_bits=0`` LSH) share one stable tie
+any backend works, and exhaustive configurations (brute force,
+``n_probe >= n_clusters`` IVF, sharded over exact shards) share one stable tie
 rule (distance, then ascending database index), so the resulting graph is
 **bit-identical** across those backends.  Only the neighbour *indices*
 are consumed from the index: backends may report distances with differing

@@ -191,18 +191,14 @@ class LabelPropagationFeedback(RelevanceFeedbackAlgorithm):
 
         Only **exact** backends are accepted: an approximate neighbour list
         would make the graph depend on which index happened to be attached,
-        breaking bit-identical replay across processes.  Stale, unbuilt,
-        foreign-metric or approximate indexes fall back to the builder's
-        internal exact scan.
+        breaking bit-identical replay across processes.  Foreign-metric or
+        approximate indexes fall back to the builder's internal exact scan.
         """
         index = database.index
         if (
             index is None
-            or not index.is_built
             or not index.is_exact
-            or index.needs_rebuild
             or index.metric != self._builder.metric
-            or index.size != database.num_images
         ):
             return None
         return index

@@ -1,24 +1,22 @@
-"""Pluggable approximate-nearest-neighbour indexing.
+"""Pluggable nearest-neighbour indexing.
 
-One estimator-style interface (:class:`VectorIndex`: ``build`` / ``add`` /
-``search`` / ``batch_search`` / ``save`` / ``load``) over five
+One estimator-style interface (:class:`VectorIndex`: ``build`` /
+``search`` / ``batch_search`` / ``save`` / ``load``) over three
 interchangeable backends:
 
 ==========================  ===================================================
 :class:`BruteForceIndex`    exact full scan — the correctness oracle
-:class:`KDTreeIndex`        exact, fast in low dimensions (Euclidean only)
-:class:`LSHIndex`           random-hyperplane multi-table hashing
 :class:`IVFIndex`           k-means inverted lists with ``n_probe`` pruning
 :class:`ShardedVectorIndex` exact scatter-gather over N shard sub-indexes
 ==========================  ===================================================
 
-Every approximate backend re-ranks its candidate set *exactly* under the
-index metric and falls back to a full scan when candidates run short, so a
-backend at exhaustive settings (LSH ``num_bits=0``, IVF
-``n_probe=n_clusters``) reproduces the brute-force ranking bit-for-bit.
-The serving layers (:class:`repro.cbir.SearchEngine`,
-:class:`repro.core.lrf_csvm.LRFCSVM` candidate pruning) accept any backend
-through this interface.
+An index is built once over a fixed feature matrix.  Every backend ranks
+with exact distances under the index metric and falls back to a full scan
+when candidates run short, so a backend at exhaustive settings (IVF
+``n_probe=n_clusters``, sharded over exact shards) reproduces the
+brute-force ranking bit-for-bit.  The serving layers
+(:class:`repro.cbir.SearchEngine`, :class:`repro.core.lrf_csvm.LRFCSVM`
+candidate pruning) accept any backend through this interface.
 """
 
 from __future__ import annotations
@@ -26,16 +24,12 @@ from __future__ import annotations
 from repro.index.base import VectorIndex
 from repro.index.brute_force import BruteForceIndex
 from repro.index.ivf import IVFIndex
-from repro.index.kd_tree import KDTreeIndex
-from repro.index.lsh import LSHIndex
 from repro.index.registry import available_indexes, load_index, make_index
 from repro.index.sharded import ShardedVectorIndex
 
 __all__ = [
     "VectorIndex",
     "BruteForceIndex",
-    "KDTreeIndex",
-    "LSHIndex",
     "IVFIndex",
     "ShardedVectorIndex",
     "make_index",

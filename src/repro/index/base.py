@@ -1,9 +1,9 @@
 """The :class:`VectorIndex` interface shared by every ANN backend.
 
-A vector index answers *k*-nearest-neighbour queries over a fixed feature
-matrix.  Backends differ only in **how** they narrow the database down to a
-candidate set — the final ordering is always produced by an *exact* re-rank
-of the candidates under the index metric, with ties broken by ascending
+A vector index answers *k*-nearest-neighbour queries over a feature matrix
+fixed at :meth:`VectorIndex.build` time.  Backends differ only in **how**
+much of the database they scan — the final ordering always comes from
+*exact* distances under the index metric, with ties broken by ascending
 database index.  That tie rule is identical to the stable ``argsort`` the
 dense scan in :class:`repro.cbir.search.SearchEngine` has always used, so an
 exhaustively-configured approximate backend reproduces the exact ranking
@@ -18,15 +18,10 @@ Thread safety
 A **built** index is safely shareable read-only: :meth:`VectorIndex.search`
 / :meth:`VectorIndex.batch_search` touch only immutable arrays, so any
 number of threads may query one index concurrently.  The mutators —
-:meth:`VectorIndex.build`, :meth:`VectorIndex.add`, :meth:`VectorIndex.load`
-— are *not* internally synchronised and need external exclusion against
-concurrent searches (the retrieval service brackets them with its
-attachment write-lock).  The one read-path subtlety is a *deferred* rebuild
-(the KD-tree defers re-indexing after ``add`` to the next search): backends
-advertise it through :attr:`VectorIndex.needs_rebuild`, callers drain it at
-a safe point with :meth:`VectorIndex.refresh`, and the KD-tree additionally
-guards the lazy rebuild with an internal mutex so racing searches can never
-observe a half-built tree.
+:meth:`VectorIndex.build` and :meth:`VectorIndex.load` — are *not*
+internally synchronised and need external exclusion against concurrent
+searches (the retrieval service brackets them with its attachment
+write-lock).
 """
 
 from __future__ import annotations
@@ -56,18 +51,17 @@ _QUERY_BLOCK = 64
 
 
 class VectorIndex(abc.ABC):
-    """Common interface of the brute-force / KD-tree / LSH / IVF backends.
+    """Common interface of the brute-force / IVF / sharded backends.
 
-    Lifecycle: ``build(vectors)`` once, optionally ``add(vectors)`` to grow
-    the corpus, then any number of ``search`` / ``batch_search`` calls.
-    ``save``/``load`` round-trip the index through a single ``.npz`` bundle.
+    Lifecycle: ``build(vectors)`` once, then any number of ``search`` /
+    ``batch_search`` calls.  ``save``/``load`` round-trip the index through
+    a single ``.npz`` bundle.
 
     Parameters
     ----------
     metric:
         Distance under which neighbours are ranked (``euclidean``,
-        ``manhattan`` or ``cosine``; the KD-tree backend is
-        Euclidean-only).
+        ``manhattan`` or ``cosine``).
     """
 
     #: Registry name of the backend (e.g. ``"ivf"``), mirrors
@@ -89,8 +83,8 @@ class VectorIndex(abc.ABC):
         """Whether this backend's ranking is guaranteed exact (no recall loss).
 
         Backends whose configuration makes them exhaustive override this
-        (brute force and KD-tree always; LSH at ``num_bits=0``; IVF at
-        ``n_probe >= n_clusters``).  Callers that *define* their result as
+        (brute force always; IVF at ``n_probe >= n_clusters``; sharded when
+        every shard is).  Callers that *define* their result as
         the exact ranking (e.g. the Euclidean baseline's batch path) use
         this to fall back to a dense scan rather than silently serve
         approximate neighbours.
@@ -101,26 +95,6 @@ class VectorIndex(abc.ABC):
     def is_built(self) -> bool:
         """Whether :meth:`build` has been called."""
         return self._vectors is not None
-
-    @property
-    def needs_rebuild(self) -> bool:
-        """Whether a deferred re-index is pending (drained by :meth:`refresh`).
-
-        ``False`` for every backend that folds :meth:`add` in eagerly; the
-        KD-tree overrides this (it defers its rebuild to the next search).
-        Callers serving concurrent searches should check this before a
-        serving wave and call :meth:`refresh` under their write lock, so the
-        rebuild never races read-only queries.
-        """
-        return False
-
-    def refresh(self) -> None:
-        """Drain any deferred maintenance (no-op unless a backend defers).
-
-        Safe to call at any time on a built index; after it returns,
-        :attr:`needs_rebuild` is ``False`` and subsequent searches are pure
-        reads.  Backends with deferred work (KD-tree) override this.
-        """
 
     @property
     def size(self) -> int:
@@ -194,41 +168,6 @@ class VectorIndex(abc.ABC):
         self._build(self._vectors)
         return self
 
-    def add(self, vectors: np.ndarray) -> "VectorIndex":
-        """Append *vectors* to the index (database indices continue upward).
-
-        A mutator: exclude concurrent searches while it runs.  Backends may
-        defer the actual re-index (see :attr:`needs_rebuild`).
-
-        Parameters
-        ----------
-        vectors:
-            ``(M, D)`` matrix with the index's dimensionality; builds the
-            index outright when called before :meth:`build`.
-
-        Returns
-        -------
-        VectorIndex
-            ``self``, for chaining.
-
-        Raises
-        ------
-        ValidationError
-            If the dimensionality differs from the indexed vectors or the
-            values are malformed.
-        """
-        if self._vectors is None:
-            return self.build(vectors)
-        matrix = self._validate_matrix(vectors)
-        if matrix.shape[1] != self.dim:
-            raise ValidationError(
-                f"added vectors have dimension {matrix.shape[1]}, index uses {self.dim}"
-            )
-        start = self.size
-        self._vectors = np.vstack([self._vectors, matrix])
-        self._add(self._vectors[start:], start)
-        return self
-
     # ---------------------------------------------------------------- search
     def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Nearest *k* indexed vectors for each query row.
@@ -255,8 +194,7 @@ class VectorIndex(abc.ABC):
         Notes
         -----
         Read-only and safe to call from any number of threads concurrently
-        on a built index (drain :attr:`needs_rebuild` first via
-        :meth:`refresh` when serving the KD-tree backend in parallel).
+        on a built index.
         """
         if self._vectors is None:
             raise ValidationError(f"{self.kind} index has not been built yet")
@@ -310,13 +248,13 @@ class VectorIndex(abc.ABC):
         -----
         **Determinism across backends.**  Chunking never changes results —
         each query's neighbours depend only on that query — and every
-        backend resolves distance ties by ascending database index (the
-        exact re-rank's ``lexsort``, bit-for-bit the stable ``argsort``
-        rule).  Exhaustively-configured backends (brute force, KD-tree,
-        IVF at ``n_probe >= n_clusters``, LSH at ``num_bits=0``; see
-        :attr:`is_exact`) therefore return **identical** ``indices``
-        arrays for the same queries; reported *distances* agree only up to
-        floating-point roundoff (backends accumulate them differently).
+        backend resolves distance ties by ascending database index
+        (bit-for-bit the stable ``argsort`` rule).  Exhaustively-configured
+        backends (brute force, IVF at ``n_probe >= n_clusters``, sharded
+        over exact shards; see :attr:`is_exact`) therefore return
+        **identical** ``indices`` arrays for the same queries; reported
+        *distances* agree only up to floating-point roundoff (backends
+        accumulate them differently).
         Consumers needing backend-invariant derived artifacts key off the
         indices alone — e.g.
         :class:`repro.graph.builder.KNNGraphBuilder` recomputes edge
@@ -385,17 +323,30 @@ class VectorIndex(abc.ABC):
         Raises
         ------
         ValidationError
-            If *path* is not a serialised :class:`VectorIndex` bundle.
+            If *path* is not a serialised :class:`VectorIndex` bundle, its
+            metadata is not a JSON object with ``kind``, ``metric`` and
+            ``params``, it names a backend (or parameters) this library does
+            not provide, or it lacks an array the backend restores from.
         """
         from repro.index.registry import make_index
 
         bundle = load_array_bundle(path)
         try:
             meta = json.loads(bundle.pop("__meta__").item())
-        except KeyError:
+            kind, metric, params = meta["kind"], meta["metric"], meta["params"]
+        except (KeyError, TypeError, ValueError):
             raise ValidationError(f"{path} is not a serialised VectorIndex") from None
-        index = make_index(meta["kind"], metric=meta["metric"], **meta["params"])
-        index._restore(bundle)
+        try:
+            index = make_index(kind, metric=metric, **params)
+        except TypeError as error:
+            raise ValidationError(
+                f"{path} records {kind} parameters this library does not "
+                f"accept: {error}"
+            ) from None
+        try:
+            index._restore(bundle)
+        except KeyError as error:
+            raise ValidationError(f"{path} lacks the {kind} array {error}") from None
         return index
 
     # ------------------------------------------------------- backend hooks
@@ -403,49 +354,11 @@ class VectorIndex(abc.ABC):
     def _build(self, vectors: np.ndarray) -> None:
         """Construct the backend's acceleration structure over *vectors*."""
 
-    def _add(self, new_vectors: np.ndarray, start_index: int) -> None:
-        """Fold freshly-appended vectors in; the default rebuilds from scratch."""
-        self._build(self._vectors)
-
-    def _candidates(self, queries: np.ndarray) -> Optional[List[np.ndarray]]:
-        """Per-query candidate sets (ascending indices), ``None`` = scan all."""
-        return None
-
     def _search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Default search: candidate generation + exact re-rank."""
-        candidate_lists = self._candidates(queries)
-        if candidate_lists is None:
-            return self._full_scan(queries, k)
-        num_queries = queries.shape[0]
-        distances = np.empty((num_queries, k), dtype=np.float64)
-        indices = np.empty((num_queries, k), dtype=np.int64)
-        scanned = 0
-        fallbacks = 0
-        for row, candidates in enumerate(candidate_lists):
-            if candidates is None or candidates.shape[0] < k:
-                # Exact fallback: too few candidates to honour k.
-                fallbacks += 1
-                block_d, block_i = self._full_scan(queries[row : row + 1], k)
-                distances[row] = block_d[0]
-                indices[row] = block_i[0]
-                continue
-            scanned += int(candidates.shape[0])
-            distances[row], indices[row] = self._rerank(queries[row], candidates, k)
-        hub = get_hub()
-        hub.count("index.candidates_scanned", scanned)
-        if fallbacks:
-            hub.count("index.candidate_fallbacks", fallbacks)
-        return distances, indices
+        """Backend search hook; the default is the exact full scan."""
+        return self._full_scan(queries, k)
 
     # ------------------------------------------------------------ shared bits
-    def _rerank(
-        self, query: np.ndarray, candidates: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact distances over *candidates*, k smallest by (distance, index)."""
-        dist = self._distance(query[None, :], self._vectors[candidates])[0]
-        order = np.lexsort((candidates, dist))[:k]
-        return dist[order], candidates[order]
-
     def _full_scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact top-k by scanning every indexed vector (query-blocked).
 

@@ -29,6 +29,3 @@ class BruteForceIndex(VectorIndex):
     def _build(self, vectors: np.ndarray) -> None:
         # No acceleration structure: the vectors themselves are the index.
         pass
-
-    def _add(self, new_vectors: np.ndarray, start_index: int) -> None:
-        pass

@@ -144,14 +144,6 @@ class IVFIndex(VectorIndex):
             )
         return assignments
 
-    def _add(self, new_vectors: np.ndarray, start_index: int) -> None:
-        assignments = self._assign(new_vectors, self._centroids)
-        offsets = np.arange(start_index, start_index + new_vectors.shape[0], dtype=np.int64)
-        for cell in np.unique(assignments):
-            members = offsets[assignments == cell]
-            self._lists[int(cell)] = np.concatenate([self._lists[int(cell)], members])
-        self._repack()
-
     # ----------------------------------------------------------------- search
     def _search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Cell-major fused probe: one dense distance block per visited cell.

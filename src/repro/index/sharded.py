@@ -4,11 +4,11 @@
 ("shards"), scatters every ``search`` / ``batch_search`` to all of them and
 merges the per-shard top-k under the library-wide tie rule — ascending
 distance, ties by ascending **global** database index.  Because every
-approximate backend already re-ranks candidates with *exact* distances, the
-per-shard distances of a vector are bitwise-equal to the distances a single
-unsharded scan would compute for it, so the merged ranking is bit-for-bit
-identical to the unsharded index whenever the shards are exact (the
-property the test-suite asserts for shard counts 1/2/3/7, ties included).
+backend ranks with *exact* distances, the per-shard distances of a vector
+are bitwise-equal to the distances a single unsharded scan would compute
+for it, so the merged ranking is bit-for-bit identical to the unsharded
+index whenever the shards are exact (the property the test-suite asserts
+for shard counts 1/2/3/7, ties included).
 
 This is the data-parallel half of the cluster story
 (:mod:`repro.cluster` is the session-parallel half): the same merge rule
@@ -17,19 +17,16 @@ processes, so scaling out never changes a ranking.
 
 Two invariants make the merge exact:
 
-* **shard-local tie order matches the global one** — each shard's
-  local→global id map is strictly increasing (contiguous slices at build
-  time, appends routed as monotonically-increasing blocks), so when a
-  shard breaks a distance tie by ascending *local* index it also breaks it
-  by ascending *global* index;
+* **shard-local tie order matches the global one** — each shard is a
+  contiguous slice of the pool (``np.array_split``), so its local→global id
+  map is strictly increasing and breaking a distance tie by ascending
+  *local* index also breaks it by ascending *global* index;
 * **the gather re-sorts with the global key** — merged candidates are
-  ordered by ``np.lexsort((global_ids, distances))``, exactly the rule of
-  :meth:`repro.index.base.VectorIndex._rerank`.
+  ordered by ``np.lexsort((global_ids, distances))``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -41,17 +38,12 @@ from repro.obs import get_hub
 
 __all__ = ["ShardedVectorIndex"]
 
-#: Imbalance warning threshold: when the largest shard exceeds the mean
-#: shard size by this ratio, :class:`ShardedVectorIndex` counts an
-#: ``index.shard_imbalance_warnings`` metric alongside the per-shard
-#: ``index.shard_sizes.<pos>`` gauges.  1.5 means "one shard carries 50%
-#: more than its fair share" — past that, scatter latency is dominated by
-#: the straggler shard and a rebuild (which re-partitions evenly) pays off.
-IMBALANCE_WARN_RATIO = 1.5
-
 
 class ShardedVectorIndex(VectorIndex):
     """Scatter-gather wrapper: one logical index over *N* shard sub-indexes.
+
+    Shards are scanned one after another on the calling thread; the gather
+    merges them in shard order.
 
     Parameters
     ----------
@@ -63,11 +55,6 @@ class ShardedVectorIndex(VectorIndex):
         ``sharded`` itself).
     shard_params:
         Constructor parameters forwarded to every shard backend.
-    scatter_workers:
-        ``0``/``1`` scatters serially on the calling thread; ``>= 2`` fans
-        the per-shard searches across a lazily-created thread pool (NumPy
-        releases the GIL in the distance kernels).  The gather is always
-        deterministic — results are merged in shard order either way.
     metric:
         Distance metric, as for every backend.
     """
@@ -80,28 +67,21 @@ class ShardedVectorIndex(VectorIndex):
         num_shards: int = 4,
         shard_kind: str = "brute-force",
         shard_params: Optional[Dict[str, object]] = None,
-        scatter_workers: int = 0,
         metric: str = "euclidean",
     ) -> None:
         if int(num_shards) < 1:
             raise ValidationError(f"num_shards must be >= 1, got {num_shards}")
         if shard_kind == self.kind:
             raise ValidationError("sharded shards cannot themselves be sharded")
-        if int(scatter_workers) < 0:
-            raise ValidationError(
-                f"scatter_workers must be >= 0, got {scatter_workers}"
-            )
         super().__init__(metric=metric)
         self.num_shards = int(num_shards)
         self.shard_kind = str(shard_kind)
         self.shard_params: Dict[str, object] = dict(shard_params or {})
-        self.scatter_workers = int(scatter_workers)
         # Validate the shard backend (and its parameters) eagerly, so a bad
         # configuration fails at construction rather than at build time.
         self._make_shard()
         self._shards: List[VectorIndex] = []
         self._shard_ids: List[np.ndarray] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------ info
     @property
@@ -110,19 +90,9 @@ class ShardedVectorIndex(VectorIndex):
         return bool(self._shards) and all(s.is_exact for s in self._shards)
 
     @property
-    def needs_rebuild(self) -> bool:
-        """Whether any shard has a deferred re-index pending."""
-        return any(shard.needs_rebuild for shard in self._shards)
-
-    @property
     def shards(self) -> List[VectorIndex]:
         """The shard sub-indexes, in partition order (read-only view)."""
         return list(self._shards)
-
-    def refresh(self) -> None:
-        """Drain every shard's deferred maintenance (see base class)."""
-        for shard in self._shards:
-            shard.refresh()
 
     # ------------------------------------------------------------------ build
     def _build(self, vectors: np.ndarray) -> None:
@@ -134,41 +104,16 @@ class ShardedVectorIndex(VectorIndex):
             shard.build(vectors[ids])
             self._shards.append(shard)
             self._shard_ids.append(ids)
-        self._publish_shard_sizes()
-
-    def _add(self, new_vectors: np.ndarray, start_index: int) -> None:
-        # Route the whole block to the currently smallest shard.  Appending
-        # a block of fresh (maximal) global ids keeps that shard's
-        # local→global map strictly increasing, which is what keeps its
-        # internal tie-breaking consistent with the global rule.
-        target = int(np.argmin([shard.size for shard in self._shards]))
-        self._shards[target].add(new_vectors)
-        self._shard_ids[target] = np.concatenate(
-            [
-                self._shard_ids[target],
-                np.arange(
-                    start_index, start_index + new_vectors.shape[0], dtype=np.int64
-                ),
-            ]
-        )
-        self._publish_shard_sizes()
 
     # ----------------------------------------------------------------- search
     def _search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         hub = get_hub()
         scatter_started = perf_counter()
-        if self._pool_size() > 1 and len(self._shards) > 1:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(self._scatter_one, shard_pos, queries, k)
-                for shard_pos in range(len(self._shards))
-            ]
-            gathered = [future.result() for future in futures]
-        else:
-            gathered = [
-                self._scatter_one(shard_pos, queries, k)
-                for shard_pos in range(len(self._shards))
-            ]
+        gathered = []
+        for shard, ids in zip(self._shards, self._shard_ids):
+            # One shard's top-min(k, shard.size), ids mapped to global.
+            distances, local = shard.search(queries, min(k, shard.size))
+            gathered.append((distances, ids[local]))
         if hub.enabled:
             hub.observe(
                 "index.shard_fanout_seconds", perf_counter() - scatter_started
@@ -177,14 +122,6 @@ class ShardedVectorIndex(VectorIndex):
         with hub.timer("index.shard_merge_seconds"):
             return self._merge(gathered, k)
 
-    def _scatter_one(
-        self, shard_pos: int, queries: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One shard's top-``min(k, shard.size)``, ids mapped to global."""
-        shard = self._shards[shard_pos]
-        distances, local = shard.search(queries, min(k, shard.size))
-        return distances, self._shard_ids[shard_pos][local]
-
     @staticmethod
     def _merge(
         gathered: List[Tuple[np.ndarray, np.ndarray]], k: int
@@ -192,8 +129,8 @@ class ShardedVectorIndex(VectorIndex):
         """Gather: global top-k of the shard candidates, exact tie rule."""
         distances = np.concatenate([block[0] for block in gathered], axis=1)
         ids = np.concatenate([block[1] for block in gathered], axis=1)
-        # Row-wise (distance, ascending global id) — the same lexsort key
-        # as VectorIndex._rerank, applied per query along the last axis.
+        # Row-wise (distance, ascending global id), per query along the
+        # last axis.
         order = np.lexsort((ids, distances), axis=1)[:, :k]
         return (
             np.take_along_axis(distances, order, axis=1),
@@ -201,41 +138,10 @@ class ShardedVectorIndex(VectorIndex):
         )
 
     # -------------------------------------------------------------- internals
-    def _publish_shard_sizes(self) -> None:
-        """Publish per-shard size gauges and flag skewed partitions.
-
-        Emits one ``index.shard_sizes.<pos>`` gauge per shard plus an
-        ``index.shard_imbalance`` ratio (largest / mean); ratios above
-        :data:`IMBALANCE_WARN_RATIO` additionally count
-        ``index.shard_imbalance_warnings``.
-        """
-        hub = get_hub()
-        if not hub.enabled or not self._shards:
-            return
-        sizes = [shard.size for shard in self._shards]
-        for pos, size in enumerate(sizes):
-            hub.set_gauge(f"index.shard_sizes.{pos}", size)
-        mean = sum(sizes) / len(sizes)
-        ratio = (max(sizes) / mean) if mean else 0.0
-        hub.set_gauge("index.shard_imbalance", ratio)
-        if ratio > IMBALANCE_WARN_RATIO:
-            hub.count("index.shard_imbalance_warnings")
-
     def _make_shard(self) -> VectorIndex:
         from repro.index.registry import make_index
 
         return make_index(self.shard_kind, metric=self.metric, **self.shard_params)
-
-    def _pool_size(self) -> int:
-        return self.scatter_workers
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(self.scatter_workers, max(len(self._shards), 1)),
-                thread_name_prefix="shard-scatter",
-            )
-        return self._pool
 
     # ------------------------------------------------------------ persistence
     def _params(self) -> Dict[str, object]:
@@ -243,9 +149,6 @@ class ShardedVectorIndex(VectorIndex):
             "num_shards": self.num_shards,
             "shard_kind": self.shard_kind,
             "shard_params": dict(self.shard_params),
-            "scatter_workers": self.scatter_workers,
         }
-    # The default _restore re-partitions the loaded vectors contiguously —
-    # a load may therefore assign vectors to different shards than the saved
-    # index had after add() routing, but every ranking is still bit-identical
-    # (the merge is exact regardless of the partition).
+    # The default _restore re-partitions the loaded vectors contiguously,
+    # exactly as build() did.

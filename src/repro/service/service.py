@@ -29,8 +29,7 @@ service layers two locks (acquired strictly in this order, see
    (:class:`~repro.utils.concurrency.ReadWriteLock`) — serving holds it
    shared (searches, feedback scoring and candidate pruning only *read*
    the features, the index and the log vectors); :meth:`attach_index` /
-   :meth:`build_index` / :meth:`detach_index` and the deferred KD-tree
-   rebuild hold it exclusively.
+   :meth:`build_index` / :meth:`detach_index` hold it exclusively.
 
 Below them sit only the stores' own locks.  A wave's log records land in
 the shared log as **one** atomic :meth:`~repro.logdb.store.LogStore.extend`
@@ -82,10 +81,6 @@ __all__ = ["RetrievalService", "LOG_POLICIES"]
 #: ``per_round`` appends immediately after every round, ``off`` never
 #: appends (evaluation runs).
 LOG_POLICIES = ("on_close", "per_round", "off")
-
-#: Query-block size handed to :meth:`SearchEngine.batch_search`, so an
-#: arbitrarily large open wave stays memory-bounded.
-SEARCH_CHUNK_SIZE = 1024
 
 
 class RetrievalService:
@@ -252,7 +247,6 @@ class RetrievalService:
         if not coerced:
             return []
         now = self._tick()
-        self._drain_deferred_rebuild()
         # Build and validate every state of the wave BEFORE serving any of
         # it: two requests claiming one id would otherwise silently hand one
         # user the other's ranking.
@@ -287,9 +281,7 @@ class RetrievalService:
                 with self._attachment.read_locked():
                     for top_k, group in by_top_k.items():
                         batched = self.search_engine.batch_search(
-                            [state.query for state in group],
-                            top_k=top_k,
-                            chunk_size=SEARCH_CHUNK_SIZE,
+                            [state.query for state in group], top_k=top_k
                         )
                         for state, result in zip(group, batched):
                             results[state.session_id] = result
@@ -389,7 +381,6 @@ class RetrievalService:
         if not coerced:
             return []
         now = self._tick()
-        self._drain_deferred_rebuild()
         # Validate the whole batch BEFORE touching any session state: a bad
         # request must not leave a half-applied round behind (the in-memory
         # store hands out live objects), and one session may only advance by
@@ -830,8 +821,8 @@ class RetrievalService:
         Parameters
         ----------
         kind:
-            Registry name of the backend (``brute-force``, ``kd-tree``,
-            ``lsh``, ``ivf``).
+            Registry name of the backend (``brute-force``, ``ivf``,
+            ``sharded``).
         kwargs:
             Backend parameters, forwarded to the index registry.
 
@@ -861,20 +852,6 @@ class RetrievalService:
         now = float(self._clock())
         self.store.evict_expired(now, locks=self._session_locks)
         return now
-
-    def _drain_deferred_rebuild(self) -> None:
-        """Rebuild a stale attached index under the write-lock, if needed.
-
-        KD-tree ``add()`` bursts defer their rebuild; draining it here —
-        exclusively, before the wave takes the read side — means read-only
-        searches never overlap the rebuild.  (The KD-tree's own rebuild
-        mutex still guards the path for callers that bypass the service.)
-        """
-        index = self.database.index
-        if index is not None and index.needs_rebuild:
-            with self._attachment.write_locked():
-                with get_hub().span("index.rebuild_drain", kind=index.kind):
-                    index.refresh()
 
     def _score_rounds(
         self,

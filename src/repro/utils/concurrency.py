@@ -13,7 +13,7 @@ usable standalone):
 * :class:`ReadWriteLock` — a writer-preferring shared/exclusive lock.  The
   service holds it shared while serving (searches and feedback only *read*
   the database, the index and the log vectors) and exclusively while
-  mutating the attachment (attach/detach/build, deferred KD-tree rebuilds).
+  mutating the attachment (attach/detach/build).
 * :data:`Lock ordering <LOCK_ORDER>` — the documented acquisition order the
   service layer follows; any code extending the service should respect it.
 

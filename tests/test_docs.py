@@ -128,7 +128,8 @@ class TestDocstrings:
             repro.service.SessionState,
             repro.index.VectorIndex,
             repro.index.ShardedVectorIndex,
-            repro.index.KDTreeIndex,
+            repro.index.BruteForceIndex,
+            repro.index.IVFIndex,
             repro.cluster.ClusterRouter,
             repro.cluster.ClusterWorker,
             repro.utils.StripedLockMap,

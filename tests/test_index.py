@@ -2,9 +2,9 @@
 
 The load-bearing properties:
 
-* every approximate backend at **exhaustive** settings (LSH ``num_bits=0``
-  all-tables, IVF ``n_probe == n_clusters``, KD-tree which is always exact)
-  reproduces the :class:`BruteForceIndex` ranking **bit-for-bit**;
+* every backend at **exhaustive** settings (IVF ``n_probe == n_clusters``,
+  sharded over brute-force shards) reproduces the :class:`BruteForceIndex`
+  ranking **bit-for-bit**;
 * ``save`` → ``load`` round-trips produce identical search results;
 * the serving layers (``SearchEngine``, ``ImageDatabase``,
   ``RetrievalService``, candidate-pruned ``LRFCSVM``) use the index without
@@ -13,6 +13,8 @@ The load-bearing properties:
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -29,8 +31,6 @@ from repro.feedback.base import FeedbackContext
 from repro.index import (
     BruteForceIndex,
     IVFIndex,
-    KDTreeIndex,
-    LSHIndex,
     ShardedVectorIndex,
     VectorIndex,
     available_indexes,
@@ -38,23 +38,30 @@ from repro.index import (
     make_index,
 )
 from repro.service import RetrievalService
+from repro.utils.io import load_array_bundle, save_array_bundle
+
+#: The sharded index's retired scatter thread-pool parameter, as old saved
+#: bundles record it (assembled so the removed name appears nowhere in code).
+RETIRED_POOL_KNOB = "_".join(("scatter", "workers"))
 
 #: Exhaustive-settings factory per backend: each must match brute force
-#: bit-for-bit on any input.
+#: bit-for-bit on any input, under any metric.
 EXHAUSTIVE_BACKENDS = {
-    "kd-tree": lambda: KDTreeIndex(leaf_size=7),
-    "lsh": lambda: LSHIndex(num_tables=3, num_bits=0),
-    "ivf": lambda: IVFIndex(n_clusters=9, n_probe=9, kmeans_iters=3),
-    "sharded": lambda: ShardedVectorIndex(num_shards=3),
+    "ivf": lambda metric="euclidean": IVFIndex(
+        n_clusters=9, n_probe=9, kmeans_iters=3, metric=metric
+    ),
+    "sharded": lambda metric="euclidean": ShardedVectorIndex(num_shards=3, metric=metric),
+    "sharded-ivf": lambda metric="euclidean": ShardedVectorIndex(
+        num_shards=3, shard_kind="ivf", metric=metric,
+        shard_params={"n_clusters": 4, "n_probe": 4, "kmeans_iters": 3},
+    ),
 }
 
 #: Moderately approximate settings used by round-trip / wiring tests.
 APPROXIMATE_BACKENDS = {
-    "brute-force": lambda: BruteForceIndex(),
-    "kd-tree": lambda: KDTreeIndex(leaf_size=16),
-    "lsh": lambda: LSHIndex(num_tables=4, num_bits=6, seed=3),
-    "ivf": lambda: IVFIndex(n_clusters=12, n_probe=3, seed=3),
-    "sharded": lambda: ShardedVectorIndex(num_shards=4),
+    "brute-force": lambda metric="euclidean": BruteForceIndex(metric=metric),
+    "ivf": lambda metric="euclidean": IVFIndex(n_clusters=12, n_probe=3, seed=3, metric=metric),
+    "sharded": lambda metric="euclidean": ShardedVectorIndex(num_shards=4, metric=metric),
 }
 
 
@@ -78,9 +85,7 @@ def oracle(pool):
 
 class TestVectorIndexInterface:
     def test_registry_lists_all_backends(self):
-        assert available_indexes() == [
-            "brute-force", "ivf", "kd-tree", "lsh", "sharded",
-        ]
+        assert available_indexes() == ["brute-force", "ivf", "sharded"]
 
     def test_registry_rejects_unknown_backend(self):
         with pytest.raises(ValidationError, match="unknown index backend"):
@@ -105,10 +110,6 @@ class TestVectorIndexInterface:
             index.search(queries, vectors.shape[0] + 1)
         with pytest.raises(ValidationError, match="dimension"):
             index.search(np.zeros(3), 1)
-
-    def test_kd_tree_rejects_non_euclidean(self):
-        with pytest.raises(ValidationError, match="euclidean"):
-            KDTreeIndex(metric="cosine")
 
     def test_brute_force_matches_dense_scan(self, pool):
         vectors, queries = pool
@@ -156,27 +157,15 @@ class TestExhaustiveSettingsMatchBruteForce:
         np.testing.assert_allclose(distances, oracle_distances, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("kind", sorted(EXHAUSTIVE_BACKENDS))
-    def test_rankings_bit_for_bit_after_add(self, kind, pool, oracle):
+    @pytest.mark.parametrize("metric", ["manhattan", "cosine"])
+    def test_non_euclidean_rankings_bit_for_bit(self, metric, kind, pool):
         vectors, queries = pool
-        oracle_indices = oracle[2]
-        index = EXHAUSTIVE_BACKENDS[kind]().build(vectors[:250])
-        index.add(vectors[250:])
-        assert index.size == vectors.shape[0]
-        _, indices = index.search(queries, 25)
-        np.testing.assert_array_equal(indices, oracle_indices)
-
-    def test_kd_tree_ranks_in_sqrt_domain(self):
-        # Two squared distances that are distinct as floats but collapse to
-        # the same double after sqrt: the oracle sees a tie (broken by
-        # index), so the KD-tree must compare sqrt'd distances too.
-        base = 1.5625
-        eps = np.nextafter(base, 2.0) - base
-        near, nearer = np.sqrt(base + 4 * eps), np.sqrt(base + 6 * eps)
-        vectors = np.array([[near], [nearer], [5.0], [7.0]])
-        queries = np.array([[0.0]])
-        _, oracle_indices = BruteForceIndex().build(vectors).search(queries, 2)
-        _, kd_indices = KDTreeIndex(leaf_size=1).build(vectors).search(queries, 2)
-        np.testing.assert_array_equal(kd_indices, oracle_indices)
+        oracle_d, oracle_i = BruteForceIndex(metric=metric).build(vectors).search(queries, 25)
+        index = EXHAUSTIVE_BACKENDS[kind](metric).build(vectors)
+        distances, indices = index.search(queries, 25)
+        assert index.is_exact and index.metric == metric
+        np.testing.assert_array_equal(indices, oracle_i)
+        np.testing.assert_allclose(distances, oracle_d, rtol=0, atol=1e-9)
 
     def test_ivf_full_probe_property(self, pool):
         vectors, _ = pool
@@ -250,54 +239,118 @@ class TestApproximateBehaviour:
         hits = sum(len(set(a.tolist()) & set(b.tolist())) for a, b in zip(found, truth))
         assert hits / truth.size >= 0.9
 
-    def test_lsh_exact_fallback_fills_k(self, pool):
+    def test_ivf_exact_fallback_fills_k(self, pool):
         vectors, queries = pool
-        # Aggressive hashing: buckets will often hold fewer than k members,
-        # triggering the per-query exact fallback — results must still be k
-        # valid, correctly ordered neighbours.
-        index = LSHIndex(num_tables=1, num_bits=16, seed=0).build(vectors)
-        distances, indices = index.search(queries, 50)
-        assert indices.shape == (queries.shape[0], 50)
-        assert np.all(indices >= 0) and np.all(indices < vectors.shape[0])
-        assert np.all(np.diff(distances, axis=1) >= 0)
+        # One probed cell of ~6 members cannot honour k=50: every query
+        # takes the exact fallback, so the result is the brute-force top-k.
+        index = IVFIndex(n_clusters=64, n_probe=1, seed=0).build(vectors)
+        assert int(index._list_sizes.max()) < 50
+        _, expected = BruteForceIndex().build(vectors).search(queries, 50)
+        _, indices = index.search(queries, 50)
+        np.testing.assert_array_equal(indices, expected)
 
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", sorted(APPROXIMATE_BACKENDS))
     def test_save_load_round_trip(self, kind, pool, tmp_path):
+        self._assert_round_trip(APPROXIMATE_BACKENDS[kind](), pool, tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(APPROXIMATE_BACKENDS))
+    @pytest.mark.parametrize("metric", ["manhattan", "cosine"])
+    def test_non_euclidean_round_trip(self, metric, kind, pool, tmp_path):
+        self._assert_round_trip(APPROXIMATE_BACKENDS[kind](metric), pool, tmp_path)
+
+    @staticmethod
+    def _assert_round_trip(index, pool, tmp_path):
         vectors, queries = pool
-        index = APPROXIMATE_BACKENDS[kind]().build(vectors)
-        path = index.save(tmp_path / f"{kind}.npz")
+        index.build(vectors)
+        path = index.save(tmp_path / f"{index.kind}.npz")
         loaded = load_index(path)
         assert isinstance(loaded, type(index))
-        assert loaded.kind == kind and loaded.metric == index.metric
+        assert loaded.kind == index.kind and loaded.metric == index.metric
         assert loaded.size == index.size and loaded.dim == index.dim
         original_d, original_i = index.search(queries, 20)
         loaded_d, loaded_i = loaded.search(queries, 20)
         np.testing.assert_array_equal(loaded_i, original_i)
         np.testing.assert_array_equal(loaded_d, original_d)
 
-    @pytest.mark.parametrize("kind", sorted(APPROXIMATE_BACKENDS))
-    def test_round_trip_after_add_preserves_results(self, kind, pool, tmp_path):
-        # An index grown via add() must round-trip too: LSH in particular
-        # freezes its hashing centre at build time, so a naive rebuild over
-        # the grown matrix would shift every bucket.
-        vectors, queries = pool
-        index = APPROXIMATE_BACKENDS[kind]().build(vectors[:300])
-        index.add(vectors[300:])
-        path = index.save(tmp_path / f"{kind}-grown.npz")
-        loaded = load_index(path)
-        original_d, original_i = index.search(queries, 20)
-        loaded_d, loaded_i = loaded.search(queries, 20)
-        np.testing.assert_array_equal(loaded_i, original_i)
-        np.testing.assert_array_equal(loaded_d, original_d)
-
     def test_load_rejects_non_index_bundle(self, tmp_path):
-        from repro.utils.io import save_array_bundle
-
         path = save_array_bundle({"vectors": np.ones((2, 2))}, tmp_path / "x.npz")
         with pytest.raises(ValidationError, match="not a serialised VectorIndex"):
             VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "meta, match",
+        [
+            # Bundles of the KD-tree and LSH backends, which no longer exist.
+            (
+                json.dumps({"kind": "kd-tree", "metric": "euclidean", "params": {"leaf_size": 16}}),
+                "unknown index backend 'kd-tree'",
+            ),
+            (
+                json.dumps({"kind": "lsh", "metric": "euclidean", "params": {"num_tables": 8}}),
+                "unknown index backend 'lsh'",
+            ),
+            # A sharded bundle saved with the retired scatter thread pool.
+            (
+                json.dumps({
+                    "kind": "sharded",
+                    "metric": "euclidean",
+                    "params": {"num_shards": 2, "shard_kind": "brute-force",
+                               "shard_params": {}, RETIRED_POOL_KNOB: 2},
+                }),
+                "old.npz records sharded parameters",
+            ),
+            (json.dumps({"kind": "brute-force", "params": {}}), "old.npz is not a serialised"),
+            (json.dumps({"metric": "euclidean", "params": {}}), "old.npz is not a serialised"),
+            (json.dumps({"kind": "ivf", "metric": "euclidean"}), "old.npz is not a serialised"),
+            ('{"kind": "brute-force"', "old.npz is not a serialised"),
+            (json.dumps(["brute-force", "euclidean", {}]), "old.npz is not a serialised"),
+            (
+                json.dumps({"kind": "brute-force", "metric": "euclidean", "params": [1]}),
+                "old.npz records brute-force parameters",
+            ),
+            (
+                json.dumps({"kind": "brute-force", "metric": "hamming", "params": {}}),
+                "unknown distance 'hamming'",
+            ),
+            (
+                json.dumps({"kind": "ivf", "metric": "euclidean", "params": {"n_probe": 0}}),
+                "n_probe must be >= 1",
+            ),
+        ],
+        ids=[
+            "kd-tree", "lsh", "sharded-scatter-workers", "meta-without-metric",
+            "meta-without-kind", "meta-without-params", "meta-not-json",
+            "meta-not-an-object", "params-not-an-object", "unknown-metric",
+            "invalid-ivf-param",
+        ],
+    )
+    def test_load_failures_are_typed(self, meta, match, tmp_path):
+        path = save_array_bundle(
+            {"__meta__": np.array(meta), "vectors": np.ones((4, 2))},
+            tmp_path / "old.npz",
+        )
+        with pytest.raises(ValidationError, match=match):
+            VectorIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "kind, dropped",
+        [
+            ("brute-force", "vectors"),
+            ("ivf", "vectors"),
+            ("ivf", "centroids"),
+            ("ivf", "list_members"),
+            ("sharded", "vectors"),
+        ],
+    )
+    def test_load_rejects_bundle_missing_an_array(self, kind, dropped, pool, tmp_path):
+        path = APPROXIMATE_BACKENDS[kind]().build(pool[0]).save(tmp_path / "full.npz")
+        bundle = load_array_bundle(path)
+        del bundle[dropped]
+        truncated = save_array_bundle(bundle, tmp_path / "truncated.npz")
+        with pytest.raises(ValidationError, match=f"truncated.npz lacks the {kind} array '{dropped}'"):
+            VectorIndex.load(truncated)
 
     def test_save_unbuilt_raises(self, tmp_path):
         with pytest.raises(ValidationError, match="unbuilt"):
@@ -349,7 +402,7 @@ class TestSearchEngineIndexing:
     def test_attached_index_is_used_when_metric_matches(self, small_dataset):
         database = ImageDatabase(small_dataset)
         assert SearchEngine(database).index is None
-        database.build_index("kd-tree")
+        database.build_index("brute-force")
         engine = SearchEngine(database)
         assert engine.index is database.index
         # A cosine engine must NOT use the euclidean index.
@@ -398,13 +451,6 @@ class TestSearchEngineIndexing:
         with pytest.raises(ValidationError, match="registered distance name"):
             SearchEngine(small_database, distance=my_distance, index="brute-force")
 
-    def test_explicit_index_grown_after_construction_fails_fast(self, small_database):
-        index = BruteForceIndex().build(small_database.features)
-        engine = SearchEngine(small_database, index=index)
-        index.add(np.zeros((1, small_database.feature_dimension)))
-        with pytest.raises(ValidationError, match="rebuild the engine"):
-            engine.search(Query(query_index=0), top_k=5)
-
     def test_annotations_resolve_at_runtime(self):
         import typing
 
@@ -431,7 +477,7 @@ class TestSearchEngineIndexing:
 class TestImageDatabaseIndex:
     def test_build_attach_detach(self, small_dataset):
         database = ImageDatabase(small_dataset)
-        index = database.build_index("lsh", num_tables=2, num_bits=4)
+        index = database.build_index("ivf", n_clusters=4, n_probe=2)
         assert database.index is index and index.size == database.num_images
         detached = database.detach_index()
         assert detached is index and database.index is None
@@ -566,112 +612,3 @@ class TestCandidatePrunedFeedback:
         finally:
             database.detach_index()
         np.testing.assert_array_equal(pruned, exact)
-
-
-class TestKDTreeDeferredRebuild:
-    """add() marks the tree stale; the rebuild happens lazily at search."""
-
-    def _pool(self):
-        vectors, queries = make_gaussian_pool(
-            GaussianPoolConfig(num_vectors=300, dim=5, num_clusters=8, num_queries=5, seed=31)
-        )
-        return vectors, queries
-
-    def test_add_burst_costs_one_rebuild(self):
-        vectors, queries = self._pool()
-        index = KDTreeIndex(leaf_size=16).build(vectors[:200])
-        assert index.rebuilds_ == 1
-        for start in range(200, 300, 20):
-            index.add(vectors[start : start + 20])
-        # No rebuild yet: the adds only marked the tree stale.
-        assert index.rebuilds_ == 1
-        index.search(queries, 10)
-        assert index.rebuilds_ == 2
-        index.search(queries, 10)
-        assert index.rebuilds_ == 2  # rebuilt once, then reused
-
-    def test_search_after_adds_matches_brute_force(self):
-        vectors, queries = self._pool()
-        index = KDTreeIndex(leaf_size=16).build(vectors[:250])
-        index.add(vectors[250:])
-        oracle = BruteForceIndex().build(vectors)
-        kd_distances, kd_indices = index.search(queries, 15)
-        bf_distances, bf_indices = oracle.search(queries, 15)
-        np.testing.assert_array_equal(kd_indices, bf_indices)
-        np.testing.assert_allclose(kd_distances, bf_distances, atol=1e-12)
-
-    def test_save_load_with_pending_rebuild(self, tmp_path):
-        vectors, queries = self._pool()
-        index = KDTreeIndex(leaf_size=16).build(vectors[:250])
-        index.add(vectors[250:])
-        path = index.save(tmp_path / "kd.npz")
-        loaded = VectorIndex.load(path)
-        l_distances, l_indices = loaded.search(queries, 10)
-        e_distances, e_indices = index.search(queries, 10)
-        np.testing.assert_array_equal(l_indices, e_indices)
-        np.testing.assert_allclose(l_distances, e_distances, atol=1e-12)
-
-
-class TestKDTreeIncrementalInsert:
-    """add() inserts into leaf overflow lists instead of deferring a rebuild,
-    until the overflow crosses ``rebuild_threshold`` (the escape hatch)."""
-
-    def _pool(self):
-        return make_gaussian_pool(
-            GaussianPoolConfig(num_vectors=400, dim=4, num_clusters=6, num_queries=8, seed=77)
-        )
-
-    def test_small_adds_insert_without_rebuild(self):
-        vectors, queries = self._pool()
-        index = KDTreeIndex(leaf_size=16).build(vectors[:350])
-        assert index.rebuilds_ == 1
-        index.add(vectors[350:360])
-        index.add(vectors[360:370])
-        assert not index.needs_rebuild
-        assert index.incremental_inserts_ == 20
-        index.search(queries, 10)
-        assert index.rebuilds_ == 1  # search never triggered a rebuild
-
-    def test_incremental_results_bit_identical_to_brute_force(self):
-        vectors, queries = self._pool()
-        index = KDTreeIndex(leaf_size=16).build(vectors[:350])
-        for start in range(350, 400, 10):
-            index.add(vectors[start : start + 10])
-        assert index.incremental_inserts_ == 50 and not index.needs_rebuild
-        oracle = BruteForceIndex().build(vectors)
-        for k in (1, 7, 25):
-            kd_d, kd_i = index.search(queries, k)
-            bf_d, bf_i = oracle.search(queries, k)
-            np.testing.assert_array_equal(kd_i, bf_i)
-            # Distances agree to the established KD tolerance (leaf-shaped
-            # BLAS calls round differently from the full scan's).
-            np.testing.assert_allclose(kd_d, bf_d, rtol=0, atol=1e-12)
-
-    def test_threshold_escape_hatch_defers_rebuild(self):
-        vectors, queries = self._pool()
-        index = KDTreeIndex(leaf_size=16, rebuild_threshold=0.05).build(vectors[:300])
-        index.add(vectors[300:310])  # 10 ≤ 0.05 * 310 → incremental
-        assert not index.needs_rebuild and index.incremental_inserts_ == 10
-        index.add(vectors[310:400])  # 10 + 90 > 0.05 * 400 → defer rebuild
-        assert index.needs_rebuild
-        index.search(queries, 5)
-        assert not index.needs_rebuild
-        assert index.rebuilds_ == 2
-        # The rebuild absorbed the overflow: nothing left in the extras.
-        assert index._num_extra == 0
-
-    def test_zero_threshold_restores_deferred_only_behaviour(self):
-        vectors, _ = self._pool()
-        index = KDTreeIndex(leaf_size=16, rebuild_threshold=0.0).build(vectors[:390])
-        index.add(vectors[390:])
-        assert index.needs_rebuild and index.incremental_inserts_ == 0
-
-    def test_rebuild_threshold_round_trips(self, tmp_path):
-        vectors, _ = self._pool()
-        index = KDTreeIndex(leaf_size=16, rebuild_threshold=0.5).build(vectors)
-        loaded = VectorIndex.load(index.save(tmp_path / "kd.npz"))
-        assert loaded.rebuild_threshold == 0.5
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValidationError, match="rebuild_threshold"):
-            KDTreeIndex(rebuild_threshold=-0.1)

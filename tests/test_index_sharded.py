@@ -13,14 +13,7 @@ import pytest
 
 from repro.datasets.pool import GaussianPoolConfig, make_gaussian_pool
 from repro.exceptions import ValidationError
-from repro.index import (
-    BruteForceIndex,
-    KDTreeIndex,
-    ShardedVectorIndex,
-    make_index,
-)
-from repro.index.sharded import IMBALANCE_WARN_RATIO
-from repro.obs import configure, get_hub
+from repro.index import BruteForceIndex, ShardedVectorIndex, make_index
 
 #: The shard counts the acceptance criteria call out (1 = degenerate wrap).
 SHARD_COUNTS = (1, 2, 3, 7)
@@ -57,6 +50,20 @@ class TestBitIdentity:
             np.testing.assert_array_equal(sharded_d, oracle_d)
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_exhaustive_ivf_shards_match_unsharded_scan(self, num_shards, pool, oracle):
+        # The merge is exact over any exact shard backend, not only brute force.
+        vectors, queries = pool
+        index = ShardedVectorIndex(
+            num_shards=num_shards, shard_kind="ivf",
+            shard_params={"n_clusters": 5, "n_probe": 5, "kmeans_iters": 3},
+        ).build(vectors)
+        assert index.is_exact
+        for k in (1, 5, 40):
+            _, sharded_i = index.search(queries, k)
+            _, oracle_i = oracle.search(queries, k)
+            np.testing.assert_array_equal(sharded_i, oracle_i)
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_tie_heavy_all_duplicates(self, num_shards):
         # Every vector identical: the ranking is decided purely by the tie
         # rule, so any merge mistake surfaces immediately.
@@ -85,48 +92,8 @@ class TestBitIdentity:
         np.testing.assert_array_equal(batch_i, single_i)
         np.testing.assert_array_equal(batch_d, single_d)
 
-    def test_scatter_thread_pool_is_deterministic(self, pool, oracle):
-        vectors, queries = pool
-        index = ShardedVectorIndex(num_shards=4, scatter_workers=4).build(vectors)
-        oracle_d, oracle_i = oracle.search(queries, 25)
-        for _ in range(3):
-            distances, indices = index.search(queries, 25)
-            np.testing.assert_array_equal(indices, oracle_i)
-            np.testing.assert_array_equal(distances, oracle_d)
 
-
-class TestGrowthAndMaintenance:
-    def test_add_routes_to_smallest_shard_and_stays_exact(self, pool, oracle):
-        vectors, queries = pool
-        index = ShardedVectorIndex(num_shards=3).build(vectors[:380])
-        index.add(vectors[380:440])
-        index.add(vectors[440:])
-        assert index.size == vectors.shape[0]
-        sizes = [shard.size for shard in index.shards]
-        assert sum(sizes) == vectors.shape[0]
-        assert max(sizes) - min(sizes) <= 60  # blocks landed on the smallest
-        sharded_d, sharded_i = index.search(queries, 30)
-        oracle_d, oracle_i = oracle.search(queries, 30)
-        np.testing.assert_array_equal(sharded_i, oracle_i)
-        np.testing.assert_array_equal(sharded_d, oracle_d)
-
-    def test_kd_shards_defer_and_refresh(self, pool):
-        vectors, queries = pool
-        index = ShardedVectorIndex(
-            num_shards=2,
-            shard_kind="kd-tree",
-            shard_params={"leaf_size": 8, "rebuild_threshold": 0.0},
-        ).build(vectors[:400])
-        assert index.is_exact
-        index.add(vectors[400:])
-        assert index.needs_rebuild  # the receiving KD shard deferred
-        index.refresh()
-        assert not index.needs_rebuild
-        oracle = BruteForceIndex().build(vectors)
-        _, sharded_i = index.search(queries, 20)
-        _, oracle_i = oracle.search(queries, 20)
-        np.testing.assert_array_equal(sharded_i, oracle_i)
-
+class TestPartitioning:
     def test_more_shards_than_vectors_caps_cleanly(self):
         vectors = np.arange(12, dtype=np.float64).reshape(4, 3)
         index = ShardedVectorIndex(num_shards=7).build(vectors)
@@ -134,37 +101,32 @@ class TestGrowthAndMaintenance:
         _, indices = index.search(vectors, 4)
         np.testing.assert_array_equal(indices[:, 0], np.arange(4))
 
-    def test_shard_size_gauges_and_imbalance_warning(self, pool):
+    def test_contiguous_shards_differ_by_at_most_one_vector(self, pool):
         vectors, _ = pool
-        configure()  # fresh hub: gauges and warning counter start empty
-        try:
-            hub = get_hub()
-            index = ShardedVectorIndex(num_shards=2).build(vectors[:400])
-            assert hub.metrics.gauge("index.shard_sizes.0").value == 200
-            assert hub.metrics.gauge("index.shard_sizes.1").value == 200
-            assert hub.metrics.gauge("index.shard_imbalance").value == 1.0
-            warnings = hub.metrics.counter("index.shard_imbalance_warnings")
-            assert warnings.value == 0
-            # Pile appends onto the index until one shard crosses the
-            # documented imbalance threshold (add routes whole blocks, so
-            # a block bigger than the fair share skews by construction).
-            index.add(np.tile(vectors[:100], (5, 1)))
-            sizes = [shard.size for shard in index.shards]
-            assert max(sizes) / (sum(sizes) / len(sizes)) > IMBALANCE_WARN_RATIO
-            assert hub.metrics.gauge("index.shard_sizes.0").value == max(sizes)
-            assert hub.metrics.gauge("index.shard_imbalance").value > \
-                IMBALANCE_WARN_RATIO
-            assert warnings.value >= 1
-        finally:
-            get_hub().enabled = False
+        index = ShardedVectorIndex(num_shards=7).build(vectors)
+        sizes = [shard.size for shard in index.shards]
+        assert sum(sizes) == vectors.shape[0] and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_shards_are_contiguous_slices_in_order(self, num_shards, pool):
+        # The merge's tie rule relies on each shard's local→global map being
+        # an increasing run, and the runs tiling the pool in shard order.
+        vectors, _ = pool
+        index = ShardedVectorIndex(num_shards=num_shards).build(vectors)
+        assert len(index.shards) == num_shards
+        start = 0
+        for shard in index.shards:
+            np.testing.assert_array_equal(shard.vectors, vectors[start : start + shard.size])
+            start += shard.size
+        assert start == vectors.shape[0]
 
 
 class TestWiring:
     def test_registry_constructs_sharded(self):
-        index = make_index("sharded", num_shards=2, shard_kind="kd-tree",
-                           shard_params={"leaf_size": 4})
+        index = make_index("sharded", num_shards=2, shard_kind="ivf",
+                           shard_params={"n_clusters": 4})
         assert isinstance(index, ShardedVectorIndex)
-        assert index.shard_kind == "kd-tree"
+        assert index.shard_kind == "ivf"
 
     def test_save_load_round_trip_is_bit_identical(self, pool, tmp_path):
         vectors, queries = pool
@@ -182,7 +144,7 @@ class TestWiring:
         exact = ShardedVectorIndex(num_shards=2).build(vectors)
         assert exact.is_exact
         approximate = ShardedVectorIndex(
-            num_shards=2, shard_kind="lsh", shard_params={"num_bits": 6}
+            num_shards=2, shard_kind="ivf", shard_params={"n_clusters": 8, "n_probe": 1}
         ).build(vectors)
         assert not approximate.is_exact
 
@@ -193,11 +155,10 @@ class TestWiring:
             ShardedVectorIndex(shard_kind="sharded")
         with pytest.raises(ValidationError, match="unknown index backend"):
             ShardedVectorIndex(shard_kind="annoy")
-        with pytest.raises(ValidationError, match="scatter_workers"):
-            ShardedVectorIndex(scatter_workers=-1)
-        with pytest.raises(ValidationError, match="euclidean"):
-            # Shard-backend validation is eager: KD shards reject cosine.
-            ShardedVectorIndex(shard_kind="kd-tree", metric="cosine")
+        with pytest.raises(ValidationError, match="n_probe"):
+            # Shard-backend validation is eager: a bad shard parameter fails
+            # at construction, not at build time.
+            ShardedVectorIndex(shard_kind="ivf", shard_params={"n_probe": 0})
 
     def test_sharded_index_serves_the_search_engine(self, pool):
         from repro.cbir.database import ImageDatabase

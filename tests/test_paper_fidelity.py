@@ -1,8 +1,10 @@
 """The paper's own claims, checked on scaled Corel-20 / Corel-50 set-ups.
 
 Tables 1 and 2 (§6.4): every learning scheme beats Euclidean, the log-based
-schemes beat RF-SVM, LRF-CSVM is at least level with LRF-2SVMs, and the gain
-is smaller on the more diverse 50-category corpus.  Ablations: §6.5 (ρ,
+schemes beat RF-SVM, LRF-CSVM stays within ``CSVM_BELOW_2SVMS_TOLERANCE`` of
+LRF-2SVMs (it sits below it at this scale, so the paper's coupling gain is
+not reproduced), and the gain is smaller on the more diverse 50-category
+corpus.  Ablations: §6.5 (ρ,
 unlabeled selection), §6.3 (log size) and a MAP floor for the graph family.
 The warm-start solver's SMO-iteration and kernel-evaluation counts are read
 off the same Corel-20 feedback rounds.  Tables print with ``pytest -s``.
@@ -34,6 +36,12 @@ from repro.experiments.pipeline import build_environment, run_paper_experiment
 from repro.svm.svc import SVC
 
 pytestmark = pytest.mark.slow
+
+#: How far LRF-CSVM may sit *below* LRF-2SVMs and still pass.  This
+#: tolerates a known non-reproduction at test scale: the recorded MAPs are
+#: 0.3042 vs 0.3053 (Table 1) and 0.1521 vs 0.1528 (Table 2), so coupling
+#: does not beat two independent SVMs here, contrary to the paper's claim.
+CSVM_BELOW_2SVMS_TOLERANCE = 0.02
 
 #: Feedback rounds (query indices) aggregated by the solver counts.
 SOLVER_QUERY_INDICES = (0, 1, 2, 3, 4, 5, 6, 7)
@@ -89,7 +97,7 @@ class TestTables:
         assert maps["rf-svm"] > maps["euclidean"]
         assert maps["lrf-2svms"] > maps["rf-svm"]
         assert maps["lrf-csvm"] > maps["rf-svm"]
-        assert maps["lrf-csvm"] >= maps["lrf-2svms"] - 0.02
+        assert maps["lrf-csvm"] >= maps["lrf-2svms"] - CSVM_BELOW_2SVMS_TOLERANCE
         # The paper's top-20 gain over RF-SVM is +42%; at this scale it
         # must be clearly positive.
         assert table1.improvement_over_baseline("lrf-csvm", 20) > 0.05
@@ -97,9 +105,9 @@ class TestTables:
     def test_table2_corel50_ordering(self, table2):
         maps = _maps(table2)
         assert maps["rf-svm"] > maps["euclidean"]
-        assert maps["lrf-2svms"] > maps["rf-svm"] - 0.005
-        assert maps["lrf-csvm"] > maps["rf-svm"] - 0.005
-        assert maps["lrf-csvm"] >= maps["lrf-2svms"] - 0.02
+        assert maps["lrf-2svms"] > maps["rf-svm"]
+        assert maps["lrf-csvm"] > maps["rf-svm"]
+        assert maps["lrf-csvm"] >= maps["lrf-2svms"] - CSVM_BELOW_2SVMS_TOLERANCE
 
     def test_improvement_shrinks_with_diversity(self, table1, table2):
         improvement20 = table1.improvement_over_baseline("lrf-csvm")

@@ -14,6 +14,7 @@ from repro.exceptions import SessionError, ValidationError
 from repro.feedback.base import FeedbackContext
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.feedback.rf_svm import RFSVM
+from repro.index import BruteForceIndex, IVFIndex
 from repro.service import (
     FeedbackRequest,
     FileSessionStore,
@@ -621,11 +622,11 @@ class TestBatchRobustness:
         assert refined.round_index == 1
 
     def test_euclidean_batch_bypasses_approximate_index(self, fresh_database):
-        # A deliberately lossy LSH index: the exact-by-definition baseline
-        # must not silently turn approximate when batched.
-        fresh_database.build_index("lsh", num_tables=1, num_bits=12)
+        # A deliberately lossy one-cell IVF probe: the exact-by-definition
+        # baseline must not silently turn approximate when batched.
+        index = fresh_database.build_index("ivf", n_clusters=2, n_probe=1)
         try:
-            assert not fresh_database.index.is_exact
+            assert not index.is_exact
             algorithm = EuclideanFeedback()
             contexts = [
                 FeedbackContext(
@@ -636,6 +637,15 @@ class TestBatchRobustness:
                 )
                 for i in range(8)
             ]
+            # The index really is lossy on these queries, so the bypass is
+            # what the comparison below tests.
+            _, approximate = index.search(
+                fresh_database.features_of(np.arange(8)), 20
+            )
+            _, exact = BruteForceIndex().build(fresh_database.features).search(
+                fresh_database.features_of(np.arange(8)), 20
+            )
+            assert not np.array_equal(approximate, exact)
             batched = algorithm.rank_batch(contexts, top_k=20)
             for context, result in zip(contexts, batched):
                 solo = algorithm.rank(context, top_k=20)
@@ -644,11 +654,6 @@ class TestBatchRobustness:
             fresh_database.detach_index()
 
     def test_index_exactness_flags(self):
-        from repro.index import BruteForceIndex, IVFIndex, KDTreeIndex, LSHIndex
-
         assert BruteForceIndex().is_exact
-        assert KDTreeIndex().is_exact
-        assert LSHIndex(num_bits=0).is_exact
-        assert not LSHIndex(num_bits=8).is_exact
         assert IVFIndex(n_clusters=4, n_probe=4).is_exact
         assert not IVFIndex(n_clusters=4, n_probe=1).is_exact

@@ -10,8 +10,8 @@ open / feedback / close traffic and asserts the PR's guarantees:
 
 The rest of the module pins the individual mechanisms: striped locks and
 the read-write lock, lock-aware TTL eviction that cannot race a live round,
-atomic crash-safe ``FileSessionStore`` writes, the KD-tree deferred-rebuild
-guard, and wave ≡ per-call serving bit-identity.
+atomic crash-safe ``FileSessionStore`` writes, and wave ≡ per-call serving
+bit-identity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
 from repro.exceptions import SessionError, ValidationError
-from repro.index.kd_tree import KDTreeIndex
 from repro.service import (
     FeedbackRequest,
     FileSessionStore,
@@ -710,63 +709,6 @@ class TestAtomicFileStore:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, f"churn raised: {errors[0]!r}"
-
-
-class TestKDTreeRebuildGuard:
-    def test_deferred_rebuild_races_one_rebuild_many_searchers(self, rng):
-        """After an add() burst, N racing searchers trigger exactly one
-        rebuild and every ranking matches the post-rebuild oracle."""
-        vectors = rng.normal(size=(400, 6))
-        extra = rng.normal(size=(50, 6))
-        # rebuild_threshold=0.0 forces the always-defer path: without it
-        # a 50-point burst is absorbed by incremental leaf inserts and no
-        # rebuild ever races the searchers.
-        index = KDTreeIndex(leaf_size=16, rebuild_threshold=0.0).build(vectors)
-        rebuilds_after_build = index.rebuilds_
-        index.add(extra)
-        assert index.needs_rebuild
-
-        oracle = KDTreeIndex(leaf_size=16).build(np.vstack([vectors, extra]))
-        queries = rng.normal(size=(24, 6))
-        expected_d, expected_i = oracle.search(queries, 5)
-
-        outputs = {}
-        errors = []
-        barrier = threading.Barrier(NUM_THREADS)
-
-        def searcher(thread_index):
-            try:
-                barrier.wait(timeout=10)
-                outputs[thread_index] = index.search(queries, 5)
-            except BaseException as error:  # noqa: BLE001
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=searcher, args=(i,)) for i in range(NUM_THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not errors, f"searcher raised: {errors[0]!r}"
-        assert index.rebuilds_ == rebuilds_after_build + 1
-        assert not index.needs_rebuild
-        for distances, indices in outputs.values():
-            np.testing.assert_array_equal(indices, expected_i)
-            np.testing.assert_array_equal(distances, expected_d)
-
-    def test_service_drains_rebuild_before_wave(self, fresh_database):
-        index = fresh_database.build_index("kd-tree")
-        try:
-            # Simulate an add-burst leaving the attached tree stale.
-            index._pending_rebuild = True
-            rebuilds_before = index.rebuilds_
-            service = RetrievalService(fresh_database)
-            service.open_sessions([SearchRequest(query=i, top_k=5) for i in range(4)])
-            assert not index.needs_rebuild
-            assert index.rebuilds_ == rebuilds_before + 1
-        finally:
-            fresh_database.detach_index()
 
 
 class TestConcurrencyPrimitives:
