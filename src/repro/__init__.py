@@ -69,7 +69,6 @@ from repro.graph import (
 from repro.index import (
     BruteForceIndex,
     IVFIndex,
-    ShardedVectorIndex,
     VectorIndex,
     available_indexes,
     make_index,
@@ -138,7 +137,6 @@ __all__ = [
     "VectorIndex",
     "BruteForceIndex",
     "IVFIndex",
-    "ShardedVectorIndex",
     "make_index",
     "available_indexes",
     # core contribution

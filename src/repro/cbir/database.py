@@ -20,6 +20,7 @@ from repro.cbir.query import Query
 from repro.index.base import VectorIndex
 from repro.logdb.log_database import LogDatabase
 from repro.logdb.store import LogStore
+from repro.utils.arrays import squared_norms
 
 __all__ = ["ImageDatabase"]
 
@@ -49,7 +50,7 @@ class ImageDatabase:
 
     The feature matrix is fixed at construction; :attr:`feature_sq_norms`
     caches its squared row norms (computed on first use) for the SVM scoring
-    passes.
+    passes and the Euclidean dense scan.
     """
 
     def __init__(
@@ -102,20 +103,20 @@ class ImageDatabase:
     def feature_sq_norms(self) -> np.ndarray:
         """Squared row norms of :attr:`features`, ``(N,)`` and read-only.
 
-        Exactly ``np.sum(features * features, axis=1)``, computed on first
-        use and once per database (the features never change after
-        construction; concurrent first readers wait for one computation).
-        The SVM strategies pass it (or its ``[candidates]`` slice) to
-        ``decision_function`` so a feedback round does not recompute the
-        pool's norms for every model it scores; a database that only serves
-        distance searches never pays for it.
+        Exactly :func:`~repro.utils.arrays.squared_norms` of the features,
+        computed on first use and once per database (the features never
+        change after construction; concurrent first readers wait for one
+        computation).  The SVM strategies pass it (or its ``[candidates]``
+        slice) to ``decision_function``, and the search engine's Euclidean
+        dense scan passes it to the distance, so neither a feedback round
+        nor a search recomputes the pool's norms.
         """
         norms = self._feature_sq_norms
         if norms is None:
             with _NORMS_LOCK:
                 norms = self._feature_sq_norms
                 if norms is None:
-                    norms = np.sum(self._features * self._features, axis=1)
+                    norms = squared_norms(self._features)
                     norms.setflags(write=False)
                     self._feature_sq_norms = norms
         return norms
@@ -188,8 +189,7 @@ class ImageDatabase:
         Parameters
         ----------
         kind:
-            Registry name of the backend (``brute-force``, ``ivf``,
-            ``sharded``).
+            Registry name of the backend (``brute-force`` or ``ivf``).
         kwargs:
             Backend parameters, forwarded to
             :func:`repro.index.registry.make_index`.

@@ -18,7 +18,7 @@ class Query:
 
     The common case is query-by-example against a database image
     (*query_index*); an external example can instead be supplied as a raw
-    feature vector (*feature_vector*).
+    feature vector (*feature_vector*), which must be finite.
     """
 
     query_index: Optional[int] = None
@@ -31,6 +31,8 @@ class Query:
             vector = np.asarray(self.feature_vector, dtype=np.float64).ravel()
             if vector.size == 0:
                 raise ValidationError("feature_vector must not be empty")
+            if not np.all(np.isfinite(vector)):
+                raise ValidationError("feature_vector must be finite")
             object.__setattr__(self, "feature_vector", vector)
 
     @property

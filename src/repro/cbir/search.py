@@ -8,9 +8,10 @@ import numpy as np
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
-from repro.cbir.similarity import DistanceFunction, make_distance
+from repro.cbir.similarity import DistanceFunction, euclidean_distances, make_distance
 from repro.exceptions import ValidationError
 from repro.index.base import VectorIndex
+from repro.utils.arrays import exact_top_k
 
 __all__ = ["SearchEngine"]
 
@@ -26,7 +27,8 @@ class SearchEngine:
     available — either passed explicitly or attached to the database (see
     :meth:`ImageDatabase.build_index`) with a metric matching this engine's
     distance.  Without an index (or for a full ranking, or a custom distance
-    callable) the engine falls back to the exact dense scan.
+    callable) the engine falls back to the brute-force index's exact scan,
+    :func:`repro.utils.arrays.exact_top_k`, over the database.
 
     Parameters
     ----------
@@ -91,8 +93,21 @@ class SearchEngine:
         """Resolve the feature vector of *query* in database feature space."""
         return self.database.resolve_query_features(query)
 
+    def pool_distances(self, features: np.ndarray) -> np.ndarray:
+        """``(Q, N)`` distances from *features* rows to every database image.
+
+        The Euclidean distance reuses the database's cached squared norms;
+        every other distance is called in its two-argument form.
+        """
+        norms = self._pool_sq_norms()
+        if norms is None:
+            return self.distance(features, self.database.features)
+        return self.distance(features, self.database.features, norms)
+
     def search(self, query: Query, *, top_k: Optional[int] = None) -> RetrievalResult:
         """Rank images by increasing distance to the query.
+
+        A one-query :meth:`batch_search`.
 
         Parameters
         ----------
@@ -101,28 +116,13 @@ class SearchEngine:
         top_k:
             Number of results to return; ``None`` returns the full ranking.
         """
-        if top_k is not None and top_k < 1:
-            raise ValidationError(f"top_k must be >= 1, got {top_k}")
-        features = self.query_features(query)[None, :]
-        # A full ranking visits every image anyway, so candidate generation
-        # could only add overhead: serve it by the vectorised dense scan.
-        index = self.index if top_k is not None else None
-        if index is not None:
-            k = min(int(top_k), index.size)
-            index_distances, index_rank = index.search(features, k)
-            ranking, distances = index_rank[0], index_distances[0]
-        else:
-            full = self.distance(features, self.database.features)[0]
-            ranking = np.argsort(full, kind="stable")
-            if top_k is not None:
-                ranking = ranking[:top_k]
-            distances = full[ranking]
-        return RetrievalResult(
-            image_indices=ranking,
-            scores=-distances,
-            query=query,
-            algorithm=self.distance_name,
-        )
+        return self.batch_search([query], top_k=top_k)[0]
+
+    def _pool_sq_norms(self) -> Optional[np.ndarray]:
+        """The database's cached squared norms, if the distance takes them."""
+        if self.distance is euclidean_distances:
+            return self.database.feature_sq_norms
+        return None
 
     def batch_search(
         self,
@@ -141,7 +141,9 @@ class SearchEngine:
         is what makes many concurrent first-round searches cheap.  Rankings
         are identical to per-query :meth:`search` calls (scores can differ in
         the last float bits because batched BLAS accumulates in a different
-        order).
+        order).  A full ranking (``top_k=None``) visits every image anyway,
+        so candidate generation could only add overhead: it always takes the
+        dense scan.
 
         With ``exact_only=True`` an attached *approximate* index
         (``index.is_exact`` false) is bypassed in favour of the dense scan —
@@ -155,25 +157,15 @@ class SearchEngine:
         index = self.index if top_k is not None else None
         if exact_only and index is not None and not index.is_exact:
             index = None
+        num_images = self.database.num_images
+        k = num_images if top_k is None else min(int(top_k), num_images)
         if index is not None:
-            k = min(int(top_k), index.size)
             distances, rankings = index.batch_search(features, k, chunk_size=chunk_size)
         else:
-            num_queries = features.shape[0]
-            k = self.database.num_images if top_k is None else min(
-                int(top_k), self.database.num_images
+            distances, rankings = exact_top_k(
+                features, self.database.features, k, self.distance,
+                vectors_sq=self._pool_sq_norms(),
             )
-            distances = np.empty((num_queries, k), dtype=np.float64)
-            rankings = np.empty((num_queries, k), dtype=np.int64)
-            block_size = max(1, min(64, chunk_size))
-            for start in range(0, num_queries, block_size):
-                block = features[start : start + block_size]
-                full = self.distance(block, self.database.features)
-                order = np.argsort(full, axis=1, kind="stable")[:, :k]
-                rankings[start : start + block.shape[0]] = order
-                distances[start : start + block.shape[0]] = np.take_along_axis(
-                    full, order, axis=1
-                )
         return [
             RetrievalResult(
                 image_indices=rankings[row],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -21,9 +21,16 @@ __all__ = [
 DistanceFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def euclidean_distances(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
-    """Euclidean distances between query rows and database rows."""
-    squared = pairwise_squared_distances(queries, database)
+def euclidean_distances(
+    queries: np.ndarray, database: np.ndarray, database_sq: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Euclidean distances between query rows and database rows.
+
+    *database_sq* is the database's squared row norms
+    (:func:`~repro.utils.arrays.squared_norms`), for a pool scanned again
+    and again; the result is bit for bit the one computed without it.
+    """
+    squared = pairwise_squared_distances(queries, database, b_sq=database_sq)
     # The squared matrix is a fresh temporary; taking the root in place
     # spares one (Q, N) allocation on serving-sized batches.
     return np.sqrt(squared, out=squared)

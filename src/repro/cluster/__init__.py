@@ -25,11 +25,9 @@ without changing the client surface:
   (:class:`~repro.utils.faults.FaultPlan` rules armed at named protocol
   points) that the chaos and fault-matrix tests drive.
 
-The companion index backend — process-internal sharding with a
-bit-identical scatter-gather merge — lives in
-:class:`repro.index.ShardedVectorIndex`; the two compose (workers shard
-the *sessions*, the index shards the *pool*).  See ``docs/cluster.md``
-for topology, failure semantics and the CPU budget.
+Workers shard the *sessions*; every worker scans the whole pool with its
+own index.  See ``docs/cluster.md`` for topology, failure semantics and the
+CPU budget.
 """
 
 from repro.cluster.faults import ALL_POINTS

@@ -93,8 +93,7 @@ class ClusterConfig:
         Worker processes to spawn.
     index:
         Registry name of the index each worker builds once over the pool
-        (``brute-force``, ``ivf`` or ``sharded``; ``sharded`` composes
-        naturally: processes shard the sessions, the index shards the pool).
+        (``brute-force`` or ``ivf``).
     index_params:
         Constructor parameters for that index backend.
     default_algorithm, log_policy, distance:

@@ -44,7 +44,7 @@ class ExperimentConfig:
     algorithms:
         The schemes to evaluate, in table column order.
     index_backend:
-        Optional ANN backend (``brute-force``/``ivf``/``sharded``)
+        Optional ANN backend (``brute-force``/``ivf``)
         built over the database features by the pipeline; serves the initial
         retrieval and, together with ``feedback_candidates``, candidate-
         pruned LRF-CSVM scoring.  ``None`` keeps the exact dense scan.

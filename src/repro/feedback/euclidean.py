@@ -28,8 +28,7 @@ class EuclideanFeedback(RelevanceFeedbackAlgorithm):
     def score(self, context: FeedbackContext) -> np.ndarray:
         engine = SearchEngine(context.database, distance=self.distance)
         query_features = engine.query_features(context.query)[None, :]
-        distances = engine.distance(query_features, context.database.features)[0]
-        return -distances
+        return -engine.pool_distances(query_features)[0]
 
     def rank_batch(
         self, contexts: Sequence[FeedbackContext], *, top_k: Optional[int] = None

@@ -4,9 +4,9 @@ The :class:`KNNGraphBuilder` turns an ``(N, D)`` feature matrix into the
 sparse affinity graph the label-propagation feedback family operates on.
 Neighbour lists come from :meth:`repro.index.VectorIndex.batch_search` —
 any backend works, and exhaustive configurations (brute force,
-``n_probe >= n_clusters`` IVF, sharded over exact shards) share one stable tie
-rule (distance, then ascending database index), so the resulting graph is
-**bit-identical** across those backends.  Only the neighbour *indices*
+``n_probe >= n_clusters`` IVF) share one stable tie rule (distance, then
+ascending database index), so the resulting graph is **bit-identical**
+across those backends.  Only the neighbour *indices*
 are consumed from the index: backends may report distances with differing
 floating-point roundoff, so edge distances are recomputed from the
 feature matrix itself, making the weights a pure function of the

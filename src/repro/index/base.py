@@ -4,10 +4,12 @@ A vector index answers *k*-nearest-neighbour queries over a feature matrix
 fixed at :meth:`VectorIndex.build` time.  Backends differ only in **how**
 much of the database they scan — the final ordering always comes from
 *exact* distances under the index metric, with ties broken by ascending
-database index.  That tie rule is identical to the stable ``argsort`` the
-dense scan in :class:`repro.cbir.search.SearchEngine` has always used, so an
-exhaustively-configured approximate backend reproduces the exact ranking
-bit-for-bit (the property the test-suite asserts).
+database index.  The exact scan is :func:`repro.utils.arrays.exact_top_k`,
+the same routine the dense path of :class:`repro.cbir.search.SearchEngine`
+ranks with, so an exhaustively-configured approximate backend reproduces
+the exact ranking bit-for-bit (the property the test-suite asserts).  A
+Euclidean index computes its vectors' squared norms once, when the vectors
+are fixed (build or load), and every scan reuses them.
 
 Whenever a backend cannot supply at least *k* candidates for a query it
 falls back to the exact full scan for that query, so ``search`` always
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.obs import get_hub
-from repro.utils.arrays import stable_top_k
+from repro.utils.arrays import exact_top_k, squared_norms
 from repro.utils.io import load_array_bundle, save_array_bundle
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (cycle guard)
@@ -45,13 +47,9 @@ __all__ = ["VectorIndex"]
 
 PathLike = Union[str, Path]
 
-#: Queries processed per block when a backend scans the full database, so the
-#: intermediate (block, N) distance matrix stays memory-bounded.
-_QUERY_BLOCK = 64
-
 
 class VectorIndex(abc.ABC):
-    """Common interface of the brute-force / IVF / sharded backends.
+    """Common interface of the brute-force and IVF backends.
 
     Lifecycle: ``build(vectors)`` once, then any number of ``search`` /
     ``batch_search`` calls.  ``save``/``load`` round-trip the index through
@@ -76,6 +74,7 @@ class VectorIndex(abc.ABC):
         self._distance: "DistanceFunction" = make_distance(metric)
         self.metric = str(metric)
         self._vectors: Optional[np.ndarray] = None
+        self._sq_norms: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ info
     @property
@@ -83,11 +82,10 @@ class VectorIndex(abc.ABC):
         """Whether this backend's ranking is guaranteed exact (no recall loss).
 
         Backends whose configuration makes them exhaustive override this
-        (brute force always; IVF at ``n_probe >= n_clusters``; sharded when
-        every shard is).  Callers that *define* their result as
-        the exact ranking (e.g. the Euclidean baseline's batch path) use
-        this to fall back to a dense scan rather than silently serve
-        approximate neighbours.
+        (brute force always; IVF at ``n_probe >= n_clusters``).  Callers
+        that *define* their result as the exact ranking (e.g. the Euclidean
+        baseline's batch path) use this to fall back to a dense scan rather
+        than silently serve approximate neighbours.
         """
         return False
 
@@ -164,7 +162,7 @@ class VectorIndex(abc.ABC):
         matrix = self._validate_matrix(vectors)
         if matrix.shape[0] == 0:
             raise ValidationError("cannot build an index over zero vectors")
-        self._vectors = matrix.copy()
+        self._fix_vectors(matrix.copy())
         self._build(self._vectors)
         return self
 
@@ -188,8 +186,8 @@ class VectorIndex(abc.ABC):
         Raises
         ------
         ValidationError
-            If the index is unbuilt, the queries are malformed, or *k* is
-            out of ``[1, size]``.
+            If the index is unbuilt, the queries are malformed or not
+            finite, or *k* is out of ``[1, size]``.
 
         Notes
         -----
@@ -205,6 +203,8 @@ class VectorIndex(abc.ABC):
             raise ValidationError(
                 f"queries have dimension {matrix.shape[1]}, index uses {self.dim}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("queries must be finite")
         k = int(k)
         if not 1 <= k <= self.size:
             raise ValidationError(f"k must be in [1, {self.size}], got {k}")
@@ -250,9 +250,9 @@ class VectorIndex(abc.ABC):
         each query's neighbours depend only on that query — and every
         backend resolves distance ties by ascending database index
         (bit-for-bit the stable ``argsort`` rule).  Exhaustively-configured
-        backends (brute force, IVF at ``n_probe >= n_clusters``, sharded
-        over exact shards; see :attr:`is_exact`) therefore return
-        **identical** ``indices`` arrays for the same queries; reported
+        backends (brute force, IVF at ``n_probe >= n_clusters``; see
+        :attr:`is_exact`) therefore return **identical** ``indices`` arrays
+        for the same queries; reported
         *distances* agree only up to floating-point roundoff (backends
         accumulate them differently).
         Consumers needing backend-invariant derived artifacts key off the
@@ -360,27 +360,18 @@ class VectorIndex(abc.ABC):
 
     # ------------------------------------------------------------ shared bits
     def _full_scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact top-k by scanning every indexed vector (query-blocked).
-
-        Each row's k nearest come from
-        :func:`~repro.utils.arrays.stable_top_k`, so the output — including
-        the (distance, ascending index) tie rule — is bit-for-bit what the
-        stable full ``argsort`` produces.
-        """
-        num_queries = queries.shape[0]
+        """Exact top-k over every indexed vector: :func:`exact_top_k`."""
         hub = get_hub()
-        hub.count("index.full_scan_queries", num_queries)
-        hub.count("index.candidates_scanned", num_queries * self.size)
-        distances = np.empty((num_queries, k), dtype=np.float64)
-        indices = np.empty((num_queries, k), dtype=np.int64)
-        for start in range(0, num_queries, _QUERY_BLOCK):
-            block = queries[start : start + _QUERY_BLOCK]
-            dist = self._distance(block, self._vectors)
-            for row in range(block.shape[0]):
-                nearest = stable_top_k(dist[row], k)
-                indices[start + row] = nearest
-                distances[start + row] = dist[row, nearest]
-        return distances, indices
+        hub.count("index.full_scan_queries", queries.shape[0])
+        hub.count("index.candidates_scanned", queries.shape[0] * self.size)
+        return exact_top_k(
+            queries, self._vectors, k, self._distance, vectors_sq=self._sq_norms
+        )
+
+    def _fix_vectors(self, vectors: np.ndarray) -> None:
+        """Adopt *vectors* as the index contents, with their norms if Euclidean."""
+        self._vectors = vectors
+        self._sq_norms = squared_norms(vectors) if self.metric == "euclidean" else None
 
     @staticmethod
     def _validate_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -402,5 +393,5 @@ class VectorIndex(abc.ABC):
 
     def _restore(self, bundle: Dict[str, np.ndarray]) -> None:
         """Rebuild from a loaded bundle; the default re-indexes the vectors."""
-        self._vectors = np.asarray(bundle["vectors"], dtype=np.float64)
+        self._fix_vectors(np.asarray(bundle["vectors"], dtype=np.float64))
         self._build(self._vectors)

@@ -12,11 +12,11 @@ __all__ = ["BruteForceIndex"]
 class BruteForceIndex(VectorIndex):
     """Exact nearest-neighbour search by scanning the full database.
 
-    This is the dense O(N·d) path :class:`repro.cbir.search.SearchEngine`
-    always used, refactored behind the :class:`VectorIndex` interface: same
-    distances, same stable tie-breaking, same results — just addressable as
-    an index so it can serve as the recall oracle in benchmarks and as the
-    drop-in default backend.
+    It ranks with :func:`repro.utils.arrays.exact_top_k`, the same O(N·d)
+    scan as the dense path of :class:`repro.cbir.search.SearchEngine` —
+    same distances, same tie rule, same results — behind the
+    :class:`VectorIndex` interface, so it serves as the recall oracle and as
+    the drop-in default backend.
     """
 
     kind = "brute-force"

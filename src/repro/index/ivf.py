@@ -19,7 +19,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.index.base import VectorIndex
 from repro.obs import get_hub
-from repro.utils.arrays import pairwise_squared_distances
+from repro.utils.arrays import pairwise_squared_distances, squared_norms, stable_top_k
 
 __all__ = ["IVFIndex"]
 
@@ -110,6 +110,9 @@ class IVFIndex(VectorIndex):
         extra copy of the database, the price of cache-friendly per-cell
         scans), ``_packed_ids`` the matching database indices, and
         ``_offsets[cell] : _offsets[cell + 1]`` the cell's slice of both.
+        ``_packed_sq`` gathers the index's squared norms alongside (Euclidean
+        only), and the centroids' norms are cached too: a search recomputes
+        neither.
         """
         sizes = np.array([cell.shape[0] for cell in self._lists], dtype=np.int64)
         members = (
@@ -119,6 +122,8 @@ class IVFIndex(VectorIndex):
         self._offsets = np.concatenate([np.zeros(1, np.int64), np.cumsum(sizes)])
         self._packed_ids = members
         self._packed = self._vectors[members]
+        self._packed_sq = None if self._sq_norms is None else self._sq_norms[members]
+        self._centroid_sq = squared_norms(self._centroids)
 
     def _kmeans(self, train: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         k = min(self.n_clusters, train.shape[0])
@@ -151,13 +156,15 @@ class IVFIndex(VectorIndex):
         Queries are grouped by probed cell, and every group pays a single
         vectorised ``(group, |list|)`` distance computation over the cell's
         packed member matrix — no per-query gathers, no python-level
-        re-rank loop.  Selection then applies the exact (distance,
-        ascending database index) tie rule per query, so the ranking is
-        identical to the candidate-list construction it replaces (the
-        exhaustive configuration stays bit-for-bit the brute-force scan).
+        re-rank loop.  Selection is :func:`~repro.utils.arrays.stable_top_k`
+        keyed by database id, the (distance, ascending database index) rule
+        of the full scan, so the exhaustive configuration stays bit-for-bit
+        the brute-force scan.
         """
         n_probe = min(self.n_probe, self.num_lists)
-        cell_distances = pairwise_squared_distances(queries, self._centroids)
+        cell_distances = pairwise_squared_distances(
+            queries, self._centroids, b_sq=self._centroid_sq
+        )
         if n_probe < self.num_lists:
             probed = np.argpartition(cell_distances, n_probe - 1, axis=1)[:, :n_probe]
         else:
@@ -195,7 +202,8 @@ class IVFIndex(VectorIndex):
         ):
             cell = int(group_cells[0])
             begin, end = int(self._offsets[cell]), int(self._offsets[cell + 1])
-            block = self._distance(queries[group_rows], self._packed[begin:end])
+            norms = () if self._packed_sq is None else (self._packed_sq[begin:end],)
+            block = self._distance(queries[group_rows], self._packed[begin:end], *norms)
             for position, row in enumerate(group_rows):
                 parts[int(row)].append(block[position])
                 cells_of[int(row)].append(cell)
@@ -207,26 +215,9 @@ class IVFIndex(VectorIndex):
                     for cell in cells_of[row]
                 ]
             )
-            distances[row], indices[row] = self._select(dist, ids, k)
+            chosen = stable_top_k(dist, k, ties=ids)
+            distances[row], indices[row] = dist[chosen], ids[chosen]
         return distances, indices
-
-    @staticmethod
-    def _select(
-        dist: np.ndarray, ids: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k of (dist, ids) under the (distance, ascending index) rule."""
-        if 4 * k >= dist.shape[0]:
-            # Selection buys nothing when k is a large fraction of the pool.
-            order = np.lexsort((ids, dist))[:k]
-            return dist[order], ids[order]
-        partitioned = np.argpartition(dist, k - 1)[:k]
-        kth = dist[partitioned].max()
-        # Everything at or below the k-th distance competes; boundary ties
-        # resolve by ascending database index, like the stable argsort.
-        contenders = np.flatnonzero(dist <= kth)
-        order = np.lexsort((ids[contenders], dist[contenders]))[:k]
-        chosen = contenders[order]
-        return dist[chosen], ids[chosen]
 
     # ------------------------------------------------------------ persistence
     def _params(self) -> Dict[str, object]:
@@ -247,7 +238,7 @@ class IVFIndex(VectorIndex):
         }
 
     def _restore(self, bundle: Dict[str, np.ndarray]) -> None:
-        self._vectors = np.asarray(bundle["vectors"], dtype=np.float64)
+        self._fix_vectors(np.asarray(bundle["vectors"], dtype=np.float64))
         self._centroids = np.asarray(bundle["centroids"], dtype=np.float64)
         members = np.asarray(bundle["list_members"], dtype=np.int64)
         boundaries = np.cumsum(np.asarray(bundle["list_sizes"], dtype=np.int64))[:-1]

@@ -8,14 +8,12 @@ from repro.exceptions import ValidationError
 from repro.index.base import VectorIndex
 from repro.index.brute_force import BruteForceIndex
 from repro.index.ivf import IVFIndex
-from repro.index.sharded import ShardedVectorIndex
 
 __all__ = ["make_index", "available_indexes", "load_index"]
 
 _FACTORIES: Dict[str, Callable[..., VectorIndex]] = {
     BruteForceIndex.kind: BruteForceIndex,
     IVFIndex.kind: IVFIndex,
-    ShardedVectorIndex.kind: ShardedVectorIndex,
 }
 
 

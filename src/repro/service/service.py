@@ -821,8 +821,7 @@ class RetrievalService:
         Parameters
         ----------
         kind:
-            Registry name of the backend (``brute-force``, ``ivf``,
-            ``sharded``).
+            Registry name of the backend (``brute-force`` or ``ivf``).
         kwargs:
             Backend parameters, forwarded to the index registry.
 

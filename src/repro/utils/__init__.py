@@ -3,7 +3,7 @@ the BLAS thread budget and the deterministic fault-injection seam."""
 
 from __future__ import annotations
 
-from repro.utils.arrays import l2_normalize_rows, minmax_scale, zscore
+from repro.utils.arrays import exact_top_k, l2_normalize_rows, minmax_scale, zscore
 from repro.utils.blas import limit_blas_threads
 from repro.utils.concurrency import LOCK_ORDER, ReadWriteLock, StripedLockMap, WaitCallback
 from repro.utils.faults import FaultPlan, FaultRule
@@ -29,6 +29,7 @@ __all__ = [
     "zscore",
     "minmax_scale",
     "l2_normalize_rows",
+    "exact_top_k",
     "save_json",
     "load_json",
     "save_array_bundle",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -12,10 +12,16 @@ __all__ = [
     "minmax_scale",
     "l2_normalize_rows",
     "as_row_matrix",
+    "squared_norms",
     "pairwise_squared_distances",
     "stable_top_k",
+    "exact_top_k",
     "stable_entropy",
 ]
+
+#: Queries per block of :func:`exact_top_k`, so the intermediate
+#: ``(block, N)`` distance matrix stays memory-bounded.
+_QUERY_BLOCK = 64
 
 
 def zscore(
@@ -76,8 +82,24 @@ def as_row_matrix(rows):
     return np.atleast_2d(np.asarray(rows, dtype=np.float64))
 
 
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row of dense *rows*.
+
+    The one definition (``np.sum(rows * rows, axis=1)``) behind
+    :func:`pairwise_squared_distances`,
+    :attr:`~repro.cbir.database.ImageDatabase.feature_sq_norms` and the
+    index's cached norms, so norms computed once and passed in are bit for
+    bit the ones a call would recompute.
+    """
+    return np.sum(rows * rows, axis=1)
+
+
 def pairwise_squared_distances(
-    a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
+    a,
+    b: np.ndarray,
+    *,
+    a_sq: Optional[np.ndarray] = None,
+    b_sq: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Squared Euclidean distances between rows of *a* and rows of *b*.
 
@@ -86,11 +108,12 @@ def pairwise_squared_distances(
     be scipy-sparse (row norms and ``a @ b.T`` are then sparse products);
     the result is always a dense ``(len(a), len(b))`` array.
 
-    *a_sq* is the ``(len(a),)`` vector of squared row norms of *a*, for
-    callers that score the same rows again and again (the pool's features:
-    :attr:`~repro.cbir.database.ImageDatabase.feature_sq_norms`).  It must
-    be what ``np.sum(a * a, axis=1)`` returns; the result is then bit for
-    bit the one computed without it.
+    *a_sq* / *b_sq* are the squared row norms of *a* / *b*, for callers
+    that meet the same rows again and again: the pool's features as the
+    SVM's left operand (:attr:`~repro.cbir.database.ImageDatabase.feature_sq_norms`)
+    or as the right operand of a distance scan (an index's cached norms).
+    They must be what :func:`squared_norms` returns; the result is then bit
+    for bit the one computed without them.
     """
     a = as_row_matrix(a)
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -98,13 +121,14 @@ def pairwise_squared_distances(
         if sparse.issparse(a):
             a_sq = np.asarray(a.multiply(a).sum(axis=1)).ravel()
         else:
-            a_sq = np.sum(a * a, axis=1)
-    b_sq = np.sum(b * b, axis=1)[None, :]
+            a_sq = squared_norms(a)
+    if b_sq is None:
+        b_sq = squared_norms(b)
     # In-place updates keep the accumulation order of the naive
     # ``a_sq + b_sq - 2ab`` expression (bit-identical results) while
     # avoiding two full (Q, N) temporaries — on serving-sized batches the
     # extra allocations used to dominate the matmul itself.
-    squared = a_sq[:, None] + b_sq
+    squared = a_sq[:, None] + b_sq[None, :]
     product = a @ b.T
     product *= 2.0
     squared -= product
@@ -112,8 +136,10 @@ def pairwise_squared_distances(
     return squared
 
 
-def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the *k* smallest entries of 1-D *values*, by ``(value, index)``.
+def stable_top_k(
+    values: np.ndarray, k: int, ties: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Positions of the *k* smallest entries of 1-D *values*, by ``(value, index)``.
 
     Element for element ``np.argsort(values, kind="stable")[:k]`` — ties,
     also those straddling the k-th place, resolve by ascending index — but
@@ -122,14 +148,56 @@ def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
     N the selection buys nothing and the full stable sort runs.  Negate
     *values* for the *k* largest; reverse them (``values[::-1]``) for ties
     by descending index.
+
+    *ties*, when given, is a key per entry (e.g. the database ids of
+    candidates gathered out of order) that breaks equal values instead of
+    the position: ``(value, ties)`` order, the rule every index applies.
     """
     if k < 1 or 4 * k >= values.shape[0]:
-        return np.argsort(values, kind="stable")[:k]
-    kth = values[np.argpartition(values, k - 1)[k - 1]]
-    # Everything at or below the k-th value competes; ``contenders`` is
-    # ascending, so the stable sort breaks ties by index.
-    contenders = np.flatnonzero(values <= kth)
+        if ties is None:
+            return np.argsort(values, kind="stable")[:k]
+        contenders = np.arange(values.shape[0])
+    else:
+        kth = values[np.argpartition(values, k - 1)[k - 1]]
+        # Everything at or below the k-th value competes; ``contenders`` is
+        # ascending, so the stable sort breaks ties by index.
+        contenders = np.flatnonzero(values <= kth)
+    if ties is not None:
+        contenders = contenders[np.argsort(ties[contenders], kind="stable")]
     return contenders[np.argsort(values[contenders], kind="stable")[:k]]
+
+
+def exact_top_k(
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    k: int,
+    distance: Callable[..., np.ndarray],
+    *,
+    vectors_sq: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distances, indices)``, ``(Q, k)``: the exact *k* nearest rows of
+    *vectors* for every row of *queries*, nearest first.
+
+    The one exact scan: the index backends' full scans and the search
+    engine's dense path all rank through it.  Queries go ``_QUERY_BLOCK``
+    at a time, so one ``(block, N)`` matrix from ``distance(queries,
+    vectors)`` is alive, and each row's top *k* is :func:`stable_top_k` —
+    bit for bit the stable ``argsort``; ``k = N`` is the full ranking.
+    *vectors_sq*, the pool's :func:`squared_norms` computed once per pool,
+    is passed as *distance*'s third argument, for the distance that takes
+    it (the Euclidean one).
+    """
+    num_queries = queries.shape[0]
+    distances = np.empty((num_queries, k), dtype=np.float64)
+    indices = np.empty((num_queries, k), dtype=np.int64)
+    norms = () if vectors_sq is None else (vectors_sq,)
+    for start in range(0, num_queries, _QUERY_BLOCK):
+        block = distance(queries[start : start + _QUERY_BLOCK], vectors, *norms)
+        for row, values in enumerate(block, start):
+            nearest = stable_top_k(values, k)
+            indices[row] = nearest
+            distances[row] = values[nearest]
+    return distances, indices
 
 
 def stable_entropy(values: np.ndarray, *, bins: int = 64, eps: float = 1e-12) -> float:

@@ -127,7 +127,6 @@ class TestDocstrings:
             repro.service.FileSessionStore,
             repro.service.SessionState,
             repro.index.VectorIndex,
-            repro.index.ShardedVectorIndex,
             repro.index.BruteForceIndex,
             repro.index.IVFIndex,
             repro.cluster.ClusterRouter,

@@ -38,7 +38,6 @@ from repro.graph import (
 )
 from repro.index.brute_force import BruteForceIndex
 from repro.index.ivf import IVFIndex
-from repro.index.sharded import ShardedVectorIndex
 from repro.logdb import LogDatabase, LogSnapshot, RelevanceMatrix
 from repro.service import FileSessionStore, RetrievalService, SearchRequest
 
@@ -146,10 +145,6 @@ class TestGraphDeterminismAcrossBackends:
     EXHAUSTIVE = {
         "brute-force": lambda: BruteForceIndex(),
         "ivf": lambda: IVFIndex(n_clusters=6, n_probe=6, kmeans_iters=3),
-        "sharded": lambda: ShardedVectorIndex(num_shards=3),
-        "sharded-ivf": lambda: ShardedVectorIndex(
-            num_shards=3, shard_kind="ivf", shard_params={"n_clusters": 3, "n_probe": 3}
-        ),
     }
 
     @pytest.mark.parametrize("kind", sorted(EXHAUSTIVE))

@@ -2,9 +2,8 @@
 
 The load-bearing properties:
 
-* every backend at **exhaustive** settings (IVF ``n_probe == n_clusters``,
-  sharded over brute-force shards) reproduces the :class:`BruteForceIndex`
-  ranking **bit-for-bit**;
+* IVF at **exhaustive** settings (``n_probe == n_clusters``) reproduces
+  the :class:`BruteForceIndex` ranking **bit-for-bit**;
 * ``save`` → ``load`` round-trips produce identical search results;
 * the serving layers (``SearchEngine``, ``ImageDatabase``,
   ``RetrievalService``, candidate-pruned ``LRFCSVM``) use the index without
@@ -31,7 +30,6 @@ from repro.feedback.base import FeedbackContext
 from repro.index import (
     BruteForceIndex,
     IVFIndex,
-    ShardedVectorIndex,
     VectorIndex,
     available_indexes,
     load_index,
@@ -40,20 +38,11 @@ from repro.index import (
 from repro.service import RetrievalService
 from repro.utils.io import load_array_bundle, save_array_bundle
 
-#: The sharded index's retired scatter thread-pool parameter, as old saved
-#: bundles record it (assembled so the removed name appears nowhere in code).
-RETIRED_POOL_KNOB = "_".join(("scatter", "workers"))
-
 #: Exhaustive-settings factory per backend: each must match brute force
 #: bit-for-bit on any input, under any metric.
 EXHAUSTIVE_BACKENDS = {
     "ivf": lambda metric="euclidean": IVFIndex(
         n_clusters=9, n_probe=9, kmeans_iters=3, metric=metric
-    ),
-    "sharded": lambda metric="euclidean": ShardedVectorIndex(num_shards=3, metric=metric),
-    "sharded-ivf": lambda metric="euclidean": ShardedVectorIndex(
-        num_shards=3, shard_kind="ivf", metric=metric,
-        shard_params={"n_clusters": 4, "n_probe": 4, "kmeans_iters": 3},
     ),
 }
 
@@ -61,7 +50,6 @@ EXHAUSTIVE_BACKENDS = {
 APPROXIMATE_BACKENDS = {
     "brute-force": lambda metric="euclidean": BruteForceIndex(metric=metric),
     "ivf": lambda metric="euclidean": IVFIndex(n_clusters=12, n_probe=3, seed=3, metric=metric),
-    "sharded": lambda metric="euclidean": ShardedVectorIndex(num_shards=4, metric=metric),
 }
 
 
@@ -85,7 +73,7 @@ def oracle(pool):
 
 class TestVectorIndexInterface:
     def test_registry_lists_all_backends(self):
-        assert available_indexes() == ["brute-force", "ivf", "sharded"]
+        assert available_indexes() == ["brute-force", "ivf"]
 
     def test_registry_rejects_unknown_backend(self):
         with pytest.raises(ValidationError, match="unknown index backend"):
@@ -282,7 +270,8 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "meta, match",
         [
-            # Bundles of the KD-tree and LSH backends, which no longer exist.
+            # Bundles of the KD-tree, LSH and sharded backends, which no
+            # longer exist.
             (
                 json.dumps({"kind": "kd-tree", "metric": "euclidean", "params": {"leaf_size": 16}}),
                 "unknown index backend 'kd-tree'",
@@ -291,15 +280,9 @@ class TestPersistence:
                 json.dumps({"kind": "lsh", "metric": "euclidean", "params": {"num_tables": 8}}),
                 "unknown index backend 'lsh'",
             ),
-            # A sharded bundle saved with the retired scatter thread pool.
             (
-                json.dumps({
-                    "kind": "sharded",
-                    "metric": "euclidean",
-                    "params": {"num_shards": 2, "shard_kind": "brute-force",
-                               "shard_params": {}, RETIRED_POOL_KNOB: 2},
-                }),
-                "old.npz records sharded parameters",
+                json.dumps({"kind": "sharded", "metric": "euclidean", "params": {}}),
+                "unknown index backend 'sharded'",
             ),
             (json.dumps({"kind": "brute-force", "params": {}}), "old.npz is not a serialised"),
             (json.dumps({"metric": "euclidean", "params": {}}), "old.npz is not a serialised"),
@@ -320,7 +303,7 @@ class TestPersistence:
             ),
         ],
         ids=[
-            "kd-tree", "lsh", "sharded-scatter-workers", "meta-without-metric",
+            "kd-tree", "lsh", "sharded", "meta-without-metric",
             "meta-without-kind", "meta-without-params", "meta-not-json",
             "meta-not-an-object", "params-not-an-object", "unknown-metric",
             "invalid-ivf-param",
@@ -341,7 +324,6 @@ class TestPersistence:
             ("ivf", "vectors"),
             ("ivf", "centroids"),
             ("ivf", "list_members"),
-            ("sharded", "vectors"),
         ],
     )
     def test_load_rejects_bundle_missing_an_array(self, kind, dropped, pool, tmp_path):

@@ -328,6 +328,15 @@ class TestStableTopK:
             stable_top_k(values, k), np.argsort(values, kind="stable")[:k]
         )
 
+    @given(_scores_and_k(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_tie_keys_order_equal_values(self, case, random):
+        values, k = case
+        ties = np.array(random.sample(range(1000), values.shape[0]))
+        np.testing.assert_array_equal(
+            stable_top_k(values, k, ties), np.lexsort((ties, values))[:k]
+        )
+
     @pytest.mark.parametrize("k", [1, 2, 49, 50, 199, 200])
     def test_all_equal_values_keep_index_order(self, k):
         np.testing.assert_array_equal(stable_top_k(np.full(200, 0.5), k), np.arange(k))

@@ -34,7 +34,6 @@ class TestPublicAPI:
             "SessionView",
             "SessionStore",
             "FileSessionStore",
-            "ShardedVectorIndex",
             "ClusterConfig",
             "ClusterRouter",
             "ClusterWorker",
