@@ -49,6 +49,7 @@ fitted models agree within solver tolerance either way.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
@@ -103,8 +104,11 @@ class CoupledSVMConfig:
     warm_start:
         Carry each modality's α vector across solves (see module docstring).
         ``False`` restores cold starts — useful only for benchmarking.
-    shrinking:
-        Enable the SMO shrinking heuristic for inactive bound samples.
+
+    ``C_visual``, ``C_log``, ``rho``, ``rho_start`` and ``tolerance`` must
+    be positive and finite, ``delta`` non-negative (``inf`` never flips a
+    label); anything else, NaN included, raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
 
     C_visual: float = 10.0
@@ -119,21 +123,26 @@ class CoupledSVMConfig:
     tolerance: float = 1e-3
     max_iter: int = 20000
     warm_start: bool = True
-    shrinking: bool = False
 
     def __post_init__(self) -> None:
-        if self.C_visual <= 0 or self.C_log <= 0:
-            raise ConfigurationError("C_visual and C_log must be positive")
-        if not 0 < self.rho_start <= self.rho:
+        if not (0 < self.C_visual < math.inf and 0 < self.C_log < math.inf):
             raise ConfigurationError(
-                f"need 0 < rho_start <= rho, got rho_start={self.rho_start}, rho={self.rho}"
+                "C_visual and C_log must be positive and finite, got "
+                f"C_visual={self.C_visual}, C_log={self.C_log}"
             )
-        if self.delta < 0:
+        if not 0 < self.rho_start <= self.rho < math.inf:
+            raise ConfigurationError(
+                "need 0 < rho_start <= rho < inf, got "
+                f"rho_start={self.rho_start}, rho={self.rho}"
+            )
+        if not self.delta >= 0:
             raise ConfigurationError(f"delta must be non-negative, got {self.delta}")
         if self.max_label_iterations < 1:
             raise ConfigurationError("max_label_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigurationError(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -243,9 +252,7 @@ class CoupledSVM:
         log_cache = GramCache(
             build_kernel(cfg.log_kernel, gamma=cfg.gamma), r_l, r_u
         )
-        solver = SMOSolver(
-            tolerance=cfg.tolerance, max_iter=cfg.max_iter, shrinking=cfg.shrinking
-        )
+        solver = SMOSolver(tolerance=cfg.tolerance, max_iter=cfg.max_iter)
 
         result = CoupledSVMResult(pseudo_labels=y_u)
         num_labeled = y_l.shape[0]
@@ -489,7 +496,6 @@ class CoupledSVM:
             kernel=cache.kernel,
             tolerance=cfg.tolerance,
             max_iter=cfg.max_iter,
-            shrinking=cfg.shrinking,
         )
         svm.fit(
             cache.features,

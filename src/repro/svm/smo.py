@@ -31,12 +31,25 @@ The implementation follows LIBSVM:
   recovered in a single matmul ``Q alpha - e`` instead of assuming
   ``alpha = 0``.  This is the workhorse of the coupled SVM's Alternating
   Optimization, where consecutive solves differ only by a few flipped
-  pseudo-labels and a doubled ``rho*``;
-* an optional **shrinking heuristic** — samples pinned at a bound that
-  clearly satisfy their KKT condition are removed from the working set, and
-  the gradient is only maintained on the active set; the full gradient is
-  reconstructed and the stopping criterion re-checked over *all* samples
-  before convergence is declared, so shrinking never changes the solution.
+  pseudo-labels and a doubled ``rho*``.
+
+On the problems this repo solves (n <= 80) a pair update costs numpy call
+overhead, not flops, so the loop spends as few calls as it can without
+changing one floating-point operation:
+
+* the "up"/"low" candidate masks are refreshed at the two entries an update
+  moves, not rebuilt;
+* the WSS2 curvature row ``a_it = K_ii + K_tt - 2 K_it`` (floored at
+  ``TAU``) is read from a table built once per solve, on its first
+  iteration.  It is the same IEEE value as ``Q_ii + Q_tt - 2 y_i (y_t Q_it)``
+  because every ±1 product and the factor 2 are exact;
+* ``-y * gradient`` is written straight into two preallocated buffers that
+  hold ``-inf`` / ``+inf`` outside the "up" / "low" set;
+* the pair's scalars are read once as Python floats, the same IEEE doubles.
+
+Each operation and its order is the one of the textbook form kept in
+``tests/test_smo_same_bits.py``, which checks that every field of the result
+is bit-identical.
 
 ``solve`` also accepts a precomputed ``q_matrix`` (``K * y y^T``) so callers
 that cache Gram matrices across solves (see
@@ -45,6 +58,7 @@ that cache Gram matrices across solves (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -100,31 +114,19 @@ class SMOSolver:
     Parameters
     ----------
     tolerance:
-        KKT violation tolerance used as the stopping criterion.
+        KKT violation tolerance used as the stopping criterion (positive
+        and finite).
     max_iter:
         Hard cap on the number of pair updates.
-    shrinking:
-        Enable the LIBSVM-style shrinking heuristic.  Bound samples whose
-        KKT condition is satisfied with margin are dropped from the working
-        set between periodic checks; the solution is unaffected because the
-        full gradient is reconstructed and the stopping criterion re-checked
-        on all samples before convergence is declared.
     """
 
-    def __init__(
-        self,
-        *,
-        tolerance: float = 1e-3,
-        max_iter: int = 20000,
-        shrinking: bool = False,
-    ) -> None:
-        if tolerance <= 0:
-            raise ValidationError(f"tolerance must be positive, got {tolerance}")
+    def __init__(self, *, tolerance: float = 1e-3, max_iter: int = 20000) -> None:
+        if not 0 < tolerance < math.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {tolerance}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
         self.tolerance = float(tolerance)
         self.max_iter = int(max_iter)
-        self.shrinking = bool(shrinking)
 
     # ------------------------------------------------------------------ API
     def solve(
@@ -146,7 +148,8 @@ class SMOSolver:
         labels:
             ``(N,)`` vector of ±1 labels.
         upper_bounds:
-            ``(N,)`` vector of per-sample upper bounds ``C_i`` (all positive).
+            ``(N,)`` vector of per-sample upper bounds ``C_i`` (all positive
+            and finite).
         initial_alphas:
             Optional warm-start point from a previous solve.  It is clipped
             to the box ``[0, C_i]`` and projected back onto the equality
@@ -156,6 +159,15 @@ class SMOSolver:
             Optional precomputed ``K * y y^T`` matching *labels*.  The solver
             only reads from it (never writes), so callers may hand out a
             cached matrix.  When omitted it is built from *gram*.
+
+        Raises
+        ------
+        ValidationError
+            For labels other than ±1, misaligned or non-square inputs, and
+            NaN or infinite entries in *gram*, *q_matrix*, *upper_bounds* or
+            *initial_alphas*.
+        SolverError
+            When *labels* lack one of the two classes.
         """
         hub = get_hub()
         if not hub.enabled:
@@ -192,13 +204,20 @@ class SMOSolver:
         q_matrix: Optional[np.ndarray] = None,
     ) -> SMOResult:
         """The uninstrumented solve (see :meth:`solve` for the contract)."""
-        y = check_labels(labels)
+        y = np.asarray(labels, dtype=np.float64).ravel()
+        positive = y == 1.0
+        num_positive = int(np.count_nonzero(positive))
+        num_negative = int(np.count_nonzero(y == -1.0))
+        if y.size == 0 or num_positive + num_negative != y.size:
+            check_labels(y)  # raises, naming the offending values
         c = np.asarray(upper_bounds, dtype=np.float64).ravel()
         if q_matrix is not None:
             q = np.asarray(q_matrix, dtype=np.float64)
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ValidationError(f"q_matrix must be square, got shape {q.shape}")
             check_consistent_length(q, y, c, names=("q_matrix", "labels", "upper_bounds"))
+            if not np.isfinite(q).all():
+                raise ValidationError("q_matrix contains NaN or infinite values")
         else:
             kernel_matrix = check_array(gram, name="gram", ndim=2)
             check_consistent_length(
@@ -209,16 +228,14 @@ class SMOSolver:
                     f"gram must be square, got shape {kernel_matrix.shape}"
                 )
             q = kernel_matrix * np.outer(y, y)
-        if np.any(c <= 0):
-            raise ValidationError("all upper bounds must be strictly positive")
-        if np.unique(y).size < 2:
+        if not ((c > 0) & (c < np.inf)).all():
+            raise ValidationError("all upper bounds must be finite and strictly positive")
+        if not num_positive or not num_negative:
             raise SolverError(
                 "SMO requires at least one sample of each class (+1 and -1)"
             )
 
         n = y.shape[0]
-        q_diag = np.diag(q).copy()
-
         if initial_alphas is None:
             alphas = np.zeros(n)
             gradient = -np.ones(n)  # gradient of 1/2 a'Qa - e'a at alpha = 0
@@ -228,54 +245,12 @@ class SMOSolver:
                 raise ValidationError(
                     f"initial_alphas ({start.shape[0]}) must align with labels ({n})"
                 )
+            if not np.isfinite(start).all():
+                raise ValidationError("initial_alphas contains NaN or infinite values")
             alphas = self._project_feasible(start, y, c)
             gradient = q @ alphas - 1.0
 
-        # Fixed for the whole solve: the class masks and the "below the upper
-        # bound" threshold every working-set selection compares against.
-        positive = y > 0
-        negative = y < 0
-        upper = c - _BOUND_EPS
-        # The working set as a boolean mask; ``None`` (always, unless
-        # shrinking has dropped something) means every sample is in it.
-        active: Optional[np.ndarray] = None
-        shrink_interval = min(1000, max(n, 32))
-        next_shrink = shrink_interval
-
-        iterations = 0
-        converged = False
-        while iterations < self.max_iter:
-            selection = self._select_working_set(
-                y, positive, negative, alphas, upper, gradient, q, q_diag, active
-            )
-            if selection is None:
-                if active is None:
-                    converged = True
-                    break
-                # The shrunk problem is solved: reconstruct the full gradient
-                # and re-check optimality over every sample before stopping.
-                gradient = q @ alphas - 1.0
-                active = None
-                selection = self._select_working_set(
-                    y, positive, negative, alphas, upper, gradient, q, q_diag, active
-                )
-                if selection is None:
-                    converged = True
-                    break
-            i, j = selection
-            self._update_pair(i, j, y, alphas, c, gradient, q, q_diag, active)
-            iterations += 1
-            if self.shrinking and iterations >= next_shrink:
-                active = self._shrink(
-                    y, positive, negative, alphas, upper, gradient, active
-                )
-                next_shrink += shrink_interval
-
-        if active is not None:
-            # max_iter hit while shrunk: the inactive gradient entries are
-            # stale, so rebuild before recovering the bias and objective.
-            gradient = q @ alphas - 1.0
-
+        iterations, converged = self._optimise(y, positive, c, q, alphas, gradient)
         bias = self._compute_bias(y, alphas, c, gradient)
         # With gradient = Q a - e the objective is 1/2 a'(gradient - e),
         # avoiding a second O(N^2) matmul.
@@ -290,29 +265,121 @@ class SMOSolver:
         )
 
     # --------------------------------------------------------------- details
-    @staticmethod
-    def _candidate_sets(
+    def _optimise(
+        self,
+        y: np.ndarray,
         positive: np.ndarray,
-        negative: np.ndarray,
+        c: np.ndarray,
+        q: np.ndarray,
         alphas: np.ndarray,
-        upper: np.ndarray,
-        active: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The "up"/"low" candidate sets of the KKT violation certificate.
+        gradient: np.ndarray,
+    ) -> Tuple[int, bool]:
+        """WSS2 pair updates, in place on *alphas* and *gradient*.
 
-        *positive* / *negative* are the class masks ``y > 0`` / ``y < 0``
-        and *upper* is ``c - _BOUND_EPS`` — constants of a solve, computed
-        once by :meth:`_solve`; *active* restricts both sets to the shrunk
-        working set (``None`` = every sample).
+        Returns ``(iterations, converged)``.  Each iteration selects ``i`` as
+        the maximal violator among the "up" candidates and ``j`` as the
+        "low" candidate maximising the guaranteed decrease ``b^2 / a`` of
+        the two-variable sub-problem (``b = G_max + y_t g_t``, ``a`` the
+        curvature table's row ``i``), then applies the analytic update
+        clipped to the per-sample box.
         """
+        n = y.shape[0]
+        upper = c - _BOUND_EPS
         below = alphas < upper
         above = alphas > _BOUND_EPS
-        in_up = (positive & below) | (negative & above)
-        in_low = (positive & above) | (negative & below)
-        if active is not None:
-            in_up &= active
-            in_low &= active
-        return in_up, in_low
+        # Membership of the KKT certificate's two sets, kept up to date at
+        # the two entries each update moves.
+        in_up = np.where(positive, below, above)
+        in_low = np.where(positive, above, below)
+        num_up = int(np.count_nonzero(in_up))
+        num_low = int(np.count_nonzero(in_low))
+        # -y * gradient on each set; the sentinels outside it never win.
+        up_scores = np.full(n, -np.inf)
+        low_scores = np.full(n, np.inf)
+        gains = np.empty(n)
+        minus_y = -y
+        tolerance = self.tolerance
+        curvature = None  # built on the first iteration that needs it
+
+        iterations = 0
+        while iterations < self.max_iter:
+            if not num_up or not num_low:
+                return iterations, True
+            np.multiply(minus_y, gradient, out=up_scores, where=in_up)
+            np.multiply(minus_y, gradient, out=low_scores, where=in_low)
+            i = int(up_scores.argmax())
+            g_max = up_scores.item(i)
+            g_min = low_scores.min()
+            if g_max - g_min < tolerance:
+                return iterations, True
+
+            if curvature is None:
+                diag = np.diag(q)
+                curvature = (diag[:, None] + diag) - 2.0 * (q * np.outer(y, y))
+                curvature = np.where(curvature > _TAU, curvature, _TAU)
+                y_list, c_list, upper_list = y.tolist(), c.tolist(), upper.tolist()
+                diag_list = diag.tolist()
+            # "b" of the sub-problem is g_max - score; outside "low" the
+            # score is +inf and the mask below drops it.
+            np.subtract(g_max, low_scores, out=gains)
+            np.multiply(gains, gains, out=gains)
+            np.divide(gains, curvature[i], out=gains)
+            j = int(np.where(low_scores < g_max, gains, -np.inf).argmax())
+
+            # The analytic two-variable update, clipped to the box.
+            a_i, a_j = alphas.item(i), alphas.item(j)
+            g_i, g_j = gradient.item(i), gradient.item(j)
+            c_i, c_j = c_list[i], c_list[j]
+            if y_list[i] != y_list[j]:
+                quad = max(diag_list[i] + diag_list[j] + 2.0 * q.item(i, j), _TAU)
+                delta = (-g_i - g_j) / quad
+                diff = a_i - a_j
+                new_i, new_j = a_i + delta, a_j + delta
+                if diff > 0:
+                    if new_j < 0:
+                        new_i, new_j = diff, 0.0
+                elif new_i < 0:
+                    new_i, new_j = 0.0, -diff
+                if diff > c_i - c_j:
+                    if new_i > c_i:
+                        new_i, new_j = c_i, c_i - diff
+                elif new_j > c_j:
+                    new_i, new_j = c_j + diff, c_j
+            else:
+                quad = max(diag_list[i] + diag_list[j] - 2.0 * q.item(i, j), _TAU)
+                delta = (g_i - g_j) / quad
+                total = a_i + a_j
+                new_i, new_j = a_i - delta, a_j + delta
+                if total > c_i:
+                    if new_i > c_i:
+                        new_i, new_j = c_i, total - c_i
+                elif new_j < 0:
+                    new_i, new_j = total, 0.0
+                if total > c_j:
+                    if new_j > c_j:
+                        new_i, new_j = total - c_j, c_j
+                elif new_i < 0:
+                    new_i, new_j = 0.0, total
+            alphas[i] = new_i
+            alphas[j] = new_j
+            gradient += q[i] * (new_i - a_i) + q[j] * (new_j - a_j)
+            iterations += 1
+
+            for t, a_t in ((i, new_i), (j, new_j)):
+                below_t = a_t < upper_list[t]
+                above_t = a_t > _BOUND_EPS
+                up_t, low_t = (below_t, above_t) if y_list[t] > 0 else (above_t, below_t)
+                if up_t != in_up[t]:
+                    in_up[t] = up_t
+                    num_up += 1 if up_t else -1
+                    if not up_t:
+                        up_scores[t] = -np.inf
+                if low_t != in_low[t]:
+                    in_low[t] = low_t
+                    num_low += 1 if low_t else -1
+                    if not low_t:
+                        low_scores[t] = np.inf
+        return iterations, False
 
     @staticmethod
     def _project_feasible(alphas: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -337,159 +404,6 @@ class SMOSolver:
         scale = abs(residual) / total_room
         projected += np.where(move_up, room * scale, -room * scale)
         return np.clip(projected, 0.0, c)
-
-    def _select_working_set(
-        self,
-        y: np.ndarray,
-        positive: np.ndarray,
-        negative: np.ndarray,
-        alphas: np.ndarray,
-        upper: np.ndarray,
-        gradient: np.ndarray,
-        q_matrix: np.ndarray,
-        q_diag: np.ndarray,
-        active: Optional[np.ndarray],
-    ) -> Optional[Tuple[int, int]]:
-        """LIBSVM WSS2 selection on the active set; ``None`` signals optimality.
-
-        ``i`` is the maximal violator among the "up" candidates; ``j``
-        maximises the guaranteed decrease ``b^2 / a`` of the two-variable
-        sub-problem among the "low" candidates, where ``b = G_max + y_t g_t``
-        and ``a = Q_ii + Q_tt - 2 y_i y_t Q_it``.
-        """
-        minus_y_grad = -y * gradient
-
-        in_up, in_low = self._candidate_sets(positive, negative, alphas, upper, active)
-        if not in_up.any() or not in_low.any():
-            return None
-
-        up_scores = np.where(in_up, minus_y_grad, -np.inf)
-        i = int(np.argmax(up_scores))
-        g_max = up_scores[i]
-        low_scores = np.where(in_low, minus_y_grad, np.inf)
-        g_min = float(low_scores.min())
-
-        if g_max - g_min < self.tolerance:
-            return None
-
-        decrease = g_max - minus_y_grad  # "b" of the sub-problem, > 0 for candidates
-        curvature = q_diag[i] + q_diag - 2.0 * y[i] * (y * q_matrix[i])
-        curvature = np.where(curvature > _TAU, curvature, _TAU)
-        gains = np.where(
-            in_low & (minus_y_grad < g_max),
-            (decrease * decrease) / curvature,
-            -np.inf,
-        )
-        j = int(np.argmax(gains))
-        return i, j
-
-    def _shrink(
-        self,
-        y: np.ndarray,
-        positive: np.ndarray,
-        negative: np.ndarray,
-        alphas: np.ndarray,
-        upper: np.ndarray,
-        gradient: np.ndarray,
-        active: Optional[np.ndarray],
-    ) -> Optional[np.ndarray]:
-        """Deactivate bound samples whose KKT condition holds with margin.
-
-        A sample pinned at a bound belongs to only one of the up/low sets; it
-        cannot participate in a violating pair when its score is more than
-        ``tolerance`` inside the current ``[G_min, G_max]`` certificate, so it
-        is dropped from the working set.  Convergence is still verified on
-        the full set (see :meth:`solve`), keeping the heuristic exact.
-
-        Returns the new working-set mask, ``None`` while it still holds
-        every sample.
-        """
-        minus_y_grad = -y * gradient
-        in_up, in_low = self._candidate_sets(positive, negative, alphas, upper, active)
-        if not in_up.any() or not in_low.any():
-            return active
-        g_max = float(minus_y_grad[in_up].max())
-        g_min = float(minus_y_grad[in_low].min())
-        shrinkable = (in_up & ~in_low & (minus_y_grad < g_min + self.tolerance)) | (
-            in_low & ~in_up & (minus_y_grad > g_max - self.tolerance)
-        )
-        if not shrinkable.any():
-            return active
-        return ~shrinkable if active is None else active & ~shrinkable
-
-    @staticmethod
-    def _update_pair(
-        i: int,
-        j: int,
-        y: np.ndarray,
-        alphas: np.ndarray,
-        c: np.ndarray,
-        gradient: np.ndarray,
-        q_matrix: np.ndarray,
-        q_diag: np.ndarray,
-        active: Optional[np.ndarray],
-    ) -> None:
-        """Analytic two-variable update with clipping to the per-sample box."""
-        old_alpha_i = alphas[i]
-        old_alpha_j = alphas[j]
-        c_i, c_j = c[i], c[j]
-
-        if y[i] != y[j]:
-            quad = q_diag[i] + q_diag[j] + 2.0 * q_matrix[i, j]
-            quad = max(quad, _TAU)
-            delta = (-gradient[i] - gradient[j]) / quad
-            diff = alphas[i] - alphas[j]
-            alphas[i] += delta
-            alphas[j] += delta
-            if diff > 0:
-                if alphas[j] < 0:
-                    alphas[j] = 0.0
-                    alphas[i] = diff
-            else:
-                if alphas[i] < 0:
-                    alphas[i] = 0.0
-                    alphas[j] = -diff
-            if diff > c_i - c_j:
-                if alphas[i] > c_i:
-                    alphas[i] = c_i
-                    alphas[j] = c_i - diff
-            else:
-                if alphas[j] > c_j:
-                    alphas[j] = c_j
-                    alphas[i] = c_j + diff
-        else:
-            quad = q_diag[i] + q_diag[j] - 2.0 * q_matrix[i, j]
-            quad = max(quad, _TAU)
-            delta = (gradient[i] - gradient[j]) / quad
-            total = alphas[i] + alphas[j]
-            alphas[i] -= delta
-            alphas[j] += delta
-            if total > c_i:
-                if alphas[i] > c_i:
-                    alphas[i] = c_i
-                    alphas[j] = total - c_i
-            else:
-                if alphas[j] < 0:
-                    alphas[j] = 0.0
-                    alphas[i] = total
-            if total > c_j:
-                if alphas[j] > c_j:
-                    alphas[j] = c_j
-                    alphas[i] = total - c_j
-            else:
-                if alphas[i] < 0:
-                    alphas[i] = 0.0
-                    alphas[j] = total
-        delta_i = alphas[i] - old_alpha_i
-        delta_j = alphas[j] - old_alpha_j
-        if active is None:
-            gradient += q_matrix[i] * delta_i + q_matrix[j] * delta_j
-        else:
-            # Only the active entries are kept fresh while shrunk; the rest
-            # are reconstructed in one matmul before convergence is declared.
-            gradient[active] += (
-                q_matrix[i, active] * delta_i + q_matrix[j, active] * delta_j
-            )
 
     @staticmethod
     def _compute_bias(

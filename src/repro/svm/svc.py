@@ -21,6 +21,7 @@ warm-started pipeline's savings are observable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Optional, Union
 
@@ -40,8 +41,8 @@ class SVC:
     Parameters
     ----------
     C:
-        Base regularisation parameter; per-sample bounds are
-        ``C * sample_weight``.
+        Base regularisation parameter (positive and finite); per-sample
+        bounds are ``C * sample_weight``.
     kernel:
         Kernel name (``"linear"``, ``"rbf"``, ``"poly"``) or a
         :class:`~repro.svm.kernels.Kernel` instance.
@@ -50,8 +51,9 @@ class SVC:
         the RBF kernel, and — when numeric — to the polynomial kernel.
     degree, coef0:
         Polynomial-kernel hyper-parameters (ignored by other kernels).
-    tolerance, max_iter, shrinking:
-        Passed through to the :class:`~repro.svm.smo.SMOSolver`.
+    tolerance, max_iter:
+        Passed through to the :class:`~repro.svm.smo.SMOSolver`, which
+        rejects a tolerance that is not positive and finite.
     warm_start:
         When ``True``, successive :meth:`fit` calls on same-sized problems
         seed the solver with the previous solution's multipliers.
@@ -67,16 +69,14 @@ class SVC:
         coef0: float = 1.0,
         tolerance: float = 1e-3,
         max_iter: int = 20000,
-        shrinking: bool = False,
         warm_start: bool = False,
     ) -> None:
-        if C <= 0:
-            raise ValidationError(f"C must be positive, got {C}")
+        if not 0 < C < math.inf:
+            raise ValidationError(f"C must be positive and finite, got {C}")
         self.C = float(C)
         self.kernel: Kernel = build_kernel(kernel, gamma=gamma, degree=degree, coef0=coef0)
         self.tolerance = float(tolerance)
         self.max_iter = int(max_iter)
-        self.shrinking = bool(shrinking)
         self.warm_start = bool(warm_start)
 
         self.model_: Optional[SVMModel] = None
@@ -111,8 +111,8 @@ class SVC:
         labels:
             ``(N,)`` vector of ±1 labels.
         sample_weight:
-            Optional ``(N,)`` positive multipliers of ``C``; the effective
-            upper bound for sample ``i`` is ``C * sample_weight[i]``.
+            Optional ``(N,)`` positive, finite multipliers of ``C``; the
+            effective upper bound for sample ``i`` is ``C * sample_weight[i]``.
         precomputed_gram:
             Optional ``(N, N)`` kernel matrix of *features* with itself.
             When given, no kernel evaluation happens at fit time; the caller
@@ -139,8 +139,10 @@ class SVC:
                 raise ValidationError(
                     f"sample_weight ({weights.shape[0]}) must align with labels ({y.shape[0]})"
                 )
-            if np.any(weights <= 0):
-                raise ValidationError("sample_weight entries must be strictly positive")
+            if not ((weights > 0) & (weights < np.inf)).all():
+                raise ValidationError(
+                    "sample_weight entries must be finite and strictly positive"
+                )
             bounds = self.C * weights
 
         self.kernel = self.kernel.fit(x)
@@ -163,9 +165,7 @@ class SVC:
         ):
             initial_alphas = self.result_.alphas
 
-        solver = SMOSolver(
-            tolerance=self.tolerance, max_iter=self.max_iter, shrinking=self.shrinking
-        )
+        solver = SMOSolver(tolerance=self.tolerance, max_iter=self.max_iter)
         result = solver.solve(gram, y, bounds, initial_alphas=initial_alphas)
         self.solver_iterations_ += result.iterations
         if not result.converged:

@@ -204,6 +204,30 @@ class TestCoupledSVMConfig:
         with pytest.raises(ConfigurationError):
             CoupledSVMConfig(max_iter=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("C_visual", np.nan),
+            ("C_visual", np.inf),
+            ("C_log", np.nan),
+            ("rho", np.nan),
+            ("rho", np.inf),
+            ("rho_start", np.nan),
+            ("delta", np.nan),
+            ("tolerance", np.nan),
+            ("tolerance", np.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CoupledSVMConfig(**{field: value})
+
+    def test_infinite_delta_is_accepted_and_never_flips(self):
+        assert CoupledSVMConfig(delta=np.inf).delta == np.inf
+        labels = np.array([1.0, -1.0])
+        _, flipped = switch_labels(labels, -100 * labels, -100 * labels, delta=np.inf)
+        assert not flipped.any()
+
 
 class TestCoupledSVM:
     def test_fit_and_decision(self):

@@ -1,9 +1,10 @@
 """The SMO solver against an independent solve of the same dual.
 
 Small duals are drawn with hypothesis (2–12 samples, per-sample ``rho * C``
-boxes, rank-deficient Grams with duplicated rows, mostly-zero rows, the
-``q_matrix``-only path, warm starts including infeasible ones) and every
-answer is checked against code that shares nothing with the solver:
+boxes, rank-deficient Grams with duplicated rows and rounding-level noise,
+mostly-zero rows, the ``q_matrix``-only path, warm starts including
+infeasible ones) and every answer is checked against code that shares
+nothing with the solver:
 
 * ``scipy.optimize.minimize`` (SLSQP) on the same dual — objective, and the
   kernel part ``K (alpha * y)`` of the decision values, which is unique even
@@ -12,7 +13,8 @@ answer is checked against code that shares nothing with the solver:
   pins the bias the solver recovers;
 * a brute-force enumeration of the second-order working-set rule (Fan, Chen
   & Lin, JMLR 2005): one pair update from a drawn feasible start must move
-  exactly the pair the enumeration picks.
+  exactly the pair the enumeration picks, to the minimiser of the dual along
+  that pair's feasible segment.
 """
 
 from __future__ import annotations
@@ -67,12 +69,17 @@ def duals(draw, *, warm=("none", "feasible", "infeasible")):
         gram = RBFKernel(gamma=draw(st.sampled_from([0.1, 0.7, 3.0]))).gram(features)
     else:
         gram = LinearKernel().gram(features)
+    if draw(st.booleans()):
+        # Rounding-level noise, like that of a Gram computed in blocks: it can
+        # leave K_ii + K_tt - 2 K_it of duplicated rows slightly negative.
+        noise = rng.normal(size=gram.shape) * 1e-15 * (1.0 + np.abs(gram).max())
+        gram = gram + (noise + noise.T)
     labels = np.where(rng.random(count) < 0.5, 1.0, -1.0)
     labels[rng.choice(count, size=2, replace=False)] = [1.0, -1.0]
     c_value = draw(st.sampled_from([0.05, 1.0, 10.0]))
     rho = draw(st.sampled_from([1.0, 0.5, 0.02, 1e-3]))
-    num_labeled = draw(st.integers(1, count))
-    bounds = np.where(np.arange(count) < num_labeled, c_value, rho * c_value)
+    # Labelled samples are boxed by C, unlabelled ones by rho * C.
+    bounds = np.where(rng.random(count) < 0.5, c_value, rho * c_value)
     kind = draw(st.sampled_from(warm))
     start = None
     if kind == "feasible":
@@ -129,26 +136,26 @@ def kkt_residual(gram, labels, bounds, alphas, bias, *, at_bound=1e-9):
 
 class TestAgainstScipy:
     @given(dual=duals())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_objective_and_decision_values(self, dual):
         result = dual.solve(SMOSolver(tolerance=TOLERANCE))
         assert result.converged
         reference = _scipy_solve(dual)
         q_matrix = dual.gram * np.outer(dual.labels, dual.labels)
-        scale = 1.0 + abs(_objective(q_matrix, reference))
-        # SMO stops within its tolerance of the optimum; SLSQP is no better.
-        assert result.objective <= _objective(q_matrix, reference) + 1e-7 * scale
-        assert result.objective == pytest.approx(_objective(q_matrix, reference), abs=1e-9 * scale)
+        # A maximal KKT violation below the tolerance leaves an objective gap
+        # of at most about tolerance * sum(C); SLSQP gets no closer.
+        gap = TOLERANCE * (1.0 + dual.bounds.sum())
+        assert result.objective == pytest.approx(_objective(q_matrix, reference), abs=gap)
         # The multipliers need not be unique on a rank-deficient Gram, but
         # K (alpha * y) is: the objective is strictly convex along range(Q).
         np.testing.assert_allclose(
             dual.gram @ (result.alphas * dual.labels),
             dual.gram @ (reference * dual.labels),
-            atol=2e-5 * (1.0 + np.abs(dual.gram).max() * dual.bounds.sum()),
+            atol=1e-4 * (1.0 + np.abs(dual.gram).max() * dual.bounds.sum()),
         )
 
     @given(dual=duals())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_kkt_residual_within_tolerance(self, dual):
         result = dual.solve(SMOSolver(tolerance=TOLERANCE))
         assert result.converged
@@ -210,10 +217,30 @@ def _wss2_pair(gram, labels, bounds, alphas):
     return i, j
 
 
+def _pair_step(gram, labels, bounds, alphas, i, j):
+    """The minimiser of the dual along the pair's feasible segment.
+
+    ``alpha_i += y_i t`` and ``alpha_j -= y_j t`` keep ``y' alpha``; the
+    objective is quadratic in ``t`` with curvature ``K_ii + K_jj - 2 K_ij``
+    (floored at 1e-12), and ``t`` is clipped to the interval the two boxes
+    allow.
+    """
+    gradient = (gram * np.outer(labels, labels)) @ alphas - 1.0
+    slope = labels[i] * gradient[i] - labels[j] * gradient[j]
+    curvature = max(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 1e-12)
+    low_i, high_i = sorted((-alphas[i] * labels[i], (bounds[i] - alphas[i]) * labels[i]))
+    low_j, high_j = sorted((alphas[j] * labels[j], (alphas[j] - bounds[j]) * labels[j]))
+    step = min(max(-slope / curvature, low_i, low_j), high_i, high_j)
+    moved = alphas.copy()
+    moved[i] += labels[i] * step
+    moved[j] -= labels[j] * step
+    return moved
+
+
 class TestWorkingSetSelection:
     @given(dual=duals(warm=("feasible",)))
-    @settings(max_examples=80, deadline=None)
-    def test_one_update_moves_the_enumerated_pair(self, dual):
+    @settings(max_examples=300, deadline=None)
+    def test_one_update_takes_the_exact_step_on_the_enumerated_pair(self, dual):
         # The solver projects its warm start; the same projection here gives
         # the solver's own starting point.
         start = SMOSolver._project_feasible(dual.start, dual.labels, dual.bounds)
@@ -224,8 +251,12 @@ class TestWorkingSetSelection:
             assert result.iterations == 0 and not moved
             return
         assert result.iterations == 1
-        # The update is the exact minimiser along the pair's feasible segment,
-        # so it moves both (or, when already optimal along it, neither).
+        # Both multipliers move (or, when already optimal along the pair,
+        # neither), to the minimiser along the pair's feasible segment.
         assert moved in (set(pair), set())
-        q_matrix = dual.gram * np.outer(dual.labels, dual.labels)
-        assert _objective(q_matrix, result.alphas) <= _objective(q_matrix, start) + 1e-12
+        np.testing.assert_allclose(
+            result.alphas,
+            _pair_step(dual.gram, dual.labels, dual.bounds, start, *pair),
+            rtol=0,
+            atol=1e-12 * (1.0 + dual.bounds.max()),
+        )

@@ -135,6 +135,50 @@ class TestSMOValidation:
         with pytest.raises(ValidationError):
             SMOSolver(max_iter=0)
 
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValidationError, match="must not be empty"):
+            SMOSolver().solve(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+    def test_invalid_label_message_names_the_values(self):
+        with pytest.raises(ValidationError, match=r"got values \[.*0\.5"):
+            SMOSolver().solve(np.eye(3), np.array([1.0, -1.0, 0.5]), np.ones(3))
+
+
+class TestSMONonFiniteInputs:
+    """NaN or infinite inputs raise instead of solving to garbage."""
+
+    labels = np.array([1.0, -1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf])
+    def test_tolerance(self, tolerance):
+        with pytest.raises(ValidationError, match="tolerance"):
+            SMOSolver(tolerance=tolerance)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_upper_bound(self, bad):
+        bounds = np.array([1.0, 1.0, bad, 1.0])
+        with pytest.raises(ValidationError, match="upper bounds"):
+            SMOSolver().solve(np.eye(4), self.labels, bounds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_initial_alphas(self, bad):
+        start = np.array([0.5, 0.5, bad, 0.0])
+        with pytest.raises(ValidationError, match="initial_alphas"):
+            SMOSolver().solve(np.eye(4), self.labels, np.ones(4), initial_alphas=start)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_q_matrix(self, bad):
+        q_matrix = np.eye(4)
+        q_matrix[1, 2] = q_matrix[2, 1] = bad
+        with pytest.raises(ValidationError, match="q_matrix"):
+            SMOSolver().solve(None, self.labels, np.ones(4), q_matrix=q_matrix)
+
+    def test_gram(self):
+        gram = np.eye(4)
+        gram[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="gram"):
+            SMOSolver().solve(gram, self.labels, np.ones(4))
+
 
 class TestSMOWarmStart:
     def _random_problem(self, seed, count=14):
@@ -219,26 +263,6 @@ class TestSMOWarmStart:
         decision_warm = gram @ (warm.alphas * flipped) + warm.bias
         np.testing.assert_allclose(decision_warm, decision_cold, atol=1e-4)
         assert abs(np.dot(warm.alphas, flipped)) < 1e-8
-
-
-class TestSMOShrinking:
-    @given(seed=st.integers(0, 500))
-    @settings(max_examples=20, deadline=None)
-    def test_shrinking_matches_exact_solve(self, seed):
-        rng = np.random.default_rng(seed)
-        count = int(rng.integers(8, 24))
-        features = rng.normal(size=(count, 3))
-        labels = np.where(rng.random(count) > 0.5, 1.0, -1.0)
-        if np.unique(labels).size < 2:
-            labels[0] = -labels[0]
-        gram = RBFKernel(gamma=0.7).gram(features)
-        bounds = rng.uniform(0.05, 2.0, size=count)
-        plain = SMOSolver(tolerance=1e-5).solve(gram, labels, bounds)
-        shrunk = SMOSolver(tolerance=1e-5, shrinking=True).solve(gram, labels, bounds)
-        decision_plain = gram @ (plain.alphas * labels) + plain.bias
-        decision_shrunk = gram @ (shrunk.alphas * labels) + shrunk.bias
-        np.testing.assert_allclose(decision_shrunk, decision_plain, atol=1e-3)
-        assert shrunk.converged
 
 
 class TestSMOProperties:

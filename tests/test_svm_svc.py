@@ -168,6 +168,20 @@ class TestSVCValidation:
                 sample_weight=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("C", [np.nan, np.inf])
+    def test_non_finite_C(self, C):
+        with pytest.raises(ValidationError, match="C must be positive and finite"):
+            SVC(C=C)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_weight(self, bad):
+        with pytest.raises(ValidationError, match="sample_weight"):
+            SVC().fit(
+                np.array([[0.0], [1.0], [2.0]]),
+                np.array([1.0, -1.0, 1.0]),
+                sample_weight=np.array([1.0, 1.0, bad]),
+            )
+
     def test_predict_before_fit(self):
         with pytest.raises(SolverError):
             SVC().predict(np.ones((1, 2)))
