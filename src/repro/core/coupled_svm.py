@@ -60,6 +60,7 @@ from repro.core.label_switching import coupled_hinge_objective, switch_labels
 from repro.exceptions import ConfigurationError, SolverError, ValidationError
 from repro.svm.gram_cache import GramCache
 from repro.svm.kernels import build_kernel
+from repro.svm.model import PoolColumns
 from repro.svm.smo import SMOResult, SMOSolver
 from repro.svm.svc import SVC
 
@@ -316,18 +317,11 @@ class CoupledSVM:
                 break
             rho_star = min(2.0 * rho_star, cfg.rho)
 
-        # Package the final multipliers as SVC estimators for the public API.
-        # The precomputed Gram and the converged warm start make these final
-        # fits essentially free (no kernel work, ~0 solver iterations).
-        weights = np.concatenate(
-            [np.ones(num_labeled), np.full(y_u.shape[0], rho_star)]
-        )
+        # Each modality's model is its last solve, taken as it stands.
         self.visual_svm_ = self._package_model(
-            visual_cache, y_all, weights, cfg.C_visual, visual_state, result
+            visual_cache, y_all, cfg.C_visual, visual_state
         )
-        self.log_svm_ = self._package_model(
-            log_cache, y_all, weights, cfg.C_log, log_state, result
-        )
+        self.log_svm_ = self._package_model(log_cache, y_all, cfg.C_log, log_state)
 
         result.pseudo_labels = y_u
         result.visual_gram_computations = visual_cache.gram_computations
@@ -344,19 +338,28 @@ class CoupledSVM:
         log_vectors,
         *,
         visual_sq_norms: Optional[np.ndarray] = None,
+        visual_columns: Optional[PoolColumns] = None,
     ) -> np.ndarray:
         """Coupled relevance score ``f_w(x) + f_u(r)`` for each image.
 
         *log_vectors* holds one row per image, aligned with
         *visual_features*; it may be scipy-sparse (the pool's
-        :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`), in which
-        case the log SVM scores it in ``O(nnz x n_SV)``.
+        :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`).  With the
+        default linear log kernel the log SVM scores it by its primal weight
+        ``u . r``, one ``O(nnz)`` mat-vec.
         *visual_sq_norms* optionally carries the squared row norms of
         *visual_features* (see :meth:`SVC.decision_function
-        <repro.svm.svc.SVC.decision_function>`).
+        <repro.svm.svc.SVC.decision_function>`).  *visual_columns* holds
+        ``K(visual_features, visual_labeled)`` from an earlier pass over the
+        same pool (a :class:`~repro.svm.model.PoolColumns` built on the
+        labelled rows given to :meth:`fit`); the visual SVM then evaluates
+        its kernel only on the unlabeled support vectors.
         """
         visual_scores, log_scores = self.modality_decisions(
-            visual_features, log_vectors, visual_sq_norms=visual_sq_norms
+            visual_features,
+            log_vectors,
+            visual_sq_norms=visual_sq_norms,
+            visual_columns=visual_columns,
         )
         return visual_scores + log_scores
 
@@ -366,6 +369,7 @@ class CoupledSVM:
         log_vectors,
         *,
         visual_sq_norms: Optional[np.ndarray] = None,
+        visual_columns: Optional[PoolColumns] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-modality decision values ``(f_w(x), f_u(r))``.
 
@@ -374,7 +378,7 @@ class CoupledSVM:
         self._check_fitted()
         return (
             self.visual_svm_.decision_function(
-                visual_features, squared_norms=visual_sq_norms
+                visual_features, squared_norms=visual_sq_norms, columns=visual_columns
             ),
             self.log_svm_.decision_function(log_vectors),
         )
@@ -481,31 +485,16 @@ class CoupledSVM:
         return seeded
 
     def _package_model(
-        self,
-        cache: GramCache,
-        y_all: np.ndarray,
-        weights: np.ndarray,
-        c_value: float,
-        state: Optional[SMOResult],
-        result: CoupledSVMResult,
+        self, cache: GramCache, y_all: np.ndarray, c_value: float, state: SMOResult
     ) -> SVC:
-        """Wrap a modality's converged multipliers in an SVC estimator."""
-        cfg = self.config
+        """A modality's final solve as an SVC estimator, without re-solving."""
         svm = SVC(
             C=c_value,
             kernel=cache.kernel,
-            tolerance=cfg.tolerance,
-            max_iter=cfg.max_iter,
+            tolerance=self.config.tolerance,
+            max_iter=self.config.max_iter,
         )
-        svm.fit(
-            cache.features,
-            y_all,
-            sample_weight=weights,
-            precomputed_gram=cache.gram,
-            initial_alphas=state.alphas if state is not None else None,
-        )
-        result.solver_iterations.append(svm.result_.iterations)
-        return svm
+        return svm.adopt(cache.features, y_all, state)
 
     @staticmethod
     def _validate_inputs(

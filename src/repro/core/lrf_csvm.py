@@ -14,6 +14,20 @@ The practical algorithm has three stages:
 3. **Retrieval.**  Rank all images by the coupled decision value
    ``f_w(x_i) + f_u(r_i)``.
 
+Stages 1 and 3 both score the whole pool, but each modality pays for one
+pass.  The log SVMs are linear and score by their primal weight ``u . r``
+(one ``O(nnz)`` mat-vec, no kernel call).  On a coupled round the
+selection stage's visual SVM expands over *all* labelled rows (zero
+coefficients for non-support vectors) and a
+:class:`~repro.svm.model.PoolColumns` holds those ``K(pool, labelled)``
+blocks until the round ends; the coupled visual SVM's training rows start
+with the same labelled rows, so stage 3 evaluates the kernel only on its
+unlabeled support vectors.  The held blocks cost ``N x N_l`` floats for
+the round.  With a session :class:`~repro.feedback.base.FeedbackMemory`
+both stages share one RBF bandwidth; without one, ``gamma="scale"`` is
+resolved on different rows per stage and stage 3 recomputes the labelled
+columns with its own kernel.
+
 When the feedback log is empty or uninformative the algorithm degrades
 gracefully to the visual-only behaviour, and when the user supplies only one
 feedback class it falls back to a prototype ranking — both situations occur
@@ -41,6 +55,7 @@ from repro.feedback.base import (
     log_vectors_informative,
 )
 from repro.svm.kernels import Kernel, RBFKernel, build_kernel
+from repro.svm.model import PoolColumns
 from repro.svm.svc import SVC
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -176,6 +191,12 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             context, self.config.log_kernel, "resolved_gamma_log", log_labeled
         )
 
+        minority = min(int((labels > 0).sum()), int((labels < 0).sum()))
+        coupled_round = minority >= self.min_feedback_per_class
+        # A coupled round scores the pool against the labelled rows twice
+        # (stages 1 and 3): hold those kernel columns for the round.
+        visual_columns = PoolColumns(visual_labeled) if coupled_round else None
+
         # ---- stage 1: unlabeled-sample selection (Figure 1, part 1) -------
         combined_scores = self._selection_scores(
             visual_labeled,
@@ -187,9 +208,9 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             context,
             visual_gamma,
             log_gamma,
+            visual_columns,
         )
-        minority = min(int((labels > 0).sum()), int((labels < 0).sum()))
-        if minority < self.min_feedback_per_class:
+        if not coupled_round:
             # Too little feedback in one class to trust pseudo-labels: use the
             # rho -> 0 limit of the coupled SVM (independent two-SVM sum).
             self.last_result_ = None
@@ -222,7 +243,10 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
 
         # ---- stage 3: retrieval by coupled decision (Figure 1, part 3) ----
         scores = coupled.decision_function(
-            pool_features, pool_log, visual_sq_norms=pool_sq_norms
+            pool_features,
+            pool_log,
+            visual_sq_norms=pool_sq_norms,
+            visual_columns=visual_columns,
         )
         return self._expand_scores(scores, candidates, num_images)
 
@@ -369,11 +393,14 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         context: FeedbackContext,
         visual_gamma: Union[float, str],
         log_gamma: Union[float, str],
+        visual_columns: Optional[PoolColumns],
     ) -> np.ndarray:
         """Combined SVM distance used to choose the unlabeled samples.
 
         *sq_norms* and *pool_log* are the scored pool's squared feature
-        norms and sparse log rows, both aligned with *features*.
+        norms and sparse log rows, both aligned with *features*;
+        *visual_columns*, when given, keeps ``K(features, visual_labeled)``
+        for the retrieval stage.
         """
         visual_svm = SVC(
             C=self.config.C_visual,
@@ -401,7 +428,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         )
         self._store_warm(context, visual_svm=visual_svm, log_svm=log_svm)
         return visual_svm.decision_function(
-            features, squared_norms=sq_norms
+            features, squared_norms=sq_norms, columns=visual_columns
         ) + log_svm.decision_function(pool_log)
 
     # ------------------------------------------------------- session memory

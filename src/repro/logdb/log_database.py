@@ -130,8 +130,9 @@ class LogSnapshot:
         """The user-log vectors of **every** image as a shared sparse matrix.
 
         ``R`` transposed: row ``i`` is the log vector ``r_i``.  This is
-        what full-pool log scoring consumes — the kernels accept it as
-        their left operand and cost ``O(nnz x n_SV)`` — and row-slicing it
+        what full-pool log scoring consumes — the linear log SVM scores it
+        by its primal weight in ``O(nnz)``, a non-linear kernel takes it as
+        its left operand in ``O(nnz x n_SV)`` — and row-slicing it
         (``log_rows()[candidates]``) restricts scoring to a candidate set.
         Built at most once per snapshot.
 

@@ -12,6 +12,7 @@ across serving threads without any locking.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -35,8 +36,18 @@ def _clean_judgements(judgements: Mapping[int, int]) -> Dict[int, int]:
     Order is semantic: judgements arrive in ranking order and the SVM stages
     consume the labelled set in exactly that order, so two sessions fed the
     same judgements in the same order reproduce each other bit-for-bit.
+
+    Indices and labels must be integers (anything ``operator.index``
+    accepts, numpy integers included): a float or a string is rejected,
+    never truncated or parsed.
     """
-    cleaned = {int(k): int(v) for k, v in dict(judgements).items()}
+    items = dict(judgements).items()
+    try:
+        cleaned = {operator.index(k): operator.index(v) for k, v in items}
+    except TypeError:
+        raise ValidationError(
+            "judged image indices and judgements must be integers"
+        ) from None
     if not cleaned:
         raise ValidationError("a feedback round needs at least one judgement")
     if any(v not in (-1, 1) for v in cleaned.values()):

@@ -19,7 +19,7 @@ from repro.svm.kernels import (
     build_kernel,
     make_kernel,
 )
-from repro.svm.model import SVMModel
+from repro.svm.model import PoolColumns, SVMModel
 from repro.svm.smo import SMOSolver, SMOResult
 from repro.svm.svc import SVC
 
@@ -32,6 +32,7 @@ __all__ = [
     "build_kernel",
     "GramCache",
     "SVMModel",
+    "PoolColumns",
     "SMOSolver",
     "SMOResult",
     "SVC",

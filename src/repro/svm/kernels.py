@@ -6,13 +6,16 @@ matrix.  The RBF kernel supports the ``"scale"`` gamma convention
 visual features and for the high-dimensional, sparse log vectors alike.
 
 **Sparse left operand.**  ``kernel(a, b)`` accepts a scipy-sparse *a* (the
-rows being scored — in practice the whole pool's log vectors,
+rows being scored, e.g. the whole pool's log vectors,
 :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`) against dense *b*
 (the support vectors).  Every kernel here is a function of ``a @ b.T`` and
 the row norms, which a sparse matrix supplies in ``O(nnz x M)``; the result
 is always a dense ``ndarray``.  Log entries are −1/0/+1, so those dot
 products and squared norms are small integers — exact in any summation
-order — and the sparse evaluation is bit-identical to the dense one.
+order — and the sparse evaluation is bit-identical to the dense one.  The
+default log SVM is linear and does not reach this path when it scores the
+pool: :class:`~repro.svm.model.SVMModel` scores a linear model by its
+primal weight, ``O(nnz)`` in all, with no kernel call.
 
 **Row norms passed in.**  ``kernel(a, b, a_sq=...)`` takes the squared row
 norms of *a* when the caller already holds them (the pool's, cached by

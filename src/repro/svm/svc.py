@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.exceptions import SolverError, ValidationError
 from repro.svm.kernels import Kernel, build_kernel
-from repro.svm.model import SVMModel
+from repro.svm.model import PoolColumns, SVMModel
 from repro.svm.smo import SMOResult, SMOSolver
 
 __all__ = ["SVC"]
@@ -177,40 +177,45 @@ class SVC:
                 stacklevel=2,
             )
 
-        support_mask = result.alphas > 1e-10
-        self.support_ = np.flatnonzero(support_mask)
-        if support_mask.any():
-            support_vectors = x[support_mask]
-            dual_coef = (result.alphas * y)[support_mask]
-        else:
-            # Degenerate but possible with extreme parameters (e.g. a nearly
-            # singular two-variable sub-problem yields vanishing updates):
-            # keep an explicit empty model that predicts from the bias alone.
-            support_vectors = np.zeros((0, x.shape[1]))
-            dual_coef = np.zeros(0)
-        self.model_ = SVMModel(
-            support_vectors=support_vectors,
-            dual_coef=dual_coef,
-            bias=result.bias,
-            kernel=self.kernel,
-            alphas=result.alphas,
+        return self.adopt(x, y, result)
+
+    def adopt(self, features: np.ndarray, labels: np.ndarray, result: SMOResult) -> "SVC":
+        """Take a dual already solved on ``(features, labels)`` as this fit.
+
+        The model is built from *result* as it stands — its multipliers and
+        bias — with ``self.kernel`` as the fitted kernel and no solve.
+        :class:`~repro.core.coupled_svm.CoupledSVM` packages each modality's
+        last solve this way.
+        """
+        self.model_ = SVMModel.from_dual(
+            np.atleast_2d(np.asarray(features, dtype=np.float64)),
+            np.asarray(labels, dtype=np.float64).ravel(),
+            result.alphas,
+            result.bias,
+            self.kernel,
         )
+        self.support_ = self.model_.support
         self.result_ = result
         return self
 
     def decision_function(
-        self, features, *, squared_norms: Optional[np.ndarray] = None
+        self,
+        features,
+        *,
+        squared_norms: Optional[np.ndarray] = None,
+        columns: Optional[PoolColumns] = None,
     ) -> np.ndarray:
         """Signed decision values ``f(x)`` for each row of *features*.
 
         *features* may be scipy-sparse; *squared_norms* optionally carries
-        its squared row norms — both as in
-        :meth:`SVMModel.decision_function
-        <repro.svm.model.SVMModel.decision_function>`, which scores the rows
-        block by block.
+        its squared row norms and *columns* held kernel columns of the
+        leading training rows — all as in :meth:`SVMModel.decision_function
+        <repro.svm.model.SVMModel.decision_function>`.
         """
         self._check_fitted()
-        return self.model_.decision_function(features, x_sq=squared_norms)
+        return self.model_.decision_function(
+            features, x_sq=squared_norms, columns=columns
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted ±1 labels for each row of *features*."""

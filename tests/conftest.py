@@ -3,12 +3,19 @@
 The expensive fixtures (rendered corpora, feature matrices, populated
 databases) are session-scoped: they are built once with small but
 non-degenerate sizes and reused by every test module that needs them.
+
+Hypothesis runs under the ``deterministic`` profile unless told otherwise:
+every run draws the same examples (``derandomize=True``) and no example
+database carries failures from one run into the next, so the suite passes
+or fails the same way every time.  ``--hypothesis-profile=default`` or
+``--hypothesis-seed=N`` explore new examples instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cbir.database import ImageDatabase
 from repro.datasets.corel import CorelDatasetConfig, build_corel_dataset
@@ -17,12 +24,21 @@ from repro.synth.categories import corel_category_specs
 from repro.synth.generator import CorelLikeGenerator
 
 
+settings.register_profile("deterministic", derandomize=True, database=None)
+
+
 def pytest_configure(config):
-    """Register the suite-local markers."""
+    """Register the suite-local markers; load the deterministic profile."""
     config.addinivalue_line(
         "markers",
         "slow: multi-second end-to-end experiment (deselect with -m \"not slow\")",
     )
+    # A seed is ignored under ``derandomize``, so either flag means: explore.
+    exploring = config.getoption("--hypothesis-profile") or config.getoption(
+        "--hypothesis-seed"
+    )
+    if not exploring:
+        settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -335,9 +335,44 @@ class TestCoupledSVMWarmStart:
         assert len(iterations) > 0
         assert all(count >= 0 for count in iterations)
         assert model.result_.total_solver_iterations == sum(iterations)
-        # One solve per modality per rho* stage at minimum, plus the two
-        # final packaging fits.
-        assert len(iterations) >= 2 * len(model.result_.rho_schedule) + 2
+        # One solve per modality per rho* stage at minimum; packaging the
+        # models solves nothing.
+        assert len(iterations) >= 2 * len(model.result_.rho_schedule)
+
+    @pytest.mark.parametrize("start_from_wrong", [True, False])
+    def test_models_are_the_last_solves(self, monkeypatch, start_from_wrong):
+        from repro.svm.smo import SMOSolver
+
+        solves = []
+        original = SMOSolver.solve
+
+        def recording(solver, gram, labels, bounds, **kwargs):
+            state = original(solver, gram, labels, bounds, **kwargs)
+            solves.append((state, labels.copy(), bounds.copy()))
+            return state
+
+        monkeypatch.setattr(SMOSolver, "solve", recording)
+        model, _ = self._fit(True, tolerance=1e-3, start_from_wrong=start_from_wrong)
+        result = model.result_
+        # Every solve is one of the alternating pairs: none runs afterwards.
+        assert len(solves) == len(result.solver_iterations)
+        assert [state.iterations for state, _, _ in solves] == result.solver_iterations
+        config = model.config
+        for svm, (state, labels, bounds), c_value in (
+            (model.visual_svm_, solves[-2], config.C_visual),
+            (model.log_svm_, solves[-1], config.C_log),
+        ):
+            # The last solve ran at the final rho* with the final pseudo-labels.
+            np.testing.assert_array_equal(bounds[16:], config.rho * c_value)
+            np.testing.assert_array_equal(labels[16:], result.pseudo_labels)
+            assert svm.result_ is state
+            np.testing.assert_array_equal(svm.model_.alphas, state.alphas)
+            assert svm.model_.bias == state.bias
+            support = np.flatnonzero(state.alphas > 1e-10)
+            np.testing.assert_array_equal(svm.model_.support, support)
+            np.testing.assert_array_equal(
+                svm.model_.dual_coef, (state.alphas * labels)[support]
+            )
 
     def test_warm_start_reduces_iterations(self):
         warm, _ = self._fit(True, tolerance=1e-3)

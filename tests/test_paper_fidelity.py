@@ -213,9 +213,9 @@ class TestWarmStartSolver:
                 assert result.visual_gram_computations == 1
                 assert result.log_gram_computations == 1
             # Without the Gram cache every alternating solve pair rebuilt both
-            # modalities' Grams; the two final packaging fits are excluded.
+            # modalities' Grams.
             samples = warm.pseudo_labels.shape[0] + len(workload["labeled"][2])
-            solve_pairs = (len(warm.solver_iterations) - 2) // 2
+            solve_pairs = len(warm.solver_iterations) // 2
             assert warm.kernel_evaluations * 5 <= solve_pairs * 2 * samples * samples
             total_warm += warm.total_solver_iterations
             total_cold += cold.total_solver_iterations

@@ -1,11 +1,13 @@
 """Full-pool scoring: the blocked decision pass and the selections around it.
 
 ``SVMModel.decision_function`` scores a pool block by block and never holds
-an ``(N, n_SV)`` kernel matrix; ``rank(top_k=...)`` and
-``NearLabeledSelection.select`` pick their few winners without sorting the
-pool.  Every test here pins one of them to the plain formulation it
-replaced: ``kernel(x, sv) @ dual_coef + bias`` and a stable full
-``argsort``.
+an ``(N, n_SV)`` kernel matrix, scores a linear model by its primal weight,
+and serves kernel columns held in a ``PoolColumns`` from an earlier pass;
+``rank(top_k=...)`` and ``NearLabeledSelection.select`` pick their few
+winners without sorting the pool.  Every test here pins one of them to the
+plain formulation it replaced: ``kernel(x, sv) @ dual_coef + bias`` and a
+stable full ``argsort``.  Where the summation order changed, the bound is
+the worst-case gap between two orders of the same sum (``_order_bound``).
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from scipy import sparse
 
 from repro import FeedbackRequest, ImageDatabase, ImageDataset, SearchRequest
 from repro.cbir.query import Query
+from repro.core import LRFCSVM, CoupledSVM
 from repro.core.unlabeled_selection import NearLabeledSelection
 from repro.exceptions import ValidationError
 from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
 from repro.svm import model as svm_model
 from repro.svm.kernels import LinearKernel, PolynomialKernel, RBFKernel
-from repro.svm.model import SVMModel
+from repro.svm.model import PoolColumns, SVMModel
 from repro.utils.arrays import stable_top_k
 
 #: Kernel entries per block in these tests: small, so a few hundred rows
@@ -53,6 +56,27 @@ def _one_shot(model: SVMModel, x) -> np.ndarray:
     if model.num_support_vectors == 0:
         return np.full(x.shape[0], model.bias)
     return model.kernel(x, model.support_vectors) @ model.dual_coef + model.bias
+
+
+def _order_bound(model: SVMModel, x) -> np.ndarray:
+    """Per-row bound on the gap between two summation orders of ``f(x)``.
+
+    Both orders sum the same products; each differs from the exact sum by
+    at most ``n * u`` times the sum of their magnitudes, with ``n`` the
+    number of additions and ``u = eps / 2`` — so ``n * eps`` times the
+    magnitudes bounds the gap.  For the linear primal the products are
+    ``x_ik sv_jk c_j``; for a kernel in ``[0, 1]`` (RBF) ``|c_j|`` bounds
+    each product.
+    """
+    eps = np.finfo(np.float64).eps
+    dense = x.toarray() if sparse.issparse(x) else np.asarray(x)
+    if isinstance(model.kernel, LinearKernel):
+        count = model.support_vectors.shape[1] + model.num_support_vectors + 1
+        magnitude = np.abs(dense) @ (np.abs(model.support_vectors).T @ np.abs(model.dual_coef))
+    else:
+        count = model.num_support_vectors + 1
+        magnitude = np.full(dense.shape[0], np.abs(model.dual_coef).sum())
+    return count * eps * (magnitude + abs(model.bias))
 
 
 def _problem(seed: int, rows: int, num_sv: int, dim: int = 7):
@@ -161,6 +185,163 @@ class TestBlockedDecisionFunction:
         step = max(1, TEST_BLOCK // num_sv)
         assert len(kernel.shapes) == -(-rows // step)
         assert max(r for r, _ in kernel.shapes) <= step
+
+
+# -------------------------------------------------------------- linear primal
+_LAYOUTS = {
+    "dense": np.asarray,
+    "csr": sparse.csr_matrix,
+    "csc": sparse.csc_matrix,
+    "coo": sparse.coo_matrix,
+    "csr_array": sparse.csr_array,
+}
+
+
+class TestLinearPrimal:
+    """A linear model scores ``x @ w + b`` with ``w = sv.T @ dual_coef``."""
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_expansion_within_the_order_bound(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(-1, 2, size=(301, 23)).astype(np.float64)
+        pool[rng.random(pool.shape) < 0.8] = 0.0
+        pool[:5] = 0.0  # images nobody judged
+        sv = rng.integers(-1, 2, size=(17, 23)).astype(np.float64)
+        model = SVMModel(sv, rng.normal(size=17), float(rng.normal()), LinearKernel())
+        scores = model.decision_function(_LAYOUTS[layout](pool))
+        assert type(scores) is np.ndarray and scores.shape == (301,)
+        gap = np.abs(scores - _one_shot(model, pool))
+        assert np.all(gap <= _order_bound(model, pool))
+        np.testing.assert_array_equal(scores[:5], np.full(5, model.bias))
+
+    def test_dense_rows_of_any_scale(self):
+        x, sv, coef, bias = _problem(4, 250, 30, dim=40)
+        model = SVMModel(sv, coef * 1e3, bias, LinearKernel())
+        gap = np.abs(model.decision_function(x) - _one_shot(model, x))
+        assert np.all(gap <= _order_bound(model, x))
+
+    def test_makes_no_kernel_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            LinearKernel, "__call__",
+            _counting(LinearKernel.__call__, lambda result: calls.append(result.shape)),
+        )
+        x, sv, coef, bias = _problem(3, 500, 12)
+        model = SVMModel(sv, coef, bias, LinearKernel())
+        model.decision_function(x)
+        model.decision_function(sparse.csr_matrix(x))
+        assert calls == []
+
+    def test_weight_is_computed_once(self):
+        x, sv, coef, bias = _problem(5, 10, 6)
+        model = SVMModel(sv, coef, bias, LinearKernel())
+        weight = model.primal_weight
+        np.testing.assert_array_equal(weight, sv.T @ coef)
+        model.decision_function(x)
+        assert model.primal_weight is weight
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_empty_model_scores_the_bias(self, layout):
+        model = SVMModel(np.zeros((0, 4)), np.zeros(0), -0.25, LinearKernel())
+        scores = model.decision_function(_LAYOUTS[layout](np.ones((9, 4))))
+        np.testing.assert_array_equal(scores, np.full(9, -0.25))
+
+    def test_misaligned_norms_are_rejected(self):
+        x, sv, coef, bias = _problem(2, 30, 4)
+        model = SVMModel(sv, coef, bias, LinearKernel())
+        with pytest.raises(ValidationError, match="x_sq"):
+            model.decision_function(x, x_sq=np.ones(29))
+
+
+# --------------------------------------------------------------- held columns
+def _two_stage_problem(seed: int, rows: int = 157, dim: int = 6):
+    """A pool, its labelled rows, and the two models of one coupled round:
+    one trained on the labelled rows, one on labelled + unlabeled rows."""
+    rng = np.random.default_rng(seed)
+    labelled = rng.normal(size=(11, dim))
+    unlabelled = rng.normal(size=(7, dim))
+    pool = rng.normal(size=(rows, dim))
+    labels = rng.choice([-1.0, 1.0], size=18)
+    alphas = rng.uniform(0.0, 2.0, size=18)
+    alphas[[1, 4, 12, 15]] = 0.0  # non-support labelled and unlabeled rows
+    return pool, labelled, unlabelled, labels, alphas, float(rng.normal())
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestPoolColumns:
+    def _models(self, seed, kernel_first, kernel_second=None):
+        pool, labelled, unlabelled, labels, alphas, bias = _two_stage_problem(seed)
+        first = SVMModel.from_dual(labelled, labels[:11], alphas[:11], bias, kernel_first)
+        second = SVMModel.from_dual(
+            np.vstack([labelled, unlabelled]), labels, alphas, -bias,
+            kernel_first if kernel_second is None else kernel_second,
+        )
+        return pool, labelled, first, second
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_second_pass_evaluates_only_the_other_support_vectors(self, seed):
+        kernel = _RecordingRBF(0.4)
+        pool, labelled, first, second = self._models(seed, kernel)
+        columns = PoolColumns(labelled)
+        norms = np.sum(pool * pool, axis=1)
+        for model in (first, second):
+            kernel.shapes.clear()
+            scores = model.decision_function(pool, x_sq=norms, columns=columns)
+            entries = sum(r * c for r, c in kernel.shapes)
+            assert np.all(np.abs(scores - _one_shot(model, pool)) <= _order_bound(model, pool))
+            if model is first:
+                assert entries == pool.shape[0] * labelled.shape[0]
+        # The coupled model's labelled columns came from the first pass.
+        assert entries == pool.shape[0] * int(np.sum(second.support >= labelled.shape[0]))
+
+    def test_held_and_fresh_columns_give_the_same_bits(self):
+        pool, labelled, first, second = self._models(3, RBFKernel(gamma=0.4))
+        held = PoolColumns(labelled)
+        first.decision_function(pool, columns=held)
+        np.testing.assert_array_equal(
+            second.decision_function(pool, columns=held),
+            second.decision_function(pool, columns=PoolColumns(labelled)),
+        )
+
+    def test_another_kernel_gets_fresh_blocks_that_are_not_kept(self):
+        kernel = _RecordingRBF(0.4)
+        pool, labelled, first, second = self._models(4, kernel, RBFKernel(gamma=0.9))
+        columns = PoolColumns(labelled)
+        first.decision_function(pool, columns=columns)
+        scores = second.decision_function(pool, columns=columns)
+        assert np.all(np.abs(scores - _one_shot(second, pool)) <= _order_bound(second, pool))
+        kernel.shapes.clear()
+        first.decision_function(pool, columns=columns)  # still the first kernel's
+        assert kernel.shapes == []
+
+    def test_a_refitted_bandwidth_is_another_kernel(self):
+        kernel = RBFKernel("scale").fit(np.eye(3))
+        pool, labelled, first, second = self._models(5, kernel)
+        columns = PoolColumns(labelled)
+        first.decision_function(pool, columns=columns)
+        kernel.fit(np.arange(18.0).reshape(6, 3))  # the same object, another gamma
+        scores = second.decision_function(pool, columns=columns)
+        assert np.all(np.abs(scores - _one_shot(second, pool)) <= _order_bound(second, pool))
+
+    def test_another_pool_gets_fresh_blocks(self):
+        pool, labelled, first, second = self._models(6, RBFKernel(gamma=0.4))
+        columns = PoolColumns(labelled)
+        first.decision_function(pool, columns=columns)
+        other = pool[::-1].copy()
+        scores = second.decision_function(other, columns=columns)
+        assert np.all(np.abs(scores - _one_shot(second, other)) <= _order_bound(second, other))
+
+    def test_rows_that_are_not_the_models_are_rejected(self):
+        pool, labelled, first, _ = self._models(7, RBFKernel(gamma=0.4))
+        with pytest.raises(ValidationError, match="leading training rows"):
+            first.decision_function(pool, columns=PoolColumns(labelled + 1.0))
+
+    def test_a_model_without_support_indices_is_rejected(self):
+        x, sv, coef, bias = _problem(8, 20, 3)
+        model = SVMModel(sv, coef, bias, RBFKernel(gamma=0.4))
+        with pytest.raises(ValidationError, match="support indices"):
+            model.decision_function(x, columns=PoolColumns(sv))
 
 
 def test_production_block_is_about_one_megabyte():
@@ -296,12 +477,106 @@ class TestServedRankingsMatchOneShot:
     def test_same_indices(self, workloads, inputs, tmp_path, monkeypatch, algorithm, params):
         blocked = _serve_sessions(workloads, inputs, tmp_path / "blocked", algorithm, params)
         monkeypatch.setattr(
-            SVMModel, "decision_function", lambda self, x, *, x_sq=None: _one_shot(self, x)
+            SVMModel,
+            "decision_function",
+            lambda self, x, *, x_sq=None, columns=None: _one_shot(self, x),
         )
         reference = _serve_sessions(workloads, inputs, tmp_path / "one-shot", algorithm, params)
         assert len(blocked) == len(reference) == 16
         for ours, theirs in zip(blocked, reference):
             np.testing.assert_array_equal(ours, theirs)
+
+
+class TestHeldColumnsOnTheSmokePool:
+    """LRF-CSVM's stage 3 with the selection stage's held columns equals a
+    fresh expansion over the coupled visual SVM's support vectors."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        return _load_bench_workloads()
+
+    @staticmethod
+    def _record_stage_three(monkeypatch):
+        """Score every stage 3 both ways; note the RBF entries of the held way."""
+        entries = []
+        monkeypatch.setattr(
+            RBFKernel, "__call__",
+            _counting(RBFKernel.__call__, lambda result: entries.append(result.size)),
+        )
+        original = CoupledSVM.decision_function
+        stages = []
+
+        def both_ways(self, visual, log, *, visual_sq_norms=None, visual_columns=None):
+            assert visual_columns is not None, "stage 3 was not handed the held columns"
+            entries.clear()
+            held = original(
+                self, visual, log, visual_sq_norms=visual_sq_norms, visual_columns=visual_columns
+            )
+            held_entries = sum(entries)
+            fresh = original(self, visual, log, visual_sq_norms=visual_sq_norms)
+            model = self.visual_svm_.model_
+            unlabelled = int(np.sum(model.support >= visual_columns.num_rows))
+            stages.append(
+                (held, fresh, _order_bound(model, visual), held_entries,
+                 visual.shape[0], visual_columns.num_rows, unlabelled)
+            )
+            return held
+
+        monkeypatch.setattr(CoupledSVM, "decision_function", both_ways)
+        return stages
+
+    @staticmethod
+    def _check(stages, *, reused):
+        assert len(stages) >= 3
+        for held, fresh, bound, entries, pool, labelled, unlabelled in stages:
+            assert np.all(np.abs(held - fresh) <= bound)
+            assert set(np.argsort(-held, kind="stable")[:20]) == set(
+                np.argsort(-fresh, kind="stable")[:20]
+            )
+            columns = unlabelled if reused else labelled + unlabelled
+            assert entries == pool * columns
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_with_session_memory(self, workloads, tmp_path, monkeypatch, seed):
+        inputs = workloads.make_inputs(seed, workloads.SPECS["smoke"]["interactive_csvm"])
+        stages = self._record_stage_three(monkeypatch)
+        _serve_sessions(workloads, inputs, tmp_path, "lrf-csvm", {})
+        # One bandwidth per session: the coupled kernel is the selection
+        # stage's, so its labelled columns are reused.
+        self._check(stages, reused=True)
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_without_session_memory(self, workloads, tmp_path, monkeypatch, seed):
+        spec = workloads.SPECS["smoke"]["interactive_csvm"]
+        inputs = workloads.make_inputs(seed, spec)
+        system = workloads.build_system(spec, inputs, tmp_path)
+        try:
+            stages = self._record_stage_three(monkeypatch)
+            for query in (int(q) for q in inputs.queries[:6]):
+                response = system.front.open_session(SearchRequest(query=query, top_k=20))
+                judgements = workloads.judge(inputs.labels, query, response)
+                context = FeedbackContext(
+                    system.database,
+                    Query(query_index=query),
+                    np.fromiter(judgements, dtype=np.int64),
+                    np.array(list(judgements.values()), dtype=np.float64),
+                )
+                if context.has_both_classes:
+                    LRFCSVM().score(context)
+        finally:
+            system.close()
+        # gamma="scale" is resolved on other rows by the coupled stage: the
+        # labelled columns are computed again, with the coupled kernel.
+        self._check(stages, reused=False)
+
+
+def _counting(method, note):
+    def counted(self, *args, **kwargs):
+        result = method(self, *args, **kwargs)
+        note(result)
+        return result
+
+    return counted
 
 
 # ------------------------------------------------------------------ tie rules

@@ -66,6 +66,32 @@ class TestDTOs:
         with pytest.raises(ValidationError):
             FeedbackRequest(session_id="", judgements={0: 1})
 
+    @pytest.mark.parametrize(
+        "judgements",
+        [
+            {4.5: 1},  # used to become {4: 1}
+            {4: 1.9},  # used to become {4: 1}
+            {4.9: 1, 4: -1},  # used to collapse to {4: -1}
+            {"7": "1"},  # used to be parsed
+            {7: "1"},
+            {4.0: 1},
+            {np.float64(4.0): 1},
+            {4: np.float64(1.0)},
+        ],
+        ids=["float-index", "float-label", "colliding-floats", "strings", "string-label",
+             "integral-float", "numpy-float-index", "numpy-float-label"],
+    )
+    def test_feedback_request_rejects_non_integers(self, judgements):
+        with pytest.raises(ValidationError, match="must be integers"):
+            FeedbackRequest(session_id="s1", judgements=judgements)
+
+    def test_feedback_request_accepts_numpy_integers(self):
+        request = FeedbackRequest(
+            session_id="s1", judgements={np.int64(9): np.int32(1), np.intp(2): np.int8(-1)}
+        )
+        assert request.judgements == {9: 1, 2: -1}
+        assert all(type(k) is int and type(v) is int for k, v in request.judgements.items())
+
     def test_feedback_request_preserves_order(self):
         request = FeedbackRequest(session_id="s1", judgements={9: 1, 2: -1, 5: 1})
         assert list(request.judgements) == [9, 2, 5]
