@@ -6,19 +6,15 @@ without changing the client surface:
 
 * :class:`~repro.cluster.messages.ClusterConfig` — one frozen config
   object describing the fleet (worker count, shared store directories,
-  index backend, coalescing window, transport, stealing and failure
-  policy).
+  index backend, coalescing window and failure policy).
 * :class:`~repro.cluster.worker.ClusterWorker` /
   :func:`~repro.cluster.worker.run_worker` — each worker process hosts a
   complete service stack over the shared on-disk session and log stores
-  and serves request waves from a queue pair — or, with
-  ``transport="socket"``, over the length-prefixed TCP framing of
-  :mod:`repro.cluster.transport`.
+  and serves request waves from a ``multiprocessing.Queue`` pair.
 * :class:`~repro.cluster.router.ClusterRouter` — the front-end: shards
   sessions over workers by rendezvous hashing
   (:func:`~repro.cluster.router.rendezvous_owner`), coalesces concurrent
-  per-call clients into batched waves, steals work off saturated workers
-  when ``steal_threshold`` is set, and reconciles worker deaths against
+  per-call clients into batched waves, and reconciles worker deaths against
   the shared stores so every feedback round — and every close — applies
   exactly once.
 * :mod:`repro.cluster.faults` — the deterministic fault-injection seam
@@ -32,7 +28,6 @@ CPU budget.
 
 from repro.cluster.faults import ALL_POINTS
 from repro.cluster.messages import (
-    TRANSPORTS,
     ClusterConfig,
     ItemOutcome,
     WorkerRequest,
@@ -50,7 +45,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "ItemOutcome",
-    "TRANSPORTS",
     "WorkerRequest",
     "WorkerResponse",
     "build_worker_service",

@@ -33,13 +33,11 @@ each one is a distinct crash window the protocol must survive:
                            the classic "work done, reply lost" window
 ========================== ====================================================
 
-**Router and transport:**
+**Router and store writes:**
 
 ========================== ====================================================
 ``ROUTER_BEFORE_SHIP``     wave grouped and booked outstanding, not yet sent
 ``STORE_BEFORE_PUT``       per session-state write (any op that persists)
-``TRANSPORT_SOCKET_DROP``  inside socket send/recv (``match={"side": ...}``
-                           scopes to the router or worker end)
 ========================== ====================================================
 
 The ``"exit"`` action at any of these points is the deterministic
@@ -81,7 +79,6 @@ __all__ = [
     "WORKER_BEFORE_WAVE",
     "WORKER_MID_WAVE",
     "ROUTER_BEFORE_SHIP",
-    "TRANSPORT_SOCKET_DROP",
     "ALL_POINTS",
 ]
 
@@ -101,14 +98,12 @@ STORE_BEFORE_INTENT_CLEAR = "store.before_intent_clear"
 WORKER_BEFORE_WAVE = "worker.before_wave"
 WORKER_MID_WAVE = "worker.mid_wave_kill"
 
-# --- router dispatch and transport ----------------------------------------
+# --- router dispatch --------------------------------------------------------
 ROUTER_BEFORE_SHIP = "router.before_ship"
-TRANSPORT_SOCKET_DROP = "transport.socket_drop"
 
 #: Every named point, in rough protocol order (the matrix test iterates it).
 ALL_POINTS = (
     ROUTER_BEFORE_SHIP,
-    TRANSPORT_SOCKET_DROP,
     WORKER_BEFORE_WAVE,
     CLOSE_BEFORE_INTENT,
     STORE_AFTER_INTENT,

@@ -19,6 +19,7 @@ library's own exception instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple, Union
@@ -32,7 +33,6 @@ __all__ = [
     "WorkerRequest",
     "WorkerResponse",
     "ItemOutcome",
-    "TRANSPORTS",
     "OP_OPEN",
     "OP_FEEDBACK",
     "OP_CLOSE",
@@ -72,10 +72,9 @@ _ALL_OPS = (
     OP_SHUTDOWN,
 )
 
-#: Transport choices: ``queue`` is the default local ``mp.Queue`` pair,
-#: ``socket`` a length-prefixed TCP framing (see :mod:`repro.cluster.transport`)
-#: that generalises to workers on other hosts.
-TRANSPORTS = ("queue", "socket")
+#: Most items one dispatch ships to a worker, and most items a worker
+#: gathers from its queue into one service wave.
+MAX_WAVE = 64
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,6 @@ class ClusterConfig:
         request before shipping a wave, so concurrent per-call clients
         coalesce into batched worker waves (the cluster's main throughput
         lever).  ``0.0`` dispatches immediately.
-    max_wave:
-        Maximum requests shipped per dispatch cycle.
     request_timeout:
         Seconds a client call waits for its worker response before raising
         :class:`~repro.exceptions.ClusterTimeoutError` (the no-hang bound).
@@ -121,28 +118,11 @@ class ClusterConfig:
     observability:
         Enable the :mod:`repro.obs` hub inside each worker process (the
         router instruments itself against the ambient hub regardless).
-    transport:
-        One of :data:`TRANSPORTS`.  ``queue`` (default) wires each worker
-        over a local ``multiprocessing.Queue`` pair; ``socket`` runs the
-        same envelope protocol over a length-prefixed TCP connection —
-        identical client surface and failure types, but the seam workers
-        on other hosts would attach through.
-    steal_threshold:
-        Work stealing: when a worker's in-flight item count reaches this
-        threshold, further waves routed to it divert to a shared overflow
-        queue that under-loaded workers drain (session affinity is only
-        a placement preference — state lives in the shared store, so any
-        worker serves any session correctly).  ``0`` (default) disables
-        stealing.
     fault_plan:
         Deterministic fault injection (tests only): a
         :class:`~repro.utils.faults.FaultPlan` installed inside every
         worker process with its worker id, arming the named fault points
         of :mod:`repro.cluster.faults`.  ``None`` disables the seam.
-    debug_feedback_delay:
-        Test hook: seconds each worker sleeps before serving a feedback
-        wave, giving crash tests a deterministic in-flight window.  Leave
-        at ``0.0`` in production.
     """
 
     session_dir: PathLike
@@ -156,16 +136,12 @@ class ClusterConfig:
     session_ttl: Optional[float] = None
     sweep_interval: float = 0.0
     coalesce_window: float = 0.003
-    max_wave: int = 64
     request_timeout: float = 30.0
     retry_limit: int = 2
     auto_restart: bool = False
     poll_interval: float = 0.05
     observability: bool = False
-    transport: str = "queue"
-    steal_threshold: int = 0
     fault_plan: Optional[FaultPlan] = None
-    debug_feedback_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if int(self.num_workers) < 1:
@@ -176,12 +152,18 @@ class ClusterConfig:
             raise ValidationError(
                 f"log_policy must be one of {LOG_POLICIES}, got {self.log_policy!r}"
             )
+        # A non-finite timing passes the sign checks below but kills the
+        # router's threads (inf overflows a sleep or wait; NaN times out
+        # every call at once).
+        for name in ("coalesce_window", "request_timeout", "poll_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if self.coalesce_window < 0:
             raise ValidationError(
                 f"coalesce_window must be >= 0, got {self.coalesce_window}"
             )
-        if int(self.max_wave) < 1:
-            raise ValidationError(f"max_wave must be >= 1, got {self.max_wave}")
         if self.request_timeout <= 0:
             raise ValidationError(
                 f"request_timeout must be positive, got {self.request_timeout}"
@@ -193,14 +175,6 @@ class ClusterConfig:
         if self.poll_interval <= 0:
             raise ValidationError(
                 f"poll_interval must be positive, got {self.poll_interval}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ValidationError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
-            )
-        if int(self.steal_threshold) < 0:
-            raise ValidationError(
-                f"steal_threshold must be >= 0, got {self.steal_threshold}"
             )
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValidationError(

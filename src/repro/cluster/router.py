@@ -54,13 +54,6 @@ source of truth:
   intent (``OP_RECOVER``), so even a kill *between* intent and flush
   loses nothing.
 
-Work stealing (``steal_threshold > 0``) relaxes placement under skew:
-waves bound for a worker whose in-flight item count has reached the
-threshold divert to an overflow queue that ships to the least-loaded
-alive worker instead.  Correctness is unaffected — session state lives
-in the shared store, so rendezvous placement is cache affinity, not
-ownership.
-
 Every failure surfaces as a typed :class:`~repro.exceptions.ClusterError`
 subclass bounded by ``request_timeout`` — a degraded cluster degrades
 loudly, it never hangs.
@@ -97,6 +90,7 @@ from repro.service.dtos import (
 from repro.utils.faults import trip as _fault_trip
 
 from repro.cluster.messages import (
+    MAX_WAVE,
     OP_CLOSE,
     OP_DISCARD,
     OP_FEEDBACK,
@@ -164,16 +158,13 @@ class _PendingItem:
 class _WorkerSlot:
     """Router-side state of one worker: handle, liveness, in-flight map."""
 
-    __slots__ = ("worker", "alive", "lock", "outstanding", "inflight", "receiver")
+    __slots__ = ("worker", "alive", "lock", "outstanding", "receiver")
 
     def __init__(self, worker: ClusterWorker) -> None:
         self.worker = worker
         self.alive = True
         self.lock = threading.Lock()
         self.outstanding: Dict[int, List[_PendingItem]] = {}
-        # In-flight *item* count (not envelopes): the work-stealing load
-        # signal.  Mutated under ``lock``, read without it (heuristic).
-        self.inflight = 0
         self.receiver: Optional[threading.Thread] = None
 
 
@@ -192,11 +183,6 @@ class _SessionRecord:
         self.judgements: Dict[int, int] = {}
         self.created_at = time.time()
         self.last_active = self.created_at
-
-
-def _chunks(items: List[_PendingItem], size: int):
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
 
 
 class ClusterRouter:
@@ -242,10 +228,6 @@ class ClusterRouter:
         self._run_tag = "c" + uuid.uuid4().hex[:8]
         self._sessions: Dict[str, _SessionRecord] = {}
         self._sessions_lock = threading.Lock()
-        # Work stealing: waves diverted off overloaded workers wait here
-        # as (home_worker_id, op, items) until some worker has headroom.
-        self._overflow: List[Any] = []
-        self._overflow_lock = threading.Lock()
         self._stopping = threading.Event()
         self._started = False
         self._stopped = False
@@ -302,11 +284,6 @@ class ClusterRouter:
             item.fail(ClusterError("router stopped"))
         if self._dispatcher is not None:
             self._dispatcher.join(timeout)
-        with self._overflow_lock:
-            diverted, self._overflow = self._overflow, []
-        for _home, _op, wave in diverted:
-            for item in wave:
-                item.fail(ClusterError("router stopped"))
         with self._slots_lock:
             slots = list(self._slots.values())
         for slot in slots:
@@ -738,60 +715,9 @@ class ClusterRouter:
                 item.fail(exc)
                 continue
             groups.setdefault((worker_id, item.op), []).append(item)
-        threshold = self.config.steal_threshold
-        hub = get_hub()
         for (worker_id, op), items in groups.items():
-            for chunk in _chunks(items, self.config.max_wave):
-                if threshold > 0 and self._overloaded(worker_id, threshold):
-                    # The home worker is saturated: divert the wave to the
-                    # overflow queue instead of deepening its backlog.
-                    with self._overflow_lock:
-                        self._overflow.append((worker_id, op, chunk))
-                    hub.count("cluster.steal.queued", len(chunk))
-                    continue
-                self._ship(worker_id, op, chunk)
-        if threshold > 0:
-            self._drain_overflow()
-
-    def _overloaded(self, worker_id: int, threshold: int) -> bool:
-        """Whether the worker's in-flight item count has hit *threshold*."""
-        with self._slots_lock:
-            slot = self._slots.get(worker_id)
-        return slot is not None and slot.alive and slot.inflight >= threshold
-
-    def _drain_overflow(self) -> None:
-        """Ship queued overflow waves to whichever workers have headroom.
-
-        Called from the dispatcher after every dispatch cycle and from
-        each receiver after completions free capacity — the "idle workers
-        pull" half of work stealing.  Waves stay queued while every alive
-        worker is saturated; :meth:`_await`'s request timeout bounds the
-        worst case.
-        """
-        threshold = self.config.steal_threshold
-        if threshold <= 0:
-            return
-        hub = get_hub()
-        while True:
-            with self._overflow_lock:
-                if not self._overflow:
-                    break
-                with self._slots_lock:
-                    candidates = [
-                        (slot.inflight, wid)
-                        for wid, slot in self._slots.items()
-                        if slot.alive and slot.inflight < threshold
-                    ]
-                if not candidates:
-                    break  # everyone saturated; completions re-drain
-                home, op, items = self._overflow.pop(0)
-            target = min(candidates)[1]
-            if target != home:
-                hub.count("cluster.steal.stolen", len(items))
-            self._ship(target, op, items)
-        with self._overflow_lock:
-            backlog = sum(len(items) for _home, _op, items in self._overflow)
-        hub.set_gauge("cluster.steal.backlog", backlog)
+            for start in range(0, len(items), MAX_WAVE):
+                self._ship(worker_id, op, items[start:start + MAX_WAVE])
 
     def _ship(self, worker_id: int, op: str, items: List[_PendingItem]) -> None:
         hub = get_hub()
@@ -812,7 +738,6 @@ class ClusterRouter:
                     )
                 return
             slot.outstanding[request_id] = list(items)
-            slot.inflight += len(items)
             depth = len(slot.outstanding)
         hub.observe("cluster.worker.queue_depth", depth)
         hub.observe("cluster.wave.size", len(items))
@@ -822,12 +747,13 @@ class ClusterRouter:
                 WorkerRequest(request_id, op, tuple(i.payload for i in items))
             )
         except (ValueError, OSError, FaultInjectedError):
-            # OSError covers a torn socket transport; FaultInjectedError is
-            # the seam's "raise" action.  Either way the wave never left,
-            # so fail it over without killing the dispatcher thread.
+            # A closed queue's put raises ValueError or OSError (the seam's
+            # "drop" action raises ConnectionResetError, an OSError), and
+            # FaultInjectedError is its "raise" action.  Either way the
+            # wave never left, so fail it over without killing the
+            # dispatcher thread.
             with slot.lock:
-                if slot.outstanding.pop(request_id, None) is not None:
-                    slot.inflight -= len(items)
+                slot.outstanding.pop(request_id, None)
             for item in items:
                 item.fail(WorkerDiedError(f"worker {worker_id}'s queue is closed"))
 
@@ -857,14 +783,10 @@ class ClusterRouter:
                 return
             with slot.lock:
                 items = slot.outstanding.pop(response.request_id, None)
-                if items is not None:
-                    slot.inflight -= len(items)
             if items is None:
                 continue  # late reply for a request already failed over
             for item, outcome in zip(items, response.outcomes):
                 item.resolve(outcome)
-            # Capacity just freed up — pull any diverted waves over here.
-            self._drain_overflow()
 
     # --------------------------------------------------------------- monitor
     def _monitor_loop(self) -> None:
@@ -890,9 +812,7 @@ class ClusterRouter:
                 for request_id, items in slot.outstanding.items()
             ]
             slot.outstanding.clear()
-            slot.inflight = 0
-        hub = get_hub()
-        hub.count("cluster.worker.deaths")
+        get_hub().count("cluster.worker.deaths")
         self._publish_alive()
         for request_id, items in orphaned:
             for item in items:
@@ -902,8 +822,6 @@ class ClusterRouter:
                         f"(request {request_id})"
                     )
                 )
-        # Overflow waves homed on the dead worker can ship to survivors.
-        self._drain_overflow()
 
     def _restart(self, worker_id: int) -> None:
         worker = ClusterWorker.spawn(

@@ -39,6 +39,7 @@ from repro.utils.blas import limit_blas_threads
 from repro.utils.faults import install_plan, trip as _fault_trip
 
 from repro.cluster.messages import (
+    MAX_WAVE,
     OP_CLOSE,
     OP_DISCARD,
     OP_FEEDBACK,
@@ -124,12 +125,10 @@ class _WorkerServer:
         self,
         worker_id: int,
         service: RetrievalService,
-        config: ClusterConfig,
         blas_threads: Optional[int],
     ) -> None:
         self.worker_id = worker_id
         self.service = service
-        self.config = config
         self.blas_threads = blas_threads
         self._started_at = time.time()
         self._served = 0
@@ -142,10 +141,6 @@ class _WorkerServer:
             return self._batch(self.service.open_sessions,
                                self.service.open_session, items)
         if op == OP_FEEDBACK:
-            if self.config.debug_feedback_delay > 0:
-                # Test hook: hold the wave in flight so crash tests can
-                # kill this process at a deterministic point.
-                time.sleep(self.config.debug_feedback_delay)
             return self._batch(self.service.submit_feedback_batch,
                                self.service.submit_feedback, items)
         if op == OP_CLOSE:
@@ -240,7 +235,7 @@ def run_worker(
 
         configure()
     service = build_worker_service(dataset_factory, config)
-    server = _WorkerServer(worker_id, service, config, blas_threads)
+    server = _WorkerServer(worker_id, service, blas_threads)
     while True:
         try:
             first = request_queue.get(timeout=_IDLE_WAKE)
@@ -256,7 +251,7 @@ def run_worker(
         # on the router's coalesce window alone.
         envelopes = [first]
         gathered = len(first.items)
-        while first.op != OP_SHUTDOWN and gathered < config.max_wave:
+        while first.op != OP_SHUTDOWN and gathered < MAX_WAVE:
             try:
                 nxt = request_queue.get_nowait()
             except queue.Empty:
@@ -336,17 +331,7 @@ class ClusterWorker:
         ``ctx`` is a :mod:`multiprocessing` context; the router prefers
         ``fork`` (copy-on-write shares the factory's captured dataset) and
         spawns the initial fleet *before* starting any router thread.
-        With ``config.transport == "socket"`` the queue pair is replaced
-        by TCP channel adapters (see :mod:`repro.cluster.transport`);
-        everything downstream is shape-compatible.
         """
-        if config.transport == "socket":
-            from repro.cluster.transport import spawn_socket_worker
-
-            process, sender, receiver = spawn_socket_worker(
-                ctx, worker_id, dataset_factory, config
-            )
-            return cls(worker_id, process, sender, receiver)
         request_queue = ctx.Queue()
         response_queue = ctx.Queue()
         process = ctx.Process(
@@ -384,15 +369,10 @@ class ClusterWorker:
             self.process.join(1.0)
 
     def close(self) -> None:
-        """Tear down the endpoint pair without blocking on feeder threads.
-
-        Works for both transports: ``mp.Queue`` endpoints get their feeder
-        thread cancelled first; socket channel adapters just close.
-        """
+        """Tear down the queue pair without blocking on feeder threads."""
         for q in (self.request_queue, self.response_queue):
             try:
-                if hasattr(q, "cancel_join_thread"):
-                    q.cancel_join_thread()
+                q.cancel_join_thread()
                 q.close()
             except (ValueError, OSError):
                 pass

@@ -19,9 +19,9 @@ Three actions ship:
 * ``"exit"``  — ``os._exit`` the process immediately (the deterministic
   equivalent of a SIGKILL landing exactly at this protocol step: no
   ``finally`` blocks, no flushes, no cleanup);
-* ``"drop"``  — raise :class:`ConnectionResetError` (models a transport
-  connection loss; flows through the same ``OSError`` handling a real
-  broken socket or closed queue takes).
+* ``"drop"``  — raise :class:`ConnectionResetError` (models a lost
+  connection; flows through the same ``OSError`` handling a closed queue
+  takes).
 
 Plans are plain frozen dataclasses, so a :class:`FaultPlan` travels into
 worker processes inside the pickled/forked ``ClusterConfig``; hit counters

@@ -6,7 +6,7 @@ The load-bearing guarantees:
   (bit-identical indices — workers run the exact same stack);
 * rendezvous hashing is deterministic and minimally disruptive (killing a
   worker only re-routes the sessions that lived on it);
-* a SIGKILLed worker mid-feedback-wave degrades gracefully — requests
+* a worker that dies mid-feedback-wave degrades gracefully — requests
   re-route or fail with typed errors, nothing hangs, and after recovery
   the shared log holds **exactly one** record per completed round (no
   losses, no duplicates);
@@ -27,7 +27,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster import ClusterConfig, ClusterRouter, rendezvous_owner
+from repro.cluster.faults import WORKER_BEFORE_WAVE, WORKER_MID_WAVE
 from repro.cluster.messages import WorkerRequest
 from repro.datasets.pool import GaussianPoolConfig, make_pool_dataset
 from repro.exceptions import (
@@ -44,6 +45,7 @@ from repro.service.store import FileSessionStore
 from repro.cbir.database import ImageDatabase
 from repro.utils import blas
 from repro.utils.blas import blas_thread_counts, limit_blas_threads
+from repro.utils.faults import FaultPlan
 
 POOL_CONFIG = GaussianPoolConfig(
     num_vectors=300, dim=6, num_clusters=5, num_queries=4, seed=11
@@ -69,11 +71,10 @@ def _config(tmp_path, **overrides):
     return ClusterConfig(**defaults)
 
 
-@pytest.fixture(params=["queue", "socket"])
-def cluster(request, tmp_path):
-    # Every test using this fixture runs once per transport: the socket
-    # framing must be behaviourally indistinguishable from the queue pair.
-    router = ClusterRouter(_factory, _config(tmp_path, transport=request.param))
+# The id names the one transport: an mp.Queue pair per worker.
+@pytest.fixture(params=["queue"])
+def cluster(tmp_path):
+    router = ClusterRouter(_factory, _config(tmp_path))
     yield router
     router.stop()
 
@@ -87,10 +88,14 @@ class TestConfigValidation:
             ClusterConfig(log_policy="sometimes", **good)
         with pytest.raises(ValidationError, match="coalesce_window"):
             ClusterConfig(coalesce_window=-1, **good)
-        with pytest.raises(ValidationError, match="max_wave"):
-            ClusterConfig(max_wave=0, **good)
         with pytest.raises(ValidationError, match="retry_limit"):
             ClusterConfig(retry_limit=-1, **good)
+        # Non-finite timings pass a sign check but break the router's
+        # dispatcher, monitor or every call's wait.
+        for name in ("coalesce_window", "request_timeout", "poll_interval"):
+            for value in (float("inf"), float("-inf"), float("nan")):
+                with pytest.raises(ValidationError, match=name):
+                    ClusterConfig(**{name: value}, **good)
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValidationError, match="unknown cluster op"):
@@ -286,27 +291,34 @@ class TestErrorPropagation:
 
 
 class TestWorkerDeath:
-    def test_kill_mid_feedback_wave_recovers_exactly_once(self, tmp_path):
+    @pytest.mark.parametrize(
+        "point", [WORKER_BEFORE_WAVE, WORKER_MID_WAVE],
+        ids=["before_wave", "mid_wave"],
+    )
+    def test_kill_mid_feedback_wave_recovers_exactly_once(self, tmp_path, point):
         """The acceptance-criteria chaos test.
 
-        SIGKILL a worker while a delayed feedback wave is in flight on it.
-        Every session must still complete its rounds (re-routed to the
-        survivor), and after closing, the shared log must hold exactly
-        ``rounds`` records per session — no lost rounds, no duplicates
-        from the re-send path.
+        A worker dies inside its first feedback wave: before the service
+        runs (the round never committed) or after it committed but before
+        the response ships (the reply is lost).  Every session must still
+        complete its rounds (re-routed to the survivor), and after closing,
+        the shared log must hold exactly ``rounds`` records per session —
+        no lost rounds, no duplicates from the re-send path.
         """
-        config = _config(
-            tmp_path, num_workers=2, debug_feedback_delay=0.4,
-            request_timeout=20.0,
+        session_ids = [f"wave-{i}" for i in range(6)]
+        victim = rendezvous_owner(session_ids[0], [0, 1])
+        plan = FaultPlan.single(
+            point, action="exit", worker_id=victim, match={"op": "feedback"}
         )
+        config = _config(tmp_path, num_workers=2, fault_plan=plan)
         with ClusterRouter(_factory, config) as router:
             requests = [
-                SearchRequest(query=i, top_k=10, algorithm="euclidean")
-                for i in range(6)
+                SearchRequest(
+                    query=i, top_k=10, algorithm="euclidean", session_id=sid
+                )
+                for i, sid in enumerate(session_ids)
             ]
             opens = router.open_sessions(requests)
-            session_ids = [r.session_id for r in opens]
-            victim = router.worker_for(session_ids[0])
             failures = []
             rounds = {}
 
@@ -325,8 +337,6 @@ class TestWorkerDeath:
             ]
             for thread in threads:
                 thread.start()
-            time.sleep(0.15)  # inside the 0.4s in-flight window
-            router.kill_worker(victim)
             for thread in threads:
                 thread.join()
 
