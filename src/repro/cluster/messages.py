@@ -20,9 +20,10 @@ library's own exception instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.exceptions import ValidationError
 from repro.service.service import LOG_POLICIES
@@ -90,16 +91,8 @@ class ClusterConfig:
         per-session state of their own.
     num_workers:
         Worker processes to spawn.
-    index:
-        Registry name of the index each worker builds once over the pool
-        (``brute-force`` or ``ivf``).
-    index_params:
-        Constructor parameters for that index backend.
-    default_algorithm, log_policy, distance:
+    default_algorithm, log_policy:
         Forwarded to each worker's :class:`~repro.service.RetrievalService`.
-    session_ttl, sweep_interval:
-        TTL configuration of the shared session store (the sweep throttle
-        matters under load — see :class:`~repro.service.SessionStore`).
     coalesce_window:
         Seconds the router's dispatcher lingers after the first queued
         request before shipping a wave, so concurrent per-call clients
@@ -128,13 +121,8 @@ class ClusterConfig:
     session_dir: PathLike
     log_dir: PathLike
     num_workers: int = 2
-    index: str = "brute-force"
-    index_params: Mapping[str, Any] = field(default_factory=dict)
     default_algorithm: str = "lrf-csvm"
     log_policy: str = "on_close"
-    distance: str = "euclidean"
-    session_ttl: Optional[float] = None
-    sweep_interval: float = 0.0
     coalesce_window: float = 0.003
     request_timeout: float = 30.0
     retry_limit: int = 2
@@ -144,10 +132,18 @@ class ClusterConfig:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        if int(self.num_workers) < 1:
-            raise ValidationError(
-                f"num_workers must be >= 1, got {self.num_workers}"
-            )
+        # Counts must be true integers: 2.5 workers would pass a ``< 1``
+        # check and then fail deep inside the router's start-up.
+        for name, least in (("num_workers", 1), ("retry_limit", 0)):
+            value = getattr(self, name)
+            try:
+                valid = operator.index(value) >= least
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValidationError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
         if self.log_policy not in LOG_POLICIES:
             raise ValidationError(
                 f"log_policy must be one of {LOG_POLICIES}, got {self.log_policy!r}"
@@ -168,10 +164,6 @@ class ClusterConfig:
             raise ValidationError(
                 f"request_timeout must be positive, got {self.request_timeout}"
             )
-        if int(self.retry_limit) < 0:
-            raise ValidationError(
-                f"retry_limit must be >= 0, got {self.retry_limit}"
-            )
         if self.poll_interval <= 0:
             raise ValidationError(
                 f"poll_interval must be positive, got {self.poll_interval}"
@@ -180,7 +172,6 @@ class ClusterConfig:
             raise ValidationError(
                 f"fault_plan must be a FaultPlan or None, got {self.fault_plan!r}"
             )
-        object.__setattr__(self, "index_params", dict(self.index_params))
 
 
 @dataclass(frozen=True)

@@ -191,18 +191,19 @@ class ClusterRouter:
     Parameters
     ----------
     dataset_factory:
-        Zero-argument callable returning the
-        :class:`~repro.datasets.ImageDataset` each worker serves.  Under
-        the ``fork`` start method the factory may close over an already
-        built dataset (copy-on-write shares the arrays); under ``spawn``
-        it must be picklable (a module-level function or partial).
+        Zero-argument callable returning the dataset or database each
+        worker serves (see :func:`~repro.cluster.worker.build_worker_service`).
+        Under the ``fork`` start method the factory may close over an
+        already built dataset (copy-on-write shares the arrays); under
+        ``spawn`` it must be picklable (a module-level function or partial).
     config:
         The :class:`~repro.cluster.messages.ClusterConfig`.
-    start:
-        Spawn workers and start router threads immediately (default).
 
     Notes
     -----
+    The constructor spawns the workers and starts the router threads;
+    :meth:`start` is idempotent, so ``with ClusterRouter(...)`` is safe.
+
     Sessions must use registry-*named* feedback algorithms — strategy
     instances cannot cross the process boundary (the same rule the
     file-backed session store enforces).
@@ -212,8 +213,6 @@ class ClusterRouter:
         self,
         dataset_factory: Callable[[], Any],
         config: ClusterConfig,
-        *,
-        start: bool = True,
     ) -> None:
         self.config = config
         self._dataset_factory = dataset_factory
@@ -234,8 +233,7 @@ class ClusterRouter:
         self._restarts = 0
         self._dispatcher: Optional[threading.Thread] = None
         self._monitor: Optional[threading.Thread] = None
-        if start:
-            self.start()
+        self.start()
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "ClusterRouter":

@@ -82,8 +82,10 @@ def build_worker_service(
     """Assemble the per-process serving stack a cluster worker runs.
 
     The factory may return either an :class:`~repro.datasets.ImageDataset`
-    (the worker normalizes features and builds the index itself) or an
-    already-assembled :class:`~repro.cbir.database.ImageDatabase`.  The
+    (the worker normalizes features and builds a brute-force index itself)
+    or an already-assembled :class:`~repro.cbir.database.ImageDatabase`
+    (one without an index gets a brute-force one; attach an IVF index in
+    the factory to serve IVF).  The
     latter matters under the ``fork`` start method: a database built once
     in the parent — normalized features and index included — is shared
     copy-on-write by every worker, so an N-worker fleet streams **one**
@@ -100,21 +102,15 @@ def build_worker_service(
         database = built
         database.log_database = LogDatabase(store=log_store)
         if database.index is None:
-            database.build_index(config.index, **config.index_params)
+            database.build_index("brute-force")
     else:
         database = ImageDatabase(built, log_database=log_store)
-        database.build_index(config.index, **config.index_params)
-    store = FileSessionStore(
-        config.session_dir,
-        ttl=config.session_ttl,
-        sweep_interval=config.sweep_interval,
-    )
+        database.build_index("brute-force")
     return RetrievalService(
         database,
-        store=store,
+        store=FileSessionStore(config.session_dir),
         default_algorithm=config.default_algorithm,
         log_policy=config.log_policy,
-        distance=config.distance,
     )
 
 

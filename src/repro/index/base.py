@@ -22,8 +22,8 @@ A **built** index is safely shareable read-only: :meth:`VectorIndex.search`
 number of threads may query one index concurrently.  The mutators —
 :meth:`VectorIndex.build` and :meth:`VectorIndex.load` — are *not*
 internally synchronised and need external exclusion against concurrent
-searches (the retrieval service brackets them with its attachment
-write-lock).
+searches (the retrieval service serves an index built and attached before
+it starts).
 """
 
 from __future__ import annotations

@@ -204,10 +204,10 @@ def render_snapshot(
 
 
 def lock_wait_recorder(prefix: str) -> Callable[[str, float], None]:
-    """A wait callback for the concurrency primitives, bound to *prefix*.
+    """A lock-wait callback bound to *prefix*.
 
-    Returns a callable suitable for ``StripedLockMap(wait_callback=...)`` /
-    ``ReadWriteLock(wait_callback=...)``: it records each acquisition's
+    Returns a callable suitable for ``StripedLockMap(wait_callback=...)``:
+    it records each acquisition's
     wait into the histogram ``{prefix}.{mode}.wait_seconds`` on the hub
     that is current *at call time*, and early-outs when observability is
     disabled — so it can be wired unconditionally at construction.

@@ -57,6 +57,18 @@ def _clean_judgements(judgements: Mapping[int, int]) -> Dict[int, int]:
     return cleaned
 
 
+def _clean_top_k(top_k: Optional[int]) -> Optional[int]:
+    """``None`` or an integer >= 1; ``2.5`` or ``"3"`` is rejected, never
+    truncated or parsed (the rule :func:`_clean_judgements` applies)."""
+    try:
+        cleaned = None if top_k is None else operator.index(top_k)
+    except TypeError:
+        cleaned = 0
+    if cleaned is not None and cleaned < 1:
+        raise ValidationError(f"top_k must be an integer >= 1, got {top_k!r}")
+    return cleaned
+
+
 @dataclass(frozen=True)
 class SearchRequest:
     """Open a retrieval session and run the first-round search.
@@ -98,8 +110,7 @@ class SearchRequest:
                 f"got {type(self.query).__name__}"
             )
         object.__setattr__(self, "query", query)
-        if self.top_k is not None and int(self.top_k) < 1:
-            raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
+        object.__setattr__(self, "top_k", _clean_top_k(self.top_k))
         if self.algorithm_params and not isinstance(self.algorithm, str):
             raise ValidationError(
                 "algorithm_params only apply to a registry-named algorithm"
@@ -137,8 +148,7 @@ class FeedbackRequest:
         if not self.session_id:
             raise ValidationError("session_id must not be empty")
         object.__setattr__(self, "judgements", _clean_judgements(self.judgements))
-        if self.top_k is not None and int(self.top_k) < 1:
-            raise ValidationError(f"top_k must be >= 1, got {self.top_k}")
+        object.__setattr__(self, "top_k", _clean_top_k(self.top_k))
 
 
 @dataclass(frozen=True)

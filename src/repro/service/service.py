@@ -15,21 +15,18 @@ resource the paper's LRF-CSVM exploits.
 
 Thread safety and lock discipline
 ---------------------------------
-Every public entry point is safe to call from any number of threads.  The
-service layers two locks (acquired strictly in this order, see
-:data:`repro.utils.concurrency.LOCK_ORDER`):
-
-1. **Session stripes** (:class:`~repro.utils.concurrency.StripedLockMap`)
-   — each call locks the stripes of every session it touches, in canonical
-   order, for its whole duration.  Two calls on the same session serialise;
-   calls on disjoint sessions run truly in parallel.  TTL eviction only
-   *try-locks* a stripe and skips busy sessions, so it can never race a
-   live round.
-2. **Attachment read/write lock**
-   (:class:`~repro.utils.concurrency.ReadWriteLock`) — serving holds it
-   shared (searches, feedback scoring and candidate pruning only *read*
-   the features, the index and the log vectors); :meth:`attach_index` /
-   :meth:`build_index` / :meth:`detach_index` hold it exclusively.
+Every public entry point is safe to call from any number of threads.
+Serving only *reads* the features, the index and the log vectors: an index
+is attached to the database before serving starts
+(``RetrievalService(index=...)`` or
+:meth:`~repro.cbir.database.ImageDatabase.attach_index`) and never changes
+under a running service.  The service takes one lock level of its own (the
+first of :data:`repro.utils.concurrency.LOCK_ORDER`), the **session
+stripes** (:class:`~repro.utils.concurrency.StripedLockMap`).  Each call
+locks the stripes of every session it touches, in canonical order, for its
+whole duration.  Two calls on the same session serialise; calls on disjoint
+sessions run truly in parallel.  TTL eviction only *try-locks* a stripe and
+skips busy sessions, so it can never race a live round.
 
 Below them sit only the stores' own locks.  A wave's log records land in
 the shared log as **one** atomic :meth:`~repro.logdb.store.LogStore.extend`
@@ -70,7 +67,7 @@ from repro.obs import get_hub, lock_wait_recorder
 from repro.service.dtos import FeedbackRequest, RankingResponse, SearchRequest, SessionView
 from repro.service.state import SessionState
 from repro.service.store import InMemorySessionStore, SessionStore
-from repro.utils.concurrency import ReadWriteLock, StripedLockMap
+from repro.utils.concurrency import StripedLockMap
 from repro.utils.faults import trip as _fault_trip
 
 __all__ = ["RetrievalService", "LOG_POLICIES"]
@@ -96,8 +93,6 @@ class RetrievalService:
         Scheme used when a :class:`SearchRequest` names none.
     log_policy:
         One of :data:`LOG_POLICIES`.
-    distance:
-        Metric of the first-round retrieval.
     index:
         ``None`` to use whatever index the database carries, a backend name
         (built and attached), or an already-built index (attached).
@@ -127,7 +122,6 @@ class RetrievalService:
         store: Optional[SessionStore] = None,
         default_algorithm: Union[str, RelevanceFeedbackAlgorithm] = "lrf-csvm",
         log_policy: str = "on_close",
-        distance: str = "euclidean",
         index: Union[None, str, VectorIndex] = None,
         session_ttl: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -146,7 +140,7 @@ class RetrievalService:
             database.build_index(index)
         elif index is not None:
             database.attach_index(index)
-        self.search_engine = SearchEngine(database, distance=distance)
+        self.search_engine = SearchEngine(database)
         self.store: SessionStore = (
             store if store is not None else InMemorySessionStore(ttl=session_ttl)
         )
@@ -154,14 +148,10 @@ class RetrievalService:
         self.log_policy = log_policy
         self._clock = clock if clock is not None else time.time
         self._id_counter = itertools.count(1)
-        # Lock discipline (module docstring): stripes → attachment.
-        # The wait recorders consult the observability hub at call time, so
+        # The wait recorder consults the observability hub at call time, so
         # lock-wait accounting follows repro.obs.configure()/disable() live.
         self._session_locks = StripedLockMap(
             wait_callback=lock_wait_recorder("service.session_locks")
-        )
-        self._attachment = ReadWriteLock(
-            wait_callback=lock_wait_recorder("service.attachment")
         )
         # Roll forward any close that crashed mid-protocol before this
         # process took over the store (cluster worker restarts land here).
@@ -240,8 +230,7 @@ class RetrievalService:
 
         Notes
         -----
-        Thread-safe: the wave holds its sessions' stripes end to end and
-        the attachment read-lock while searching.
+        Thread-safe: the wave holds its sessions' stripes end to end.
         """
         coerced = [self._coerce_search(request, {}) for request in requests]
         if not coerced:
@@ -278,13 +267,12 @@ class RetrievalService:
                 for state in states:
                     by_top_k.setdefault(state.top_k, []).append(state)
                 results: Dict[str, RetrievalResult] = {}
-                with self._attachment.read_locked():
-                    for top_k, group in by_top_k.items():
-                        batched = self.search_engine.batch_search(
-                            [state.query for state in group], top_k=top_k
-                        )
-                        for state, result in zip(group, batched):
-                            results[state.session_id] = result
+                for top_k, group in by_top_k.items():
+                    batched = self.search_engine.batch_search(
+                        [state.query for state in group], top_k=top_k
+                    )
+                    for state, result in zip(group, batched):
+                        results[state.session_id] = result
                 # Nothing is stored until every search of the wave succeeded.
                 responses = []
                 for state in states:
@@ -373,9 +361,8 @@ class RetrievalService:
         Notes
         -----
         Thread-safe: the batch holds its sessions' stripes for the whole
-        round and the attachment read-lock while scoring.  Under the
-        ``per_round`` log policy the batch's records land as one atomic
-        log append.
+        round.  Under the ``per_round`` log policy the batch's records land
+        as one atomic log append.
         """
         coerced = [self._coerce_feedback(r, None, None) for r in requests]
         if not coerced:
@@ -439,9 +426,7 @@ class RetrievalService:
                             log=log_snapshot,
                         )
                     )
-
-                with self._attachment.read_locked():
-                    results = self._score_rounds(coerced, states, contexts)
+                results = self._score_rounds(coerced, states, contexts)
             except BaseException:
                 for state, (judged, rounds, mem_arrays, mem_meta) in zip(
                     states, snapshots
@@ -792,51 +777,6 @@ class RetrievalService:
     def num_open_sessions(self) -> int:
         """Number of sessions currently stored."""
         return len(self.store)
-
-    # ------------------------------------------------------------- attachment
-    def attach_index(self, index: VectorIndex) -> None:
-        """Attach an already-built index under the attachment write-lock.
-
-        Blocks until in-flight serving drains (readers release), swaps the
-        database's index, and lets serving resume — the safe way to hot-swap
-        the ANN backend while the service is taking traffic.
-
-        Parameters
-        ----------
-        index:
-            A built index covering exactly the database's features.
-
-        Raises
-        ------
-        DatabaseError
-            If the index does not cover the database (wrong shape or
-            different vectors).
-        """
-        with self._attachment.write_locked():
-            self.database.attach_index(index)
-
-    def build_index(self, kind: str = "brute-force", **kwargs) -> VectorIndex:
-        """Build and attach a fresh index under the attachment write-lock.
-
-        Parameters
-        ----------
-        kind:
-            Registry name of the backend (``brute-force`` or ``ivf``).
-        kwargs:
-            Backend parameters, forwarded to the index registry.
-
-        Returns
-        -------
-        VectorIndex
-            The newly attached index.
-        """
-        with self._attachment.write_locked():
-            return self.database.build_index(kind, **kwargs)
-
-    def detach_index(self) -> Optional[VectorIndex]:
-        """Detach and return the database's index (serving falls back to scans)."""
-        with self._attachment.write_locked():
-            return self.database.detach_index()
 
     def shutdown(self) -> None:
         """A no-op: the service owns no threads or other resources to release.

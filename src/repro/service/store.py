@@ -47,6 +47,9 @@ __all__ = ["SessionStore", "InMemorySessionStore", "FileSessionStore"]
 
 PathLike = Union[str, Path]
 
+#: Most sessions a :class:`FileSessionStore` keeps in its read cache (LRU).
+_CACHE_SIZE = 1024
+
 
 class SessionStore(abc.ABC):
     """Keyed storage of session states with optional TTL eviction.
@@ -56,29 +59,15 @@ class SessionStore(abc.ABC):
     ttl:
         Seconds of idleness (measured from ``last_active`` against the clock
         the service passes in) after which a session is evicted; ``None``
-        disables eviction.
-    sweep_interval:
-        Minimum seconds (of the caller's clock) between full eviction
-        sweeps.  The service calls :meth:`evict_expired` on **every** API
-        entry; for the file backend a sweep is O(sessions) disk probes, so
-        under sustained traffic an unthrottled sweep per call dominates the
-        round itself (a many-client cluster load surfaced this).  ``0.0``
-        (the default) sweeps on every call — the original behaviour, and
-        what deterministic TTL tests rely on.
+        disables eviction.  The service calls :meth:`evict_expired` on
+        every API entry, and each call sweeps every stored session.
     """
 
-    def __init__(
-        self, *, ttl: Optional[float] = None, sweep_interval: float = 0.0
-    ) -> None:
-        if ttl is not None and ttl <= 0:
+    def __init__(self, *, ttl: Optional[float] = None) -> None:
+        # ``not > 0`` also rejects NaN, which would expire every session.
+        if ttl is not None and not ttl > 0:
             raise ValidationError(f"ttl must be positive, got {ttl}")
-        if sweep_interval < 0:
-            raise ValidationError(
-                f"sweep_interval must be >= 0, got {sweep_interval}"
-            )
         self.ttl = None if ttl is None else float(ttl)
-        self.sweep_interval = float(sweep_interval)
-        self._last_sweep = float("-inf")
 
     # ------------------------------------------------------------------- api
     @abc.abstractmethod
@@ -200,14 +189,10 @@ class SessionStore(abc.ABC):
         -------
         list of str
             Ids actually evicted (expired sessions skipped as busy are not
-            included).  A call landing inside :attr:`sweep_interval` of the
-            previous sweep returns ``[]`` without scanning.
+            included).
         """
         if self.ttl is None:
             return []
-        if now - self._last_sweep < self.sweep_interval:
-            return []
-        self._last_sweep = now
         evicted: List[str] = []
         for session_id in self.session_ids():
             if locks is None:
@@ -245,10 +230,8 @@ class InMemorySessionStore(SessionStore):
     prevent.
     """
 
-    def __init__(
-        self, *, ttl: Optional[float] = None, sweep_interval: float = 0.0
-    ) -> None:
-        super().__init__(ttl=ttl, sweep_interval=sweep_interval)
+    def __init__(self, *, ttl: Optional[float] = None) -> None:
+        super().__init__(ttl=ttl)
         self._states: Dict[str, SessionState] = {}
         self._mutex = threading.Lock()
 
@@ -321,41 +304,28 @@ class FileSessionStore(SessionStore):
     workers sharing the directory, a session re-routed off a dead worker)
     invalidate the entry automatically through that stat key — the cache
     never serves a state another process has since overwritten.  Writes
-    are unchanged (write-through, atomic, arrays-first); set
-    ``cache_size=0`` to recover the always-reparse behaviour.
+    are unchanged (write-through, atomic, arrays-first).  The cache holds
+    up to ``_CACHE_SIZE`` sessions, least recently used out first.
 
     Parameters
     ----------
     directory:
         Directory holding the per-session files (created if missing).
-    ttl, sweep_interval:
-        As for :class:`SessionStore` (the sweep throttle matters most here:
-        each sweep is a glob plus one JSON load per stored session).
-    cache_size:
-        Maximum sessions held in the stat-validated read cache (LRU
-        beyond that); ``0`` disables caching.
+    ttl:
+        As for :class:`SessionStore`; each sweep here is a glob plus one
+        JSON load per stored session.
     """
 
     def __init__(
-        self,
-        directory: PathLike,
-        *,
-        ttl: Optional[float] = None,
-        sweep_interval: float = 0.0,
-        cache_size: int = 1024,
+        self, directory: PathLike, *, ttl: Optional[float] = None
     ) -> None:
-        super().__init__(ttl=ttl, sweep_interval=sweep_interval)
-        if cache_size < 0:
-            raise ValidationError(
-                f"cache_size must be >= 0, got {cache_size}"
-            )
+        super().__init__(ttl=ttl)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         # Close intents live in a subdirectory so ``session_ids()`` (a
         # non-recursive ``*.json`` glob) can never mistake one for a session.
         self._intents_dir = self.directory / "close-intents"
         self._intents_dir.mkdir(exist_ok=True)
-        self.cache_size = int(cache_size)
         # session_id -> (stat key of the committed JSON, state).  LRU;
         # guarded by a mutex (puts/gets may come from many threads).
         self._cache: "OrderedDict[str, Tuple[Tuple[int, int, int], SessionState]]" = (
@@ -463,11 +433,8 @@ class FileSessionStore(SessionStore):
         which keeps the sweep from racing a *live* ``put`` that is between
         its two renames right now.
         """
-        # Checked before the base sweep advances the throttle stamp, so the
-        # orphan glob runs exactly when the TTL sweep does.
-        due = now - self._last_sweep >= self.sweep_interval
         evicted = super().evict_expired(now, locks=locks)
-        if due and self.ttl is not None:
+        if self.ttl is not None:
             self._sweep_orphans()
         return evicted
 
@@ -544,8 +511,6 @@ class FileSessionStore(SessionStore):
     def _cache_load(
         self, session_id: str, json_path: Path
     ) -> Optional[SessionState]:
-        if not self.cache_size:
-            return None
         key = self._stat_key(json_path)
         with self._cache_mutex:
             entry = self._cache.get(session_id)
@@ -561,15 +526,13 @@ class FileSessionStore(SessionStore):
     def _cache_store(
         self, session_id: str, json_path: Path, state: SessionState
     ) -> None:
-        if not self.cache_size:
-            return
         key = self._stat_key(json_path)
         if key is None:
             return  # deleted between the write and the stat — don't cache
         with self._cache_mutex:
             self._cache[session_id] = (key, state)
             self._cache.move_to_end(session_id)
-            while len(self._cache) > self.cache_size:
+            while len(self._cache) > _CACHE_SIZE:
                 self._cache.popitem(last=False)
 
     # ------------------------------------------------------------- internals

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.utils.arrays import exact_top_k, l2_normalize_rows, minmax_scale, zscore
 from repro.utils.blas import limit_blas_threads
-from repro.utils.concurrency import LOCK_ORDER, ReadWriteLock, StripedLockMap, WaitCallback
+from repro.utils.concurrency import LOCK_ORDER, StripedLockMap, WaitCallback
 from repro.utils.faults import FaultPlan, FaultRule
 from repro.utils.io import load_array_bundle, load_json, save_array_bundle, save_json
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
@@ -35,7 +35,6 @@ __all__ = [
     "save_array_bundle",
     "load_array_bundle",
     "StripedLockMap",
-    "ReadWriteLock",
     "WaitCallback",
     "LOCK_ORDER",
     "FaultPlan",

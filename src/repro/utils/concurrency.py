@@ -1,6 +1,6 @@
 """Concurrency primitives for true parallel serving.
 
-Three small, dependency-free building blocks used by the service layer (and
+Two small, dependency-free building blocks used by the service layer (and
 usable standalone):
 
 * :class:`StripedLockMap` — a fixed pool of re-entrant locks addressed by
@@ -10,15 +10,11 @@ usable standalone):
   canonical order (deadlock-free between concurrent waves), and
   :meth:`StripedLockMap.try_lock` is the non-blocking probe TTL eviction
   uses so it can never stall — or race — a live feedback round.
-* :class:`ReadWriteLock` — a writer-preferring shared/exclusive lock.  The
-  service holds it shared while serving (searches and feedback only *read*
-  the database, the index and the log vectors) and exclusively while
-  mutating the attachment (attach/detach/build).
 * :data:`Lock ordering <LOCK_ORDER>` — the documented acquisition order the
   service layer follows; any code extending the service should respect it.
 
-None of these primitives know anything about sessions or indexes; they are
-plain synchronisation tools with deterministic, test-friendly behaviour.
+Neither knows anything about sessions or indexes; they are plain
+synchronisation tools with deterministic, test-friendly behaviour.
 """
 
 from __future__ import annotations
@@ -30,13 +26,12 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from repro.exceptions import ValidationError
 
-__all__ = ["StripedLockMap", "ReadWriteLock", "WaitCallback", "LOCK_ORDER"]
+__all__ = ["StripedLockMap", "WaitCallback", "LOCK_ORDER"]
 
-#: Signature of the optional lock-wait accounting hook both primitives
-#: accept: called as ``callback(mode, waited_seconds)`` after every
-#: *blocking* acquisition, where ``mode`` names the acquisition kind
-#: (``"stripe"``/``"wave"`` for :class:`StripedLockMap`,
-#: ``"read"``/``"write"`` for :class:`ReadWriteLock`).  ``None`` (the
+#: Signature of the optional lock-wait accounting hook
+#: :class:`StripedLockMap` accepts: called as ``callback(mode,
+#: waited_seconds)`` after every *blocking* acquisition, where ``mode``
+#: names the acquisition kind (``"stripe"`` or ``"wave"``).  ``None`` (the
 #: default) skips the timing entirely, so un-hooked locks pay nothing.
 #: :func:`repro.obs.lock_wait_recorder` builds a metrics-backed callback.
 WaitCallback = Callable[[str, float], None]
@@ -46,9 +41,8 @@ WaitCallback = Callable[[str, float], None]
 #: acquiring upward is a deadlock waiting to happen.
 #:
 #: 1. session stripes  (``StripedLockMap.all_of`` — sorted stripe order)
-#: 2. attachment read/write lock (``ReadWriteLock``)
-#: 3. store mutex / per-file atomic replace (internal to the stores)
-#: 4. log append lock (innermost: the ``LogStore`` backend's batch mutex —
+#: 2. store mutex / per-file atomic replace (internal to the stores)
+#: 3. log append lock (innermost: the ``LogStore`` backend's batch mutex —
 #:    or its cross-process file lock — plus the ``LogDatabase`` façade's
 #:    matrix-cache lock)
 #:
@@ -56,7 +50,6 @@ WaitCallback = Callable[[str, float], None]
 #: and skips busy sessions, so it can run at any level without deadlocking.
 LOCK_ORDER = (
     "session-stripes",
-    "attachment-rwlock",
     "store-mutex",
     "logdb-lock",
 )
@@ -162,95 +155,3 @@ class StripedLockMap:
             if held:
                 lock.release()
 
-
-class ReadWriteLock:
-    """A writer-preferring shared/exclusive (readers-writer) lock.
-
-    Any number of readers may hold the lock together; a writer holds it
-    alone.  Arriving writers block *new* readers (writer preference), so a
-    steady stream of searches cannot starve an index rebuild.
-
-    The lock is **not** re-entrant and not upgradable: a thread holding the
-    read side must release it before acquiring the write side.
-
-    Parameters
-    ----------
-    wait_callback:
-        Optional :data:`WaitCallback` invoked after each acquisition with
-        ``("read", waited)`` or ``("write", waited)``; ``None`` disables
-        wait timing altogether.
-
-    Examples
-    --------
-    >>> lock = ReadWriteLock()
-    >>> with lock.read_locked():
-    ...     pass  # shared critical section
-    >>> with lock.write_locked():
-    ...     pass  # exclusive critical section
-    """
-
-    def __init__(self, *, wait_callback: Optional[WaitCallback] = None) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-        self._wait_callback = wait_callback
-
-    def acquire_read(self) -> None:
-        """Acquire the lock shared; blocks while a writer holds or waits."""
-        started = None if self._wait_callback is None else time.perf_counter()
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        if started is not None:
-            self._wait_callback("read", time.perf_counter() - started)
-
-    def release_read(self) -> None:
-        """Release one shared hold."""
-        with self._cond:
-            if self._readers <= 0:
-                raise RuntimeError("release_read() without a matching acquire_read()")
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        """Acquire the lock exclusively; blocks until all readers drain."""
-        started = None if self._wait_callback is None else time.perf_counter()
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-        if started is not None:
-            self._wait_callback("write", time.perf_counter() - started)
-
-    def release_write(self) -> None:
-        """Release the exclusive hold."""
-        with self._cond:
-            if not self._writer_active:
-                raise RuntimeError("release_write() without a matching acquire_write()")
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        """Context manager for a shared critical section."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        """Context manager for an exclusive critical section."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()

@@ -90,6 +90,11 @@ class TestConfigValidation:
             ClusterConfig(coalesce_window=-1, **good)
         with pytest.raises(ValidationError, match="retry_limit"):
             ClusterConfig(retry_limit=-1, **good)
+        # Counts must be integers: a fraction is rejected, not truncated.
+        with pytest.raises(ValidationError, match="num_workers"):
+            ClusterConfig(num_workers=2.5, **good)
+        with pytest.raises(ValidationError, match="retry_limit"):
+            ClusterConfig(retry_limit=1.5, **good)
         # Non-finite timings pass a sign check but break the router's
         # dispatcher, monitor or every call's wait.
         for name in ("coalesce_window", "request_timeout", "poll_interval"):

@@ -11,11 +11,14 @@ Three checks keep the docs honest in CI:
   ``docs/*.md`` and ``README.md`` resolves to a real file, and so does
   every path a docstring or comment under ``src/repro`` or ``examples``
   cites;
-* the README quickstart snippet actually executes.
+* the README quickstart snippet actually executes;
+* every keyword argument the examples pass to a serving constructor is a
+  parameter of that constructor (tier-1 never runs ``examples/``).
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -57,6 +60,17 @@ CODE_FILES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py")) + sorted(
 #: ``examples/parallel_service.py``, ``docs/service.md`` or a root-level
 #: ``BENCHMARK.json``.
 _PATH_TOKEN = re.compile(r"`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)*\.(?:py|md|json))`")
+
+#: Serving constructors whose keyword arguments the examples must match.
+EXAMPLE_CALLABLES = {
+    "RetrievalService": repro.service.RetrievalService,
+    "ClusterConfig": repro.cluster.ClusterConfig,
+    "ClusterRouter": repro.cluster.ClusterRouter,
+    "FileSessionStore": repro.service.FileSessionStore,
+    "InMemorySessionStore": repro.service.InMemorySessionStore,
+    "SearchRequest": repro.service.SearchRequest,
+    "FeedbackRequest": repro.service.FeedbackRequest,
+}
 
 #: Bare names of files a store writes at run time, not repository files.
 _RUNTIME_FILE_NAMES = {"manifest.json"}
@@ -132,7 +146,6 @@ class TestDocstrings:
             repro.cluster.ClusterRouter,
             repro.cluster.ClusterWorker,
             repro.utils.StripedLockMap,
-            repro.utils.ReadWriteLock,
             repro.logdb.LogStore,
             repro.logdb.InMemoryLogStore,
             repro.logdb.FileLogStore,
@@ -227,6 +240,31 @@ class TestDocTree:
                         f"{doc.name} references {dotted}, which is neither a "
                         f"module nor an attribute of {parent}"
                     )
+
+
+class TestExamples:
+    def test_example_keywords_are_constructor_parameters(self):
+        """A keyword an example passes to a serving constructor must still
+        exist, or the example breaks with nothing in tier-1 to notice."""
+        checked, unknown = 0, []
+        for path in sorted((REPO_ROOT / "examples").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name not in EXAMPLE_CALLABLES:
+                    continue
+                parameters = inspect.signature(EXAMPLE_CALLABLES[name]).parameters
+                for keyword in node.keywords:
+                    if keyword.arg is None:
+                        continue  # ``**kwargs`` cannot be checked statically
+                    checked += 1
+                    if keyword.arg not in parameters:
+                        unknown.append(f"{path.name}:{node.lineno} {name}({keyword.arg}=)")
+        assert checked, "no serving constructor call with keywords found in examples/"
+        assert not unknown, f"examples pass unknown keywords: {unknown}"
 
 
 class TestReadmeQuickstart:

@@ -40,7 +40,7 @@ from repro.obs import (
     format_span_tree,
     render_snapshot,
 )
-from repro.utils.concurrency import ReadWriteLock, StripedLockMap
+from repro.utils.concurrency import StripedLockMap
 
 NUM_THREADS = 8
 
@@ -580,35 +580,11 @@ class TestLockWaitHooks:
         assert [mode for mode, _ in recorded] == ["wave"]
         assert recorded[0][1] >= 0.0
 
-    def test_read_write_lock_reports_read_and_write_waits(self):
-        recorded = []
-        lock = ReadWriteLock(
-            wait_callback=lambda mode, dt: recorded.append((mode, dt))
-        )
-        with lock.read_locked():
-            pass
-        with lock.write_locked():
-            pass
-        assert [mode for mode, _ in recorded] == ["read", "write"]
-
-        recorded.clear()
-
-        def acquire():
-            with lock.write_locked():
-                pass
-
-        self._contended(lambda: lock.read_locked(), acquire)
-        write_waits = [dt for mode, dt in recorded if mode == "write"]
-        assert write_waits and max(write_waits) > 0.01
-
     def test_unhooked_primitives_record_nothing(self):
         # The default construction takes no timing at all — this just pins
         # that the callback-free path still works.
         locks = StripedLockMap(num_stripes=2)
         with locks.holding("k"):
-            pass
-        lock = ReadWriteLock()
-        with lock.write_locked():
             pass
 
     def test_lock_wait_recorder_respects_the_hub_switch(self):

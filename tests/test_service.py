@@ -57,6 +57,11 @@ class TestDTOs:
             SearchRequest(query=0, session_id="../escape")
         with pytest.raises(ValidationError):
             SearchRequest(query=0, algorithm=RFSVM(), algorithm_params={"C": 1.0})
+        # top_k must be an integer: a string or a float is rejected, never
+        # parsed or truncated.
+        for top_k in ("3", 2.5, float("nan")):
+            with pytest.raises(ValidationError, match="top_k"):
+                SearchRequest(query=0, top_k=top_k)
 
     def test_feedback_request_validates_judgements(self):
         with pytest.raises(ValidationError):
@@ -65,6 +70,9 @@ class TestDTOs:
             FeedbackRequest(session_id="s1", judgements={0: 2})
         with pytest.raises(ValidationError):
             FeedbackRequest(session_id="", judgements={0: 1})
+        for top_k in ("3", 2.5, float("nan")):
+            with pytest.raises(ValidationError, match="top_k"):
+                FeedbackRequest(session_id="s1", judgements={0: 1}, top_k=top_k)
 
     @pytest.mark.parametrize(
         "judgements",
@@ -231,6 +239,17 @@ class TestTTLEviction:
             RetrievalService(
                 fresh_database, store=InMemorySessionStore(), session_ttl=5.0
             )
+
+    # A NaN TTL must be refused too: every sweep would expire every session
+    # (``idle <= nan`` is false).
+    @pytest.mark.parametrize("ttl", [0, -1, float("nan")], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_non_positive_ttl_rejected(self, tmp_path, backend, ttl):
+        with pytest.raises(ValidationError, match="ttl"):
+            if backend == "memory":
+                InMemorySessionStore(ttl=ttl)
+            else:
+                FileSessionStore(tmp_path, ttl=ttl)
 
 
 class TestSessionStores:

@@ -8,8 +8,8 @@ open / feedback / close traffic and asserts the PR's guarantees:
 * no duplicate session ids,
 * every session's per-round rankings bit-identical to a serial replay.
 
-The rest of the module pins the individual mechanisms: striped locks and
-the read-write lock, lock-aware TTL eviction that cannot race a live round,
+The rest of the module pins the individual mechanisms: striped locks,
+lock-aware TTL eviction that cannot race a live round,
 atomic crash-safe ``FileSessionStore`` writes, and wave ≡ per-call serving
 bit-identity.
 """
@@ -34,7 +34,7 @@ from repro.service import (
     SearchRequest,
     SessionState,
 )
-from repro.utils.concurrency import ReadWriteLock, StripedLockMap
+from repro.utils.concurrency import StripedLockMap
 
 NUM_THREADS = 8
 SESSIONS_PER_THREAD = 3
@@ -765,37 +765,3 @@ class TestConcurrencyPrimitives:
         release.set()
         thread.join(timeout=10)
         assert refused.is_set()
-
-    def test_read_write_lock_excludes_writers(self):
-        lock = ReadWriteLock()
-        log = []
-        reading = threading.Event()
-        release_readers = threading.Event()
-
-        def reader():
-            with lock.read_locked():
-                reading.set()
-                release_readers.wait(timeout=30)
-                log.append("read")
-
-        def writer():
-            reading.wait(timeout=30)
-            with lock.write_locked():
-                log.append("write")
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        write_thread = threading.Thread(target=writer)
-        for thread in threads:
-            thread.start()
-        write_thread.start()
-        release_readers.set()
-        for thread in threads + [write_thread]:
-            thread.join(timeout=30)
-        assert log[-1] == "write" and log.count("read") == 3
-
-    def test_read_write_lock_misuse_raises(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
