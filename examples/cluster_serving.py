@@ -70,7 +70,6 @@ def main() -> None:
             log_dir=Path(tmp) / "log",
             num_workers=NUM_WORKERS,
             default_algorithm="euclidean",
-            coalesce_window=0.003,
         )
         total = NUM_CLIENT_THREADS * SESSIONS_PER_THREAD
         with ClusterRouter(lambda: database, config) as router:
@@ -97,7 +96,7 @@ def main() -> None:
 
             deadline = time.time() + 5.0
             while victim in router.alive_worker_ids and time.time() < deadline:
-                time.sleep(0.02)  # let the monitor notice the corpse
+                time.sleep(0.02)  # let the victim's receiver notice the corpse
             print(
                 f"killed worker {victim} mid-traffic; "
                 f"survivors: {router.alive_worker_ids}"

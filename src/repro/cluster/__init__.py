@@ -6,17 +6,17 @@ without changing the client surface:
 
 * :class:`~repro.cluster.messages.ClusterConfig` — one frozen config
   object describing the fleet (worker count, shared store directories,
-  index backend, coalescing window and failure policy).
+  request timeout and failure policy).
 * :class:`~repro.cluster.worker.ClusterWorker` /
   :func:`~repro.cluster.worker.run_worker` — each worker process hosts a
   complete service stack over the shared on-disk session and log stores
   and serves request waves from a ``multiprocessing.Queue`` pair.
 * :class:`~repro.cluster.router.ClusterRouter` — the front-end: shards
   sessions over workers by rendezvous hashing
-  (:func:`~repro.cluster.router.rendezvous_owner`), coalesces concurrent
-  per-call clients into batched waves, and reconciles worker deaths against
-  the shared stores so every feedback round — and every close — applies
-  exactly once.
+  (:func:`~repro.cluster.router.rendezvous_owner`), ships each call's
+  items to their owners one envelope per worker, and reconciles worker
+  deaths against the shared stores so every feedback round — and every
+  close — applies exactly once.
 * :mod:`repro.cluster.faults` — the deterministic fault-injection seam
   (:class:`~repro.utils.faults.FaultPlan` rules armed at named protocol
   points) that the chaos and fault-matrix tests drive.

@@ -10,7 +10,7 @@ worker answers with a :class:`WorkerResponse` of per-item
 worker serves the batch through the service's wave APIs: when a wave aborts
 (one bad request fails service-side batch validation), the worker falls
 back to serving the items individually, so one client's malformed round can
-never fail an innocent session that merely coalesced into the same wave.
+never fail an innocent session that merely shares its wave.
 
 Everything on the wire is picklable by construction — the DTOs are frozen
 dataclasses over numpy arrays and primitives, and failures travel as the
@@ -73,7 +73,7 @@ _ALL_OPS = (
     OP_SHUTDOWN,
 )
 
-#: Most items one dispatch ships to a worker, and most items a worker
+#: Most items one envelope carries to a worker, and most items a worker
 #: gathers from its queue into one service wave.
 MAX_WAVE = 64
 
@@ -93,11 +93,6 @@ class ClusterConfig:
         Worker processes to spawn.
     default_algorithm, log_policy:
         Forwarded to each worker's :class:`~repro.service.RetrievalService`.
-    coalesce_window:
-        Seconds the router's dispatcher lingers after the first queued
-        request before shipping a wave, so concurrent per-call clients
-        coalesce into batched worker waves (the cluster's main throughput
-        lever).  ``0.0`` dispatches immediately.
     request_timeout:
         Seconds a client call waits for its worker response before raising
         :class:`~repro.exceptions.ClusterTimeoutError` (the no-hang bound).
@@ -105,9 +100,8 @@ class ClusterConfig:
         How many times a client call is retried/re-routed after a worker
         death before the error surfaces.
     auto_restart:
-        Whether the monitor respawns dead workers.
-    poll_interval:
-        Seconds between the monitor's liveness sweeps.
+        Whether a worker's receiver respawns the worker when it finds it
+        dead.
     observability:
         Enable the :mod:`repro.obs` hub inside each worker process (the
         router instruments itself against the ambient hub regardless).
@@ -123,11 +117,9 @@ class ClusterConfig:
     num_workers: int = 2
     default_algorithm: str = "lrf-csvm"
     log_policy: str = "on_close"
-    coalesce_window: float = 0.003
     request_timeout: float = 30.0
     retry_limit: int = 2
     auto_restart: bool = False
-    poll_interval: float = 0.05
     observability: bool = False
     fault_plan: Optional[FaultPlan] = None
 
@@ -148,25 +140,12 @@ class ClusterConfig:
             raise ValidationError(
                 f"log_policy must be one of {LOG_POLICIES}, got {self.log_policy!r}"
             )
-        # A non-finite timing passes the sign checks below but kills the
-        # router's threads (inf overflows a sleep or wait; NaN times out
-        # every call at once).
-        for name in ("coalesce_window", "request_timeout", "poll_interval"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(
-                    f"{name} must be finite, got {getattr(self, name)}"
-                )
-        if self.coalesce_window < 0:
+        # A non-finite timeout passes a sign check but breaks every call's
+        # wait (inf overflows it; NaN times every call out at once).
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
             raise ValidationError(
-                f"coalesce_window must be >= 0, got {self.coalesce_window}"
-            )
-        if self.request_timeout <= 0:
-            raise ValidationError(
-                f"request_timeout must be positive, got {self.request_timeout}"
-            )
-        if self.poll_interval <= 0:
-            raise ValidationError(
-                f"poll_interval must be positive, got {self.poll_interval}"
+                "request_timeout must be finite and positive, "
+                f"got {self.request_timeout}"
             )
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValidationError(

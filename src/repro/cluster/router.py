@@ -9,20 +9,20 @@ client rewrite.
 
 How a request travels
 ---------------------
-1. The client call lands in the router's **inbox** and blocks on a
-   per-request event.
-2. The **dispatcher** thread lingers ``coalesce_window`` seconds so
-   concurrent per-call clients pile up, then groups the queued items by
-   ``(worker, op)`` and ships each group as one wave envelope.  This is
-   the cluster's throughput lever: workers serve coalesced waves through
-   the service's micro-batch APIs, so N concurrent clients cost one
-   vectorised pass instead of N dispatches.
-3. A per-worker **receiver** thread matches response envelopes to
-   outstanding requests and wakes the callers.
-4. The **monitor** thread polls worker liveness.  When a worker dies, its
-   outstanding requests fail over: reads retry on a surviving worker
-   (rendezvous hashing re-routes automatically — dead workers leave the
-   hash ring), and writes run the reconciliation protocol below.
+1. The calling client thread routes its call's items and ships them
+   straight to the owning workers: one envelope per worker (at most
+   :data:`~repro.cluster.messages.MAX_WAVE` items each), then it blocks
+   on a per-item event.  A worker drains whatever envelopes piled up
+   while it was busy and serves runs of the same op as one service wave
+   — that queue-depth gather is the cluster's one batching point.
+2. A per-worker **receiver** thread matches response envelopes to
+   outstanding requests and wakes the callers.  It is also the worker's
+   liveness check: whenever its queue stays empty for
+   ``_LIVENESS_POLL`` seconds it asks whether the process is still
+   running.  When a worker dies, its outstanding requests fail over:
+   reads retry on a surviving worker (rendezvous hashing re-routes
+   automatically — dead workers leave the hash ring), and writes run the
+   reconciliation protocol below.
 
 Sessions are sharded by **rendezvous hashing** of the session id over the
 alive workers: no coordination state, minimal re-shuffling when a worker
@@ -106,6 +106,10 @@ from repro.cluster.messages import (
 from repro.cluster.worker import ClusterWorker
 
 __all__ = ["ClusterRouter", "rendezvous_owner"]
+
+#: Seconds a receiver waits on an empty response queue before it checks
+#: that its worker process is still running.
+_LIVENESS_POLL = 0.05
 
 
 def rendezvous_owner(session_id: str, worker_ids: Sequence[int]) -> int:
@@ -201,8 +205,9 @@ class ClusterRouter:
 
     Notes
     -----
-    The constructor spawns the workers and starts the router threads;
-    :meth:`start` is idempotent, so ``with ClusterRouter(...)`` is safe.
+    The constructor spawns the workers and starts one receiver thread per
+    worker; :meth:`start` is idempotent, so ``with ClusterRouter(...)`` is
+    safe.
 
     Sessions must use registry-*named* feedback algorithms — strategy
     instances cannot cross the process boundary (the same rule the
@@ -220,8 +225,6 @@ class ClusterRouter:
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._slots: Dict[int, _WorkerSlot] = {}
         self._slots_lock = threading.RLock()
-        self._inbox: List[_PendingItem] = []
-        self._inbox_cond = threading.Condition()
         self._request_ids = itertools.count(1)
         self._session_counter = itertools.count(1)
         self._run_tag = "c" + uuid.uuid4().hex[:8]
@@ -231,13 +234,11 @@ class ClusterRouter:
         self._started = False
         self._stopped = False
         self._restarts = 0
-        self._dispatcher: Optional[threading.Thread] = None
-        self._monitor: Optional[threading.Thread] = None
         self.start()
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "ClusterRouter":
-        """Spawn the worker fleet, then the router threads.
+        """Spawn the worker fleet, then one receiver thread per worker.
 
         Workers are forked *before* any router thread exists — forking a
         single-threaded parent is the only portably safe way to use the
@@ -252,36 +253,22 @@ class ClusterRouter:
             self._slots[worker_id] = _WorkerSlot(worker)
         for slot in self._slots.values():
             self._start_receiver(slot)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="cluster-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="cluster-monitor", daemon=True
-        )
-        self._monitor.start()
         self._started = True
         self._publish_alive()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Drain, shut workers down gracefully, and tear the router down.
+        """Shut workers down gracefully and tear the router down.
 
-        Safe to call twice.  Requests still queued client-side fail with
-        :class:`ClusterError`; waves already shipped are served before the
-        worker sees its shutdown envelope (the queue is FIFO).
+        Safe to call twice.  New calls fail with :class:`ClusterError`;
+        waves already shipped are served before the worker sees its
+        shutdown envelope (the queue is FIFO), and whatever is still
+        outstanding afterwards fails with :class:`ClusterError`.
         """
         if not self._started or self._stopped:
             return
         self._stopped = True
         self._stopping.set()
-        with self._inbox_cond:
-            leftover, self._inbox = self._inbox, []
-            self._inbox_cond.notify_all()
-        for item in leftover:
-            item.fail(ClusterError("router stopped"))
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
         with self._slots_lock:
             slots = list(self._slots.values())
         for slot in slots:
@@ -289,8 +276,6 @@ class ClusterRouter:
                 slot.worker.shutdown(next(self._request_ids))
         for slot in slots:
             slot.worker.join(timeout)
-        if self._monitor is not None:
-            self._monitor.join(timeout)
         for slot in slots:
             if slot.receiver is not None:
                 slot.receiver.join(timeout)
@@ -319,12 +304,11 @@ class ClusterRouter:
     def open_sessions(
         self, requests: Sequence[Union[SearchRequest, int, Any]]
     ) -> List[RankingResponse]:
-        """Open a wave of sessions (enqueued together, so they coalesce)."""
+        """Open a wave of sessions (shipped together: one envelope per worker)."""
         prepared = [self._coerce_open(request, None) for request in requests]
-        items = [
-            self._enqueue(OP_OPEN, request, request.session_id)
-            for request in prepared
-        ]
+        items = self._enqueue(
+            OP_OPEN, prepared, [request.session_id for request in prepared]
+        )
         return [
             self._finish_open(request, item)
             for request, item in zip(prepared, items)
@@ -340,7 +324,7 @@ class ClusterRouter:
         """Run one feedback round; accepts what the service's method accepts."""
         if not isinstance(request, FeedbackRequest):
             request = FeedbackRequest(
-                session_id=request, judgements=judgements or {}, top_k=top_k
+                session_id=request, judgements=judgements, top_k=top_k
             )
         elif judgements is not None or top_k is not None:
             raise ValidationError(
@@ -351,21 +335,22 @@ class ClusterRouter:
     def submit_feedback_batch(
         self, requests: Sequence[Union[FeedbackRequest, Mapping]]
     ) -> List[RankingResponse]:
-        """Run one feedback round per session (enqueued together)."""
+        """Run one feedback round per session (shipped together)."""
         prepared = [
             request if isinstance(request, FeedbackRequest)
             else FeedbackRequest(**request)
             for request in requests
         ]
-        entries = []
+        expected = []
         for request in prepared:
             record = self._get_record(request.session_id)
-            expected = record.rounds if record is not None else None
-            item = self._enqueue(OP_FEEDBACK, request, request.session_id)
-            entries.append((request, expected, item))
+            expected.append(record.rounds if record is not None else None)
+        items = self._enqueue(
+            OP_FEEDBACK, prepared, [request.session_id for request in prepared]
+        )
         return [
-            self._finish_feedback(request, expected, item)
-            for request, expected, item in entries
+            self._finish_feedback(request, rounds, item)
+            for request, rounds, item in zip(prepared, expected, items)
         ]
 
     def close_session(self, session_id: str) -> SessionView:
@@ -373,11 +358,8 @@ class ClusterRouter:
         return self.close_sessions([session_id])[0]
 
     def close_sessions(self, session_ids: Sequence[str]) -> List[SessionView]:
-        """Close a wave of sessions (enqueued together)."""
-        items = [
-            self._enqueue(OP_CLOSE, session_id, session_id)
-            for session_id in session_ids
-        ]
+        """Close a wave of sessions (shipped together)."""
+        items = self._enqueue(OP_CLOSE, session_ids, session_ids)
         return [
             self._finish_close(session_id, item)
             for session_id, item in zip(session_ids, items)
@@ -429,7 +411,7 @@ class ClusterRouter:
 
     @property
     def restarts(self) -> int:
-        """How many workers the monitor has respawned."""
+        """How many dead workers have been respawned."""
         return self._restarts
 
     def session_ids(self) -> List[str]:
@@ -442,7 +424,7 @@ class ClusterRouter:
         return self._route(session_id)
 
     def kill_worker(self, worker_id: int) -> None:
-        """SIGKILL one worker (chaos testing); the monitor handles the rest."""
+        """SIGKILL one worker (chaos testing); its receiver handles the rest."""
         with self._slots_lock:
             slot = self._slots[worker_id]
         slot.worker.kill()
@@ -467,7 +449,7 @@ class ClusterRouter:
                 # off the hash ring).
                 self._discard_quietly(request.session_id)
                 hub.count("cluster.router.reroutes")
-                item = self._enqueue(OP_OPEN, request, request.session_id)
+                (item,) = self._enqueue(OP_OPEN, [request], [request.session_id])
                 continue
             self._remember_open(request)
             return response
@@ -494,8 +476,8 @@ class ClusterRouter:
                 if recovered is not None:
                     response = recovered
                 else:
-                    item = self._enqueue(
-                        OP_FEEDBACK, request, request.session_id
+                    (item,) = self._enqueue(
+                        OP_FEEDBACK, [request], [request.session_id]
                     )
                     continue
             self._remember_round(request, response)
@@ -548,7 +530,7 @@ class ClusterRouter:
                     # Still in the store: the close never committed its
                     # delete, so re-sending runs it exactly once (the
                     # worker's close protocol is idempotent end to end).
-                    item = self._enqueue(OP_CLOSE, session_id, session_id)
+                    (item,) = self._enqueue(OP_CLOSE, [session_id], [session_id])
                     continue
                 # State is gone — have a survivor roll forward any orphaned
                 # close intent so the log flush is certain before we report
@@ -604,7 +586,8 @@ class ClusterRouter:
         attempts = 0
         while True:
             try:
-                return self._await(self._enqueue(op, payload, session_id))
+                (item,) = self._enqueue(op, [payload], [session_id])
+                return self._await(item)
             except WorkerDiedError:
                 attempts += 1
                 get_hub().count("cluster.router.retries")
@@ -641,15 +624,19 @@ class ClusterRouter:
     def _mint_session_id(self) -> str:
         return f"{self._run_tag}-{next(self._session_counter):06d}"
 
-    def _enqueue(self, op: str, payload: Any, session_id: str) -> _PendingItem:
+    def _enqueue(
+        self, op: str, payloads: Sequence[Any], session_ids: Sequence[str]
+    ) -> List[_PendingItem]:
+        """Ship one call's items from the calling thread, without waiting."""
         if not self._started or self._stopped:
             raise ClusterError("router is not running")
-        item = _PendingItem(op, payload, session_id)
-        with self._inbox_cond:
-            self._inbox.append(item)
-            self._inbox_cond.notify()
-        get_hub().count("cluster.router.requests")
-        return item
+        items = [
+            _PendingItem(op, payload, session_id)
+            for payload, session_id in zip(payloads, session_ids)
+        ]
+        get_hub().count("cluster.router.requests", len(items))
+        self._dispatch(items)
+        return items
 
     def _await(self, item: _PendingItem) -> Any:
         if not item.event.wait(self.config.request_timeout):
@@ -689,21 +676,7 @@ class ClusterRouter:
                 continue  # died mid-broadcast; simply absent from the map
         return results
 
-    # ------------------------------------------------------------ dispatcher
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._inbox_cond:
-                while not self._inbox and not self._stopping.is_set():
-                    self._inbox_cond.wait(timeout=0.1)
-                if self._stopping.is_set():
-                    return  # stop() fails whatever it drained
-            if self.config.coalesce_window > 0:
-                time.sleep(self.config.coalesce_window)
-            with self._inbox_cond:
-                batch, self._inbox = self._inbox, []
-            if batch:
-                self._dispatch(batch)
-
+    # ------------------------------------------------------------- shipping
     def _dispatch(self, batch: List[_PendingItem]) -> None:
         groups: Dict[Any, List[_PendingItem]] = {}
         for item in batch:
@@ -748,8 +721,8 @@ class ClusterRouter:
             # A closed queue's put raises ValueError or OSError (the seam's
             # "drop" action raises ConnectionResetError, an OSError), and
             # FaultInjectedError is its "raise" action.  Either way the
-            # wave never left, so fail it over without killing the
-            # dispatcher thread.
+            # wave never left, so fail it over instead of raising into the
+            # client's call.
             with slot.lock:
                 slot.outstanding.pop(request_id, None)
             for item in items:
@@ -768,16 +741,22 @@ class ClusterRouter:
     def _receive_loop(self, slot: _WorkerSlot) -> None:
         while True:
             try:
-                response = slot.worker.response_queue.get(timeout=0.1)
+                response = slot.worker.response_queue.get(timeout=_LIVENESS_POLL)
             except queue.Empty:
-                if not slot.alive:
-                    return  # marked dead and the queue has drained
+                # Stopping first: a worker that exits on its shutdown
+                # envelope is not a death, and stop() fails what is left.
                 if self._stopping.is_set():
                     with slot.lock:
                         if not slot.outstanding:
                             return
+                    continue
+                if not slot.worker.is_alive():
+                    self._worker_died(slot)
+                    return
                 continue
             except (EOFError, OSError):
+                if not self._stopping.is_set():
+                    self._worker_died(slot)
                 return
             with slot.lock:
                 items = slot.outstanding.pop(response.request_id, None)
@@ -786,21 +765,12 @@ class ClusterRouter:
             for item, outcome in zip(items, response.outcomes):
                 item.resolve(outcome)
 
-    # --------------------------------------------------------------- monitor
-    def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.config.poll_interval):
-            with self._slots_lock:
-                slots = list(self._slots.items())
-            dead = [
-                (worker_id, slot)
-                for worker_id, slot in slots
-                if slot.alive and not slot.worker.is_alive()
-            ]
-            for worker_id, slot in dead:
-                self._mark_dead(worker_id, slot)
-            if dead and self.config.auto_restart and not self._stopping.is_set():
-                for worker_id, _slot in dead:
-                    self._restart(worker_id)
+    # ------------------------------------------------------------- liveness
+    def _worker_died(self, slot: _WorkerSlot) -> None:
+        worker_id = slot.worker.worker_id
+        self._mark_dead(worker_id, slot)
+        if self.config.auto_restart and not self._stopping.is_set():
+            self._restart(worker_id)
 
     def _mark_dead(self, worker_id: int, slot: _WorkerSlot) -> None:
         with slot.lock:
@@ -827,6 +797,13 @@ class ClusterRouter:
         )
         slot = _WorkerSlot(worker)
         with self._slots_lock:
+            # stop() lists the slots under this lock after it sets
+            # _stopping, so a respawn that lost that race never runs.
+            if self._stopping.is_set():
+                worker.kill()
+                worker.join(1.0)
+                worker.close()
+                return
             self._slots[worker_id] = slot
         self._start_receiver(slot)
         self._restarts += 1

@@ -5,10 +5,10 @@ Workers are deliberately boring.  Each one builds the full stack — dataset,
 index, database, service — over the **shared** on-disk session and log
 stores, then loops: pull a :class:`~repro.cluster.messages.WorkerRequest`,
 serve it through the service's wave APIs, push a
-:class:`~repro.cluster.messages.WorkerResponse`.  All cleverness (routing,
-coalescing, retries, failure recovery) lives in the router; a worker that
-is SIGKILLed mid-wave loses nothing the router cannot reconcile from the
-shared stores.
+:class:`~repro.cluster.messages.WorkerResponse`.  Its one trick is
+queue-depth batching (below); everything else (routing, retries, failure
+recovery) lives in the router, and a worker that is SIGKILLed mid-wave
+loses nothing the router cannot reconcile from the shared stores.
 
 Two robustness rules govern the serving loop:
 
@@ -16,7 +16,7 @@ Two robustness rules govern the serving loop:
   is invalid (service-side batch validation), so after a batch failure the
   worker re-serves the items one by one and reports a per-item
   :class:`~repro.cluster.messages.ItemOutcome` — one malformed request
-  fails alone instead of poisoning every session that coalesced with it.
+  fails alone instead of poisoning every session that shares its wave.
 * **No orphans.**  The receive loop wakes periodically and exits when the
   parent (router) process is gone, so killed test runs and crashed routers
   never leave worker processes behind.
@@ -128,11 +128,13 @@ class _WorkerServer:
         self.blas_threads = blas_threads
         self._started_at = time.time()
         self._served = 0
+        self._waves = 0
 
     # ------------------------------------------------------------- dispatch
     def handle(self, op: str, items: Sequence[Any]) -> List[ItemOutcome]:
         items = list(items)
         self._served += len(items)
+        self._waves += 1
         if op == OP_OPEN:
             return self._batch(self.service.open_sessions,
                                self.service.open_session, items)
@@ -194,6 +196,7 @@ class _WorkerServer:
             "pid": os.getpid(),
             "open_sessions": self.service.num_open_sessions,
             "served_items": self._served,
+            "waves": self._waves,
             "uptime_seconds": time.time() - self._started_at,
             "blas_threads": self.blas_threads,
         }
@@ -241,10 +244,10 @@ def run_worker(
             continue
         except (EOFError, OSError):
             return  # queue torn down under us
-        # Queue-depth batching: everything that piled up while this worker
-        # was busy is drained and runs of the same op merge into ONE
-        # service wave — so batching adapts to load instead of depending
-        # on the router's coalesce window alone.
+        # Queue-depth batching, the cluster's one batching point:
+        # everything that piled up while this worker was busy is drained
+        # and runs of the same op merge into ONE service wave, so
+        # concurrent clients share waves exactly when the load is there.
         envelopes = [first]
         gathered = len(first.items)
         while first.op != OP_SHUTDOWN and gathered < MAX_WAVE:

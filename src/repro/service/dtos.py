@@ -39,9 +39,16 @@ def _clean_judgements(judgements: Mapping[int, int]) -> Dict[int, int]:
 
     Indices and labels must be integers (anything ``operator.index``
     accepts, numpy integers included): a float or a string is rejected,
-    never truncated or parsed.
+    never truncated or parsed.  So is anything that is not a mapping or a
+    sequence of pairs.
     """
-    items = dict(judgements).items()
+    try:
+        items = dict(judgements).items()
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "judgements must be a mapping of image index to +1/-1, got "
+            f"{type(judgements).__name__}"
+        ) from None
     try:
         cleaned = {operator.index(k): operator.index(v) for k, v in items}
     except TypeError:
@@ -115,11 +122,8 @@ class SearchRequest:
             raise ValidationError(
                 "algorithm_params only apply to a registry-named algorithm"
             )
-        if self.session_id is not None and not _is_safe_id(self.session_id):
-            raise ValidationError(
-                "session_id must match [A-Za-z0-9._-]+ , got "
-                f"{self.session_id!r}"
-            )
+        if self.session_id is not None:
+            check_session_id(self.session_id)
         object.__setattr__(self, "algorithm_params", dict(self.algorithm_params))
 
 
@@ -145,8 +149,7 @@ class FeedbackRequest:
     top_k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.session_id:
-            raise ValidationError("session_id must not be empty")
+        check_session_id(self.session_id)
         object.__setattr__(self, "judgements", _clean_judgements(self.judgements))
         object.__setattr__(self, "top_k", _clean_top_k(self.top_k))
 
@@ -221,7 +224,15 @@ class SessionView:
     solver_stats: Optional[Mapping[str, Any]] = None
 
 
-def _is_safe_id(session_id: str) -> bool:
-    return bool(session_id) and all(
-        ch.isalnum() or ch in "._-" for ch in session_id
-    )
+def check_session_id(session_id: str) -> str:
+    """Return *session_id* if it is a non-empty ``str`` of letters, digits
+    and ``. _ -`` (safe as a file name); raise :class:`ValidationError`."""
+    if not (
+        isinstance(session_id, str)
+        and session_id
+        and all(ch.isalnum() or ch in "._-" for ch in session_id)
+    ):
+        raise ValidationError(
+            f"session_id must match [A-Za-z0-9._-]+ , got {session_id!r}"
+        )
+    return session_id

@@ -32,12 +32,14 @@ from __future__ import annotations
 import abc
 import threading
 import time
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import SessionError, ValidationError
 from repro.obs import get_hub
+from repro.service.dtos import check_session_id
 from repro.service.state import SessionState
 from repro.utils.concurrency import StripedLockMap
 from repro.utils.faults import trip as _fault_trip
@@ -209,7 +211,7 @@ class SessionStore(abc.ABC):
         try:
             last_active = self.last_active_of(session_id)
         except SessionError:
-            return False  # deleted concurrently — nothing to do
+            return False  # deleted concurrently or unreadable — leave it
         if now - last_active <= self.ttl:
             return False
         self.delete(session_id)
@@ -348,7 +350,7 @@ class FileSessionStore(SessionStore):
                 "instance-backed sessions cannot be serialised; open the "
                 "session with a registry-named algorithm instead"
             )
-        self._safe(state.session_id)
+        check_session_id(state.session_id)
 
     def put(self, state: SessionState) -> None:
         """Persist *state* as its JSON + npz pair, atomically (see above).
@@ -368,11 +370,13 @@ class FileSessionStore(SessionStore):
         self._cache_store(state.session_id, json_path, state)
 
     def get(self, session_id: str) -> SessionState:
-        """Load and deserialise one session (raises :class:`SessionError`).
+        """Load and deserialise one session.
 
         Served from the stat-validated read cache when the on-disk commit
         record is unchanged since this process last read or wrote it (see
-        the class docstring); re-parsed from disk otherwise.
+        the class docstring); re-parsed from disk otherwise.  Raises
+        :class:`SessionError` when the id is unknown or one of its files
+        cannot be read (a torn or foreign file).
         """
         json_path = self._json_path(session_id)
         cached = self._cache_load(session_id, json_path)
@@ -380,9 +384,12 @@ class FileSessionStore(SessionStore):
             return cached
         if not json_path.exists():
             raise self._missing(session_id)
-        document = load_json(json_path)
+        document = _read(session_id, json_path, load_json)
         npz_path = self._npz_path(session_id)
-        arrays = load_array_bundle(npz_path) if npz_path.exists() else {}
+        arrays = (
+            _read(session_id, npz_path, load_array_bundle)
+            if npz_path.exists() else {}
+        )
         state = SessionState.from_payload(document, arrays)
         self._cache_store(session_id, json_path, state)
         return state
@@ -416,7 +423,7 @@ class FileSessionStore(SessionStore):
             return cached.last_active
         if not json_path.exists():
             raise self._missing(session_id)
-        return float(load_json(json_path).get("last_active", 0.0))
+        return float(_read(session_id, json_path, load_json).get("last_active", 0.0))
 
     def evict_expired(
         self, now: float, *, locks: Optional[StripedLockMap] = None
@@ -473,7 +480,7 @@ class FileSessionStore(SessionStore):
         return sorted(path.stem for path in self._intents_dir.glob("*.json"))
 
     def _intent_path(self, session_id: str) -> Path:
-        return self._intents_dir / f"{self._safe(session_id)}.json"
+        return self._intents_dir / f"{check_session_id(session_id)}.json"
 
     def _publish_intents(self) -> None:
         hub = get_hub()
@@ -537,17 +544,17 @@ class FileSessionStore(SessionStore):
 
     # ------------------------------------------------------------- internals
     def _json_path(self, session_id: str) -> Path:
-        return self.directory / f"{self._safe(session_id)}.json"
+        return self.directory / f"{check_session_id(session_id)}.json"
 
     def _npz_path(self, session_id: str) -> Path:
-        return self.directory / f"{self._safe(session_id)}.npz"
+        return self.directory / f"{check_session_id(session_id)}.npz"
 
-    @staticmethod
-    def _safe(session_id: str) -> str:
-        if not session_id or not all(
-            ch.isalnum() or ch in "._-" for ch in session_id
-        ):
-            raise ValidationError(
-                f"session_id must match [A-Za-z0-9._-]+ , got {session_id!r}"
-            )
-        return session_id
+
+def _read(session_id: str, path: Path, load: Callable[[Path], Any]) -> Any:
+    """``load(path)``, with an unreadable file raised as a :class:`SessionError`."""
+    try:
+        return load(path)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise SessionError(
+            f"session '{session_id}' has an unreadable file {path.name}: {exc}"
+        ) from exc

@@ -62,10 +62,8 @@ def _config(tmp_path, **overrides):
         session_dir=tmp_path / "sessions",
         log_dir=tmp_path / "log",
         num_workers=2,
-        coalesce_window=0.002,
         request_timeout=20.0,
         retry_limit=3,
-        poll_interval=0.02,
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
@@ -86,8 +84,6 @@ class TestConfigValidation:
             ClusterConfig(num_workers=0, **good)
         with pytest.raises(ValidationError, match="log_policy"):
             ClusterConfig(log_policy="sometimes", **good)
-        with pytest.raises(ValidationError, match="coalesce_window"):
-            ClusterConfig(coalesce_window=-1, **good)
         with pytest.raises(ValidationError, match="retry_limit"):
             ClusterConfig(retry_limit=-1, **good)
         # Counts must be integers: a fraction is rejected, not truncated.
@@ -95,12 +91,11 @@ class TestConfigValidation:
             ClusterConfig(num_workers=2.5, **good)
         with pytest.raises(ValidationError, match="retry_limit"):
             ClusterConfig(retry_limit=1.5, **good)
-        # Non-finite timings pass a sign check but break the router's
-        # dispatcher, monitor or every call's wait.
-        for name in ("coalesce_window", "request_timeout", "poll_interval"):
-            for value in (float("inf"), float("-inf"), float("nan")):
-                with pytest.raises(ValidationError, match=name):
-                    ClusterConfig(**{name: value}, **good)
+        # A non-finite timeout passes a sign check but breaks every
+        # call's wait.
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValidationError, match="request_timeout"):
+                ClusterConfig(request_timeout=value, **good)
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValidationError, match="unknown cluster op"):
@@ -199,8 +194,12 @@ class TestLifecycle:
                 thread.join(60)
             assert not any(thread.is_alive() for thread in threads)
             assert results == [2] * 12
-            # Released together, the per-call clients must share a wave.
-            assert get_hub().metrics.histogram("cluster.wave.size").snapshot()["max"] >= 2
+            # Released together, the per-call clients must share a wave:
+            # the workers' queue-depth gather serves fewer waves than items.
+            per_worker = cluster.stats()["per_worker"].values()
+            assert sum(w["served_items"] for w in per_worker) > sum(
+                w["waves"] for w in per_worker
+            )
             # Exactly-once: every client's distinct query is logged once per round.
             counts = collections.Counter(
                 record.query_index for record in FileLogStore(cluster.config.log_dir).scan()
@@ -229,6 +228,24 @@ class TestLifecycle:
         assert all(
             w["open_sessions"] == 1 for w in stats["per_worker"].values()
         )
+
+    def test_router_runs_one_thread_per_worker(self, tmp_path):
+        configure()  # fresh hub: the death counter starts at zero
+        try:
+            router = ClusterRouter(_factory, _config(tmp_path))
+            router.ping()
+            cluster_threads = [
+                t for t in threading.enumerate() if t.name.startswith("cluster-")
+            ]
+            assert sorted(t.name for t in cluster_threads) == [
+                "cluster-receiver-0", "cluster-receiver-1",
+            ]
+            router.stop()
+            assert not any(t.is_alive() for t in cluster_threads)
+            # Workers that exit on their shutdown envelope did not die.
+            assert get_hub().metrics.counter("cluster.worker.deaths").value == 0
+        finally:
+            get_hub().enabled = False
 
     def test_stop_is_idempotent_and_rejects_new_work(self, tmp_path):
         router = ClusterRouter(_factory, _config(tmp_path))
@@ -262,35 +279,18 @@ class TestErrorPropagation:
         cluster.close_session("taken")
 
     def test_bad_item_in_coalesced_wave_fails_alone(self, tmp_path):
-        # One malformed request coalescing into a wave with a healthy one
-        # must not fail the healthy request (per-item fallback).
-        config = _config(tmp_path, coalesce_window=0.05)
-        with ClusterRouter(_factory, config) as router:
+        # One malformed request shipped in a wave with a healthy one must
+        # not fail the healthy request (per-item fallback).  One call on
+        # one worker makes the two requests one envelope.
+        with ClusterRouter(_factory, _config(tmp_path, num_workers=1)) as router:
             router.open_session(0, session_id="dup", algorithm="euclidean")
-            outcomes = {}
-
-            def opener(name, request):
-                try:
-                    outcomes[name] = router.open_sessions([request])[0]
-                except Exception as exc:
-                    outcomes[name] = exc
-
             good = SearchRequest(query=1, algorithm="euclidean",
                                  session_id="fresh")
             bad = SearchRequest(query=2, algorithm="euclidean",
                                 session_id="dup")
-            # Same rendezvous target: both ids hash wherever they hash, so
-            # force the wave by aligning the ids' routes.
-            threads = [
-                threading.Thread(target=opener, args=("good", good)),
-                threading.Thread(target=opener, args=("bad", bad)),
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert isinstance(outcomes["bad"], SessionError)
-            assert outcomes["good"].session_id == "fresh"
+            with pytest.raises(SessionError):
+                router.open_sessions([good, bad])
+            assert router.get_session("fresh").rounds_completed == 0
             router.close_session("fresh")
             router.close_session("dup")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import collections
 import random
-import threading
 
 import pytest
 
@@ -53,10 +52,8 @@ def _config(tmp_path, **overrides):
         session_dir=tmp_path / "sessions",
         log_dir=tmp_path / "log",
         num_workers=2,
-        coalesce_window=0.002,
         request_timeout=20.0,
         retry_limit=3,
-        poll_interval=0.02,
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
@@ -156,9 +153,7 @@ class TestKillDuringCloseWave:
         to exactly one log record per session."""
         victim = 0
         plan = FaultPlan.single(point, action="exit", worker_id=victim)
-        config = _config(
-            tmp_path, fault_plan=plan, coalesce_window=0.05, retry_limit=3
-        )
+        config = _config(tmp_path, fault_plan=plan, retry_limit=3)
         with ClusterRouter(_factory, config) as router:
             # Client-chosen ids, salted until the rendezvous hash sends every
             # other one to the victim: router-minted ids are random, and a
@@ -178,23 +173,10 @@ class TestKillDuringCloseWave:
                 router.submit_feedback(
                     session_id, {int(opened.image_indices[0]): 1}
                 )
-            views = {}
-
-            def closer(sid):
-                views[sid] = router.close_session(sid)
-
-            threads = [
-                threading.Thread(target=closer, args=(sid,))
-                for sid in session_ids
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(views[sid].closed for sid in session_ids)
-            assert all(
-                views[sid].rounds_completed == 1 for sid in session_ids
-            )
+            # One call: each worker gets its three sessions as one wave.
+            views = router.close_sessions(session_ids)
+            assert all(view.closed for view in views)
+            assert all(view.rounds_completed == 1 for view in views)
         counts = _log_counts(tmp_path)
         assert sum(counts.values()) == 6  # zero lost, zero duplicated
         assert _leftover_intents(tmp_path) == []
@@ -206,7 +188,7 @@ class TestRouterFaults:
         # A failed put in the router's own ship path — the seam's error, or
         # a connection reset (an OSError, as a closed queue raises) — must
         # fail the wave over (WorkerDiedError → reconcile → re-send) once,
-        # not kill the dispatcher.
+        # not raise into the client's call.
         config = _config(tmp_path)
         with ClusterRouter(_factory, config) as router:
             opened = router.open_session(0, top_k=8, algorithm="euclidean")

@@ -721,10 +721,8 @@ class TestClusterIntegration:
             session_dir=tmp_path / "sessions",
             log_dir=tmp_path / "log",
             num_workers=2,
-            coalesce_window=0.002,
             request_timeout=30.0,
             retry_limit=3,
-            poll_interval=0.02,
         )
         local = RetrievalService(
             ImageDatabase(_cluster_dataset_factory()),

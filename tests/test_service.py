@@ -53,8 +53,9 @@ class TestDTOs:
             SearchRequest(query=0, top_k=0)
         with pytest.raises(ValidationError):
             SearchRequest(query="zero")
-        with pytest.raises(ValidationError):
-            SearchRequest(query=0, session_id="../escape")
+        for session_id in ("../escape", 5, b"ab"):
+            with pytest.raises(ValidationError, match="session_id"):
+                SearchRequest(query=0, session_id=session_id)
         with pytest.raises(ValidationError):
             SearchRequest(query=0, algorithm=RFSVM(), algorithm_params={"C": 1.0})
         # top_k must be an integer: a string or a float is rejected, never
@@ -68,8 +69,14 @@ class TestDTOs:
             FeedbackRequest(session_id="s1", judgements={})
         with pytest.raises(ValidationError):
             FeedbackRequest(session_id="s1", judgements={0: 2})
-        with pytest.raises(ValidationError):
-            FeedbackRequest(session_id="", judgements={0: 1})
+        for session_id in ("", 5, b"ab"):
+            with pytest.raises(ValidationError, match="session_id"):
+                FeedbackRequest(session_id=session_id, judgements={0: 1})
+        # Not a mapping (nor a sequence of pairs): rejected, not leaked as
+        # a TypeError or ValueError from dict().
+        for judgements in (None, [1, 2], "ab"):
+            with pytest.raises(ValidationError, match="judgements"):
+                FeedbackRequest(session_id="s1", judgements=judgements)
         for top_k in ("3", 2.5, float("nan")):
             with pytest.raises(ValidationError, match="top_k"):
                 FeedbackRequest(session_id="s1", judgements={0: 1}, top_k=top_k)
@@ -317,6 +324,44 @@ class TestSessionStores:
             assert "abc" not in store
             with pytest.raises(SessionError):
                 store.get("abc")
+
+    def test_file_store_service_rejects_non_string_ids(self, fresh_database, tmp_path):
+        service = RetrievalService(
+            fresh_database, store=FileSessionStore(tmp_path), log_policy="off"
+        )
+        for call in (service.get_session, service.close_session,
+                     service.last_response, service.discard_session):
+            with pytest.raises(ValidationError, match="session_id"):
+                call(5)
+
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_torn_session_file_raises_session_error(
+        self, fresh_database, tmp_path, suffix
+    ):
+        service = RetrievalService(
+            fresh_database, store=FileSessionStore(tmp_path), log_policy="off"
+        )
+        opened = service.open_session(
+            SearchRequest(query=0, top_k=5, algorithm="rf-svm", session_id="torn")
+        )
+        service.submit_feedback("torn", {int(opened.image_indices[0]): 1})
+        path = tmp_path / f"torn{suffix}"
+        path.write_bytes(path.read_bytes()[:20])
+        message = f"'torn' has an unreadable file torn{suffix}"
+        # A fresh store, as another process would read the directory.
+        store = FileSessionStore(tmp_path)
+        with pytest.raises(SessionError, match=message):
+            store.get("torn")
+        if suffix == ".json":
+            with pytest.raises(SessionError, match=message):
+                store.last_active_of("torn")
+        reader = RetrievalService(fresh_database, store=store, log_policy="off")
+        with pytest.raises(SessionError, match=message):
+            reader.get_session("torn")
+        with pytest.raises(SessionError, match=message):
+            reader.submit_feedback("torn", {int(opened.image_indices[1]): 1})
+        with pytest.raises(SessionError, match=message):
+            reader.close_session("torn")
 
 
 class TestSessionPersistence:
