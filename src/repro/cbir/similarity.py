@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.arrays import pairwise_squared_distances
+from repro.utils.arrays import euclidean_distances
 
 __all__ = [
     "euclidean_distances",
@@ -19,21 +19,6 @@ __all__ = [
 
 #: Signature shared by all distance measures: ``(queries, database) -> (Q, N)``.
 DistanceFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def euclidean_distances(
-    queries: np.ndarray, database: np.ndarray, database_sq: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Euclidean distances between query rows and database rows.
-
-    *database_sq* is the database's squared row norms
-    (:func:`~repro.utils.arrays.squared_norms`), for a pool scanned again
-    and again; the result is bit for bit the one computed without it.
-    """
-    squared = pairwise_squared_distances(queries, database, b_sq=database_sq)
-    # The squared matrix is a fresh temporary; taking the root in place
-    # spares one (Q, N) allocation on serving-sized batches.
-    return np.sqrt(squared, out=squared)
 
 
 #: Element budget of the (Q, chunk, d) broadcast used by the L1 distance —

@@ -7,6 +7,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.exceptions import ValidationError
+
 __all__ = [
     "zscore",
     "minmax_scale",
@@ -14,14 +16,20 @@ __all__ = [
     "as_row_matrix",
     "squared_norms",
     "pairwise_squared_distances",
+    "euclidean_distances",
     "stable_top_k",
     "exact_top_k",
     "stable_entropy",
 ]
 
 #: Queries per block of :func:`exact_top_k`, so the intermediate
-#: ``(block, N)`` distance matrix stays memory-bounded.
+#: ``(block, N)`` matrix stays memory-bounded.
 _QUERY_BLOCK = 64
+
+#: Entries, at least, of the strided sample whose k-th smallest squared
+#: distance bounds a row's k-th in the Euclidean branch of
+#: :func:`exact_top_k`.
+_SAMPLE = 2048
 
 
 def zscore(
@@ -136,6 +144,21 @@ def pairwise_squared_distances(
     return squared
 
 
+def euclidean_distances(
+    queries: np.ndarray, database: np.ndarray, database_sq: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Euclidean distances between query rows and database rows.
+
+    *database_sq* is the database's squared row norms
+    (:func:`squared_norms`), for a pool scanned again and again; the result
+    is bit for bit the one computed without it.
+    """
+    squared = pairwise_squared_distances(queries, database, b_sq=database_sq)
+    # The squared matrix is a fresh temporary; taking the root in place
+    # spares one (Q, N) allocation on serving-sized batches.
+    return np.sqrt(squared, out=squared)
+
+
 def stable_top_k(
     values: np.ndarray, k: int, ties: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -167,6 +190,39 @@ def stable_top_k(
     return contenders[np.argsort(values[contenders], kind="stable")[:k]]
 
 
+def _nearest_by_squared(squared: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distances, indices)`` of the *k* nearest entries of one squared row.
+
+    *squared* is one row of unclamped squared Euclidean distances
+    (``|a|^2 + |b|^2 - 2 a.b``, possibly slightly negative), and the result
+    is bit for bit ``sqrt(max(squared, 0))``'s stable-argsort prefix: the
+    first *k* entries by ``(distance, index)`` and their distances.  Only
+    the candidates are rooted.
+
+    Why that is exact: the k-th smallest of a strided sample of the row is
+    at least the row's k-th smallest, whatever the order of the pool, and
+    the root is monotone, so ``U = sqrt(max(kth, 0))`` bounds the row's
+    k-th distance from above.  A squared value whose root rounds to at most
+    ``U`` lies at or below ``A^2`` with ``A = nextafter(U, inf)``, and
+    ``limit = nextafter(fl(A * A), inf)`` is at least the exact ``A^2``,
+    so every entry with a distance at or below the k-th passes
+    ``squared <= limit``.  The candidates come out in ascending index
+    order, so the stable selection among them breaks ties exactly as the
+    full stable argsort does.
+    """
+    size = squared.shape[0]
+    # At least max(_SAMPLE, 4k) entries: the sample holds k of them for any
+    # k the pruned branch takes (4k < N), with slack for a tight bound.
+    sample = squared[:: max(1, size // max(_SAMPLE, 4 * k))]
+    kth = np.partition(sample, k - 1)[k - 1]
+    above = np.nextafter(np.sqrt(max(kth, 0.0)), np.inf)
+    limit = np.nextafter(above * above, np.inf)
+    candidates = np.flatnonzero(squared <= limit)
+    rooted = np.sqrt(np.maximum(squared[candidates], 0.0))
+    nearest = stable_top_k(rooted, k)
+    return rooted[nearest], candidates[nearest]
+
+
 def exact_top_k(
     queries: np.ndarray,
     vectors: np.ndarray,
@@ -180,16 +236,45 @@ def exact_top_k(
 
     The one exact scan: the index backends' full scans and the search
     engine's dense path all rank through it.  Queries go ``_QUERY_BLOCK``
-    at a time, so one ``(block, N)`` matrix from ``distance(queries,
-    vectors)`` is alive, and each row's top *k* is :func:`stable_top_k` —
-    bit for bit the stable ``argsort``; ``k = N`` is the full ranking.
-    *vectors_sq*, the pool's :func:`squared_norms` computed once per pool,
-    is passed as *distance*'s third argument, for the distance that takes
-    it (the Euclidean one).
+    at a time, so one ``(block, N)`` matrix is alive, and every row's top
+    *k* is bit for bit the stable ``argsort`` prefix of ``distance(block,
+    vectors)``; ``k = N`` is the full ranking.  *vectors_sq*, the pool's
+    :func:`squared_norms` computed once per pool, is passed as *distance*'s
+    third argument, for the distance that takes it (the Euclidean one).
+
+    For :func:`euclidean_distances` with ``4k < N`` the block's one matrix
+    is ``2 a.b`` (the GEMM); each row's squared distances go through one
+    reused ``(N,)`` buffer with the same floating-point operations as
+    :func:`pairwise_squared_distances`, and only the entries that can reach
+    the top *k* are rooted (:func:`_nearest_by_squared`).  Every other
+    distance, and a full ranking, ranks each row of ``distance(block,
+    vectors)`` with :func:`stable_top_k`.
+
+    Raises
+    ------
+    ValidationError
+        If *k* is out of ``[1, N]``.
     """
-    num_queries = queries.shape[0]
+    num_queries, size = queries.shape[0], vectors.shape[0]
+    if not 1 <= k <= size:
+        raise ValidationError(f"k must be in [1, {size}], got {k}")
     distances = np.empty((num_queries, k), dtype=np.float64)
     indices = np.empty((num_queries, k), dtype=np.int64)
+    if distance is euclidean_distances and 4 * k < size:
+        queries = np.asarray(queries, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors_sq is None:
+            vectors_sq = squared_norms(vectors)
+        squared = np.empty(size, dtype=np.float64)
+        for start in range(0, num_queries, _QUERY_BLOCK):
+            chunk = queries[start : start + _QUERY_BLOCK]
+            product = chunk @ vectors.T
+            product *= 2.0
+            for row, (norm, twice) in enumerate(zip(squared_norms(chunk), product), start):
+                np.add(norm, vectors_sq, out=squared)
+                squared -= twice
+                distances[row], indices[row] = _nearest_by_squared(squared, k)
+        return distances, indices
     norms = () if vectors_sq is None else (vectors_sq,)
     for start in range(0, num_queries, _QUERY_BLOCK):
         block = distance(queries[start : start + _QUERY_BLOCK], vectors, *norms)

@@ -6,12 +6,21 @@ tests pin it to numpy's stable ``argsort`` on tie-heavy pools under every
 metric and query blocking, pin the cached pool norms to the recomputed ones
 bit for bit, and check that a non-finite query is refused with a typed error
 on every surface that takes one.
+
+The Euclidean scan roots only the candidates that can reach the top k (a
+strided sample of each row's squared distances bounds its k-th); its tests
+shrink the sample so the stride exceeds one on small pools, and each names
+the seeded mutation of the selection it catches.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.utils.arrays as arrays
 from repro.cbir.database import ImageDatabase
@@ -76,6 +85,13 @@ class TestExactTopK:
             ranked = np.sort(full, axis=1)
             assert np.all(ranked[:, k - 1] == ranked[:, k])  # a tie straddles k
 
+    @pytest.mark.parametrize("k", [-1, 0, 61])
+    @pytest.mark.parametrize("metric", sorted(DISTANCES))
+    def test_rejects_k_outside_the_pool(self, metric, k, grid_pool):
+        vectors, queries = grid_pool
+        with pytest.raises(ValidationError, match="k must be in"):
+            exact_top_k(queries, vectors, k, DISTANCES[metric])
+
     @pytest.mark.parametrize("k", [1, 7, 60])
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
     def test_exhaustive_ivf_breaks_ties_by_database_id(self, metric, k, grid_pool):
@@ -86,6 +102,138 @@ class TestExactTopK:
         _, indices = index.search(queries, k)
         full = DISTANCES[metric](queries, vectors)
         np.testing.assert_array_equal(indices, np.argsort(full, axis=1, kind="stable")[:, :k])
+
+
+def blockwise_euclidean(queries, vectors):
+    """``euclidean_distances`` one ``_QUERY_BLOCK`` of queries at a time.
+
+    The scan's GEMM runs per block, and BLAS may round a one-row block (a
+    matrix-vector product) differently from the same row inside a wider
+    block, so the bit-exact reference blocks the queries the same way.
+    """
+    return np.vstack([
+        euclidean_distances(queries[start : start + arrays._QUERY_BLOCK], vectors)
+        for start in range(0, queries.shape[0], arrays._QUERY_BLOCK)
+    ])
+
+
+def assert_euclidean_prefix(queries, vectors, k):
+    """Indices and distance bits of the scan equal the stable-argsort prefix."""
+    distances, indices = exact_top_k(
+        queries, vectors, k, euclidean_distances, vectors_sq=squared_norms(vectors)
+    )
+    full = blockwise_euclidean(queries, vectors)
+    expected = np.argsort(full, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(indices, expected)
+    np.testing.assert_array_equal(
+        distances.view(np.int64), np.take_along_axis(full, expected, axis=1).view(np.int64)
+    )
+
+
+@pytest.fixture
+def small_sample(monkeypatch):
+    """A 16-entry sample, so small pools are scanned with a stride above one."""
+    monkeypatch.setattr(arrays, "_SAMPLE", 16)
+
+
+class TestPrunedEuclideanScan:
+    @pytest.mark.parametrize("k", [1, 20, 99, 100, 400])  # 99 = N//4 - 1, 100 = N//4, 400 = N
+    def test_gaussian_pool_with_duplicates(self, k, small_sample):
+        # Catches: the sample stride taken as N // _SAMPLE alone (k = 99 then
+        # partitions a 16-entry sample), and rows of a later query block
+        # written over the first block's rows (Q = _QUERY_BLOCK + 1).
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(200, 8))
+        vectors = np.vstack([base, base[::-1]])
+        queries = rng.normal(size=(arrays._QUERY_BLOCK + 1, 8))
+        assert_euclidean_prefix(queries, vectors, k)
+
+    @pytest.mark.parametrize("k", [1, 7, 20, 60])
+    def test_pool_sorted_by_descending_distance(self, k, small_sample):
+        # Catches: a threshold that is not an upper bound, e.g. the sample's
+        # ((k - 1) // stride)-th smallest as an estimate of the row's k-th.
+        # The pool runs from far to near and its last, nearest row is
+        # sampled at k = 20 and 60 (2000 is a multiple of the stride), so
+        # the estimate lands on a rank below k.
+        rng = np.random.default_rng(5)
+        query = rng.normal(size=(1, 8))
+        pool = rng.normal(size=(2001, 8))
+        order = np.argsort(-euclidean_distances(query, pool)[0], kind="stable")
+        assert_euclidean_prefix(query, pool[order], k)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_queries_equal_to_pool_rows(self, k, small_sample):
+        # Catches: sqrt(kth) without max(kth, 0) -- a sampled self-match
+        # whose squared distance computes slightly negative makes the bound
+        # NaN and leaves no candidate.
+        rng = np.random.default_rng(0)
+        vectors = rng.normal(size=(400, 36))
+        stride = 400 // max(arrays._SAMPLE, 4 * k)
+        block = arrays._QUERY_BLOCK
+        squared = np.concatenate([  # each query's squared distance to itself, as scanned
+            np.diagonal(
+                squared_norms(vectors[start : start + block])[:, None] + squared_norms(vectors)
+                - 2.0 * (vectors[start : start + block] @ vectors.T),
+                offset=start,
+            )
+            for start in range(0, 400, block)
+        ])
+        assert np.any(squared[::stride] < 0.0) and np.any(squared == 0.0)
+        assert_euclidean_prefix(vectors, vectors, k)
+
+    @pytest.mark.parametrize("sampled", ["larger", "smaller"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_two_squared_values_with_one_root(self, k, sampled, small_sample):
+        # Catches: dropping the nextafter widening, as limit = U * U or as
+        # the sampled k-th itself.  6.25 and its successor both root to 2.5;
+        # U * U = 6.25 drops the successor, the sampled k-th drops the
+        # unsampled successor, and either one sits at the lower index.
+        low = 6.25
+        high = np.nextafter(low, np.inf)
+        assert np.sqrt(low) == np.sqrt(high) == 2.5
+        row = np.full(64, 100.0)  # stride 64 // 16 = 4: positions 0, 4, 8, ... sampled
+        if sampled == "larger":
+            row[4], row[5] = high, low
+        else:
+            row[4], row[1] = low, high
+        distances, indices = arrays._nearest_by_squared(row, k)
+        rooted = np.sqrt(np.maximum(row, 0.0))
+        expected = np.argsort(rooted, kind="stable")[:k]
+        np.testing.assert_array_equal(indices, expected)
+        np.testing.assert_array_equal(distances.view(np.int64), rooted[expected].view(np.int64))
+
+    def test_sample_holds_k_at_the_default_size(self):
+        # Catches: the stride taken as N // _SAMPLE alone -- on a 100k pool
+        # the sample then holds 2084 entries and k = N//4 - 1 cannot be
+        # selected from it.
+        rng = np.random.default_rng(2)
+        vectors = rng.normal(size=(100_000, 3))
+        assert_euclidean_prefix(rng.normal(size=(2, 3)), vectors, 100_000 // 4 - 1)
+
+    @given(
+        st.integers(1, 30), st.integers(1, 5), st.integers(0, 30),
+        st.integers(0, 2**32 - 1), st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_stable_argsort_and_exhaustive_ivf(self, n_base, dim, repeats, seed, data):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n_base, dim))
+        pool = np.vstack([base, base[rng.integers(0, n_base, size=repeats)]])
+        pool = pool[rng.permutation(pool.shape[0])]
+        queries = np.vstack([rng.normal(size=(3, dim)), pool[:2]])
+        k = data.draw(st.integers(1, pool.shape[0]), label="k")
+        sample = data.draw(st.integers(1, 8), label="sample")
+        with mock.patch.object(arrays, "_SAMPLE", sample):
+            assert_euclidean_prefix(queries, pool, k)
+            # Quarter-grid coordinates make every distance exact whatever
+            # block shapes IVF's cells give the GEMM.
+            grid, grid_queries = np.round(pool * 4.0) / 4.0, np.round(queries * 4.0) / 4.0
+            cells = min(4, grid.shape[0])
+            brute = BruteForceIndex().build(grid).search(grid_queries, k)
+            ivf = IVFIndex(n_clusters=cells, n_probe=cells, seed=seed % 100).build(grid)
+            exhaustive = ivf.search(grid_queries, k)
+        np.testing.assert_array_equal(brute[1], exhaustive[1])
+        np.testing.assert_array_equal(brute[0], exhaustive[0])
 
 
 class TestPoolNorms:
