@@ -19,6 +19,7 @@ Three checks keep the docs honest in CI:
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -77,6 +78,27 @@ _RUNTIME_FILE_NAMES = {"manifest.json"}
 
 #: Markdown links: ``[text](target)``.
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
+
+
+#: Backtick citations of a dotted ``repro`` symbol, optionally written as a
+#: call without arguments: ``repro.logdb.LogStore``, ``repro.obs.get_hub()``.
+_DOC_SYMBOL = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)(?:\(\))?`")
+
+
+def _resolves(dotted):
+    """Whether *dotted* names a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
 
 
 def _missing_paths(path):
@@ -224,22 +246,35 @@ class TestDocTree:
 
     def test_doc_symbols_still_exist(self):
         """Backtick identifiers like `repro.service.RetrievalService` (and
-        dotted module names) named in the docs must resolve — either as an
-        importable module or as an attribute of one."""
-        import importlib
+        dotted module names, attributes of classes, or calls written as
+        `repro.logdb.LogStore.snapshot()`) named in the docs must resolve:
+        the longest importable prefix, then an attribute chain."""
+        unresolved = [
+            f"{doc.name}: {dotted}"
+            for doc in DOC_FILES
+            for dotted in sorted(set(_DOC_SYMBOL.findall(doc.read_text(encoding="utf-8"))))
+            if not _resolves(dotted)
+        ]
+        assert not unresolved, f"docs cite symbols that do not exist: {unresolved}"
 
-        pattern = re.compile(r"`(repro(?:\.[a-z_]+)+)`")
-        for doc in DOC_FILES:
-            for dotted in set(pattern.findall(doc.read_text(encoding="utf-8"))):
-                try:
-                    importlib.import_module(dotted)
-                except ModuleNotFoundError:
-                    parent, _, attr = dotted.rpartition(".")
-                    module = importlib.import_module(parent)
-                    assert hasattr(module, attr), (
-                        f"{doc.name} references {dotted}, which is neither a "
-                        f"module nor an attribute of {parent}"
-                    )
+    @pytest.mark.parametrize(
+        "text, cited",
+        [("`repro.service.RetrievalService`", "repro.service.RetrievalService"),
+         ("`repro.logdb.LogStore.snapshot()`", "repro.logdb.LogStore.snapshot"),
+         ("`repro.cluster.messages.MAX_WAVE`", "repro.cluster.messages.MAX_WAVE"),
+         ("`repro.utils.io`", "repro.utils.io"),
+         ("`repro.logdb.LogStore.scan(0)`", None)],
+    )
+    def test_doc_symbol_pattern_sees_classes_and_calls(self, text, cited):
+        assert _DOC_SYMBOL.findall(text) == ([cited] if cited else [])
+
+    @pytest.mark.parametrize(
+        "dotted, exists",
+        [("repro.logdb.LogStore.snapshot", True), ("repro.utils.io", True),
+         ("repro.logdb.LogStore.no_such_method", False), ("repro.no_such_module", False)],
+    )
+    def test_doc_symbol_resolution(self, dotted, exists):
+        assert _resolves(dotted) is exists
 
 
 class TestExamples:
