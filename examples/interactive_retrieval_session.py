@@ -57,7 +57,7 @@ def main() -> None:
     print(f"\nQuery: image {query_index} "
           f"(category '{dataset.category_name_of(query_index)}')")
 
-    sessions_before = database.log_database.num_sessions
+    sessions_before = len(database.log_database)
     result = service.open_session(query_index, top_k=TOP_K)
     session_id = result.session_id
     print(f"  round 0 (no learning)     P@{TOP_K} = {precision(result, relevant):.2f}")
@@ -75,9 +75,9 @@ def main() -> None:
               f"({len(judged)} images judged so far)")
 
     service.close_session(session_id)
-    recorded = database.log_database.num_sessions - sessions_before
+    recorded = len(database.log_database) - sessions_before
     print(f"\nThe log database grew by {recorded} sessions during this query "
-          f"(now {database.log_database.num_sessions} total) — future queries benefit from them.")
+          f"(now {len(database.log_database)} total) — future queries benefit from them.")
 
 
 if __name__ == "__main__":

@@ -111,7 +111,7 @@ def main() -> None:
         for expected, threaded in zip(rankings, threaded_rankings[serial]):
             np.testing.assert_array_equal(expected, threaded)
 
-    grown = database.log_database.num_sessions
+    grown = len(database.log_database)
     print(
         f"\n{total_sessions} sessions x {NUM_ROUNDS} rounds, "
         f"{NUM_CLIENT_THREADS} client threads:"

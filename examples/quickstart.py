@@ -48,8 +48,10 @@ def main() -> None:
     log = collect_feedback_log(
         dataset, LogSimulationConfig(num_sessions=60, images_per_session=15, seed=11)
     )
-    print(f"  {log.num_sessions} sessions, {log.statistics()['num_judgements']:.0f} judgements, "
-          f"coverage {log.coverage():.0%}")
+    matrix = log.snapshot().matrix
+    coverage = len(set(matrix.tocsr().indices)) / matrix.num_images
+    print(f"  {matrix.num_sessions} sessions, {matrix.nnz} judgements, "
+          f"coverage {coverage:.0%}")
 
     database = ImageDatabase(dataset, log_database=log)
 

@@ -97,11 +97,11 @@ def main() -> None:
               f"round {extra.round_index} ranked {len(extra.image_indices)} images")
 
     # ---- closing is what grows the shared log ---------------------------
-    before = database.log_database.num_sessions
+    before = len(database.log_database)
     service.close_sessions([r.session_id for r in responses])
-    grown = database.log_database.num_sessions - before
+    grown = len(database.log_database) - before
     print(f"\nClosed {NUM_USERS} sessions; the shared log grew by {grown} "
-          f"log sessions (now {database.log_database.num_sessions}).")
+          f"log sessions (now {len(database.log_database)}).")
 
 
 if __name__ == "__main__":

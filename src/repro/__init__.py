@@ -76,16 +76,13 @@ from repro.index import (
 from repro.logdb import (
     FileLogStore,
     InMemoryLogStore,
-    LogDatabase,
     LogSession,
     LogSimulationConfig,
     LogSnapshot,
     LogStore,
     RelevanceMatrix,
     SimulatedUser,
-    available_log_stores,
     collect_feedback_log,
-    make_log_store,
 )
 from repro.service import (
     FeedbackRequest,
@@ -117,13 +114,10 @@ __all__ = [
     "SVC",
     # log database
     "LogSession",
-    "LogDatabase",
     "LogSnapshot",
     "LogStore",
     "InMemoryLogStore",
     "FileLogStore",
-    "make_log_store",
-    "available_log_stores",
     "RelevanceMatrix",
     "SimulatedUser",
     "LogSimulationConfig",

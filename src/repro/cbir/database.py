@@ -18,8 +18,7 @@ from repro.exceptions import DatabaseError
 from repro.features.normalization import FeatureNormalizer
 from repro.cbir.query import Query
 from repro.index.base import VectorIndex
-from repro.logdb.log_database import LogDatabase
-from repro.logdb.store import LogStore
+from repro.logdb.store import InMemoryLogStore, LogStore
 from repro.utils.arrays import squared_norms
 
 __all__ = ["ImageDatabase"]
@@ -38,12 +37,11 @@ class ImageDatabase:
     dataset:
         The image corpus; must carry an extracted feature matrix.
     log_database:
-        Optional pre-populated feedback log: a :class:`LogDatabase`, or a
-        bare :class:`~repro.logdb.store.LogStore` backend (wrapped in a
-        fresh façade) — e.g. a
+        Optional pre-populated feedback log, any
+        :class:`~repro.logdb.store.LogStore` — e.g. a
         :class:`~repro.logdb.file_store.FileLogStore` shared with other
-        serving processes.  An empty in-memory log is created when omitted
-        (cold start).
+        serving processes.  An empty :class:`InMemoryLogStore` is created
+        when omitted (cold start).
     normalize:
         Whether to standardise feature columns (recommended; keeps the RBF
         and Euclidean geometry balanced across the three descriptor types).
@@ -57,7 +55,7 @@ class ImageDatabase:
         self,
         dataset: ImageDataset,
         *,
-        log_database: Union[LogDatabase, LogStore, None] = None,
+        log_database: Optional[LogStore] = None,
         normalize: bool = True,
     ) -> None:
         if not dataset.has_features:
@@ -71,10 +69,8 @@ class ImageDatabase:
             self._features = np.asarray(dataset.features, dtype=np.float64)
         self._feature_sq_norms: Optional[np.ndarray] = None  # lazy, see property
 
-        if isinstance(log_database, LogStore):
-            log_database = LogDatabase(store=log_database)
         if log_database is None:
-            log_database = LogDatabase(dataset.num_images)
+            log_database = InMemoryLogStore(dataset.num_images)
         elif log_database.num_images != dataset.num_images:
             raise DatabaseError(
                 f"log database covers {log_database.num_images} images but the "
@@ -121,16 +117,6 @@ class ImageDatabase:
                     self._feature_sq_norms = norms
         return norms
 
-    @property
-    def has_log(self) -> bool:
-        """Whether any feedback sessions have been recorded."""
-        return not self.log_database.is_empty
-
-    @property
-    def num_log_sessions(self) -> int:
-        """Number of feedback sessions in the log."""
-        return self.log_database.num_sessions
-
     # --------------------------------------------------------------- vectors
     def feature_of(self, image_index: int) -> np.ndarray:
         """Visual feature vector of image *image_index*."""
@@ -145,10 +131,6 @@ class ImageDatabase:
         self._check_index(int(indices.min()))
         self._check_index(int(indices.max()))
         return self._features[indices]
-
-    def log_vectors_of(self, image_indices: Sequence[int]) -> np.ndarray:
-        """Dense user-log vectors ``r_i`` (rows) of *image_indices*."""
-        return self.log_database.log_vectors(image_indices)
 
     def resolve_query_features(self, query: Query) -> np.ndarray:
         """Feature vector of a :class:`~repro.cbir.query.Query` in database space.

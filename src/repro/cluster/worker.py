@@ -32,7 +32,6 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.cbir.database import ImageDatabase
 from repro.exceptions import ClusterError, ReproError
 from repro.logdb.file_store import FileLogStore
-from repro.logdb.log_database import LogDatabase
 from repro.service.service import RetrievalService
 from repro.service.store import FileSessionStore
 from repro.utils.blas import limit_blas_threads
@@ -100,7 +99,7 @@ def build_worker_service(
     log_store = FileLogStore(config.log_dir, num_images=built.num_images)
     if isinstance(built, ImageDatabase):
         database = built
-        database.log_database = LogDatabase(store=log_store)
+        database.log_database = log_store
         if database.index is None:
             database.build_index("brute-force")
     else:

@@ -344,7 +344,7 @@ class CoupledSVM:
 
         *log_vectors* holds one row per image, aligned with
         *visual_features*; it may be scipy-sparse (the pool's
-        :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`).  With the
+        :meth:`~repro.logdb.relevance_matrix.LogSnapshot.log_rows`).  With the
         default linear log kernel the log SVM scores it by its primal weight
         ``u . r``, one ``O(nnz)`` mat-vec.
         *visual_sq_norms* optionally carries the squared row norms of

@@ -54,15 +54,6 @@ class ExperimentConfig:
     feedback_candidates:
         Candidate-set size per probe for LRF-CSVM's pruned feedback scoring;
         ``None`` keeps the exact full-pool path.
-    log_store:
-        Optional log-store backend (``memory``/``file``) the simulated
-        feedback-log campaign writes through and the experiment's service
-        appends to.  ``None`` keeps the process-local in-memory default;
-        ``"file"`` (with a ``directory`` in ``log_store_params``) runs the
-        experiment over the crash-safe multi-process segment store.
-    log_store_params:
-        Backend parameters forwarded to
-        :func:`repro.logdb.make_log_store` (e.g. ``directory``).
     graph_params:
         Constructor parameters of the graph feedback family
         (:class:`repro.graph.LabelPropagationFeedback`), applied whenever
@@ -82,8 +73,6 @@ class ExperimentConfig:
     index_backend: Optional[str] = None
     index_params: Mapping[str, object] = field(default_factory=dict)
     feedback_candidates: Optional[int] = None
-    log_store: Optional[str] = None
-    log_store_params: Mapping[str, object] = field(default_factory=dict)
     graph_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -110,16 +99,6 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "feedback_candidates requires index_backend to be set"
                 )
-        if self.log_store is not None:
-            from repro.logdb.registry import available_log_stores
-
-            if self.log_store not in available_log_stores():
-                raise ConfigurationError(
-                    f"unknown log store '{self.log_store}', expected one of "
-                    f"{available_log_stores()}"
-                )
-        elif self.log_store_params:
-            raise ConfigurationError("log_store_params requires log_store to be set")
         if self.graph_params:
             # Imported lazily (repro.graph pulls the index/logdb stack).
             from repro.graph.feedback import LabelPropagationFeedback

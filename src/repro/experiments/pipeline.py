@@ -16,7 +16,6 @@ from repro.feedback.base import RelevanceFeedbackAlgorithm
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.feedback.lrf_2svms import LRF2SVMs
 from repro.feedback.rf_svm import RFSVM
-from repro.logdb.registry import make_log_store
 from repro.logdb.simulation import collect_feedback_log
 from repro.service.service import RetrievalService
 
@@ -35,20 +34,10 @@ def build_environment(
 
     When the configuration names an ``index_backend``, the ANN index is
     built over the database features here so every downstream consumer
-    (initial retrieval, candidate-pruned feedback) picks it up.  When it
-    names a ``log_store`` backend, the simulated campaign writes through
-    that store and the experiment's service appends to it — e.g. a
-    ``"file"`` store shares one on-disk log across experiment processes.
+    (initial retrieval, candidate-pruned feedback) picks it up.
     """
     dataset = build_corel_dataset(config.dataset, show_progress=show_progress)
-    store = None
-    if config.log_store is not None:
-        store = make_log_store(
-            config.log_store,
-            num_images=dataset.num_images,
-            **dict(config.log_store_params),
-        )
-    log = collect_feedback_log(dataset, config.log, store=store)
+    log = collect_feedback_log(dataset, config.log)
     database = ImageDatabase(dataset, log_database=log)
     if config.index_backend is not None:
         database.build_index(config.index_backend, **dict(config.index_params))

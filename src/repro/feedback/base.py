@@ -20,7 +20,7 @@ import numpy as np
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import ValidationError
-from repro.logdb.log_database import LogSnapshot
+from repro.logdb.relevance_matrix import LogSnapshot
 from repro.utils.arrays import stable_top_k
 
 __all__ = [
@@ -95,7 +95,7 @@ class FeedbackContext:
         Optional per-session :class:`FeedbackMemory` the strategy may read
         and update; ``None`` (the default) runs the round statelessly.
     log:
-        Optional :class:`~repro.logdb.log_database.LogSnapshot` the round
+        Optional :class:`~repro.logdb.relevance_matrix.LogSnapshot` the round
         should read the feedback log through.  The service and the
         evaluation protocol capture one snapshot per round batch, so every
         strategy in the batch sees one consistent relevance matrix even

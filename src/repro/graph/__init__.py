@@ -6,7 +6,7 @@ feature matrix into a sparse symmetric k-NN affinity graph (through any
 :class:`~repro.index.VectorIndex` backend, deterministic under the shared
 tie rule); :func:`fuse_with_log` mixes those visual affinities with log
 co-relevance mined sparsely from a
-:class:`~repro.logdb.log_database.LogSnapshot`;
+:class:`~repro.logdb.relevance_matrix.LogSnapshot`;
 :func:`propagate_labels` runs the clamped-propagation / α-spreading
 solvers; and :class:`LabelPropagationFeedback` packages the whole path as
 the stateless ``"lrf-graph"`` strategy registered beside the SVM family.

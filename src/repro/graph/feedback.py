@@ -4,7 +4,7 @@ The second algorithmic lens on the paper's feedback log: instead of
 training a margin classifier per round (the LRF-CSVM family), the user's
 ±1 judgements are **propagated** over a sparse affinity graph whose edges
 mix visual k-NN similarity with log co-relevance mined from the round's
-:class:`~repro.logdb.log_database.LogSnapshot`.  The visual graph is
+:class:`~repro.logdb.relevance_matrix.LogSnapshot`.  The visual graph is
 session-independent and cached process-wide, the fused matrix is memoised
 per log version on the shared snapshot; the per-round work is an iterative
 solve — no SMO, no Gram matrices.
@@ -28,7 +28,7 @@ from repro.graph.cache import GraphCache, default_graph_cache
 from repro.graph.kernel import fuse_with_log
 from repro.graph.propagation import PROPAGATION_METHODS, PropagationResult, propagate_labels
 from repro.index.base import VectorIndex
-from repro.logdb.log_database import LogSnapshot
+from repro.logdb.relevance_matrix import LogSnapshot
 from repro.obs import get_hub
 
 __all__ = ["LabelPropagationFeedback"]

@@ -7,7 +7,7 @@ session (co-relevant or co-irrelevant), minus how often they disagreed.
 Clipped to its non-negative part and rescaled, that projection is a
 log-derived affinity over exactly the nodes of the visual k-NN graph —
 the precomputed-kernel path of the sklearn exemplars, mined sparsely from
-the :class:`~repro.logdb.log_database.LogSnapshot` CSR view (``R`` is
+the :class:`~repro.logdb.relevance_matrix.LogSnapshot` CSR view (``R`` is
 **never** densified here).
 
 :func:`fuse_with_log` mixes the two modalities with the paper's style of
@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ValidationError
-from repro.logdb.log_database import LogSnapshot
+from repro.logdb.relevance_matrix import LogSnapshot
 from repro.obs import get_hub
 
 __all__ = ["log_corelevance", "fuse_with_log"]
@@ -30,7 +30,7 @@ def log_corelevance(snapshot: LogSnapshot) -> sparse.csr_matrix:
     """Sparse image × image co-relevance affinity mined from *snapshot*.
 
     Computes ``S = R^T R`` over the snapshot's CSR view
-    (:meth:`~repro.logdb.log_database.LogSnapshot.log_csr`), zeroes the
+    (:meth:`~repro.logdb.relevance_matrix.LogSnapshot.log_csr`), zeroes the
     diagonal, drops negative entries
     (net disagreement is no affinity) and rescales to ``[0, 1]`` so the
     log modality is commensurate with rbf visual weights.
@@ -62,7 +62,7 @@ def fuse_with_log(
         The ``(N, N)`` visual affinity matrix (an
         :class:`~repro.graph.builder.AffinityGraph`'s ``weights``).
     snapshot:
-        The round's :class:`~repro.logdb.log_database.LogSnapshot`; its
+        The round's :class:`~repro.logdb.relevance_matrix.LogSnapshot`; its
         image count must match the graph.
     eta:
         Log-modality weight in ``[0, 1]``.  ``eta=0``, an empty snapshot,

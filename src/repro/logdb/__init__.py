@@ -4,18 +4,17 @@ The log of historical relevance-feedback sessions is the second information
 modality the coupled SVM learns from.  A *log session* is one feedback round:
 a set of images judged relevant (+1) or irrelevant (−1) by a user.
 
-Since the v2 redesign the subsystem is layered like the index subsystem:
+The subsystem has one log object and one read view:
 
-* :class:`LogStore` — the pluggable storage protocol
-  (``append``/``extend``/``scan``/``snapshot``/``compact``/``save``/``load``),
-  with :class:`InMemoryLogStore` and the crash-safe, multi-process
-  :class:`FileLogStore` segment store, built by :func:`make_log_store`;
-* :class:`LogDatabase` — the façade that maintains the sparse relevance
-  matrix ``R`` (sessions × images) *incrementally* over any store; the
-  column ``r_i`` of ``R`` is the "user log vector" describing image ``i``;
-* :class:`LogSnapshot` — an immutable, versioned capture of ``R`` that
-  feedback strategies and the evaluation protocol read while appends
-  continue.
+* :class:`LogStore` — the log: append-only storage
+  (``append``/``extend``/``extend_once``/``scan``/``compact``/``save``/``load``)
+  that also maintains the sparse relevance matrix ``R`` (sessions ×
+  images) *incrementally*; the column ``r_i`` of ``R`` is the "user log
+  vector" describing image ``i``.  Two backends: :class:`InMemoryLogStore`
+  and the crash-safe, multi-process :class:`FileLogStore` segment store;
+* :class:`LogSnapshot` — an immutable, versioned capture of ``R``
+  (:meth:`LogStore.snapshot`, one object per log version) that feedback
+  strategies and the evaluation protocol read while appends continue.
 
 Because no real users are available, :class:`SimulatedUser` and
 :func:`collect_feedback_log` replay the paper's collection protocol: a random
@@ -27,9 +26,7 @@ by a configurable noise rate (human subjectivity).
 from __future__ import annotations
 
 from repro.logdb.file_store import FileLogStore
-from repro.logdb.log_database import LogDatabase, LogSnapshot
-from repro.logdb.registry import available_log_stores, make_log_store
-from repro.logdb.relevance_matrix import RelevanceMatrix
+from repro.logdb.relevance_matrix import LogSnapshot, RelevanceMatrix
 from repro.logdb.session import LogSession
 from repro.logdb.simulation import (
     LogSimulationConfig,
@@ -41,13 +38,10 @@ from repro.logdb.store import InMemoryLogStore, LogStore
 __all__ = [
     "LogSession",
     "RelevanceMatrix",
-    "LogDatabase",
     "LogSnapshot",
     "LogStore",
     "InMemoryLogStore",
     "FileLogStore",
-    "make_log_store",
-    "available_log_stores",
     "SimulatedUser",
     "LogSimulationConfig",
     "collect_feedback_log",

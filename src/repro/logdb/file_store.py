@@ -40,11 +40,16 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.exceptions import LogDatabaseError
 from repro.logdb.session import LogSession
-from repro.logdb.store import LogStore, _session_document, _session_from_document
+from repro.logdb.store import (
+    LogStore,
+    _check_num_images,
+    _session_document,
+    _session_from_document,
+)
 from repro.obs import get_hub
 from repro.utils.io import file_lock, load_json, save_json
 
@@ -79,14 +84,19 @@ class FileLogStore(LogStore):
     Notes
     -----
     Thread-safe *and* process-safe: every append runs under the store's
-    cross-process file lock, and reads are lock-free (they key off the
-    atomically-replaced manifest).  Handles are never kept open, so the
-    object is trivially picklable and ``fork``-safe.
+    cross-process file lock, and reads of the sessions are lock-free (they
+    key off the atomically-replaced manifest).  Handles are never kept
+    open, and a copy or pickle drops the matrix caches, so the object is
+    picklable and a copy is another handle on the same directory.
     """
 
     kind = "file"
 
     def __init__(self, directory: PathLike, *, num_images: Optional[int] = None) -> None:
+        if num_images is not None:
+            # Validated before anything touches disk: a refused create
+            # must not leave a manifest behind.
+            num_images = _check_num_images(num_images)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._segments_dir = self.directory / "segments"
@@ -105,7 +115,7 @@ class FileLogStore(LogStore):
                     save_json(
                         {
                             "version": _MANIFEST_VERSION,
-                            "num_images": int(num_images),
+                            "num_images": num_images,
                             "num_sessions": 0,
                             "generation": 0,
                             "segments": [],
@@ -113,7 +123,7 @@ class FileLogStore(LogStore):
                         self._manifest_path,
                     )
         manifest = self._read_manifest()
-        if num_images is not None and int(manifest["num_images"]) != int(num_images):
+        if num_images is not None and int(manifest["num_images"]) != num_images:
             raise LogDatabaseError(
                 f"store at {self.directory} covers {manifest['num_images']} images, "
                 f"asked to open it with num_images={num_images}"
@@ -126,15 +136,17 @@ class FileLogStore(LogStore):
         return int(self._read_manifest()["num_sessions"])
 
     # -------------------------------------------------------------- appending
-    def extend(self, sessions: Iterable[LogSession]) -> List[LogSession]:
-        """Ship *sessions* into the store as one committed segment.
+    def _commit(
+        self, batch: List[LogSession], token: Optional[str]
+    ) -> List[LogSession]:
+        """Ship *batch* as one committed segment (the module's append protocol).
 
-        Runs the full append protocol (see module docstring) under the
-        cross-process file lock; an empty batch commits nothing.
+        An empty batch commits nothing.  A token rides **inside the
+        manifest** (``applied_tokens``), so "segment committed" and "token
+        recorded" are one atomic ``os.replace`` of the manifest.  A crash
+        before that commit leaves an orphan segment and no token; the
+        replay re-mints the same ids and overwrites the orphan.
         """
-        batch = list(sessions)
-        for session in batch:
-            self._validate(session)
         if not batch:
             return []
         hub = get_hub()
@@ -145,40 +157,31 @@ class FileLogStore(LogStore):
                     "logdb.file.lock_wait_seconds", time.perf_counter() - lock_requested
                 )
             manifest = self._read_manifest()
-            stored = self._append_locked(manifest, batch)
+            if token is not None:
+                tokens = manifest.setdefault("applied_tokens", [])
+                if token in tokens:
+                    hub.count("logdb.file.dedup_skips")
+                    return []
+                tokens.append(token)
+            first_id = int(manifest["num_sessions"])
+            stored = [
+                session.with_session_id(first_id + offset)
+                for offset, session in enumerate(batch)
+            ]
+            name = self._segment_name(int(manifest["generation"]), first_id)
+            save_json(
+                {
+                    "first_id": first_id,
+                    "count": len(stored),
+                    "sessions": [_session_document(s) for s in stored],
+                },
+                self._segments_dir / name,
+            )
+            manifest["segments"].append(
+                {"name": name, "first_id": first_id, "count": len(stored)}
+            )
+            manifest["num_sessions"] = first_id + len(stored)
             save_json(manifest, self._manifest_path)  # the commit point
-            hub.count("logdb.file.segments_written")
-            hub.set_gauge("logdb.file.segments", len(manifest["segments"]))
-        return stored
-
-    def extend_once(
-        self, sessions: Iterable[LogSession], token: str
-    ) -> List[LogSession]:
-        """Ship *sessions* at most once per *token* (see base class).
-
-        The token rides **inside the manifest** (``applied_tokens``), so
-        "segment committed" and "token recorded" are one atomic
-        ``os.replace`` of the manifest — there is no crash window in which
-        one exists without the other.  A crash after the segment write but
-        before the manifest commit leaves an orphan segment and an
-        unrecorded token; the replayed call re-mints the same ids, lands
-        on the same deterministic segment name, and atomically overwrites
-        the orphan (the store's standard recovery-by-overwrite).
-        """
-        batch = list(sessions)
-        self._check_once_args(batch, token)
-        for session in batch:
-            self._validate(session)
-        hub = get_hub()
-        with file_lock(self._lock_path):
-            manifest = self._read_manifest()
-            tokens = manifest.setdefault("applied_tokens", [])
-            if token in tokens:
-                hub.count("logdb.file.dedup_skips")
-                return []
-            stored = self._append_locked(manifest, batch)
-            tokens.append(token)
-            save_json(manifest, self._manifest_path)  # segment + token commit
             hub.count("logdb.file.segments_written")
             hub.set_gauge("logdb.file.segments", len(manifest["segments"]))
         return stored
@@ -186,35 +189,6 @@ class FileLogStore(LogStore):
     def has_token(self, token: str) -> bool:
         """Whether *token* already committed a batch (lock-free manifest read)."""
         return token in self._read_manifest().get("applied_tokens", [])
-
-    def _append_locked(
-        self, manifest: Dict[str, object], batch: List[LogSession]
-    ) -> List[LogSession]:
-        """Write *batch* as a new segment and book it into *manifest*.
-
-        Caller holds the file lock and performs the manifest save (the
-        commit) — keeping the commit in one place lets :meth:`extend_once`
-        add its token to the very same atomic rewrite.
-        """
-        first_id = int(manifest["num_sessions"])
-        stored = [
-            session.with_session_id(first_id + offset)
-            for offset, session in enumerate(batch)
-        ]
-        name = self._segment_name(int(manifest["generation"]), first_id)
-        save_json(
-            {
-                "first_id": first_id,
-                "count": len(stored),
-                "sessions": [_session_document(s) for s in stored],
-            },
-            self._segments_dir / name,
-        )
-        manifest["segments"].append(
-            {"name": name, "first_id": first_id, "count": len(stored)}
-        )
-        manifest["num_sessions"] = first_id + len(stored)
-        return stored
 
     # ---------------------------------------------------------------- reading
     def scan(self, start: int = 0, stop: Optional[int] = None) -> List[LogSession]:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -24,7 +25,11 @@ class LogSession:
     query_index:
         Optional index of the query image that triggered the session.
     session_id:
-        Optional identifier assigned by the :class:`LogDatabase`.
+        Optional identifier (the insertion index) assigned by the
+        :class:`~repro.logdb.store.LogStore` on append.
+
+    Indices, judgements and ``query_index`` must be integers (Python or
+    NumPy); a float is rejected, never truncated.
     """
 
     judgements: Mapping[int, int]
@@ -34,8 +39,8 @@ class LogSession:
     def __post_init__(self) -> None:
         cleaned: Dict[int, int] = {}
         for image_index, judgement in dict(self.judgements).items():
-            index = int(image_index)
-            value = int(judgement)
+            index = _integer(image_index, "image index")
+            value = _integer(judgement, f"judgement for image {index}")
             if index < 0:
                 raise LogDatabaseError(f"image index must be non-negative, got {index}")
             if value not in (-1, 1):
@@ -46,6 +51,13 @@ class LogSession:
         if not cleaned:
             raise LogDatabaseError("a log session must contain at least one judgement")
         object.__setattr__(self, "judgements", cleaned)
+        if self.query_index is not None:
+            query_index = _integer(self.query_index, "query_index")
+            if query_index < 0:
+                raise LogDatabaseError(
+                    f"query_index must be non-negative, got {query_index}"
+                )
+            object.__setattr__(self, "query_index", query_index)
 
     # ------------------------------------------------------------------ info
     def __len__(self) -> int:
@@ -93,3 +105,11 @@ class LogSession:
             query_index=self.query_index,
             session_id=int(session_id),
         )
+
+
+def _integer(value: object, name: str) -> int:
+    """*value* as an ``int``; :class:`LogDatabaseError` for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise LogDatabaseError(f"{name} must be an integer, got {value!r}") from None

@@ -30,10 +30,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.datasets.dataset import ImageDataset
-from repro.exceptions import ConfigurationError
-from repro.logdb.log_database import LogDatabase
+from repro.exceptions import ConfigurationError, LogDatabaseError
 from repro.logdb.session import LogSession
-from repro.logdb.store import LogStore
+from repro.logdb.store import InMemoryLogStore, LogStore
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_probability
 
@@ -147,8 +146,8 @@ def collect_feedback_log(
     *,
     random_state: RandomState = None,
     store: Optional[LogStore] = None,
-) -> LogDatabase:
-    """Simulate a full log-collection campaign against *dataset*.
+) -> LogStore:
+    """Simulate a full log-collection campaign; returns the store written to.
 
     Queries cycle over the categories; for every query the simulated user
     runs ``rounds_per_query`` feedback rounds, judging
@@ -180,9 +179,14 @@ def collect_feedback_log(
             "collect_feedback_log requires an empty log store "
             f"(got one with {len(store)} sessions)"
         )
+    if store is not None and store.num_images != dataset.num_images:
+        raise LogDatabaseError(
+            f"store covers {store.num_images} images, the dataset has "
+            f"{dataset.num_images}"
+        )
     rng = ensure_rng(cfg.seed if random_state is None else random_state)
     user = SimulatedUser(dataset, noise_rate=cfg.noise_rate, random_state=rng)
-    log = LogDatabase(dataset.num_images, store=store)
+    log = InMemoryLogStore(dataset.num_images) if store is None else store
     if cfg.num_sessions == 0:
         return log
 
@@ -191,7 +195,7 @@ def collect_feedback_log(
     rng.shuffle(categories)
     category_cursor = 0
 
-    while log.num_sessions < cfg.num_sessions:
+    while len(log) < cfg.num_sessions:
         # Queries cycle over categories so the log covers every semantic topic.
         category = int(categories[category_cursor % dataset.num_categories])
         category_cursor += 1
@@ -199,7 +203,7 @@ def collect_feedback_log(
 
         judged: Dict[int, int] = {}
         for round_index in range(cfg.rounds_per_query):
-            if log.num_sessions >= cfg.num_sessions:
+            if len(log) >= cfg.num_sessions:
                 break
             if round_index == 0:
                 distances = np.linalg.norm(features - features[query_index], axis=1)
@@ -211,6 +215,6 @@ def collect_feedback_log(
             if not shown:
                 break
             session = user.feedback_session(query_index, shown)
-            log.record_session(session)
+            log.append(session)
             judged.update(session.judgements)
     return log

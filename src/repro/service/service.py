@@ -31,11 +31,10 @@ skips busy sessions, so it can never race a live round.
 Below them sit only the stores' own locks.  A wave's log records land in
 the shared log as **one** atomic :meth:`~repro.logdb.store.LogStore.extend`
 batch; the log target is a pluggable :class:`~repro.logdb.store.LogStore`
-behind the :class:`~repro.logdb.log_database.LogDatabase` façade (which
-carries its own innermost synchronisation) — give the database a
+(which carries its own innermost synchronisation) — give the database a
 file-backed store and many service *processes* ship their logs into one
 directory.  Feedback rounds read the log through a versioned immutable
-:class:`~repro.logdb.log_database.LogSnapshot` captured once per batch, so
+:class:`~repro.logdb.relevance_matrix.LogSnapshot` captured once per batch, so
 scoring sees a consistent relevance matrix while appends continue.
 
 A wave runs on its calling thread: client threads are what parallelise

@@ -7,7 +7,7 @@ visual features and for the high-dimensional, sparse log vectors alike.
 
 **Sparse left operand.**  ``kernel(a, b)`` accepts a scipy-sparse *a* (the
 rows being scored, e.g. the whole pool's log vectors,
-:meth:`~repro.logdb.log_database.LogSnapshot.log_rows`) against dense *b*
+:meth:`~repro.logdb.relevance_matrix.LogSnapshot.log_rows`) against dense *b*
 (the support vectors).  Every kernel here is a function of ``a @ b.T`` and
 the row norms, which a sparse matrix supplies in ``O(nnz x M)``; the result
 is always a dense ``ndarray``.  Log entries are −1/0/+1, so those dot

@@ -82,7 +82,7 @@ def as_row_matrix(rows):
 
     The kernels and the SVM decision function take either layout as their
     left operand: dense rows are coerced to float64, a sparse matrix (e.g.
-    :meth:`~repro.logdb.log_database.LogSnapshot.log_rows`) is left sparse
+    :meth:`~repro.logdb.relevance_matrix.LogSnapshot.log_rows`) is left sparse
     so products with it cost ``O(nnz)``.
     """
     if sparse.issparse(rows):

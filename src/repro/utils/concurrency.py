@@ -42,9 +42,10 @@ WaitCallback = Callable[[str, float], None]
 #:
 #: 1. session stripes  (``StripedLockMap.all_of`` — sorted stripe order)
 #: 2. store mutex / per-file atomic replace (internal to the stores)
-#: 3. log append lock (innermost: the ``LogStore`` backend's batch mutex —
-#:    or its cross-process file lock — plus the ``LogDatabase`` façade's
-#:    matrix-cache lock)
+#: 3. log locks (innermost): the ``LogStore``'s matrix-cache lock, then
+#:    its backend's batch mutex or cross-process file lock.  The cache lock
+#:    is taken before the append mutex or file lock, never inside it;
+#:    appends take only the latter.
 #:
 #: TTL eviction sits outside the order: it only ever *try-locks* a stripe
 #: and skips busy sessions, so it can run at any level without deadlocking.

@@ -87,18 +87,18 @@ class TestImageDatabase:
         np.testing.assert_allclose(features.mean(axis=0), 0.0, atol=1e-8)
 
     def test_log_vectors_alignment(self, small_database):
-        vectors = small_database.log_vectors_of([0, 5])
-        assert vectors.shape == (2, small_database.num_log_sessions)
+        vectors = small_database.log_database.snapshot().log_vectors([0, 5])
+        assert vectors.shape == (2, len(small_database.log_database))
 
     def test_feature_of_bounds(self, small_database):
         with pytest.raises(DatabaseError):
             small_database.feature_of(10_000)
 
     def test_log_size_mismatch_rejected(self, small_dataset):
-        from repro.logdb.log_database import LogDatabase
+        from repro.logdb import InMemoryLogStore
 
         with pytest.raises(DatabaseError):
-            ImageDatabase(small_dataset, log_database=LogDatabase(num_images=3))
+            ImageDatabase(small_dataset, log_database=InMemoryLogStore(num_images=3))
 
     def test_external_feature_transform(self, small_database, small_dataset):
         raw = small_dataset.features[:2]

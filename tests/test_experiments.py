@@ -76,7 +76,7 @@ class TestPipeline:
         config = _tiny_config()
         dataset, database = build_environment(config)
         assert dataset.num_images == 40
-        assert database.num_log_sessions == 16
+        assert len(database.log_database) == 16
         assert database.features.shape == (40, 36)
 
     def test_build_algorithms_matches_config(self):

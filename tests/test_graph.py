@@ -38,7 +38,7 @@ from repro.graph import (
 )
 from repro.index.brute_force import BruteForceIndex
 from repro.index.ivf import IVFIndex
-from repro.logdb import LogDatabase, LogSnapshot, RelevanceMatrix
+from repro.logdb import InMemoryLogStore, LogSession, LogSnapshot, RelevanceMatrix
 from repro.service import FileSessionStore, RetrievalService, SearchRequest
 
 
@@ -227,9 +227,9 @@ class TestGraphCache:
 
 class TestLogCorelevanceKernel:
     def _snapshot(self, judgement_rows, num_images):
-        log = LogDatabase(num_images)
+        log = InMemoryLogStore(num_images)
         for row in judgement_rows:
-            log.record_judgements(row)
+            log.append(LogSession(judgements=row))
         return log.snapshot()
 
     def test_co_relevance_counts_agreements(self):
@@ -288,7 +288,7 @@ class TestLogCorelevanceKernel:
         assert snapshot.log_vectors([0, 1]).shape == (2, 1)
 
     def test_fuse_validations_and_degradations(self):
-        empty = LogDatabase(3).snapshot()
+        empty = InMemoryLogStore(3).snapshot()
         visual = sparse.identity(3, format="csr")
         with pytest.raises(ValidationError):
             fuse_with_log(visual, empty, eta=1.5)
@@ -556,7 +556,7 @@ class TestLabelPropagationFeedback:
         def fused_now():
             return algorithm._fused_weights(graph, database.log_database.snapshot())
 
-        version = database.log_database.num_sessions
+        version = len(database.log_database)
         first = fused_now()
         for _ in range(3):
             algorithm.score(self._context(database, [0, 40], [1, -1]))
@@ -576,7 +576,7 @@ class TestLabelPropagationFeedback:
         assert fusions == [(version, 0.5), (version, 0.25), (version, 0.5)]
 
         # An append starts a new version: one more fusion, a different matrix.
-        database.log_database.record_judgements({0: 1, 1: 1, 40: -1})
+        database.log_database.append(LogSession(judgements={0: 1, 1: 1, 40: -1}))
         algorithm.score(self._context(database, [0, 40], [1, -1]))
         algorithm.score(self._context(database, [0, 40], [1, -1]))
         assert fusions[3:] == [(version + 1, 0.5)]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, LogDatabaseError
-from repro.logdb.log_database import LogDatabase
+from repro.logdb import FileLogStore, InMemoryLogStore
 from repro.logdb.relevance_matrix import RelevanceMatrix
 from repro.logdb.session import LogSession
 from repro.logdb.simulation import (
@@ -53,6 +53,29 @@ class TestLogSession:
     def test_empty_session_rejected(self):
         with pytest.raises(LogDatabaseError):
             LogSession(judgements={})
+
+    @pytest.mark.parametrize(
+        "judgements, query_index",
+        [
+            ({0: 1.9}, None),  # a float judgement is not truncated to +1
+            ({2.7: 1}, None),  # a float index is not truncated to image 2
+            ({0: "1"}, None),
+            ({0: 1}, 3.0),
+            ({0: 1}, -1),  # query_index must be non-negative
+        ],
+    )
+    def test_non_integer_input_is_rejected_not_truncated(self, judgements, query_index):
+        # Mutation caught: int() instead of operator.index in _integer
+        # accepts the first four rows.
+        with pytest.raises(LogDatabaseError):
+            LogSession(judgements=judgements, query_index=query_index)
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        session = LogSession(
+            judgements={np.int64(4): np.int8(-1)}, query_index=np.int32(2)
+        )
+        assert session.judgements == {4: -1}
+        assert type(session.query_index) is int and session.query_index == 2
 
     def test_with_session_id(self):
         session = LogSession(judgements={0: 1}).with_session_id(42)
@@ -136,75 +159,83 @@ class TestRelevanceMatrix:
         assert matrix.nnz == sum(len(s) for s in sessions)
 
 
+def _record(log, judgements, query_index=None):
+    """Append one session built from *judgements* to *log*."""
+    return log.append(LogSession(judgements=judgements, query_index=query_index))
+
+
 class TestLogDatabase:
+    """The relevance matrix ``R`` every log store maintains."""
+
     def test_record_and_matrix(self):
-        log = LogDatabase(num_images=6)
-        log.record_judgements({0: 1, 2: -1}, query_index=0)
-        log.record_judgements({2: 1, 3: 1})
-        assert log.num_sessions == 2
+        log = InMemoryLogStore(num_images=6)
+        _record(log, {0: 1, 2: -1}, query_index=0)
+        _record(log, {2: 1, 3: 1})
+        assert len(log) == 2
         assert log.relevance_matrix().shape == (2, 6)
-        assert log.sessions[0].session_id == 0
-        assert log.sessions[1].session_id == 1
+        assert [s.session_id for s in log.scan()] == [0, 1]
 
     def test_cache_invalidation_on_record(self):
-        log = LogDatabase(num_images=4)
-        log.record_judgements({0: 1})
+        log = InMemoryLogStore(num_images=4)
+        _record(log, {0: 1})
         first = log.relevance_matrix()
-        log.record_judgements({1: -1})
+        _record(log, {1: -1})
         second = log.relevance_matrix()
         assert first.num_sessions == 1
         assert second.num_sessions == 2
 
     def test_out_of_range_session_rejected(self):
-        log = LogDatabase(num_images=3)
+        log = InMemoryLogStore(num_images=3)
         with pytest.raises(LogDatabaseError):
-            log.record_judgements({5: 1})
+            _record(log, {5: 1})
 
     def test_empty_log_vectors(self):
-        log = LogDatabase(num_images=3)
-        assert log.is_empty
-        assert log.log_vectors([0, 1, 2]).shape == (3, 0)
+        log = InMemoryLogStore(num_images=3)
+        assert len(log) == 0 and log.snapshot().is_empty
         assert log.snapshot().log_vectors([0, 1, 2]).shape == (3, 0)
         assert log.snapshot().log_rows().shape == (3, 0)
 
     def test_statistics(self):
-        log = LogDatabase(num_images=5)
-        log.record_judgements({0: 1, 1: -1, 2: -1})
-        stats = log.statistics()
-        assert stats["num_sessions"] == 1
-        assert stats["num_positive"] == 1
-        assert stats["num_negative"] == 2
-        assert stats["coverage"] == pytest.approx(3 / 5)
+        log = InMemoryLogStore(num_images=5)
+        _record(log, {0: 1, 1: -1, 2: -1})
+        matrix = log.snapshot().matrix
+        assert matrix.num_sessions == 1
+        assert matrix.num_positive == 1
+        assert matrix.num_negative == 2
+        assert matrix.density == pytest.approx(3 / 5)
 
     def test_judged_image_indices(self):
-        log = LogDatabase(num_images=5)
-        log.record_judgements({1: 1, 4: -1})
-        np.testing.assert_array_equal(log.judged_image_indices(), [1, 4])
+        log = InMemoryLogStore(num_images=5)
+        _record(log, {1: 1, 4: -1})
+        judged = np.flatnonzero(log.snapshot().log_rows().getnnz(axis=1))
+        np.testing.assert_array_equal(judged, [1, 4])
 
     def test_session_lookup_bounds(self):
-        log = LogDatabase(num_images=3)
-        log.record_judgements({0: 1})
-        assert log.session(0).num_positive == 1
+        log = InMemoryLogStore(num_images=3)
+        _record(log, {0: 1})
+        assert log.scan(0, 1)[0].num_positive == 1
+        assert log.scan(1, 2) == []
         with pytest.raises(LogDatabaseError):
-            log.session(1)
+            log.scan(-1)
 
     def test_invalid_num_images(self):
-        with pytest.raises(LogDatabaseError):
-            LogDatabase(num_images=0)
+        # Mutation caught: dropping the operator.index check in
+        # _check_num_images truncates 2.5 to 2 and accepts it.
+        for bad in (0, -3, 2.5, "4", None):
+            with pytest.raises(LogDatabaseError):
+                InMemoryLogStore(num_images=bad)
 
     def test_incremental_matrix_matches_full_rebuild(self):
-        log = LogDatabase(num_images=12)
+        log = InMemoryLogStore(num_images=12)
         rng = np.random.default_rng(7)
         for _ in range(25):
             judged = {
                 int(i): int(rng.choice([-1, 1]))
                 for i in rng.choice(12, size=4, replace=False)
             }
-            log.record_judgements(judged)
+            _record(log, judged)
             incremental = log.relevance_matrix()  # grows the cache by one row
-            rebuilt = RelevanceMatrix.from_sessions(
-                log.sessions, num_images=12
-            )
+            rebuilt = RelevanceMatrix.from_sessions(log.scan(), num_images=12)
             np.testing.assert_array_equal(incremental.toarray(), rebuilt.toarray())
         # Bit-identical CSR internals, not just equal dense values.
         a, b = incremental.tocsr(), rebuilt.tocsr()
@@ -213,20 +244,34 @@ class TestLogDatabase:
         np.testing.assert_array_equal(a.indptr, b.indptr)
 
 
+def _memory_log(tmp_path, num_images):
+    return InMemoryLogStore(num_images=num_images)
+
+
+def _file_log(tmp_path, num_images):
+    return FileLogStore(tmp_path / "log", num_images=num_images)
+
+
 class TestLogDatabaseConcurrency:
-    """Satellite coverage: copy/pickle and snapshots under concurrent appends."""
+    """Copy/pickle and snapshots under concurrent appends (in-memory log;
+    :class:`TestFileLogConcurrency` reruns every test on the file store)."""
+
+    new_log = staticmethod(_memory_log)
+    #: An in-memory copy is a detached, frozen prefix; a file-store copy is
+    #: another handle on the same directory.
+    detached_copies = True
 
     def _append_burst(self, log, *, bursts=60, stop):
         rng = np.random.default_rng(11)
         for _ in range(bursts):
             if stop.is_set():
                 break
-            log.record_judgements(
-                {int(rng.integers(0, log.num_images)): 1}
-            )
+            _record(log, {int(rng.integers(0, log.num_images)): 1})
 
-    def test_copy_and_pickle_under_concurrent_appends(self):
-        log = LogDatabase(num_images=16)
+    def test_copy_and_pickle_under_concurrent_appends(self, tmp_path):
+        # Mutation caught: a LogStore.__getstate__ that keeps the cache
+        # lock (an RLock cannot be copied or pickled).
+        log = self.new_log(tmp_path, 16)
         stop = threading.Event()
         writers = [
             threading.Thread(target=self._append_burst, args=(log,), kwargs={"stop": stop})
@@ -236,12 +281,15 @@ class TestLogDatabaseConcurrency:
             w.start()
         try:
             for _ in range(20):
+                log.relevance_matrix()  # the original's cache is warm
                 for clone in (copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
-                    # A clone is a consistent prefix: its matrix length equals
-                    # its session count, and ids are a gapless 0..n-1 run.
-                    sessions = clone.sessions
+                    # A clone's matrix is a consistent prefix of its log,
+                    # and ids are a gapless 0..n-1 run.
                     matrix = clone.relevance_matrix()
+                    sessions = clone.scan(stop=matrix.num_sessions)
                     assert matrix.num_sessions == len(sessions)
+                    if self.detached_copies:
+                        assert len(clone.scan()) == len(sessions)
                     assert [s.session_id for s in sessions] == list(range(len(sessions)))
                     rebuilt = RelevanceMatrix.from_sessions(
                         sessions, num_images=clone.num_images
@@ -251,15 +299,16 @@ class TestLogDatabaseConcurrency:
             stop.set()
             for w in writers:
                 w.join()
-        # Clones are detached: appending to the original never leaks in.
+        # In-memory clones are detached: appending to the original never
+        # leaks in.  A file-store clone reads the shared directory.
         clone = copy.deepcopy(log)
-        count = clone.num_sessions
-        log.record_judgements({0: 1})
-        assert clone.num_sessions == count
+        count = len(clone)
+        _record(log, {0: 1})
+        assert len(clone) == (count if self.detached_copies else count + 1)
 
-    def test_snapshot_isolation_under_append_burst(self):
-        log = LogDatabase(num_images=10)
-        log.record_judgements({1: 1, 2: -1})
+    def test_snapshot_isolation_under_append_burst(self, tmp_path):
+        log = self.new_log(tmp_path, 10)
+        _record(log, {1: 1, 2: -1})
         everything = np.arange(10)
         snapshot = log.snapshot()
         frozen = snapshot.log_vectors(everything)
@@ -299,9 +348,9 @@ class TestLogDatabaseConcurrency:
             later.log_rows()[:, :version].toarray(), frozen_rows
         )
 
-    def test_snapshot_sparse_views_are_read_only(self):
-        log = LogDatabase(num_images=4)
-        log.record_judgements({0: 1})
+    def test_snapshot_sparse_views_are_read_only(self, tmp_path):
+        log = self.new_log(tmp_path, 4)
+        _record(log, {0: 1})
         snapshot = log.snapshot()
         for view in (snapshot.log_rows(), snapshot.log_csr()):
             for buffer in (view.data, view.indices, view.indptr):
@@ -316,30 +365,42 @@ class TestLogDatabaseConcurrency:
         np.testing.assert_array_equal(snapshot.log_vectors([0, 1]), [[1.0], [0.0]])
 
 
-class TestSharedSnapshot:
-    """One snapshot object per log version; sparse accessor edges."""
+class TestFileLogConcurrency(TestLogDatabaseConcurrency):
+    """:class:`TestLogDatabaseConcurrency` on the file store, the backend
+    cluster workers pickle and fork."""
 
-    @staticmethod
-    def _log(num_images=6):
-        log = LogDatabase(num_images=num_images)
-        log.record_judgements({0: 1, 2: -1})
-        log.record_judgements({2: 1, 5: 1})
+    new_log = staticmethod(_file_log)
+    detached_copies = False
+
+
+class TestSharedSnapshot:
+    """One snapshot object per log version; sparse accessor edges (in-memory
+    log; :class:`TestFileSharedSnapshot` reruns every test on the file store)."""
+
+    new_log = staticmethod(_memory_log)
+
+    def _log(self, tmp_path, num_images=6):
+        log = self.new_log(tmp_path, num_images)
+        _record(log, {0: 1, 2: -1})
+        _record(log, {2: 1, 5: 1})
         return log
 
-    def test_same_object_while_version_unchanged(self):
-        log = self._log()
+    def test_same_object_while_version_unchanged(self, tmp_path):
+        # Mutation caught: building a new LogSnapshot on every call of
+        # _shared_snapshot breaks the identity below.
+        log = self._log(tmp_path)
         first = log.snapshot()
         assert log.snapshot() is first
         assert first.matrix is log.relevance_matrix()
         assert first.log_rows() is log.snapshot().log_rows()
         assert first.log_csr() is log.snapshot().log_csr()
 
-    def test_new_object_after_append_and_old_one_frozen(self):
-        log = self._log()
+    def test_new_object_after_append_and_old_one_frozen(self, tmp_path):
+        log = self._log(tmp_path)
         old = log.snapshot()
         old_rows = old.log_rows()
         before = old_rows.toarray()
-        log.record_judgements({1: 1})
+        _record(log, {1: 1})
         new = log.snapshot()
         assert new is not old
         assert (old.version, new.version) == (2, 3)
@@ -349,14 +410,12 @@ class TestSharedSnapshot:
         assert log.snapshot() is new
 
     def test_append_through_second_file_handle_yields_new_snapshot(self, tmp_path):
-        from repro.logdb import FileLogStore
-
-        log = LogDatabase(store=FileLogStore(tmp_path / "log", num_images=6))
-        log.record_judgements({0: 1})
+        log = FileLogStore(tmp_path / "shared", num_images=6)
+        _record(log, {0: 1})
         old = log.snapshot()
         assert log.snapshot() is old
         # Another handle (another process, in production) lands a session.
-        FileLogStore(tmp_path / "log", num_images=6).append(
+        FileLogStore(tmp_path / "shared", num_images=6).append(
             LogSession(judgements={3: -1})
         )
         new = log.snapshot()
@@ -364,10 +423,10 @@ class TestSharedSnapshot:
         np.testing.assert_array_equal(new.log_vectors([3]), [[0.0, -1.0]])
         np.testing.assert_array_equal(old.log_vectors([3]), [[0.0]])
 
-    def test_shared_across_threads_with_one_build(self, monkeypatch):
+    def test_shared_across_threads_with_one_build(self, tmp_path, monkeypatch):
         import sys
 
-        log = self._log()
+        log = self._log(tmp_path)
         builds = []
         original = RelevanceMatrix.tocsr
 
@@ -400,8 +459,10 @@ class TestSharedSnapshot:
         assert len({id(rows) for _, rows in seen}) == 1
         assert len(builds) == 1
 
-    def test_copied_and_pickled_logs_carry_no_snapshot(self):
-        log = self._log()
+    def test_copied_and_pickled_logs_carry_no_snapshot(self, tmp_path):
+        # Mutation caught: a LogStore.__getstate__ that keeps the snapshot
+        # cache fails the `is None` checks.
+        log = self._log(tmp_path)
         original = log.snapshot()
         for clone in (copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
             assert clone._snapshot_cache is None
@@ -414,8 +475,8 @@ class TestSharedSnapshot:
             )
         assert log.snapshot() is original
 
-    def test_derived_values_are_built_once_per_snapshot(self):
-        log = self._log()
+    def test_derived_values_are_built_once_per_snapshot(self, tmp_path):
+        log = self._log(tmp_path)
         snapshot = log.snapshot()
         calls = []
 
@@ -429,41 +490,40 @@ class TestSharedSnapshot:
         assert len(calls) == 2
         # A derived value may itself be built from the snapshot's views.
         assert snapshot.derived("nnz", lambda: snapshot.log_rows().nnz) == 4
-        log.record_judgements({1: 1})
+        _record(log, {1: 1})
         assert log.snapshot().derived(("test", 1), build) is not value
 
     @pytest.mark.parametrize("bad", [[6], [-1], [0, 99], [2, -3]])
-    def test_out_of_range_indices_rejected(self, bad):
-        log = self._log()
+    def test_out_of_range_indices_rejected(self, tmp_path, bad):
+        log = self._log(tmp_path)
         with pytest.raises(LogDatabaseError):
             log.snapshot().log_vectors(bad)
         with pytest.raises(LogDatabaseError):
-            log.log_vectors(bad)
-        with pytest.raises(LogDatabaseError):
             log.relevance_matrix().log_vectors(bad)
 
-    def test_duplicate_and_unsorted_indices_keep_their_order(self):
-        log = self._log()
+    def test_duplicate_and_unsorted_indices_keep_their_order(self, tmp_path):
+        log = self._log(tmp_path)
         dense = log.relevance_matrix().toarray().T
         order = [5, 2, 2, 0, 4]
         block = log.snapshot().log_vectors(order)
         assert block.flags["C_CONTIGUOUS"] and block.flags["WRITEABLE"]
         np.testing.assert_array_equal(block, dense[order])
-        np.testing.assert_array_equal(log.log_vectors(order), dense[order])
         np.testing.assert_array_equal(
             log.snapshot().log_rows()[order].toarray(), dense[order]
         )
         assert log.snapshot().log_vectors([]).shape == (0, 2)
 
-    def test_indices_are_required(self):
-        log = self._log()
-        for accessor in (
-            log.snapshot().log_vectors,
-            log.log_vectors,
-            log.relevance_matrix().log_vectors,
-        ):
+    def test_indices_are_required(self, tmp_path):
+        log = self._log(tmp_path)
+        for accessor in (log.snapshot().log_vectors, log.relevance_matrix().log_vectors):
             with pytest.raises(TypeError):
                 accessor()
+
+
+class TestFileSharedSnapshot(TestSharedSnapshot):
+    """:class:`TestSharedSnapshot` on the file store."""
+
+    new_log = staticmethod(_file_log)
 
 
 class TestSimulatedUser:
@@ -494,13 +554,13 @@ class TestCollectFeedbackLog:
     def test_session_count_and_size(self, small_dataset):
         config = LogSimulationConfig(num_sessions=12, images_per_session=8, seed=2)
         log = collect_feedback_log(small_dataset, config)
-        assert log.num_sessions == 12
-        assert all(len(session) == 8 for session in log.sessions)
+        assert len(log) == 12
+        assert all(len(session) == 8 for session in log.scan())
 
     def test_zero_sessions(self, small_dataset):
         config = LogSimulationConfig(num_sessions=0)
         log = collect_feedback_log(small_dataset, config)
-        assert log.is_empty
+        assert len(log) == 0
 
     def test_deterministic_with_seed(self, small_dataset):
         config = LogSimulationConfig(num_sessions=6, images_per_session=5, seed=11)
@@ -520,7 +580,7 @@ class TestCollectFeedbackLog:
         )
         log = collect_feedback_log(small_dataset, config)
         # Sessions for the same query (consecutive pairs) never overlap.
-        sessions = log.sessions
+        sessions = log.scan()
         for first, second in zip(sessions[0::2], sessions[1::2]):
             if first.query_index == second.query_index:
                 assert not set(first.image_indices) & set(second.image_indices)

@@ -12,13 +12,8 @@ import pickle
 import pytest
 
 from repro.exceptions import LogDatabaseError
-from repro.logdb import (
-    FileLogStore,
-    InMemoryLogStore,
-    LogDatabase,
-    LogSession,
-)
-from repro.logdb.store import LogStore
+from repro.logdb import FileLogStore, InMemoryLogStore, LogSession
+from repro.logdb import file_store
 from repro.utils.io import load_json
 
 
@@ -67,22 +62,6 @@ class TestExtendOnce:
         store.extend([_session({0: 1})])
         assert len(store) == 2
 
-    def test_base_class_default_refuses(self):
-        class Minimal(LogStore):
-            kind = "minimal"
-
-            def __len__(self):
-                return 0
-
-            def extend(self, sessions):
-                return []
-
-            def scan(self, start=0, stop=None):
-                return []
-
-        with pytest.raises(LogDatabaseError, match="idempotent"):
-            Minimal(num_images=5).extend_once([_session({0: 1})], "t")
-
 
 class TestFileStoreDurability:
     def test_token_commits_atomically_with_segment(self, tmp_path):
@@ -102,13 +81,23 @@ class TestFileStoreDurability:
         assert reopened.extend_once([_session({0: 1})], "t1") == []
         assert len(reopened) == 2
 
-    def test_orphan_segment_is_overwritten_on_replay(self, tmp_path):
+    def test_orphan_segment_is_overwritten_on_replay(self, tmp_path, monkeypatch):
         # Simulate a crash between segment write and manifest commit: the
         # segment exists but neither manifest entry nor token does.  The
         # replayed call must commit cleanly over the orphan.
         store = FileLogStore(tmp_path / "log", num_images=20)
-        manifest = store._read_manifest()
-        store._append_locked(manifest, [_session({0: 1})])  # no save_json
+        real_save = file_store.save_json
+
+        def crash_at_commit(document, path):
+            if path == store._manifest_path:
+                raise OSError("simulated crash before the manifest commit")
+            return real_save(document, path)
+
+        monkeypatch.setattr(file_store, "save_json", crash_at_commit)
+        with pytest.raises(OSError):
+            store.extend_once([_session({0: 1})], "t1")
+        monkeypatch.setattr(file_store, "save_json", real_save)
+        assert len(list(store._segments_dir.glob("seg-*.json"))) == 1  # the orphan
         assert not store.has_token("t1")
         assert len(store) == 0
         stored = store.extend_once([_session({0: 1})], "t1")
@@ -132,9 +121,15 @@ class TestFileStoreDurability:
 
 
 class TestLogDatabasePassthrough:
-    def test_extend_once_via_log_database(self):
-        database = LogDatabase(store=InMemoryLogStore(num_images=20))
-        stored = database.extend_once([_session({0: 1})], "t1")
+    def test_extend_once_via_log_database(self, small_dataset):
+        """An ImageDatabase's ``log_database`` is the store itself, so the
+        close protocol's token reaches the store's ledger unwrapped."""
+        from repro.cbir.database import ImageDatabase
+
+        store = InMemoryLogStore(num_images=small_dataset.num_images)
+        database = ImageDatabase(small_dataset, log_database=store)
+        assert database.log_database is store
+        stored = database.log_database.extend_once([_session({0: 1})], "t1")
         assert len(stored) == 1
-        assert database.extend_once([_session({0: 1})], "t1") == []
-        assert database.num_sessions == 1
+        assert database.log_database.extend_once([_session({0: 1})], "t1") == []
+        assert len(store) == 1 and store.has_token("t1")

@@ -1,9 +1,11 @@
 """Tests for the pluggable LogStore backends (repro.logdb v2).
 
-Covers the store protocol and registry, the crash-safe on-disk segment
-store (including simulated crash windows and recovery), true multi-process
-concurrent appends, and the acceptance property that a service run over the
-file-backed store replays to a bit-identical relevance matrix.
+Covers the store protocol (with a stateful model check of the matrix,
+snapshot and token contract on both backends), the crash-safe on-disk
+segment store (including simulated crash windows and recovery), true
+multi-process concurrent appends, and the acceptance property that a
+service run over the file-backed store replays to a bit-identical relevance
+matrix.
 """
 
 from __future__ import annotations
@@ -11,22 +13,25 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.exceptions import ConfigurationError, LogDatabaseError, ValidationError
+from repro.exceptions import ConfigurationError, LogDatabaseError
 from repro.logdb import (
     FileLogStore,
     InMemoryLogStore,
-    LogDatabase,
     LogSession,
     LogSimulationConfig,
     LogStore,
     RelevanceMatrix,
-    available_log_stores,
     collect_feedback_log,
-    make_log_store,
 )
 from repro.utils.io import file_lock, load_json, save_json
 
@@ -35,35 +40,12 @@ def _session(judgements, query=None):
     return LogSession(judgements=judgements, query_index=query)
 
 
-class TestRegistry:
-    def test_available_log_stores(self):
-        assert available_log_stores() == ["file", "memory"]
-
-    def test_make_memory_store(self):
-        store = make_log_store("memory", num_images=5)
-        assert isinstance(store, InMemoryLogStore)
-        assert store.num_images == 5
-
-    def test_make_file_store(self, tmp_path):
-        store = make_log_store("file", num_images=7, directory=tmp_path / "log")
-        assert isinstance(store, FileLogStore)
-        assert store.num_images == 7
-
-    def test_file_store_requires_directory(self):
-        with pytest.raises(ValidationError):
-            make_log_store("file", num_images=7)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValidationError):
-            make_log_store("redis", num_images=7)
-
-
 @pytest.fixture(params=["memory", "file"])
 def any_store(request, tmp_path) -> LogStore:
-    """One store instance per registered backend."""
+    """One store instance per backend."""
     if request.param == "file":
-        return make_log_store("file", num_images=9, directory=tmp_path / "log")
-    return make_log_store("memory", num_images=9)
+        return FileLogStore(tmp_path / "log", num_images=9)
+    return InMemoryLogStore(num_images=9)
 
 
 class TestLogStoreProtocol:
@@ -90,11 +72,13 @@ class TestLogStoreProtocol:
             any_store.scan(start=-1)
 
     def test_snapshot_is_immutable_tuple(self, any_store):
+        """Named for the tuple ``snapshot()`` once returned; the immutable
+        capture is now a :class:`LogSnapshot` of ``R``."""
         any_store.append(_session({0: 1}))
         snap = any_store.snapshot()
         any_store.append(_session({1: 1}))
-        assert len(snap) == 1
-        assert len(any_store.snapshot()) == 2
+        assert snap.version == 1 and snap.matrix.num_sessions == 1
+        assert any_store.snapshot().version == 2
 
     def test_out_of_range_judgement_rejected_atomically(self, any_store):
         with pytest.raises(LogDatabaseError):
@@ -119,9 +103,7 @@ class TestLogStoreProtocol:
     def test_load_into_explicit_backend(self, any_store, tmp_path):
         any_store.append(_session({1: 1}))
         path = any_store.save(tmp_path / "export.json")
-        destination = make_log_store(
-            "file", num_images=9, directory=tmp_path / "dst"
-        )
+        destination = FileLogStore(tmp_path / "dst", num_images=9)
         loaded = LogStore.load(path, store=destination)
         assert loaded is destination
         assert len(loaded) == 1
@@ -143,7 +125,7 @@ class TestLogStoreProtocol:
     def test_load_rejects_nonempty_destination(self, any_store, tmp_path):
         any_store.append(_session({1: 1}))
         path = any_store.save(tmp_path / "export.json")
-        destination = make_log_store("memory", num_images=9)
+        destination = InMemoryLogStore(num_images=9)
         destination.append(_session({0: 1}))
         with pytest.raises(LogDatabaseError):
             LogStore.load(path, store=destination)
@@ -156,13 +138,124 @@ class TestLogStoreProtocol:
         assert len(any_store) == 4
 
     def test_facade_over_any_backend(self, any_store):
-        log = LogDatabase(store=any_store)
-        log.record_judgements({0: 1, 1: -1})
-        log.record_judgements({1: 1})
-        matrix = log.relevance_matrix()
+        """The job the former façade did — the relevance matrix — is done by
+        every backend itself."""
+        any_store.append(_session({0: 1, 1: -1}))
+        any_store.append(_session({1: 1}))
+        matrix = any_store.relevance_matrix()
         assert matrix.shape == (2, 9)
-        assert log.session(1).judgements == {1: 1}
-        assert log.store is any_store
+        np.testing.assert_array_equal(matrix.log_vector(1), [-1.0, 1.0])
+        assert any_store.snapshot().matrix is matrix
+        assert any_store.store is any_store
+
+    def test_append_accounting_on_the_hub(self, any_store):
+        from repro import obs
+
+        hub = obs.configure()
+        try:
+            any_store.extend([_session({0: 1}), _session({1: 1})])
+            any_store.extend_once([_session({2: 1})], "t")
+            any_store.extend_once([_session({2: 1})], "t")
+            any_store.snapshot()
+            snapshot = hub.metrics.snapshot()
+        finally:
+            obs.disable()
+        assert snapshot["logdb.sessions_appended"]["value"] == 3
+        assert snapshot["logdb.append_seconds"]["count"] == 3
+        assert snapshot["logdb.matrix_rebuilds"]["value"] == 1
+
+
+_MACHINE_IMAGES = 6
+_judgements = st.dictionaries(
+    st.integers(0, _MACHINE_IMAGES - 1), st.sampled_from([1, -1]), min_size=1, max_size=4
+)
+
+
+class _LogStoreMachine(RuleBasedStateMachine):
+    """Model check of the contract the store took over from the façade.
+
+    Invariants, after every step: ``snapshot().matrix`` is bit-equal to a
+    from-scratch :meth:`RelevanceMatrix.from_sessions` build of ``scan()``;
+    ``snapshot()`` returns the same object while ``len()`` is unchanged; the
+    log holds exactly the model's sessions, so a token commits once.
+    Mutations caught (each checked on a broken copy): growing the matrix
+    from ``scan(start=cached + 1)``; an in-memory ``_commit`` that ignores
+    the token; a ``_shared_snapshot`` that builds a new snapshot per call.
+    """
+
+    backend = "memory"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="logstore-machine-"))
+        if self.backend == "file":
+            self.store = FileLogStore(self.directory / "log", num_images=_MACHINE_IMAGES)
+        else:
+            self.store = InMemoryLogStore(num_images=_MACHINE_IMAGES)
+        self.model = []  # the judgements of every committed session, in id order
+        self.tokens = set()
+        self.seen = None  # (len, snapshot) at the previous step
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _ids_of(self, count):
+        return list(range(len(self.model), len(self.model) + count))
+
+    @rule(batch=st.lists(_judgements, max_size=3))
+    def extend(self, batch):
+        stored = self.store.extend([_session(j) for j in batch])
+        assert [s.session_id for s in stored] == self._ids_of(len(batch))
+        self.model.extend(batch)
+
+    @rule(batch=st.lists(_judgements, min_size=1, max_size=3),
+          token=st.sampled_from(["t0", "t1", "t2"]))
+    def extend_once(self, batch, token):
+        stored = self.store.extend_once([_session(j) for j in batch], token)
+        if token in self.tokens:
+            assert stored == []
+        else:
+            assert [s.session_id for s in stored] == self._ids_of(len(batch))
+            self.model.extend(batch)
+            self.tokens.add(token)
+        assert self.store.has_token(token)
+
+    @rule()
+    def compact(self):
+        self.store.compact()
+
+    @rule()
+    def snapshot(self):
+        assert self.store.snapshot().version == len(self.model)
+
+    @invariant()
+    def matrix_is_a_from_scratch_build(self):
+        sessions = self.store.scan()
+        assert [s.judgements for s in sessions] == self.model
+        got = self.store.snapshot().matrix.tocsr()
+        want = RelevanceMatrix.from_sessions(sessions, num_images=_MACHINE_IMAGES).tocsr()
+        assert got.shape == want.shape
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            np.testing.assert_array_equal(a, b)
+
+    @invariant()
+    def one_snapshot_per_version(self):
+        snapshot = self.store.snapshot()
+        if self.seen is not None and self.seen[0] == len(self.store):
+            assert snapshot is self.seen[1]
+        self.seen = (len(self.store), snapshot)
+
+
+class _FileLogStoreMachine(_LogStoreMachine):
+    backend = "file"
+
+
+_MACHINE_SETTINGS = settings(max_examples=25, stateful_step_count=12, deadline=None)
+TestLogStoreMachineInMemory = _LogStoreMachine.TestCase
+TestLogStoreMachineInMemory.settings = _MACHINE_SETTINGS
+TestLogStoreMachineOnFile = _FileLogStoreMachine.TestCase
+TestLogStoreMachineOnFile.settings = _MACHINE_SETTINGS
 
 
 class TestFileLogStore:
@@ -182,6 +275,17 @@ class TestFileLogStore:
         FileLogStore(tmp_path / "log", num_images=6)
         with pytest.raises(LogDatabaseError):
             FileLogStore(tmp_path / "log", num_images=7)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_refused_create_leaves_no_manifest(self, tmp_path, bad):
+        # Mutation caught: validating num_images after the manifest write
+        # (as the base class used to) leaves a manifest that covers 0
+        # images, and the valid re-open below fails.
+        with pytest.raises(LogDatabaseError):
+            FileLogStore(tmp_path / "log", num_images=bad)
+        assert not (tmp_path / "log" / "manifest.json").exists()
+        store = FileLogStore(tmp_path / "log", num_images=5)
+        assert store.num_images == 5 and len(store) == 0
 
     def test_pickle_and_fork_safety(self, tmp_path):
         store = FileLogStore(tmp_path / "log", num_images=6)
@@ -298,8 +402,8 @@ class TestCrossProcessShipping:
         for worker in (0, 1):
             shipped = [s for s in sessions if s.query_index == worker]
             assert len(shipped) == count
-        # The facade's incremental matrix over the shared store is exact.
-        matrix = LogDatabase(store=store).relevance_matrix()
+        # The store's incremental matrix over the shared directory is exact.
+        matrix = store.relevance_matrix()
         rebuilt = RelevanceMatrix.from_sessions(sessions, num_images=8)
         np.testing.assert_array_equal(matrix.toarray(), rebuilt.toarray())
 
@@ -333,12 +437,10 @@ class TestCrossProcessShipping:
 class TestSimulationAndServiceIntegration:
     def test_collect_feedback_log_writes_through_store(self, small_dataset, tmp_path):
         config = LogSimulationConfig(num_sessions=8, images_per_session=5, seed=4)
-        store = make_log_store(
-            "file", num_images=small_dataset.num_images, directory=tmp_path / "log"
-        )
+        store = FileLogStore(tmp_path / "log", num_images=small_dataset.num_images)
         log = collect_feedback_log(small_dataset, config, store=store)
-        assert log.store is store
-        assert log.num_sessions == 8
+        assert log is store
+        assert len(log) == 8
         # Same campaign through the default in-memory path is bit-identical.
         in_memory = collect_feedback_log(small_dataset, config)
         np.testing.assert_array_equal(
@@ -347,7 +449,7 @@ class TestSimulationAndServiceIntegration:
         )
 
     def test_collect_feedback_log_rejects_nonempty_store(self, small_dataset):
-        store = make_log_store("memory", num_images=small_dataset.num_images)
+        store = InMemoryLogStore(num_images=small_dataset.num_images)
         store.append(_session({0: 1}))
         with pytest.raises(ConfigurationError):
             collect_feedback_log(small_dataset, store=store)
@@ -380,19 +482,13 @@ class TestSimulationAndServiceIntegration:
             return database.log_database
 
         file_log = run(
-            LogDatabase(
-                store=make_log_store(
-                    "file",
-                    num_images=small_dataset.num_images,
-                    directory=tmp_path / "svc-log",
-                )
-            )
+            FileLogStore(tmp_path / "svc-log", num_images=small_dataset.num_images)
         )
-        memory_log = run(LogDatabase(small_dataset.num_images))
+        memory_log = run(InMemoryLogStore(small_dataset.num_images))
 
-        assert file_log.num_sessions == memory_log.num_sessions > 0
+        assert len(file_log) == len(memory_log) > 0
         replayed = RelevanceMatrix.from_sessions(
-            file_log.sessions, num_images=small_dataset.num_images
+            file_log.scan(), num_images=small_dataset.num_images
         )
         reference = memory_log.relevance_matrix()
         np.testing.assert_array_equal(replayed.toarray(), reference.toarray())

@@ -24,7 +24,7 @@ class TestPublicAPI:
             "LRFCSVM",
             "SVC",
             "ImageDatabase",
-            "LogDatabase",
+            "LogStore",
             "ExperimentRunner",
             "build_corel_dataset",
             "collect_feedback_log",

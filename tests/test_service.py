@@ -115,7 +115,7 @@ class TestDTOs:
 class TestSessionLifecycle:
     def test_open_feedback_close_grows_log_on_close(self, small_dataset, fresh_database):
         service = RetrievalService(fresh_database, log_policy="on_close")
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         response = service.open_session(0, top_k=10)
         assert response.round_index == 0
         assert len(response.image_indices) == 10
@@ -124,7 +124,7 @@ class TestSessionLifecycle:
         refined = service.submit_feedback(response.session_id, judgements)
         assert refined.round_index == 1
         # on_close: nothing reaches the log until the session closes.
-        assert fresh_database.log_database.num_sessions == before
+        assert len(fresh_database.log_database) == before
 
         second = service.submit_feedback(
             response.session_id, {int(refined.image_indices[0]): 1}
@@ -138,34 +138,34 @@ class TestSessionLifecycle:
             **judgements,
             int(refined.image_indices[0]): 1,
         }
-        assert fresh_database.log_database.num_sessions == before + 2
-        recorded = fresh_database.log_database.sessions[-2]
+        assert len(fresh_database.log_database) == before + 2
+        recorded = fresh_database.log_database.scan()[-2]
         assert recorded.query_index == 0
         assert dict(recorded.judgements) == judgements
         assert response.session_id not in service.store
 
     def test_per_round_policy_logs_immediately(self, small_dataset, fresh_database):
         service = RetrievalService(fresh_database, log_policy="per_round")
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         response = service.open_session(1, top_k=6)
         service.submit_feedback(
             response.session_id,
             _category_judgements(small_dataset, 1, response.image_indices),
         )
-        assert fresh_database.log_database.num_sessions == before + 1
+        assert len(fresh_database.log_database) == before + 1
         service.close_session(response.session_id)
-        assert fresh_database.log_database.num_sessions == before + 1
+        assert len(fresh_database.log_database) == before + 1
 
     def test_off_policy_never_logs(self, small_dataset, fresh_database):
         service = RetrievalService(fresh_database, log_policy="off")
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         response = service.open_session(2, top_k=6)
         service.submit_feedback(
             response.session_id,
             _category_judgements(small_dataset, 2, response.image_indices),
         )
         service.close_session(response.session_id)
-        assert fresh_database.log_database.num_sessions == before
+        assert len(fresh_database.log_database) == before
 
     def test_unknown_and_closed_sessions_rejected(self, fresh_database):
         service = RetrievalService(fresh_database)
@@ -186,14 +186,14 @@ class TestSessionLifecycle:
 
     def test_discard_session_records_nothing(self, small_dataset, fresh_database):
         service = RetrievalService(fresh_database, log_policy="on_close")
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         response = service.open_session(0, top_k=6)
         service.submit_feedback(
             response.session_id,
             _category_judgements(small_dataset, 0, response.image_indices),
         )
         service.discard_session(response.session_id)
-        assert fresh_database.log_database.num_sessions == before
+        assert len(fresh_database.log_database) == before
         assert service.num_open_sessions == 0
 
     def test_list_and_get_sessions(self, fresh_database):
@@ -607,10 +607,10 @@ class TestInterleavedSessionEquivalence:
             assert_scores(scheme, second[i].scores, solo_r2.scores)
             dedicated.discard_session(initial.session_id)
 
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         service.close_sessions([r.session_id for r in responses])
         assert (
-            fresh_database.log_database.num_sessions
+            len(fresh_database.log_database)
             == before + 2 * num_sessions
         )
 
@@ -638,22 +638,22 @@ class TestRunnerThroughService:
 
     def test_runner_leaves_log_untouched(self, small_dataset, fresh_database):
         config = ProtocolConfig(num_queries=3, num_labeled=6, cutoffs=(10,), seed=5)
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         runner = ExperimentRunner(small_dataset, fresh_database, protocol=config)
         runner.run(["euclidean", "rf-svm"])
-        assert fresh_database.log_database.num_sessions == before
+        assert len(fresh_database.log_database) == before
         assert runner.service.num_open_sessions == 0
 
     def test_runner_with_log_growing_service(self, small_dataset, fresh_database):
         config = ProtocolConfig(num_queries=3, num_labeled=6, cutoffs=(10,), seed=5)
         service = RetrievalService(fresh_database, log_policy="on_close")
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         runner = ExperimentRunner(
             small_dataset, fresh_database, protocol=config, service=service
         )
         runner.run(["euclidean"])
         # one round per query per scheme lands in the log at close time
-        assert fresh_database.log_database.num_sessions == before + 3
+        assert len(fresh_database.log_database) == before + 3
 
 
 class TestBatchRobustness:

@@ -122,7 +122,7 @@ class TestConcurrentServiceStress:
     def test_stress_no_lost_logs_no_duplicate_ids_bit_identical(
         self, small_dataset, fresh_database
     ):
-        log_before = fresh_database.log_database.num_sessions
+        log_before = len(fresh_database.log_database)
         service, results = self._run_stress(small_dataset, fresh_database)
         total_sessions = NUM_THREADS * SESSIONS_PER_THREAD
 
@@ -134,10 +134,10 @@ class TestConcurrentServiceStress:
 
         # -- no lost or duplicated log records -----------------------------
         log = fresh_database.log_database
-        assert log.num_sessions == log_before + total_sessions * NUM_ROUNDS
+        assert len(log) == log_before + total_sessions * NUM_ROUNDS
         recorded = Counter(
             (session.query_index, json.dumps(dict(session.judgements), sort_keys=True))
-            for session in log.sessions[log_before:]
+            for session in log.scan()[log_before:]
         )
         expected = Counter(
             (query_index, json.dumps(judgements, sort_keys=True))
@@ -225,7 +225,7 @@ class TestWaveServing:
             database = ImageDatabase(
                 small_dataset, log_database=copy.deepcopy(small_log)
             )
-            log_before = database.log_database.num_sessions
+            log_before = len(database.log_database)
             service = RetrievalService(database, log_policy="on_close")
 
             def each(call, items):
@@ -261,7 +261,7 @@ class TestWaveServing:
             each(service.close_sessions, [r.session_id for r in responses])
             records = [
                 (session.query_index, dict(session.judgements))
-                for session in database.log_database.sessions[log_before:]
+                for session in database.log_database.scan()[log_before:]
             ]
             return rounds, records
 
@@ -285,7 +285,7 @@ class TestWaveServing:
         service = RetrievalService(
             fresh_database, log_policy="per_round", default_algorithm="rf-svm"
         )
-        log_before = fresh_database.log_database.num_sessions
+        log_before = len(fresh_database.log_database)
         barrier = threading.Barrier(NUM_THREADS)
         served = {}  # thread -> (queries, per-round judgements, per-round rankings)
         errors = []
@@ -343,7 +343,7 @@ class TestWaveServing:
         # -- every batch's records are contiguous, in request order --------
         recorded = [
             (session.query_index, dict(session.judgements))
-            for session in fresh_database.log_database.sessions[log_before:]
+            for session in fresh_database.log_database.scan()[log_before:]
         ]
         assert len(recorded) == NUM_THREADS * NUM_ROUNDS * batch_width
         for queries, submitted, _ in served.values():
@@ -375,7 +375,7 @@ class TestWaveServing:
         """A wave whose search raises opens no session and logs nothing, and
         the service serves the next wave normally."""
         service = RetrievalService(fresh_database, log_policy=log_policy)
-        log_before = fresh_database.log_database.num_sessions
+        log_before = len(fresh_database.log_database)
         with pytest.raises(Exception):
             service.open_sessions(
                 [
@@ -385,7 +385,7 @@ class TestWaveServing:
                 ]
             )
         assert service.num_open_sessions == 0
-        assert fresh_database.log_database.num_sessions == log_before
+        assert len(fresh_database.log_database) == log_before
         assert len(service.open_sessions([SearchRequest(query=0, top_k=5)])) == 1
 
 
@@ -397,7 +397,7 @@ class TestFlushAndLogRobustness:
         from repro.logdb.session import LogSession
 
         log = fresh_database.log_database
-        before = log.num_sessions
+        before = len(log)
         with pytest.raises(LogDatabaseError):
             log.extend(
                 [
@@ -405,7 +405,7 @@ class TestFlushAndLogRobustness:
                     LogSession(judgements={10**9: 1}),  # out of range
                 ]
             )
-        assert log.num_sessions == before  # nothing half-applied
+        assert len(log) == before  # nothing half-applied
 
     def test_scoring_failure_rolls_back_every_session_in_batch(
         self, small_dataset, fresh_database
@@ -440,10 +440,10 @@ class TestFlushAndLogRobustness:
         assert service.get_session(good.session_id).rounds_completed == 0
         assert service.get_session(bad.session_id).rounds_completed == 0
         # The good session still works — and its close logs exactly one round.
-        before = fresh_database.log_database.num_sessions
+        before = len(fresh_database.log_database)
         service.submit_feedback(good.session_id, judgements)
         service.close_session(good.session_id)
-        assert fresh_database.log_database.num_sessions == before + 1
+        assert len(fresh_database.log_database) == before + 1
 
     def test_log_copy_is_a_consistent_snapshot(self, fresh_database):
         import copy
@@ -452,10 +452,10 @@ class TestFlushAndLogRobustness:
 
         log = fresh_database.log_database
         cloned = copy.deepcopy(log)
-        sessions_at_copy = cloned.num_sessions
-        log.record_session(LogSession(judgements={0: 1}))
+        sessions_at_copy = len(cloned)
+        log.append(LogSession(judgements={0: 1}))
         # The clone shares nothing with the original ...
-        assert cloned.num_sessions == sessions_at_copy
+        assert len(cloned) == sessions_at_copy
         # ... and its lazily-rebuilt matrix matches its own session count.
         assert cloned.relevance_matrix().tocsr().shape[0] == sessions_at_copy
 
@@ -470,7 +470,7 @@ class TestFlushAndLogRobustness:
         """A bad id mid-wave must not close earlier sessions or log their
         rounds."""
         service = RetrievalService(fresh_database, log_policy="on_close")
-        log_before = fresh_database.log_database.num_sessions
+        log_before = len(fresh_database.log_database)
         response = service.open_session(0, top_k=6)
         service.submit_feedback(
             response.session_id,
@@ -480,12 +480,12 @@ class TestFlushAndLogRobustness:
             service.close_sessions([response.session_id, "bogus"])
         # Nothing mutated: the session is still open, nothing logged.
         assert response.session_id in service.store
-        assert fresh_database.log_database.num_sessions == log_before
+        assert len(fresh_database.log_database) == log_before
         with pytest.raises(SessionError, match="twice in one close wave"):
             service.close_sessions([response.session_id, response.session_id])
         # A clean close still works and logs exactly once.
         service.close_session(response.session_id)
-        assert fresh_database.log_database.num_sessions == log_before + 1
+        assert len(fresh_database.log_database) == log_before + 1
 
     def test_open_wave_rejects_unstorable_state_before_serving(
         self, fresh_database, tmp_path
