@@ -37,17 +37,25 @@ class LogSession:
     session_id: Optional[int] = None
 
     def __post_init__(self) -> None:
+        judgements = dict(self.judgements)
         cleaned: Dict[int, int] = {}
-        for image_index, judgement in dict(self.judgements).items():
-            index = _integer(image_index, "image index")
-            value = _integer(judgement, f"judgement for image {index}")
-            if index < 0:
-                raise LogDatabaseError(f"image index must be non-negative, got {index}")
-            if value not in (-1, 1):
-                raise LogDatabaseError(
-                    f"judgement for image {index} must be +1 or -1, got {value}"
-                )
-            cleaned[index] = value
+        try:
+            for image_index, judgement in judgements.items():
+                index = operator.index(image_index)
+                value = operator.index(judgement)
+                if index < 0:
+                    raise LogDatabaseError(
+                        f"image index must be non-negative, got {index}"
+                    )
+                if value not in (-1, 1):
+                    raise LogDatabaseError(
+                        f"judgement for image {index} must be +1 or -1, got {value}"
+                    )
+                cleaned[index] = value
+        except TypeError:
+            raise LogDatabaseError(
+                f"image indices and judgements must be integers, got {judgements!r}"
+            ) from None
         if not cleaned:
             raise LogDatabaseError("a log session must contain at least one judgement")
         object.__setattr__(self, "judgements", cleaned)

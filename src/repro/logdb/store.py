@@ -224,9 +224,8 @@ class LogStore(abc.ABC):
         """The committed sessions with ids in ``[start, stop)``, in id order.
 
         ``scan(0)`` is the full log; incremental matrix maintenance scans
-        only the suffix appended since the cached matrix, and point lookups
-        pass ``stop=start + 1`` so backends only touch the storage
-        overlapping the requested range.
+        only the suffix appended since the cached matrix.  Backends only
+        touch the storage overlapping the requested range.
 
         Raises
         ------

@@ -65,8 +65,8 @@ class TestLogSession:
         ],
     )
     def test_non_integer_input_is_rejected_not_truncated(self, judgements, query_index):
-        # Mutation caught: int() instead of operator.index in _integer
-        # accepts the first four rows.
+        # Mutation caught: int() in place of operator.index truncates the
+        # first three rows (in __post_init__) or the fourth (in _integer).
         with pytest.raises(LogDatabaseError):
             LogSession(judgements=judgements, query_index=query_index)
 

@@ -72,8 +72,7 @@ class TestLogStoreProtocol:
             any_store.scan(start=-1)
 
     def test_snapshot_is_immutable_tuple(self, any_store):
-        """Named for the tuple ``snapshot()`` once returned; the immutable
-        capture is now a :class:`LogSnapshot` of ``R``."""
+        """``snapshot()`` is an immutable capture: later appends leave it alone."""
         any_store.append(_session({0: 1}))
         snap = any_store.snapshot()
         any_store.append(_session({1: 1}))
@@ -138,8 +137,7 @@ class TestLogStoreProtocol:
         assert len(any_store) == 4
 
     def test_facade_over_any_backend(self, any_store):
-        """The job the former façade did — the relevance matrix — is done by
-        every backend itself."""
+        """Every backend keeps the relevance matrix and its snapshot itself."""
         any_store.append(_session({0: 1, 1: -1}))
         any_store.append(_session({1: 1}))
         matrix = any_store.relevance_matrix()
