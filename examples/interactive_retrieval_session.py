@@ -2,8 +2,9 @@
 
 This example mirrors how the paper's CBIR system is actually used (and how
 its feedback log was collected): a user issues a query, judges the returned
-images round after round, and every round is recorded into the log database
-— so the system gets better for *future* users as the log grows.
+images round after round, and when the session closes every round is
+recorded into the log database — so the system gets better for *future*
+users as the log grows.
 
 The "user" here is simulated from category ground truth with a little noise,
 exactly like :mod:`repro.logdb.simulation` does for the log campaign.
@@ -46,9 +47,10 @@ def main() -> None:
     )
     database = ImageDatabase(dataset, log_database=log)
 
-    # The service refines with the paper's LRF-CSVM and records every round.
+    # The service refines with the paper's LRF-CSVM and logs every completed
+    # round when the session closes.
     service = RetrievalService(
-        database, default_algorithm="lrf-csvm", log_policy="per_round"
+        database, default_algorithm="lrf-csvm", log_policy="on_close"
     )
     user = SimulatedUser(dataset, noise_rate=0.05, random_state=21)
 

@@ -1,7 +1,7 @@
 """Observability in action: metrics snapshot + one round's span tree.
 
 This demo switches the process-wide :mod:`repro.obs` hub on (it is off —
-and effectively free — by default), drives a small ``per_round`` workload
+and effectively free — by default), drives a small ``on_close`` workload
 through a :class:`RetrievalService`, and prints what the instrumentation
 saw:
 
@@ -68,7 +68,7 @@ def main() -> None:
         service = RetrievalService(
             database,
             default_algorithm="lrf-csvm",
-            log_policy="per_round",
+            log_policy="on_close",
         )
         responses = service.open_sessions(
             [SearchRequest(query=i, top_k=TOP_K) for i in range(NUM_SESSIONS)]

@@ -23,11 +23,11 @@ class SearchEngine:
     "Euclidean" curve in Figures 3–4 is exactly this engine's output, and the
     top-20 of this ranking is what gets labelled to seed relevance feedback.
 
-    Ranking is served by a :class:`repro.index.VectorIndex` whenever one is
-    available — either passed explicitly or attached to the database (see
-    :meth:`ImageDatabase.build_index`) with a metric matching this engine's
-    distance.  Without an index (or for a full ranking, or a custom distance
-    callable) the engine falls back to the brute-force index's exact scan,
+    Ranking is served by the :class:`repro.index.VectorIndex` attached to
+    the database (see :meth:`ImageDatabase.build_index` and
+    :meth:`ImageDatabase.attach_index`) whenever its metric matches this
+    engine's distance.  Without such an index (or for a full ranking) the
+    engine falls back to the brute-force index's exact scan,
     :func:`repro.utils.arrays.exact_top_k`, over the database.
 
     Parameters
@@ -37,13 +37,6 @@ class SearchEngine:
     distance:
         Distance name (``euclidean``/``manhattan``/``cosine``) or a custom
         ``(queries, database) -> (Q, N)`` callable.
-    index:
-        ``None`` to use ``database.index`` when compatible, a backend name
-        (built over the database features at the engine's metric), or an
-        already-built :class:`~repro.index.VectorIndex`.  Indexes rank
-        under a *registered* metric, so they cannot be combined with a
-        custom distance callable — callables are always served by the
-        exact dense scan.
     """
 
     def __init__(
@@ -51,7 +44,6 @@ class SearchEngine:
         database: ImageDatabase,
         *,
         distance: Union[str, DistanceFunction] = "euclidean",
-        index: Union[None, str, "VectorIndex"] = None,
     ) -> None:
         self.database = database
         if isinstance(distance, str):
@@ -60,30 +52,10 @@ class SearchEngine:
         else:
             self.distance = distance
             self.distance_name = getattr(distance, "__name__", "custom")
-        if index is not None and not isinstance(distance, str):
-            raise ValidationError(
-                "an index ranks under a registered distance name "
-                "(euclidean/manhattan/cosine); a custom distance callable is "
-                "always served by the exact dense scan, so pass index=None"
-            )
-        if isinstance(index, str):
-            from repro.index.registry import make_index
-
-            index = make_index(index, metric=self.distance_name).build(database.features)
-        if index is not None:
-            index.ensure_covers(database.features)
-            if index.metric != self.distance_name:
-                raise ValidationError(
-                    f"index ranks by '{index.metric}' but the engine uses "
-                    f"'{self.distance_name}'"
-                )
-        self._index = index
 
     @property
-    def index(self) -> Optional["VectorIndex"]:
-        """The index this engine will rank with, if any."""
-        if self._index is not None:
-            return self._index
+    def index(self) -> Optional[VectorIndex]:
+        """The database's index when it ranks by this engine's metric."""
         attached = self.database.index
         if attached is not None and attached.metric == self.distance_name:
             return attached

@@ -40,6 +40,10 @@ each one is a distinct crash window the protocol must survive:
 ``STORE_BEFORE_PUT``       per session-state write (any op that persists)
 ========================== ====================================================
 
+Build the router inside ``installed(plan)``: the workers it forks inherit
+the plan and re-arm it under their own ids (a ``worker_id`` rule never
+fires in the router process, whose id is ``None``).
+
 The ``"exit"`` action at any of these points is the deterministic
 equivalent of a SIGKILL landing exactly there; the fault-matrix test in
 ``tests/test_cluster_faults.py`` walks the full protocol-step ×

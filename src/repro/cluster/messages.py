@@ -23,11 +23,10 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Tuple, Union
 
 from repro.exceptions import ValidationError
 from repro.service.service import LOG_POLICIES
-from repro.utils.faults import FaultPlan
 
 __all__ = [
     "ClusterConfig",
@@ -105,11 +104,6 @@ class ClusterConfig:
     observability:
         Enable the :mod:`repro.obs` hub inside each worker process (the
         router instruments itself against the ambient hub regardless).
-    fault_plan:
-        Deterministic fault injection (tests only): a
-        :class:`~repro.utils.faults.FaultPlan` installed inside every
-        worker process with its worker id, arming the named fault points
-        of :mod:`repro.cluster.faults`.  ``None`` disables the seam.
     """
 
     session_dir: PathLike
@@ -121,7 +115,6 @@ class ClusterConfig:
     retry_limit: int = 2
     auto_restart: bool = False
     observability: bool = False
-    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         # Counts must be true integers: 2.5 workers would pass a ``< 1``
@@ -146,10 +139,6 @@ class ClusterConfig:
             raise ValidationError(
                 "request_timeout must be finite and positive, "
                 f"got {self.request_timeout}"
-            )
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            raise ValidationError(
-                f"fault_plan must be a FaultPlan or None, got {self.fault_plan!r}"
             )
 
 

@@ -86,6 +86,8 @@ from repro.service.dtos import (
     RankingResponse,
     SearchRequest,
     SessionView,
+    check_session_id,
+    check_session_ids,
 )
 from repro.utils.faults import trip as _fault_trip
 
@@ -359,6 +361,7 @@ class ClusterRouter:
 
     def close_sessions(self, session_ids: Sequence[str]) -> List[SessionView]:
         """Close a wave of sessions (shipped together)."""
+        session_ids = check_session_ids(session_ids)
         items = self._enqueue(OP_CLOSE, session_ids, session_ids)
         return [
             self._finish_close(session_id, item)
@@ -367,15 +370,18 @@ class ClusterRouter:
 
     def discard_session(self, session_id: str) -> None:
         """Abandon a session without recording anything."""
+        check_session_id(session_id)
         self._retrying_call(OP_DISCARD, session_id, session_id)
         self._forget(session_id)
 
     def get_session(self, session_id: str) -> SessionView:
         """Read-only snapshot of one open session (idempotent; retried)."""
+        check_session_id(session_id)
         return self._retrying_call(OP_VIEW, session_id, session_id)
 
     def last_response(self, session_id: str) -> Optional[RankingResponse]:
         """The session's last persisted ranking (idempotent; retried)."""
+        check_session_id(session_id)
         return self._retrying_call(OP_LAST, session_id, session_id)
 
     # --------------------------------------------------------- introspection

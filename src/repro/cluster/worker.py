@@ -35,7 +35,7 @@ from repro.logdb.file_store import FileLogStore
 from repro.service.service import RetrievalService
 from repro.service.store import FileSessionStore
 from repro.utils.blas import limit_blas_threads
-from repro.utils.faults import install_plan, trip as _fault_trip
+from repro.utils.faults import active_plan, install_plan, trip as _fault_trip
 
 from repro.cluster.messages import (
     MAX_WAVE,
@@ -223,11 +223,11 @@ def run_worker(
         max(1, len(os.sched_getaffinity(0)) // config.num_workers)
     )
     parent_pid = os.getppid()
-    if config.fault_plan is not None:
-        # Arm the deterministic fault seam before the stack is built, so
-        # even recovery-at-startup paths are injectable.  Installing with
-        # this worker's id makes worker_id-scoped rules selective.
-        install_plan(config.fault_plan, worker_id=worker_id)
+    # Re-arm a fault plan inherited from the parent (a test's installed())
+    # under this worker's id, before the stack is built.
+    plan = active_plan()
+    if plan is not None:
+        install_plan(plan, worker_id=worker_id)
     if config.observability:
         from repro.obs import configure
 

@@ -64,7 +64,7 @@ class EvaluationError(ReproError):
 
 
 class SessionError(ReproError):
-    """A retrieval-service session is unknown, expired, or in a wrong state."""
+    """A retrieval-service session is unknown or in a wrong state."""
 
 
 class ClusterError(ReproError):

@@ -9,8 +9,8 @@ block + one ``vstack``, see
 :meth:`~repro.logdb.relevance_matrix.RelevanceMatrix.append_sessions`),
 and :meth:`LogStore.snapshot` hands out one immutable
 :class:`~repro.logdb.relevance_matrix.LogSnapshot` per log version.
-Everything that *writes* logs (service close-batches, ``per_round``
-policies, the simulation campaign) and everything that *reads* them
+Everything that *writes* logs (service close-batches, the simulation
+campaign) and everything that *reads* them
 (feedback strategies, the evaluation protocol) holds one store object.
 
 Two backends ship:

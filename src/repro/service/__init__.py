@@ -10,7 +10,7 @@ The multi-user interaction surface of the system:
   stateless feedback strategies operate on.
 * :class:`SessionStore` (+ :class:`InMemorySessionStore`,
   :class:`FileSessionStore`) — thread-safe session persistence with
-  lock-aware TTL eviction and atomic on-disk writes.
+  atomic on-disk writes.
 
 Every public entry point of the service is thread-safe; see
 :mod:`repro.service.service` for the lock discipline.

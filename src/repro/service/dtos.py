@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -203,8 +203,8 @@ class SessionView:
     judgements:
         Accumulated judgements, in arrival order.
     created_at, last_active:
-        Service-clock timestamps (TTL eviction measures idleness from
-        ``last_active``).
+        Wall-clock timestamps of the session's opening and of its latest
+        round.
     closed:
         Whether the session has been closed (its rounds flushed to the log).
     solver_stats:
@@ -236,3 +236,13 @@ def check_session_id(session_id: str) -> str:
             f"session_id must match [A-Za-z0-9._-]+ , got {session_id!r}"
         )
     return session_id
+
+
+def check_session_ids(session_ids: Sequence[str]) -> List[str]:
+    """:func:`check_session_id` of each id; a bare ``str``, whose characters
+    would pass as one-letter ids, raises :class:`ValidationError`."""
+    if isinstance(session_ids, str):
+        raise ValidationError(
+            f"expected a sequence of session ids, got the string {session_ids!r}"
+        )
+    return [check_session_id(session_id) for session_id in session_ids]

@@ -18,15 +18,14 @@ Thread safety and lock discipline
 Every public entry point is safe to call from any number of threads.
 Serving only *reads* the features, the index and the log vectors: an index
 is attached to the database before serving starts
-(``RetrievalService(index=...)`` or
+(:meth:`~repro.cbir.database.ImageDatabase.build_index` or
 :meth:`~repro.cbir.database.ImageDatabase.attach_index`) and never changes
 under a running service.  The service takes one lock level of its own (the
 first of :data:`repro.utils.concurrency.LOCK_ORDER`), the **session
 stripes** (:class:`~repro.utils.concurrency.StripedLockMap`).  Each call
 locks the stripes of every session it touches, in canonical order, for its
 whole duration.  Two calls on the same session serialise; calls on disjoint
-sessions run truly in parallel.  TTL eviction only *try-locks* a stripe and
-skips busy sessions, so it can never race a live round.
+sessions run truly in parallel.
 
 Below them sit only the stores' own locks.  A wave's log records land in
 the shared log as **one** atomic :meth:`~repro.logdb.store.LogStore.extend`
@@ -51,7 +50,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
@@ -59,11 +58,11 @@ from repro.cbir.search import SearchEngine
 from repro.exceptions import SessionError, ValidationError
 from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
 from repro.feedback.registry import make_algorithm
-from repro.index.base import VectorIndex
 from repro.logdb.session import LogSession
 from repro.logdb.store import _session_document, _session_from_document
 from repro.obs import get_hub, lock_wait_recorder
 from repro.service.dtos import FeedbackRequest, RankingResponse, SearchRequest, SessionView
+from repro.service.dtos import check_session_id, check_session_ids
 from repro.service.state import SessionState
 from repro.service.store import InMemorySessionStore, SessionStore
 from repro.utils.concurrency import StripedLockMap
@@ -74,9 +73,8 @@ __all__ = ["RetrievalService", "LOG_POLICIES"]
 #: When closed sessions' judgements reach the shared log database:
 #: ``on_close`` appends one log session per completed round at close time
 #: (the service default — in-flight sessions never contaminate each other),
-#: ``per_round`` appends immediately after every round, ``off`` never
-#: appends (evaluation runs).
-LOG_POLICIES = ("on_close", "per_round", "off")
+#: ``off`` never appends (evaluation runs).
+LOG_POLICIES = ("on_close", "off")
 
 
 class RetrievalService:
@@ -92,26 +90,17 @@ class RetrievalService:
         Scheme used when a :class:`SearchRequest` names none.
     log_policy:
         One of :data:`LOG_POLICIES`.
-    index:
-        ``None`` to use whatever index the database carries, a backend name
-        (built and attached), or an already-built index (attached).
-    session_ttl:
-        Convenience: TTL installed on the *default* store.  Pass a
-        pre-configured store to control TTL per backend.
-    clock:
-        Seconds-returning callable used for timestamps and TTL eviction
-        (injectable for tests); defaults to :func:`time.time`.
 
     Raises
     ------
     ValidationError
-        For an unknown log policy, or a ``session_ttl`` passed alongside an
-        explicit store.
+        For an unknown log policy.
 
     Notes
     -----
     All entry points are thread-safe; see the module docstring for the
-    lock discipline.
+    lock discipline.  Every entry point that takes session ids raises
+    :class:`ValidationError` for one that is not a valid id string.
     """
 
     def __init__(
@@ -121,31 +110,18 @@ class RetrievalService:
         store: Optional[SessionStore] = None,
         default_algorithm: Union[str, RelevanceFeedbackAlgorithm] = "lrf-csvm",
         log_policy: str = "on_close",
-        index: Union[None, str, VectorIndex] = None,
-        session_ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if log_policy not in LOG_POLICIES:
             raise ValidationError(
                 f"log_policy must be one of {LOG_POLICIES}, got {log_policy!r}"
             )
-        if store is not None and session_ttl is not None:
-            raise ValidationError(
-                "session_ttl configures the default store; set ttl on the "
-                "store you are passing instead"
-            )
         self.database = database
-        if isinstance(index, str):
-            database.build_index(index)
-        elif index is not None:
-            database.attach_index(index)
         self.search_engine = SearchEngine(database)
         self.store: SessionStore = (
-            store if store is not None else InMemorySessionStore(ttl=session_ttl)
+            store if store is not None else InMemorySessionStore()
         )
         self.default_algorithm = default_algorithm
         self.log_policy = log_policy
-        self._clock = clock if clock is not None else time.time
         self._id_counter = itertools.count(1)
         # The wait recorder consults the observability hub at call time, so
         # lock-wait accounting follows repro.obs.configure()/disable() live.
@@ -159,12 +135,8 @@ class RetrievalService:
 
     @property
     def _durable_close(self) -> bool:
-        """Whether closes run the write-ahead intent protocol.
-
-        Requires both the ``on_close`` policy (the only policy with
-        unflushed rounds at close time) and a store that can persist the
-        intent record; otherwise closes delete, then append.
-        """
+        """Whether closes run the write-ahead intent protocol: ``on_close``
+        over a store that persists intents (otherwise: delete, then append)."""
         return self.log_policy == "on_close" and getattr(
             self.store, "supports_close_intents", False
         )
@@ -234,7 +206,7 @@ class RetrievalService:
         coerced = [self._coerce_search(request, {}) for request in requests]
         if not coerced:
             return []
-        now = self._tick()
+        now = time.time()
         # Build and validate every state of the wave BEFORE serving any of
         # it: two requests claiming one id would otherwise silently hand one
         # user the other's ranking.
@@ -317,7 +289,7 @@ class RetrievalService:
         Raises
         ------
         SessionError
-            For unknown, expired or closed sessions.
+            For unknown or closed sessions.
         ValidationError
             For malformed judgements or out-of-range image indices.
         """
@@ -360,13 +332,12 @@ class RetrievalService:
         Notes
         -----
         Thread-safe: the batch holds its sessions' stripes for the whole
-        round.  Under the ``per_round`` log policy the batch's records land
-        as one atomic log append.
+        round.
         """
         coerced = [self._coerce_feedback(r, None, None) for r in requests]
         if not coerced:
             return []
-        now = self._tick()
+        now = time.time()
         # Validate the whole batch BEFORE touching any session state: a bad
         # request must not leave a half-applied round behind (the in-memory
         # store hands out live objects), and one session may only advance by
@@ -449,15 +420,6 @@ class RetrievalService:
                         solver_stats=state.solver_stats(),
                     )
                 )
-            if self.log_policy == "per_round":
-                # One extend = one atomic append: concurrent batches can
-                # neither split nor interleave this batch's records.
-                self.database.log_database.extend(
-                    [
-                        self._log_session(state, request.judgements)
-                        for request, state in zip(coerced, states)
-                    ]
-                )
         if hub.enabled:
             hub.count("service.rounds_scored", len(coerced))
             hub.observe("service.feedback_batch_seconds", batch_span.duration)
@@ -480,7 +442,7 @@ class RetrievalService:
         Raises
         ------
         SessionError
-            For unknown, expired or already-closed sessions.
+            For unknown or already-closed sessions.
         """
         return self.close_sessions([session_id])[0]
 
@@ -520,14 +482,16 @@ class RetrievalService:
         Raises
         ------
         SessionError
-            For unknown, expired or already-closed sessions.
+            For unknown or already-closed sessions.
+        ValidationError
+            For a bare string in place of a sequence of ids.
 
         Notes
         -----
         Thread-safe: holds the wave's stripes, so a close cannot interleave
         with a live feedback round of the same session.
         """
-        self._tick()
+        session_ids = check_session_ids(session_ids)
         views: List[SessionView] = []
         hub = get_hub()
         with hub.span("service.close_sessions", wave=len(session_ids)), \
@@ -687,10 +651,9 @@ class RetrievalService:
     def discard_session(self, session_id: str) -> None:
         """Abandon a session without recording anything.
 
-        A missing or expired id is a no-op.  Thread-safe (holds the
-        session's stripe).
+        A missing id is a no-op.  Thread-safe (holds the session's stripe).
         """
-        self._tick()
+        check_session_id(session_id)
         with self._session_locks.holding(session_id):
             self.store.delete(session_id)
 
@@ -701,14 +664,14 @@ class RetrievalService:
         Raises
         ------
         SessionError
-            For unknown or expired ids.
+            For unknown ids.
 
         Notes
         -----
         Taken under the session's stripe, so the snapshot is consistent
         (never a torn view of a round in flight).
         """
-        self._tick()
+        check_session_id(session_id)
         with self._session_locks.holding(session_id):
             return self.store.get(session_id).view()
 
@@ -736,14 +699,14 @@ class RetrievalService:
         Raises
         ------
         SessionError
-            For unknown, expired or closed sessions.
+            For unknown or closed sessions.
 
         Notes
         -----
         Taken under the session's stripe, so the round index and ranking
         are a consistent pair (never a torn view of a round in flight).
         """
-        self._tick()
+        check_session_id(session_id)
         with self._session_locks.holding(session_id):
             state = self._open_state(session_id)
             result = state.last_result()
@@ -762,7 +725,6 @@ class RetrievalService:
         Sessions opened or closed concurrently may or may not appear; each
         returned view is internally consistent.
         """
-        self._tick()
         views = []
         for session_id in self.store.session_ids():
             with self._session_locks.holding(session_id):
@@ -785,12 +747,6 @@ class RetrievalService:
         """
 
     # -------------------------------------------------------------- internals
-    def _tick(self) -> float:
-        """Advance the service clock and run lock-aware TTL eviction."""
-        now = float(self._clock())
-        self.store.evict_expired(now, locks=self._session_locks)
-        return now
-
     def _score_rounds(
         self,
         coerced: Sequence[FeedbackRequest],
@@ -951,5 +907,5 @@ class RetrievalService:
         if judgements is None:
             raise ValidationError("submit_feedback needs a judgements mapping")
         return FeedbackRequest(
-            session_id=str(request), judgements=judgements, top_k=top_k
+            session_id=request, judgements=judgements, top_k=top_k
         )

@@ -60,7 +60,8 @@ class SessionState:
     memory:
         The session's :class:`FeedbackMemory` (warm starts + diagnostics).
     created_at, last_active:
-        Service-clock timestamps.
+        Wall-clock (:func:`time.time`) timestamps of the opening and of the
+        latest round.
     """
 
     session_id: str

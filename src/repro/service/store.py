@@ -1,16 +1,14 @@
 """Session persistence: the :class:`SessionStore` protocol and its backends.
 
 A store maps session ids to :class:`~repro.service.state.SessionState`
-objects and owns TTL bookkeeping.  Two backends ship:
+objects.  Two backends ship:
 
 * :class:`InMemorySessionStore` — a dict; state dies with the process.
 * :class:`FileSessionStore` — one ``<id>.json`` document plus one
   ``<id>.npz`` array bundle per session, so sessions survive process
   restarts and a fresh service can resume them bit-identically.
 
-The service calls :meth:`SessionStore.evict_expired` with its own clock on
-every API entry; stores never read wall-clock time themselves, which keeps
-eviction deterministic under test.
+Sessions live until they are closed or discarded; nothing expires them.
 
 Thread safety
 -------------
@@ -22,16 +20,13 @@ the new complete file, never a truncated one).  What a bare store does
 **same** session — a get-modify-put round must not interleave with another
 writer of that id.  That per-session discipline belongs to the caller: the
 :class:`~repro.service.service.RetrievalService` brackets every session's
-round with a striped lock and passes the same lock map into
-:meth:`evict_expired`, so TTL eviction *try-locks* each candidate and skips
-any session that is mid-round instead of racing it.
+round with a striped lock.
 """
 
 from __future__ import annotations
 
 import abc
 import threading
-import time
 import zipfile
 from collections import OrderedDict
 from pathlib import Path
@@ -41,7 +36,6 @@ from repro.exceptions import SessionError, ValidationError
 from repro.obs import get_hub
 from repro.service.dtos import check_session_id
 from repro.service.state import SessionState
-from repro.utils.concurrency import StripedLockMap
 from repro.utils.faults import trip as _fault_trip
 from repro.utils.io import load_array_bundle, load_json, save_array_bundle, save_json
 
@@ -54,22 +48,7 @@ _CACHE_SIZE = 1024
 
 
 class SessionStore(abc.ABC):
-    """Keyed storage of session states with optional TTL eviction.
-
-    Parameters
-    ----------
-    ttl:
-        Seconds of idleness (measured from ``last_active`` against the clock
-        the service passes in) after which a session is evicted; ``None``
-        disables eviction.  The service calls :meth:`evict_expired` on
-        every API entry, and each call sweeps every stored session.
-    """
-
-    def __init__(self, *, ttl: Optional[float] = None) -> None:
-        # ``not > 0`` also rejects NaN, which would expire every session.
-        if ttl is not None and not ttl > 0:
-            raise ValidationError(f"ttl must be positive, got {ttl}")
-        self.ttl = None if ttl is None else float(ttl)
+    """Keyed storage of session states."""
 
     # ------------------------------------------------------------------- api
     @abc.abstractmethod
@@ -87,7 +66,7 @@ class SessionStore(abc.ABC):
         Raises
         ------
         SessionError
-            If the id is unknown (or was evicted).
+            If the id is unknown.
         """
 
     @abc.abstractmethod
@@ -97,16 +76,6 @@ class SessionStore(abc.ABC):
     @abc.abstractmethod
     def session_ids(self) -> List[str]:
         """A sorted snapshot of all stored session ids."""
-
-    @abc.abstractmethod
-    def last_active_of(self, session_id: str) -> float:
-        """``last_active`` of one session without materialising arrays.
-
-        Raises
-        ------
-        SessionError
-            If the id is unknown.
-        """
 
     # ----------------------------------------------------------- close intents
     #: Whether this backend persists write-ahead close-intent records (the
@@ -170,56 +139,9 @@ class SessionStore(abc.ABC):
     def __len__(self) -> int:
         return len(self.session_ids())
 
-    def evict_expired(
-        self, now: float, *, locks: Optional[StripedLockMap] = None
-    ) -> List[str]:
-        """Drop every session idle longer than :attr:`ttl`; returns the ids.
-
-        Parameters
-        ----------
-        now:
-            The caller's clock reading (stores never read wall-clock time).
-        locks:
-            Optional per-session lock map (the service passes its own).
-            When given, each candidate is only inspected and deleted under
-            a **non-blocking** try-lock of its stripe: a session currently
-            inside a feedback round holds its stripe, so eviction skips it
-            — it can never yank state out from under a live round — and
-            retries naturally on a later tick.
-
-        Returns
-        -------
-        list of str
-            Ids actually evicted (expired sessions skipped as busy are not
-            included).
-        """
-        if self.ttl is None:
-            return []
-        evicted: List[str] = []
-        for session_id in self.session_ids():
-            if locks is None:
-                if self._evict_one(session_id, now):
-                    evicted.append(session_id)
-                continue
-            with locks.try_lock(session_id) as held:
-                if held and self._evict_one(session_id, now):
-                    evicted.append(session_id)
-        return evicted
-
-    def _evict_one(self, session_id: str, now: float) -> bool:
-        """Delete *session_id* iff it is expired; False when missing/fresh."""
-        try:
-            last_active = self.last_active_of(session_id)
-        except SessionError:
-            return False  # deleted concurrently or unreadable — leave it
-        if now - last_active <= self.ttl:
-            return False
-        self.delete(session_id)
-        return True
-
     @staticmethod
     def _missing(session_id: str) -> SessionError:
-        return SessionError(f"unknown or expired session '{session_id}'")
+        return SessionError(f"unknown session '{session_id}'")
 
 
 class InMemorySessionStore(SessionStore):
@@ -232,8 +154,7 @@ class InMemorySessionStore(SessionStore):
     prevent.
     """
 
-    def __init__(self, *, ttl: Optional[float] = None) -> None:
-        super().__init__(ttl=ttl)
+    def __init__(self) -> None:
         self._states: Dict[str, SessionState] = {}
         self._mutex = threading.Lock()
 
@@ -264,10 +185,6 @@ class InMemorySessionStore(SessionStore):
         """A sorted snapshot of the stored ids (stable under concurrent puts)."""
         with self._mutex:
             return sorted(self._states)
-
-    def last_active_of(self, session_id: str) -> float:
-        """``last_active`` of one stored session."""
-        return self.get(session_id).last_active
 
 
 class FileSessionStore(SessionStore):
@@ -313,15 +230,9 @@ class FileSessionStore(SessionStore):
     ----------
     directory:
         Directory holding the per-session files (created if missing).
-    ttl:
-        As for :class:`SessionStore`; each sweep here is a glob plus one
-        JSON load per stored session.
     """
 
-    def __init__(
-        self, directory: PathLike, *, ttl: Optional[float] = None
-    ) -> None:
-        super().__init__(ttl=ttl)
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         # Close intents live in a subdirectory so ``session_ids()`` (a
@@ -415,36 +326,6 @@ class FileSessionStore(SessionStore):
         """
         return sorted(path.stem for path in self.directory.glob("*.json"))
 
-    def last_active_of(self, session_id: str) -> float:
-        """``last_active`` from the cache or the JSON document (no array load)."""
-        json_path = self._json_path(session_id)
-        cached = self._cache_load(session_id, json_path)
-        if cached is not None:
-            return cached.last_active
-        if not json_path.exists():
-            raise self._missing(session_id)
-        return float(_read(session_id, json_path, load_json).get("last_active", 0.0))
-
-    def evict_expired(
-        self, now: float, *, locks: Optional[StripedLockMap] = None
-    ) -> List[str]:
-        """TTL eviction plus a sweep of crash-orphaned array bundles.
-
-        In addition to the base eviction of expired sessions, every
-        ``.npz`` file without a committed JSON document — the residue of a
-        crash between the array write and the JSON commit record (or an
-        abandoned atomic-save temporary) — is deleted once it is older
-        than the TTL.  The age guard compares the file's mtime against
-        **wall-clock** time (the same basis mtimes are recorded in — the
-        injectable service clock only governs ``last_active`` bookkeeping),
-        which keeps the sweep from racing a *live* ``put`` that is between
-        its two renames right now.
-        """
-        evicted = super().evict_expired(now, locks=locks)
-        if self.ttl is not None:
-            self._sweep_orphans()
-        return evicted
-
     # ----------------------------------------------------------- close intents
     supports_close_intents = True
 
@@ -486,19 +367,6 @@ class FileSessionStore(SessionStore):
         hub = get_hub()
         if hub.enabled:
             hub.set_gauge("cluster.close_intents", len(self.close_intent_ids()))
-
-    def _sweep_orphans(self) -> None:
-        """Delete stale npz bundles whose commit record never landed."""
-        wall_now = time.time()
-        for bundle in self.directory.glob("*.npz"):
-            if bundle.with_suffix(".json").exists():
-                continue  # committed session — not ours to touch
-            try:
-                age = wall_now - bundle.stat().st_mtime
-            except OSError:
-                continue  # deleted concurrently
-            if age > self.ttl:
-                bundle.unlink(missing_ok=True)
 
     # ------------------------------------------------------------- read cache
     @staticmethod

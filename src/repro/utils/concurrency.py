@@ -7,9 +7,7 @@ usable standalone):
   hashable key.  The service maps every session id onto a stripe, so
   per-session mutual exclusion costs O(stripes) memory for an unbounded key
   space; :meth:`StripedLockMap.all_of` acquires a whole wave's stripes in a
-  canonical order (deadlock-free between concurrent waves), and
-  :meth:`StripedLockMap.try_lock` is the non-blocking probe TTL eviction
-  uses so it can never stall — or race — a live feedback round.
+  canonical order (deadlock-free between concurrent waves).
 * :data:`Lock ordering <LOCK_ORDER>` — the documented acquisition order the
   service layer follows; any code extending the service should respect it.
 
@@ -46,9 +44,6 @@ WaitCallback = Callable[[str, float], None]
 #:    its backend's batch mutex or cross-process file lock.  The cache lock
 #:    is taken before the append mutex or file lock, never inside it;
 #:    appends take only the latter.
-#:
-#: TTL eviction sits outside the order: it only ever *try-locks* a stripe
-#: and skips busy sessions, so it can run at any level without deadlocking.
 LOCK_ORDER = (
     "session-stripes",
     "store-mutex",
@@ -90,23 +85,14 @@ class StripedLockMap:
         self._stripes = tuple(threading.RLock() for _ in range(num_stripes))
         self._wait_callback = wait_callback
 
-    @property
-    def num_stripes(self) -> int:
-        """Number of locks in the pool."""
-        return len(self._stripes)
-
     def stripe_of(self, key: Hashable) -> int:
         """The stripe index *key* maps to (stable for the map's lifetime)."""
         return hash(key) % len(self._stripes)
 
-    def lock_for(self, key: Hashable) -> threading.RLock:
-        """The re-entrant lock guarding *key* (shared with colliding keys)."""
-        return self._stripes[self.stripe_of(key)]
-
     @contextmanager
     def holding(self, key: Hashable) -> Iterator[None]:
         """Context manager: hold *key*'s stripe for the block."""
-        lock = self.lock_for(key)
+        lock = self._stripes[self.stripe_of(key)]
         if self._wait_callback is None:
             lock.acquire()
         else:
@@ -139,20 +125,3 @@ class StripedLockMap:
         finally:
             for stripe in reversed(acquired):
                 self._stripes[stripe].release()
-
-    @contextmanager
-    def try_lock(self, key: Hashable) -> Iterator[bool]:
-        """Non-blocking probe: yields ``True`` iff *key*'s stripe was free.
-
-        The stripe is held for the block when acquired; when the yield is
-        ``False`` the caller must skip the key (this is how TTL eviction
-        steps around sessions that are mid-round).
-        """
-        lock = self.lock_for(key)
-        held = lock.acquire(blocking=False)
-        try:
-            yield held
-        finally:
-            if held:
-                lock.release()
-

@@ -23,11 +23,11 @@ Three actions ship:
   connection; flows through the same ``OSError`` handling a closed queue
   takes).
 
-Plans are plain frozen dataclasses, so a :class:`FaultPlan` travels into
-worker processes inside the pickled/forked ``ClusterConfig``; hit counters
-are **per process** (installed state, not plan state), so every worker
-counts its own hits and ``worker_id``-scoped rules only arm in the worker
-they name.
+A plan armed in a test process with :func:`installed` is inherited by the
+cluster workers it forks, and each worker re-arms it under its own id
+(:func:`repro.cluster.worker.run_worker`).  Hit counters are **per
+process** (installed state, not plan state), so every worker counts its
+own hits and ``worker_id``-scoped rules only arm in the worker they name.
 """
 
 from __future__ import annotations

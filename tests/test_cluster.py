@@ -45,7 +45,7 @@ from repro.service.store import FileSessionStore
 from repro.cbir.database import ImageDatabase
 from repro.utils import blas
 from repro.utils.blas import blas_thread_counts, limit_blas_threads
-from repro.utils.faults import FaultPlan
+from repro.utils.faults import FaultPlan, installed
 
 POOL_CONFIG = GaussianPoolConfig(
     num_vectors=300, dim=6, num_clusters=5, num_queries=4, seed=11
@@ -264,6 +264,24 @@ class TestErrorPropagation:
         with pytest.raises(SessionError):
             cluster.close_session("no-such-session")
 
+    def test_malformed_session_ids_rejected(self, cluster):
+        # A bare string is not a wave of one-letter ids, and an id that is
+        # not a string is refused before it is hashed for routing.
+        for session_id in "abc":
+            cluster.open_session(0, session_id=session_id, algorithm="euclidean")
+        with pytest.raises(ValidationError, match="sequence of session ids"):
+            cluster.close_sessions("abc")
+        assert cluster.session_ids() == ["a", "b", "c"]
+        for call in (cluster.get_session, cluster.last_response,
+                     cluster.discard_session, cluster.close_session):
+            with pytest.raises(ValidationError, match="session_id"):
+                call(["x"])
+        with pytest.raises(ValidationError, match="session_id"):
+            cluster.close_sessions([["x"]])
+        assert [view.closed for view in cluster.close_sessions(["a", "b", "c"])] == [
+            True, True, True
+        ]
+
     def test_algorithm_instances_are_rejected(self, cluster):
         from repro.feedback import make_algorithm
 
@@ -315,8 +333,7 @@ class TestWorkerDeath:
         plan = FaultPlan.single(
             point, action="exit", worker_id=victim, match={"op": "feedback"}
         )
-        config = _config(tmp_path, num_workers=2, fault_plan=plan)
-        with ClusterRouter(_factory, config) as router:
+        with installed(plan), ClusterRouter(_factory, _config(tmp_path)) as router:
             requests = [
                 SearchRequest(
                     query=i, top_k=10, algorithm="euclidean", session_id=sid

@@ -5,9 +5,11 @@ The heart of the suite is the **protocol-step × fault-point matrix**: for
 every named fault point of the close protocol (and the worker wave loop),
 a 2-worker cluster runs with an ``exit`` rule scoped to the session's home
 worker — the deterministic equivalent of a SIGKILL landing at exactly that
-step.  After the cluster reconciles, the shared log must hold **exactly
-one** record per completed round (zero lost, zero duplicated) and no
-orphaned close intent may remain.
+step.  The plan is armed in the test process around router construction;
+the forked workers inherit it and re-arm it under their own ids.  The
+armed worker must die, and after the cluster reconciles, the shared log
+must hold **exactly one** record per completed round (zero lost, zero
+duplicated) and no orphaned close intent may remain.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.cluster.faults import (
     WORKER_MID_WAVE,
 )
 from repro.datasets.pool import GaussianPoolConfig, make_pool_dataset
-from repro.exceptions import ValidationError
 from repro.logdb import FileLogStore
 from repro.service.store import FileSessionStore
 from repro.utils.faults import FaultPlan, FaultRule, installed
@@ -69,13 +70,6 @@ def _leftover_intents(tmp_path):
     return FileSessionStore(tmp_path / "sessions").close_intent_ids()
 
 
-class TestConfigValidation:
-    def test_new_fields_validate(self, tmp_path):
-        good = dict(session_dir=tmp_path / "s", log_dir=tmp_path / "l")
-        with pytest.raises(ValidationError, match="fault_plan"):
-            ClusterConfig(fault_plan="not-a-plan", **good)
-
-
 #: The matrix rows: (fault point, match filter, 1-based hit that fires).
 #: Every point of the close protocol plus the worker wave loop for each
 #: mutating op.  The hit index matters only where the point also fires on
@@ -110,8 +104,7 @@ class TestFaultMatrix:
         plan = FaultPlan.single(
             point, action="exit", worker_id=victim, match=match
         )
-        config = _config(tmp_path, fault_plan=plan)
-        with ClusterRouter(_factory, config) as router:
+        with installed(plan), ClusterRouter(_factory, _config(tmp_path)) as router:
             opened = router.open_session(
                 0, top_k=8, session_id=session_id, algorithm="euclidean"
             )
@@ -121,6 +114,8 @@ class TestFaultMatrix:
             assert refined.round_index == 1
             view = router.close_session(session_id)
             assert view.closed and view.rounds_completed == 1
+            # The fault fired: the armed worker is dead, not merely idle.
+            assert router.alive_worker_ids == [1 - victim]
         assert _log_counts(tmp_path) == {0: 1}
         assert _leftover_intents(tmp_path) == []
 
@@ -153,8 +148,7 @@ class TestKillDuringCloseWave:
         to exactly one log record per session."""
         victim = 0
         plan = FaultPlan.single(point, action="exit", worker_id=victim)
-        config = _config(tmp_path, fault_plan=plan, retry_limit=3)
-        with ClusterRouter(_factory, config) as router:
+        with installed(plan), ClusterRouter(_factory, _config(tmp_path)) as router:
             # Client-chosen ids, salted until the rendezvous hash sends every
             # other one to the victim: router-minted ids are random, and a
             # draw with none on the victim never runs the armed protocol.
@@ -177,6 +171,7 @@ class TestKillDuringCloseWave:
             views = router.close_sessions(session_ids)
             assert all(view.closed for view in views)
             assert all(view.rounds_completed == 1 for view in views)
+            assert router.alive_worker_ids == [1 - victim]
         counts = _log_counts(tmp_path)
         assert sum(counts.values()) == 6  # zero lost, zero duplicated
         assert _leftover_intents(tmp_path) == []

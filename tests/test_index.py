@@ -375,7 +375,10 @@ class TestSearchEngineIndexing:
 
     def test_index_path_matches_dense_scan(self, small_database):
         dense = SearchEngine(small_database).search(Query(query_index=3), top_k=15)
-        engine = SearchEngine(small_database, index="brute-force")
+        database = ImageDatabase(small_database.dataset)
+        database.build_index("brute-force")
+        engine = SearchEngine(database)
+        assert engine.index is database.index
         indexed = engine.search(Query(query_index=3), top_k=15)
         np.testing.assert_array_equal(indexed.image_indices, dense.image_indices)
         np.testing.assert_allclose(indexed.scores, dense.scores)
@@ -413,25 +416,38 @@ class TestSearchEngineIndexing:
         finally:
             database.detach_index()
 
-    def test_mismatched_explicit_index_rejected(self, small_database, pool):
-        vectors, _ = pool
-        foreign = BruteForceIndex().build(vectors)
-        with pytest.raises(ValidationError, match="index covers"):
-            SearchEngine(small_database, index=foreign)
+    def test_explicit_index_metric_must_match_engine(self, small_dataset):
+        # A cosine engine over a database carrying a euclidean index ranks
+        # by its own exact cosine scan, not by the index.
+        database = ImageDatabase(small_dataset)
+        database.build_index("brute-force")
+        engine = SearchEngine(database, distance="cosine")
+        assert engine.index is None
+        ranked = engine.search(Query(query_index=2), top_k=10)
+        exact = SearchEngine(ImageDatabase(small_dataset), distance="cosine").search(
+            Query(query_index=2), top_k=10
+        )
+        np.testing.assert_array_equal(ranked.image_indices, exact.image_indices)
+        assert ranked.algorithm == "cosine"
 
-    def test_explicit_index_metric_must_match_engine(self, small_database):
-        euclidean_index = BruteForceIndex().build(small_database.features)
-        with pytest.raises(ValidationError, match="ranks by 'euclidean'"):
-            SearchEngine(small_database, distance="cosine", index=euclidean_index)
-
-    def test_named_index_with_custom_distance_callable_rejected(self, small_database):
+    def test_named_index_with_custom_distance_callable_rejected(self, small_dataset):
+        # An index ranks under a registered metric, so an engine with a
+        # custom distance callable never uses the database's index: it is
+        # served by the exact scan of its own callable.
         from repro.cbir.similarity import euclidean_distances
 
-        def my_distance(queries, database):
+        def my_distance(queries, database, *_norms):
             return euclidean_distances(queries, database)
 
-        with pytest.raises(ValidationError, match="registered distance name"):
-            SearchEngine(small_database, distance=my_distance, index="brute-force")
+        database = ImageDatabase(small_dataset)
+        database.build_index("ivf", n_clusters=6, n_probe=1)
+        engine = SearchEngine(database, distance=my_distance)
+        assert engine.index is None
+        custom = engine.search(Query(query_index=1), top_k=10)
+        exact = SearchEngine(ImageDatabase(small_dataset)).search(
+            Query(query_index=1), top_k=10
+        )
+        np.testing.assert_array_equal(custom.image_indices, exact.image_indices)
 
     def test_annotations_resolve_at_runtime(self):
         import typing
@@ -497,16 +513,6 @@ class TestImageDatabaseIndex:
             SearchEngine(fresh).search(query, top_k=10).image_indices,
             SearchEngine(database).search(query, top_k=10).image_indices,
         )
-        database.detach_index()
-
-    def test_service_index_kwarg_builds_and_attaches(self, small_dataset):
-        database = ImageDatabase(small_dataset)
-        service = RetrievalService(
-            database, default_algorithm="euclidean", index="brute-force"
-        )
-        assert database.index is not None and database.index.kind == "brute-force"
-        response = service.open_session(0, top_k=10)
-        assert len(response.image_indices) == 10
         database.detach_index()
 
 

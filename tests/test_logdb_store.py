@@ -11,7 +11,6 @@ matrix.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import shutil
 import tempfile
@@ -455,14 +454,14 @@ class TestSimulationAndServiceIntegration:
     def test_per_round_service_over_file_store_replays_bit_identically(
         self, small_dataset, tmp_path
     ):
-        """Acceptance: per_round logging through the new store == in-memory."""
+        """Acceptance: ``on_close`` logging through the file store == in-memory."""
         from repro.cbir.database import ImageDatabase
         from repro.service import RetrievalService
 
         def run(log_database):
             database = ImageDatabase(small_dataset, log_database=log_database)
             service = RetrievalService(
-                database, default_algorithm="rf-svm", log_policy="per_round"
+                database, default_algorithm="rf-svm", log_policy="on_close"
             )
             for query in (0, 13, 25):
                 initial = service.open_session(query, top_k=10)
@@ -494,57 +493,3 @@ class TestSimulationAndServiceIntegration:
         np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.indptr, b.indptr)
-
-
-class TestFileSessionStoreOrphanSweep:
-    """Satellite: TTL eviction also sweeps crash-orphaned array bundles."""
-
-    def test_orphan_bundle_swept_after_ttl(self, tmp_path):
-        import time
-
-        from repro.service.store import FileSessionStore
-        from repro.utils.io import save_array_bundle
-
-        store = FileSessionStore(tmp_path / "sessions", ttl=10.0)
-        # A crash between the npz write and the JSON commit record.  The
-        # sweep's age guard runs on wall-clock time (mtimes are wall-clock,
-        # the injectable service clock is not), so backdate via utime.
-        orphan = store.directory / "crashed.npz"
-        save_array_bundle({"x": np.arange(3)}, orphan)
-        stale = time.time() - 11.0
-        os.utime(orphan, (stale, stale))
-        # A *fresh* orphan (a live put mid-rename) must be left alone.
-        fresh = store.directory / "inflight.npz"
-        save_array_bundle({"x": np.arange(3)}, fresh)
-
-        store.evict_expired(now=1000.0)  # fake service clock — irrelevant here
-        assert not orphan.exists()
-        assert fresh.exists()
-
-    def test_committed_bundles_survive_the_sweep(self, tmp_path):
-        from repro.cbir.query import Query
-        from repro.service.state import SessionState
-        from repro.service.store import FileSessionStore
-
-        store = FileSessionStore(tmp_path / "sessions", ttl=10.0)
-        state = SessionState(
-            session_id="alive", query=Query(query_index=0), last_active=995.0
-        )
-        store.put(state)
-        os.utime(store.directory / "alive.npz", (0.0, 0.0))  # ancient mtime
-        store.evict_expired(1000.0)
-        # The session is not expired (last_active fresh), so neither file
-        # moves — the sweep keys off the JSON commit record, not mtime.
-        assert (store.directory / "alive.npz").exists()
-        assert store.get("alive").session_id == "alive"
-
-    def test_no_sweep_without_ttl(self, tmp_path):
-        from repro.service.store import FileSessionStore
-        from repro.utils.io import save_array_bundle
-
-        store = FileSessionStore(tmp_path / "sessions")
-        orphan = store.directory / "crashed.npz"
-        save_array_bundle({"x": np.arange(3)}, orphan)
-        os.utime(orphan, (0.0, 0.0))
-        store.evict_expired(now=1000.0)
-        assert orphan.exists()  # eviction (and the sweep) are TTL-gated

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
+from repro.cluster import ClusterConfig
 from repro.evaluation.protocol import EvaluationProtocol, ProtocolConfig
 from repro.evaluation.runner import ExperimentRunner
 from repro.exceptions import SessionError, ValidationError
@@ -16,6 +20,7 @@ from repro.feedback.euclidean import EuclideanFeedback
 from repro.feedback.rf_svm import RFSVM
 from repro.index import BruteForceIndex, IVFIndex
 from repro.service import (
+    LOG_POLICIES,
     FeedbackRequest,
     FileSessionStore,
     InMemorySessionStore,
@@ -144,18 +149,6 @@ class TestSessionLifecycle:
         assert dict(recorded.judgements) == judgements
         assert response.session_id not in service.store
 
-    def test_per_round_policy_logs_immediately(self, small_dataset, fresh_database):
-        service = RetrievalService(fresh_database, log_policy="per_round")
-        before = len(fresh_database.log_database)
-        response = service.open_session(1, top_k=6)
-        service.submit_feedback(
-            response.session_id,
-            _category_judgements(small_dataset, 1, response.image_indices),
-        )
-        assert len(fresh_database.log_database) == before + 1
-        service.close_session(response.session_id)
-        assert len(fresh_database.log_database) == before + 1
-
     def test_off_policy_never_logs(self, small_dataset, fresh_database):
         service = RetrievalService(fresh_database, log_policy="off")
         before = len(fresh_database.log_database)
@@ -210,53 +203,38 @@ class TestSessionLifecycle:
         response = service.open_session(SearchRequest(query=vector, top_k=5))
         assert response.image_indices[0] == 7
 
-
-class TestTTLEviction:
-    def test_idle_sessions_evicted(self, fresh_database):
-        clock = {"now": 0.0}
-        service = RetrievalService(
-            fresh_database, session_ttl=10.0, clock=lambda: clock["now"]
-        )
-        stale = service.open_session(0, top_k=5).session_id
-        clock["now"] = 5.0
-        fresh = service.open_session(1, top_k=5).session_id
-        clock["now"] = 12.0  # stale idle for 12 > 10; fresh idle for 7
-        assert service.num_open_sessions == 2  # eviction runs on API entry
-        ids = [view.session_id for view in service.list_sessions()]
-        assert stale not in ids and fresh in ids
-        with pytest.raises(SessionError):
-            service.submit_feedback(stale, {0: 1})
-
-    def test_activity_refreshes_ttl(self, small_dataset, fresh_database):
-        clock = {"now": 0.0}
-        service = RetrievalService(
-            fresh_database, session_ttl=10.0, clock=lambda: clock["now"]
-        )
-        response = service.open_session(0, top_k=6)
-        clock["now"] = 8.0
-        service.submit_feedback(
-            response.session_id,
-            _category_judgements(small_dataset, 0, response.image_indices),
-        )
-        clock["now"] = 16.0  # idle only 8 since the feedback round
-        assert response.session_id in [v.session_id for v in service.list_sessions()]
-
-    def test_ttl_with_store_conflict_rejected(self, fresh_database):
-        with pytest.raises(ValidationError):
-            RetrievalService(
-                fresh_database, store=InMemorySessionStore(), session_ttl=5.0
-            )
-
-    # A NaN TTL must be refused too: every sweep would expire every session
-    # (``idle <= nan`` is false).
-    @pytest.mark.parametrize("ttl", [0, -1, float("nan")], ids=["zero", "negative", "nan"])
     @pytest.mark.parametrize("backend", ["memory", "file"])
-    def test_non_positive_ttl_rejected(self, tmp_path, backend, ttl):
-        with pytest.raises(ValidationError, match="ttl"):
-            if backend == "memory":
-                InMemorySessionStore(ttl=ttl)
-            else:
-                FileSessionStore(tmp_path, ttl=ttl)
+    def test_malformed_session_ids_rejected(self, fresh_database, tmp_path, backend):
+        store = InMemorySessionStore() if backend == "memory" else FileSessionStore(tmp_path)
+        service = RetrievalService(fresh_database, store=store, log_policy="off")
+        for session_id in "abc":
+            service.open_session(SearchRequest(query=0, top_k=5, session_id=session_id))
+        # A bare string is not a wave of one-letter ids.
+        with pytest.raises(ValidationError, match="sequence of session ids"):
+            service.close_sessions("abc")
+        assert service.num_open_sessions == 3
+        # Ids that are not strings fail as ValidationError on every entry
+        # point, on both stores, before they are hashed onto a lock stripe.
+        for call in (service.get_session, service.last_response,
+                     service.discard_session, service.close_session,
+                     lambda session_id: service.submit_feedback(session_id, {0: 1})):
+            for session_id in (["x"], 5):
+                with pytest.raises(ValidationError, match="session_id"):
+                    call(session_id)
+        with pytest.raises(ValidationError, match="session_id"):
+            service.close_sessions([["x"]])
+        assert service.num_open_sessions == 3
+
+
+class TestServingSettings:
+    def test_only_the_settings_callers_set_remain(self):
+        # No TTL, clock or index keyword on the service; no fault plan on
+        # the cluster config; no mid-session log policy.
+        parameters = inspect.signature(RetrievalService).parameters
+        assert list(parameters) == ["database", "store", "default_algorithm", "log_policy"]
+        assert "index" not in inspect.signature(SearchEngine).parameters
+        assert len(dataclasses.fields(ClusterConfig)) == 9
+        assert LOG_POLICIES == ("on_close", "off")
 
 
 class TestSessionStores:
@@ -319,7 +297,6 @@ class TestSessionStores:
             state = self._state()
             store.put(state)
             assert "abc" in store and len(store) == 1
-            assert store.last_active_of("abc") == 2.0
             store.delete("abc")
             assert "abc" not in store
             with pytest.raises(SessionError):
@@ -352,9 +329,6 @@ class TestSessionStores:
         store = FileSessionStore(tmp_path)
         with pytest.raises(SessionError, match=message):
             store.get("torn")
-        if suffix == ".json":
-            with pytest.raises(SessionError, match=message):
-                store.last_active_of("torn")
         reader = RetrievalService(fresh_database, store=store, log_policy="off")
         with pytest.raises(SessionError, match=message):
             reader.get_session("torn")

@@ -9,7 +9,6 @@ open / feedback / close traffic and asserts the PR's guarantees:
 * every session's per-round rankings bit-identical to a serial replay.
 
 The rest of the module pins the individual mechanisms: striped locks,
-lock-aware TTL eviction that cannot race a live round,
 atomic crash-safe ``FileSessionStore`` writes, and wave ≡ per-call serving
 bit-identity.
 """
@@ -276,14 +275,16 @@ class TestWaveServing:
     def test_concurrent_per_round_batches_land_contiguously(
         self, small_dataset, fresh_database
     ):
-        """8 threads submit ``per_round`` feedback batches at once: each gets
-        its own sessions' results back, and each batch's records sit
-        together in the log, in request order (one atomic ``extend``)."""
+        """8 threads run feedback batches and then close their sessions as
+        one wave, all at once, under ``on_close``: each gets its own
+        sessions' results back, and each close wave's records sit together
+        in the log, session by session and round by round (one atomic
+        ``extend``)."""
         import sys
 
         batch_width = 4
         service = RetrievalService(
-            fresh_database, log_policy="per_round", default_algorithm="rf-svm"
+            fresh_database, log_policy="on_close", default_algorithm="rf-svm"
         )
         log_before = len(fresh_database.log_database)
         barrier = threading.Barrier(NUM_THREADS)
@@ -320,6 +321,9 @@ class TestWaveServing:
                     rankings.append(
                         [np.asarray(r.image_indices).copy() for r in responses]
                     )
+                barrier.wait(timeout=30)
+                views = service.close_sessions([r.session_id for r in responses])
+                assert [view.rounds_completed for view in views] == [NUM_ROUNDS] * batch_width
                 served[thread_index] = (queries, submitted, rankings)
             except BaseException as error:  # noqa: BLE001 - reported to the test
                 errors.append(error)
@@ -340,19 +344,23 @@ class TestWaveServing:
         assert not any(thread.is_alive() for thread in threads), "worker deadlocked"
         assert len(served) == NUM_THREADS
 
-        # -- every batch's records are contiguous, in request order --------
+        # -- every close wave's records are contiguous, in wave order -------
         recorded = [
             (session.query_index, dict(session.judgements))
             for session in fresh_database.log_database.scan()[log_before:]
         ]
         assert len(recorded) == NUM_THREADS * NUM_ROUNDS * batch_width
+        wave_length = NUM_ROUNDS * batch_width
         for queries, submitted, _ in served.values():
-            for judgements in submitted:
-                batch = list(zip(queries, judgements))
-                assert any(
-                    recorded[start : start + batch_width] == batch
-                    for start in range(len(recorded))
-                )
+            wave = [
+                (query, judgements[position])
+                for position, query in enumerate(queries)
+                for judgements in submitted
+            ]
+            assert any(
+                recorded[start : start + wave_length] == wave
+                for start in range(0, len(recorded), wave_length)
+            )
 
         # -- every thread got its own sessions' rankings (serial replay) ---
         replay = RetrievalService(
@@ -370,7 +378,7 @@ class TestWaveServing:
                     )
                 replay.discard_session(session_id)
 
-    @pytest.mark.parametrize("log_policy", ["on_close", "per_round"])
+    @pytest.mark.parametrize("log_policy", ["on_close", "off"])
     def test_failed_search_wave_leaves_nothing_behind(self, fresh_database, log_policy):
         """A wave whose search raises opens no session and logs nothing, and
         the service serves the next wave normally."""
@@ -525,55 +533,6 @@ class TestFlushAndLogRobustness:
         assert resumed.rounds_completed == 1  # the committed round wins
         assert resumed.memory.arrays == {}  # skewed scratch dropped
         assert resumed.last_result() is None
-
-
-class TestLockAwareEviction:
-    def test_busy_session_is_skipped_not_evicted(self, fresh_database):
-        """Eviction try-locks a session's stripe: a held stripe (a live round
-        in another thread) makes eviction skip it until the next tick."""
-        clock = {"now": 0.0}
-        service = RetrievalService(
-            fresh_database, session_ttl=10.0, clock=lambda: clock["now"]
-        )
-        session_id = service.open_session(0, top_k=5).session_id
-        clock["now"] = 100.0  # long expired
-
-        stripe = service._session_locks.lock_for(session_id)
-        release = threading.Event()
-        holding = threading.Event()
-
-        def hold_stripe():
-            with stripe:
-                holding.set()
-                release.wait(timeout=30)
-
-        holder = threading.Thread(target=hold_stripe)
-        holder.start()
-        assert holding.wait(timeout=10)
-        try:
-            # Eviction runs on API entry but must skip the busy session.
-            assert service.store.evict_expired(
-                clock["now"], locks=service._session_locks
-            ) == []
-            assert session_id in service.store
-        finally:
-            release.set()
-            holder.join(timeout=10)
-
-        # Stripe free again: the next tick evicts it.
-        assert service.store.evict_expired(
-            clock["now"], locks=service._session_locks
-        ) == [session_id]
-        assert session_id not in service.store
-
-    def test_eviction_without_locks_still_works(self, tmp_path):
-        store = FileSessionStore(tmp_path, ttl=5.0)
-        state = SessionState(
-            session_id="old", query=Query(query_index=0), last_active=0.0
-        )
-        store.put(state)
-        assert store.evict_expired(10.0) == ["old"]
-        assert "old" not in store
 
 
 class TestAtomicFileStore:
@@ -733,35 +692,3 @@ class TestConcurrencyPrimitives:
         for thread in threads:
             thread.join(timeout=60)
         assert len(done) == 4
-
-    def test_striped_try_lock(self):
-        locks = StripedLockMap(num_stripes=2)
-        with locks.holding("key"):
-            # Same thread re-enters (RLock) ...
-            with locks.try_lock("key") as held:
-                assert held
-        # ... but another thread is refused while the stripe is held.
-        refused = threading.Event()
-        entered = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with locks.holding("key"):
-                entered.set()
-                release.wait(timeout=30)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        assert entered.wait(timeout=10)
-
-        def prober():
-            with locks.try_lock("key") as held:
-                if not held:
-                    refused.set()
-
-        prober_thread = threading.Thread(target=prober)
-        prober_thread.start()
-        prober_thread.join(timeout=10)
-        release.set()
-        thread.join(timeout=10)
-        assert refused.is_set()

@@ -89,9 +89,9 @@ def _serve(dataset, store, served):
     algorithm, params, indexed, _ = SERVED[served]
     log = collect_feedback_log(dataset, LOG_CONFIG, store=store)
     database = ImageDatabase(dataset, log_database=log)
-    service = RetrievalService(
-        database, log_policy="on_close", index="brute-force" if indexed else None
-    )
+    if indexed:
+        database.build_index("brute-force")
+    service = RetrievalService(database, log_policy="on_close")
     rounds = []
     for query in QUERIES:
         response = service.open_session(
