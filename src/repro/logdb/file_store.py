@@ -34,13 +34,21 @@ a crash can never wedge the store, and each crash window is benign:
 Segments named by a committed manifest are immutable; :meth:`compact`
 (under the lock) merges them into one segment of a new *generation* and
 deletes every file the new manifest no longer references.
+
+**Manifest cache.**  Every feedback round asks the store for its length,
+and every read starts from the manifest, which grows with every commit.
+Each handle therefore keeps the last manifest it parsed, keyed by the
+file's :func:`repro.utils.io.stat_key`: while that key is unchanged a read
+costs one ``stat``, and a commit by any handle or process replaces the file
+and so changes the key.  A committing handle installs the manifest it wrote
+only after the write succeeded, and never edits a cached manifest in place.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import LogDatabaseError
 from repro.logdb.session import LogSession
@@ -51,7 +59,7 @@ from repro.logdb.store import (
     _session_from_document,
 )
 from repro.obs import get_hub
-from repro.utils.io import file_lock, load_json, save_json
+from repro.utils.io import file_lock, load_json, save_json, stat_key
 
 __all__ = ["FileLogStore"]
 
@@ -86,8 +94,8 @@ class FileLogStore(LogStore):
     Thread-safe *and* process-safe: every append runs under the store's
     cross-process file lock, and reads of the sessions are lock-free (they
     key off the atomically-replaced manifest).  Handles are never kept
-    open, and a copy or pickle drops the matrix caches, so the object is
-    picklable and a copy is another handle on the same directory.
+    open, and a copy or pickle drops the matrix and manifest caches, so the
+    object is picklable and a copy is another handle on the same directory.
     """
 
     kind = "file"
@@ -103,6 +111,8 @@ class FileLogStore(LogStore):
         self._segments_dir.mkdir(exist_ok=True)
         self._manifest_path = self.directory / "manifest.json"
         self._lock_path = self.directory / "store.lock"
+        # (stat key, parsed manifest) of the last manifest read or written.
+        self._manifest_cache: Tuple[object, Dict[str, object]] = (None, {})
         if not self._manifest_path.exists():
             # Creation races with another process are settled under the
             # lock: whoever arrives second sees the manifest and validates.
@@ -112,15 +122,14 @@ class FileLogStore(LogStore):
                         raise LogDatabaseError(
                             "creating a FileLogStore requires num_images"
                         )
-                    save_json(
+                    self._publish(
                         {
                             "version": _MANIFEST_VERSION,
                             "num_images": num_images,
                             "num_sessions": 0,
                             "generation": 0,
                             "segments": [],
-                        },
-                        self._manifest_path,
+                        }
                     )
         manifest = self._read_manifest()
         if num_images is not None and int(manifest["num_images"]) != num_images:
@@ -130,9 +139,15 @@ class FileLogStore(LogStore):
             )
         super().__init__(int(manifest["num_images"]))
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Copy/pickle support: the base state minus the manifest cache."""
+        state = super().__getstate__()
+        state["_manifest_cache"] = (None, {})
+        return state
+
     # ------------------------------------------------------------------ info
     def __len__(self) -> int:
-        """Number of sessions committed store-wide (reads the manifest)."""
+        """Number of sessions committed store-wide (one ``stat`` when unchanged)."""
         return int(self._read_manifest()["num_sessions"])
 
     # -------------------------------------------------------------- appending
@@ -157,12 +172,10 @@ class FileLogStore(LogStore):
                     "logdb.file.lock_wait_seconds", time.perf_counter() - lock_requested
                 )
             manifest = self._read_manifest()
-            if token is not None:
-                tokens = manifest.setdefault("applied_tokens", [])
-                if token in tokens:
-                    hub.count("logdb.file.dedup_skips")
-                    return []
-                tokens.append(token)
+            tokens = manifest.get("applied_tokens", [])
+            if token is not None and token in tokens:
+                hub.count("logdb.file.dedup_skips")
+                return []
             first_id = int(manifest["num_sessions"])
             stored = [
                 session.with_session_id(first_id + offset)
@@ -177,18 +190,21 @@ class FileLogStore(LogStore):
                 },
                 self._segments_dir / name,
             )
-            manifest["segments"].append(
-                {"name": name, "first_id": first_id, "count": len(stored)}
-            )
-            manifest["num_sessions"] = first_id + len(stored)
-            save_json(manifest, self._manifest_path)  # the commit point
+            segments = [
+                *manifest["segments"],
+                {"name": name, "first_id": first_id, "count": len(stored)},
+            ]
+            committed = {
+                **manifest,
+                "num_sessions": first_id + len(stored),
+                "segments": segments,
+            }
+            if token is not None:
+                committed["applied_tokens"] = [*tokens, token]
+            self._publish(committed)
             hub.count("logdb.file.segments_written")
-            hub.set_gauge("logdb.file.segments", len(manifest["segments"]))
+            hub.set_gauge("logdb.file.segments", len(segments))
         return stored
-
-    def has_token(self, token: str) -> bool:
-        """Whether *token* already committed a batch (lock-free manifest read)."""
-        return token in self._read_manifest().get("applied_tokens", [])
 
     # ---------------------------------------------------------------- reading
     def scan(self, start: int = 0, stop: Optional[int] = None) -> List[LogSession]:
@@ -239,9 +255,7 @@ class FileLogStore(LogStore):
                     self._segments_dir / name,
                 )
                 keep.append({"name": name, "first_id": 0, "count": len(sessions)})
-            manifest["generation"] = generation
-            manifest["segments"] = keep
-            save_json(manifest, self._manifest_path)  # the commit point
+            self._publish({**manifest, "generation": generation, "segments": keep})
             referenced = {str(entry["name"]) for entry in keep}
             removed = 0
             for path in self._segments_dir.glob("seg-*.json"):
@@ -255,7 +269,14 @@ class FileLogStore(LogStore):
 
     # ------------------------------------------------------------- internals
     def _read_manifest(self) -> Dict[str, object]:
-        """Load and version-check the manifest."""
+        """The version-checked manifest; parsed again only when its key changed.
+
+        The returned dict is shared with the cache: callers never mutate it.
+        """
+        key = stat_key(self._manifest_path)
+        cached_key, cached = self._manifest_cache
+        if key is not None and key == cached_key:
+            return cached
         manifest = load_json(self._manifest_path)
         version = int(manifest.get("version", -1))
         if version != _MANIFEST_VERSION:
@@ -263,7 +284,13 @@ class FileLogStore(LogStore):
                 f"unsupported log-store manifest version {version} "
                 f"(expected {_MANIFEST_VERSION})"
             )
+        self._manifest_cache = (key, manifest)
         return manifest
+
+    def _publish(self, manifest: Dict[str, object]) -> None:
+        """Write *manifest* (the commit point), then cache it; under the lock."""
+        save_json(manifest, self._manifest_path)
+        self._manifest_cache = (stat_key(self._manifest_path), manifest)
 
     def _scan_manifest(
         self, manifest: Dict[str, object], start: int, stop: Optional[int] = None

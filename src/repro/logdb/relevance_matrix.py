@@ -87,12 +87,6 @@ class RelevanceMatrix:
         return int(self._matrix.nnz)
 
     @property
-    def density(self) -> float:
-        """Fraction of matrix entries that carry a judgement."""
-        total = self.num_sessions * self.num_images
-        return self.nnz / total if total else 0.0
-
-    @property
     def num_positive(self) -> int:
         """Number of +1 (relevant) judgements stored in the matrix."""
         return int((self._matrix.data > 0).sum())
@@ -126,14 +120,6 @@ class RelevanceMatrix:
         submatrix = self._matrix[:, indices]
         return np.asarray(submatrix.todense()).T.copy()
 
-    def session_row(self, session_index: int) -> np.ndarray:
-        """Dense row of judgements recorded by session *session_index*."""
-        if not 0 <= session_index < self.num_sessions:
-            raise LogDatabaseError(
-                f"session_index must be in [0, {self.num_sessions}), got {session_index}"
-            )
-        return np.asarray(self._matrix[session_index].todense()).ravel()
-
     def toarray(self) -> np.ndarray:
         """Full dense ``(num_sessions, num_images)`` matrix."""
         return np.asarray(self._matrix.todense())
@@ -143,10 +129,6 @@ class RelevanceMatrix:
         return self._matrix.copy()
 
     # ------------------------------------------------------- immutable growth
-    def append_session(self, session: LogSession) -> "RelevanceMatrix":
-        """Return a new matrix with *session* appended as the last row."""
-        return self.append_sessions([session])
-
     def append_sessions(
         self, sessions: Sequence[LogSession]
     ) -> "RelevanceMatrix":

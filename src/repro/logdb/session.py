@@ -96,10 +96,6 @@ class LogSession:
         """Number of irrelevant judgements."""
         return len(self.negative_indices)
 
-    def judgement_for(self, image_index: int) -> int:
-        """Judgement of *image_index*: +1, −1, or 0 when not judged."""
-        return int(self.judgements.get(int(image_index), 0))
-
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(image_indices, judgements)`` as aligned arrays."""
         indices = np.array(self.image_indices, dtype=np.int64)

@@ -189,10 +189,6 @@ class LogStore(abc.ABC):
             )
         return self._append_batch(batch, token)
 
-    @abc.abstractmethod
-    def has_token(self, token: str) -> bool:
-        """Whether :meth:`extend_once` already committed under *token*."""
-
     def _append_batch(
         self, batch: List[LogSession], token: Optional[str]
     ) -> List[LogSession]:
@@ -416,11 +412,6 @@ class InMemoryLogStore(LogStore):
             if token is not None:
                 self._tokens.add(token)
             return stored
-
-    def has_token(self, token: str) -> bool:
-        """Whether *token* already committed a batch in this store."""
-        with self._mutex:
-            return token in self._tokens
 
     def scan(self, start: int = 0, stop: Optional[int] = None) -> List[LogSession]:
         """The sessions with ids in ``[start, stop)`` (a consistent list copy)."""

@@ -719,21 +719,6 @@ class RetrievalService:
                 solver_stats=state.solver_stats(),
             )
 
-    def list_sessions(self) -> List[SessionView]:
-        """Snapshots of every open session, by id.
-
-        Sessions opened or closed concurrently may or may not appear; each
-        returned view is internally consistent.
-        """
-        views = []
-        for session_id in self.store.session_ids():
-            with self._session_locks.holding(session_id):
-                try:
-                    views.append(self.store.get(session_id).view())
-                except SessionError:
-                    continue  # closed while listing
-        return views
-
     @property
     def num_open_sessions(self) -> int:
         """Number of sessions currently stored."""

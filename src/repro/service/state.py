@@ -6,9 +6,9 @@ the per-round record that becomes :class:`~repro.logdb.session.LogSession`
 appends at close, the last ranking, and the
 :class:`~repro.feedback.base.FeedbackMemory` of warm-start α vectors — lives
 here, in a value object any :class:`~repro.service.store.SessionStore` can
-round-trip.  Serialization is split into a JSON-safe document plus a bundle
-of numpy arrays (saved losslessly), so a reloaded session continues
-bit-identically to an uninterrupted one.
+round-trip.  Serialization is one JSON-safe document with the numpy arrays
+embedded losslessly (dtype, shape and the raw bytes in base64), so a
+reloaded session continues bit-identically to an uninterrupted one.
 
 A :class:`SessionState` is a plain mutable value object and is **not**
 internally synchronised: exactly one thread may mutate a given state at a
@@ -18,6 +18,7 @@ by holding the session's striped lock for the whole of every round.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -31,7 +32,7 @@ from repro.service.dtos import SessionView, _clean_judgements
 __all__ = ["SessionState"]
 
 #: Version tag written into every serialised session document.
-_STATE_VERSION = 1
+_STATE_VERSION = 2
 
 
 @dataclass
@@ -172,8 +173,8 @@ class SessionState:
         )
 
     # ----------------------------------------------------------- persistence
-    def to_payload(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        """Split the state into a JSON document and an array bundle.
+    def to_payload(self) -> Dict[str, Any]:
+        """The state as one JSON-safe document, arrays embedded losslessly.
 
         Judgement dicts are stored as ``[index, value]`` pair lists because
         their *order* is part of the state (JSON objects would stringify the
@@ -185,7 +186,7 @@ class SessionState:
                 "instance-backed sessions cannot be serialised; open the "
                 "session with a registry-named algorithm instead"
             )
-        document: Dict[str, Any] = {
+        return {
             "version": _STATE_VERSION,
             "session_id": self.session_id,
             "algorithm": self.algorithm,
@@ -202,64 +203,41 @@ class SessionState:
             "query_index": (
                 int(self.query.query_index) if self.query.is_internal else None
             ),
+            "query_vector": (
+                None if self.query.is_internal else _encode_array(self.query.feature_vector)
+            ),
+            "last_indices": _encode_array(self.last_indices),
+            "last_scores": _encode_array(self.last_scores),
             "last_algorithm_label": self.last_algorithm_label,
             "memory_meta": dict(self.memory.meta),
-            "memory_keys": sorted(self.memory.arrays),
+            "memory_arrays": {
+                key: _encode_array(np.asarray(value))
+                for key, value in self.memory.arrays.items()
+            },
         }
-        arrays: Dict[str, np.ndarray] = {}
-        # Round stamp: lets from_payload detect a document/bundle pair torn
-        # by a crash between the store's two atomic renames (the bundle one
-        # round ahead of the committed document) and discard the skewed
-        # scratch instead of resuming with mismatched warm starts.
-        arrays["__rounds__"] = np.asarray(len(self.round_judgements), dtype=np.int64)
-        if not self.query.is_internal:
-            arrays["query_vector"] = np.asarray(
-                self.query.feature_vector, dtype=np.float64
-            )
-        if self.last_indices is not None:
-            arrays["last_indices"] = self.last_indices
-            arrays["last_scores"] = self.last_scores
-        for key, value in self.memory.arrays.items():
-            arrays[f"mem_{key}"] = np.asarray(value)
-        return document, arrays
 
     @classmethod
-    def from_payload(
-        cls, document: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
-    ) -> "SessionState":
-        """Rebuild a state saved by :meth:`to_payload`.
-
-        A document/bundle pair whose round stamps disagree (a crash landed
-        between the store's two atomic renames) is degraded safely: the
-        committed document wins, and the skewed per-round scratch — warm
-        starts and the last-ranking snapshot — is discarded, so the session
-        resumes correctly from the committed round with a cold solver seed.
-        """
+    def from_payload(cls, document: Mapping[str, Any]) -> "SessionState":
+        """Rebuild a state saved by :meth:`to_payload`."""
         version = int(document.get("version", -1))
         if version != _STATE_VERSION:
             raise ValidationError(
                 f"unsupported session-state version {version} "
                 f"(expected {_STATE_VERSION})"
             )
-        document_rounds = len(document.get("round_judgements", []))
-        skewed = "__rounds__" in arrays and int(arrays["__rounds__"]) != document_rounds
         query_index = document.get("query_index")
         if query_index is not None:
             query = Query(query_index=int(query_index))
         else:
-            query = Query(feature_vector=np.asarray(arrays["query_vector"]))
+            query = Query(feature_vector=_decode_array(document["query_vector"]))
         memory = FeedbackMemory(
-            arrays=(
-                {}
-                if skewed
-                else {
-                    str(key): np.array(arrays[f"mem_{key}"])
-                    for key in document.get("memory_keys", [])
-                }
-            ),
+            arrays={
+                str(key): _decode_array(value)
+                for key, value in document.get("memory_arrays", {}).items()
+            },
             meta=dict(document.get("memory_meta", {})),
         )
-        state = cls(
+        return cls(
             session_id=str(document["session_id"]),
             query=query,
             algorithm=str(document.get("algorithm", "")),
@@ -274,9 +252,26 @@ class SessionState:
             ],
             memory=memory,
             closed=bool(document.get("closed", False)),
+            last_indices=_decode_array(document.get("last_indices")),
+            last_scores=_decode_array(document.get("last_scores")),
             last_algorithm_label=str(document.get("last_algorithm_label", "")),
         )
-        if "last_indices" in arrays and not skewed:
-            state.last_indices = np.asarray(arrays["last_indices"], dtype=np.int64)
-            state.last_scores = np.asarray(arrays["last_scores"], dtype=np.float64)
-        return state
+
+
+def _encode_array(array: Optional[np.ndarray]) -> Optional[Dict[str, Any]]:
+    """*array* as its ``dtype.str``, shape and base64 C-order bytes."""
+    if array is None:
+        return None
+    return {
+        "dtype": array.dtype.str,
+        "shape": list(array.shape),
+        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_array(encoded: Optional[Mapping[str, Any]]) -> Optional[np.ndarray]:
+    """The writable array :func:`_encode_array` encoded, bit for bit."""
+    if encoded is None:
+        return None
+    raw = bytearray(base64.b64decode(encoded["data"], validate=True))
+    return np.frombuffer(raw, dtype=np.dtype(encoded["dtype"])).reshape(encoded["shape"])

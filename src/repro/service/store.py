@@ -4,9 +4,9 @@ A store maps session ids to :class:`~repro.service.state.SessionState`
 objects.  Two backends ship:
 
 * :class:`InMemorySessionStore` — a dict; state dies with the process.
-* :class:`FileSessionStore` — one ``<id>.json`` document plus one
-  ``<id>.npz`` array bundle per session, so sessions survive process
-  restarts and a fresh service can resume them bit-identically.
+* :class:`FileSessionStore` — one ``<id>.json`` document per session
+  (arrays embedded), so sessions survive process restarts and a fresh
+  service can resume them bit-identically.
 
 Sessions live until they are closed or discarded; nothing expires them.
 
@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import abc
 import threading
-import zipfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import SessionError, ValidationError
 from repro.obs import get_hub
 from repro.service.dtos import check_session_id
 from repro.service.state import SessionState
 from repro.utils.faults import trip as _fault_trip
-from repro.utils.io import load_array_bundle, load_json, save_array_bundle, save_json
+from repro.utils.io import load_json, save_json, stat_key
 
 __all__ = ["SessionStore", "InMemorySessionStore", "FileSessionStore"]
 
@@ -188,43 +187,36 @@ class InMemorySessionStore(SessionStore):
 
 
 class FileSessionStore(SessionStore):
-    """On-disk store: one JSON document + one npz bundle per session.
+    """On-disk store: one JSON commit record per session.
 
-    Arrays round-trip losslessly (float64 in, float64 out), so a session
-    reloaded by a fresh service continues bit-identically — the property the
-    persistence tests assert.  Instance-backed sessions (strategy objects
-    instead of registry names) cannot be serialised and are rejected by
-    :meth:`SessionState.to_payload`.
+    Arrays ride inside the document losslessly (dtype, shape and raw
+    bytes), so a session reloaded by a fresh service continues
+    bit-identically — the property the persistence tests assert.
+    Instance-backed sessions (strategy objects instead of registry names)
+    cannot be serialised and are rejected by :meth:`SessionState.to_payload`.
 
     Crash safety
     ------------
-    :meth:`put` never leaves torn files behind.  Both files are written to
-    same-directory temporaries and moved into place with :func:`os.replace`
-    (each rename is atomic), and they land **arrays first, document last**:
-    the JSON document is the commit record (:meth:`get` and
-    :meth:`session_ids` key off it), so a crash mid-save can never leave a
-    truncated JSON next to a stale npz — every file on disk is complete.
-    The one remaining crash window is between the two renames, which leaves
-    the *previous* committed document next to the fresher array bundle;
-    :meth:`SessionState.from_payload` detects the disagreeing round stamps,
-    discards the skewed warm-start scratch, and resumes correctly from the
-    committed round with a cold solver seed.
+    :meth:`put` writes the whole document to a same-directory temporary
+    and moves it into place with one :func:`os.replace`, an atomic rename:
+    a crash at any point leaves either the previous complete document or
+    the new one, never a torn file, and never a session whose parts come
+    from two different rounds.
 
     Read caching
     ------------
-    Re-parsing the JSON document and inflating the npz bundle on *every*
-    :meth:`get` put ~1–2 ms of pure deserialisation on each feedback
-    round's hot path (a many-client cluster load surfaced this).  The
-    store therefore keeps a bounded per-process read cache, validated by
-    ``stat`` of the JSON commit record: every :func:`os.replace` commit
-    produces a fresh ``(inode, mtime_ns, size)``, so a hit is returned
-    only while the on-disk document is byte-identical to the one the
+    Re-parsing the document on *every* :meth:`get` would put its
+    deserialisation on each feedback round's hot path.  The store
+    therefore keeps a bounded per-process read cache, validated by
+    :func:`~repro.utils.io.stat_key` of the document: every
+    :func:`os.replace` commit produces a fresh ``(inode, mtime_ns, size)``,
+    so a hit is returned only while the on-disk document is the one the
     cached state was built from.  Writers in *other* processes (cluster
     workers sharing the directory, a session re-routed off a dead worker)
-    invalidate the entry automatically through that stat key — the cache
-    never serves a state another process has since overwritten.  Writes
-    are unchanged (write-through, atomic, arrays-first).  The cache holds
-    up to ``_CACHE_SIZE`` sessions, least recently used out first.
+    invalidate the entry automatically through that key — the cache never
+    serves a state another process has since overwritten.  Writes stay
+    write-through and atomic.  The cache holds up to ``_CACHE_SIZE``
+    sessions, least recently used out first.
 
     Parameters
     ----------
@@ -264,7 +256,7 @@ class FileSessionStore(SessionStore):
         check_session_id(state.session_id)
 
     def put(self, state: SessionState) -> None:
-        """Persist *state* as its JSON + npz pair, atomically (see above).
+        """Persist *state* as its one JSON document, atomically (see above).
 
         Raises
         ------
@@ -273,11 +265,8 @@ class FileSessionStore(SessionStore):
             not filesystem-safe.
         """
         _fault_trip("store.before_put", session_id=state.session_id)
-        document, arrays = state.to_payload()
-        # Arrays first, document last: the document commits the write.
-        save_array_bundle(arrays, self._npz_path(state.session_id))
         json_path = self._json_path(state.session_id)
-        save_json(document, json_path)
+        save_json(state.to_payload(), json_path)
         self._cache_store(state.session_id, json_path, state)
 
     def get(self, session_id: str) -> SessionState:
@@ -286,8 +275,8 @@ class FileSessionStore(SessionStore):
         Served from the stat-validated read cache when the on-disk commit
         record is unchanged since this process last read or wrote it (see
         the class docstring); re-parsed from disk otherwise.  Raises
-        :class:`SessionError` when the id is unknown or one of its files
-        cannot be read (a torn or foreign file).
+        :class:`SessionError` when the id is unknown or its document cannot
+        be read (a torn or foreign file).
         """
         json_path = self._json_path(session_id)
         cached = self._cache_load(session_id, json_path)
@@ -295,23 +284,22 @@ class FileSessionStore(SessionStore):
             return cached
         if not json_path.exists():
             raise self._missing(session_id)
-        document = _read(session_id, json_path, load_json)
-        npz_path = self._npz_path(session_id)
-        arrays = (
-            _read(session_id, npz_path, load_array_bundle)
-            if npz_path.exists() else {}
-        )
-        state = SessionState.from_payload(document, arrays)
+        try:
+            document = load_json(json_path)
+        except (OSError, ValueError) as exc:
+            raise SessionError(
+                f"session '{session_id}' has an unreadable file {json_path.name}: {exc}"
+            ) from exc
+        state = SessionState.from_payload(document)
         self._cache_store(session_id, json_path, state)
         return state
 
     def delete(self, session_id: str) -> None:
-        """Remove both files if present (missing ids are a no-op)."""
+        """Remove the session's document if present (missing ids are a no-op)."""
         _fault_trip("store.before_delete", session_id=session_id)
         with self._cache_mutex:
             self._cache.pop(session_id, None)
         self._json_path(session_id).unlink(missing_ok=True)
-        self._npz_path(session_id).unlink(missing_ok=True)
 
     def exists(self, session_id: str) -> bool:
         """One ``Path.exists`` probe of the commit record — O(1)."""
@@ -369,24 +357,10 @@ class FileSessionStore(SessionStore):
             hub.set_gauge("cluster.close_intents", len(self.close_intent_ids()))
 
     # ------------------------------------------------------------- read cache
-    @staticmethod
-    def _stat_key(json_path: Path) -> Optional[Tuple[int, int, int]]:
-        """Identity of the committed document, or ``None`` when missing.
-
-        Every atomic save commits via :func:`os.replace` of a fresh
-        temporary, so any writer — this process or another — changes the
-        inode; mtime and size guard the remaining edge cases.
-        """
-        try:
-            stat = json_path.stat()
-        except OSError:
-            return None
-        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
-
     def _cache_load(
         self, session_id: str, json_path: Path
     ) -> Optional[SessionState]:
-        key = self._stat_key(json_path)
+        key = stat_key(json_path)
         with self._cache_mutex:
             entry = self._cache.get(session_id)
             if entry is None:
@@ -401,7 +375,7 @@ class FileSessionStore(SessionStore):
     def _cache_store(
         self, session_id: str, json_path: Path, state: SessionState
     ) -> None:
-        key = self._stat_key(json_path)
+        key = stat_key(json_path)
         if key is None:
             return  # deleted between the write and the stat — don't cache
         with self._cache_mutex:
@@ -413,16 +387,3 @@ class FileSessionStore(SessionStore):
     # ------------------------------------------------------------- internals
     def _json_path(self, session_id: str) -> Path:
         return self.directory / f"{check_session_id(session_id)}.json"
-
-    def _npz_path(self, session_id: str) -> Path:
-        return self.directory / f"{check_session_id(session_id)}.npz"
-
-
-def _read(session_id: str, path: Path, load: Callable[[Path], Any]) -> Any:
-    """``load(path)``, with an unreadable file raised as a :class:`SessionError`."""
-    try:
-        return load(path)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise SessionError(
-            f"session '{session_id}' has an unreadable file {path.name}: {exc}"
-        ) from exc

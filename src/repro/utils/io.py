@@ -6,7 +6,8 @@ a crash, or a parallel writer of a *different* file) can never observe a
 truncated document — it sees either the previous complete file or the new
 complete file.  Concurrent writers of the *same* path still need external
 serialisation (the session stores provide it); atomicity here is
-last-writer-wins, never torn bytes.
+last-writer-wins, never torn bytes.  :func:`stat_key` names the version of
+a file such a save committed, which is what the read caches key on.
 
 :func:`file_lock` supplies that external serialisation **across OS
 processes**: an exclusive advisory lock on a dedicated lock file, used by
@@ -22,7 +23,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, TextIO, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "atomic_text_file",
     "save_json",
     "load_json",
+    "stat_key",
     "save_array_bundle",
     "load_array_bundle",
     "file_lock",
@@ -90,11 +92,13 @@ def atomic_text_file(path: PathLike) -> Iterator[TextIO]:
 
 
 def save_json(document: Mapping[str, Any], path: PathLike) -> Path:
-    """Serialise *document* to *path* as pretty-printed JSON, atomically.
+    """Serialise *document* to *path* as compact, key-sorted JSON, atomically.
 
-    Written through :func:`atomic_text_file`: a failure mid-write (crash,
-    killed process, serialisation error) leaves any previous file at *path*
-    intact.
+    The whole text is encoded first, in one call to the C encoder (an
+    ``indent`` would force the pure-Python one, about ten times slower),
+    then written once through :func:`atomic_text_file`: a failure
+    mid-write (crash, killed process, serialisation error) leaves any
+    previous file at *path* intact.
 
     Parameters
     ----------
@@ -108,9 +112,11 @@ def save_json(document: Mapping[str, Any], path: PathLike) -> Path:
     Path
         The path actually written.
     """
+    text = json.dumps(
+        document, sort_keys=True, separators=(",", ":"), cls=_NumpyJSONEncoder
+    )
     with atomic_text_file(path) as handle:
-        json.dump(document, handle, indent=2, sort_keys=True, cls=_NumpyJSONEncoder)
-        handle.write("\n")
+        handle.write(text)
     return Path(path)
 
 
@@ -118,6 +124,24 @@ def load_json(path: PathLike) -> Dict[str, Any]:
     """Load a JSON document from *path*."""
     with Path(path).open("r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def stat_key(path: PathLike) -> Optional[Tuple[int, int, int]]:
+    """``(st_ino, st_mtime_ns, st_size)`` of *path*, or ``None`` when missing.
+
+    The identity of one committed version of a file the savers here wrote:
+    each save lands by :func:`os.replace` of a fresh temporary, so a new
+    commit, by this process or another, gets a new inode.  The inode alone
+    is not enough because the kernel recycles the number of a replaced
+    file for a later one; the mtime and size back it up, so a recycled
+    inode reads as unchanged only if the new file also has the same
+    nanosecond mtime and the same length.
+    """
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
 
 def save_array_bundle(arrays: Mapping[str, np.ndarray], path: PathLike) -> Path:

@@ -33,7 +33,6 @@ class TestExtendOnce:
         stored = store.extend_once([_session({0: 1}), _session({1: -1})], "t1")
         assert [s.session_id for s in stored] == [0, 1]
         assert len(store) == 2
-        assert store.has_token("t1")
 
     def test_replay_is_a_no_op(self, store):
         store.extend_once([_session({0: 1})], "t1")
@@ -42,12 +41,6 @@ class TestExtendOnce:
         # A different token commits independently.
         assert store.extend_once([_session({2: 1})], "t2") != []
         assert len(store) == 2
-
-    def test_has_token_is_per_token(self, store):
-        assert not store.has_token("t1")
-        store.extend_once([_session({0: 1})], "t1")
-        assert store.has_token("t1")
-        assert not store.has_token("t2")
 
     def test_rejects_empty_batch_and_bad_token(self, store):
         with pytest.raises(LogDatabaseError):
@@ -77,7 +70,6 @@ class TestFileStoreDurability:
         store.extend([_session({1: 1})])
         store.compact()
         reopened = FileLogStore(tmp_path / "log")
-        assert reopened.has_token("t1")
         assert reopened.extend_once([_session({0: 1})], "t1") == []
         assert len(reopened) == 2
 
@@ -98,7 +90,7 @@ class TestFileStoreDurability:
             store.extend_once([_session({0: 1})], "t1")
         monkeypatch.setattr(file_store, "save_json", real_save)
         assert len(list(store._segments_dir.glob("seg-*.json"))) == 1  # the orphan
-        assert not store.has_token("t1")
+        assert "applied_tokens" not in load_json(store._manifest_path)
         assert len(store) == 0
         stored = store.extend_once([_session({0: 1})], "t1")
         assert [s.session_id for s in stored] == [0]
@@ -116,7 +108,6 @@ class TestFileStoreDurability:
         store = InMemoryLogStore(num_images=20)
         store.extend_once([_session({0: 1})], "t1")
         clone = pickle.loads(pickle.dumps(store))
-        assert clone.has_token("t1")
         assert clone.extend_once([_session({0: 1})], "t1") == []
 
 
@@ -132,4 +123,4 @@ class TestLogDatabasePassthrough:
         stored = database.log_database.extend_once([_session({0: 1})], "t1")
         assert len(stored) == 1
         assert database.log_database.extend_once([_session({0: 1})], "t1") == []
-        assert len(store) == 1 and store.has_token("t1")
+        assert len(store) == 1

@@ -10,6 +10,7 @@ matrix.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import pickle
 import shutil
@@ -215,7 +216,6 @@ class _LogStoreMachine(RuleBasedStateMachine):
             assert [s.session_id for s in stored] == self._ids_of(len(batch))
             self.model.extend(batch)
             self.tokens.add(token)
-        assert self.store.has_token(token)
 
     @rule()
     def compact(self):
@@ -361,6 +361,63 @@ class TestFileLogStore:
         # The store is not wedged: the lock was released, appends resume.
         store.append(_session({2: 1}))
         assert len(store) == 2
+
+
+class TestManifestCache:
+    """Each handle keeps the parsed manifest under the file's stat key."""
+
+    def test_unchanged_manifest_is_not_parsed_again(self, tmp_path, monkeypatch):
+        # Mutation caught: dropping the cache (every read parses the file).
+        import repro.logdb.file_store as module
+
+        store = FileLogStore(tmp_path / "log", num_images=6)
+        store.append(_session({0: 1}))
+        loads = []
+        real_load = module.load_json
+        monkeypatch.setattr(
+            module, "load_json", lambda path: loads.append(path) or real_load(path)
+        )
+        for _ in range(3):
+            assert len(store) == 1
+        assert loads == []
+        FileLogStore(tmp_path / "log").append(_session({1: 1}))  # another handle
+        loads.clear()
+        assert len(store) == 2 and len(store) == 2
+        assert loads == [store._manifest_path]
+
+    def test_other_handles_extend_is_seen(self, tmp_path):
+        # Mutation caught: returning the cache without the stat compare
+        # leaves the first handle at one session.
+        first = FileLogStore(tmp_path / "log", num_images=6)
+        first.append(_session({0: 1}))
+        assert len(first) == 1 and first.snapshot().version == 1
+        FileLogStore(tmp_path / "log").extend([_session({1: -1}), _session({2: 1})])
+        assert len(first) == 3
+        assert first.snapshot().version == 3
+        assert [s.judgements for s in first.scan()] == [{0: 1}, {1: -1}, {2: 1}]
+
+    def test_other_handles_compact_is_seen(self, tmp_path):
+        # Mutation caught: returning the cache without the stat compare
+        # reads the three segments the compaction deleted.
+        first = FileLogStore(tmp_path / "log", num_images=6)
+        for i in range(3):
+            first.append(_session({i: 1}))
+        assert len(first.scan()) == 3
+        assert FileLogStore(tmp_path / "log").compact() == 3
+        assert [s.judgements for s in first.scan()] == [{i: 1} for i in range(3)]
+        first.append(_session({4: 1}))
+        assert [s.judgements for s in first.scan()][-1] == {4: 1}
+        assert len(first) == 4
+
+    def test_copy_and_pickle_carry_no_cache(self, tmp_path):
+        # Mutation caught: a __getstate__ that keeps the cached manifest.
+        store = FileLogStore(tmp_path / "log", num_images=6)
+        store.append(_session({0: 1}))
+        assert store._manifest_cache[0] is not None
+        for clone in (copy.copy(store), pickle.loads(pickle.dumps(store))):
+            assert clone._manifest_cache == (None, {})
+            assert len(clone) == 1
+        assert store._manifest_cache[0] is not None
 
 
 def _ship_sessions(directory: str, worker: int, count: int) -> None:

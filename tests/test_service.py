@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
@@ -19,6 +25,7 @@ from repro.feedback.base import FeedbackContext
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.feedback.rf_svm import RFSVM
 from repro.index import BruteForceIndex, IVFIndex
+from repro.logdb import FileLogStore
 from repro.service import (
     LOG_POLICIES,
     FeedbackRequest,
@@ -192,8 +199,7 @@ class TestSessionLifecycle:
     def test_list_and_get_sessions(self, fresh_database):
         service = RetrievalService(fresh_database)
         ids = [service.open_session(i, top_k=5).session_id for i in range(3)]
-        views = service.list_sessions()
-        assert [view.session_id for view in views] == sorted(ids)
+        assert service.store.session_ids() == sorted(ids)
         single = service.get_session(ids[0])
         assert single.rounds_completed == 0 and not single.closed
 
@@ -311,7 +317,7 @@ class TestSessionStores:
             with pytest.raises(ValidationError, match="session_id"):
                 call(5)
 
-    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    @pytest.mark.parametrize("suffix", [".json"])
     def test_torn_session_file_raises_session_error(
         self, fresh_database, tmp_path, suffix
     ):
@@ -336,6 +342,103 @@ class TestSessionStores:
             reader.submit_feedback("torn", {int(opened.image_indices[1]): 1})
         with pytest.raises(SessionError, match=message):
             reader.close_session("torn")
+
+
+_ARRAYS = st.one_of(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+        elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308]),
+        ),
+    ),
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+    ),
+)
+
+
+class _CountingOS:
+    """Stands in for ``os`` inside ``repro.utils.io``; records every commit."""
+
+    def __init__(self):
+        self.replaced = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def replace(self, source, target):
+        self.replaced.append(Path(target))
+        os.replace(source, target)
+
+
+class TestFileSessionRecord:
+    """A file-backed session is one JSON commit record, arrays inside."""
+
+    @given(
+        arrays=st.lists(_ARRAYS, max_size=4),
+        vector=hnp.arrays(
+            np.float64,
+            st.integers(1, 6),
+            elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_embedded_arrays_round_trip_losslessly(self, arrays, vector):
+        # Mutation caught: decoding every array as float64 (dropping the
+        # recorded dtype) returns int64 arrays with the wrong dtype.
+        state = SessionState(
+            session_id="lossless",
+            query=Query(feature_vector=vector),
+            algorithm="rf-svm",
+        )
+        state.memory.set_arrays(**{f"a{i}": a for i, a in enumerate(arrays)})
+        with tempfile.TemporaryDirectory() as directory:
+            FileSessionStore(directory).put(state)
+            loaded = FileSessionStore(directory).get("lossless")  # cold cache
+        assert sorted(loaded.memory.arrays) == sorted(state.memory.arrays)
+        for key, array in state.memory.arrays.items():
+            got = loaded.memory.arrays[key]
+            assert got.dtype == array.dtype and got.shape == array.shape
+            assert got.tobytes() == array.tobytes()
+        sent = np.asarray(state.query.feature_vector)
+        got = np.asarray(loaded.query.feature_vector)
+        assert got.dtype == sent.dtype and got.tobytes() == sent.tobytes()
+
+    def test_round_commits_one_file_and_close_three(
+        self, small_dataset, small_log, tmp_path, monkeypatch
+    ):
+        """The I/O budget: a round replaces one file, a durable close three.
+
+        Mutation caught: writing the arrays to a second file again.
+        """
+        import repro.utils.io as io_module
+
+        log = FileLogStore(tmp_path / "log", num_images=small_dataset.num_images)
+        log.extend(small_log.scan())
+        database = ImageDatabase(small_dataset, log_database=log)
+        sessions = tmp_path / "sessions"
+        service = RetrievalService(database, store=FileSessionStore(sessions))
+        opened = service.open_session(
+            SearchRequest(query=0, top_k=8, algorithm="lrf-2svms", session_id="s")
+        )
+        counting = _CountingOS()
+        monkeypatch.setattr(io_module, "os", counting)
+        for round_index in range(2):
+            service.submit_feedback(
+                "s", _category_judgements(small_dataset, 0, opened.image_indices)
+            )
+            assert counting.replaced == [sessions / "s.json"], round_index
+            counting.replaced.clear()
+        service.close_session("s")
+        assert counting.replaced == [
+            sessions / "close-intents" / "s.json",
+            log._segments_dir / log._segment_name(0, len(small_log)),
+            log._manifest_path,
+        ]
+        assert not list(sessions.rglob("*.npz"))
 
 
 class TestSessionPersistence:
@@ -654,7 +757,7 @@ class TestBatchRobustness:
                     SearchRequest(query=2, top_k=5, session_id="held"),
                 ]
             )
-        assert [v.session_id for v in service.list_sessions()] == [existing.session_id]
+        assert service.store.session_ids() == [existing.session_id]
 
     def test_duplicate_session_in_feedback_batch_rejected(self, small_dataset, fresh_database):
         service = RetrievalService(fresh_database)

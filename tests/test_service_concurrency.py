@@ -15,6 +15,7 @@ bit-identity.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 from collections import Counter
@@ -514,26 +515,6 @@ class TestFlushAndLogRobustness:
             )
         assert service.num_open_sessions == 0
 
-    def test_skewed_payload_pair_degrades_to_cold_memory(self):
-        """A crash between the store's two renames (bundle one round ahead
-        of the document) resumes from the committed round, scratch dropped."""
-        newer = SessionState(session_id="s", query=Query(query_index=1))
-        newer.apply_round({0: 1, 3: -1})
-        newer.apply_round({5: 1})
-        newer.memory.set_arrays(warm_indices=np.array([0, 3, 5]))
-        newer.last_indices = np.array([5, 0])
-        newer.last_scores = np.array([0.9, 0.1])
-        _, newer_arrays = newer.to_payload()
-
-        older = SessionState(session_id="s", query=Query(query_index=1))
-        older.apply_round({0: 1, 3: -1})
-        older_document, _ = older.to_payload()
-
-        resumed = SessionState.from_payload(older_document, newer_arrays)
-        assert resumed.rounds_completed == 1  # the committed round wins
-        assert resumed.memory.arrays == {}  # skewed scratch dropped
-        assert resumed.last_result() is None
-
 
 class TestAtomicFileStore:
     def _state(self, session_id="abc"):
@@ -553,29 +534,38 @@ class TestAtomicFileStore:
     def test_crash_mid_json_write_preserves_previous_state(
         self, tmp_path, monkeypatch
     ):
-        """Kill the JSON serialisation midway: the committed session must
-        survive untouched (the satellite's crash test)."""
+        """Kill the document write midway: the committed session must
+        survive untouched, warm scratch included."""
         store = FileSessionStore(tmp_path)
         first = self._state()
         store.put(first)
 
         import repro.utils.io as io_module
 
-        real_dump = io_module.json.dump
-        calls = {"n": 0}
+        real_atomic = io_module.atomic_text_file
 
-        def dying_dump(obj, handle, **kwargs):
-            handle.write('{"version": 1, "session_id": "ab')  # truncated junk
-            handle.flush()
-            raise OSError("simulated crash mid-write")
+        class DyingHandle:
+            def __init__(self, handle):
+                self._handle = handle
 
-        monkeypatch.setattr(io_module.json, "dump", dying_dump)
+            def write(self, text):
+                self._handle.write(text[: len(text) // 2])  # truncated junk
+                self._handle.flush()
+                raise OSError("simulated crash mid-write")
+
+        @contextlib.contextmanager
+        def dying_atomic(path):
+            with real_atomic(path) as handle:
+                yield DyingHandle(handle)
+
+        monkeypatch.setattr(io_module, "atomic_text_file", dying_atomic)
         second = self._state()
         second.apply_round({5: 1})
+        second.memory.set_arrays(warm_indices=np.array([9, 2, 5]))
         second.last_active = 99.0
         with pytest.raises(OSError, match="simulated crash"):
             store.put(second)
-        monkeypatch.setattr(io_module.json, "dump", real_dump)
+        monkeypatch.setattr(io_module, "atomic_text_file", real_atomic)
 
         # Same process: the read cache still holds the committed state —
         # fully consistent, warm scratch included (the commit record on
@@ -585,37 +575,13 @@ class TestAtomicFileStore:
         assert loaded.round_judgements == [{9: 1, 2: -1}]
         assert loaded.memory.arrays["warm_indices"].tolist() == [9, 2]
 
-        # Fresh process (new store, cold cache): the committed JSON
-        # survives and the session loads; the npz had already landed one
-        # round ahead, so the skew guard drops the warm scratch (cold
-        # resume) rather than pairing mismatched rounds.  No temp files
-        # remain.
+        # Fresh process (new store, cold cache): the one committed document
+        # survives whole, so the session resumes with its warm scratch.
+        # No temp files remain.
         reloaded = FileSessionStore(tmp_path).get("abc")
         assert reloaded.last_active == 2.0
         assert reloaded.round_judgements == [{9: 1, 2: -1}]
-        assert reloaded.memory.arrays == {}
-        assert not list(tmp_path.glob("*tmp*"))
-
-    def test_crash_mid_npz_write_preserves_previous_state(
-        self, tmp_path, monkeypatch
-    ):
-        store = FileSessionStore(tmp_path)
-        store.put(self._state())
-
-        import repro.utils.io as io_module
-
-        def dying_savez(path, **arrays):
-            with open(path, "wb") as handle:
-                handle.write(b"PK\x03\x04 truncated")
-            raise OSError("simulated crash mid-write")
-
-        monkeypatch.setattr(io_module.np, "savez_compressed", dying_savez)
-        with pytest.raises(OSError, match="simulated crash"):
-            store.put(self._state())
-        monkeypatch.undo()
-
-        loaded = store.get("abc")
-        assert loaded.round_judgements == [{9: 1, 2: -1}]
+        assert reloaded.memory.arrays["warm_indices"].tolist() == [9, 2]
         assert not list(tmp_path.glob("*tmp*"))
 
     def test_concurrent_writers_of_distinct_sessions(self, tmp_path):
