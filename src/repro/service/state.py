@@ -203,8 +203,8 @@ class SessionState:
             "query_index": (
                 int(self.query.query_index) if self.query.is_internal else None
             ),
-            "query_vector": (
-                None if self.query.is_internal else _encode_array(self.query.feature_vector)
+            "query_vector": _encode_array(
+                None if self.query.is_internal else self.query.feature_vector
             ),
             "last_indices": _encode_array(self.last_indices),
             "last_scores": _encode_array(self.last_scores),

@@ -382,7 +382,9 @@ class TestFileSessionRecord:
         vector=hnp.arrays(
             np.float64,
             st.integers(1, 6),
-            elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+            elements=st.floats(
+                allow_nan=False, allow_infinity=False, allow_subnormal=True
+            ),
         ),
     )
     @settings(max_examples=40, deadline=None)
