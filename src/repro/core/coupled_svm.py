@@ -17,8 +17,17 @@ Optimization strategy:
 1. fix ``Y'`` and train the two SVMs independently (a regular SVM dual with
    per-sample upper bounds ``C`` / ``ρ* C``);
 2. fix the SVMs and update ``Y'`` with the Δ-bounded label-switching rule;
-3. anneal ``ρ* ← min(2 ρ*, ρ)`` — starting from a tiny ``ρ*`` so the
-   unlabeled data cannot dominate early, as in transductive SVMs.
+3. anneal only while labels move: starting from a tiny ``ρ*`` so the
+   unlabeled data cannot dominate early, as in transductive SVMs, a stage
+   that flipped a label doubles ``ρ* ← min(2 ρ*, ρ)``, and a flip-free
+   stage jumps straight to ``ρ``.  The last stage, at ``ρ``, still
+   switches labels to a fixpoint.
+
+Step 3 departs from Figure 1, which doubles ``ρ*`` through every stage
+(``1e-4`` to ``0.02`` is 9 stages, about 19 dual solves).  On the
+repository's probes labels almost never move after stage 0, so the
+doubling stages re-solved an unchanged labelling; skipping them cuts a fit
+to 4–7 solves.  ``PAPER.md`` records the measured quality interval.
 
 **Warm-started training pipeline.**  The training rows never change within
 one :meth:`CoupledSVM.fit` — only the pseudo-labels and the unlabeled bound
@@ -30,13 +39,14 @@ one :meth:`CoupledSVM.fit` — only the pseudo-labels and the unlabeled bound
 * the two α vectors are carried across ρ* stages and label-switching passes
   and warm-start the next solve (``initial_alphas`` of
   :meth:`~repro.svm.smo.SMOSolver.solve`), so consecutive solves — which
-  differ only by a few flipped labels and a doubled ρ* — converge in a
+  differ only by a few flipped labels or a raised ρ* — converge in a
   handful of pair updates instead of from scratch.  Across an annealing
-  step the warm start is additionally *seeded*: unlabeled multipliers
-  pinned at the old bound ``ρ* C`` are promoted to the doubled bound along
-  exactly feasible directions (±1 pinned pairs move up together; unmatched
-  ones borrow from same-sign labelled multipliers), which removes the
-  bound-chasing iterations that otherwise dominate each stage;
+  step (a doubling, or the jump to ρ) the warm start is additionally
+  *seeded*: unlabeled multipliers pinned at the old bound ``ρ* C`` are
+  promoted to the new bound along exactly feasible directions (±1 pinned
+  pairs move up together; unmatched ones borrow from same-sign labelled
+  multipliers), which removes the bound-chasing iterations that otherwise
+  dominate each stage;
 * decision values on the unlabeled pool come from the cached cross-Gram
   rows, so label switching performs no kernel evaluations at all.
 
@@ -87,6 +97,9 @@ class CoupledSVMConfig:
         the noisy pseudo-labels from dominating the labelled feedback.
     rho_start:
         Initial value ρ* of the annealing schedule (``1e-4`` in Figure 1).
+        Each stage that flips a label doubles ρ* (capped at ``rho``); the
+        first flip-free stage jumps to ``rho``, so a fit whose stage 0
+        flips nothing visits exactly ``[rho_start, rho]``.
     delta:
         Error-control threshold Δ of the label-switching rule.
     kernel:
@@ -157,9 +170,17 @@ class CoupledSVMResult:
     pseudo_labels:
         Final pseudo-labels of the unlabeled samples.
     rho_schedule:
-        The sequence of ρ* values visited by the annealing loop.
+        The sequence of ρ* values visited by the annealing loop: doubling
+        from ``rho_start`` while stages flip labels, then ``rho``.
     label_flips:
-        Number of pseudo-labels flipped at each label-switching pass.
+        Number of pseudo-labels flipped at each label-switching pass (a
+        stage usually ends with a pass that flips nothing, so this list is
+        not aligned with ``rho_schedule``; ``stage_flips`` is).
+    stage_flips:
+        Pseudo-labels flipped in each ρ* stage, one entry per
+        ``rho_schedule`` entry; ``sum(stage_flips) == total_flips``.  A
+        zero entry before the last is the flip-free stage the schedule
+        jumped from.
     objective_trace:
         Coupled hinge objective on the unlabeled pool after each pass.
     solver_iterations:
@@ -176,6 +197,7 @@ class CoupledSVMResult:
     pseudo_labels: np.ndarray
     rho_schedule: List[float] = field(default_factory=list)
     label_flips: List[int] = field(default_factory=list)
+    stage_flips: List[int] = field(default_factory=list)
     objective_trace: List[float] = field(default_factory=list)
     solver_iterations: List[int] = field(default_factory=list)
     visual_gram_computations: int = 0
@@ -278,6 +300,7 @@ class CoupledSVM:
         while True:
             result.rho_schedule.append(rho_star)
             solve_pair()
+            stage_flips = 0
 
             # Inner label-switching loop (the Δ-bounded integer step).  A flip
             # is accepted only when it lowers the coupled hinge objective the
@@ -309,13 +332,16 @@ class CoupledSVM:
                     break
                 result.label_flips.append(int(flipped.sum()))
                 result.objective_trace.append(objective_after)
+                stage_flips += int(flipped.sum())
                 y_u = new_labels
                 y_all[num_labeled:] = y_u
                 solve_pair()
 
+            result.stage_flips.append(stage_flips)
             if rho_star >= cfg.rho:
                 break
-            rho_star = min(2.0 * rho_star, cfg.rho)
+            # Anneal only while labels move: a flip-free stage jumps to ρ.
+            rho_star = min(2.0 * rho_star, cfg.rho) if stage_flips else cfg.rho
 
         # Each modality's model is its last solve, taken as it stands.
         self.visual_svm_ = self._package_model(
@@ -443,7 +469,8 @@ class CoupledSVM:
         """Warm-start seed for the solve right after a ρ* annealing step.
 
         Unlabeled multipliers pinned at the old bound ``ρ* C`` almost always
-        end up pinned at the doubled bound too, but a plain warm start makes
+        end up pinned at the raised bound (doubled, or ``ρ C`` after the
+        jump) too, but a plain warm start makes
         the solver chase each of them there one pair update at a time.  This
         seed promotes them up front along *exactly feasible* directions, so
         ``y' α = 0`` is preserved and no projection noise is introduced:

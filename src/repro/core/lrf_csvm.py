@@ -495,6 +495,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         if result is not None:
             memory.meta["last_solver_iterations"] = int(result.total_solver_iterations)
             memory.meta["last_label_flips"] = int(result.total_flips)
+            memory.meta["last_stage_flips"] = [int(n) for n in result.stage_flips]
             memory.meta["last_gram_builds"] = int(
                 result.visual_gram_computations + result.log_gram_computations
             )

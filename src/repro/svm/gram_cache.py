@@ -5,7 +5,9 @@ modality SVM at every ``rho*`` annealing stage and every label-switching
 pass, but the training rows — the labelled samples stacked on top of the
 selected unlabeled pool — never change within one ``fit``.  Rebuilding the
 RBF Gram matrix for every solve therefore repeats the same ``O(N^2 D)``
-kernel work up to dozens of times per feedback round.
+kernel work at every one of a fit's solves (4–7 per fit with a schedule
+that anneals only while labels move; about 19 with Figure 1's full
+doubling schedule).
 
 :class:`GramCache` computes each modality's full Gram exactly once per fit
 and serves everything the loop needs from it:

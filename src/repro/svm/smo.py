@@ -31,7 +31,7 @@ The implementation follows LIBSVM:
   recovered in a single matmul ``Q alpha - e`` instead of assuming
   ``alpha = 0``.  This is the workhorse of the coupled SVM's Alternating
   Optimization, where consecutive solves differ only by a few flipped
-  pseudo-labels and a doubled ``rho*``.
+  pseudo-labels or a raised ``rho*`` (doubled, or the jump to ``rho``).
 
 On the problems this repo solves (n <= 80) a pair update costs numpy call
 overhead, not flops, so the loop spends as few calls as it can without

@@ -295,6 +295,55 @@ class TestCoupledSVM:
             CoupledSVM().fit(x_l, r_l, y_l, x_u, r_u, np.full(x_u.shape[0], 0.5))
 
 
+def _assert_anneals_while_labels_move(result, config):
+    """Each stage doubles ρ* after a flip and jumps to ρ after none."""
+    schedule, flips = result.rho_schedule, result.stage_flips
+    assert schedule[0] == config.rho_start
+    assert schedule[-1] == config.rho
+    for rho_star, moved, following in zip(schedule, flips, schedule[1:]):
+        assert following == (min(2.0 * rho_star, config.rho) if moved else config.rho)
+
+
+class TestAnnealingSchedule:
+    """ρ* doubles only while labels move; the first flip-free stage jumps to ρ."""
+
+    CONFIG = CoupledSVMConfig(rho=0.1, delta=0.5, tolerance=1e-8)
+
+    def _fit(self, *, seed=3, start_from_wrong):
+        x_l, r_l, y_l, x_u, r_u, true_u = _toy_coupled_problem(seed=seed)
+        initial = (-true_u if start_from_wrong else true_u).copy()
+        return CoupledSVM(self.CONFIG).fit(x_l, r_l, y_l, x_u, r_u, initial).result_
+
+    def test_flip_free_stage_zero_jumps_to_rho(self):
+        """Mutation caught: doubling ρ* through every stage (Figure 1's
+        full schedule visits ``1e-4 … 0.1`` in 11 stages)."""
+        result = self._fit(start_from_wrong=False)
+        assert result.stage_flips[0] == 0
+        assert result.rho_schedule == [self.CONFIG.rho_start, self.CONFIG.rho]
+        assert len(result.solver_iterations) == 2 * 2
+
+    def test_flipping_stage_doubles_until_a_stage_is_flip_free(self):
+        """Mutation caught: jumping to ρ after stage 0 whether or not it
+        flipped (the schedule would read ``[1e-4, 0.1]``)."""
+        result = self._fit(start_from_wrong=True)
+        assert result.stage_flips[0] > 0
+        assert result.rho_schedule[1] == 2.0 * self.CONFIG.rho_start
+        assert result.stage_flips[-2] == 0
+        _assert_anneals_while_labels_move(result, self.CONFIG)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("start_from_wrong", [True, False])
+    def test_stage_flips_align_with_the_schedule(self, seed, start_from_wrong):
+        """Mutation caught: recording flips per switching pass (a stage
+        usually ends with a flip-free pass, so that list is longer than
+        the schedule)."""
+        result = self._fit(seed=seed, start_from_wrong=start_from_wrong)
+        assert len(result.stage_flips) == len(result.rho_schedule)
+        assert sum(result.stage_flips) == result.total_flips
+        assert sum(result.label_flips) == result.total_flips
+        _assert_anneals_while_labels_move(result, self.CONFIG)
+
+
 class TestCoupledSVMWarmStart:
     """Regression contract of the warm-started, Gram-cached AO pipeline."""
 

@@ -164,6 +164,29 @@ class TestLRFCSVM:
         assert algorithm.last_result_ is not None
         assert algorithm.last_result_.rho_schedule  # annealing actually ran
 
+    def test_memory_records_flips_per_stage(self, small_database, small_dataset):
+        """``last_stage_flips`` is the fit's ``stage_flips``: one count per
+        ρ* stage, summing to ``last_label_flips``.  Mutation caught:
+        storing the per-pass ``label_flips`` list instead."""
+        from repro.feedback.base import FeedbackMemory
+
+        base = _context_for_query(small_database, small_dataset, 2)
+        memory = FeedbackMemory()
+        algorithm = LRFCSVM(num_unlabeled=8, random_state=1)
+        algorithm.score(
+            FeedbackContext(
+                database=small_database,
+                query=base.query,
+                labeled_indices=base.labeled_indices,
+                labels=base.labels,
+                memory=memory,
+            )
+        )
+        result = algorithm.last_result_
+        assert result.stage_flips[0] > 0  # a flipping fit: passes outnumber stages
+        assert memory.meta["last_stage_flips"] == result.stage_flips
+        assert sum(memory.meta["last_stage_flips"]) == memory.meta["last_label_flips"]
+
     def test_cold_start_matches_visual_only(self, empty_log_database, small_dataset):
         context = _context_for_query(empty_log_database, small_dataset, 0)
         csvm = LRFCSVM(num_unlabeled=8, random_state=1)

@@ -46,6 +46,13 @@ CSVM_BELOW_2SVMS_TOLERANCE = 0.02
 #: Feedback rounds (query indices) aggregated by the solver counts.
 SOLVER_QUERY_INDICES = (0, 1, 2, 3, 4, 5, 6, 7)
 
+#: Cold-start over warm-start SMO iterations on those rounds: measured
+#: 1.65 (1 926 / 1 164) with rho* annealed only while labels move.
+WARM_START_MIN_SAVING = 1.5
+
+#: Solve pairs one coupled fit may run on those rounds: measured 2-5.
+MAX_SOLVE_PAIRS_PER_FIT = 6
+
 
 @pytest.fixture(scope="module")
 def corel20_config():
@@ -209,17 +216,28 @@ class TestWarmStartSolver:
         for workload in coupled_workloads:
             warm = _fit(workload, warm_start=True).result_
             cold = _fit(workload, warm_start=False).result_
+            # One Gram per modality, however many solves the fit runs.
+            samples = warm.pseudo_labels.shape[0] + len(workload["labeled"][2])
             for result in (warm, cold):
                 assert result.visual_gram_computations == 1
                 assert result.log_gram_computations == 1
-            # Without the Gram cache every alternating solve pair rebuilt both
-            # modalities' Grams.
-            samples = warm.pseudo_labels.shape[0] + len(workload["labeled"][2])
-            solve_pairs = len(warm.solver_iterations) // 2
-            assert warm.kernel_evaluations * 5 <= solve_pairs * 2 * samples * samples
+                assert result.kernel_evaluations == 2 * samples * samples
             total_warm += warm.total_solver_iterations
             total_cold += cold.total_solver_iterations
-        assert total_cold >= 3 * total_warm, (total_warm, total_cold)
+        # A fit's first solve pair starts cold on both paths; warm starts pay
+        # off on the switching passes and the jump to rho that follow.
+        assert total_cold >= WARM_START_MIN_SAVING * total_warm, (total_warm, total_cold)
+
+    def test_solve_budget_per_fit(self, coupled_workloads):
+        """Rho* anneals only while labels move, so a fit runs a handful of
+        solve pairs, not Figure 1's full doubling schedule (9-11 pairs on
+        these workloads)."""
+        for workload in coupled_workloads:
+            model = _fit(workload)
+            result = model.result_
+            assert len(result.solver_iterations) // 2 <= MAX_SOLVE_PAIRS_PER_FIT
+            assert len(result.stage_flips) == len(result.rho_schedule)
+            assert result.rho_schedule[-1] == model.config.rho
 
     def test_warm_and_cold_agree_at_tight_tolerance(self, coupled_workloads):
         for workload in coupled_workloads[:2]:
