@@ -59,7 +59,7 @@ def main() -> None:
     )
     log = collect_feedback_log(dataset)
     database = ImageDatabase(dataset, log_database=log)
-    database.build_index("ivf")
+    database.build_index("brute-force")
 
     # ---- switch observability on (one call; layers pick it up live) ------
     exporter = InMemoryExporter()

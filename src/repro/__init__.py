@@ -66,13 +66,7 @@ from repro.graph import (
     KNNGraphBuilder,
     LabelPropagationFeedback,
 )
-from repro.index import (
-    BruteForceIndex,
-    IVFIndex,
-    VectorIndex,
-    available_indexes,
-    make_index,
-)
+from repro.index import VectorIndex
 from repro.logdb import (
     FileLogStore,
     InMemoryLogStore,
@@ -129,10 +123,6 @@ __all__ = [
     "RetrievalResult",
     # index
     "VectorIndex",
-    "BruteForceIndex",
-    "IVFIndex",
-    "make_index",
-    "available_indexes",
     # core contribution
     "CoupledSVM",
     "CoupledSVMConfig",

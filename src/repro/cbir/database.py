@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.datasets.dataset import ImageDataset
-from repro.exceptions import DatabaseError
+from repro.exceptions import DatabaseError, ValidationError
 from repro.features.normalization import FeatureNormalizer
 from repro.cbir.query import Query
 from repro.index.base import VectorIndex
@@ -102,10 +102,10 @@ class ImageDatabase:
         Exactly :func:`~repro.utils.arrays.squared_norms` of the features,
         computed on first use and once per database (the features never
         change after construction; concurrent first readers wait for one
-        computation).  The SVM strategies pass it (or its ``[candidates]``
-        slice) to ``decision_function``, and the search engine's Euclidean
-        dense scan passes it to the distance, so neither a feedback round
-        nor a search recomputes the pool's norms.
+        computation).  The SVM strategies pass it to ``decision_function``,
+        and the search engine's Euclidean dense scan passes it to the
+        distance, so neither a feedback round nor a search recomputes the
+        pool's norms.
         """
         norms = self._feature_sq_norms
         if norms is None:
@@ -137,8 +137,7 @@ class ImageDatabase:
 
         Internal queries resolve to their stored feature row; external
         feature vectors are normalised with the database statistics.  This
-        is the single definition of query resolution shared by the search
-        engine and the candidate-pruned feedback path.
+        is the single definition of query resolution.
         """
         if query.is_internal:
             return self.feature_of(int(query.query_index))
@@ -159,11 +158,11 @@ class ImageDatabase:
     # ----------------------------------------------------------------- index
     @property
     def index(self) -> Optional["VectorIndex"]:
-        """The attached ANN index over :attr:`features`, if any."""
+        """The attached exact index over :attr:`features`, if any."""
         return self._index
 
-    def build_index(self, kind: str = "brute-force", **kwargs) -> "VectorIndex":
-        """Build and attach an ANN index over the feature matrix.
+    def build_index(self, kind: str = VectorIndex.kind) -> "VectorIndex":
+        """Build and attach the exact index over the feature matrix.
 
         The index is built once: the features are fixed at construction,
         so it stays valid for the database's lifetime.
@@ -171,15 +170,14 @@ class ImageDatabase:
         Parameters
         ----------
         kind:
-            Registry name of the backend (``brute-force`` or ``ivf``).
-        kwargs:
-            Backend parameters, forwarded to
-            :func:`repro.index.registry.make_index`.
+            ``"brute-force"``, the one backend (:class:`VectorIndex`); any
+            other name raises :class:`~repro.exceptions.ValidationError`.
         """
-        from repro.index.registry import make_index
-
-        index = make_index(kind, **kwargs)
-        index.build(self._features)
+        if kind != VectorIndex.kind:
+            raise ValidationError(
+                f"unknown index backend '{kind}'; only '{VectorIndex.kind}' exists"
+            )
+        index = VectorIndex().build(self._features)
         self._index = index
         return index
 
@@ -199,12 +197,6 @@ class ImageDatabase:
         index = self._index
         self._index = None
         return index
-
-    def save_index(self, path: Union[str, Path]) -> Path:
-        """Persist the attached index next to the corpus (one ``.npz``)."""
-        if self._index is None:
-            raise DatabaseError("no index is attached to this database")
-        return self._index.save(path)
 
     def load_index(self, path: Union[str, Path]) -> "VectorIndex":
         """Load a serialised index and attach it (validated against features)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,14 +82,3 @@ class RetrievalResult:
         if count < 1:
             raise ValidationError(f"count must be >= 1, got {count}")
         return self.image_indices[:count]
-
-    def score_of(self, image_index: int) -> float:
-        """Score of a particular returned image (raises if absent)."""
-        positions = np.flatnonzero(self.image_indices == image_index)
-        if positions.size == 0:
-            raise ValidationError(f"image {image_index} is not part of this result")
-        return float(self.scores[positions[0]])
-
-    def as_dict(self) -> Dict[int, float]:
-        """Mapping of image index → score."""
-        return {int(i): float(s) for i, s in zip(self.image_indices, self.scores)}

@@ -27,8 +27,8 @@ class SearchEngine:
     the database (see :meth:`ImageDatabase.build_index` and
     :meth:`ImageDatabase.attach_index`) whenever its metric matches this
     engine's distance.  Without such an index (or for a full ranking) the
-    engine falls back to the brute-force index's exact scan,
-    :func:`repro.utils.arrays.exact_top_k`, over the database.
+    engine runs the index's exact scan,
+    :func:`repro.utils.arrays.exact_top_k`, over the database itself.
 
     Parameters
     ----------
@@ -102,7 +102,6 @@ class SearchEngine:
         *,
         top_k: Optional[int] = None,
         chunk_size: int = 1024,
-        exact_only: bool = False,
     ) -> List[RetrievalResult]:
         """Rank every query in one vectorised pass (one result per query).
 
@@ -113,13 +112,8 @@ class SearchEngine:
         is what makes many concurrent first-round searches cheap.  Rankings
         are identical to per-query :meth:`search` calls (scores can differ in
         the last float bits because batched BLAS accumulates in a different
-        order).  A full ranking (``top_k=None``) visits every image anyway,
-        so candidate generation could only add overhead: it always takes the
-        dense scan.
-
-        With ``exact_only=True`` an attached *approximate* index
-        (``index.is_exact`` false) is bypassed in favour of the dense scan —
-        for callers whose result is defined as the exact ranking.
+        order).  A full ranking (``top_k=None``) always takes the dense
+        scan.
         """
         if not queries:
             return []
@@ -127,8 +121,6 @@ class SearchEngine:
             raise ValidationError(f"top_k must be >= 1, got {top_k}")
         features = np.vstack([self.query_features(query) for query in queries])
         index = self.index if top_k is not None else None
-        if exact_only and index is not None and not index.is_exact:
-            index = None
         num_images = self.database.num_images
         k = num_images if top_k is None else min(int(top_k), num_images)
         if index is not None:

@@ -83,12 +83,11 @@ def build_worker_service(
     The factory may return either an :class:`~repro.datasets.ImageDataset`
     (the worker normalizes features and builds a brute-force index itself)
     or an already-assembled :class:`~repro.cbir.database.ImageDatabase`
-    (one without an index gets a brute-force one; attach an IVF index in
-    the factory to serve IVF).  The
-    latter matters under the ``fork`` start method: a database built once
-    in the parent — normalized features and index included — is shared
-    copy-on-write by every worker, so an N-worker fleet streams **one**
-    copy of the pool through the cache instead of N private copies.  The
+    (one without an index gets a brute-force one).  The latter matters
+    under the ``fork`` start method: a database built once in the parent —
+    normalized features and index included — is shared copy-on-write by
+    every worker, so an N-worker fleet streams **one** copy of the pool
+    through the cache instead of N private copies.  The
     worker still gets its own file-backed log store (swapped in below) and
     its own session store, which is where all mutable state lives.
 

@@ -61,6 +61,15 @@ from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = ["LRFCSVM"]
 
+#: Memory keys a coupled round writes and any other round drops.
+_SOLVE_KEYS = (
+    "last_solver_iterations",
+    "last_label_flips",
+    "last_stage_flips",
+    "last_gram_builds",
+    "last_kernel_evaluations",
+)
+
 
 class LRFCSVM(RelevanceFeedbackAlgorithm):
     """Log-based relevance feedback by coupled SVM (the paper's algorithm).
@@ -80,17 +89,6 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         decision boundaries used to select and pseudo-label the unlabeled
         samples are too unreliable, so the algorithm falls back to the
         ρ → 0 limit of the coupled SVM (the independent two-SVM sum).
-    candidate_size:
-        When set and the database carries an ANN index
-        (:meth:`~repro.cbir.database.ImageDatabase.build_index`), every
-        feedback stage — selection scoring, unlabeled selection and the
-        final retrieval — runs over an index-generated candidate set
-        instead of the whole pool: the ``candidate_size`` nearest images of
-        the query and of every positive example (union, plus all labelled
-        images), re-ranked exactly by the coupled decision.  Images outside
-        the candidate set rank below every candidate.  ``None`` (default)
-        or a missing/stale index preserves the exact full-pool path
-        unchanged.
     random_state:
         Seed used only by stochastic selection strategies.
     """
@@ -104,7 +102,6 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         num_unlabeled: int = 20,
         selection: Union[str, UnlabeledSelectionStrategy, None] = None,
         min_feedback_per_class: int = 3,
-        candidate_size: Optional[int] = None,
         random_state: RandomState = None,
     ) -> None:
         if num_unlabeled < 2:
@@ -113,12 +110,9 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             raise ValidationError(
                 f"min_feedback_per_class must be >= 1, got {min_feedback_per_class}"
             )
-        if candidate_size is not None and candidate_size < 1:
-            raise ValidationError(f"candidate_size must be >= 1, got {candidate_size}")
         self.config = config if config is not None else CoupledSVMConfig()
         self.num_unlabeled = int(num_unlabeled)
         self.min_feedback_per_class = int(min_feedback_per_class)
-        self.candidate_size = None if candidate_size is None else int(candidate_size)
         if selection is None:
             self.selection: UnlabeledSelectionStrategy = NearLabeledSelection()
         elif isinstance(selection, str):
@@ -137,8 +131,8 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             return self._fallback_scores(context)
 
         database = context.database
-        num_images = database.num_images
         features = database.features
+        sq_norms = database.feature_sq_norms
         labels = context.labels
         labeled_indices = context.labeled_indices
         visual_labeled = features[labeled_indices]
@@ -149,44 +143,22 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             context, self.config.kernel, "resolved_gamma_visual", visual_labeled
         )
 
-        # Candidate pruning: when enabled (and an index is attached) every
-        # stage below scores only the candidate pool; ``None`` keeps the
-        # exact full-database path byte-identical to the original.
-        candidates = self._candidate_set(context)
-        if candidates is None:
-            pool_features = features
-            pool_sq_norms = database.feature_sq_norms
-            pool_labeled_positions = labeled_indices
-        else:
-            pool_features = features[candidates]
-            pool_sq_norms = database.feature_sq_norms[candidates]
-            pool_labeled_positions = np.searchsorted(candidates, labeled_indices)
-
         # One snapshot for the whole round: every log read below sees the
         # same R, even while concurrent sessions append to the store.
         snapshot = context.log_snapshot()
-        if snapshot.is_empty:
-            # Cold start: with no log the coupled formulation collapses to a
-            # single-modality SVM, so behave exactly like RF-SVM.
+        log_labeled = None if snapshot.is_empty else snapshot.log_vectors(labeled_indices)
+        if log_labeled is None or not log_vectors_informative(log_labeled):
+            # Cold start or an uninformative log: the coupled formulation
+            # collapses to a single-modality SVM, so behave like RF-SVM.
             scores = self._visual_only_scores(
-                visual_labeled, labels, pool_features, pool_sq_norms, context, visual_gamma
+                visual_labeled, labels, features, sq_norms, context, visual_gamma
             )
-            self._remember(memory, path="visual-only", candidates=candidates)
-            return self._expand_scores(scores, candidates, num_images)
-
-        log_labeled = snapshot.log_vectors(labeled_indices)
-        if not log_vectors_informative(log_labeled):
-            scores = self._visual_only_scores(
-                visual_labeled, labels, pool_features, pool_sq_norms, context, visual_gamma
-            )
-            self._remember(memory, path="visual-only", candidates=candidates)
-            return self._expand_scores(scores, candidates, num_images)
+            self._remember(memory, path="visual-only")
+            return scores
 
         # The pool's log modality stays sparse (images x sessions); only the
         # training rows above and the selected unlabeled rows below are dense.
         pool_log = snapshot.log_rows()
-        if candidates is not None:
-            pool_log = pool_log[candidates]
         log_gamma = self._frozen_gamma(
             context, self.config.log_kernel, "resolved_gamma_log", log_labeled
         )
@@ -202,8 +174,8 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
             visual_labeled,
             log_labeled,
             labels,
-            pool_features,
-            pool_sq_norms,
+            features,
+            sq_norms,
             pool_log,
             context,
             visual_gamma,
@@ -213,95 +185,34 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         if not coupled_round:
             # Too little feedback in one class to trust pseudo-labels: use the
             # rho -> 0 limit of the coupled SVM (independent two-SVM sum).
-            self.last_result_ = None
-            self._remember(memory, path="two-svm", candidates=candidates)
-            return self._expand_scores(combined_scores, candidates, num_images)
-        unlabeled_positions, pseudo_labels = self.selection.select(
+            self._remember(memory, path="two-svm")
+            return combined_scores
+        unlabeled_indices, pseudo_labels = self.selection.select(
             combined_scores,
-            pool_labeled_positions,
+            labeled_indices,
             self.num_unlabeled,
             random_state=self._rng,
         )
 
         # ---- stage 2: coupled-SVM training (Figure 1, part 2) -------------
-        unlabeled_indices = (
-            unlabeled_positions if candidates is None else candidates[unlabeled_positions]
-        )
         coupled = CoupledSVM(self._coupled_config(visual_gamma, log_gamma))
         coupled.fit(
             visual_labeled,
             log_labeled,
             labels,
-            pool_features[unlabeled_positions],
+            features[unlabeled_indices],
             snapshot.log_vectors(unlabeled_indices),
             pseudo_labels,
         )
-        self.last_result_ = coupled.result_
-        self._remember(
-            memory, path="coupled", candidates=candidates, result=coupled.result_
-        )
+        self._remember(memory, path="coupled", result=coupled.result_)
 
         # ---- stage 3: retrieval by coupled decision (Figure 1, part 3) ----
-        scores = coupled.decision_function(
-            pool_features,
+        return coupled.decision_function(
+            features,
             pool_log,
-            visual_sq_norms=pool_sq_norms,
+            visual_sq_norms=sq_norms,
             visual_columns=visual_columns,
         )
-        return self._expand_scores(scores, candidates, num_images)
-
-    # ------------------------------------------------------------- internals
-    def _candidate_set(self, context: FeedbackContext) -> Optional[np.ndarray]:
-        """Index-generated candidate pool (sorted), or ``None`` for exact.
-
-        Falls back to the exact path (``None``) whenever pruning is
-        disabled, no index is attached, the probes cover the whole pool
-        anyway (the restricted path would only add copies), or the pool
-        would be too small to host the transductive stage.
-        """
-        if self.candidate_size is None:
-            return None
-        database = context.database
-        if database.index is None:
-            return None
-        candidates = self._probe_candidates(context)
-        if candidates.size >= database.num_images:
-            return None
-        if candidates.size < context.num_labeled + self.num_unlabeled + 2:
-            # Too few candidates to select N' unlabeled samples: stay exact.
-            return None
-        return candidates
-
-    def _probe_candidates(self, context: FeedbackContext) -> np.ndarray:
-        """Raw candidate pool: the union of the index's ``candidate_size``-
-        nearest lists for the query and every positive example, plus all
-        labelled images (sorted ascending)."""
-        database = context.database
-        index = database.index
-        query_vector = database.resolve_query_features(context.query)
-        probes = [query_vector[None, :]]
-        if context.positive_indices.size > 0:
-            probes.append(database.features_of(context.positive_indices))
-        k = min(self.candidate_size, index.size)
-        _, neighbours = index.search(np.vstack(probes), k)
-        return np.union1d(neighbours.ravel(), context.labeled_indices).astype(np.int64)
-
-    @staticmethod
-    def _expand_scores(
-        scores: np.ndarray, candidates: Optional[np.ndarray], num_images: int
-    ) -> np.ndarray:
-        """Scatter candidate scores into a full-length vector.
-
-        Non-candidates share a score strictly below every candidate, so they
-        rank after the candidate frontier (in database order); rankings are
-        only meaningful up to the candidate count, which callers size via
-        ``candidate_size`` to comfortably exceed their cutoff.
-        """
-        if candidates is None:
-            return scores
-        full = np.full(num_images, scores.min() - 1.0, dtype=np.float64)
-        full[candidates] = scores
-        return full
 
     # ------------------------------------------------------ gamma resolution
     def _frozen_gamma(
@@ -481,22 +392,28 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
         memory: Optional[FeedbackMemory],
         *,
         path: str,
-        candidates: Optional[np.ndarray] = None,
-        result=None,
+        result: Optional[CoupledSVMResult] = None,
     ) -> None:
-        """Record round diagnostics into the session memory (JSON-safe)."""
+        """Record the round's fit and diagnostics (JSON-safe in the memory).
+
+        A round that does not reach :meth:`CoupledSVM.fit` passes no
+        *result*: it clears :attr:`last_result_` and drops the previous
+        fit's solve counts, so nothing reports a solve that did not happen.
+        """
+        self.last_result_ = result
         if memory is None:
             return
-        memory.meta["rounds_scored"] = int(memory.meta.get("rounds_scored", 0)) + 1
-        memory.meta["last_path"] = path
-        memory.meta["last_candidates"] = (
-            None if candidates is None else int(candidates.size)
+        meta = memory.meta
+        meta["rounds_scored"] = int(meta.get("rounds_scored", 0)) + 1
+        meta["last_path"] = path
+        if result is None:
+            for key in _SOLVE_KEYS:
+                meta.pop(key, None)
+            return
+        meta["last_solver_iterations"] = int(result.total_solver_iterations)
+        meta["last_label_flips"] = int(result.total_flips)
+        meta["last_stage_flips"] = [int(n) for n in result.stage_flips]
+        meta["last_gram_builds"] = int(
+            result.visual_gram_computations + result.log_gram_computations
         )
-        if result is not None:
-            memory.meta["last_solver_iterations"] = int(result.total_solver_iterations)
-            memory.meta["last_label_flips"] = int(result.total_flips)
-            memory.meta["last_stage_flips"] = [int(n) for n in result.stage_flips]
-            memory.meta["last_gram_builds"] = int(
-                result.visual_gram_computations + result.log_gram_computations
-            )
-            memory.meta["last_kernel_evaluations"] = int(result.kernel_evaluations)
+        meta["last_kernel_evaluations"] = int(result.kernel_evaluations)

@@ -9,7 +9,7 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,11 +101,6 @@ class ImageDataset:
                 f"category must be in [0, {self.num_categories}), got {category}"
             )
         return np.flatnonzero(self.labels == category)
-
-    def category_sizes(self) -> Dict[int, int]:
-        """Mapping of category label to number of images in that category."""
-        values, counts = np.unique(self.labels, return_counts=True)
-        return {int(value): int(count) for value, count in zip(values, counts)}
 
     # ------------------------------------------------------------- mutation
     def with_features(self, features: np.ndarray) -> "ImageDataset":

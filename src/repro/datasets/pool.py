@@ -74,7 +74,7 @@ def make_gaussian_pool(
     (database, queries):
         ``(num_vectors, dim)`` and ``(num_queries, dim)`` float64 matrices.
         Both are drawn from the same mixture, so every query has a dense
-        neighbourhood in the database — the regime ANN indexes serve.
+        neighbourhood in the database.
     """
     rng = ensure_rng(config.seed if random_state is None else random_state)
     centers = rng.normal(size=(config.num_clusters, config.dim))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,24 +126,6 @@ class EvaluationProtocol:
         if self._log_snapshot is None:
             self._log_snapshot = self.database.log_database.snapshot()
         return self._log_snapshot
-
-    def build_contexts(self, query_indices: Sequence[int]) -> List[FeedbackContext]:
-        """Batched :meth:`build_context` for a whole query set.
-
-        All initial retrievals are served by one
-        :meth:`~repro.cbir.search.SearchEngine.batch_search` pass (through
-        the database's :class:`~repro.index.VectorIndex` when one is
-        attached), instead of one dispatch per query; labelling then
-        proceeds in query order, so noise draws consume the protocol RNG
-        exactly as the per-query path does and every scheme still sees
-        identical feedback.
-        """
-        queries = [Query(query_index=int(q)) for q in query_indices]
-        initials = self._search.batch_search(queries, top_k=self.config.num_labeled)
-        return [
-            self._context_from_initial(int(query_index), initial.image_indices)
-            for query_index, initial in zip(query_indices, initials)
-        ]
 
     def ground_truth(self, query_index: int) -> np.ndarray:
         """Boolean relevance of every database image for *query_index*."""

@@ -138,17 +138,3 @@ class ResultsTable:
                 map_row[f"{method}_improvement"] = result.improvement_over(baseline)
         rows.append(map_row)
         return rows
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable summary of the table."""
-        return {
-            "dataset": self.dataset_name,
-            "baseline": self.baseline,
-            "methods": {
-                name: {
-                    "average_precision": {str(k): v for k, v in result.average_precision.items()},
-                    "map": result.map_score,
-                }
-                for name, result in self._methods.items()
-            },
-        }

@@ -32,7 +32,6 @@ __all__ = [
     "run_rho_ablation",
     "run_selection_ablation",
     "run_log_ablation",
-    "run_index_ablation",
     "run_graph_ablation",
 ]
 
@@ -132,73 +131,6 @@ def run_selection_ablation(
     return AblationResult(
         parameter="selection",
         values=tuple(strategies),
-        map_scores=tuple(scores),
-        tables=tuple(tables),
-    )
-
-
-def run_index_ablation(
-    config: ExperimentConfig,
-    backends: Sequence[str] = ("brute-force", "ivf"),
-    n_probe_values: Sequence[int] = (1, 2, 4),
-    *,
-    candidate_size: Optional[int] = None,
-    environment: Optional[Tuple[ImageDataset, ImageDatabase]] = None,
-) -> AblationResult:
-    """Sweep ANN backend × ``n_probe`` for candidate-pruned LRF-CSVM.
-
-    For every swept point the database index is rebuilt and LRF-CSVM scores
-    a candidate set generated from it, so the MAP column quantifies what the
-    recall/speed dial actually costs in retrieval quality.  ``n_probe`` only
-    applies to the IVF backend; other backends contribute a single point
-    (recorded with ``n_probe=None``).  The environment's original index is
-    restored afterwards.
-
-    Parameters
-    ----------
-    candidate_size:
-        Candidate pool per probe handed to LRF-CSVM; defaults to
-        ``config.feedback_candidates`` or, lacking that, five times the
-        largest protocol cutoff.
-    """
-    dataset, database = environment or build_environment(config)
-    if candidate_size is None:
-        candidate_size = config.feedback_candidates
-    if candidate_size is None:
-        candidate_size = 5 * max(config.protocol.cutoffs)
-    previous_index = database.detach_index()
-    values: List[Tuple[str, Optional[int]]] = []
-    tables: List[ResultsTable] = []
-    scores: List[float] = []
-    try:
-        for backend in backends:
-            probes: Tuple[Optional[int], ...] = (
-                tuple(int(p) for p in n_probe_values) if backend == "ivf" else (None,)
-            )
-            params = dict(config.index_params) if config.index_backend == backend else {}
-            # One build per backend: n_probe is a mutable search-time dial on
-            # a built IVF index, so the sweep re-tunes instead of re-clustering.
-            index = database.build_index(backend, **params)
-            for n_probe in probes:
-                if n_probe is not None:
-                    index.n_probe = n_probe
-                algorithm = LRFCSVM(
-                    config=config.coupled,
-                    num_unlabeled=config.num_unlabeled,
-                    candidate_size=int(candidate_size),
-                    random_state=config.protocol.seed,
-                )
-                table = _evaluate_lrf_csvm(dataset, database, config, algorithm)
-                values.append((backend, n_probe))
-                tables.append(table)
-                scores.append(table.result("lrf-csvm").map_score)
-    finally:
-        database.detach_index()
-        if previous_index is not None:
-            database.attach_index(previous_index)
-    return AblationResult(
-        parameter="index_backend_n_probe",
-        values=tuple(values),
         map_scores=tuple(scores),
         tables=tuple(tables),
     )

@@ -43,17 +43,6 @@ class ExperimentConfig:
         Soft-margin parameter of the log SVM in LRF-2SVMs.
     algorithms:
         The schemes to evaluate, in table column order.
-    index_backend:
-        Optional ANN backend (``brute-force``/``ivf``)
-        built over the database features by the pipeline; serves the initial
-        retrieval and, together with ``feedback_candidates``, candidate-
-        pruned LRF-CSVM scoring.  ``None`` keeps the exact dense scan.
-    index_params:
-        Backend parameters forwarded to ``make_index`` (e.g. ``n_probe``),
-        so ablations can sweep backend × n_probe.
-    feedback_candidates:
-        Candidate-set size per probe for LRF-CSVM's pruned feedback scoring;
-        ``None`` keeps the exact full-pool path.
     graph_params:
         Constructor parameters of the graph feedback family
         (:class:`repro.graph.LabelPropagationFeedback`), applied whenever
@@ -70,35 +59,11 @@ class ExperimentConfig:
     svm_C: float = 10.0
     svm_C_log: float = 0.5
     algorithms: Tuple[str, ...] = ("euclidean", "rf-svm", "lrf-2svms", "lrf-csvm")
-    index_backend: Optional[str] = None
-    index_params: Mapping[str, object] = field(default_factory=dict)
-    feedback_candidates: Optional[int] = None
     graph_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_unlabeled < 2:
             raise ConfigurationError(f"num_unlabeled must be >= 2, got {self.num_unlabeled}")
-        if self.index_backend is not None:
-            from repro.index.registry import available_indexes
-
-            if self.index_backend not in available_indexes():
-                raise ConfigurationError(
-                    f"unknown index backend '{self.index_backend}', expected one "
-                    f"of {available_indexes()}"
-                )
-        elif self.index_params:
-            raise ConfigurationError("index_params requires index_backend to be set")
-        if self.feedback_candidates is not None:
-            if self.feedback_candidates < 1:
-                raise ConfigurationError(
-                    f"feedback_candidates must be >= 1, got {self.feedback_candidates}"
-                )
-            if self.index_backend is None:
-                # Without an index the pruned path silently degrades to the
-                # exact scan; treat the misconfiguration as an error instead.
-                raise ConfigurationError(
-                    "feedback_candidates requires index_backend to be set"
-                )
         if self.graph_params:
             # Imported lazily (repro.graph pulls the index/logdb stack).
             from repro.graph.feedback import LabelPropagationFeedback

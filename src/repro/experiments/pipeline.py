@@ -30,18 +30,10 @@ __all__ = [
 def build_environment(
     config: ExperimentConfig, *, show_progress: bool = False
 ) -> Tuple[ImageDataset, ImageDatabase]:
-    """Render the corpus, extract features and simulate the feedback log.
-
-    When the configuration names an ``index_backend``, the ANN index is
-    built over the database features here so every downstream consumer
-    (initial retrieval, candidate-pruned feedback) picks it up.
-    """
+    """Render the corpus, extract features and simulate the feedback log."""
     dataset = build_corel_dataset(config.dataset, show_progress=show_progress)
     log = collect_feedback_log(dataset, config.log)
-    database = ImageDatabase(dataset, log_database=log)
-    if config.index_backend is not None:
-        database.build_index(config.index_backend, **dict(config.index_params))
-    return dataset, database
+    return dataset, ImageDatabase(dataset, log_database=log)
 
 
 def build_service(
@@ -78,7 +70,6 @@ def build_algorithms(config: ExperimentConfig) -> Dict[str, RelevanceFeedbackAlg
             catalogue[name] = LRFCSVM(
                 config=config.coupled,
                 num_unlabeled=config.num_unlabeled,
-                candidate_size=config.feedback_candidates,
                 random_state=config.protocol.seed,
             )
         elif name == "lrf-graph":

@@ -43,13 +43,3 @@ class CompositeExtractor(FeatureExtractor):
     def extract(self, image: Image) -> np.ndarray:
         parts = [extractor.extract(image) for extractor in self.extractors]
         return np.concatenate(parts)
-
-    def component_slices(self) -> dict[str, slice]:
-        """Mapping of component extractor name to its slice in the vector."""
-        slices: dict[str, slice] = {}
-        start = 0
-        for extractor in self.extractors:
-            stop = start + extractor.dimension
-            slices[extractor.name] = slice(start, stop)
-            start = stop
-        return slices

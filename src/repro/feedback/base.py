@@ -164,10 +164,6 @@ class FeedbackContext:
             return self.log
         return self.database.log_database.snapshot()
 
-    def labeled_log_vectors(self) -> np.ndarray:
-        """User-log vectors of the labelled images (via :meth:`log_snapshot`)."""
-        return self.log_snapshot().log_vectors(self.labeled_indices)
-
 
 class RelevanceFeedbackAlgorithm(abc.ABC):
     """Interface shared by every retrieval / relevance-feedback scheme."""

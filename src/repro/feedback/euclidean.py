@@ -38,10 +38,9 @@ class EuclideanFeedback(RelevanceFeedbackAlgorithm):
         Distance-only scoring is embarrassingly batchable: all queries over
         the same database are served by a single index
         :meth:`~repro.index.VectorIndex.batch_search` (or one blocked dense
-        scan), instead of one pass per context.  The baseline is *defined*
-        as the exact distance ranking, so an approximate attached index is
-        bypassed (``exact_only``) — batching must never change this curve.
-        Mixed-database batches fall back to the per-context default.
+        scan), instead of one pass per context.  Both are exact, so batching
+        never changes this curve.  Mixed-database batches fall back to the
+        per-context default.
         """
         if not contexts:
             return []
@@ -49,9 +48,7 @@ class EuclideanFeedback(RelevanceFeedbackAlgorithm):
         if any(context.database is not database for context in contexts):
             return super().rank_batch(contexts, top_k=top_k)
         engine = SearchEngine(database, distance=self.distance)
-        batched = engine.batch_search(
-            [context.query for context in contexts], top_k=top_k, exact_only=True
-        )
+        batched = engine.batch_search([context.query for context in contexts], top_k=top_k)
         return [
             RetrievalResult(
                 image_indices=result.image_indices,

@@ -2,9 +2,9 @@
 
 The graph feedback family (ROADMAP direction 3): a second algorithmic lens
 on the paper's feedback log.  :class:`KNNGraphBuilder` turns the pool's
-feature matrix into a sparse symmetric k-NN affinity graph (through any
-:class:`~repro.index.VectorIndex` backend, deterministic under the shared
-tie rule); :func:`fuse_with_log` mixes those visual affinities with log
+feature matrix into a sparse symmetric k-NN affinity graph (through the
+exact :class:`~repro.index.VectorIndex`, deterministic under its tie
+rule); :func:`fuse_with_log` mixes those visual affinities with log
 co-relevance mined sparsely from a
 :class:`~repro.logdb.relevance_matrix.LogSnapshot`;
 :func:`propagate_labels` runs the clamped-propagation / α-spreading

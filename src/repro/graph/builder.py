@@ -2,16 +2,12 @@
 
 The :class:`KNNGraphBuilder` turns an ``(N, D)`` feature matrix into the
 sparse affinity graph the label-propagation feedback family operates on.
-Neighbour lists come from :meth:`repro.index.VectorIndex.batch_search` —
-any backend works, and exhaustive configurations (brute force,
-``n_probe >= n_clusters`` IVF) share one stable tie rule (distance, then
-ascending database index), so the resulting graph is **bit-identical**
-across those backends.  Only the neighbour *indices*
-are consumed from the index: backends may report distances with differing
-floating-point roundoff, so edge distances are recomputed from the
-feature matrix itself, making the weights a pure function of the
-(backend-invariant) neighbour lists.  Without an index the builder falls
-back to an exact brute-force scan.
+Neighbour lists come from :meth:`repro.index.VectorIndex.batch_search`,
+whose exact scan has one stable tie rule (distance, then ascending
+database index).  Only the neighbour *indices* are consumed from the
+index: edge distances are recomputed from the feature matrix itself,
+making the weights a pure function of the neighbour lists.  Without an
+index the builder builds one over the features.
 
 The graph is session-independent — it only depends on the feature matrix
 and the builder's parameters — so it is built once, cached
@@ -209,9 +205,8 @@ class KNNGraphBuilder:
             Optional **built** :class:`~repro.index.VectorIndex` covering
             exactly *features* under the builder's metric; neighbour lists
             then come from :meth:`~repro.index.VectorIndex.batch_search`.
-            ``None`` (the default) runs an exact brute-force search.  An
-            approximate backend yields an approximate graph; exhaustive
-            backends are bit-identical to the exact fallback.
+            ``None`` (the default) builds one over *features*; either way
+            the graph is the same.
 
         Raises
         ------
@@ -285,10 +280,8 @@ class KNNGraphBuilder:
     ) -> np.ndarray:
         """Per-edge distances recomputed from *matrix* under the metric.
 
-        Index backends report distances with differing floating-point
-        roundoff; recomputing from the features keeps the edge weights a
-        pure function of the neighbour indices, which exhaustive backends
-        agree on bit-for-bit.  Chunked over nodes to bound the
+        Recomputing from the features keeps the edge weights a pure
+        function of the neighbour indices.  Chunked over nodes to bound the
         ``(block, k, D)`` intermediate.
         """
         num_nodes, k = neighbour_ids.shape
@@ -317,11 +310,9 @@ class KNNGraphBuilder:
     def _resolve_index(
         self, matrix: np.ndarray, index: Optional[VectorIndex]
     ) -> VectorIndex:
-        """The search backend: a validated caller index, or exact fallback."""
+        """The search index: a validated caller index, or a fresh one."""
         if index is None:
-            from repro.index.brute_force import BruteForceIndex
-
-            return BruteForceIndex(metric=self.metric).build(matrix)
+            return VectorIndex(metric=self.metric).build(matrix)
         if index.metric != self.metric:
             raise ValidationError(
                 f"index metric {index.metric!r} differs from the builder's "

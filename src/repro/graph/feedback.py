@@ -187,19 +187,13 @@ class LabelPropagationFeedback(RelevanceFeedbackAlgorithm):
         )
 
     def _usable_index(self, database) -> Optional[VectorIndex]:
-        """The database's ANN index, when it can serve graph construction.
+        """The database's index, when it ranks by the builder's metric.
 
-        Only **exact** backends are accepted: an approximate neighbour list
-        would make the graph depend on which index happened to be attached,
-        breaking bit-identical replay across processes.  Foreign-metric or
-        approximate indexes fall back to the builder's internal exact scan.
+        A foreign-metric index falls back to the builder's internal exact
+        scan.
         """
         index = database.index
-        if (
-            index is None
-            or not index.is_exact
-            or index.metric != self._builder.metric
-        ):
+        if index is None or index.metric != self._builder.metric:
             return None
         return index
 

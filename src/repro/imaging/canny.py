@@ -37,11 +37,6 @@ class CannyResult:
     magnitude: np.ndarray
     direction: np.ndarray
 
-    @property
-    def edge_count(self) -> int:
-        """Number of edge pixels found."""
-        return int(np.count_nonzero(self.edges))
-
     def edge_directions(self) -> np.ndarray:
         """Gradient directions (radians) of the edge pixels only."""
         return self.direction[self.edges]

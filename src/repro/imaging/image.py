@@ -79,26 +79,3 @@ class Image:
         from repro.imaging.color import rgb_to_hsv
 
         return rgb_to_hsv(self.pixels)
-
-    def with_metadata(
-        self,
-        *,
-        image_id: Optional[int] = None,
-        category: Optional[int] = None,
-        category_name: Optional[str] = None,
-    ) -> "Image":
-        """Return a copy of this image with updated metadata fields."""
-        return Image(
-            pixels=self.pixels,
-            image_id=image_id if image_id is not None else self.image_id,
-            category=category if category is not None else self.category,
-            category_name=(
-                category_name if category_name is not None else self.category_name
-            ),
-        )
-
-    @staticmethod
-    def from_uint8(pixels: np.ndarray, **metadata) -> "Image":
-        """Build an :class:`Image` from a ``uint8`` array in ``[0, 255]``."""
-        array = np.asarray(pixels)
-        return Image(pixels=array.astype(np.float64) / 255.0, **metadata)

@@ -1,19 +1,13 @@
-"""The :class:`VectorIndex` interface shared by every ANN backend.
+"""The exact nearest-neighbour index, :class:`VectorIndex`.
 
 A vector index answers *k*-nearest-neighbour queries over a feature matrix
-fixed at :meth:`VectorIndex.build` time.  Backends differ only in **how**
-much of the database they scan — the final ordering always comes from
-*exact* distances under the index metric, with ties broken by ascending
-database index.  The exact scan is :func:`repro.utils.arrays.exact_top_k`,
-the same routine the dense path of :class:`repro.cbir.search.SearchEngine`
-ranks with, so an exhaustively-configured approximate backend reproduces
-the exact ranking bit-for-bit (the property the test-suite asserts).  A
-Euclidean index computes its vectors' squared norms once, when the vectors
-are fixed (build or load), and every scan reuses them.
-
-Whenever a backend cannot supply at least *k* candidates for a query it
-falls back to the exact full scan for that query, so ``search`` always
-returns exactly *k* valid neighbours.
+fixed at :meth:`VectorIndex.build` time by scanning every indexed vector:
+:func:`repro.utils.arrays.exact_top_k` under the index metric, ties broken
+by ascending database index — the same routine the dense path of
+:class:`repro.cbir.search.SearchEngine` ranks with, so both paths return
+the same neighbours.  A Euclidean index computes its vectors' squared
+norms once, when the vectors are fixed (build or load), and every scan
+reuses them.
 
 Thread safety
 -------------
@@ -28,10 +22,9 @@ it starts).
 
 from __future__ import annotations
 
-import abc
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +41,8 @@ __all__ = ["VectorIndex"]
 PathLike = Union[str, Path]
 
 
-class VectorIndex(abc.ABC):
-    """Common interface of the brute-force and IVF backends.
+class VectorIndex:
+    """Exact nearest-neighbour search by scanning the full database.
 
     Lifecycle: ``build(vectors)`` once, then any number of ``search`` /
     ``batch_search`` calls.  ``save``/``load`` round-trip the index through
@@ -62,9 +55,9 @@ class VectorIndex(abc.ABC):
         ``manhattan`` or ``cosine``).
     """
 
-    #: Registry name of the backend (e.g. ``"ivf"``), mirrors
-    #: :attr:`repro.feedback.base.RelevanceFeedbackAlgorithm.name`.
-    kind: str = "index"
+    #: The name :meth:`repro.cbir.database.ImageDatabase.build_index`
+    #: accepts and a saved bundle records.
+    kind: str = "brute-force"
 
     def __init__(self, *, metric: str = "euclidean") -> None:
         # Lazy import: repro.cbir.search imports VectorIndex, so the distance
@@ -77,18 +70,6 @@ class VectorIndex(abc.ABC):
         self._sq_norms: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ info
-    @property
-    def is_exact(self) -> bool:
-        """Whether this backend's ranking is guaranteed exact (no recall loss).
-
-        Backends whose configuration makes them exhaustive override this
-        (brute force always; IVF at ``n_probe >= n_clusters``).  Callers
-        that *define* their result as the exact ranking (e.g. the Euclidean
-        baseline's batch path) use this to fall back to a dense scan rather
-        than silently serve approximate neighbours.
-        """
-        return False
-
     @property
     def is_built(self) -> bool:
         """Whether :meth:`build` has been called."""
@@ -163,7 +144,6 @@ class VectorIndex(abc.ABC):
         if matrix.shape[0] == 0:
             raise ValidationError("cannot build an index over zero vectors")
         self._fix_vectors(matrix.copy())
-        self._build(self._vectors)
         return self
 
     # ---------------------------------------------------------------- search
@@ -210,11 +190,9 @@ class VectorIndex(abc.ABC):
             raise ValidationError(f"k must be in [1, {self.size}], got {k}")
         hub = get_hub()
         if not hub.enabled:
-            return self._search(matrix, k)
-        with hub.span(
-            "index.search", kind=self.kind, queries=int(matrix.shape[0]), k=k
-        ) as span:
-            result = self._search(matrix, k)
+            return self._scan(matrix, k)
+        with hub.span("index.search", queries=int(matrix.shape[0]), k=k) as span:
+            result = self._scan(matrix, k)
         hub.count("index.queries", matrix.shape[0])
         hub.observe("index.search_seconds", span.duration)
         return result
@@ -246,21 +224,9 @@ class VectorIndex(abc.ABC):
 
         Notes
         -----
-        **Determinism across backends.**  Chunking never changes results —
-        each query's neighbours depend only on that query — and every
-        backend resolves distance ties by ascending database index
-        (bit-for-bit the stable ``argsort`` rule).  Exhaustively-configured
-        backends (brute force, IVF at ``n_probe >= n_clusters``; see
-        :attr:`is_exact`) therefore return **identical** ``indices`` arrays
-        for the same queries; reported
-        *distances* agree only up to floating-point roundoff (backends
-        accumulate them differently).
-        Consumers needing backend-invariant derived artifacts key off the
-        indices alone — e.g.
-        :class:`repro.graph.builder.KNNGraphBuilder` recomputes edge
-        distances from the features so its affinity graphs are
-        bit-identical regardless of the backend that built them
-        (property-tested in ``tests/test_index.py``).
+        Chunking never changes the neighbours — each query's depend only on
+        that query, with distance ties broken by ascending database index
+        (bit-for-bit the stable ``argsort`` rule).
         """
         if chunk_size < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -297,17 +263,13 @@ class VectorIndex(abc.ABC):
         """
         if self._vectors is None:
             raise ValidationError(f"cannot save an unbuilt {self.kind} index")
-        meta = {"kind": self.kind, "metric": self.metric, "params": self._params()}
-        bundle: Dict[str, np.ndarray] = {
-            "__meta__": np.array(json.dumps(meta)),
-            "vectors": self._vectors,
-        }
-        bundle.update(self._state())
+        meta = {"kind": self.kind, "metric": self.metric, "params": {}}
+        bundle = {"__meta__": np.array(json.dumps(meta)), "vectors": self._vectors}
         return save_array_bundle(bundle, path)
 
     @staticmethod
     def load(path: PathLike) -> "VectorIndex":
-        """Reconstruct an index saved by :meth:`save` (any backend).
+        """Reconstruct an index saved by :meth:`save`.
 
         Parameters
         ----------
@@ -317,53 +279,44 @@ class VectorIndex(abc.ABC):
         Returns
         -------
         VectorIndex
-            A fresh, fully-built index of the serialised backend and
-            parameters.
+            A fresh, fully-built index of the serialised metric.
 
         Raises
         ------
         ValidationError
             If *path* is not a serialised :class:`VectorIndex` bundle, its
             metadata is not a JSON object with ``kind``, ``metric`` and
-            ``params``, it names a backend (or parameters) this library does
-            not provide, or it lacks an array the backend restores from.
+            ``params``, it names a backend other than ``brute-force`` or
+            parameters this class does not take, or it lacks the
+            ``vectors`` array.
         """
-        from repro.index.registry import make_index
-
         bundle = load_array_bundle(path)
         try:
             meta = json.loads(bundle.pop("__meta__").item())
             kind, metric, params = meta["kind"], meta["metric"], meta["params"]
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"{path} is not a serialised VectorIndex") from None
-        try:
-            index = make_index(kind, metric=metric, **params)
-        except TypeError as error:
+        if kind != VectorIndex.kind:
+            raise ValidationError(
+                f"{path} names unknown index backend '{kind}'; only "
+                f"'{VectorIndex.kind}' exists"
+            )
+        if params != {}:
             raise ValidationError(
                 f"{path} records {kind} parameters this library does not "
-                f"accept: {error}"
-            ) from None
+                f"accept: {params!r}"
+            )
+        index = VectorIndex(metric=metric)
         try:
-            index._restore(bundle)
+            vectors = bundle["vectors"]
         except KeyError as error:
             raise ValidationError(f"{path} lacks the {kind} array {error}") from None
+        index._fix_vectors(np.asarray(vectors, dtype=np.float64))
         return index
 
-    # ------------------------------------------------------- backend hooks
-    @abc.abstractmethod
-    def _build(self, vectors: np.ndarray) -> None:
-        """Construct the backend's acceleration structure over *vectors*."""
-
-    def _search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Backend search hook; the default is the exact full scan."""
-        return self._full_scan(queries, k)
-
-    # ------------------------------------------------------------ shared bits
-    def _full_scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    # ------------------------------------------------------------ internals
+    def _scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact top-k over every indexed vector: :func:`exact_top_k`."""
-        hub = get_hub()
-        hub.count("index.full_scan_queries", queries.shape[0])
-        hub.count("index.candidates_scanned", queries.shape[0] * self.size)
         return exact_top_k(
             queries, self._vectors, k, self._distance, vectors_sq=self._sq_norms
         )
@@ -381,17 +334,3 @@ class VectorIndex(abc.ABC):
         if not np.all(np.isfinite(matrix)):
             raise ValidationError("vectors must be finite")
         return matrix
-
-    # ------------------------------------------------- persistence hooks
-    def _params(self) -> Dict[str, object]:
-        """JSON-serialisable constructor parameters (beyond ``metric``)."""
-        return {}
-
-    def _state(self) -> Dict[str, np.ndarray]:
-        """Extra arrays to persist beyond the raw vectors."""
-        return {}
-
-    def _restore(self, bundle: Dict[str, np.ndarray]) -> None:
-        """Rebuild from a loaded bundle; the default re-indexes the vectors."""
-        self._fix_vectors(np.asarray(bundle["vectors"], dtype=np.float64))
-        self._build(self._vectors)

@@ -254,9 +254,8 @@ class LogSnapshot:
         ``R`` transposed: row ``i`` is the log vector ``r_i``.  This is
         what full-pool log scoring consumes — the linear log SVM scores it
         by its primal weight in ``O(nnz)``, a non-linear kernel takes it as
-        its left operand in ``O(nnz x n_SV)`` — and row-slicing it
-        (``log_rows()[candidates]``) restricts scoring to a candidate set.
-        Built at most once per snapshot.
+        its left operand in ``O(nnz x n_SV)``.  Built at most once per
+        snapshot.
 
         Returns
         -------

@@ -120,7 +120,6 @@ class SessionState:
         """
         keys = (
             "last_path",
-            "last_candidates",
             "last_solver_iterations",
             "last_label_flips",
             "last_gram_builds",

@@ -64,14 +64,11 @@ class TestQueryAndResult:
                 image_indices=[1, 2, 3], scores=[0.5, 0.4], query=Query(query_index=0)
             )
 
-    def test_result_top_and_score_of(self):
+    def test_result_top(self):
         result = RetrievalResult(
             image_indices=[5, 2, 9], scores=[0.9, 0.5, 0.1], query=Query(query_index=0)
         )
         np.testing.assert_array_equal(result.top(2), [5, 2])
-        assert result.score_of(2) == pytest.approx(0.5)
-        with pytest.raises(ValidationError):
-            result.score_of(77)
         assert len(result) == 3
 
 

@@ -32,10 +32,6 @@ class TestImageDataset:
         with pytest.raises(ValidationError):
             small_dataset.indices_of_category(99)
 
-    def test_category_sizes(self, small_dataset):
-        sizes = small_dataset.category_sizes()
-        assert sizes == {c: 12 for c in range(5)}
-
     def test_subset_preserves_alignment(self, small_dataset):
         indices = [0, 13, 25, 37]
         subset = small_dataset.subset(indices)

@@ -163,8 +163,6 @@ class TestDocstrings:
             repro.service.FileSessionStore,
             repro.service.SessionState,
             repro.index.VectorIndex,
-            repro.index.BruteForceIndex,
-            repro.index.IVFIndex,
             repro.cluster.ClusterRouter,
             repro.cluster.ClusterWorker,
             repro.utils.StripedLockMap,

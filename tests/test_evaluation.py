@@ -111,13 +111,6 @@ class TestResultsTable:
         with pytest.raises(EvaluationError):
             table.improvement_over_baseline("lrf-csvm", 10)
 
-    def test_to_dict_serialisable(self):
-        import json
-
-        document = self._table().to_dict()
-        json.dumps(document)
-        assert document["dataset"] == "unit-test"
-
 
 class TestReporting:
     def test_improvement_table_contains_methods_and_percentages(self):

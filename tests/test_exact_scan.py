@@ -1,7 +1,7 @@
 """The one exact scan, :func:`repro.utils.arrays.exact_top_k`, and its inputs.
 
-Every exact ranking in the library — the brute-force index, IVF's exact
-fallback, the search engine's dense path — goes through one routine.  These
+Every exact ranking in the library — the index's scan and the search
+engine's dense path — goes through one routine.  These
 tests pin it to numpy's stable ``argsort`` on tie-heavy pools under every
 metric and query blocking, pin the cached pool norms to the recomputed ones
 bit for bit, and check that a non-finite query is refused with a typed error
@@ -30,7 +30,7 @@ from repro.cbir.similarity import cosine_distances, euclidean_distances, manhatt
 from repro.exceptions import ValidationError
 from repro.feedback.base import FeedbackContext
 from repro.feedback.euclidean import EuclideanFeedback
-from repro.index import BruteForceIndex, IVFIndex, load_index, make_index
+from repro.index import VectorIndex
 from repro.service import RetrievalService, SearchRequest
 from repro.utils.arrays import exact_top_k, squared_norms
 
@@ -91,17 +91,6 @@ class TestExactTopK:
         vectors, queries = grid_pool
         with pytest.raises(ValidationError, match="k must be in"):
             exact_top_k(queries, vectors, k, DISTANCES[metric])
-
-    @pytest.mark.parametrize("k", [1, 7, 60])
-    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
-    def test_exhaustive_ivf_breaks_ties_by_database_id(self, metric, k, grid_pool):
-        """Equidistant grid points sit in different cells, so IVF's gathered
-        candidates tie out of id order and only the id key ranks them."""
-        vectors, queries = grid_pool
-        index = IVFIndex(n_clusters=5, n_probe=5, metric=metric).build(vectors)
-        _, indices = index.search(queries, k)
-        full = DISTANCES[metric](queries, vectors)
-        np.testing.assert_array_equal(indices, np.argsort(full, axis=1, kind="stable")[:, :k])
 
 
 def blockwise_euclidean(queries, vectors):
@@ -215,7 +204,7 @@ class TestPrunedEuclideanScan:
         st.integers(0, 2**32 - 1), st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_stable_argsort_and_exhaustive_ivf(self, n_base, dim, repeats, seed, data):
+    def test_equals_stable_argsort(self, n_base, dim, repeats, seed, data):
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(n_base, dim))
         pool = np.vstack([base, base[rng.integers(0, n_base, size=repeats)]])
@@ -225,15 +214,6 @@ class TestPrunedEuclideanScan:
         sample = data.draw(st.integers(1, 8), label="sample")
         with mock.patch.object(arrays, "_SAMPLE", sample):
             assert_euclidean_prefix(queries, pool, k)
-            # Quarter-grid coordinates make every distance exact whatever
-            # block shapes IVF's cells give the GEMM.
-            grid, grid_queries = np.round(pool * 4.0) / 4.0, np.round(queries * 4.0) / 4.0
-            cells = min(4, grid.shape[0])
-            brute = BruteForceIndex().build(grid).search(grid_queries, k)
-            ivf = IVFIndex(n_clusters=cells, n_probe=cells, seed=seed % 100).build(grid)
-            exhaustive = ivf.search(grid_queries, k)
-        np.testing.assert_array_equal(brute[1], exhaustive[1])
-        np.testing.assert_array_equal(brute[0], exhaustive[0])
 
 
 class TestPoolNorms:
@@ -245,27 +225,20 @@ class TestPoolNorms:
             euclidean_distances(queries, vectors),
         )
 
-    def test_database_index_and_ivf_lists_hold_the_recomputed_norms(
-        self, small_dataset, tmp_path
-    ):
+    def test_database_and_index_hold_the_recomputed_norms(self, small_dataset, tmp_path):
         database = ImageDatabase(small_dataset)
         features = database.features
         np.testing.assert_array_equal(database.feature_sq_norms, plain_norms(features))
-        ivf = IVFIndex(n_clusters=6, n_probe=2, seed=1).build(features)
-        loaded = load_index(ivf.save(tmp_path / "ivf.npz"))
-        for index in (BruteForceIndex().build(features), ivf, loaded):
-            np.testing.assert_array_equal(index._sq_norms, plain_norms(features))
-        for index in (ivf, loaded):
-            np.testing.assert_array_equal(index._centroid_sq, plain_norms(index._centroids))
-            for begin, end in zip(index._offsets[:-1], index._offsets[1:]):
-                members = index._packed[begin:end]
-                np.testing.assert_array_equal(index._packed_sq[begin:end], plain_norms(members))
-        assert BruteForceIndex(metric="cosine").build(features)._sq_norms is None
+        index = VectorIndex().build(features)
+        loaded = VectorIndex.load(index.save(tmp_path / "index.npz"))
+        for built in (index, loaded):
+            np.testing.assert_array_equal(built._sq_norms, plain_norms(features))
+        assert VectorIndex(metric="cosine").build(features)._sq_norms is None
 
     def test_no_scan_recomputes_the_pool_norms(self, small_dataset, monkeypatch):
         database = ImageDatabase(small_dataset)
         features = database.features
-        indexes = [BruteForceIndex().build(features), IVFIndex(n_clusters=6, n_probe=6).build(features)]
+        index = VectorIndex().build(features)
         database.feature_sq_norms  # the database's one pass, before the scans
         squared_rows = []
 
@@ -274,8 +247,7 @@ class TestPoolNorms:
             return plain_norms(rows)
 
         monkeypatch.setattr(arrays, "squared_norms", counting_norms)
-        for index in indexes:
-            index.search(features[:2], 5)
+        index.search(features[:2], 5)
         SearchEngine(database).batch_search([Query(query_index=0), Query(query_index=1)], top_k=5)
         EuclideanFeedback().score(FeedbackContext(
             database=database, query=Query(query_index=0), labeled_indices=[0], labels=[1]
@@ -311,10 +283,9 @@ class TestNonFiniteQueries:
         assert len(service.store) == 0
 
     @NON_FINITE
-    @pytest.mark.parametrize("kind", ["brute-force", "ivf"])
-    def test_index_search_refuses_the_vector(self, kind, value):
+    def test_index_search_refuses_the_vector(self, value):
         vectors = np.random.default_rng(0).normal(size=(50, 5))
         queries = vectors[:2].copy()
         queries[1, 3] = value
         with pytest.raises(ValidationError, match="finite"):
-            make_index(kind).build(vectors).search(queries, 5)
+            VectorIndex().build(vectors).search(queries, 5)

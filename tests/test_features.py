@@ -111,13 +111,6 @@ class TestComposite:
         assert features.shape == (len(small_images), 36)
         assert np.all(np.isfinite(features))
 
-    def test_component_slices_cover_vector(self):
-        extractor = CompositeExtractor()
-        slices = extractor.component_slices()
-        assert slices["color_moments"] == slice(0, 9)
-        assert slices["edge_direction_histogram"] == slice(9, 27)
-        assert slices["wavelet_texture"] == slice(27, 36)
-
     def test_empty_batch_rejected(self):
         with pytest.raises(FeatureExtractionError):
             CompositeExtractor().extract_batch([])

@@ -50,7 +50,6 @@ class TestFeedbackContext:
         np.testing.assert_array_equal(context.negative_indices, [20, 21])
         assert context.has_both_classes
         assert context.labeled_features().shape == (4, 36)
-        assert context.labeled_log_vectors().shape[0] == 4
 
     def test_validation(self, small_database):
         with pytest.raises(ValidationError):
@@ -186,6 +185,38 @@ class TestLRFCSVM:
         assert result.stage_flips[0] > 0  # a flipping fit: passes outnumber stages
         assert memory.meta["last_stage_flips"] == result.stage_flips
         assert sum(memory.meta["last_stage_flips"]) == memory.meta["last_label_flips"]
+
+    def test_a_round_without_a_fit_reports_no_solve(self, small_database, small_dataset):
+        """A coupled round, then a 1+/1− round on the same memory: the
+        second never reaches ``CoupledSVM.fit``, so the session's solver
+        stats and ``last_result_`` must not describe the first one's fit.
+        Mutation caught: keeping the coupled round's solve keys or fit."""
+        from repro.service.state import SessionState
+
+        base = _context_for_query(small_database, small_dataset, 2)
+        state = SessionState(session_id="s", query=base.query)
+        algorithm = LRFCSVM(num_unlabeled=8, random_state=1)
+
+        def score_round(labeled_indices, labels):
+            algorithm.score(
+                FeedbackContext(
+                    database=small_database,
+                    query=base.query,
+                    labeled_indices=labeled_indices,
+                    labels=labels,
+                    memory=state.memory,
+                )
+            )
+
+        score_round(base.labeled_indices, base.labels)
+        assert state.solver_stats()["path"] == "coupled"
+        assert algorithm.last_result_ is not None
+        positive = base.labeled_indices[base.labels > 0][0]
+        negative = base.labeled_indices[base.labels < 0][0]
+        score_round(np.array([positive, negative]), np.array([1.0, -1.0]))
+        assert state.solver_stats() == {"path": "two-svm"}
+        assert algorithm.last_result_ is None
+        assert "last_stage_flips" not in state.memory.meta
 
     def test_cold_start_matches_visual_only(self, empty_log_database, small_dataset):
         context = _context_for_query(empty_log_database, small_dataset, 0)

@@ -36,8 +36,7 @@ from repro.graph import (
     log_corelevance,
     propagate_labels,
 )
-from repro.index.brute_force import BruteForceIndex
-from repro.index.ivf import IVFIndex
+from repro.index import VectorIndex
 from repro.logdb import InMemoryLogStore, LogSession, LogSnapshot, RelevanceMatrix
 from repro.service import FileSessionStore, RetrievalService, SearchRequest
 
@@ -131,28 +130,17 @@ class TestKNNGraphBuilder:
         assert dense[1, 2] == 0.5
 
     def test_explicit_index_must_cover_features(self, features):
-        foreign = BruteForceIndex().build(features[:-1])
+        foreign = VectorIndex().build(features[:-1])
         with pytest.raises(ValidationError):
             KNNGraphBuilder(k=4).build(features, index=foreign)
-        mismatched = BruteForceIndex(metric="manhattan").build(features)
+        mismatched = VectorIndex(metric="manhattan").build(features)
         with pytest.raises(ValidationError):
             KNNGraphBuilder(k=4).build(features, index=mismatched)
 
-
-class TestGraphDeterminismAcrossBackends:
-    """The satellite: exhaustive backends produce bit-identical graphs."""
-
-    EXHAUSTIVE = {
-        "brute-force": lambda: BruteForceIndex(),
-        "ivf": lambda: IVFIndex(n_clusters=6, n_probe=6, kmeans_iters=3),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(EXHAUSTIVE))
-    def test_graph_bit_identical_to_exact_fallback(self, kind, features):
+    def test_graph_bit_identical_to_exact_fallback(self, features):
         builder = KNNGraphBuilder(k=7)
-        reference = builder.build(features)  # internal exact scan
-        index = self.EXHAUSTIVE[kind]().build(features)
-        graph = builder.build(features, index=index)
+        reference = builder.build(features)  # its own index
+        graph = builder.build(features, index=VectorIndex().build(features))
         assert (reference.weights != graph.weights).nnz == 0
         np.testing.assert_array_equal(reference.weights.data, graph.weights.data)
         np.testing.assert_array_equal(reference.weights.indices, graph.weights.indices)
@@ -609,15 +597,12 @@ class TestLabelPropagationFeedback:
             del algorithm, other
             gc.collect()
 
-    def test_exact_index_is_used_approximate_is_not(self, small_dataset):
+    def test_attached_index_is_used_when_its_metric_matches(self, small_dataset):
         database = ImageDatabase(small_dataset)
-        exact = BruteForceIndex().build(database.features)
-        database.attach_index(exact)
+        euclidean = database.build_index("brute-force")
         algorithm = LabelPropagationFeedback(k=4)
-        assert algorithm._usable_index(database) is exact
-        database.detach_index()
-        approximate = IVFIndex(n_clusters=4, n_probe=1, seed=0).build(database.features)
-        database.attach_index(approximate)
+        assert algorithm._usable_index(database) is euclidean
+        database.attach_index(VectorIndex(metric="manhattan").build(database.features))
         assert algorithm._usable_index(database) is None
 
     def test_propagation_metrics_reach_the_hub(self, small_database):

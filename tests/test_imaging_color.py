@@ -106,16 +106,3 @@ class TestImage:
     def test_grayscale_shape(self):
         image = Image(pixels=np.random.default_rng(0).random((6, 7, 3)))
         assert image.grayscale().shape == (6, 7)
-
-    def test_with_metadata(self):
-        image = Image(pixels=np.zeros((4, 4, 3)))
-        tagged = image.with_metadata(image_id=5, category=2, category_name="dog")
-        assert tagged.image_id == 5
-        assert tagged.category == 2
-        assert tagged.category_name == "dog"
-        assert image.image_id is None  # original untouched
-
-    def test_from_uint8(self):
-        raw = np.full((4, 4, 3), 255, dtype=np.uint8)
-        image = Image.from_uint8(raw)
-        np.testing.assert_allclose(image.pixels, 1.0)

@@ -381,7 +381,7 @@ class TestParallelPropagation:
                 small_dataset,
                 log_database=copy.deepcopy(small_database.log_database),
             )
-            database.build_index("ivf")
+            database.build_index("brute-force")
             service = RetrievalService(database, log_policy="on_close")
             rankings = []
             responses = service.open_sessions(
@@ -425,7 +425,6 @@ class TestParallelPropagation:
         assert total("service.rounds_scored") == 3
         assert total("solver.smo.solves") > 0
         assert total("index.queries") > 0
-        assert total("index.ivf.cells_probed") > 0
         assert total("logdb.sessions_appended") == 3
         assert total("service.feedback_batch_seconds") > 0
 

@@ -470,9 +470,8 @@ class TestServedRankingsMatchOneShot:
             ("rf-svm", {}),
             ("lrf-2svms", {}),
             ("lrf-csvm", {}),
-            ("lrf-csvm", {"candidate_size": 150}),
         ],
-        ids=["rf-svm", "lrf-2svms", "lrf-csvm", "lrf-csvm-pruned"],
+        ids=["rf-svm", "lrf-2svms", "lrf-csvm"],
     )
     def test_same_indices(self, workloads, inputs, tmp_path, monkeypatch, algorithm, params):
         blocked = _serve_sessions(workloads, inputs, tmp_path / "blocked", algorithm, params)

@@ -24,7 +24,6 @@ from repro.exceptions import SessionError, ValidationError
 from repro.feedback.base import FeedbackContext
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.feedback.rf_svm import RFSVM
-from repro.index import BruteForceIndex, IVFIndex
 from repro.logdb import FileLogStore
 from repro.service import (
     LOG_POLICIES,
@@ -587,21 +586,6 @@ class TestMicroBatching:
             np.testing.assert_allclose(result.scores, solo.scores, atol=2e-6)
             assert result.algorithm == "euclidean"
 
-    def test_protocol_batched_contexts_match_per_query(self, small_dataset, small_database):
-        config = ProtocolConfig(num_queries=8, num_labeled=8, cutoffs=(10,), seed=11)
-        batched_protocol = EvaluationProtocol(small_dataset, small_database, config)
-        queries = batched_protocol.sample_queries()
-        contexts = batched_protocol.build_contexts([int(q) for q in queries])
-        solo_protocol = EvaluationProtocol(small_dataset, small_database, config)
-        solo_protocol.sample_queries()  # consume the sampling draw identically
-        for query_index, context in zip(queries, contexts):
-            solo = solo_protocol.build_context(int(query_index))
-            np.testing.assert_array_equal(
-                context.labeled_indices, solo.labeled_indices
-            )
-            np.testing.assert_array_equal(context.labels, solo.labels)
-
-
 class TestInterleavedSessionEquivalence:
     def test_interleaved_sessions_match_dedicated_sessions(
         self, small_dataset, fresh_database
@@ -789,40 +773,3 @@ class TestBatchRobustness:
             _category_judgements(small_dataset, 0, response.image_indices),
         )
         assert refined.round_index == 1
-
-    def test_euclidean_batch_bypasses_approximate_index(self, fresh_database):
-        # A deliberately lossy one-cell IVF probe: the exact-by-definition
-        # baseline must not silently turn approximate when batched.
-        index = fresh_database.build_index("ivf", n_clusters=2, n_probe=1)
-        try:
-            assert not index.is_exact
-            algorithm = EuclideanFeedback()
-            contexts = [
-                FeedbackContext(
-                    database=fresh_database,
-                    query=Query(query_index=i),
-                    labeled_indices=np.array([i]),
-                    labels=np.array([1.0]),
-                )
-                for i in range(8)
-            ]
-            # The index really is lossy on these queries, so the bypass is
-            # what the comparison below tests.
-            _, approximate = index.search(
-                fresh_database.features_of(np.arange(8)), 20
-            )
-            _, exact = BruteForceIndex().build(fresh_database.features).search(
-                fresh_database.features_of(np.arange(8)), 20
-            )
-            assert not np.array_equal(approximate, exact)
-            batched = algorithm.rank_batch(contexts, top_k=20)
-            for context, result in zip(contexts, batched):
-                solo = algorithm.rank(context, top_k=20)
-                np.testing.assert_array_equal(result.image_indices, solo.image_indices)
-        finally:
-            fresh_database.detach_index()
-
-    def test_index_exactness_flags(self):
-        assert BruteForceIndex().is_exact
-        assert IVFIndex(n_clusters=4, n_probe=4).is_exact
-        assert not IVFIndex(n_clusters=4, n_probe=1).is_exact

@@ -32,17 +32,11 @@ LOG_CONFIG = LogSimulationConfig(
     num_sessions=30, images_per_session=10, noise_rate=0.1, seed=9
 )
 
-#: Served configurations: (algorithm, params, attach an index?, path the
-#: last round must have taken — so the test cannot pass by falling back).
+#: Served configurations: (algorithm, params, path the last round must
+#: have taken — so the test cannot pass by falling back).
 SERVED = {
-    "lrf-2svms": ("lrf-2svms", {}, False, None),
-    "lrf-csvm": ("lrf-csvm", {"min_feedback_per_class": 1}, False, "coupled"),
-    "lrf-csvm-pruned": (
-        "lrf-csvm",
-        {"min_feedback_per_class": 1, "num_unlabeled": 8, "candidate_size": 14},
-        True,
-        "coupled",
-    ),
+    "lrf-2svms": ("lrf-2svms", {}, None),
+    "lrf-csvm": ("lrf-csvm", {"min_feedback_per_class": 1}, "coupled"),
 }
 
 QUERIES = (0, 13, 26, 39)
@@ -86,11 +80,9 @@ def _serve(dataset, store, served):
     Returns one ``(indices, scores, memory meta)`` triple per feedback
     round, scores covering the whole pool.
     """
-    algorithm, params, indexed, _ = SERVED[served]
+    algorithm, params, _ = SERVED[served]
     log = collect_feedback_log(dataset, LOG_CONFIG, store=store)
     database = ImageDatabase(dataset, log_database=log)
-    if indexed:
-        database.build_index("brute-force")
     service = RetrievalService(database, log_policy="on_close")
     rounds = []
     for query in QUERIES:
@@ -168,12 +160,9 @@ def test_served_rankings_and_scores_equal_the_dense_reference(
             scores, ref_scores, rtol=0.0, atol=_log_score_bound(num_sessions)
         )
         assert meta == ref_meta  # same path, solver iterations, label flips
-    _, params, _, expected_path = SERVED[served]
+    expected_path = SERVED[served][2]
     if expected_path is not None:
         assert sparse_rounds[-1][2]["last_path"] == expected_path
-    if "candidate_size" in params:
-        pruned = [meta["last_candidates"] for _, _, meta in sparse_rounds]
-        assert any(count is not None for count in pruned)
 
 
 def _sequential_csr_scores(rows, weight: np.ndarray, bias: float) -> np.ndarray:
