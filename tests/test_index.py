@@ -47,6 +47,12 @@ def oracle(pool):
 
 
 class TestVectorIndexInterface:
+    def test_registry_rejects_unknown_backend(self, small_dataset):
+        database = ImageDatabase(small_dataset)
+        with pytest.raises(ValidationError, match="unknown index backend 'annoy'"):
+            database.build_index("annoy")
+        assert database.index is None
+
     def test_search_before_build_raises(self):
         with pytest.raises(ValidationError, match="not been built"):
             VectorIndex().search(np.zeros(3), 1)
