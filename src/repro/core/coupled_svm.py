@@ -69,7 +69,7 @@ import numpy as np
 from repro.core.label_switching import coupled_hinge_objective, switch_labels
 from repro.exceptions import ConfigurationError, SolverError, ValidationError
 from repro.svm.gram_cache import GramCache
-from repro.svm.kernels import build_kernel
+from repro.svm.kernels import RBFKernel, build_kernel
 from repro.svm.model import PoolColumns
 from repro.svm.smo import SMOResult, SMOSolver
 from repro.svm.svc import SVC
@@ -103,13 +103,16 @@ class CoupledSVMConfig:
     delta:
         Error-control threshold Δ of the label-switching rule.
     kernel:
-        Kernel of the visual modality (``"rbf"`` in the paper).
+        Kernel of the visual modality: ``"rbf"`` (the paper's), ``"linear"``
+        or a :class:`~repro.svm.kernels.Kernel` instance.
     log_kernel:
-        Kernel of the log modality.  Defaults to ``"linear"``, matching the
-        primal formulation of Section 4 where the log modality scores images
-        by ``u^T r`` (one learned weight per log session).
+        Kernel of the log modality, from the same choices.  Defaults to
+        ``"linear"``, matching the primal formulation of Section 4 where the
+        log modality scores images by ``u^T r`` (one learned weight per log
+        session).
     gamma:
-        RBF bandwidth (``"scale"``, ``"auto"`` or a float).
+        RBF bandwidth: ``"scale"`` or a positive finite number (see
+        :class:`~repro.svm.kernels.RBFKernel`).
     max_label_iterations:
         Safety cap on label-switching passes per ρ* stage (the integer
         programme can in principle oscillate on noisy data).
@@ -121,8 +124,10 @@ class CoupledSVMConfig:
 
     ``C_visual``, ``C_log``, ``rho``, ``rho_start`` and ``tolerance`` must
     be positive and finite, ``delta`` non-negative (``inf`` never flips a
-    label); anything else, NaN included, raises
-    :class:`~repro.exceptions.ConfigurationError`.
+    label), ``gamma`` as above and ``kernel`` / ``log_kernel`` one of the
+    choices above; anything else, NaN included, raises
+    :class:`~repro.exceptions.ConfigurationError` at construction, not at
+    the first fit.
     """
 
     C_visual: float = 10.0
@@ -139,6 +144,12 @@ class CoupledSVMConfig:
     warm_start: bool = True
 
     def __post_init__(self) -> None:
+        checks = (("gamma", RBFKernel), ("kernel", build_kernel), ("log_kernel", build_kernel))
+        for name, check in checks:
+            try:
+                check(getattr(self, name))
+            except ValidationError as error:
+                raise ConfigurationError(f"CoupledSVMConfig.{name}: {error}") from None
         if not (0 < self.C_visual < math.inf and 0 < self.C_log < math.inf):
             raise ConfigurationError(
                 "C_visual and C_log must be positive and finite, got "

@@ -224,7 +224,7 @@ class LRFCSVM(RelevanceFeedbackAlgorithm):
     ) -> Union[float, str]:
         """The session's resolved RBF bandwidth for one modality.
 
-        ``gamma="scale"``/``"auto"`` are data-dependent: re-resolving them
+        ``gamma="scale"`` is data-dependent: re-resolving it
         from the (growing) labelled set at every fit gives each round a
         slightly different kernel geometry — which also blocks any
         cross-round Gram-row reuse.  With a session :class:`FeedbackMemory`

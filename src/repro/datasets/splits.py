@@ -9,7 +9,7 @@ harness and by the log simulator.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

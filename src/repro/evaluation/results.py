@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.evaluation.metrics import mean_average_precision
 from repro.exceptions import EvaluationError

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cbir.database import ImageDatabase
-from repro.core.coupled_svm import CoupledSVMConfig
 from repro.core.lrf_csvm import LRFCSVM
 from repro.datasets.dataset import ImageDataset
 from repro.evaluation.results import ResultsTable

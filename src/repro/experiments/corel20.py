@@ -9,7 +9,6 @@ Run from the command line with::
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 from typing import Optional
 
 from repro.datasets.corel import CorelDatasetConfig

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.cbir.database import ImageDatabase
-from repro.core.coupled_svm import CoupledSVMConfig
 from repro.core.lrf_csvm import LRFCSVM
 from repro.datasets.corel import build_corel_dataset
 from repro.datasets.dataset import ImageDataset

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 

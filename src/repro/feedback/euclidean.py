@@ -22,11 +22,8 @@ class EuclideanFeedback(RelevanceFeedbackAlgorithm):
 
     name = "euclidean"
 
-    def __init__(self, *, distance: str = "euclidean") -> None:
-        self.distance = distance
-
     def score(self, context: FeedbackContext) -> np.ndarray:
-        engine = SearchEngine(context.database, distance=self.distance)
+        engine = SearchEngine(context.database)
         query_features = engine.query_features(context.query)[None, :]
         return -engine.pool_distances(query_features)[0]
 
@@ -47,7 +44,7 @@ class EuclideanFeedback(RelevanceFeedbackAlgorithm):
         database = contexts[0].database
         if any(context.database is not database for context in contexts):
             return super().rank_batch(contexts, top_k=top_k)
-        engine = SearchEngine(database, distance=self.distance)
+        engine = SearchEngine(database)
         batched = engine.batch_search([context.query for context in contexts], top_k=top_k)
         return [
             RetrievalResult(

@@ -56,9 +56,8 @@ class AffinityGraph:
         Treat it as read-only; consumers that mutate must copy first.
     params:
         JSON-serialisable builder parameters the graph was built with
-        (``k``, ``weighting``, resolved ``gamma``, ``metric``,
-        ``symmetrize``) — round-tripped verbatim by :meth:`save` /
-        :meth:`load`.
+        (``k``, ``weighting``, resolved ``gamma``, ``symmetrize``) —
+        round-tripped verbatim by :meth:`save` / :meth:`load`.
     """
 
     def __init__(self, weights: sparse.csr_matrix, *, params: Dict[str, object]) -> None:
@@ -131,6 +130,8 @@ class AffinityGraph:
 class KNNGraphBuilder:
     """Builds sparse symmetric k-NN affinity graphs from a feature matrix.
 
+    Neighbours are the nearest by Euclidean distance.
+
     Parameters
     ----------
     k:
@@ -141,13 +142,10 @@ class KNNGraphBuilder:
         ``"rbf"`` weights an edge at distance ``d`` by ``exp(-gamma d^2)``;
         ``"connectivity"`` uses binary 0/1 edges.
     gamma:
-        RBF bandwidth: a positive float, ``"scale"`` for
+        RBF bandwidth: a positive float, or ``"scale"`` for
         ``1 / (D * var(X))`` resolved against the pool (the convention of
-        :class:`repro.svm.kernels.RBFKernel`), or ``"auto"`` for ``1 / D``.
-        Ignored under ``"connectivity"`` weighting.
-    metric:
-        Distance used for neighbour search (``euclidean`` / ``manhattan``
-        / ``cosine``); a supplied index must use the same metric.
+        :class:`repro.svm.kernels.RBFKernel`).  Ignored under
+        ``"connectivity"`` weighting.
     symmetrize:
         ``"max"`` keeps ``max(W, W^T)`` (mutual edges keep their weight,
         one-directional edges are mirrored); ``"mean"`` averages
@@ -160,7 +158,6 @@ class KNNGraphBuilder:
         k: int = 10,
         weighting: str = "rbf",
         gamma: Union[float, str] = "scale",
-        metric: str = "euclidean",
         symmetrize: str = "max",
     ) -> None:
         if k < 1:
@@ -173,12 +170,11 @@ class KNNGraphBuilder:
             raise ValidationError(
                 f"symmetrize must be one of {_SYMMETRIZE}, got {symmetrize!r}"
             )
-        # RBFKernel owns gamma validation ("scale"/"auto"/positive float).
+        # RBFKernel owns gamma validation ("scale" or a positive float).
         RBFKernel(gamma)
         self.k = int(k)
         self.weighting = str(weighting)
         self.gamma = gamma
-        self.metric = str(metric)
         self.symmetrize = str(symmetrize)
 
     def signature(self) -> Tuple[object, ...]:
@@ -188,7 +184,7 @@ class KNNGraphBuilder:
         over the same feature matrix — the key the
         :class:`repro.graph.cache.GraphCache` stores graphs under.
         """
-        return ("knn", self.k, self.weighting, self.gamma, self.metric, self.symmetrize)
+        return ("knn", self.k, self.weighting, self.gamma, self.symmetrize)
 
     # ------------------------------------------------------------------ build
     def build(
@@ -203,8 +199,8 @@ class KNNGraphBuilder:
             over one node has no edges to propagate along).
         index:
             Optional **built** :class:`~repro.index.VectorIndex` covering
-            exactly *features* under the builder's metric; neighbour lists
-            then come from :meth:`~repro.index.VectorIndex.batch_search`.
+            exactly *features*; neighbour lists then come from
+            :meth:`~repro.index.VectorIndex.batch_search`.
             ``None`` (the default) builds one over *features*; either way
             the graph is the same.
 
@@ -270,15 +266,13 @@ class KNNGraphBuilder:
             "k": k,
             "weighting": self.weighting,
             "gamma": gamma,
-            "metric": self.metric,
             "symmetrize": self.symmetrize,
         }
         return AffinityGraph(weights, params=params)
 
-    def _edge_distances(
-        self, matrix: np.ndarray, neighbour_ids: np.ndarray
-    ) -> np.ndarray:
-        """Per-edge distances recomputed from *matrix* under the metric.
+    @staticmethod
+    def _edge_distances(matrix: np.ndarray, neighbour_ids: np.ndarray) -> np.ndarray:
+        """Per-edge Euclidean distances recomputed from *matrix*.
 
         Recomputing from the features keeps the edge weights a pure
         function of the neighbour indices.  Chunked over nodes to bound the
@@ -292,19 +286,7 @@ class KNNGraphBuilder:
             stop = min(start + step, num_nodes)
             source = matrix[start:stop, None, :]
             target = matrix[neighbour_ids[start:stop]]
-            if self.metric == "euclidean":
-                out[start:stop] = np.sqrt(((source - target) ** 2).sum(axis=2))
-            elif self.metric == "manhattan":
-                out[start:stop] = np.abs(source - target).sum(axis=2)
-            elif self.metric == "cosine":
-                dots = (source * target).sum(axis=2)
-                source_norm = np.linalg.norm(matrix[start:stop], axis=1)[:, None]
-                target_norm = np.linalg.norm(target, axis=2)
-                out[start:stop] = 1.0 - dots / np.maximum(
-                    source_norm * target_norm, 1e-12
-                )
-            else:  # pragma: no cover - metrics are validated by the index
-                raise ValidationError(f"unsupported metric {self.metric!r}")
+            out[start:stop] = np.sqrt(((source - target) ** 2).sum(axis=2))
         return out
 
     def _resolve_index(
@@ -312,11 +294,6 @@ class KNNGraphBuilder:
     ) -> VectorIndex:
         """The search index: a validated caller index, or a fresh one."""
         if index is None:
-            return VectorIndex(metric=self.metric).build(matrix)
-        if index.metric != self.metric:
-            raise ValidationError(
-                f"index metric {index.metric!r} differs from the builder's "
-                f"{self.metric!r}"
-            )
+            return VectorIndex().build(matrix)
         index.ensure_covers(matrix)
         return index

@@ -27,7 +27,6 @@ from repro.graph.builder import AffinityGraph, KNNGraphBuilder
 from repro.graph.cache import GraphCache, default_graph_cache
 from repro.graph.kernel import fuse_with_log
 from repro.graph.propagation import PROPAGATION_METHODS, PropagationResult, propagate_labels
-from repro.index.base import VectorIndex
 from repro.logdb.relevance_matrix import LogSnapshot
 from repro.obs import get_hub
 
@@ -183,19 +182,8 @@ class LabelPropagationFeedback(RelevanceFeedbackAlgorithm):
         return cache.get_or_build(
             features,
             self._builder.signature(),
-            lambda: self._builder.build(features, index=self._usable_index(database)),
+            lambda: self._builder.build(features, index=database.index),
         )
-
-    def _usable_index(self, database) -> Optional[VectorIndex]:
-        """The database's index, when it ranks by the builder's metric.
-
-        A foreign-metric index falls back to the builder's internal exact
-        scan.
-        """
-        index = database.index
-        if index is None or index.metric != self._builder.metric:
-            return None
-        return index
 
     @staticmethod
     def _remember(

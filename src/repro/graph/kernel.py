@@ -16,7 +16,6 @@ fusion weight: ``W = (1 - eta) * visual + eta * log``.
 
 from __future__ import annotations
 
-import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ValidationError

@@ -7,7 +7,7 @@ boundary so downstream code can assume well-formed data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

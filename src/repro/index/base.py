@@ -2,12 +2,11 @@
 
 A vector index answers *k*-nearest-neighbour queries over a feature matrix
 fixed at :meth:`VectorIndex.build` time by scanning every indexed vector:
-:func:`repro.utils.arrays.exact_top_k` under the index metric, ties broken
+:func:`repro.utils.arrays.exact_top_k` by Euclidean distance, ties broken
 by ascending database index — the same routine the dense path of
 :class:`repro.cbir.search.SearchEngine` ranks with, so both paths return
-the same neighbours.  A Euclidean index computes its vectors' squared
-norms once, when the vectors are fixed (build or load), and every scan
-reuses them.
+the same neighbours.  The index computes its vectors' squared norms once,
+when the vectors are fixed (build or load), and every scan reuses them.
 
 Thread safety
 -------------
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,39 +32,28 @@ from repro.obs import get_hub
 from repro.utils.arrays import exact_top_k, squared_norms
 from repro.utils.io import load_array_bundle, save_array_bundle
 
-if TYPE_CHECKING:  # pragma: no cover - runtime import is lazy (cycle guard)
-    from repro.cbir.similarity import DistanceFunction
-
 __all__ = ["VectorIndex"]
 
 PathLike = Union[str, Path]
+
+#: The one metric an index ranks by, as a saved bundle records it.
+_METRIC = "euclidean"
 
 
 class VectorIndex:
     """Exact nearest-neighbour search by scanning the full database.
 
+    Neighbours are ranked by Euclidean distance, the paper's geometry.
     Lifecycle: ``build(vectors)`` once, then any number of ``search`` /
     ``batch_search`` calls.  ``save``/``load`` round-trip the index through
     a single ``.npz`` bundle.
-
-    Parameters
-    ----------
-    metric:
-        Distance under which neighbours are ranked (``euclidean``,
-        ``manhattan`` or ``cosine``).
     """
 
     #: The name :meth:`repro.cbir.database.ImageDatabase.build_index`
     #: accepts and a saved bundle records.
     kind: str = "brute-force"
 
-    def __init__(self, *, metric: str = "euclidean") -> None:
-        # Lazy import: repro.cbir.search imports VectorIndex, so the distance
-        # registry must not be pulled in at module-import time.
-        from repro.cbir.similarity import make_distance
-
-        self._distance: "DistanceFunction" = make_distance(metric)
-        self.metric = str(metric)
+    def __init__(self) -> None:
         self._vectors: Optional[np.ndarray] = None
         self._sq_norms: Optional[np.ndarray] = None
 
@@ -263,7 +251,7 @@ class VectorIndex:
         """
         if self._vectors is None:
             raise ValidationError(f"cannot save an unbuilt {self.kind} index")
-        meta = {"kind": self.kind, "metric": self.metric, "params": {}}
+        meta = {"kind": self.kind, "metric": _METRIC, "params": {}}
         bundle = {"__meta__": np.array(json.dumps(meta)), "vectors": self._vectors}
         return save_array_bundle(bundle, path)
 
@@ -279,16 +267,16 @@ class VectorIndex:
         Returns
         -------
         VectorIndex
-            A fresh, fully-built index of the serialised metric.
+            A fresh, fully-built index.
 
         Raises
         ------
         ValidationError
             If *path* is not a serialised :class:`VectorIndex` bundle, its
             metadata is not a JSON object with ``kind``, ``metric`` and
-            ``params``, it names a backend other than ``brute-force`` or
-            parameters this class does not take, or it lacks the
-            ``vectors`` array.
+            ``params``, it names a backend other than ``brute-force``, a
+            metric other than ``euclidean`` or parameters this class does
+            not take, or it lacks the ``vectors`` array.
         """
         bundle = load_array_bundle(path)
         try:
@@ -301,12 +289,16 @@ class VectorIndex:
                 f"{path} names unknown index backend '{kind}'; only "
                 f"'{VectorIndex.kind}' exists"
             )
+        if metric != _METRIC:
+            raise ValidationError(
+                f"{path} records metric {metric!r}; only '{_METRIC}' exists"
+            )
         if params != {}:
             raise ValidationError(
                 f"{path} records {kind} parameters this library does not "
                 f"accept: {params!r}"
             )
-        index = VectorIndex(metric=metric)
+        index = VectorIndex()
         try:
             vectors = bundle["vectors"]
         except KeyError as error:
@@ -317,14 +309,12 @@ class VectorIndex:
     # ------------------------------------------------------------ internals
     def _scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact top-k over every indexed vector: :func:`exact_top_k`."""
-        return exact_top_k(
-            queries, self._vectors, k, self._distance, vectors_sq=self._sq_norms
-        )
+        return exact_top_k(queries, self._vectors, k, vectors_sq=self._sq_norms)
 
     def _fix_vectors(self, vectors: np.ndarray) -> None:
-        """Adopt *vectors* as the index contents, with their norms if Euclidean."""
+        """Adopt *vectors* as the index contents, with their squared norms."""
         self._vectors = vectors
-        self._sq_norms = squared_norms(vectors) if self.metric == "euclidean" else None
+        self._sq_norms = squared_norms(vectors)
 
     @staticmethod
     def _validate_matrix(vectors: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ across serving threads without any locking.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -224,14 +225,16 @@ class SessionView:
     solver_stats: Optional[Mapping[str, Any]] = None
 
 
+#: A session id: ASCII letters, digits and ``. _ -``, safe as a file name.
+#: ``str.isalnum`` would also take ``é``, ``²`` or ``٣``, and NFC / NFD forms
+#: of one rendered id would name two session files.
+_SESSION_ID = re.compile(r"[A-Za-z0-9._-]+")
+
+
 def check_session_id(session_id: str) -> str:
-    """Return *session_id* if it is a non-empty ``str`` of letters, digits
-    and ``. _ -`` (safe as a file name); raise :class:`ValidationError`."""
-    if not (
-        isinstance(session_id, str)
-        and session_id
-        and all(ch.isalnum() or ch in "._-" for ch in session_id)
-    ):
+    """Return *session_id* if it is a non-empty ``str`` of ASCII letters,
+    digits and ``. _ -`` (safe as a file name); raise :class:`ValidationError`."""
+    if not (isinstance(session_id, str) and _SESSION_ID.fullmatch(session_id)):
         raise ValidationError(
             f"session_id must match [A-Za-z0-9._-]+ , got {session_id!r}"
         )

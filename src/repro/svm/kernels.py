@@ -1,9 +1,12 @@
-"""Mercer kernels for the SVM substrate.
+"""The two Mercer kernels of the paper's SVMs.
 
-All kernels operate on ``(N, D)`` row matrices and return an ``(N, M)`` Gram
-matrix.  The RBF kernel supports the ``"scale"`` gamma convention
-(``1 / (D * var(X))``) so default settings behave sensibly for the 36-d
-visual features and for the high-dimensional, sparse log vectors alike.
+The visual SVM uses the Gaussian RBF kernel and the log SVM the linear one
+(its primal scores ``u . r``, Section 4).  Both operate on ``(N, D)`` row
+matrices and return an ``(N, M)`` Gram matrix; :func:`build_kernel` makes
+one from its name.  The RBF kernel supports the ``"scale"`` gamma
+convention (``1 / (D * var(X))``) so default settings behave sensibly for
+the 36-d visual features and for the high-dimensional, sparse log vectors
+alike.
 
 **Sparse left operand.**  ``kernel(a, b)`` accepts a scipy-sparse *a* (the
 rows being scored, e.g. the whole pool's log vectors,
@@ -20,7 +23,7 @@ primal weight, ``O(nnz)`` in all, with no kernel call.
 **Row norms passed in.**  ``kernel(a, b, a_sq=...)`` takes the squared row
 norms of *a* when the caller already holds them (the pool's, cached by
 :class:`~repro.cbir.database.ImageDatabase`); only the RBF kernel reads
-them, the others ignore the argument.  Full-pool scoring never calls a
+them, the linear kernel ignores the argument.  Full-pool scoring never calls a
 kernel on the whole pool at once: :meth:`SVMModel.decision_function
 <repro.svm.model.SVMModel.decision_function>` evaluates it block by block.
 """
@@ -28,6 +31,8 @@ kernel on the whole pool at once: :meth:`SVMModel.decision_function
 from __future__ import annotations
 
 import abc
+import math
+from numbers import Real
 from typing import Optional, Union
 
 import numpy as np
@@ -35,14 +40,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.utils.arrays import as_row_matrix, pairwise_squared_distances
 
-__all__ = [
-    "Kernel",
-    "LinearKernel",
-    "RBFKernel",
-    "PolynomialKernel",
-    "make_kernel",
-    "build_kernel",
-]
+__all__ = ["Kernel", "LinearKernel", "RBFKernel", "build_kernel"]
 
 
 def _row_products(a, b: np.ndarray) -> np.ndarray:
@@ -74,25 +72,6 @@ class Kernel(abc.ABC):
         """Symmetric Gram matrix of *x* with itself."""
         return self(x, x)
 
-    def diagonal(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal ``k(x_i, x_i)`` computed in batched kernel calls.
-
-        Rows are evaluated in blocks so the temporary Gram stays bounded at
-        ``block^2`` entries regardless of ``N`` (one call for typical sizes).
-        Subclasses with a closed-form diagonal (linear, RBF, polynomial)
-        override this to avoid the quadratic block evaluation entirely.
-        """
-        matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        count = matrix.shape[0]
-        block = 512
-        if count <= block:
-            return np.diag(self(matrix, matrix)).copy()
-        out = np.empty(count)
-        for start in range(0, count, block):
-            stop = min(start + block, count)
-            out[start:stop] = np.diag(self(matrix[start:stop], matrix[start:stop]))
-        return out
-
     def fit(self, x: np.ndarray) -> "Kernel":
         """Resolve data-dependent hyper-parameters (e.g. ``gamma='scale'``)."""
         return self
@@ -108,10 +87,6 @@ class LinearKernel(Kernel):
     ) -> np.ndarray:
         return _row_products(a, b)
 
-    def diagonal(self, x: np.ndarray) -> np.ndarray:
-        matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.sum(matrix * matrix, axis=1)
-
 
 class RBFKernel(Kernel):
     """The Gaussian RBF kernel ``k(x, y) = exp(-gamma |x - y|^2)``.
@@ -124,39 +99,40 @@ class RBFKernel(Kernel):
     Parameters
     ----------
     gamma:
-        Positive float, or ``"scale"`` to use ``1 / (D * var(X))`` resolved at
-        :meth:`fit` time (the scikit-learn convention), or ``"auto"`` for
-        ``1 / D``.
+        A positive, finite real number, or ``"scale"`` to use
+        ``1 / (D * var(X))`` resolved at :meth:`fit` time (the scikit-learn
+        convention).  Anything else — NaN, ``inf``, a ``bool``, another
+        string — raises :class:`~repro.exceptions.ValidationError`.
     """
 
     name = "rbf"
 
     def __init__(self, gamma: Union[float, str] = "scale") -> None:
         if isinstance(gamma, str):
-            if gamma not in ("scale", "auto"):
-                raise ValidationError(f"gamma must be positive, 'scale' or 'auto', got {gamma!r}")
-        elif gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {gamma}")
+            valid = gamma == "scale"
+        else:
+            valid = isinstance(gamma, Real) and not isinstance(gamma, bool) and 0 < gamma < math.inf
+        if not valid:
+            raise ValidationError(
+                f"gamma must be 'scale' or a positive finite number, got {gamma!r}"
+            )
         self.gamma = gamma
-        self.gamma_: Optional[float] = gamma if isinstance(gamma, (int, float)) else None
+        self.gamma_: Optional[float] = None if isinstance(gamma, str) else float(gamma)
 
     def fit(self, x: np.ndarray) -> "RBFKernel":
-        matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if isinstance(self.gamma, str):
+            matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
             num_features = matrix.shape[1]
-            if self.gamma == "scale":
-                variance = float(matrix.var())
-                self.gamma_ = 1.0 / (num_features * variance) if variance > 1e-12 else 1.0 / num_features
-            else:  # "auto"
-                self.gamma_ = 1.0 / num_features
+            variance = float(matrix.var())
+            self.gamma_ = 1.0 / (num_features * variance) if variance > 1e-12 else 1.0 / num_features
         return self
 
     def _resolved_gamma(self) -> float:
         if self.gamma_ is None:
             raise ValidationError(
-                "RBFKernel with gamma='scale'/'auto' must be fitted before evaluation"
+                "RBFKernel with gamma='scale' must be fitted before evaluation"
             )
-        return float(self.gamma_)
+        return self.gamma_
 
     def __call__(
         self, a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
@@ -168,69 +144,18 @@ class RBFKernel(Kernel):
         values *= -gamma
         return np.exp(values, out=values)
 
-    def diagonal(self, x: np.ndarray) -> np.ndarray:
-        matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.ones(matrix.shape[0])
+def build_kernel(kernel: Union[str, Kernel], *, gamma: Union[float, str] = "scale") -> Kernel:
+    """Build a kernel from its name, ``"rbf"`` or ``"linear"``, or pass a
+    :class:`Kernel` instance through.
 
-
-class PolynomialKernel(Kernel):
-    """The polynomial kernel ``k(x, y) = (gamma x . y + coef0) ** degree``."""
-
-    name = "poly"
-
-    def __init__(self, degree: int = 3, gamma: float = 1.0, coef0: float = 1.0) -> None:
-        if degree < 1:
-            raise ValidationError(f"degree must be >= 1, got {degree}")
-        if gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {gamma}")
-        self.degree = int(degree)
-        self.gamma = float(gamma)
-        self.coef0 = float(coef0)
-
-    def __call__(
-        self, a, b: np.ndarray, *, a_sq: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        return (self.gamma * _row_products(a, b) + self.coef0) ** self.degree
-
-    def diagonal(self, x: np.ndarray) -> np.ndarray:
-        matrix = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return (self.gamma * np.sum(matrix * matrix, axis=1) + self.coef0) ** self.degree
-
-
-def make_kernel(kernel: Union[str, Kernel], **kwargs) -> Kernel:
-    """Build a kernel from a name (``"linear"``, ``"rbf"``, ``"poly"``) or pass through."""
-    if isinstance(kernel, Kernel):
-        return kernel
-    if kernel == "linear":
-        return LinearKernel()
-    if kernel == "rbf":
-        return RBFKernel(**kwargs)
-    if kernel == "poly":
-        return PolynomialKernel(**kwargs)
-    raise ValidationError(f"unknown kernel '{kernel}', expected linear/rbf/poly")
-
-
-def build_kernel(
-    kernel: Union[str, Kernel],
-    *,
-    gamma: Union[float, str] = "scale",
-    degree: int = 3,
-    coef0: float = 1.0,
-) -> Kernel:
-    """Build a kernel, forwarding only the hyper-parameters it accepts.
-
-    Unlike :func:`make_kernel`, this helper routes ``gamma`` to both the RBF
-    and polynomial kernels (the polynomial kernel only accepts numeric
-    ``gamma``; the ``"scale"``/``"auto"`` conventions are RBF-specific and
-    fall back to the polynomial default of 1.0) and routes ``degree``/``coef0``
-    to the polynomial kernel.  Estimators should use this instead of
-    :func:`make_kernel` so hyper-parameters are never silently dropped.
+    *gamma* is the RBF bandwidth (see :class:`RBFKernel`); the linear
+    kernel has none.  Any other name raises
+    :class:`~repro.exceptions.ValidationError`.
     """
     if isinstance(kernel, Kernel):
         return kernel
     if kernel == "rbf":
-        return make_kernel("rbf", gamma=gamma)
-    if kernel == "poly":
-        poly_gamma = 1.0 if isinstance(gamma, str) else float(gamma)
-        return make_kernel("poly", degree=degree, gamma=poly_gamma, coef0=coef0)
-    return make_kernel(kernel)
+        return RBFKernel(gamma)
+    if kernel == "linear":
+        return LinearKernel()
+    raise ValidationError(f"unknown kernel {kernel!r}, expected 'rbf' or 'linear'")

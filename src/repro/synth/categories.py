@@ -11,8 +11,8 @@ are easy to separate by low-level features and others overlap substantially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.exceptions import ValidationError
 from repro.synth.palettes import Palette

@@ -10,7 +10,6 @@ space — the property the relevance-feedback experiments rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np

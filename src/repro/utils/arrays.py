@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -159,9 +159,7 @@ def euclidean_distances(
     return np.sqrt(squared, out=squared)
 
 
-def stable_top_k(
-    values: np.ndarray, k: int, ties: Optional[np.ndarray] = None
-) -> np.ndarray:
+def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
     """Positions of the *k* smallest entries of 1-D *values*, by ``(value, index)``.
 
     Element for element ``np.argsort(values, kind="stable")[:k]`` — ties,
@@ -171,22 +169,13 @@ def stable_top_k(
     N the selection buys nothing and the full stable sort runs.  Negate
     *values* for the *k* largest; reverse them (``values[::-1]``) for ties
     by descending index.
-
-    *ties*, when given, is a key per entry (e.g. the database ids of
-    candidates gathered out of order) that breaks equal values instead of
-    the position: ``(value, ties)`` order, the rule every index applies.
     """
     if k < 1 or 4 * k >= values.shape[0]:
-        if ties is None:
-            return np.argsort(values, kind="stable")[:k]
-        contenders = np.arange(values.shape[0])
-    else:
-        kth = values[np.argpartition(values, k - 1)[k - 1]]
-        # Everything at or below the k-th value competes; ``contenders`` is
-        # ascending, so the stable sort breaks ties by index.
-        contenders = np.flatnonzero(values <= kth)
-    if ties is not None:
-        contenders = contenders[np.argsort(ties[contenders], kind="stable")]
+        return np.argsort(values, kind="stable")[:k]
+    kth = values[np.argpartition(values, k - 1)[k - 1]]
+    # Everything at or below the k-th value competes; ``contenders`` is
+    # ascending, so the stable sort breaks ties by index.
+    contenders = np.flatnonzero(values <= kth)
     return contenders[np.argsort(values[contenders], kind="stable")[:k]]
 
 
@@ -227,28 +216,27 @@ def exact_top_k(
     queries: np.ndarray,
     vectors: np.ndarray,
     k: int,
-    distance: Callable[..., np.ndarray],
     *,
     vectors_sq: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(distances, indices)``, ``(Q, k)``: the exact *k* nearest rows of
-    *vectors* for every row of *queries*, nearest first.
+    *vectors* for every row of *queries* by Euclidean distance, nearest
+    first.
 
-    The one exact scan: the index backends' full scans and the search
-    engine's dense path all rank through it.  Queries go ``_QUERY_BLOCK``
-    at a time, so one ``(block, N)`` matrix is alive, and every row's top
-    *k* is bit for bit the stable ``argsort`` prefix of ``distance(block,
-    vectors)``; ``k = N`` is the full ranking.  *vectors_sq*, the pool's
-    :func:`squared_norms` computed once per pool, is passed as *distance*'s
-    third argument, for the distance that takes it (the Euclidean one).
+    The one exact scan: the index's full scan and the search engine's dense
+    path both rank through it.  Queries go ``_QUERY_BLOCK`` at a time, so
+    one ``(block, N)`` matrix is alive, and every row's top *k* is bit for
+    bit the stable ``argsort`` prefix of ``euclidean_distances(block,
+    vectors)``; ``k = N`` is the full ranking.  *vectors_sq* is
+    the pool's :func:`squared_norms`, computed once per pool; without it
+    the scan computes them once per call.
 
-    For :func:`euclidean_distances` with ``4k < N`` the block's one matrix
-    is ``2 a.b`` (the GEMM); each row's squared distances go through one
-    reused ``(N,)`` buffer with the same floating-point operations as
-    :func:`pairwise_squared_distances`, and only the entries that can reach
-    the top *k* are rooted (:func:`_nearest_by_squared`).  Every other
-    distance, and a full ranking, ranks each row of ``distance(block,
-    vectors)`` with :func:`stable_top_k`.
+    With ``4k < N`` the block's one matrix is ``2 a.b`` (the GEMM); each
+    row's squared distances go through one reused ``(N,)`` buffer with the
+    same floating-point operations as :func:`pairwise_squared_distances`,
+    and only the entries that can reach the top *k* are rooted
+    (:func:`_nearest_by_squared`).  Otherwise each row of the block's
+    :func:`euclidean_distances` is ranked with :func:`stable_top_k`.
 
     Raises
     ------
@@ -260,11 +248,11 @@ def exact_top_k(
         raise ValidationError(f"k must be in [1, {size}], got {k}")
     distances = np.empty((num_queries, k), dtype=np.float64)
     indices = np.empty((num_queries, k), dtype=np.int64)
-    if distance is euclidean_distances and 4 * k < size:
-        queries = np.asarray(queries, dtype=np.float64)
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors_sq is None:
-            vectors_sq = squared_norms(vectors)
+    queries = np.asarray(queries, dtype=np.float64)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors_sq is None:
+        vectors_sq = squared_norms(vectors)
+    if 4 * k < size:
         squared = np.empty(size, dtype=np.float64)
         for start in range(0, num_queries, _QUERY_BLOCK):
             chunk = queries[start : start + _QUERY_BLOCK]
@@ -275,9 +263,8 @@ def exact_top_k(
                 squared -= twice
                 distances[row], indices[row] = _nearest_by_squared(squared, k)
         return distances, indices
-    norms = () if vectors_sq is None else (vectors_sq,)
     for start in range(0, num_queries, _QUERY_BLOCK):
-        block = distance(queries[start : start + _QUERY_BLOCK], vectors, *norms)
+        block = euclidean_distances(queries[start : start + _QUERY_BLOCK], vectors, vectors_sq)
         for row, values in enumerate(block, start):
             nearest = stable_top_k(values, k)
             indices[row] = nearest

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Iterable, Iterator, Optional, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 __all__ = ["ProgressReporter", "track"]
 

@@ -9,7 +9,7 @@ solver initialisation) do not interfere with each other's streams.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 

@@ -8,13 +8,8 @@ import pytest
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
 from repro.cbir.search import SearchEngine
-from repro.cbir.similarity import (
-    cosine_distances,
-    euclidean_distances,
-    make_distance,
-    manhattan_distances,
-)
 from repro.exceptions import DatabaseError, ValidationError
+from repro.utils.arrays import euclidean_distances
 
 
 class TestSimilarity:
@@ -23,25 +18,6 @@ class TestSimilarity:
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
         expected = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         np.testing.assert_allclose(euclidean_distances(a, b), expected, atol=1e-10)
-
-    def test_manhattan_known_value(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[1.0, 2.0]])
-        assert manhattan_distances(a, b)[0, 0] == pytest.approx(3.0)
-
-    def test_cosine_orthogonal_vectors(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        assert cosine_distances(a, b)[0, 0] == pytest.approx(1.0)
-
-    def test_cosine_identical_vectors(self):
-        a = np.array([[1.0, 2.0]])
-        assert cosine_distances(a, a)[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_make_distance_lookup(self):
-        assert make_distance("euclidean") is euclidean_distances
-        with pytest.raises(ValidationError):
-            make_distance("mahalanobis")
 
 
 class TestQueryAndResult:

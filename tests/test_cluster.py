@@ -47,6 +47,10 @@ from repro.utils import blas
 from repro.utils.blas import blas_thread_counts, limit_blas_threads
 from repro.utils.faults import FaultPlan, installed
 
+#: Alphanumeric to ``str.isalnum`` but not ASCII: NFC and NFD "café", a
+#: superscript two, an Arabic-Indic three.
+NON_ASCII_SESSION_IDS = ("caf\u00e9", "cafe\u0301", "x\u00b2", "\u0663")
+
 POOL_CONFIG = GaussianPoolConfig(
     num_vectors=300, dim=6, num_clusters=5, num_queries=4, seed=11
 )
@@ -278,6 +282,12 @@ class TestErrorPropagation:
                 call(["x"])
         with pytest.raises(ValidationError, match="session_id"):
             cluster.close_sessions([["x"]])
+        for session_id in NON_ASCII_SESSION_IDS:
+            with pytest.raises(ValidationError, match="session_id"):
+                cluster.open_session(0, session_id=session_id, algorithm="euclidean")
+            with pytest.raises(ValidationError, match="session_id"):
+                cluster.get_session(session_id)
+        assert cluster.session_ids() == ["a", "b", "c"]
         assert [view.closed for view in cluster.close_sessions(["a", "b", "c"])] == [
             True, True, True
         ]

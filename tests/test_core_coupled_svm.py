@@ -20,6 +20,7 @@ from repro.core.unlabeled_selection import (
     make_selection_strategy,
 )
 from repro.exceptions import ConfigurationError, SolverError, ValidationError
+from repro.svm.kernels import RBFKernel
 
 
 class TestLabelSwitching:
@@ -203,6 +204,14 @@ class TestCoupledSVMConfig:
             CoupledSVMConfig(tolerance=0.0)
         with pytest.raises(ConfigurationError):
             CoupledSVMConfig(max_iter=0)
+        # Kernel settings fail at construction, not at the first coupled fit.
+        for field, value in [
+            ("gamma", "scales"), ("gamma", "auto"), ("gamma", -1.0), ("gamma", np.nan),
+            ("gamma", np.inf), ("gamma", True), ("kernel", "poly"), ("log_kernel", "poly"),
+        ]:
+            with pytest.raises(ConfigurationError, match=field):
+                CoupledSVMConfig(**{field: value})
+        assert isinstance(CoupledSVMConfig(kernel=RBFKernel(0.5)).kernel, RBFKernel)
 
     @pytest.mark.parametrize(
         "field, value",

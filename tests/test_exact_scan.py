@@ -3,7 +3,7 @@
 Every exact ranking in the library — the index's scan and the search
 engine's dense path — goes through one routine.  These
 tests pin it to numpy's stable ``argsort`` on tie-heavy pools under every
-metric and query blocking, pin the cached pool norms to the recomputed ones
+query blocking, pin the cached pool norms to the recomputed ones
 bit for bit, and check that a non-finite query is refused with a typed error
 on every surface that takes one.
 
@@ -26,26 +26,15 @@ import repro.utils.arrays as arrays
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
-from repro.cbir.similarity import cosine_distances, euclidean_distances, manhattan_distances
 from repro.exceptions import ValidationError
 from repro.feedback.base import FeedbackContext
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.index import VectorIndex
 from repro.service import RetrievalService, SearchRequest
-from repro.utils.arrays import exact_top_k, squared_norms
+from repro.utils.arrays import euclidean_distances, exact_top_k, squared_norms
 
-
-def chebyshev_distances(queries, database):
-    """A custom two-argument distance (L-infinity)."""
-    return np.abs(queries[:, None, :] - database[None, :, :]).max(axis=2)
-
-
-DISTANCES = {
-    "euclidean": euclidean_distances,
-    "manhattan": manhattan_distances,
-    "cosine": cosine_distances,
-    "custom": chebyshev_distances,
-}
+#: The one metric the scan ranks by; the parameter keeps the cases' ids.
+EUCLIDEAN = pytest.mark.parametrize("metric", ["euclidean"])
 
 
 def plain_norms(rows):
@@ -70,14 +59,12 @@ def grid_pool():
 class TestExactTopK:
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     @pytest.mark.parametrize("k", [1, 7, 60])  # 60 = N, the full ranking
-    @pytest.mark.parametrize("metric", sorted(DISTANCES))
+    @EUCLIDEAN
     def test_is_the_stable_argsort_prefix(self, metric, k, block, grid_pool, monkeypatch):
         monkeypatch.setattr(arrays, "_QUERY_BLOCK", block)
         vectors, queries = grid_pool
-        distance = DISTANCES[metric]
-        norms = squared_norms(vectors) if metric == "euclidean" else None
-        distances, indices = exact_top_k(queries, vectors, k, distance, vectors_sq=norms)
-        full = distance(queries, vectors)
+        distances, indices = exact_top_k(queries, vectors, k, vectors_sq=squared_norms(vectors))
+        full = euclidean_distances(queries, vectors)
         expected = np.argsort(full, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(indices, expected)
         np.testing.assert_array_equal(distances, np.take_along_axis(full, expected, axis=1))
@@ -86,11 +73,11 @@ class TestExactTopK:
             assert np.all(ranked[:, k - 1] == ranked[:, k])  # a tie straddles k
 
     @pytest.mark.parametrize("k", [-1, 0, 61])
-    @pytest.mark.parametrize("metric", sorted(DISTANCES))
+    @EUCLIDEAN
     def test_rejects_k_outside_the_pool(self, metric, k, grid_pool):
         vectors, queries = grid_pool
         with pytest.raises(ValidationError, match="k must be in"):
-            exact_top_k(queries, vectors, k, DISTANCES[metric])
+            exact_top_k(queries, vectors, k)
 
 
 def blockwise_euclidean(queries, vectors):
@@ -108,9 +95,7 @@ def blockwise_euclidean(queries, vectors):
 
 def assert_euclidean_prefix(queries, vectors, k):
     """Indices and distance bits of the scan equal the stable-argsort prefix."""
-    distances, indices = exact_top_k(
-        queries, vectors, k, euclidean_distances, vectors_sq=squared_norms(vectors)
-    )
+    distances, indices = exact_top_k(queries, vectors, k, vectors_sq=squared_norms(vectors))
     full = blockwise_euclidean(queries, vectors)
     expected = np.argsort(full, axis=1, kind="stable")[:, :k]
     np.testing.assert_array_equal(indices, expected)
@@ -233,7 +218,6 @@ class TestPoolNorms:
         loaded = VectorIndex.load(index.save(tmp_path / "index.npz"))
         for built in (index, loaded):
             np.testing.assert_array_equal(built._sq_norms, plain_norms(features))
-        assert VectorIndex(metric="cosine").build(features)._sq_norms is None
 
     def test_no_scan_recomputes_the_pool_norms(self, small_dataset, monkeypatch):
         database = ImageDatabase(small_dataset)

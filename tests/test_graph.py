@@ -133,9 +133,6 @@ class TestKNNGraphBuilder:
         foreign = VectorIndex().build(features[:-1])
         with pytest.raises(ValidationError):
             KNNGraphBuilder(k=4).build(features, index=foreign)
-        mismatched = VectorIndex(metric="manhattan").build(features)
-        with pytest.raises(ValidationError):
-            KNNGraphBuilder(k=4).build(features, index=mismatched)
 
     def test_graph_bit_identical_to_exact_fallback(self, features):
         builder = KNNGraphBuilder(k=7)
@@ -597,13 +594,18 @@ class TestLabelPropagationFeedback:
             del algorithm, other
             gc.collect()
 
-    def test_attached_index_is_used_when_its_metric_matches(self, small_dataset):
+    def test_attached_index_is_used(self, small_dataset, monkeypatch):
         database = ImageDatabase(small_dataset)
-        euclidean = database.build_index("brute-force")
-        algorithm = LabelPropagationFeedback(k=4)
-        assert algorithm._usable_index(database) is euclidean
-        database.attach_index(VectorIndex(metric="manhattan").build(database.features))
-        assert algorithm._usable_index(database) is None
+        index = database.build_index("brute-force")
+        calls = []
+        search = index.batch_search
+        monkeypatch.setattr(
+            index, "batch_search", lambda *a, **k: calls.append(a) or search(*a, **k)
+        )
+        graph = LabelPropagationFeedback(k=4, cache=GraphCache())._visual_graph(database)
+        assert len(calls) == 1
+        reference = KNNGraphBuilder(k=4).build(database.features)
+        assert (graph.weights != reference.weights).nnz == 0
 
     def test_propagation_metrics_reach_the_hub(self, small_database):
         from repro.obs import InMemoryExporter, configure, disable, get_hub

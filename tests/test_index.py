@@ -4,14 +4,15 @@ The load-bearing properties:
 
 * the index ranks exactly as the dense scan does;
 * ``save`` → ``load`` round-trips produce identical search results, and a
-  bundle of a removed backend fails with a typed error;
+  bundle of a removed backend or metric fails with a typed error;
 * the serving layers (``SearchEngine``, ``ImageDatabase``,
   ``RetrievalService``) use the index without changing exact-path results,
-  and fall back to the exact scan when no index fits.
+  and fall back to the exact scan when none is attached.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
@@ -20,11 +21,13 @@ import pytest
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
-from repro.cbir.similarity import manhattan_distances
 from repro.datasets.pool import GaussianPoolConfig, make_gaussian_pool
 from repro.exceptions import DatabaseError, ValidationError
+from repro.feedback.euclidean import EuclideanFeedback
+from repro.graph import KNNGraphBuilder
 from repro.index import VectorIndex
 from repro.service import RetrievalService
+from repro.utils.arrays import euclidean_distances, exact_top_k, stable_top_k
 from repro.utils.io import load_array_bundle, save_array_bundle
 
 
@@ -77,8 +80,6 @@ class TestVectorIndexInterface:
         vectors, queries = pool
         index = VectorIndex().build(vectors)
         distances, indices = index.search(queries[:3], 10)
-        from repro.cbir.similarity import euclidean_distances
-
         dense = euclidean_distances(queries[:3], vectors)
         expected = np.argsort(dense, axis=1, kind="stable")[:, :10]
         np.testing.assert_array_equal(indices, expected)
@@ -110,19 +111,14 @@ class TestVectorIndexInterface:
 
 class TestPersistence:
     def test_save_load_round_trip(self, pool, tmp_path):
-        self._assert_round_trip(VectorIndex(), pool, tmp_path)
-
-    @pytest.mark.parametrize("metric", ["manhattan", "cosine"])
-    def test_non_euclidean_round_trip(self, metric, pool, tmp_path):
-        self._assert_round_trip(VectorIndex(metric=metric), pool, tmp_path)
-
-    @staticmethod
-    def _assert_round_trip(index, pool, tmp_path):
         vectors, queries = pool
-        index.build(vectors)
+        index = VectorIndex().build(vectors)
         path = index.save(tmp_path / f"{index.kind}.npz")
+        assert json.loads(load_array_bundle(path)["__meta__"].item()) == {
+            "kind": "brute-force", "metric": "euclidean", "params": {}
+        }
         loaded = VectorIndex.load(path)
-        assert loaded.kind == index.kind and loaded.metric == index.metric
+        assert loaded.kind == index.kind
         assert loaded.size == index.size and loaded.dim == index.dim
         original_d, original_i = index.search(queries, 20)
         loaded_d, loaded_i = loaded.search(queries, 20)
@@ -167,13 +163,24 @@ class TestPersistence:
             ),
             (
                 json.dumps({"kind": "brute-force", "metric": "hamming", "params": {}}),
-                "unknown distance 'hamming'",
+                "old.npz records metric 'hamming'",
+            ),
+            # Bundles of the manhattan and cosine metrics, which no longer
+            # exist.
+            (
+                json.dumps({"kind": "brute-force", "metric": "manhattan", "params": {}}),
+                "old.npz records metric 'manhattan'; only 'euclidean' exists",
+            ),
+            (
+                json.dumps({"kind": "brute-force", "metric": "cosine", "params": {}}),
+                "old.npz records metric 'cosine'; only 'euclidean' exists",
             ),
         ],
         ids=[
             "kd-tree", "lsh", "sharded", "ivf", "meta-without-metric",
             "meta-without-kind", "meta-without-params", "meta-not-json",
             "meta-not-an-object", "params-not-an-object", "unknown-metric",
+            "manhattan", "cosine",
         ],
     )
     def test_load_failures_are_typed(self, meta, match, tmp_path):
@@ -197,39 +204,10 @@ class TestPersistence:
             VectorIndex().save(tmp_path / "x.npz")
 
 
-class TestManhattanChunking:
-    def test_chunked_matches_naive_broadcast(self, rng):
-        queries = rng.normal(size=(7, 33))
-        database = rng.normal(size=(911, 33))
-        expected = np.abs(queries[:, None, :] - database[None, :, :]).sum(axis=2)
-        np.testing.assert_allclose(manhattan_distances(queries, database), expected)
-
-    def test_chunk_step_is_bounded(self, rng, monkeypatch):
-        import repro.cbir.similarity as similarity
-
-        # Force a tiny budget so many chunks are exercised.
-        monkeypatch.setattr(similarity, "_L1_CHUNK_ELEMENTS", 64)
-        queries = rng.normal(size=(3, 5))
-        database = rng.normal(size=(97, 5))
-        expected = np.abs(queries[:, None, :] - database[None, :, :]).sum(axis=2)
-        np.testing.assert_allclose(
-            similarity.manhattan_distances(queries, database), expected
-        )
-
-    def test_query_axis_is_chunked_too(self, rng):
-        # More queries than the per-block query limit: both loops must run.
-        queries = rng.normal(size=(300, 4))
-        database = rng.normal(size=(50, 4))
-        expected = np.abs(queries[:, None, :] - database[None, :, :]).sum(axis=2)
-        np.testing.assert_allclose(manhattan_distances(queries, database), expected)
-
-
 class TestSearchEngineIndexing:
     def test_algorithm_reports_engine_distance(self, small_database):
-        for name in ("euclidean", "manhattan", "cosine"):
-            engine = SearchEngine(small_database, distance=name)
-            result = engine.search(Query(query_index=0), top_k=5)
-            assert result.algorithm == name
+        result = SearchEngine(small_database).search(Query(query_index=0), top_k=5)
+        assert result.algorithm == "euclidean"
 
     def test_index_path_matches_dense_scan(self, small_database):
         dense = SearchEngine(small_database).search(Query(query_index=3), top_k=15)
@@ -242,14 +220,12 @@ class TestSearchEngineIndexing:
         np.testing.assert_allclose(indexed.scores, dense.scores)
         assert indexed.algorithm == dense.algorithm == "euclidean"
 
-    def test_attached_index_is_used_when_metric_matches(self, small_dataset):
+    def test_attached_index_is_used(self, small_dataset):
         database = ImageDatabase(small_dataset)
         assert SearchEngine(database).index is None
         database.build_index("brute-force")
         engine = SearchEngine(database)
         assert engine.index is database.index
-        # A cosine engine must NOT use the euclidean index.
-        assert SearchEngine(database, distance="cosine").index is None
         database.detach_index()
         assert SearchEngine(database).index is None
 
@@ -271,38 +247,18 @@ class TestSearchEngineIndexing:
         assert len(calls) == 1
         np.testing.assert_array_equal(top.image_indices, dense.image_indices[:10])
 
-    def test_explicit_index_metric_must_match_engine(self, small_dataset):
-        # A cosine engine over a database carrying a euclidean index ranks
-        # by its own exact cosine scan, not by the index.
-        database = ImageDatabase(small_dataset)
-        database.build_index("brute-force")
-        engine = SearchEngine(database, distance="cosine")
-        assert engine.index is None
-        ranked = engine.search(Query(query_index=2), top_k=10)
-        exact = SearchEngine(ImageDatabase(small_dataset), distance="cosine").search(
-            Query(query_index=2), top_k=10
-        )
-        np.testing.assert_array_equal(ranked.image_indices, exact.image_indices)
-        assert ranked.algorithm == "cosine"
-
-    def test_named_index_with_custom_distance_callable_rejected(self, small_dataset):
-        # An index ranks under a registered metric, so an engine with a
-        # custom distance callable never uses the database's index: it is
-        # served by the exact scan of its own callable.
-        from repro.cbir.similarity import euclidean_distances
-
-        def my_distance(queries, database, *_norms):
-            return euclidean_distances(queries, database)
-
-        database = ImageDatabase(small_dataset)
-        database.build_index("brute-force")
-        engine = SearchEngine(database, distance=my_distance)
-        assert engine.index is None
-        custom = engine.search(Query(query_index=1), top_k=10)
-        exact = SearchEngine(ImageDatabase(small_dataset)).search(
-            Query(query_index=1), top_k=10
-        )
-        np.testing.assert_array_equal(custom.image_indices, exact.image_indices)
+    def test_every_ranking_is_euclidean_and_takes_no_metric(self):
+        # The paper's geometry only: no distance, metric or tie-key option.
+        assert list(inspect.signature(SearchEngine).parameters) == ["database"]
+        assert list(inspect.signature(EuclideanFeedback).parameters) == []
+        assert list(inspect.signature(VectorIndex).parameters) == []
+        assert list(inspect.signature(KNNGraphBuilder).parameters) == [
+            "k", "weighting", "gamma", "symmetrize"
+        ]
+        assert list(inspect.signature(exact_top_k).parameters) == [
+            "queries", "vectors", "k", "vectors_sq"
+        ]
+        assert list(inspect.signature(stable_top_k).parameters) == ["values", "k"]
 
     def test_annotations_resolve_at_runtime(self):
         import typing

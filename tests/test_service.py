@@ -35,6 +35,10 @@ from repro.service import (
     SessionState,
 )
 
+#: Alphanumeric to ``str.isalnum`` but not ASCII: NFC and NFD "café", a
+#: superscript two, an Arabic-Indic three.
+NON_ASCII_SESSION_IDS = ("caf\u00e9", "cafe\u0301", "x\u00b2", "\u0663")
+
 
 @pytest.fixture()
 def fresh_database(small_dataset, small_log):
@@ -228,6 +232,13 @@ class TestSessionLifecycle:
                     call(session_id)
         with pytest.raises(ValidationError, match="session_id"):
             service.close_sessions([["x"]])
+        # Only ASCII letters and digits: NFC and NFD "café" would render
+        # alike and name different session files.
+        for session_id in NON_ASCII_SESSION_IDS:
+            with pytest.raises(ValidationError, match="session_id"):
+                service.open_session(SearchRequest(query=0, top_k=5, session_id=session_id))
+            with pytest.raises(ValidationError, match="session_id"):
+                service.get_session(session_id)
         assert service.num_open_sessions == 3
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.exceptions import SolverError, ValidationError
-from repro.svm.kernels import LinearKernel, PolynomialKernel, RBFKernel
+from repro.svm.kernels import LinearKernel, RBFKernel
 from repro.svm.model import SVMModel
 from repro.svm.svc import SVC
 
@@ -36,21 +38,11 @@ class TestSVCFit:
         assert classifier.model_.num_support_vectors <= features.shape[0]
         assert classifier.model_.num_support_vectors >= 2
 
-    def test_sample_weight_changes_solution(self, linearly_separable):
+    def test_C_bounds_every_alpha_and_the_gram_is_counted(self, linearly_separable):
         features, labels = linearly_separable
-        uniform = SVC(C=1.0, kernel="rbf").fit(features, labels)
-        weights = np.ones(labels.shape[0])
-        weights[labels > 0] = 1e-3
-        weighted = SVC(C=1.0, kernel="rbf").fit(features, labels, sample_weight=weights)
-        assert not np.allclose(
-            uniform.decision_function(features), weighted.decision_function(features)
-        )
-
-    def test_sample_weight_bounds_alphas(self, linearly_separable):
-        features, labels = linearly_separable
-        weights = np.full(labels.shape[0], 0.25)
-        classifier = SVC(C=2.0, kernel="linear").fit(features, labels, sample_weight=weights)
+        classifier = SVC(C=0.5, kernel="linear").fit(features, labels)
         assert np.all(classifier.result_.alphas <= 0.5 + 1e-9)
+        assert classifier.kernel_evaluations_ == features.shape[0] ** 2
 
     def test_prediction_on_new_points(self, linearly_separable):
         features, labels = linearly_separable
@@ -60,27 +52,6 @@ class TestSVCFit:
 
 
 class TestSVCKernelConstruction:
-    def test_poly_receives_hyperparameters(self):
-        classifier = SVC(kernel="poly", gamma=2.0, degree=2, coef0=0.5)
-        kernel = classifier.kernel
-        assert isinstance(kernel, PolynomialKernel)
-        assert kernel.gamma == 2.0
-        assert kernel.degree == 2
-        assert kernel.coef0 == 0.5
-
-    def test_poly_string_gamma_falls_back_to_default(self):
-        kernel = SVC(kernel="poly", gamma="scale").kernel
-        assert isinstance(kernel, PolynomialKernel)
-        assert kernel.gamma == 1.0
-
-    def test_poly_gamma_changes_solution(self, linearly_separable):
-        features, labels = linearly_separable
-        narrow = SVC(kernel="poly", gamma=0.01, degree=2).fit(features, labels)
-        wide = SVC(kernel="poly", gamma=5.0, degree=2).fit(features, labels)
-        assert not np.allclose(
-            narrow.decision_function(features), wide.decision_function(features)
-        )
-
     def test_kernel_instance_passes_through(self):
         kernel = RBFKernel(gamma=0.3)
         assert SVC(kernel=kernel).kernel is kernel
@@ -101,31 +72,6 @@ class TestSVCDegenerateSupport:
 
 
 class TestSVCWarmStartAndGram:
-    def test_precomputed_gram_matches_regular_fit(self, linearly_separable):
-        features, labels = linearly_separable
-        regular = SVC(C=1.0, kernel="rbf").fit(features, labels)
-        kernel = RBFKernel("scale").fit(features)
-        gram = kernel.gram(features)
-        fast = SVC(C=1.0, kernel="rbf").fit(features, labels, precomputed_gram=gram)
-        np.testing.assert_allclose(
-            fast.decision_function(features), regular.decision_function(features)
-        )
-        assert fast.kernel_evaluations_ == 0
-        assert regular.kernel_evaluations_ == features.shape[0] ** 2
-
-    def test_precomputed_gram_shape_validated(self, linearly_separable):
-        features, labels = linearly_separable
-        with pytest.raises(ValidationError):
-            SVC().fit(features, labels, precomputed_gram=np.eye(3))
-
-    def test_warm_start_refit_is_free(self, linearly_separable):
-        features, labels = linearly_separable
-        classifier = SVC(C=1.0, kernel="rbf", warm_start=True).fit(features, labels)
-        first_iterations = classifier.solver_iterations_
-        assert first_iterations > 0
-        classifier.fit(features, labels)
-        assert classifier.solver_iterations_ == first_iterations
-
     def test_unconverged_fit_warns(self):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(30, 2))
@@ -154,33 +100,20 @@ class TestSVCValidation:
         with pytest.raises(ValidationError):
             SVC().fit(np.ones((4, 2)), np.array([1.0, -1.0]))
 
-    def test_negative_sample_weight(self):
-        with pytest.raises(ValidationError):
-            SVC().fit(
-                np.ones((2, 2)), np.array([1.0, -1.0]), sample_weight=np.array([1.0, -1.0])
-            )
-
-    def test_misaligned_sample_weight(self):
-        with pytest.raises(ValidationError):
-            SVC().fit(
-                np.array([[0.0], [1.0]]),
-                np.array([1.0, -1.0]),
-                sample_weight=np.array([1.0]),
-            )
-
     @pytest.mark.parametrize("C", [np.nan, np.inf])
     def test_non_finite_C(self, C):
         with pytest.raises(ValidationError, match="C must be positive and finite"):
             SVC(C=C)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_sample_weight(self, bad):
-        with pytest.raises(ValidationError, match="sample_weight"):
-            SVC().fit(
-                np.array([[0.0], [1.0], [2.0]]),
-                np.array([1.0, -1.0, 1.0]),
-                sample_weight=np.array([1.0, 1.0, bad]),
-            )
+    def test_takes_only_the_options_the_paper_uses(self):
+        # No polynomial degree / coef0, no warm_start flag, no per-sample
+        # weights and no precomputed Gram.
+        assert list(inspect.signature(SVC).parameters) == [
+            "C", "kernel", "gamma", "tolerance", "max_iter"
+        ]
+        assert list(inspect.signature(SVC.fit).parameters) == [
+            "self", "features", "labels", "initial_alphas"
+        ]
 
     def test_predict_before_fit(self):
         with pytest.raises(SolverError):
