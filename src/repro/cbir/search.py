@@ -8,9 +8,9 @@ import numpy as np
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
-from repro.exceptions import ValidationError
 from repro.index.base import VectorIndex
 from repro.utils.arrays import euclidean_distances, exact_top_k
+from repro.utils.validation import check_top_k
 
 __all__ = ["SearchEngine"]
 
@@ -87,15 +87,19 @@ class SearchEngine:
         the last float bits because batched BLAS accumulates in a different
         order).  A full ranking (``top_k=None``) always takes the dense
         scan.
+
+        Raises
+        ------
+        ValidationError
+            If *top_k* is not ``None`` or an integer >= 1.
         """
+        top_k = check_top_k(top_k)
         if not queries:
             return []
-        if top_k is not None and top_k < 1:
-            raise ValidationError(f"top_k must be >= 1, got {top_k}")
         features = np.vstack([self.query_features(query) for query in queries])
         index = self.index if top_k is not None else None
         num_images = self.database.num_images
-        k = num_images if top_k is None else min(int(top_k), num_images)
+        k = num_images if top_k is None else min(top_k, num_images)
         if index is not None:
             distances, rankings = index.batch_search(features, k, chunk_size=chunk_size)
         else:

@@ -12,8 +12,9 @@ exactly like the pre-service single-shot path.
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,11 +22,14 @@ from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import ValidationError
 from repro.logdb.relevance_matrix import LogSnapshot
+from repro.logdb.store import LogStore
 from repro.utils.arrays import stable_top_k
+from repro.utils.validation import check_top_k
 
 __all__ = [
     "FeedbackMemory",
     "FeedbackContext",
+    "FirstReadSnapshot",
     "RelevanceFeedbackAlgorithm",
     "log_vectors_informative",
 ]
@@ -77,6 +81,30 @@ class FeedbackMemory:
             self.arrays.pop(key, None)
 
 
+class FirstReadSnapshot:
+    """A batch's log snapshot, taken when a round first reads it, then shared.
+
+    Give every context of one batch the same instance as its
+    :attr:`FeedbackContext.log`: the first :meth:`snapshot` call asks
+    *log_store* for its current :class:`LogSnapshot` and every later call,
+    from any context, returns that object, whatever was appended
+    meanwhile.  A batch whose rounds never read ``R`` (euclidean, rf-svm)
+    takes no snapshot at all.
+    """
+
+    def __init__(self, log_store: LogStore) -> None:
+        self._log_store = log_store
+        self._snapshot: Optional[LogSnapshot] = None
+        self._lock = threading.Lock()
+
+    def snapshot(self) -> LogSnapshot:
+        """The shared snapshot, taken on the first call."""
+        with self._lock:
+            if self._snapshot is None:
+                self._snapshot = self._log_store.snapshot()
+            return self._snapshot
+
+
 @dataclass(frozen=True)
 class FeedbackContext:
     """Everything an algorithm needs for one feedback round.
@@ -95,14 +123,20 @@ class FeedbackContext:
         Optional per-session :class:`FeedbackMemory` the strategy may read
         and update; ``None`` (the default) runs the round statelessly.
     log:
-        Optional :class:`~repro.logdb.relevance_matrix.LogSnapshot` the round
-        should read the feedback log through.  The service and the
-        evaluation protocol capture one snapshot per round batch, so every
-        strategy in the batch sees one consistent relevance matrix even
-        while concurrent sessions keep appending; ``None`` (the default)
-        makes :meth:`log_snapshot` ask the log database for its current
-        one on demand (the same object for as long as the log version is
-        unchanged).
+        Optional :class:`~repro.logdb.relevance_matrix.LogSnapshot`, or a
+        :class:`FirstReadSnapshot`, the round should read the feedback log
+        through.  The evaluation protocol injects one snapshot per sweep
+        and the service one :class:`FirstReadSnapshot` per round batch, so
+        every strategy in the batch sees one consistent relevance matrix
+        even while concurrent sessions keep appending; ``None`` (the
+        default) makes :meth:`log_snapshot` ask the log database for its
+        current one on demand (the same object for as long as the log
+        version is unchanged).
+    previous_ranking:
+        The session's previous ranking (its round-0 search, or its last
+        feedback round), or ``None``.  Only a scheme whose ranking does not
+        depend on the judgements may answer from it
+        (:class:`~repro.feedback.euclidean.EuclideanFeedback`).
     """
 
     database: ImageDatabase
@@ -110,7 +144,8 @@ class FeedbackContext:
     labeled_indices: np.ndarray
     labels: np.ndarray
     memory: Optional[FeedbackMemory] = None
-    log: Optional[LogSnapshot] = None
+    log: Union[LogSnapshot, FirstReadSnapshot, None] = None
+    previous_ranking: Optional[RetrievalResult] = None
 
     def __post_init__(self) -> None:
         indices = np.asarray(self.labeled_indices, dtype=np.int64).ravel()
@@ -154,15 +189,18 @@ class FeedbackContext:
     def log_snapshot(self) -> LogSnapshot:
         """The log snapshot this round reads ``R`` through.
 
-        Returns the injected :attr:`log` when the round's orchestrator
-        captured one, otherwise the database log's current snapshot —
-        either way, every subsequent log read of the round
-        should go through the returned object so the round is internally
-        consistent under concurrent appends.
+        Returns the injected :attr:`log` (a :class:`FirstReadSnapshot`'s
+        shared snapshot) when the round's orchestrator supplied one,
+        otherwise the database log's current snapshot — either way, every
+        subsequent log read of the round should go through the returned
+        object so the round is internally consistent under concurrent
+        appends.
         """
-        if self.log is not None:
-            return self.log
-        return self.database.log_database.snapshot()
+        if self.log is None:
+            return self.database.log_database.snapshot()
+        if isinstance(self.log, FirstReadSnapshot):
+            return self.log.snapshot()
+        return self.log
 
 
 class RelevanceFeedbackAlgorithm(abc.ABC):
@@ -182,7 +220,13 @@ class RelevanceFeedbackAlgorithm(abc.ABC):
         *top_k* best are selected and sorted
         (:func:`~repro.utils.arrays.stable_top_k`) — the same prefix the
         full stable sort would give.
+
+        Raises
+        ------
+        ValidationError
+            If *top_k* is not ``None`` or an integer >= 1.
         """
+        top_k = check_top_k(top_k)
         scores = np.asarray(self.score(context), dtype=np.float64).ravel()
         if scores.shape[0] != context.database.num_images:
             raise ValidationError(
@@ -192,7 +236,7 @@ class RelevanceFeedbackAlgorithm(abc.ABC):
         if top_k is None:
             ranking = np.argsort(-scores, kind="stable")
         else:
-            ranking = stable_top_k(-scores, int(top_k))
+            ranking = stable_top_k(-scores, top_k)
         return RetrievalResult(
             image_indices=ranking,
             scores=scores[ranking],
@@ -209,7 +253,9 @@ class RelevanceFeedbackAlgorithm(abc.ABC):
         is batch-callable; schemes whose scoring vectorises across queries
         (e.g. :class:`~repro.feedback.euclidean.EuclideanFeedback`) override
         this to fold the whole batch into one index/dense-scan pass.
+        *top_k* is checked once, before any context is scored.
         """
+        top_k = check_top_k(top_k)
         return [self.rank(context, top_k=top_k) for context in contexts]
 
     # ------------------------------------------------------------ shared bits

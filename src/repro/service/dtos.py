@@ -22,6 +22,7 @@ import numpy as np
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import ValidationError
 from repro.feedback.base import RelevanceFeedbackAlgorithm
+from repro.utils.validation import check_top_k
 
 __all__ = [
     "SearchRequest",
@@ -62,18 +63,6 @@ def _clean_judgements(judgements: Mapping[int, int]) -> Dict[int, int]:
         raise ValidationError("judgements must be +1 or -1")
     if any(k < 0 for k in cleaned):
         raise ValidationError("judged image indices must be non-negative")
-    return cleaned
-
-
-def _clean_top_k(top_k: Optional[int]) -> Optional[int]:
-    """``None`` or an integer >= 1; ``2.5`` or ``"3"`` is rejected, never
-    truncated or parsed (the rule :func:`_clean_judgements` applies)."""
-    try:
-        cleaned = None if top_k is None else operator.index(top_k)
-    except TypeError:
-        cleaned = 0
-    if cleaned is not None and cleaned < 1:
-        raise ValidationError(f"top_k must be an integer >= 1, got {top_k!r}")
     return cleaned
 
 
@@ -118,7 +107,7 @@ class SearchRequest:
                 f"got {type(self.query).__name__}"
             )
         object.__setattr__(self, "query", query)
-        object.__setattr__(self, "top_k", _clean_top_k(self.top_k))
+        object.__setattr__(self, "top_k", check_top_k(self.top_k))
         if self.algorithm_params and not isinstance(self.algorithm, str):
             raise ValidationError(
                 "algorithm_params only apply to a registry-named algorithm"
@@ -152,7 +141,7 @@ class FeedbackRequest:
     def __post_init__(self) -> None:
         check_session_id(self.session_id)
         object.__setattr__(self, "judgements", _clean_judgements(self.judgements))
-        object.__setattr__(self, "top_k", _clean_top_k(self.top_k))
+        object.__setattr__(self, "top_k", check_top_k(self.top_k))
 
 
 @dataclass(frozen=True)

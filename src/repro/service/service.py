@@ -33,8 +33,9 @@ batch; the log target is a pluggable :class:`~repro.logdb.store.LogStore`
 (which carries its own innermost synchronisation) — give the database a
 file-backed store and many service *processes* ship their logs into one
 directory.  Feedback rounds read the log through a versioned immutable
-:class:`~repro.logdb.relevance_matrix.LogSnapshot` captured once per batch, so
-scoring sees a consistent relevance matrix while appends continue.
+:class:`~repro.logdb.relevance_matrix.LogSnapshot` captured at most once per
+batch (when a round first reads it), so scoring sees a consistent relevance
+matrix while appends continue.
 
 A wave runs on its calling thread: client threads are what parallelise
 in-process serving (NumPy releases the GIL in the dense kernels), and the
@@ -56,7 +57,11 @@ from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
 from repro.cbir.search import SearchEngine
 from repro.exceptions import SessionError, ValidationError
-from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
+from repro.feedback.base import (
+    FeedbackContext,
+    FirstReadSnapshot,
+    RelevanceFeedbackAlgorithm,
+)
 from repro.feedback.registry import make_algorithm
 from repro.logdb.session import LogSession
 from repro.logdb.store import _session_document, _session_from_document
@@ -308,7 +313,10 @@ class RetrievalService:
         :meth:`RelevanceFeedbackAlgorithm.rank_batch` pass; every other
         round is an independent solve over its own
         :class:`SessionState` — which is what keeps concurrent sessions
-        bit-identical to dedicated single-user runs.
+        bit-identical to dedicated single-user runs.  Every context carries
+        the session's last ranking (a Euclidean round answers from it
+        without a scan) and the batch's one
+        :class:`~repro.feedback.base.FirstReadSnapshot` of the log.
 
         Parameters
         ----------
@@ -375,11 +383,12 @@ class RetrievalService:
                 for state in states
             ]
             try:
-                # One versioned log snapshot for the whole batch: every
-                # round scores against the same immutable sparse R — the
-                # object shared by all batches of this log version — no
-                # matter what concurrent sessions append.
-                log_snapshot = self.database.log_database.snapshot()
+                # One versioned log snapshot for the whole batch, taken when
+                # a round first reads it: every round scores against the
+                # same immutable sparse R — the object shared by all batches
+                # of this log version — no matter what concurrent sessions
+                # append, and a batch that never reads R takes none.
+                log_snapshot = FirstReadSnapshot(self.database.log_database)
                 contexts: List[FeedbackContext] = []
                 round_indices: List[int] = []
                 for request, state in zip(coerced, states):
@@ -394,6 +403,7 @@ class RetrievalService:
                             labels=labels,
                             memory=state.memory,
                             log=log_snapshot,
+                            previous_ranking=state.last_result(),
                         )
                     )
                 results = self._score_rounds(coerced, states, contexts)

@@ -137,6 +137,9 @@ def pairwise_squared_distances(
     # avoiding two full (Q, N) temporaries — on serving-sized batches the
     # extra allocations used to dominate the matmul itself.
     squared = a_sq[:, None] + b_sq[None, :]
+    # Not ``(2.0 * a) @ b.T``: with *a* and *b* one array, ``a @ b.T`` is
+    # the symmetric product numpy hands to its symmetric routine, so a
+    # training Gram is exactly symmetric; the doubled operand would not be.
     product = a @ b.T
     product *= 2.0
     squared -= product
@@ -168,8 +171,15 @@ def stable_top_k(values: np.ndarray, k: int) -> np.ndarray:
     the entries at or below it are sorted.  When *k* is a large fraction of
     N the selection buys nothing and the full stable sort runs.  Negate
     *values* for the *k* largest; reverse them (``values[::-1]``) for ties
-    by descending index.
+    by descending index.  ``k = 0`` selects nothing.
+
+    Raises
+    ------
+    ValidationError
+        If *k* is negative.
     """
+    if k < 0:
+        raise ValidationError(f"k must be >= 0, got {k}")
     if k < 1 or 4 * k >= values.shape[0]:
         return np.argsort(values, kind="stable")[:k]
     kth = values[np.argpartition(values, k - 1)[k - 1]]
@@ -231,7 +241,8 @@ def exact_top_k(
     the pool's :func:`squared_norms`, computed once per pool; without it
     the scan computes them once per call.
 
-    With ``4k < N`` the block's one matrix is ``2 a.b`` (the GEMM); each
+    With ``4k < N`` the block's one matrix is ``2 a.b``, one GEMM of the
+    doubled query block (exact: doubling is a power-of-two scale); each
     row's squared distances go through one reused ``(N,)`` buffer with the
     same floating-point operations as :func:`pairwise_squared_distances`,
     and only the entries that can reach the top *k* are rooted
@@ -256,8 +267,10 @@ def exact_top_k(
         squared = np.empty(size, dtype=np.float64)
         for start in range(0, num_queries, _QUERY_BLOCK):
             chunk = queries[start : start + _QUERY_BLOCK]
-            product = chunk @ vectors.T
-            product *= 2.0
+            # Doubling the (block, d) operand instead of the (block, N)
+            # product spares one full-width pass; scaling by a power of two
+            # is exact, so every entry is bit for bit the doubled product.
+            product = (2.0 * chunk) @ vectors.T
             for row, (norm, twice) in enumerate(zip(squared_norms(chunk), product), start):
                 np.add(norm, vectors_sq, out=squared)
                 squared -= twice

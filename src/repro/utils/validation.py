@@ -7,6 +7,7 @@ solvers.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "check_in_range",
     "check_probability",
     "check_consistent_length",
+    "check_top_k",
 ]
 
 
@@ -113,3 +115,19 @@ def check_consistent_length(*arrays, names: Optional[Sequence[str]] = None) -> N
         labels = names if names is not None else [f"array{i}" for i in range(len(arrays))]
         detail = ", ".join(f"{label}={length}" for label, length in zip(labels, lengths))
         raise ValidationError(f"inconsistent lengths: {detail}")
+
+
+def check_top_k(top_k) -> Optional[int]:
+    """``None`` or an integer >= 1, as the ranking size of every entry point.
+
+    Anything :func:`operator.index` accepts (numpy integers included)
+    passes; ``2.5`` or ``"3"`` is rejected, never truncated or parsed, and
+    so are ``0`` and negative sizes.
+    """
+    try:
+        cleaned = None if top_k is None else operator.index(top_k)
+    except TypeError:
+        cleaned = 0
+    if cleaned is not None and cleaned < 1:
+        raise ValidationError(f"top_k must be an integer >= 1, got {top_k!r}")
+    return cleaned

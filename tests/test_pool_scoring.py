@@ -26,10 +26,12 @@ from scipy import sparse
 
 from repro import FeedbackRequest, ImageDatabase, ImageDataset, SearchRequest
 from repro.cbir.query import Query
+from repro.cbir.search import SearchEngine
 from repro.core import LRFCSVM, CoupledSVM
 from repro.core.unlabeled_selection import NearLabeledSelection
 from repro.exceptions import ValidationError
 from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
+from repro.feedback.euclidean import EuclideanFeedback
 from repro.svm import model as svm_model
 from repro.svm.kernels import LinearKernel, RBFKernel
 from repro.svm.model import PoolColumns, SVMModel
@@ -617,6 +619,11 @@ class TestStableTopK:
     def test_zero_k_selects_nothing(self):
         assert stable_top_k(np.arange(10.0), 0).shape == (0,)
 
+    def test_negative_k_is_rejected(self):
+        """``argsort(...)[:-1]`` would hand back all but one entry."""
+        with pytest.raises(ValidationError):
+            stable_top_k(np.arange(10.0), -1)
+
 
 class _PresetScores(RelevanceFeedbackAlgorithm):
     name = "preset"
@@ -646,6 +653,43 @@ class TestRankTopK:
         top = algorithm.rank(context, top_k=k)
         np.testing.assert_array_equal(top.image_indices, full.image_indices[:k])
         np.testing.assert_array_equal(top.scores, full.scores[:k])
+
+
+class TestTopKRule:
+    """One rule for a ranking size at every library entry point: ``None`` or
+    an integer >= 1 (``operator.index``), else ``ValidationError``.  Without
+    it ``top_k=-1`` returned N - 1 images, ``0`` an empty ranking and
+    ``2.5`` was truncated to 2."""
+
+    BAD = (-1, 0, 2.5, "3")
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        database = _gaussian_database()
+        return FeedbackContext(database, Query(query_index=0), np.array([1, 2]), np.array([1, -1]))
+
+    @pytest.mark.parametrize("top_k", BAD)
+    def test_rank_and_the_default_rank_batch_reject(self, context, top_k):
+        algorithm = _PresetScores(np.arange(400.0))
+        with pytest.raises(ValidationError):
+            algorithm.rank(context, top_k=top_k)
+        with pytest.raises(ValidationError):
+            algorithm.rank_batch([context], top_k=top_k)
+
+    @pytest.mark.parametrize("top_k", BAD)
+    def test_search_engine_and_euclidean_reject(self, context, top_k):
+        with pytest.raises(ValidationError):
+            SearchEngine(context.database).batch_search([context.query], top_k=top_k)
+        with pytest.raises(ValidationError):
+            SearchEngine(context.database).batch_search([], top_k=top_k)
+        with pytest.raises(ValidationError):
+            EuclideanFeedback().rank_batch([context], top_k=top_k)
+
+    @pytest.mark.parametrize("top_k", [np.int64(7), 7])
+    def test_integers_pass(self, context, top_k):
+        assert len(_PresetScores(np.arange(400.0)).rank(context, top_k=top_k)) == 7
+        result = SearchEngine(context.database).batch_search([context.query], top_k=top_k)[0]
+        assert len(result) == 7
 
 
 def _sorted_selection(scores, labeled, num_unlabeled):

@@ -76,6 +76,18 @@ class TestRBFKernel:
         eigenvalues = np.linalg.eigvalsh(gram)
         assert eigenvalues.min() >= -1e-8
 
+    def test_training_gram_is_exactly_symmetric(self):
+        """``gram(x)`` equals its transpose bit for bit: with one operand,
+        ``x @ x.T`` goes to numpy's symmetric product.  Catches doubling an
+        operand inside ``pairwise_squared_distances`` (``x @ (2x).T`` is a
+        general product, rounded differently above and below the
+        diagonal), which changes SMO answers.  300 rows: with OpenBLAS
+        0.3.31, products of 64 rows or fewer happened to round
+        symmetrically either way."""
+        x = np.random.default_rng(300).normal(size=(300, 36))
+        gram = RBFKernel("scale").fit(x).gram(x)
+        assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+
 
 class TestBuildKernel:
     def test_rbf_receives_gamma(self):
