@@ -36,7 +36,6 @@ from repro.cluster import ClusterConfig, ClusterRouter, ClusterWorker
 from repro.core import CoupledSVM, CoupledSVMConfig, LRFCSVM
 from repro.datasets import (
     CorelDatasetConfig,
-    FeatureCache,
     ImageDataset,
     QuerySampler,
     build_corel_dataset,
@@ -99,7 +98,6 @@ __all__ = [
     "ImageDataset",
     "CorelDatasetConfig",
     "build_corel_dataset",
-    "FeatureCache",
     "QuerySampler",
     # features
     "CompositeExtractor",

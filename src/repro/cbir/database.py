@@ -8,8 +8,7 @@ which are exactly the two modalities of Section 2 of the paper.
 from __future__ import annotations
 
 import threading
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -179,29 +178,6 @@ class ImageDatabase:
             )
         index = VectorIndex().build(self._features)
         self._index = index
-        return index
-
-    def attach_index(self, index: "VectorIndex") -> None:
-        """Attach an already-built index (must cover exactly this database).
-
-        Both the shape and the contents are checked: an index of the right
-        size that was built over *different* vectors (stale save file,
-        re-rendered corpus, changed normalisation) would silently serve
-        wrong neighbours otherwise.
-        """
-        index.ensure_covers(self._features, error_cls=DatabaseError)
-        self._index = index
-
-    def detach_index(self) -> Optional["VectorIndex"]:
-        """Detach and return the current index (searches go back to scans)."""
-        index = self._index
-        self._index = None
-        return index
-
-    def load_index(self, path: Union[str, Path]) -> "VectorIndex":
-        """Load a serialised index and attach it (validated against features)."""
-        index = VectorIndex.load(path)
-        self.attach_index(index)
         return index
 
     # ------------------------------------------------------------- internals

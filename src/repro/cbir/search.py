@@ -23,10 +23,9 @@ class SearchEngine:
     top-20 of this ranking is what gets labelled to seed relevance feedback.
 
     A top-k ranking is served by the :class:`repro.index.VectorIndex`
-    attached to the database (see :meth:`ImageDatabase.build_index` and
-    :meth:`ImageDatabase.attach_index`).  Without one (or for a full
-    ranking) the engine runs the index's exact scan,
-    :func:`repro.utils.arrays.exact_top_k`, over the database itself.
+    attached to the database (see :meth:`ImageDatabase.build_index`).
+    Without one (or for a full ranking) the engine runs the index's exact
+    scan, :func:`repro.utils.arrays.exact_top_k`, over the database itself.
 
     Parameters
     ----------
@@ -70,11 +69,7 @@ class SearchEngine:
         return self.batch_search([query], top_k=top_k)[0]
 
     def batch_search(
-        self,
-        queries: Sequence[Query],
-        *,
-        top_k: Optional[int] = None,
-        chunk_size: int = 1024,
+        self, queries: Sequence[Query], *, top_k: Optional[int] = None
     ) -> List[RetrievalResult]:
         """Rank every query in one vectorised pass (one result per query).
 
@@ -101,7 +96,7 @@ class SearchEngine:
         num_images = self.database.num_images
         k = num_images if top_k is None else min(top_k, num_images)
         if index is not None:
-            distances, rankings = index.batch_search(features, k, chunk_size=chunk_size)
+            distances, rankings = index.batch_search(features, k)
         else:
             distances, rankings = exact_top_k(
                 features, self.database.features, k,

@@ -86,8 +86,11 @@ from repro.service.dtos import (
     RankingResponse,
     SearchRequest,
     SessionView,
+    check_feedback_batch,
     check_session_id,
     check_session_ids,
+    coerce_feedback,
+    coerce_search,
 )
 from repro.utils.faults import trip as _fault_trip
 
@@ -298,16 +301,18 @@ class ClusterRouter:
 
     # ------------------------------------------------------- client surface
     def open_session(
-        self, request: Union[SearchRequest, int, Any] = None, **kwargs: Any
+        self, request: Union[SearchRequest, int, Any], **kwargs: Any
     ) -> RankingResponse:
         """Open one session; accepts what the service's method accepts."""
-        return self.open_sessions([self._coerce_open(request, kwargs)])[0]
+        return self.open_sessions([coerce_search(request, kwargs)])[0]
 
     def open_sessions(
         self, requests: Sequence[Union[SearchRequest, int, Any]]
     ) -> List[RankingResponse]:
         """Open a wave of sessions (shipped together: one envelope per worker)."""
-        prepared = [self._coerce_open(request, None) for request in requests]
+        prepared = [
+            self._prepare_open(coerce_search(request, {})) for request in requests
+        ]
         items = self._enqueue(
             OP_OPEN, prepared, [request.session_id for request in prepared]
         )
@@ -324,25 +329,15 @@ class ClusterRouter:
         top_k: Optional[int] = None,
     ) -> RankingResponse:
         """Run one feedback round; accepts what the service's method accepts."""
-        if not isinstance(request, FeedbackRequest):
-            request = FeedbackRequest(
-                session_id=request, judgements=judgements, top_k=top_k
-            )
-        elif judgements is not None or top_k is not None:
-            raise ValidationError(
-                "pass judgements/top_k only with a raw session id"
-            )
-        return self.submit_feedback_batch([request])[0]
+        return self.submit_feedback_batch(
+            [coerce_feedback(request, judgements, top_k)]
+        )[0]
 
     def submit_feedback_batch(
-        self, requests: Sequence[Union[FeedbackRequest, Mapping]]
+        self, requests: Sequence[FeedbackRequest]
     ) -> List[RankingResponse]:
         """Run one feedback round per session (shipped together)."""
-        prepared = [
-            request if isinstance(request, FeedbackRequest)
-            else FeedbackRequest(**request)
-            for request in requests
-        ]
+        prepared = check_feedback_batch(requests)
         expected = []
         for request in prepared:
             record = self._get_record(request.session_id)
@@ -601,23 +596,9 @@ class ClusterRouter:
                     raise
 
     # ------------------------------------------------------------- plumbing
-    def _coerce_open(
-        self, request: Any, kwargs: Optional[Dict[str, Any]]
-    ) -> SearchRequest:
-        if isinstance(request, SearchRequest):
-            if kwargs:
-                raise ValidationError(
-                    "pass SearchRequest fields only with a raw query"
-                )
-        else:
-            fields = dict(kwargs or {})
-            if request is None:
-                request = fields.pop("query", None)
-            if request is None:
-                raise ValidationError(
-                    "open_session needs a query or a SearchRequest"
-                )
-            request = SearchRequest(query=request, **fields)
+    def _prepare_open(self, request: SearchRequest) -> SearchRequest:
+        """*request* checked for a named algorithm, with an id minted if it
+        has none."""
         if request.algorithm is not None and not isinstance(request.algorithm, str):
             raise ValidationError(
                 "cluster sessions need registry-named algorithms; strategy "

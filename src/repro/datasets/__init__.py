@@ -1,8 +1,7 @@
-"""Dataset construction: image corpora, feature caching and query sampling."""
+"""Dataset construction: image corpora and query sampling."""
 
 from __future__ import annotations
 
-from repro.datasets.cache import FeatureCache
 from repro.datasets.corel import CorelDatasetConfig, build_corel_dataset
 from repro.datasets.dataset import ImageDataset
 from repro.datasets.pool import GaussianPoolConfig, make_gaussian_pool
@@ -12,7 +11,6 @@ __all__ = [
     "ImageDataset",
     "CorelDatasetConfig",
     "build_corel_dataset",
-    "FeatureCache",
     "QuerySampler",
     "relevance_ground_truth",
     "GaussianPoolConfig",

@@ -157,7 +157,7 @@ class FeedbackContext:
             )
         if indices.shape[0] == 0:
             raise ValidationError("a feedback round needs at least one labelled image")
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+        if not ((labels == 1.0) | (labels == -1.0)).all():
             raise ValidationError("labels must be +1 or -1")
         object.__setattr__(self, "labeled_indices", indices)
         object.__setattr__(self, "labels", labels)

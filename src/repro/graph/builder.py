@@ -10,15 +10,12 @@ making the weights a pure function of the neighbour lists.  Without an
 index the builder builds one over the features.
 
 The graph is session-independent — it only depends on the feature matrix
-and the builder's parameters — so it is built once, cached
-(:mod:`repro.graph.cache`) and optionally persisted
-(:meth:`AffinityGraph.save` / :meth:`AffinityGraph.load`).
+and the builder's parameters — so it is built once per process and cached
+(:mod:`repro.graph.cache`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -28,11 +25,8 @@ from repro.exceptions import ValidationError
 from repro.index.base import VectorIndex
 from repro.obs import get_hub
 from repro.svm.kernels import RBFKernel
-from repro.utils.io import load_array_bundle, save_array_bundle
 
 __all__ = ["AffinityGraph", "KNNGraphBuilder"]
-
-PathLike = Union[str, Path]
 
 #: Edge-weighting schemes understood by the builder.
 _WEIGHTINGS = ("rbf", "connectivity")
@@ -56,8 +50,7 @@ class AffinityGraph:
         Treat it as read-only; consumers that mutate must copy first.
     params:
         JSON-serialisable builder parameters the graph was built with
-        (``k``, ``weighting``, resolved ``gamma``, ``symmetrize``) —
-        round-tripped verbatim by :meth:`save` / :meth:`load`.
+        (``k``, ``weighting``, resolved ``gamma``, ``symmetrize``).
     """
 
     def __init__(self, weights: sparse.csr_matrix, *, params: Dict[str, object]) -> None:
@@ -83,45 +76,6 @@ class AffinityGraph:
     def degrees(self) -> np.ndarray:
         """Weighted degree (row sum of affinities) of every node."""
         return np.asarray(self.weights.sum(axis=1)).ravel()
-
-    # ----------------------------------------------------------- persistence
-    def save(self, path: PathLike) -> Path:
-        """Serialise the graph to a single ``.npz`` bundle at *path*.
-
-        Mirrors :meth:`repro.index.VectorIndex.save`: the CSR arrays plus a
-        JSON ``__meta__`` record, written atomically.  Returns the path
-        actually written.
-        """
-        meta = {"type": "affinity-graph", "shape": list(self.weights.shape), "params": self.params}
-        bundle = {
-            "__meta__": np.array(json.dumps(meta)),
-            "data": self.weights.data,
-            "indices": self.weights.indices,
-            "indptr": self.weights.indptr,
-        }
-        return save_array_bundle(bundle, path)
-
-    @classmethod
-    def load(cls, path: PathLike) -> "AffinityGraph":
-        """Reconstruct a graph previously written by :meth:`save`.
-
-        Raises
-        ------
-        ValidationError
-            If *path* is not a serialised :class:`AffinityGraph` bundle.
-        """
-        bundle = load_array_bundle(path)
-        try:
-            meta = json.loads(bundle["__meta__"].item())
-        except KeyError:
-            raise ValidationError(f"{path} is not a serialised AffinityGraph") from None
-        if meta.get("type") != "affinity-graph":
-            raise ValidationError(f"{path} is not a serialised AffinityGraph")
-        shape = tuple(int(x) for x in meta["shape"])
-        weights = sparse.csr_matrix(
-            (bundle["data"], bundle["indices"], bundle["indptr"]), shape=shape
-        )
-        return cls(weights, params=meta["params"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"AffinityGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

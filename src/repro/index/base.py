@@ -6,51 +6,41 @@ fixed at :meth:`VectorIndex.build` time by scanning every indexed vector:
 by ascending database index — the same routine the dense path of
 :class:`repro.cbir.search.SearchEngine` ranks with, so both paths return
 the same neighbours.  The index computes its vectors' squared norms once,
-when the vectors are fixed (build or load), and every scan reuses them.
+at build time, and every scan reuses them.
 
 Thread safety
 -------------
-A **built** index is safely shareable read-only: :meth:`VectorIndex.search`
-/ :meth:`VectorIndex.batch_search` touch only immutable arrays, so any
-number of threads may query one index concurrently.  The mutators —
-:meth:`VectorIndex.build` and :meth:`VectorIndex.load` — are *not*
-internally synchronised and need external exclusion against concurrent
-searches (the retrieval service serves an index built and attached before
-it starts).
+A **built** index is safely shareable read-only:
+:meth:`VectorIndex.batch_search` touches only immutable arrays, so any
+number of threads may query one index concurrently.  The one mutator,
+:meth:`VectorIndex.build`, is *not* internally synchronised and needs
+external exclusion against concurrent searches (the retrieval service
+serves an index built before it starts).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.obs import get_hub
 from repro.utils.arrays import exact_top_k, squared_norms
-from repro.utils.io import load_array_bundle, save_array_bundle
 
 __all__ = ["VectorIndex"]
-
-PathLike = Union[str, Path]
-
-#: The one metric an index ranks by, as a saved bundle records it.
-_METRIC = "euclidean"
 
 
 class VectorIndex:
     """Exact nearest-neighbour search by scanning the full database.
 
     Neighbours are ranked by Euclidean distance, the paper's geometry.
-    Lifecycle: ``build(vectors)`` once, then any number of ``search`` /
-    ``batch_search`` calls.  ``save``/``load`` round-trip the index through
-    a single ``.npz`` bundle.
+    Lifecycle: ``build(vectors)`` once, then any number of
+    ``batch_search`` calls.
     """
 
     #: The name :meth:`repro.cbir.database.ImageDatabase.build_index`
-    #: accepts and a saved bundle records.
+    #: accepts.
     kind: str = "brute-force"
 
     def __init__(self) -> None:
@@ -82,25 +72,25 @@ class VectorIndex:
             raise ValidationError(f"{self.kind} index has not been built yet")
         return self._vectors
 
-    def ensure_covers(self, vectors: np.ndarray, *, error_cls: type = ValidationError) -> None:
-        """Raise *error_cls* unless this built index indexes exactly *vectors*.
+    def ensure_covers(self, vectors: np.ndarray) -> None:
+        """Raise :class:`ValidationError` unless this built index indexes
+        exactly *vectors*.
 
         The single definition of index/feature-store consistency: shape must
         match and the indexed vectors must be the same bytes — an index of
-        the right shape built over *different* vectors (stale save file,
-        re-rendered corpus, changed normalisation) would silently serve
-        wrong neighbours.
+        the right shape built over *different* vectors (a re-rendered corpus,
+        changed normalisation) would silently serve wrong neighbours.
         """
         if not self.is_built:
-            raise error_cls(f"cannot use an unbuilt {self.kind} index")
+            raise ValidationError(f"cannot use an unbuilt {self.kind} index")
         target = np.asarray(vectors)
         if self.size != target.shape[0] or self.dim != target.shape[1]:
-            raise error_cls(
+            raise ValidationError(
                 f"index covers {self.size}x{self.dim} vectors but the target "
                 f"holds {target.shape[0]}x{target.shape[1]}"
             )
         if not np.array_equal(self._vectors, target):
-            raise error_cls(
+            raise ValidationError(
                 "index was built over different vectors than the target's "
                 "features (stale or foreign index)"
             )
@@ -128,20 +118,28 @@ class VectorIndex:
         ValidationError
             If *vectors* is empty, not 2-D, or contains non-finite values.
         """
-        matrix = self._validate_matrix(vectors)
+        matrix = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        if matrix.ndim != 2:
+            raise ValidationError(f"vectors must form a 2-D matrix, got ndim={matrix.ndim}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("vectors must be finite")
         if matrix.shape[0] == 0:
             raise ValidationError("cannot build an index over zero vectors")
-        self._fix_vectors(matrix.copy())
+        self._vectors = matrix.copy()
+        self._sq_norms = squared_norms(self._vectors)
         return self
 
     # ---------------------------------------------------------------- search
-    def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    def batch_search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Nearest *k* indexed vectors for each query row.
 
         Parameters
         ----------
         queries:
-            One query vector or a ``(Q, D)`` batch.
+            One query vector or a ``(Q, D)`` batch of any size:
+            :func:`~repro.utils.arrays.exact_top_k` scans it
+            ``_QUERY_BLOCK`` queries at a time, which bounds the
+            intermediate distance blocks.
         k:
             Number of neighbours per query; must not exceed :attr:`size`.
 
@@ -185,142 +183,7 @@ class VectorIndex:
         hub.observe("index.search_seconds", span.duration)
         return result
 
-    def batch_search(
-        self, queries: np.ndarray, k: int, *, chunk_size: int = 1024
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Memory-bounded :meth:`search` over an arbitrarily large query set.
-
-        Parameters
-        ----------
-        queries:
-            ``(Q, D)`` query matrix (any ``Q``, including huge).
-        k:
-            Neighbours per query, as in :meth:`search`.
-        chunk_size:
-            Queries served per internal :meth:`search` call, bounding the
-            intermediate distance blocks.
-
-        Returns
-        -------
-        (distances, indices):
-            ``(Q, k)`` arrays, identical to one unchunked :meth:`search`.
-
-        Raises
-        ------
-        ValidationError
-            If ``chunk_size < 1`` or :meth:`search` rejects the queries.
-
-        Notes
-        -----
-        Chunking never changes the neighbours — each query's depend only on
-        that query, with distance ties broken by ascending database index
-        (bit-for-bit the stable ``argsort`` rule).
-        """
-        if chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-        matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if matrix.shape[0] == 0:
-            return self.search(matrix, k)
-        distances: List[np.ndarray] = []
-        indices: List[np.ndarray] = []
-        for start in range(0, matrix.shape[0], chunk_size):
-            block_d, block_i = self.search(matrix[start : start + chunk_size], k)
-            distances.append(block_d)
-            indices.append(block_i)
-        return np.vstack(distances), np.vstack(indices)
-
-    # ----------------------------------------------------------- persistence
-    def save(self, path: PathLike) -> Path:
-        """Serialise the index to a single ``.npz`` bundle at *path*.
-
-        Parameters
-        ----------
-        path:
-            Destination file (``.npz`` appended when missing); written
-            atomically via :func:`repro.utils.io.save_array_bundle`.
-
-        Returns
-        -------
-        Path
-            The path actually written.
-
-        Raises
-        ------
-        ValidationError
-            If the index has not been built.
-        """
-        if self._vectors is None:
-            raise ValidationError(f"cannot save an unbuilt {self.kind} index")
-        meta = {"kind": self.kind, "metric": _METRIC, "params": {}}
-        bundle = {"__meta__": np.array(json.dumps(meta)), "vectors": self._vectors}
-        return save_array_bundle(bundle, path)
-
-    @staticmethod
-    def load(path: PathLike) -> "VectorIndex":
-        """Reconstruct an index saved by :meth:`save`.
-
-        Parameters
-        ----------
-        path:
-            A bundle previously written by :meth:`save`.
-
-        Returns
-        -------
-        VectorIndex
-            A fresh, fully-built index.
-
-        Raises
-        ------
-        ValidationError
-            If *path* is not a serialised :class:`VectorIndex` bundle, its
-            metadata is not a JSON object with ``kind``, ``metric`` and
-            ``params``, it names a backend other than ``brute-force``, a
-            metric other than ``euclidean`` or parameters this class does
-            not take, or it lacks the ``vectors`` array.
-        """
-        bundle = load_array_bundle(path)
-        try:
-            meta = json.loads(bundle.pop("__meta__").item())
-            kind, metric, params = meta["kind"], meta["metric"], meta["params"]
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"{path} is not a serialised VectorIndex") from None
-        if kind != VectorIndex.kind:
-            raise ValidationError(
-                f"{path} names unknown index backend '{kind}'; only "
-                f"'{VectorIndex.kind}' exists"
-            )
-        if metric != _METRIC:
-            raise ValidationError(
-                f"{path} records metric {metric!r}; only '{_METRIC}' exists"
-            )
-        if params != {}:
-            raise ValidationError(
-                f"{path} records {kind} parameters this library does not "
-                f"accept: {params!r}"
-            )
-        index = VectorIndex()
-        try:
-            vectors = bundle["vectors"]
-        except KeyError as error:
-            raise ValidationError(f"{path} lacks the {kind} array {error}") from None
-        index._fix_vectors(np.asarray(vectors, dtype=np.float64))
-        return index
-
     # ------------------------------------------------------------ internals
     def _scan(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact top-k over every indexed vector: :func:`exact_top_k`."""
         return exact_top_k(queries, self._vectors, k, vectors_sq=self._sq_norms)
-
-    def _fix_vectors(self, vectors: np.ndarray) -> None:
-        """Adopt *vectors* as the index contents, with their squared norms."""
-        self._vectors = vectors
-        self._sq_norms = squared_norms(vectors)
-
-    @staticmethod
-    def _validate_matrix(vectors: np.ndarray) -> np.ndarray:
-        matrix = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if matrix.ndim != 2:
-            raise ValidationError(f"vectors must form a 2-D matrix, got ndim={matrix.ndim}")
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("vectors must be finite")
-        return matrix

@@ -7,7 +7,7 @@ a set of images judged relevant (+1) or irrelevant (−1) by a user.
 The subsystem has one log object and one read view:
 
 * :class:`LogStore` — the log: append-only storage
-  (``append``/``extend``/``extend_once``/``scan``/``compact``/``save``/``load``)
+  (``append``/``extend``/``extend_once``/``scan``/``compact``)
   that also maintains the sparse relevance matrix ``R`` (sessions ×
   images) *incrementally*; the column ``r_i`` of ``R`` is the "user log
   vector" describing image ``i``.  Two backends: :class:`InMemoryLogStore`

@@ -98,8 +98,6 @@ class FileLogStore(LogStore):
     object is picklable and a copy is another handle on the same directory.
     """
 
-    kind = "file"
-
     def __init__(self, directory: PathLike, *, num_images: Optional[int] = None) -> None:
         if num_images is not None:
             # Validated before anything touches disk: a refused create

@@ -36,21 +36,14 @@ from __future__ import annotations
 
 import abc
 import threading
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from repro.exceptions import LogDatabaseError
 from repro.logdb.relevance_matrix import LogSnapshot, RelevanceMatrix
 from repro.logdb.session import LogSession, _integer
 from repro.obs import get_hub
-from repro.utils.io import load_json, save_json
 
 __all__ = ["LogStore", "InMemoryLogStore"]
-
-PathLike = Union[str, Path]
-
-#: Version tag of the portable single-file export format.
-_EXPORT_VERSION = 1
 
 
 def _check_num_images(num_images: object) -> int:
@@ -89,9 +82,6 @@ class LogStore(abc.ABC):
     regrown), so a copy taken mid-append-burst never pairs a stale cache
     with a longer log.
     """
-
-    #: Short name of the backend, recorded in :meth:`save` exports.
-    kind: str = "log-store"
 
     def __init__(self, num_images: int) -> None:
         self._num_images = _check_num_images(num_images)
@@ -296,76 +286,6 @@ class LogStore(abc.ABC):
         """
         return 0
 
-    # ------------------------------------------------------------ persistence
-    def save(self, path: PathLike) -> Path:
-        """Export the full log as one portable JSON document, atomically.
-
-        The export is backend-independent: any store can :meth:`load` it.
-
-        Returns
-        -------
-        Path
-            The path actually written.
-        """
-        document = {
-            "version": _EXPORT_VERSION,
-            "kind": self.kind,
-            "num_images": self.num_images,
-            "sessions": [_session_document(s) for s in self.scan()],
-        }
-        return save_json(document, path)
-
-    @classmethod
-    def load(cls, path: PathLike, *, store: Optional["LogStore"] = None) -> "LogStore":
-        """Rebuild a store from a :meth:`save` export.
-
-        Parameters
-        ----------
-        path:
-            The exported document.
-        store:
-            Optional **empty** destination backend; when omitted, a fresh
-            :class:`InMemoryLogStore` is created — but only when called as
-            ``LogStore.load`` / ``InMemoryLogStore.load``.  A backend that
-            needs constructor arguments (``FileLogStore.load(path)``)
-            requires an explicit ``store=`` so callers never silently get
-            a different backend than the one they named.  Sessions are
-            replayed in id order, so the rebuilt store assigns identical
-            ids.
-
-        Raises
-        ------
-        LogDatabaseError
-            For an unsupported export version, a corpus-size mismatch with
-            *store*, a non-empty destination, or a missing ``store=`` on a
-            backend that cannot be default-constructed.
-        """
-        document = load_json(path)
-        version = int(document.get("version", -1))
-        if version != _EXPORT_VERSION:
-            raise LogDatabaseError(
-                f"unsupported log export version {version} (expected {_EXPORT_VERSION})"
-            )
-        num_images = int(document["num_images"])
-        if store is None:
-            if cls not in (LogStore, InMemoryLogStore):
-                raise LogDatabaseError(
-                    f"{cls.__name__}.load needs an explicit destination: pass "
-                    f"store={cls.__name__}(...) (an empty one)"
-                )
-            store = InMemoryLogStore(num_images)
-        elif store.num_images != num_images:
-            raise LogDatabaseError(
-                f"export covers {num_images} images but the destination store "
-                f"covers {store.num_images}"
-            )
-        if len(store) != 0:
-            raise LogDatabaseError("LogStore.load requires an empty destination store")
-        store.extend(
-            _session_from_document(entry) for entry in document["sessions"]
-        )
-        return store
-
     # ------------------------------------------------------------- validation
     def _validate(self, session: LogSession) -> None:
         """Reject sessions referencing images outside the corpus."""
@@ -385,8 +305,6 @@ class InMemoryLogStore(LogStore):
     consistent snapshots.  Copy/pickle take the same mutex, so a copy made
     while another thread appends is a consistent prefix of the log.
     """
-
-    kind = "memory"
 
     def __init__(self, num_images: int) -> None:
         super().__init__(num_images)

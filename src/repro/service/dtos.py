@@ -214,6 +214,58 @@ class SessionView:
     solver_stats: Optional[Mapping[str, Any]] = None
 
 
+def coerce_search(
+    request: Union[SearchRequest, int, np.integer, np.ndarray, Query],
+    fields: Mapping[str, Any],
+) -> SearchRequest:
+    """An ``open_session`` argument as a :class:`SearchRequest`.
+
+    A :class:`SearchRequest` passes through, and *fields* must then be
+    empty; anything else is the query of a new request with *fields*
+    (``top_k``, ``algorithm``, ...).  Both front ends, the retrieval
+    service and the cluster router, read their open calls through this.
+    """
+    if isinstance(request, SearchRequest):
+        if fields:
+            raise ValidationError(
+                "keyword arguments only apply when passing a raw query"
+            )
+        return request
+    return SearchRequest(query=request, **fields)
+
+
+def coerce_feedback(
+    request: Union[FeedbackRequest, str],
+    judgements: Optional[Mapping[int, int]] = None,
+    top_k: Optional[int] = None,
+) -> FeedbackRequest:
+    """A ``submit_feedback`` argument as a :class:`FeedbackRequest`.
+
+    A :class:`FeedbackRequest` passes through, and *judgements* and
+    *top_k* must then be ``None``; anything else is the session id of a
+    new request.
+    """
+    if isinstance(request, FeedbackRequest):
+        if judgements is not None or top_k is not None:
+            raise ValidationError(
+                "judgements/top_k only apply when passing a session id"
+            )
+        return request
+    return FeedbackRequest(session_id=request, judgements=judgements, top_k=top_k)
+
+
+def check_feedback_batch(requests: Sequence[FeedbackRequest]) -> List[FeedbackRequest]:
+    """*requests* as a list; an item that is not a :class:`FeedbackRequest`
+    raises :class:`ValidationError` naming its type."""
+    for request in requests:
+        if not isinstance(request, FeedbackRequest):
+            raise ValidationError(
+                "a feedback batch takes FeedbackRequest items, got "
+                f"{type(request).__name__}"
+            )
+    return list(requests)
+
+
 #: A session id: ASCII letters, digits and ``. _ -``, safe as a file name.
 #: ``str.isalnum`` would also take ``é``, ``²`` or ``٣``, and NFC / NFD forms
 #: of one rendered id would name two session files.

@@ -17,9 +17,8 @@ Thread safety and lock discipline
 ---------------------------------
 Every public entry point is safe to call from any number of threads.
 Serving only *reads* the features, the index and the log vectors: an index
-is attached to the database before serving starts
-(:meth:`~repro.cbir.database.ImageDatabase.build_index` or
-:meth:`~repro.cbir.database.ImageDatabase.attach_index`) and never changes
+is built on the database before serving starts
+(:meth:`~repro.cbir.database.ImageDatabase.build_index`) and never changes
 under a running service.  The service takes one lock level of its own (the
 first of :data:`repro.utils.concurrency.LOCK_ORDER`), the **session
 stripes** (:class:`~repro.utils.concurrency.StripedLockMap`).  Each call
@@ -67,7 +66,13 @@ from repro.logdb.session import LogSession
 from repro.logdb.store import _session_document, _session_from_document
 from repro.obs import get_hub, lock_wait_recorder
 from repro.service.dtos import FeedbackRequest, RankingResponse, SearchRequest, SessionView
-from repro.service.dtos import check_session_id, check_session_ids
+from repro.service.dtos import (
+    check_feedback_batch,
+    check_session_id,
+    check_session_ids,
+    coerce_feedback,
+    coerce_search,
+)
 from repro.service.state import SessionState
 from repro.service.store import InMemorySessionStore, SessionStore
 from repro.utils.concurrency import StripedLockMap
@@ -175,7 +180,7 @@ class RetrievalService:
         ValidationError
             For malformed request fields.
         """
-        return self.open_sessions([self._coerce_search(request, kwargs)])[0]
+        return self.open_sessions([coerce_search(request, kwargs)])[0]
 
     def open_sessions(
         self, requests: Sequence[Union[SearchRequest, int, Query]]
@@ -208,7 +213,7 @@ class RetrievalService:
         -----
         Thread-safe: the wave holds its sessions' stripes end to end.
         """
-        coerced = [self._coerce_search(request, {}) for request in requests]
+        coerced = [coerce_search(request, {}) for request in requests]
         if not coerced:
             return []
         now = time.time()
@@ -299,11 +304,11 @@ class RetrievalService:
             For malformed judgements or out-of-range image indices.
         """
         return self.submit_feedback_batch(
-            [self._coerce_feedback(request, judgements, top_k)]
+            [coerce_feedback(request, judgements, top_k)]
         )[0]
 
     def submit_feedback_batch(
-        self, requests: Sequence[Union[FeedbackRequest, Mapping]]
+        self, requests: Sequence[FeedbackRequest]
     ) -> List[RankingResponse]:
         """Run one feedback round for each session in the batch.
 
@@ -321,8 +326,8 @@ class RetrievalService:
         Parameters
         ----------
         requests:
-            One :class:`FeedbackRequest` (or mapping of its fields) per
-            session; a session may appear at most once per batch.
+            One :class:`FeedbackRequest` per session; a session may appear
+            at most once per batch.
 
         Returns
         -------
@@ -335,14 +340,15 @@ class RetrievalService:
             For unknown/closed sessions or a duplicated id in the batch
             (rejected before any session state is touched).
         ValidationError
-            For judgements referencing images outside the database.
+            For an item that is not a :class:`FeedbackRequest`, or
+            judgements referencing images outside the database.
 
         Notes
         -----
         Thread-safe: the batch holds its sessions' stripes for the whole
         round.
         """
-        coerced = [self._coerce_feedback(r, None, None) for r in requests]
+        coerced = check_feedback_batch(requests)
         if not coerced:
             return []
         now = time.time()
@@ -872,35 +878,3 @@ class RetrievalService:
             int(state.query.query_index) if state.query.is_internal else None
         )
         return LogSession(judgements=dict(judged), query_index=query_index)
-
-    @staticmethod
-    def _coerce_search(
-        request: Union[SearchRequest, int, Query], kwargs: Mapping
-    ) -> SearchRequest:
-        """Normalise ``open_session`` inputs to a :class:`SearchRequest`."""
-        if isinstance(request, SearchRequest):
-            if kwargs:
-                raise ValidationError(
-                    "keyword arguments only apply when passing a raw query"
-                )
-            return request
-        return SearchRequest(query=request, **dict(kwargs))
-
-    @staticmethod
-    def _coerce_feedback(
-        request: Union[FeedbackRequest, str],
-        judgements: Optional[Mapping[int, int]],
-        top_k: Optional[int],
-    ) -> FeedbackRequest:
-        """Normalise ``submit_feedback`` inputs to a :class:`FeedbackRequest`."""
-        if isinstance(request, FeedbackRequest):
-            if judgements is not None or top_k is not None:
-                raise ValidationError(
-                    "judgements/top_k only apply when passing a session id"
-                )
-            return request
-        if judgements is None:
-            raise ValidationError("submit_feedback needs a judgements mapping")
-        return FeedbackRequest(
-            session_id=request, judgements=judgements, top_k=top_k
-        )

@@ -27,7 +27,7 @@ import numpy as np
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import SessionError, ValidationError
 from repro.feedback.base import FeedbackMemory, RelevanceFeedbackAlgorithm
-from repro.service.dtos import SessionView, _clean_judgements
+from repro.service.dtos import SessionView
 
 __all__ = ["SessionState"]
 
@@ -133,14 +133,17 @@ class SessionState:
         return stats or None
 
     # --------------------------------------------------------------- rounds
-    def apply_round(self, judgements: Mapping[int, int]) -> Dict[int, int]:
-        """Validate and fold one round of judgements into the session."""
-        if self.closed:
-            raise SessionError(f"session '{self.session_id}' is closed")
-        cleaned = _clean_judgements(judgements)
-        self.judgements.update(cleaned)
-        self.round_judgements.append(cleaned)
-        return cleaned
+    def apply_round(self, judgements: Mapping[int, int]) -> None:
+        """Fold one round of judgements into the session.
+
+        *judgements* are taken as validated (a
+        :class:`~repro.service.dtos.FeedbackRequest` checks them, and the
+        service refuses a closed session before a round starts); the
+        round keeps a copy, so the caller's mapping is never aliased.
+        """
+        judged = dict(judgements)
+        self.judgements.update(judged)
+        self.round_judgements.append(judged)
 
     def labeled_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(labeled_indices, labels)`` in judgement arrival order."""

@@ -7,7 +7,7 @@ from repro.utils.arrays import exact_top_k, l2_normalize_rows, minmax_scale, zsc
 from repro.utils.blas import limit_blas_threads
 from repro.utils.concurrency import LOCK_ORDER, StripedLockMap, WaitCallback
 from repro.utils.faults import FaultPlan, FaultRule
-from repro.utils.io import load_array_bundle, load_json, save_array_bundle, save_json
+from repro.utils.io import load_json, save_json
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_array,
@@ -32,8 +32,6 @@ __all__ = [
     "exact_top_k",
     "save_json",
     "load_json",
-    "save_array_bundle",
-    "load_array_bundle",
     "StripedLockMap",
     "WaitCallback",
     "LOCK_ORDER",

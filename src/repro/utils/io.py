@@ -1,4 +1,4 @@
-"""Lightweight persistence helpers (text, JSON documents, numpy bundles, file locks).
+"""Lightweight persistence helpers (text, JSON documents, file locks).
 
 Every saver is **atomic**: the payload is written to a same-directory
 temporary file and moved into place with :func:`os.replace`, so a reader (or
@@ -32,8 +32,6 @@ __all__ = [
     "save_json",
     "load_json",
     "stat_key",
-    "save_array_bundle",
-    "load_array_bundle",
     "file_lock",
 ]
 
@@ -45,15 +43,14 @@ except ImportError:  # pragma: no cover - non-POSIX fallback below
 PathLike = Union[str, Path]
 
 
-def _temp_sibling(target: Path, suffix: str = "") -> Path:
+def _temp_sibling(target: Path) -> Path:
     """A same-directory temp path unique to this process and thread.
 
     Same directory ⇒ same filesystem ⇒ :func:`os.replace` is an atomic
-    rename.  ``suffix`` lets numpy's savez (which appends ``.npz`` to alien
-    suffixes) write exactly where we expect.
+    rename.
     """
     tag = f".tmp-{os.getpid()}-{threading.get_ident()}"
-    return target.with_name(target.name + tag + suffix)
+    return target.with_name(target.name + tag)
 
 
 class _NumpyJSONEncoder(json.JSONEncoder):
@@ -142,42 +139,6 @@ def stat_key(path: PathLike) -> Optional[Tuple[int, int, int]]:
     except OSError:
         return None
     return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
-
-
-def save_array_bundle(arrays: Mapping[str, np.ndarray], path: PathLike) -> Path:
-    """Save a named bundle of arrays to a compressed ``.npz`` file, atomically.
-
-    Like :func:`save_json`, the bundle lands via write-temp-then-
-    :func:`os.replace`, so a crash mid-save never leaves a truncated
-    archive behind.
-
-    Returns
-    -------
-    Path
-        The path actually written: ``numpy`` appends ``.npz`` to any path
-        not already carrying that suffix (it appends to — not replaces —
-        an existing suffix, e.g. ``corel.index`` → ``corel.index.npz``).
-    """
-    target = Path(path)
-    if target.suffix != ".npz":
-        target = target.with_name(target.name + ".npz")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    temp = _temp_sibling(target, suffix=".npz")
-    try:
-        np.savez_compressed(
-            temp, **{key: np.asarray(value) for key, value in arrays.items()}
-        )
-        os.replace(temp, target)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-    return target
-
-
-def load_array_bundle(path: PathLike) -> Dict[str, np.ndarray]:
-    """Load a bundle previously written by :func:`save_array_bundle`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        return {key: np.array(data[key]) for key in data.files}
 
 
 @contextmanager

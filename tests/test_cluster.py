@@ -40,7 +40,7 @@ from repro.exceptions import (
 )
 from repro.logdb import FileLogStore
 from repro.obs import configure, get_hub
-from repro.service import RetrievalService, SearchRequest
+from repro.service import FeedbackRequest, RetrievalService, SearchRequest
 from repro.service.store import FileSessionStore
 from repro.cbir.database import ImageDatabase
 from repro.utils import blas
@@ -260,6 +260,41 @@ class TestLifecycle:
 
 
 class TestErrorPropagation:
+    @pytest.mark.parametrize("front", ["service", "cluster"])
+    def test_both_front_ends_read_requests_alike(self, tmp_path, front):
+        # The service and the router coerce their arguments through one
+        # set of DTO helpers: a feedback batch takes FeedbackRequests only,
+        # and neither open_session takes the query as a keyword.
+        if front == "service":
+            client = RetrievalService(ImageDatabase(_factory()))
+            stop = client.shutdown
+        else:
+            client = ClusterRouter(_factory, _config(tmp_path))
+            stop = client.stop
+        try:
+            opened = client.open_session(0, top_k=5, algorithm="euclidean")
+            session_id = opened.session_id
+            judged = {int(i): 1 for i in opened.image_indices}
+            for item in ({"session_id": session_id, "judgements": judged}, session_id):
+                with pytest.raises(
+                    ValidationError,
+                    match=f"takes FeedbackRequest items, got {type(item).__name__}",
+                ):
+                    client.submit_feedback_batch([item])
+            with pytest.raises(TypeError):
+                client.open_session(query=0, top_k=5)
+            with pytest.raises(ValidationError, match="only apply when passing a raw query"):
+                client.open_session(SearchRequest(query=0), top_k=5)
+            with pytest.raises(ValidationError, match="only apply when passing a session id"):
+                client.submit_feedback(FeedbackRequest(session_id, judged), top_k=5)
+            (response,) = client.submit_feedback_batch(
+                [FeedbackRequest(session_id, judged, top_k=5)]
+            )
+            assert response.round_index == 1
+            assert client.submit_feedback(session_id, judged, top_k=5).round_index == 2
+        finally:
+            stop()
+
     def test_unknown_session_raises_typed_error(self, cluster):
         with pytest.raises(SessionError):
             cluster.submit_feedback("no-such-session", {0: 1})

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets.cache import FeatureCache
 from repro.datasets.corel import CorelDatasetConfig, build_corel_dataset
 from repro.datasets.dataset import ImageDataset
 from repro.datasets.splits import QuerySampler, relevance_ground_truth, relevance_labels
@@ -138,25 +137,3 @@ class TestSplits:
     def test_invalid_query_count(self, small_dataset):
         with pytest.raises(ValidationError):
             QuerySampler(small_dataset).sample(0)
-
-
-class TestFeatureCache:
-    def test_store_and_load(self, tmp_path, small_dataset):
-        cache = FeatureCache(tmp_path)
-        config = CorelDatasetConfig(num_categories=5, images_per_category=12, image_size=32, seed=3)
-        assert not cache.contains(config)
-        cache.store(config, small_dataset.features, small_dataset.labels)
-        assert cache.contains(config)
-        features, labels = cache.load(config)
-        np.testing.assert_allclose(features, small_dataset.features)
-        np.testing.assert_array_equal(labels, small_dataset.labels)
-
-    def test_load_missing_returns_none(self, tmp_path):
-        cache = FeatureCache(tmp_path)
-        assert cache.load(CorelDatasetConfig(num_categories=2, images_per_category=2)) is None
-
-    def test_key_depends_on_config(self, tmp_path):
-        cache = FeatureCache(tmp_path)
-        a = CorelDatasetConfig(num_categories=2, images_per_category=2, seed=1)
-        b = CorelDatasetConfig(num_categories=2, images_per_category=2, seed=2)
-        assert cache.key_for(a) != cache.key_for(b)

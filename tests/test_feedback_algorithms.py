@@ -74,6 +74,16 @@ class TestFeedbackContext:
                 labels=np.array([]),
             )
 
+    @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan, np.inf], ids=["0", "2", "nan", "inf"])
+    def test_a_label_other_than_plus_or_minus_one_is_refused(self, small_database, bad):
+        with pytest.raises(ValidationError, match="labels must be"):
+            FeedbackContext(
+                database=small_database,
+                query=Query(query_index=0),
+                labeled_indices=np.array([0, 1, 2]),
+                labels=np.array([1.0, bad, -1.0]),
+            )
+
 
 class TestEuclideanFeedback:
     def test_query_ranked_first(self, small_database, small_dataset):

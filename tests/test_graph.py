@@ -144,22 +144,7 @@ class TestKNNGraphBuilder:
         np.testing.assert_array_equal(reference.weights.indptr, graph.weights.indptr)
 
 
-class TestAffinityGraphPersistence:
-    def test_save_load_round_trip(self, features, tmp_path):
-        graph = KNNGraphBuilder(k=5).build(features)
-        path = graph.save(tmp_path / "visual.npz")
-        loaded = AffinityGraph.load(path)
-        assert loaded.params == graph.params
-        assert (loaded.weights != graph.weights).nnz == 0
-        np.testing.assert_array_equal(loaded.weights.data, graph.weights.data)
-
-    def test_load_rejects_foreign_bundle(self, tmp_path):
-        from repro.utils.io import save_array_bundle
-
-        path = save_array_bundle({"stuff": np.ones(3)}, tmp_path / "not-a-graph.npz")
-        with pytest.raises(ValidationError):
-            AffinityGraph.load(path)
-
+class TestAffinityGraph:
     def test_rejects_non_square_weights(self):
         with pytest.raises(ValidationError):
             AffinityGraph(sparse.csr_matrix(np.ones((2, 3))), params={})

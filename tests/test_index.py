@@ -2,9 +2,9 @@
 
 The load-bearing properties:
 
-* the index ranks exactly as the dense scan does;
-* ``save`` → ``load`` round-trips produce identical search results, and a
-  bundle of a removed backend or metric fails with a typed error;
+* the index ranks exactly as the dense scan does, for a query batch of
+  any size;
+* an index of other vectors is refused where a caller hands one in;
 * the serving layers (``SearchEngine``, ``ImageDatabase``,
   ``RetrievalService``) use the index without changing exact-path results,
   and fall back to the exact scan when none is attached.
@@ -13,7 +13,6 @@ The load-bearing properties:
 from __future__ import annotations
 
 import inspect
-import json
 
 import numpy as np
 import pytest
@@ -22,13 +21,12 @@ from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
 from repro.datasets.pool import GaussianPoolConfig, make_gaussian_pool
-from repro.exceptions import DatabaseError, ValidationError
+from repro.exceptions import ValidationError
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.graph import KNNGraphBuilder
 from repro.index import VectorIndex
 from repro.service import RetrievalService
-from repro.utils.arrays import euclidean_distances, exact_top_k, stable_top_k
-from repro.utils.io import load_array_bundle, save_array_bundle
+from repro.utils.arrays import euclidean_distances, exact_top_k, squared_norms, stable_top_k
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +43,7 @@ def pool():
 def oracle(pool):
     vectors, queries = pool
     index = VectorIndex().build(vectors)
-    distances, indices = index.search(queries, 25)
+    distances, indices = index.batch_search(queries, 25)
     return index, distances, indices
 
 
@@ -58,7 +56,7 @@ class TestVectorIndexInterface:
 
     def test_search_before_build_raises(self):
         with pytest.raises(ValidationError, match="not been built"):
-            VectorIndex().search(np.zeros(3), 1)
+            VectorIndex().batch_search(np.zeros(3), 1)
 
     def test_build_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValidationError):
@@ -70,16 +68,16 @@ class TestVectorIndexInterface:
         vectors, queries = pool
         index = VectorIndex().build(vectors)
         with pytest.raises(ValidationError, match="k must be"):
-            index.search(queries, 0)
+            index.batch_search(queries, 0)
         with pytest.raises(ValidationError, match="k must be"):
-            index.search(queries, vectors.shape[0] + 1)
+            index.batch_search(queries, vectors.shape[0] + 1)
         with pytest.raises(ValidationError, match="dimension"):
-            index.search(np.zeros(3), 1)
+            index.batch_search(np.zeros(3), 1)
 
     def test_brute_force_matches_dense_scan(self, pool):
         vectors, queries = pool
         index = VectorIndex().build(vectors)
-        distances, indices = index.search(queries[:3], 10)
+        distances, indices = index.batch_search(queries[:3], 10)
         dense = euclidean_distances(queries[:3], vectors)
         expected = np.argsort(dense, axis=1, kind="stable")[:, :10]
         np.testing.assert_array_equal(indices, expected)
@@ -87,121 +85,34 @@ class TestVectorIndexInterface:
             distances, np.take_along_axis(dense, expected, axis=1)
         )
 
-    def test_batch_search_equals_search(self, pool, oracle):
-        vectors, queries = pool
-        index, distances, indices = oracle
-        batch_d, batch_i = index.batch_search(queries, 25, chunk_size=5)
-        np.testing.assert_array_equal(batch_i, indices)
-        np.testing.assert_array_equal(batch_d, distances)
+    def test_batch_search_equals_search(self, pool):
+        # A batch of more than 1 024 queries is one exact_top_k call.  The
+        # scan blocks queries 64 at a time and 1 024 is a multiple of 64, so
+        # cutting the batch into 1 024-query chunks would move no block
+        # boundary and change no neighbour or distance bit.
+        vectors, _ = pool
+        queries = np.random.default_rng(5).normal(size=(1100, vectors.shape[1]))
+        index = VectorIndex().build(vectors)
+        for k in (25, 150):  # the squared-distance selection and the full sort
+            batch_d, batch_i = index.batch_search(queries, k)
+            want_d, want_i = exact_top_k(
+                queries, vectors, k, vectors_sq=squared_norms(vectors)
+            )
+            np.testing.assert_array_equal(batch_i, want_i)
+            assert batch_d.tobytes() == want_d.tobytes()
 
     def test_single_vector_query_shape(self, oracle, pool):
         vectors, queries = pool
         index = oracle[0]
-        distances, indices = index.search(queries[0], 5)
+        distances, indices = index.batch_search(queries[0], 5)
         assert distances.shape == (1, 5) and indices.shape == (1, 5)
 
     def test_empty_query_batch(self, oracle, pool):
         vectors, _ = pool
         index = oracle[0]
         empty = np.empty((0, vectors.shape[1]))
-        for method in (index.search, index.batch_search):
-            distances, indices = method(empty, 5)
-            assert distances.shape == (0, 5) and indices.shape == (0, 5)
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, pool, tmp_path):
-        vectors, queries = pool
-        index = VectorIndex().build(vectors)
-        path = index.save(tmp_path / f"{index.kind}.npz")
-        assert json.loads(load_array_bundle(path)["__meta__"].item()) == {
-            "kind": "brute-force", "metric": "euclidean", "params": {}
-        }
-        loaded = VectorIndex.load(path)
-        assert loaded.kind == index.kind
-        assert loaded.size == index.size and loaded.dim == index.dim
-        original_d, original_i = index.search(queries, 20)
-        loaded_d, loaded_i = loaded.search(queries, 20)
-        np.testing.assert_array_equal(loaded_i, original_i)
-        np.testing.assert_array_equal(loaded_d, original_d)
-
-    def test_load_rejects_non_index_bundle(self, tmp_path):
-        path = save_array_bundle({"vectors": np.ones((2, 2))}, tmp_path / "x.npz")
-        with pytest.raises(ValidationError, match="not a serialised VectorIndex"):
-            VectorIndex.load(path)
-
-    @pytest.mark.parametrize(
-        "meta, match",
-        [
-            # Bundles of the KD-tree, LSH, sharded and IVF backends, which
-            # no longer exist.
-            (
-                json.dumps({"kind": "kd-tree", "metric": "euclidean", "params": {"leaf_size": 16}}),
-                "unknown index backend 'kd-tree'",
-            ),
-            (
-                json.dumps({"kind": "lsh", "metric": "euclidean", "params": {"num_tables": 8}}),
-                "unknown index backend 'lsh'",
-            ),
-            (
-                json.dumps({"kind": "sharded", "metric": "euclidean", "params": {}}),
-                "unknown index backend 'sharded'",
-            ),
-            (
-                json.dumps({"kind": "ivf", "metric": "euclidean",
-                            "params": {"n_clusters": 12, "n_probe": 3}}),
-                "unknown index backend 'ivf'",
-            ),
-            (json.dumps({"kind": "brute-force", "params": {}}), "old.npz is not a serialised"),
-            (json.dumps({"metric": "euclidean", "params": {}}), "old.npz is not a serialised"),
-            (json.dumps({"kind": "ivf", "metric": "euclidean"}), "old.npz is not a serialised"),
-            ('{"kind": "brute-force"', "old.npz is not a serialised"),
-            (json.dumps(["brute-force", "euclidean", {}]), "old.npz is not a serialised"),
-            (
-                json.dumps({"kind": "brute-force", "metric": "euclidean", "params": [1]}),
-                "old.npz records brute-force parameters",
-            ),
-            (
-                json.dumps({"kind": "brute-force", "metric": "hamming", "params": {}}),
-                "old.npz records metric 'hamming'",
-            ),
-            # Bundles of the manhattan and cosine metrics, which no longer
-            # exist.
-            (
-                json.dumps({"kind": "brute-force", "metric": "manhattan", "params": {}}),
-                "old.npz records metric 'manhattan'; only 'euclidean' exists",
-            ),
-            (
-                json.dumps({"kind": "brute-force", "metric": "cosine", "params": {}}),
-                "old.npz records metric 'cosine'; only 'euclidean' exists",
-            ),
-        ],
-        ids=[
-            "kd-tree", "lsh", "sharded", "ivf", "meta-without-metric",
-            "meta-without-kind", "meta-without-params", "meta-not-json",
-            "meta-not-an-object", "params-not-an-object", "unknown-metric",
-            "manhattan", "cosine",
-        ],
-    )
-    def test_load_failures_are_typed(self, meta, match, tmp_path):
-        path = save_array_bundle(
-            {"__meta__": np.array(meta), "vectors": np.ones((4, 2))},
-            tmp_path / "old.npz",
-        )
-        with pytest.raises(ValidationError, match=match):
-            VectorIndex.load(path)
-
-    def test_load_rejects_bundle_missing_an_array(self, pool, tmp_path):
-        path = VectorIndex().build(pool[0]).save(tmp_path / "full.npz")
-        bundle = load_array_bundle(path)
-        del bundle["vectors"]
-        truncated = save_array_bundle(bundle, tmp_path / "truncated.npz")
-        with pytest.raises(ValidationError, match="truncated.npz lacks the brute-force array 'vectors'"):
-            VectorIndex.load(truncated)
-
-    def test_save_unbuilt_raises(self, tmp_path):
-        with pytest.raises(ValidationError, match="unbuilt"):
-            VectorIndex().save(tmp_path / "x.npz")
+        distances, indices = index.batch_search(empty, 5)
+        assert distances.shape == (0, 5) and indices.shape == (0, 5)
 
 
 class TestSearchEngineIndexing:
@@ -226,8 +137,6 @@ class TestSearchEngineIndexing:
         database.build_index("brute-force")
         engine = SearchEngine(database)
         assert engine.index is database.index
-        database.detach_index()
-        assert SearchEngine(database).index is None
 
     def test_full_ranking_bypasses_index(self, small_dataset, monkeypatch):
         # top_k=None visits every image anyway: the engine serves it by the
@@ -268,44 +177,34 @@ class TestSearchEngineIndexing:
         typing.get_type_hints(RetrievalService.__init__)
 
 class TestImageDatabaseIndex:
-    def test_build_attach_detach(self, small_dataset):
+    def test_build_index_attaches_one_index(self, small_dataset):
         database = ImageDatabase(small_dataset)
         with pytest.raises(ValidationError, match="unknown index backend 'ivf'"):
             database.build_index("ivf")
         assert database.index is None
         index = database.build_index("brute-force")
         assert database.index is index and index.size == database.num_images
-        detached = database.detach_index()
-        assert detached is index and database.index is None
-        database.attach_index(index)
-        assert database.index is index
-        database.detach_index()
+        assert not any(
+            hasattr(VectorIndex, name) for name in ("save", "load", "search")
+        )
 
-    def test_attach_validates_shape(self, small_dataset, pool):
+
+class TestIndexCoverage:
+    """``ensure_covers`` guards the one place a caller hands an index in:
+    ``KNNGraphBuilder.build(index=)``."""
+
+    def test_rejects_an_index_of_another_shape(self, small_dataset, pool):
         vectors, _ = pool
-        database = ImageDatabase(small_dataset)
-        with pytest.raises(DatabaseError, match="index covers"):
-            database.attach_index(VectorIndex().build(vectors))
-        with pytest.raises(DatabaseError, match="unbuilt"):
-            database.attach_index(VectorIndex())
+        features = ImageDatabase(small_dataset).features
+        with pytest.raises(ValidationError, match="index covers"):
+            KNNGraphBuilder(k=3).build(features, index=VectorIndex().build(vectors))
+        with pytest.raises(ValidationError, match="unbuilt"):
+            KNNGraphBuilder(k=3).build(features, index=VectorIndex())
 
-    def test_attach_validates_contents(self, small_dataset):
+    def test_rejects_an_index_of_other_vectors(self, small_dataset):
         # Right shape, wrong vectors: a stale index must be rejected, not
         # silently serve neighbours of a different corpus.
-        database = ImageDatabase(small_dataset)
-        stale = VectorIndex().build(database.features + 1.0)
-        with pytest.raises(DatabaseError, match="different vectors"):
-            database.attach_index(stale)
-
-    def test_save_and_load_index(self, small_dataset, tmp_path):
-        database = ImageDatabase(small_dataset)
-        path = database.build_index("brute-force").save(tmp_path / "idx.npz")
-        fresh = ImageDatabase(small_dataset)
-        loaded = fresh.load_index(path)
-        assert fresh.index is loaded and loaded.kind == "brute-force"
-        query = Query(query_index=2)
-        np.testing.assert_array_equal(
-            SearchEngine(fresh).search(query, top_k=10).image_indices,
-            SearchEngine(database).search(query, top_k=10).image_indices,
-        )
-        database.detach_index()
+        features = ImageDatabase(small_dataset).features
+        stale = VectorIndex().build(features + 1.0)
+        with pytest.raises(ValidationError, match="different vectors"):
+            KNNGraphBuilder(k=3).build(features, index=stale)

@@ -90,44 +90,11 @@ class TestLogStoreProtocol:
         assert session.query_index == 7
         assert session.judgements == {4: -1, 2: 1}
 
-    def test_save_load_portable_export(self, any_store, tmp_path):
-        any_store.extend([_session({0: 1}, query=2), _session({5: -1})])
-        path = any_store.save(tmp_path / "export.json")
-        loaded = LogStore.load(path)
-        assert isinstance(loaded, InMemoryLogStore)
-        assert len(loaded) == 2
-        assert [s.judgements for s in loaded.scan()] == [{0: 1}, {5: -1}]
-        assert loaded.scan()[0].query_index == 2
-
-    def test_load_into_explicit_backend(self, any_store, tmp_path):
-        any_store.append(_session({1: 1}))
-        path = any_store.save(tmp_path / "export.json")
-        destination = FileLogStore(tmp_path / "dst", num_images=9)
-        loaded = LogStore.load(path, store=destination)
-        assert loaded is destination
-        assert len(loaded) == 1
-
     def test_scan_stop_bound(self, any_store):
         any_store.extend([_session({i: 1}) for i in range(5)])
         window = any_store.scan(start=1, stop=3)
         assert [s.session_id for s in window] == [1, 2]
         assert any_store.scan(start=2, stop=3)[0].judgements == {2: 1}
-
-    def test_subclass_load_requires_explicit_store(self, any_store, tmp_path):
-        """FileLogStore.load(path) must not silently hand back an
-        in-memory store — backends needing constructor args demand store=."""
-        any_store.append(_session({1: 1}))
-        path = any_store.save(tmp_path / "export.json")
-        with pytest.raises(LogDatabaseError):
-            FileLogStore.load(path)
-
-    def test_load_rejects_nonempty_destination(self, any_store, tmp_path):
-        any_store.append(_session({1: 1}))
-        path = any_store.save(tmp_path / "export.json")
-        destination = InMemoryLogStore(num_images=9)
-        destination.append(_session({0: 1}))
-        with pytest.raises(LogDatabaseError):
-            LogStore.load(path, store=destination)
 
     def test_compact_preserves_contents(self, any_store):
         any_store.extend([_session({i: 1}) for i in range(4)])

@@ -556,19 +556,16 @@ class TestMicroBatching:
 
     def test_batched_first_round_through_index(self, fresh_database):
         fresh_database.build_index("brute-force")
-        try:
-            service = RetrievalService(fresh_database)
-            responses = service.open_sessions(
-                [SearchRequest(query=i, top_k=10) for i in range(10)]
+        service = RetrievalService(fresh_database)
+        responses = service.open_sessions(
+            [SearchRequest(query=i, top_k=10) for i in range(10)]
+        )
+        engine = SearchEngine(fresh_database)
+        for i, response in enumerate(responses):
+            expected = engine.search(Query(query_index=i), top_k=10)
+            np.testing.assert_array_equal(
+                response.image_indices, expected.image_indices
             )
-            engine = SearchEngine(fresh_database)
-            for i, response in enumerate(responses):
-                expected = engine.search(Query(query_index=i), top_k=10)
-                np.testing.assert_array_equal(
-                    response.image_indices, expected.image_indices
-                )
-        finally:
-            fresh_database.detach_index()
 
     def test_search_engine_batch_matches_per_query(self, small_database):
         engine = SearchEngine(small_database)

@@ -8,9 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.utils.io import (
-    atomic_text_file, load_array_bundle, load_json, save_array_bundle, save_json
-)
+from repro.utils.io import atomic_text_file, load_json, save_json
 from repro.utils.progress import ProgressReporter, track
 
 
@@ -58,30 +56,6 @@ class TestAtomicTextFile:
                 raise RuntimeError("crash mid-write")
         assert path.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
-
-
-class TestArrayBundleIO:
-    def test_round_trip(self, tmp_path):
-        arrays = {
-            "features": np.random.default_rng(0).normal(size=(10, 4)),
-            "labels": np.arange(10),
-        }
-        path = save_array_bundle(arrays, tmp_path / "bundle.npz")
-        loaded = load_array_bundle(path)
-        np.testing.assert_array_equal(loaded["features"], arrays["features"])
-        np.testing.assert_array_equal(loaded["labels"], arrays["labels"])
-
-    def test_keys_preserved(self, tmp_path):
-        path = save_array_bundle({"a": np.ones(2), "b": np.zeros(3)}, tmp_path / "x.npz")
-        assert set(load_array_bundle(path)) == {"a", "b"}
-
-    @pytest.mark.parametrize("name", ["bare", "corel.index", "weird.tar"])
-    def test_returned_path_exists_for_any_suffix(self, tmp_path, name):
-        # numpy appends ".npz" to (not replaces) a foreign suffix; the
-        # returned path must point at the file actually written.
-        path = save_array_bundle({"a": np.ones(2)}, tmp_path / name)
-        assert path.exists()
-        assert set(load_array_bundle(path)) == {"a"}
 
 
 class TestProgress:
