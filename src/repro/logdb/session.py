@@ -103,12 +103,16 @@ class LogSession:
         return indices, values
 
     def with_session_id(self, session_id: int) -> "LogSession":
-        """Return a copy of the session tagged with *session_id*."""
-        return LogSession(
-            judgements=dict(self.judgements),
-            query_index=self.query_index,
-            session_id=int(session_id),
-        )
+        """Return a copy of the session tagged with *session_id*.
+
+        The fields were cleaned when this session was built, so the copy
+        skips ``__post_init__``; it gets a dict of its own.
+        """
+        tagged = object.__new__(LogSession)
+        object.__setattr__(tagged, "judgements", dict(self.judgements))
+        object.__setattr__(tagged, "query_index", self.query_index)
+        object.__setattr__(tagged, "session_id", int(session_id))
+        return tagged
 
 
 def _integer(value: object, name: str) -> int:

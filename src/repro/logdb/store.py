@@ -289,10 +289,10 @@ class LogStore(abc.ABC):
     # ------------------------------------------------------------- validation
     def _validate(self, session: LogSession) -> None:
         """Reject sessions referencing images outside the corpus."""
-        indices, _ = session.as_arrays()
-        if indices.size and indices.max() >= self._num_images:
+        largest = max(session.judgements)  # a session is never empty
+        if largest >= self._num_images:
             raise LogDatabaseError(
-                f"session references image {indices.max()} but the database "
+                f"session references image {largest} but the database "
                 f"only has {self._num_images} images"
             )
 

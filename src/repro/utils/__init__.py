@@ -3,7 +3,7 @@ the BLAS thread budget and the deterministic fault-injection seam."""
 
 from __future__ import annotations
 
-from repro.utils.arrays import exact_top_k, l2_normalize_rows, minmax_scale, zscore
+from repro.utils.arrays import exact_top_k
 from repro.utils.blas import limit_blas_threads
 from repro.utils.concurrency import LOCK_ORDER, StripedLockMap, WaitCallback
 from repro.utils.faults import FaultPlan, FaultRule
@@ -26,9 +26,6 @@ __all__ = [
     "check_positive",
     "check_in_range",
     "check_probability",
-    "zscore",
-    "minmax_scale",
-    "l2_normalize_rows",
     "exact_top_k",
     "save_json",
     "load_json",

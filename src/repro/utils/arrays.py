@@ -10,9 +10,6 @@ from scipy import sparse
 from repro.exceptions import ValidationError
 
 __all__ = [
-    "zscore",
-    "minmax_scale",
-    "l2_normalize_rows",
     "as_row_matrix",
     "squared_norms",
     "pairwise_squared_distances",
@@ -31,50 +28,8 @@ _QUERY_BLOCK = 64
 #: :func:`exact_top_k`.
 _SAMPLE = 2048
 
-
-def zscore(
-    matrix: np.ndarray,
-    *,
-    mean: Optional[np.ndarray] = None,
-    std: Optional[np.ndarray] = None,
-    eps: float = 1e-12,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardise columns of *matrix* to zero mean and unit variance.
-
-    Returns ``(scaled, mean, std)`` so the same statistics can be re-applied
-    to out-of-sample data (query images).
-    """
-    data = np.asarray(matrix, dtype=np.float64)
-    if mean is None:
-        mean = data.mean(axis=0)
-    if std is None:
-        std = data.std(axis=0)
-    safe_std = np.where(std < eps, 1.0, std)
-    return (data - mean) / safe_std, mean, std
-
-
-def minmax_scale(
-    matrix: np.ndarray,
-    *,
-    low: Optional[np.ndarray] = None,
-    high: Optional[np.ndarray] = None,
-    eps: float = 1e-12,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale columns of *matrix* to ``[0, 1]``; returns ``(scaled, low, high)``."""
-    data = np.asarray(matrix, dtype=np.float64)
-    if low is None:
-        low = data.min(axis=0)
-    if high is None:
-        high = data.max(axis=0)
-    span = np.where((high - low) < eps, 1.0, high - low)
-    return (data - low) / span, low, high
-
-
-def l2_normalize_rows(matrix: np.ndarray, *, eps: float = 1e-12) -> np.ndarray:
-    """Normalise each row of *matrix* to unit Euclidean norm."""
-    data = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(data, axis=-1, keepdims=True)
-    return data / np.maximum(norms, eps)
+#: Entries (rows times columns) squared at a time by :func:`squared_norms`.
+_NORM_BLOCK_ENTRIES = 2**16
 
 
 def as_row_matrix(rows):
@@ -91,15 +46,24 @@ def as_row_matrix(rows):
 
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every row of dense *rows*.
+    """Squared Euclidean norm of every row of dense 2-D *rows*.
 
     The one definition (``np.sum(rows * rows, axis=1)``) behind
     :func:`pairwise_squared_distances`,
     :attr:`~repro.cbir.database.ImageDatabase.feature_sq_norms` and the
     index's cached norms, so norms computed once and passed in are bit for
     bit the ones a call would recompute.
+
+    A row's norm depends on that row alone, so a pool is squared and summed
+    in blocks of about ``_NORM_BLOCK_ENTRIES`` entries (no ``(N, D)``
+    product exists); values and dtype are the formula's, byte for byte.
+    An input within one block costs one ``rows * rows``, as the formula
+    does.  A lone row left over joins the block before it: numpy sums a
+    one-row block of a column-major pool in another order than its peers.
     """
-    return np.sum(rows * rows, axis=1)
+    step = max(2, _NORM_BLOCK_ENTRIES // max(1, rows.shape[1]))
+    blocks = np.split(rows, range(step, rows.shape[0] - 1, step))
+    return np.concatenate([np.sum(block * block, axis=1) for block in blocks])
 
 
 def pairwise_squared_distances(

@@ -157,3 +157,49 @@ class TestFeatureNormalizer:
         assert not normalizer.is_fitted
         normalizer.fit(np.random.default_rng(5).normal(size=(10, 2)))
         assert normalizer.is_fitted
+
+    def test_constant_column_maps_to_zero(self):
+        matrix = np.column_stack([np.ones(10), np.arange(10, dtype=float)])
+        normalizer = FeatureNormalizer()
+        np.testing.assert_allclose(normalizer.fit_transform(matrix)[:, 0], 0.0)
+        np.testing.assert_allclose(normalizer.transform(matrix)[:, 0], 0.0)
+        np.testing.assert_allclose(normalizer.transform(matrix[:1] + 5.0)[:, 0], 5.0)
+
+
+def _same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _normalizer_inputs():
+    rng = np.random.default_rng(8)
+    spread = rng.normal(5.0, 3.0, size=(257, 7))
+    constant = spread.copy()
+    constant[:, 2] = 4.25
+    return {
+        "float": spread,
+        "constant-column": constant,
+        "one-row": spread[:1],
+        "integer": rng.integers(-50, 50, size=(64, 5)),
+        "fortran": np.asfortranarray(spread),
+    }
+
+
+class TestFitTransformBytes:
+    """``fit_transform`` bytes: ``fit`` then ``transform``, and the plain formula."""
+
+    @pytest.mark.parametrize("name", sorted(_normalizer_inputs()))
+    def test_equals_fit_then_transform_byte_for_byte(self, name):
+        # Mutations caught: dividing before subtracting
+        # (``x / std - mean / std``), multiplying by ``1 / std``, and a
+        # standard deviation other than numpy's ``std(axis=0)``.
+        matrix = _normalizer_inputs()[name]
+        one_pass = FeatureNormalizer()
+        scaled = one_pass.fit_transform(matrix)
+        _same_bytes(scaled, FeatureNormalizer().fit(matrix).transform(matrix))
+        _same_bytes(one_pass.transform(matrix), scaled)
+        _same_bytes(one_pass.mean_, matrix.mean(axis=0))
+        _same_bytes(one_pass.std_, matrix.std(axis=0))
+        std = matrix.std(axis=0)
+        reference = (matrix - matrix.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+        _same_bytes(scaled, reference)

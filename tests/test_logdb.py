@@ -75,6 +75,17 @@ class TestLogSession:
     def test_with_session_id(self):
         session = LogSession(judgements={0: 1}).with_session_id(42)
         assert session.session_id == 42
+        # The tagged copy skips the second cleaning pass; it must still equal
+        # a fresh session.  Mutation caught: a tagged copy that shares the
+        # original's judgements dict (``self.judgements`` without ``dict``).
+        original = LogSession(judgements={np.int64(4): 1, 0: -1}, query_index=2)
+        tagged = original.with_session_id(np.int64(7))
+        assert tagged == LogSession(judgements={4: 1, 0: -1}, query_index=2, session_id=7)
+        assert type(tagged.session_id) is int
+        assert tagged.judgements is not original.judgements
+        assert list(tagged.judgements) == [4, 0]  # insertion order kept
+        with pytest.raises(LogDatabaseError):
+            LogSession(judgements={4: 1, 0: 2}, query_index=2, session_id=7)
 
 
 class TestRelevanceMatrix:

@@ -57,6 +57,18 @@ class TestLogStoreProtocol:
         assert (first.session_id, second.session_id) == (0, 1)
         assert len(any_store) == 2
 
+    def test_last_image_accepted_and_one_past_it_rejected(self, any_store):
+        # Mutations caught: ``>`` for ``>=`` in ``LogStore._validate``
+        # (image 9 of a 9-image corpus accepted), and checking the smallest
+        # judged image instead of the largest.
+        assert any_store.append(_session({0: 1, 8: -1})).judgements == {0: 1, 8: -1}
+        with pytest.raises(
+            LogDatabaseError,
+            match=r"^session references image 9 but the database only has 9 images$",
+        ):
+            any_store.extend([_session({1: 1}), _session({0: 1, 9: -1})])
+        assert len(any_store) == 1  # the whole batch was refused
+
     def test_extend_is_one_batch(self, any_store):
         stored = any_store.extend([_session({0: 1}), _session({2: -1, 3: 1})])
         assert [s.session_id for s in stored] == [0, 1]

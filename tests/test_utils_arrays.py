@@ -8,56 +8,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.utils.arrays import (
-    l2_normalize_rows,
-    minmax_scale,
-    pairwise_squared_distances,
-    stable_entropy,
-    zscore,
-)
+from repro.utils import arrays
+from repro.utils.arrays import pairwise_squared_distances, squared_norms, stable_entropy
 
 
-class TestZscore:
-    def test_zero_mean_unit_std(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(5.0, 3.0, size=(200, 4))
-        scaled, _, _ = zscore(matrix)
-        np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-10)
-
-    def test_constant_column_maps_to_zero(self):
-        matrix = np.column_stack([np.ones(10), np.arange(10, dtype=float)])
-        scaled, _, _ = zscore(matrix)
-        np.testing.assert_allclose(scaled[:, 0], 0.0)
-
-    def test_reapply_statistics(self):
-        matrix = np.random.default_rng(1).normal(size=(50, 3))
-        _, mean, std = zscore(matrix)
-        row = matrix[:1]
-        scaled, _, _ = zscore(row, mean=mean, std=std)
-        np.testing.assert_allclose(scaled, (row - mean) / std)
+_DIM = 36
+#: Rows per block of ``squared_norms`` at ``_DIM`` columns.
+_BLOCK = arrays._NORM_BLOCK_ENTRIES // _DIM
 
 
-class TestMinmaxScale:
-    def test_range(self):
-        matrix = np.random.default_rng(2).normal(size=(40, 3)) * 10
-        scaled, low, high = minmax_scale(matrix)
-        assert scaled.min() >= 0.0
-        assert scaled.max() <= 1.0
-        np.testing.assert_allclose(low, matrix.min(axis=0))
-        np.testing.assert_allclose(high, matrix.max(axis=0))
+def _assert_formula_bytes(rows):
+    expected = np.sum(rows * rows, axis=1)
+    actual = squared_norms(rows)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
-class TestL2Normalize:
-    def test_unit_norm(self):
-        matrix = np.random.default_rng(3).normal(size=(20, 5))
-        normalized = l2_normalize_rows(matrix)
-        np.testing.assert_allclose(np.linalg.norm(normalized, axis=1), 1.0)
+class TestSquaredNorms:
+    """``squared_norms`` sums row blocks; every case equals the formula's bytes."""
 
-    def test_zero_row_stays_finite(self):
-        matrix = np.zeros((2, 3))
-        normalized = l2_normalize_rows(matrix)
-        assert np.all(np.isfinite(normalized))
+    @pytest.mark.parametrize(
+        "num_rows",
+        [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5],
+        ids=["1", "block-1", "block", "block+1", "3*block+5"],
+    )
+    def test_float_rows_around_the_block_size(self, num_rows):
+        # Mutations caught: blocks that drop the last row, and
+        # ``np.einsum("ij,ij->i", block, block)``, which sums in another order.
+        rows = np.random.default_rng(9).normal(size=(num_rows, _DIM)) * 7.0
+        _assert_formula_bytes(rows)
+
+    def test_integer_rows_keep_the_integer_dtype(self):
+        # Mutation caught: casting to float64, or a float64 output buffer.
+        rows = np.random.default_rng(10).integers(-9, 9, size=(3 * _BLOCK + 5, _DIM))
+        _assert_formula_bytes(rows.astype(np.int32))
+
+    def test_strided_views(self):
+        # Mutation caught: the einsum above, on non-contiguous rows.
+        rows = np.random.default_rng(11).normal(size=(2 * (3 * _BLOCK + 5), 2 * _DIM))
+        _assert_formula_bytes(rows[::2, ::2])
+        _assert_formula_bytes(rows[::2, :_DIM])
+
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_column_major_rows_with_one_row_over(self, extra):
+        # Mutation caught: a one-row last block.  numpy sums a lone row
+        # pairwise but a column-major block column by column, so this row
+        # (one large square, then ones) reads differently alone.
+        rows = np.random.default_rng(12).normal(size=(3 * _BLOCK + extra, _DIM))
+        rows[-1] = 0.0
+        rows[-1, 0] = 1e8
+        rows[-1, 1:8] = 1.0
+        _assert_formula_bytes(np.asfortranarray(rows))
 
 
 class TestPairwiseSquaredDistances:
