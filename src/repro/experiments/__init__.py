@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.experiments.ablations import (
     AblationResult,
-    run_graph_ablation,
     run_log_ablation,
     run_rho_ablation,
     run_selection_ablation,
@@ -39,5 +38,4 @@ __all__ = [
     "run_rho_ablation",
     "run_selection_ablation",
     "run_log_ablation",
-    "run_graph_ablation",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "run_rho_ablation",
     "run_selection_ablation",
     "run_log_ablation",
-    "run_graph_ablation",
 ]
 
 
@@ -130,83 +129,6 @@ def run_selection_ablation(
     return AblationResult(
         parameter="selection",
         values=tuple(strategies),
-        map_scores=tuple(scores),
-        tables=tuple(tables),
-    )
-
-
-def run_graph_ablation(
-    config: ExperimentConfig,
-    eta_values: Sequence[float] = (0.0, 0.5),
-    regimes: Sequence[str] = ("log-rich", "cold-start"),
-    *,
-    environment: Optional[Tuple[ImageDataset, ImageDatabase]] = None,
-) -> AblationResult:
-    """Sweep the graph family's fusion weight ``eta`` across log regimes.
-
-    The graph-vs-SVM comparison of ROADMAP direction 3: every swept point
-    evaluates ``"lrf-graph"`` **and** ``"lrf-csvm"`` over the same queries
-    and feedback, under two log regimes — ``"log-rich"`` (the environment's
-    simulated log) and ``"cold-start"`` (the same corpus with an empty
-    log).  ``map_scores`` tracks the graph family (the swept scheme); the
-    SVM family's MAP for the same point lives in the corresponding results
-    table, so ``tables[i].result("lrf-csvm")`` is the head-to-head
-    baseline.
-
-    Parameters
-    ----------
-    eta_values:
-        Fusion weights to sweep (``eta`` overrides any value in
-        ``config.graph_params``; the remaining graph knobs pass through).
-    regimes:
-        Log regimes to visit; each value of *eta_values* runs once per
-        regime, recorded as ``(regime, eta)``.
-
-    Raises
-    ------
-    ConfigurationError
-        On an unknown regime name.
-    """
-    from repro.exceptions import ConfigurationError
-    from repro.graph.feedback import LabelPropagationFeedback
-
-    known = ("log-rich", "cold-start")
-    for regime in regimes:
-        if regime not in known:
-            raise ConfigurationError(
-                f"unknown log regime {regime!r}, expected one of {known}"
-            )
-    dataset, database = environment or build_environment(config)
-    values: List[Tuple[str, float]] = []
-    tables: List[ResultsTable] = []
-    scores: List[float] = []
-    cold_database: Optional[ImageDatabase] = None
-    for regime in regimes:
-        if regime == "log-rich":
-            regime_database = database
-        else:
-            if cold_database is None:
-                cold_database = ImageDatabase(dataset)  # fresh empty log
-            regime_database = cold_database
-        for eta in eta_values:
-            graph_kwargs = dict(config.graph_params)
-            graph_kwargs["eta"] = float(eta)
-            algorithms = {
-                "lrf-graph": LabelPropagationFeedback(**graph_kwargs),
-                "lrf-csvm": LRFCSVM(
-                    config=config.coupled,
-                    num_unlabeled=config.num_unlabeled,
-                    random_state=config.protocol.seed,
-                ),
-            }
-            runner = ExperimentRunner(dataset, regime_database, protocol=config.protocol)
-            table = runner.run(algorithms)
-            values.append((regime, float(eta)))
-            tables.append(table)
-            scores.append(table.result("lrf-graph").map_score)
-    return AblationResult(
-        parameter="graph_regime_eta",
-        values=tuple(values),
         map_scores=tuple(scores),
         tables=tuple(tables),
     )

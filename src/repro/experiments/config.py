@@ -9,7 +9,7 @@ that keep every code path identical while shrinking the workload.  The
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.coupled_svm import CoupledSVMConfig
 from repro.datasets.corel import CorelDatasetConfig
@@ -43,12 +43,6 @@ class ExperimentConfig:
         Soft-margin parameter of the log SVM in LRF-2SVMs.
     algorithms:
         The schemes to evaluate, in table column order.
-    graph_params:
-        Constructor parameters of the graph feedback family
-        (:class:`repro.graph.LabelPropagationFeedback`), applied whenever
-        ``"lrf-graph"`` appears in ``algorithms`` — e.g. ``{"k": 10,
-        "eta": 0.5, "method": "spreading"}``.  Validated eagerly so a bad
-        sweep point fails at configuration time, not mid-experiment.
     """
 
     dataset: CorelDatasetConfig = field(default_factory=CorelDatasetConfig)
@@ -59,19 +53,10 @@ class ExperimentConfig:
     svm_C: float = 10.0
     svm_C_log: float = 0.5
     algorithms: Tuple[str, ...] = ("euclidean", "rf-svm", "lrf-2svms", "lrf-csvm")
-    graph_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_unlabeled < 2:
             raise ConfigurationError(f"num_unlabeled must be >= 2, got {self.num_unlabeled}")
-        if self.graph_params:
-            # Imported lazily (repro.graph pulls the index/logdb stack).
-            from repro.graph.feedback import LabelPropagationFeedback
-
-            try:
-                LabelPropagationFeedback(**dict(self.graph_params))
-            except (TypeError, ValueError) as error:
-                raise ConfigurationError(f"invalid graph_params: {error}") from error
         if self.svm_C <= 0:
             raise ConfigurationError(f"svm_C must be positive, got {self.svm_C}")
         if self.svm_C_log <= 0:

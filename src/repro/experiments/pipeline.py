@@ -71,10 +71,6 @@ def build_algorithms(config: ExperimentConfig) -> Dict[str, RelevanceFeedbackAlg
                 num_unlabeled=config.num_unlabeled,
                 random_state=config.protocol.seed,
             )
-        elif name == "lrf-graph":
-            from repro.graph.feedback import LabelPropagationFeedback
-
-            catalogue[name] = LabelPropagationFeedback(**dict(config.graph_params))
         else:
             from repro.feedback.registry import make_algorithm
 

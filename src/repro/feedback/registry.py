@@ -44,11 +44,21 @@ def available_algorithms() -> List[str]:
 
 
 def make_algorithm(name: str, **kwargs) -> RelevanceFeedbackAlgorithm:
-    """Instantiate a scheme by name, forwarding *kwargs* to its constructor."""
+    """Instantiate a scheme by name, forwarding *kwargs* to its constructor.
+
+    Raises
+    ------
+    ValidationError
+        For an unknown name, or keywords the constructor does not take.
+        An out-of-range value raises the constructor's own error.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ValidationError(
             f"unknown algorithm '{name}', expected one of {available_algorithms()}"
         ) from None
-    return factory(**kwargs)
+    try:
+        return factory(**kwargs)
+    except TypeError as error:
+        raise ValidationError(f"cannot build algorithm '{name}': {error}") from None

@@ -6,8 +6,7 @@ time, ranked by
 :func:`repro.utils.arrays.exact_top_k` — the same routine the dense path of
 :class:`repro.cbir.SearchEngine` ranks with.  The search engine serves
 top-k queries through an attached index
-(:meth:`repro.cbir.database.ImageDatabase.build_index`), and the graph
-builder takes one for its neighbour lists.
+(:meth:`repro.cbir.database.ImageDatabase.build_index`).
 """
 
 from __future__ import annotations

@@ -72,29 +72,6 @@ class VectorIndex:
             raise ValidationError(f"{self.kind} index has not been built yet")
         return self._vectors
 
-    def ensure_covers(self, vectors: np.ndarray) -> None:
-        """Raise :class:`ValidationError` unless this built index indexes
-        exactly *vectors*.
-
-        The single definition of index/feature-store consistency: shape must
-        match and the indexed vectors must be the same bytes — an index of
-        the right shape built over *different* vectors (a re-rendered corpus,
-        changed normalisation) would silently serve wrong neighbours.
-        """
-        if not self.is_built:
-            raise ValidationError(f"cannot use an unbuilt {self.kind} index")
-        target = np.asarray(vectors)
-        if self.size != target.shape[0] or self.dim != target.shape[1]:
-            raise ValidationError(
-                f"index covers {self.size}x{self.dim} vectors but the target "
-                f"holds {target.shape[0]}x{target.shape[1]}"
-            )
-        if not np.array_equal(self._vectors, target):
-            raise ValidationError(
-                "index was built over different vectors than the target's "
-                "features (stale or foreign index)"
-            )
-
     # ------------------------------------------------------------- lifecycle
     def build(self, vectors: np.ndarray) -> "VectorIndex":
         """Index *vectors* (rows), replacing any previous contents.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -20,8 +20,9 @@ class LogSession:
     Attributes
     ----------
     judgements:
-        Mapping of image index → ±1 relevance judgement for the images shown
-        in this round (images not shown are simply absent = unknown).
+        Read-only mapping of image index → ±1 relevance judgement for the
+        images shown in this round (images not shown are simply absent =
+        unknown).
     query_index:
         Optional index of the query image that triggered the session.
     session_id:
@@ -58,7 +59,7 @@ class LogSession:
             ) from None
         if not cleaned:
             raise LogDatabaseError("a log session must contain at least one judgement")
-        object.__setattr__(self, "judgements", cleaned)
+        object.__setattr__(self, "judgements", _Judgements(cleaned))
         if self.query_index is not None:
             query_index = _integer(self.query_index, "query_index")
             if query_index < 0:
@@ -106,13 +107,43 @@ class LogSession:
         """Return a copy of the session tagged with *session_id*.
 
         The fields were cleaned when this session was built, so the copy
-        skips ``__post_init__``; it gets a dict of its own.
+        skips ``__post_init__`` and shares the read-only judgements.
         """
         tagged = object.__new__(LogSession)
-        object.__setattr__(tagged, "judgements", dict(self.judgements))
+        object.__setattr__(tagged, "judgements", self.judgements)
         object.__setattr__(tagged, "query_index", self.query_index)
         object.__setattr__(tagged, "session_id", int(session_id))
         return tagged
+
+
+class _Judgements(Mapping):
+    """A read-only view of a cleaned judgements dict that no one else holds.
+
+    Reads go straight to the dict; it pickles as the dict it wraps.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Dict[int, int]) -> None:
+        self._items = items
+
+    def __getitem__(self, image_index: int) -> int:
+        return self._items[image_index]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def items(self):
+        return self._items.items()
+
+    def __reduce__(self):
+        return (_Judgements, (self._items,))
+
+    def __repr__(self) -> str:
+        return repr(self._items)
 
 
 def _integer(value: object, name: str) -> int:

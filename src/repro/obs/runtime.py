@@ -29,7 +29,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, Tracer, format_span_tree
+from repro.obs.tracing import NULL_SPAN, Tracer
 
 __all__ = [
     "Observability",
@@ -219,8 +219,3 @@ def lock_wait_recorder(prefix: str) -> Callable[[str, float], None]:
             hub.metrics.histogram(f"{prefix}.{mode}.wait_seconds").observe(waited)
 
     return record
-
-
-def format_current_spans(exporter: Any) -> str:
-    """Text tree of every span an :class:`InMemoryExporter` collected."""
-    return format_span_tree(exporter.spans)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -192,8 +191,7 @@ class Tracer:
 
     def __init__(self, exporters: Sequence[Any] = (), *, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        self._exporters = list(exporters)
-        self._lock = threading.Lock()
+        self._exporters = tuple(exporters)
 
     def span(self, name: str, **attributes: Any):
         """Open a new span as a context manager.
@@ -205,15 +203,8 @@ class Tracer:
             return NULL_SPAN
         return Span(name, self, **attributes)
 
-    def add_exporter(self, exporter: Any) -> None:
-        """Register another exporter for subsequently finished spans."""
-        with self._lock:
-            self._exporters.append(exporter)
-
     def _export(self, span: Span) -> None:
-        with self._lock:
-            exporters = list(self._exporters)
-        for exporter in exporters:
+        for exporter in self._exporters:
             exporter.export(span)
 
 

@@ -50,7 +50,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
@@ -133,6 +133,10 @@ class RetrievalService:
         self.default_algorithm = default_algorithm
         self.log_policy = log_policy
         self._id_counter = itertools.count(1)
+        # Strategy configurations (``_group_key`` without a ranking size)
+        # that built once: a constructor either accepts a configuration or
+        # refuses it, so each is built at its first open only.
+        self._buildable: Set[object] = set()
         # The wait recorder consults the observability hub at call time, so
         # lock-wait accounting follows repro.obs.configure()/disable() live.
         self._session_locks = StripedLockMap(
@@ -208,6 +212,10 @@ class RetrievalService:
         SessionError
             If an id is requested twice in the wave or already exists; the
             failed wave leaves no sessions behind.
+        ValidationError
+            If a request names an unknown algorithm or parameters its
+            constructor does not take (an out-of-range value raises the
+            constructor's own error); the wave stores nothing.
 
         Notes
         -----
@@ -232,6 +240,13 @@ class RetrievalService:
             # Fail states the backend cannot persist (e.g. instance-backed
             # against the file store) BEFORE serving any of the wave.
             self.store.check_storable(state)
+            # A strategy that cannot be built would fail every round of its
+            # session: refuse it now, before anything of the wave is stored.
+            if state.instance is None:
+                strategy = self._group_key(state, None)
+                if strategy not in self._buildable:
+                    self._materialize(state)
+                    self._buildable.add(strategy)
             states.append(state)
         hub = get_hub()
         with hub.span("service.open_sessions", wave=len(states)) as span:

@@ -295,6 +295,50 @@ class TestErrorPropagation:
         finally:
             stop()
 
+    @pytest.mark.parametrize("front", ["service", "cluster"])
+    def test_a_strategy_that_cannot_be_built_is_refused_at_open(self, tmp_path, front):
+        # Each of these used to open and store a session whose every round
+        # then raised (the rf-svm one with a bare TypeError).  Mutation
+        # caught: open_sessions not building the strategy before storing.
+        if front == "service":
+            client = RetrievalService(ImageDatabase(_factory()))
+            stop = client.shutdown
+        else:
+            client = ClusterRouter(_factory, _config(tmp_path))
+            stop = client.stop
+        refused = [
+            (dict(algorithm="nope"), "unknown algorithm 'nope'"),
+            (dict(algorithm="rf-svm", algorithm_params={"bogus": 1}),
+             "unexpected keyword argument 'bogus'"),
+            (dict(algorithm="lrf-csvm", algorithm_params={"num_unlabeled": 1}),
+             "num_unlabeled must be >= 2"),
+        ]
+        try:
+            for position, (fields, match) in enumerate(refused):
+                session_id = f"refused-{position}"
+                with pytest.raises(ValidationError, match=match):
+                    client.open_session(SearchRequest(query=0, session_id=session_id, **fields))
+                with pytest.raises(SessionError):
+                    client.get_session(session_id)
+            valid = SearchRequest(
+                query=0, top_k=5, algorithm="rf-svm", algorithm_params={"C": 3.0},
+                session_id="valid",
+            )
+            opened = client.open_session(valid)
+            judged = {int(i): (1 if n < 2 else -1) for n, i in enumerate(opened.image_indices)}
+            assert client.submit_feedback("valid", judged, top_k=5).round_index == 1
+            if front == "service":
+                # One wave: the refused request stores nothing of the wave.
+                with pytest.raises(ValidationError, match="bogus"):
+                    client.open_sessions([
+                        SearchRequest(query=1, session_id="valid-2"),
+                        SearchRequest(query=1, **refused[1][0]),
+                    ])
+                with pytest.raises(SessionError):
+                    client.get_session("valid-2")
+        finally:
+            stop()
+
     def test_unknown_session_raises_typed_error(self, cluster):
         with pytest.raises(SessionError):
             cluster.submit_feedback("no-such-session", {0: 1})

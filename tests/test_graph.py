@@ -1,16 +1,25 @@
-"""Tests for :mod:`repro.graph` — the label-propagation feedback family.
+"""Tests for :mod:`repro.graph` — the ``lrf-graph`` feedback family.
 
-Covers the tentpole and its satellites: deterministic k-NN graph
-construction (any exhaustive index backend, bit-identical), persistence,
-the process-level graph cache, the fused visual/log kernel (sparse-only:
-``R`` is never densified) and its per-log-version memo, the clamped-propagation /
-α-spreading solvers, and the ``"lrf-graph"`` algorithm end to end —
-registry, cold start, service integration (in-process and through the
-cluster) and bit-identical replay from a reloaded
-:class:`~repro.service.FileSessionStore`.
+One configuration is served (see ``docs/graph.md``): deterministic k-NN
+graph construction, the process-level graph cache, the fused visual/log
+kernel (sparse-only: ``R`` is never densified) and its per-log-version
+memo, clamped propagation against its closed form, and the ``"lrf-graph"``
+algorithm end to end — registry, cold start, service integration (in
+process and through the cluster), bit-identical replay from a reloaded
+:class:`~repro.service.FileSessionStore`, and the served rankings and
+iteration counts pinned on the bench's smoke pool.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import gc
+import hashlib
+import importlib.util
+import inspect
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +29,13 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
+import repro.graph.feedback as graph_feedback
 from repro.cbir.database import ImageDatabase
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.datasets.pool import GaussianPoolConfig, make_gaussian_pool, make_pool_dataset
 from repro.exceptions import ValidationError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.pipeline import build_algorithms
 from repro.feedback.base import FeedbackContext, FeedbackMemory
 from repro.feedback.registry import available_algorithms, make_algorithm
 from repro.graph import (
@@ -36,9 +48,12 @@ from repro.graph import (
     log_corelevance,
     propagate_labels,
 )
+from repro.graph.builder import K
 from repro.index import VectorIndex
 from repro.logdb import InMemoryLogStore, LogSession, LogSnapshot, RelevanceMatrix
-from repro.service import FileSessionStore, RetrievalService, SearchRequest
+from repro.service import FeedbackRequest, FileSessionStore, RetrievalService, SearchRequest
+from repro.svm.kernels import RBFKernel
+from repro.utils.arrays import euclidean_distances, exact_top_k
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +64,13 @@ def features():
     )
     vectors[30:35] = vectors[0:5]  # exact duplicates → distance ties
     return vectors
+
+
+@pytest.fixture()
+def exact(monkeypatch):
+    """Propagation run to a tight tolerance, for the closed-form checks."""
+    monkeypatch.setattr(graph_feedback, "TOL", 1e-14)
+    monkeypatch.setattr(graph_feedback, "MAX_ITER", 50_000)
 
 
 def _chain_graph(num_nodes: int = 5) -> sparse.csr_matrix:
@@ -69,24 +91,28 @@ def _category_judgements(dataset, query_index, image_indices):
 
 class TestKNNGraphBuilder:
     def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            KNNGraphBuilder(k=0)
-        with pytest.raises(ValidationError):
-            KNNGraphBuilder(weighting="cubic")
-        with pytest.raises(ValidationError):
-            KNNGraphBuilder(symmetrize="min")
-        with pytest.raises(ValidationError):
-            KNNGraphBuilder(gamma=-1.0)
+        # One configuration: neither the builder nor its build takes options.
+        assert list(inspect.signature(KNNGraphBuilder).parameters) == []
+        assert list(inspect.signature(KNNGraphBuilder.build).parameters) == [
+            "self", "features"
+        ]
+        with pytest.raises(TypeError):
+            KNNGraphBuilder(k=3)
+
+    def test_explicit_index_must_cover_features(self, features):
+        # The builder scans the features itself: it takes no index.
+        with pytest.raises(TypeError):
+            KNNGraphBuilder().build(features, index=VectorIndex().build(features))
 
     def test_rejects_degenerate_features(self):
-        builder = KNNGraphBuilder(k=2)
+        builder = KNNGraphBuilder()
         with pytest.raises(ValidationError):
             builder.build(np.ones((1, 3)))
         with pytest.raises(ValidationError):
             builder.build(np.array([[np.nan, 0.0], [1.0, 2.0]]))
 
     def test_graph_is_symmetric_nonnegative_hollow(self, features):
-        graph = KNNGraphBuilder(k=8).build(features)
+        graph = KNNGraphBuilder().build(features)
         weights = graph.weights
         assert graph.num_nodes == features.shape[0]
         assert (abs(weights - weights.T)).max() < 1e-12
@@ -94,102 +120,60 @@ class TestKNNGraphBuilder:
         assert weights.diagonal().max() == 0.0
 
     def test_every_node_keeps_k_outgoing_edges(self, features):
-        k = 6
-        graph = KNNGraphBuilder(k=k, symmetrize="max").build(features)
-        # Max-symmetrisation only adds edges, so every node has >= k.
-        degrees = np.diff(graph.weights.indptr)
-        assert degrees.min() >= k
-
-    def test_k_clamped_to_pool_size(self):
-        rng = np.random.default_rng(3)
-        small = rng.normal(size=(5, 3))
-        graph = KNNGraphBuilder(k=50).build(small)
-        assert graph.params["k"] == 4  # N - 1
-
-    def test_connectivity_weighting_is_binary(self, features):
-        graph = KNNGraphBuilder(k=5, weighting="connectivity").build(features)
-        assert set(np.unique(graph.weights.data)) == {1.0}
-        assert graph.params["gamma"] is None
+        graph = KNNGraphBuilder().build(features)
+        # Max-symmetrisation only adds edges, so every node has >= K.
+        assert np.diff(graph.weights.indptr).min() >= K == 10
 
     def test_rbf_gamma_scale_matches_kernel_convention(self, features):
-        from repro.svm.kernels import RBFKernel
-
-        graph = KNNGraphBuilder(k=5, gamma="scale").build(features)
-        expected = float(RBFKernel("scale").fit(features).gamma_)
-        assert graph.params["gamma"] == pytest.approx(expected)
-
-    def test_mean_symmetrize_halves_one_directional_edges(self):
-        # Three collinear points: 0 and 2 both pick 1 as nearest, 1 picks 0.
-        points = np.array([[0.0], [1.0], [2.5]])
-        graph = KNNGraphBuilder(k=1, weighting="connectivity", symmetrize="mean").build(
-            points
-        )
-        dense = graph.weights.toarray()
-        assert dense[0, 1] == 1.0  # mutual edge keeps full weight
-        assert dense[2, 1] == 0.5  # one-directional edge halved
-        assert dense[1, 2] == 0.5
-
-    def test_explicit_index_must_cover_features(self, features):
-        foreign = VectorIndex().build(features[:-1])
-        with pytest.raises(ValidationError):
-            KNNGraphBuilder(k=4).build(features, index=foreign)
+        """The reference: each node's 10 nearest other rows by a stable sort
+        of the full distance matrix, weighted ``exp(-gamma d^2)`` with the
+        ``"scale"`` bandwidth of ``RBFKernel``, then ``max(W, W^T)``."""
+        graph = KNNGraphBuilder().build(features)
+        distances = euclidean_distances(features, features)
+        gamma = float(RBFKernel("scale").fit(features).gamma_)
+        expected = np.zeros_like(distances)
+        for row, order in enumerate(np.argsort(distances, axis=1, kind="stable")):
+            nearest = [int(i) for i in order if i != row][:10]
+            expected[row, nearest] = np.exp(-gamma * distances[row, nearest] ** 2)
+        expected = np.maximum(expected, expected.T)
+        np.testing.assert_allclose(graph.weights.toarray(), expected, rtol=1e-12, atol=0)
 
     def test_graph_bit_identical_to_exact_fallback(self, features):
-        builder = KNNGraphBuilder(k=7)
-        reference = builder.build(features)  # its own index
-        graph = builder.build(features, index=VectorIndex().build(features))
-        assert (reference.weights != graph.weights).nnz == 0
-        np.testing.assert_array_equal(reference.weights.data, graph.weights.data)
-        np.testing.assert_array_equal(reference.weights.indices, graph.weights.indices)
-        np.testing.assert_array_equal(reference.weights.indptr, graph.weights.indptr)
+        """The builder's own scan finds the neighbours an attached index
+        finds, so dropping ``build(index=)`` moved no edge."""
+        _, own = exact_top_k(features, features, K + 1)
+        _, indexed = VectorIndex().build(features).batch_search(features, K + 1)
+        np.testing.assert_array_equal(own, indexed)
+
+    def test_k_clamped_to_pool_size(self):
+        small = np.random.default_rng(3).normal(size=(5, 3))
+        graph = KNNGraphBuilder().build(small)
+        assert graph.num_edges == 5 * 4  # every node links to all N - 1 others
 
 
 class TestAffinityGraph:
     def test_rejects_non_square_weights(self):
         with pytest.raises(ValidationError):
-            AffinityGraph(sparse.csr_matrix(np.ones((2, 3))), params={})
+            AffinityGraph(sparse.csr_matrix(np.ones((2, 3))))
 
 
 class TestGraphCache:
     def test_hit_returns_same_object(self, features):
         cache = GraphCache()
-        builder = KNNGraphBuilder(k=4)
-        first = cache.get_or_build(features, builder.signature(), lambda: builder.build(features))
-        second = cache.get_or_build(features, builder.signature(), lambda: builder.build(features))
+        first = cache.get_or_build(features)
+        second = cache.get_or_build(features)
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
-
-    def test_signature_miss_builds_again(self, features):
-        cache = GraphCache()
-        b4 = KNNGraphBuilder(k=4)
-        b5 = KNNGraphBuilder(k=5)
-        g4 = cache.get_or_build(features, b4.signature(), lambda: b4.build(features))
-        g5 = cache.get_or_build(features, b5.signature(), lambda: b5.build(features))
-        assert g4 is not g5
-        assert cache.misses == 2 and len(cache) == 2
+        assert (first.weights != KNNGraphBuilder().build(features).weights).nnz == 0
 
     def test_dead_features_release_their_entry(self):
         cache = GraphCache()
-        builder = KNNGraphBuilder(k=2)
         matrix = np.random.default_rng(0).normal(size=(10, 3))
-        cache.get_or_build(matrix, builder.signature(), lambda: builder.build(matrix))
+        cache.get_or_build(matrix)
         assert len(cache) == 1
         del matrix
-        import gc
-
         gc.collect()
         assert len(cache) == 0
-
-    def test_capacity_evicts_lru(self):
-        cache = GraphCache(capacity=1)
-        builder = KNNGraphBuilder(k=2)
-        a = np.random.default_rng(1).normal(size=(8, 3))
-        b = np.random.default_rng(2).normal(size=(8, 3))
-        cache.get_or_build(a, builder.signature(), lambda: builder.build(a))
-        cache.get_or_build(b, builder.signature(), lambda: builder.build(b))
-        assert len(cache) == 1
-        cache.get_or_build(a, builder.signature(), lambda: builder.build(a))
-        assert cache.misses == 3  # a was evicted, rebuilt on return
 
     def test_default_cache_is_shared(self):
         assert default_graph_cache() is default_graph_cache()
@@ -235,7 +219,7 @@ class TestLogCorelevanceKernel:
         monkeypatch.setattr(RelevanceMatrix, "log_vectors", forbidden)
         monkeypatch.setattr(LogSnapshot, "log_vectors", forbidden)
         visual = sparse.identity(3, format="csr")
-        fused = fuse_with_log(visual, snapshot, eta=0.5)
+        fused = fuse_with_log(visual, snapshot)
         assert sparse.issparse(fused)
         # Only the sessions-major CSR view was built (and is cached).
         assert set(snapshot._derived) == {"log_csr"}
@@ -258,67 +242,46 @@ class TestLogCorelevanceKernel:
         assert snapshot.log_vectors([0, 1]).shape == (2, 1)
 
     def test_fuse_validations_and_degradations(self):
-        empty = InMemoryLogStore(3).snapshot()
         visual = sparse.identity(3, format="csr")
-        with pytest.raises(ValidationError):
-            fuse_with_log(visual, empty, eta=1.5)
-        assert fuse_with_log(visual, empty, eta=0.7) is not None
-        # Empty log or eta=0 short-circuit to the visual matrix.
-        rich = self._snapshot([{0: 1, 1: 1}], num_images=3)
-        assert fuse_with_log(visual, rich, eta=0.0).nnz == visual.nnz
+        # An empty log, or one with no co-judged pair, leaves the visual matrix.
+        assert fuse_with_log(visual, InMemoryLogStore(3).snapshot()).nnz == visual.nnz
+        assert fuse_with_log(visual, self._snapshot([{0: 1}], num_images=3)).nnz == visual.nnz
         wrong = self._snapshot([{0: 1, 1: 1}], num_images=5)
         with pytest.raises(ValidationError):
-            fuse_with_log(visual, wrong, eta=0.5)
+            fuse_with_log(visual, wrong)
 
     def test_fusion_is_convex_mix(self):
         snapshot = self._snapshot([{0: 1, 1: 1}], num_images=2)
         visual = sparse.csr_matrix(np.array([[0.0, 0.4], [0.4, 0.0]]))
-        fused = fuse_with_log(visual, snapshot, eta=0.25).toarray()
-        assert fused[0, 1] == pytest.approx(0.75 * 0.4 + 0.25 * 1.0)
+        fused = fuse_with_log(visual, snapshot).toarray()
+        assert fused[0, 1] == pytest.approx(0.5 * 0.4 + 0.5 * 1.0)
 
 
 class TestPropagation:
     def test_parameter_validation(self):
-        chain = _chain_graph()
-        seeds = np.zeros(5)
         with pytest.raises(ValidationError):
-            propagate_labels(chain, seeds, method="teleport")
+            propagate_labels(sparse.csr_matrix(np.ones((2, 3))), np.zeros(2))
         with pytest.raises(ValidationError):
-            propagate_labels(chain, seeds, alpha=1.0)
-        with pytest.raises(ValidationError):
-            propagate_labels(chain, seeds, max_iter=0)
-        with pytest.raises(ValidationError):
-            propagate_labels(chain, seeds, tol=-1.0)
-        with pytest.raises(ValidationError):
-            propagate_labels(chain, np.zeros(4))
+            propagate_labels(_chain_graph(5), np.zeros(4))
 
     def test_clamped_positives_stay_positive(self):
         chain = _chain_graph(7)
         seeds = np.zeros(7)
         seeds[0], seeds[6] = 1.0, -1.0
-        result = propagate_labels(chain, seeds, tol=1e-10, max_iter=5000)
+        result = propagate_labels(chain, seeds)
         assert result.converged
         assert result.scores[0] == 1.0 and result.scores[6] == -1.0
         # Scores decay monotonically along the chain from + to -.
         assert np.all(np.diff(result.scores) < 0)
 
-    def test_converges_to_harmonic_solution_on_chain(self):
+    def test_converges_to_harmonic_solution_on_chain(self, exact):
         # On a path with endpoints clamped at +1/−1 the harmonic solution
         # is the linear interpolation between them.
         chain = _chain_graph(5)
         seeds = np.zeros(5)
         seeds[0], seeds[4] = 1.0, -1.0
-        result = propagate_labels(chain, seeds, tol=1e-12, max_iter=20000)
+        result = propagate_labels(chain, seeds)
         np.testing.assert_allclose(result.scores, [1.0, 0.5, 0.0, -0.5, -1.0], atol=1e-6)
-
-    def test_spreading_softens_but_respects_seeds(self):
-        chain = _chain_graph(5)
-        seeds = np.zeros(5)
-        seeds[0], seeds[4] = 1.0, -1.0
-        result = propagate_labels(chain, seeds, method="spreading", tol=1e-12, max_iter=5000)
-        assert result.converged
-        assert result.scores[0] > result.scores[2] > result.scores[4]
-        assert 0.0 < result.scores[0] < 1.0  # softened, not clamped
 
     def test_isolated_nodes_keep_zero(self):
         graph = sparse.csr_matrix((4, 4))  # no edges at all
@@ -341,13 +304,13 @@ class TestPropagation:
         np.testing.assert_array_equal(first.scores, second.scores)
 
     def test_unconverged_run_reports_delta(self):
-        chain = _chain_graph(30)
-        seeds = np.zeros(30)
+        chain = _chain_graph(60)
+        seeds = np.zeros(60)
         seeds[0] = 1.0
-        result = propagate_labels(chain, seeds, max_iter=2, tol=0.0)
+        result = propagate_labels(chain, seeds)
         assert not result.converged
-        assert result.iterations == 2
-        assert result.delta > 0.0
+        assert result.iterations == graph_feedback.MAX_ITER == 200
+        assert result.delta > graph_feedback.TOL
 
 
 def _seeded_graph(num_nodes, density, seed):
@@ -365,15 +328,12 @@ def _seeded_graph(num_nodes, density, seed):
     return weights, seeds
 
 
-def _inverse_degrees(weights):
-    degrees = np.asarray(weights.sum(axis=1)).ravel()
-    return np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
-
-
 def _harmonic_solution(weights, seeds):
     """Zhu, Ghahramani & Lafferty (2003): ``(I − P_uu) f_u = P_ul y_l``, ``P = D⁻¹W``."""
+    degrees = np.asarray(weights.sum(axis=1)).ravel()
+    inverse = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees > 0)
     unlabeled = seeds == 0
-    transition = (sparse.diags(_inverse_degrees(weights)) @ weights).tocsr()
+    transition = (sparse.diags(inverse) @ weights).tocsr()
     scores = seeds.copy()
     if unlabeled.any():
         system = sparse.identity(int(unlabeled.sum())) - transition[unlabeled][:, unlabeled]
@@ -382,47 +342,29 @@ def _harmonic_solution(weights, seeds):
     return scores
 
 
-def _spreading_solution(weights, seeds, alpha):
-    """Zhou et al. (2004): ``(I − αS) f = (1 − α) y``, ``S = D^{-1/2} W D^{-1/2}``."""
-    root = sparse.diags(np.sqrt(_inverse_degrees(weights)))
-    system = sparse.identity(weights.shape[0]) - alpha * (root @ weights @ root)
-    return spsolve(system.tocsc(), (1.0 - alpha) * seeds)
-
-
 class TestPropagationClosedForms:
-    """The iterative solvers against independent direct solves of their fixed points."""
+    """The iterative solver against an independent direct solve of its fixed point."""
 
     @given(st.integers(2, 12), st.floats(0.2, 0.9), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_propagation_reaches_the_harmonic_solution(self, num_nodes, density, seed):
         weights, seeds = _seeded_graph(num_nodes, density, seed)
-        clamped = propagate_labels(weights, seeds, tol=1e-14, max_iter=50_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_feedback, "TOL", 1e-14)
+            patch.setattr(graph_feedback, "MAX_ITER", 50_000)
+            clamped = propagate_labels(weights, seeds)
         assert clamped.converged
         np.testing.assert_allclose(clamped.scores, _harmonic_solution(weights, seeds), atol=1e-10)
 
-    @given(st.integers(2, 12), st.floats(0.2, 0.9), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_spreading_reaches_its_closed_form(self, num_nodes, density, seed):
-        weights, seeds = _seeded_graph(num_nodes, density, seed)
-        spread = propagate_labels(
-            weights, seeds, method="spreading", alpha=0.85, tol=1e-14, max_iter=50_000
-        )
-        assert spread.converged
-        np.testing.assert_allclose(
-            spread.scores, _spreading_solution(weights, seeds, 0.85), atol=1e-10
-        )
-
-    @pytest.mark.parametrize("method", ["propagation", "spreading"])
-    def test_symmetric_triangle_splits_the_unlabelled_node_evenly(self, method):
+    def test_symmetric_triangle_splits_the_unlabelled_node_evenly(self, exact):
         triangle = sparse.csr_matrix(np.ones((3, 3)) - np.eye(3))
-        result = propagate_labels(triangle, np.array([1.0, -1.0, 0.0]), method=method, tol=1e-14)
+        result = propagate_labels(triangle, np.array([1.0, -1.0, 0.0]))
         assert result.scores[2] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("method", ["propagation", "spreading"])
-    def test_isolated_labelled_node_keeps_its_seed(self, method):
+    def test_isolated_labelled_node_keeps_its_seed(self, exact):
         graph = sparse.dok_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         seeds = np.array([-1.0, 0.0, 1.0])
-        result = propagate_labels(graph, seeds, method=method, tol=1e-14, max_iter=1000)
+        result = propagate_labels(graph, seeds)
         assert result.scores[2] == pytest.approx(1.0, abs=1e-12)
         assert result.scores[1] < 0  # the unlabelled node takes its neighbour's label
 
@@ -441,25 +383,20 @@ class TestLabelPropagationFeedback:
 
     def test_registered_beside_the_svm_family(self):
         assert "lrf-graph" in available_algorithms()
-        algorithm = make_algorithm("lrf-graph", k=5, eta=0.25)
+        algorithm = make_algorithm("lrf-graph")
         assert isinstance(algorithm, LabelPropagationFeedback)
         assert algorithm.name == "lrf-graph"
+        with pytest.raises(ValidationError, match="cannot build algorithm 'lrf-graph'"):
+            make_algorithm("lrf-graph", k=5)
 
     def test_constructor_validation(self):
-        for bad in (
-            dict(eta=-0.1),
-            dict(eta=1.1),
-            dict(method="osmosis"),
-            dict(alpha=0.0),
-            dict(max_iter=0),
-            dict(tol=-1e-3),
-            dict(k=0),
-        ):
-            with pytest.raises(ValidationError):
-                LabelPropagationFeedback(**bad)
+        assert list(inspect.signature(LabelPropagationFeedback).parameters) == []
+        for option in ("k", "eta", "method", "alpha", "max_iter", "tol", "cache"):
+            with pytest.raises(TypeError):
+                LabelPropagationFeedback(**{option: 1})
 
     def test_scores_every_image_and_ranks_positives_first(self, small_database):
-        algorithm = LabelPropagationFeedback(k=8, cache=GraphCache())
+        algorithm = LabelPropagationFeedback()
         context = self._context(small_database, [0, 1, 30], [1, 1, -1])
         scores = algorithm.score(context)
         assert scores.shape == (small_database.num_images,)
@@ -468,7 +405,7 @@ class TestLabelPropagationFeedback:
         assert algorithm.last_result_ is not None
 
     def test_single_class_feedback_is_usable(self, small_database):
-        algorithm = LabelPropagationFeedback(k=8, cache=GraphCache())
+        algorithm = LabelPropagationFeedback()
         context = self._context(small_database, [0, 1], [1, 1])
         scores = algorithm.score(context)
         assert np.isfinite(scores).all()
@@ -476,7 +413,7 @@ class TestLabelPropagationFeedback:
 
     def test_cold_start_degrades_to_visual_only(self, empty_log_database):
         memory = FeedbackMemory()
-        algorithm = LabelPropagationFeedback(k=8, eta=0.9, cache=GraphCache())
+        algorithm = LabelPropagationFeedback()
         context = self._context(empty_log_database, [0, 40], [1, -1], memory=memory)
         scores = algorithm.score(context)
         assert np.isfinite(scores).all()
@@ -486,119 +423,101 @@ class TestLabelPropagationFeedback:
 
     def test_log_rich_round_takes_the_fused_path(self, small_database):
         memory = FeedbackMemory()
-        algorithm = LabelPropagationFeedback(k=8, eta=0.5, cache=GraphCache())
+        algorithm = LabelPropagationFeedback()
         context = self._context(small_database, [0, 40], [1, -1], memory=memory)
         algorithm.score(context)
         assert memory.meta["last_path"] == "graph-fused"
 
-    def test_eta_zero_ignores_the_log(self, small_database):
-        memory = FeedbackMemory()
-        algorithm = LabelPropagationFeedback(k=8, eta=0.0, cache=GraphCache())
-        algorithm.score(self._context(small_database, [0, 40], [1, -1], memory=memory))
-        assert memory.meta["last_path"] == "graph-visual"
-
-    def test_rounds_share_one_cached_graph(self, small_database):
-        cache = GraphCache()
-        algorithm = LabelPropagationFeedback(k=8, cache=cache)
+    def test_rounds_share_one_cached_graph(self, small_dataset):
+        database = ImageDatabase(small_dataset)  # features no round has seen
+        cache = default_graph_cache()
+        hits, misses = cache.hits, cache.misses
         for _ in range(3):
-            algorithm.score(self._context(small_database, [0, 40], [1, -1]))
-        assert cache.misses == 1 and cache.hits == 2
+            LabelPropagationFeedback().score(self._context(database, [0, 40], [1, -1]))
+        assert (cache.misses - misses, cache.hits - hits) == (1, 2)
 
-    def test_fusion_is_memoised_per_log_version_graph_and_eta(
-        self, small_dataset, small_log, monkeypatch
-    ):
+    def test_fusion_is_memoised_per_log_version(self, small_dataset, small_log, monkeypatch):
         import copy
-
-        import repro.graph.feedback as graph_feedback
 
         fusions = []
 
-        def counting_fuse(visual, snapshot, *, eta):
-            fusions.append((snapshot.version, eta))
-            return fuse_with_log(visual, snapshot, eta=eta)
+        def counting_fuse(visual, snapshot):
+            fusions.append(snapshot.version)
+            return fuse_with_log(visual, snapshot)
 
         monkeypatch.setattr(graph_feedback, "fuse_with_log", counting_fuse)
         database = ImageDatabase(small_dataset, log_database=copy.deepcopy(small_log))
-        cache = GraphCache()
-        algorithm = LabelPropagationFeedback(k=8, eta=0.5, cache=cache)
-        graph = algorithm._visual_graph(database)
+        algorithm = LabelPropagationFeedback()
+        graph = default_graph_cache().get_or_build(database.features)
 
         def fused_now():
-            return algorithm._fused_weights(graph, database.log_database.snapshot())
+            return graph_feedback._fused_weights(graph, database.log_database.snapshot())
 
         version = len(database.log_database)
         first = fused_now()
         for _ in range(3):
             algorithm.score(self._context(database, [0, 40], [1, -1]))
         assert fused_now() is first
-        assert fusions == [(version, 0.5)]
+        assert fusions == [version]
         # The memoised matrix is the one an unmemoised fusion produces.
-        fresh = fuse_with_log(graph.weights, database.log_database.snapshot(), eta=0.5)
+        fresh = fuse_with_log(graph.weights, database.log_database.snapshot())
         assert (first != fresh).nnz == 0
         np.testing.assert_array_equal(first.data, fresh.data)
         np.testing.assert_array_equal(first.indices, fresh.indices)
 
-        # Another eta, and another graph over the same snapshot, fuse anew.
-        other_eta = LabelPropagationFeedback(k=8, eta=0.25, cache=cache)
-        other_eta.score(self._context(database, [0, 40], [1, -1]))
-        other_graph = LabelPropagationFeedback(k=5, eta=0.5, cache=cache)
-        other_graph.score(self._context(database, [0, 40], [1, -1]))
-        assert fusions == [(version, 0.5), (version, 0.25), (version, 0.5)]
+        # Another graph over the same snapshot fuses anew.
+        other = KNNGraphBuilder().build(database.features)
+        graph_feedback._fused_weights(other, database.log_database.snapshot())
+        assert fusions == [version, version]
 
         # An append starts a new version: one more fusion, a different matrix.
         database.log_database.append(LogSession(judgements={0: 1, 1: 1, 40: -1}))
         algorithm.score(self._context(database, [0, 40], [1, -1]))
         algorithm.score(self._context(database, [0, 40], [1, -1]))
-        assert fusions[3:] == [(version + 1, 0.5)]
+        assert fusions[2:] == [version + 1]
         assert fused_now() is not first
 
+    def test_attached_index_is_not_used(self, small_dataset, monkeypatch):
+        database = ImageDatabase(small_dataset)  # features no round has seen
+        index = database.build_index("brute-force")
+        calls = []
+        monkeypatch.setattr(index, "batch_search", lambda *a, **k: calls.append(a))
+        graph = default_graph_cache().get_or_build(database.features)
+        assert not calls
+        assert (graph.weights != KNNGraphBuilder().build(database.features).weights).nnz == 0
+
     def test_memo_never_serves_another_graphs_fusion(self, small_dataset, small_log):
-        """A graph dropped by its cache stays alive inside the memo entry,
+        """A graph dropped by its owner stays alive inside the memo entry,
         so a later graph can never be handed its ``id()`` — and its fusion."""
         import copy
-        import gc
-        import weakref
 
         database = ImageDatabase(small_dataset, log_database=copy.deepcopy(small_log))
         snapshot = database.log_database.snapshot()
-        first = LabelPropagationFeedback(k=8, eta=0.5, cache=GraphCache())
-        graph = first._visual_graph(database)
-        first._fused_weights(graph, snapshot)
+        graph = KNNGraphBuilder().build(database.features)
+        graph_feedback._fused_weights(graph, snapshot)
         alive = weakref.ref(graph)
-        del first, graph
+        del graph
         gc.collect()
         assert alive() is not None  # pinned by the snapshot's memo entry
 
         for _ in range(5):
-            algorithm = LabelPropagationFeedback(k=4, eta=0.5, cache=GraphCache())
-            other = algorithm._visual_graph(database)
+            other = KNNGraphBuilder().build(database.features)
             assert id(other) != id(alive())
-            fused = algorithm._fused_weights(other, snapshot)
-            expected = fuse_with_log(other.weights, snapshot, eta=0.5)
+            # Perturb the weights so a served stale fusion would show.
+            other.weights.data *= 0.5
+            fused = graph_feedback._fused_weights(other, snapshot)
+            expected = fuse_with_log(other.weights, snapshot)
             assert (fused != expected).nnz == 0
-            del algorithm, other
+            del other
             gc.collect()
 
-    def test_attached_index_is_used(self, small_dataset, monkeypatch):
-        database = ImageDatabase(small_dataset)
-        index = database.build_index("brute-force")
-        calls = []
-        search = index.batch_search
-        monkeypatch.setattr(
-            index, "batch_search", lambda *a, **k: calls.append(a) or search(*a, **k)
-        )
-        graph = LabelPropagationFeedback(k=4, cache=GraphCache())._visual_graph(database)
-        assert len(calls) == 1
-        reference = KNNGraphBuilder(k=4).build(database.features)
-        assert (graph.weights != reference.weights).nnz == 0
-
-    def test_propagation_metrics_reach_the_hub(self, small_database):
+    def test_propagation_metrics_reach_the_hub(self, small_dataset, small_log):
         from repro.obs import InMemoryExporter, configure, disable, get_hub
 
+        database = ImageDatabase(small_dataset, log_database=small_log)  # a cache miss
         configure(exporters=[InMemoryExporter()])
         try:
-            algorithm = LabelPropagationFeedback(k=8, cache=GraphCache())
-            algorithm.score(self._context(small_database, [0, 40], [1, -1]))
+            LabelPropagationFeedback().score(self._context(database, [0, 40], [1, -1]))
             hub = get_hub()
             assert hub.metrics.counter("graph.build.count").value == 1
             assert hub.metrics.counter("graph.propagate.iterations").value >= 1
@@ -616,26 +535,15 @@ class TestServiceIntegration:
 
         return ImageDatabase(small_dataset, log_database=copy.deepcopy(small_log))
 
-    def _drive_session(self, service, small_dataset, query=0, rounds=2):
-        opened = service.open_session(
-            SearchRequest(
-                query=query,
-                top_k=10,
-                algorithm="lrf-graph",
-                algorithm_params={"k": 8, "eta": 0.5},
-            )
-        )
-        responses = [opened]
-        for _ in range(rounds):
-            judgements = _category_judgements(
-                small_dataset, query, responses[-1].image_indices[:6]
-            )
-            responses.append(service.submit_feedback(opened.session_id, judgements))
-        return opened.session_id, responses
-
     def test_serves_through_the_service(self, graph_database, small_dataset):
         service = RetrievalService(graph_database, log_policy="off")
-        _, responses = self._drive_session(service, small_dataset)
+        opened = service.open_session(SearchRequest(query=0, top_k=10, algorithm="lrf-graph"))
+        responses = [opened]
+        for _ in range(2):
+            judgements = _category_judgements(
+                small_dataset, 0, responses[-1].image_indices[:6]
+            )
+            responses.append(service.submit_feedback(opened.session_id, judgements))
         assert responses[-1].round_index == 2
         assert len(responses[0].image_indices) == 10  # session top_k
         assert np.isfinite(responses[-1].scores).all()
@@ -643,11 +551,9 @@ class TestServiceIntegration:
     def test_reloaded_session_replays_bit_identically(
         self, graph_database, small_dataset, tmp_path
     ):
-        """The satellite: an lrf-graph session resumed from a reloaded
-        FileSessionStore serves the next round bit-identically."""
-        request = SearchRequest(
-            query=0, top_k=10, algorithm="lrf-graph", algorithm_params={"k": 8, "eta": 0.5}
-        )
+        """An lrf-graph session resumed from a reloaded FileSessionStore
+        serves the next round bit-identically."""
+        request = SearchRequest(query=0, top_k=10, algorithm="lrf-graph")
         reference = RetrievalService(graph_database, log_policy="off")
         ref_open = reference.open_session(request)
         round1 = _category_judgements(small_dataset, 0, ref_open.image_indices)
@@ -673,6 +579,12 @@ class TestServiceIntegration:
         state = resumed.store.get(opened.session_id)
         assert state.memory.meta["rounds_scored"] == 2
         assert state.memory.meta["last_path"] in ("graph-fused", "graph-visual")
+
+
+class TestExperimentsWiring:
+    def test_build_algorithms_materialises_lrf_graph(self):
+        catalogue = build_algorithms(ExperimentConfig(algorithms=("euclidean", "lrf-graph")))
+        assert isinstance(catalogue["lrf-graph"], LabelPropagationFeedback)
 
 
 POOL_CONFIG = GaussianPoolConfig(
@@ -703,19 +615,9 @@ class TestClusterIntegration:
         )
         with ClusterRouter(_cluster_dataset_factory, config) as router:
             for query in (0, 7):
-                remote0 = router.open_session(
-                    query,
-                    top_k=12,
-                    algorithm="lrf-graph",
-                    algorithm_params={"k": 6, "eta": 0.5},
-                )
+                remote0 = router.open_session(query, top_k=12, algorithm="lrf-graph")
                 local0 = local.open_session(
-                    SearchRequest(
-                        query=query,
-                        top_k=12,
-                        algorithm="lrf-graph",
-                        algorithm_params={"k": 6, "eta": 0.5},
-                    )
+                    SearchRequest(query=query, top_k=12, algorithm="lrf-graph")
                 )
                 np.testing.assert_array_equal(
                     remote0.image_indices, local0.image_indices
@@ -734,72 +636,64 @@ class TestClusterIntegration:
                 local.close_session(local0.session_id)
 
 
-class TestExperimentsWiring:
-    def test_graph_params_validated_at_config_time(self):
-        from repro.exceptions import ConfigurationError
-        from repro.experiments.config import ExperimentConfig
+# ------------------------------------------------------ served path, pinned
+def _load_bench_workloads():
+    # Loaded by path, as tests/test_bench_targets.py does: ``bench`` is not
+    # an installed package.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(graph_params={"eta": 2.0})
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(graph_params={"nonsense": 1})
-        config = ExperimentConfig(graph_params={"k": 6, "eta": 0.25})
-        assert config.graph_params["k"] == 6
 
-    def test_build_algorithms_materialises_lrf_graph(self):
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.pipeline import build_algorithms
+#: ``(seed, log) -> (digest of every served top-20, last_graph_iterations
+#: of every round)``: four 3-round sessions on the bench's smoke pool, with
+#: its seed log and with an empty one.  Recorded on the tree that still
+#: had the graph's options, and unchanged by their deletion.
+SERVED_PIN = {
+    (100, "seed"): ("620eef27fb5c9a55", [170, 134, 127, 155, 139, 118, 151, 140, 134, 129, 119, 110]),
+    (100, "empty"): ("a2727d0807e19cd4", [185, 147, 127, 172, 144, 129, 154, 140, 133, 138, 125, 113]),
+    (101, "seed"): ("568c4d59b648a6d6", [175, 158, 151, 156, 131, 115, 200, 163, 137, 200, 172, 151]),
+    (101, "empty"): ("a8a928cd2e9fd545", [168, 150, 139, 174, 142, 122, 200, 166, 138, 200, 155, 140]),
+    (102, "seed"): ("01a05c5d3b22c175", [180, 136, 127, 183, 162, 154, 157, 147, 134, 114, 105, 101]),
+    (102, "empty"): ("3b6e444467c7a947", [193, 132, 122, 188, 161, 151, 156, 144, 129, 125, 112, 105]),
+}
 
-        config = ExperimentConfig(
-            algorithms=("euclidean", "lrf-graph"),
-            graph_params={"k": 6, "eta": 0.25, "method": "spreading"},
-        )
-        catalogue = build_algorithms(config)
-        algorithm = catalogue["lrf-graph"]
-        assert isinstance(algorithm, LabelPropagationFeedback)
-        assert algorithm.k == 6 and algorithm.method == "spreading"
 
-    def test_run_graph_ablation_rejects_unknown_regime(self, small_dataset, small_database):
-        from repro.exceptions import ConfigurationError
-        from repro.experiments.ablations import run_graph_ablation
-        from repro.experiments.config import ExperimentConfig
+class TestServedRankingsPinned:
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        return _load_bench_workloads()
 
-        config = ExperimentConfig()
-        with pytest.raises(ConfigurationError):
-            run_graph_ablation(
-                config,
-                regimes=("log-free",),
-                environment=(small_dataset, small_database),
-            )
-
-    def test_run_graph_ablation_sweeps_regimes_and_eta(self, small_dataset, small_database):
-        from dataclasses import replace
-
-        from repro.evaluation.protocol import ProtocolConfig
-        from repro.experiments.ablations import run_graph_ablation
-        from repro.experiments.config import ExperimentConfig
-
-        config = replace(
-            ExperimentConfig(graph_params={"k": 8}),
-            protocol=ProtocolConfig(num_queries=2, num_labeled=6, cutoffs=(10,), seed=5),
-        )
-        result = run_graph_ablation(
-            config,
-            eta_values=(0.0, 0.5),
-            environment=(small_dataset, small_database),
-        )
-        assert result.parameter == "graph_regime_eta"
-        assert result.values == (
-            ("log-rich", 0.0),
-            ("log-rich", 0.5),
-            ("cold-start", 0.0),
-            ("cold-start", 0.5),
-        )
-        assert len(result.map_scores) == 4
-        assert all(0.0 <= score <= 1.0 for score in result.map_scores)
-        # Every point carries the SVM head-to-head baseline.
-        for table in result.tables:
-            assert table.result("lrf-csvm").map_score >= 0.0
-        # Cold-start eta sweep is a no-op: with an empty log both eta points
-        # propagate over the identical visual graph.
-        assert result.map_scores[2] == result.map_scores[3]
+    @pytest.mark.parametrize("seed, log", list(SERVED_PIN), ids=lambda v: str(v))
+    def test_rankings_and_iterations_unchanged(self, workloads, tmp_path, seed, log):
+        spec = workloads.SPECS["smoke"]["interactive_csvm"]
+        inputs = workloads.make_inputs(seed, spec)
+        if log == "empty":
+            inputs = dataclasses.replace(inputs, seed_log=())
+        system = workloads.build_system(spec, inputs, tmp_path)
+        served, iterations = [], []
+        try:
+            for query in (int(q) for q in inputs.queries[:4]):
+                response = system.front.open_session(
+                    SearchRequest(query=query, top_k=20, algorithm="lrf-graph")
+                )
+                for _ in range(3):
+                    served.append(response.image_indices.copy())
+                    response = system.front.submit_feedback(
+                        FeedbackRequest(
+                            response.session_id,
+                            workloads.judge(inputs.labels, query, response),
+                            top_k=20,
+                        )
+                    )
+                    meta = system.front.store.get(response.session_id).memory.meta
+                    iterations.append(meta["last_graph_iterations"])
+                served.append(response.image_indices.copy())
+                system.front.close_session(response.session_id)
+        finally:
+            system.close()
+        digest = hashlib.sha256(np.concatenate(served).astype(np.int64).tobytes())
+        assert (digest.hexdigest()[:16], iterations) == SERVED_PIN[(seed, log)]

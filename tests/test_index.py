@@ -4,7 +4,6 @@ The load-bearing properties:
 
 * the index ranks exactly as the dense scan does, for a query batch of
   any size;
-* an index of other vectors is refused where a caller hands one in;
 * the serving layers (``SearchEngine``, ``ImageDatabase``,
   ``RetrievalService``) use the index without changing exact-path results,
   and fall back to the exact scan when none is attached.
@@ -23,7 +22,6 @@ from repro.cbir.search import SearchEngine
 from repro.datasets.pool import GaussianPoolConfig, make_gaussian_pool
 from repro.exceptions import ValidationError
 from repro.feedback.euclidean import EuclideanFeedback
-from repro.graph import KNNGraphBuilder
 from repro.index import VectorIndex
 from repro.service import RetrievalService
 from repro.utils.arrays import euclidean_distances, exact_top_k, squared_norms, stable_top_k
@@ -161,9 +159,6 @@ class TestSearchEngineIndexing:
         assert list(inspect.signature(SearchEngine).parameters) == ["database"]
         assert list(inspect.signature(EuclideanFeedback).parameters) == []
         assert list(inspect.signature(VectorIndex).parameters) == []
-        assert list(inspect.signature(KNNGraphBuilder).parameters) == [
-            "k", "weighting", "gamma", "symmetrize"
-        ]
         assert list(inspect.signature(exact_top_k).parameters) == [
             "queries", "vectors", "k", "vectors_sq"
         ]
@@ -185,26 +180,6 @@ class TestImageDatabaseIndex:
         index = database.build_index("brute-force")
         assert database.index is index and index.size == database.num_images
         assert not any(
-            hasattr(VectorIndex, name) for name in ("save", "load", "search")
+            hasattr(VectorIndex, name)
+            for name in ("save", "load", "search", "ensure_covers")
         )
-
-
-class TestIndexCoverage:
-    """``ensure_covers`` guards the one place a caller hands an index in:
-    ``KNNGraphBuilder.build(index=)``."""
-
-    def test_rejects_an_index_of_another_shape(self, small_dataset, pool):
-        vectors, _ = pool
-        features = ImageDatabase(small_dataset).features
-        with pytest.raises(ValidationError, match="index covers"):
-            KNNGraphBuilder(k=3).build(features, index=VectorIndex().build(vectors))
-        with pytest.raises(ValidationError, match="unbuilt"):
-            KNNGraphBuilder(k=3).build(features, index=VectorIndex())
-
-    def test_rejects_an_index_of_other_vectors(self, small_dataset):
-        # Right shape, wrong vectors: a stale index must be rejected, not
-        # silently serve neighbours of a different corpus.
-        features = ImageDatabase(small_dataset).features
-        stale = VectorIndex().build(features + 1.0)
-        with pytest.raises(ValidationError, match="different vectors"):
-            KNNGraphBuilder(k=3).build(features, index=stale)

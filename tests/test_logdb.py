@@ -76,16 +76,39 @@ class TestLogSession:
         session = LogSession(judgements={0: 1}).with_session_id(42)
         assert session.session_id == 42
         # The tagged copy skips the second cleaning pass; it must still equal
-        # a fresh session.  Mutation caught: a tagged copy that shares the
-        # original's judgements dict (``self.judgements`` without ``dict``).
+        # a fresh session, and shares the original's read-only judgements.
         original = LogSession(judgements={np.int64(4): 1, 0: -1}, query_index=2)
         tagged = original.with_session_id(np.int64(7))
         assert tagged == LogSession(judgements={4: 1, 0: -1}, query_index=2, session_id=7)
         assert type(tagged.session_id) is int
-        assert tagged.judgements is not original.judgements
+        assert tagged.judgements is original.judgements
         assert list(tagged.judgements) == [4, 0]  # insertion order kept
         with pytest.raises(LogDatabaseError):
             LogSession(judgements={4: 1, 0: 2}, query_index=2, session_id=7)
+
+    def test_judgements_are_read_only(self):
+        # Mutation caught: keeping the cleaned plain dict in __post_init__
+        # (``judgements=cleaned``), which let ``s.judgements[1] = 7`` reach
+        # the log unchecked as a judgement of 7.
+        session = LogSession(judgements={0: 1, 3: -1}, query_index=2)
+        mutations = (
+            lambda j: j.__setitem__(1, 7),
+            lambda j: j.__delitem__(0),
+            lambda j: j.update({1: 1}),
+            lambda j: j.clear(),
+        )
+        for mutate in mutations:
+            with pytest.raises((TypeError, AttributeError)):
+                mutate(session.judgements)
+        assert session.judgements == {0: 1, 3: -1}
+        store = InMemoryLogStore(4)
+        store.append(session)
+        np.testing.assert_array_equal(store.relevance_matrix().toarray(), [[1, 0, 0, -1]])
+        for copied in (pickle.loads(pickle.dumps(session)), session.with_session_id(0)):
+            assert copied.judgements == session.judgements
+            assert copied == LogSession({0: 1, 3: -1}, query_index=2, session_id=copied.session_id)
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(session)).judgements[1] = 1
 
 
 class TestRelevanceMatrix:

@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cbir.database import ImageDatabase
-from repro.graph import GraphCache, fuse_with_log, propagate_labels
-from repro.graph.feedback import LabelPropagationFeedback
+from repro.graph import KNNGraphBuilder, fuse_with_log, propagate_labels
 from repro.logdb import FileLogStore, InMemoryLogStore, LogSnapshot
 from repro.logdb.simulation import LogSimulationConfig, collect_feedback_log
 from repro.service import RetrievalService, SearchRequest
@@ -202,9 +201,9 @@ def test_served_graph_rounds_equal_unmemoised_fusion(
 
     fusions = []
 
-    def counting_fuse(visual, snapshot, *, eta):
+    def counting_fuse(visual, snapshot):
         fusions.append(snapshot.version)
-        return fuse_with_log(visual, snapshot, eta=eta)
+        return fuse_with_log(visual, snapshot)
 
     monkeypatch.setattr(graph_feedback, "fuse_with_log", counting_fuse)
 
@@ -213,21 +212,14 @@ def test_served_graph_rounds_equal_unmemoised_fusion(
     log = collect_feedback_log(dataset, LOG_CONFIG, store=store)
     database = ImageDatabase(dataset, log_database=log)
     service = RetrievalService(database, log_policy="on_close")
-    params = {"k": 8, "eta": 0.5}
     # The served rounds go through the process-wide graph cache; the
-    # reference graph is built separately with the same parameters.
-    reference = LabelPropagationFeedback(cache=GraphCache(), **params)
-    graph = reference._visual_graph(database)
+    # reference graph is built separately.
+    graph = KNNGraphBuilder().build(database.features)
 
     versions = []
     for query in QUERIES[:3]:
         response = service.open_session(
-            SearchRequest(
-                query=query,
-                top_k=dataset.num_images,
-                algorithm="lrf-graph",
-                algorithm_params=params,
-            )
+            SearchRequest(query=query, top_k=dataset.num_images, algorithm="lrf-graph")
         )
         session_id = response.session_id
         judged = {}
@@ -239,14 +231,7 @@ def test_served_graph_rounds_equal_unmemoised_fusion(
 
             seeds = np.zeros(dataset.num_images)
             seeds[list(judged)] = list(judged.values())
-            expected = propagate_labels(
-                fuse_with_log(graph.weights, snapshot, eta=params["eta"]),
-                seeds,
-                method=reference.method,
-                alpha=reference.alpha,
-                max_iter=reference.max_iter,
-                tol=reference.tol,
-            ).scores
+            expected = propagate_labels(fuse_with_log(graph.weights, snapshot), seeds).scores
             order = np.argsort(-expected, kind="stable")
             np.testing.assert_array_equal(response.image_indices, order)
             np.testing.assert_array_equal(response.scores, expected[order])
