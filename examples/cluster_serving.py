@@ -69,7 +69,6 @@ def main() -> None:
             session_dir=Path(tmp) / "sessions",
             log_dir=Path(tmp) / "log",
             num_workers=NUM_WORKERS,
-            default_algorithm="euclidean",
         )
         total = NUM_CLIENT_THREADS * SESSIONS_PER_THREAD
         with ClusterRouter(lambda: database, config) as router:

@@ -5,8 +5,8 @@ The :mod:`repro.cluster` package turns the single-process
 without changing the client surface:
 
 * :class:`~repro.cluster.messages.ClusterConfig` — one frozen config
-  object describing the fleet (worker count, shared store directories,
-  request timeout and failure policy).
+  object describing the deployment (shared store directories, worker
+  count, auto-restart).
 * :class:`~repro.cluster.worker.ClusterWorker` /
   :func:`~repro.cluster.worker.run_worker` — each worker process hosts a
   complete service stack over the shared on-disk session and log stores

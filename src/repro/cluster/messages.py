@@ -19,14 +19,12 @@ library's own exception instances.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Tuple, Union
 
 from repro.exceptions import ValidationError
-from repro.service.service import LOG_POLICIES
 
 __all__ = [
     "ClusterConfig",
@@ -79,7 +77,7 @@ MAX_WAVE = 64
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Everything a :class:`~repro.cluster.router.ClusterRouter` needs.
+    """The settings of one cluster deployment.
 
     Attributes
     ----------
@@ -90,55 +88,26 @@ class ClusterConfig:
         per-session state of their own.
     num_workers:
         Worker processes to spawn.
-    default_algorithm, log_policy:
-        Forwarded to each worker's :class:`~repro.service.RetrievalService`.
-    request_timeout:
-        Seconds a client call waits for its worker response before raising
-        :class:`~repro.exceptions.ClusterTimeoutError` (the no-hang bound).
-    retry_limit:
-        How many times a client call is retried/re-routed after a worker
-        death before the error surfaces.
     auto_restart:
         Whether a worker's receiver respawns the worker when it finds it
         dead.
-    observability:
-        Enable the :mod:`repro.obs` hub inside each worker process (the
-        router instruments itself against the ambient hub regardless).
     """
 
     session_dir: PathLike
     log_dir: PathLike
     num_workers: int = 2
-    default_algorithm: str = "lrf-csvm"
-    log_policy: str = "on_close"
-    request_timeout: float = 30.0
-    retry_limit: int = 2
     auto_restart: bool = False
-    observability: bool = False
 
     def __post_init__(self) -> None:
-        # Counts must be true integers: 2.5 workers would pass a ``< 1``
+        # The count must be a true integer: 2.5 workers would pass a ``< 1``
         # check and then fail deep inside the router's start-up.
-        for name, least in (("num_workers", 1), ("retry_limit", 0)):
-            value = getattr(self, name)
-            try:
-                valid = operator.index(value) >= least
-            except TypeError:
-                valid = False
-            if not valid:
-                raise ValidationError(
-                    f"{name} must be an integer >= {least}, got {value!r}"
-                )
-        if self.log_policy not in LOG_POLICIES:
+        try:
+            valid = operator.index(self.num_workers) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValidationError(
-                f"log_policy must be one of {LOG_POLICIES}, got {self.log_policy!r}"
-            )
-        # A non-finite timeout passes a sign check but breaks every call's
-        # wait (inf overflows it; NaN times every call out at once).
-        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
-            raise ValidationError(
-                "request_timeout must be finite and positive, "
-                f"got {self.request_timeout}"
+                f"num_workers must be an integer >= 1, got {self.num_workers!r}"
             )
 
 

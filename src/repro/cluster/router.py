@@ -32,30 +32,19 @@ affinity, not a constraint.
 
 Failure reconciliation (exactly-once rounds)
 --------------------------------------------
-A worker death mid-request leaves the router unsure whether the request
-committed.  Each op reconciles against the shared store, which is the
-source of truth:
-
-* ``open``  — discard any half-open state, then re-send (idempotent after
-  the discard).
-* ``feedback`` — ask a survivor for the session's last persisted round
-  (:meth:`~repro.service.RetrievalService.last_response`).  If the round
-  the client was waiting on is already persisted, its ranking is
-  *recovered* from the store — never re-scored, so no duplicate round.
-  If not, the round never committed and the request is re-sent.
-* ``close`` — probe the session: still present means the close never
-  committed (re-send); gone means the delete committed, and the router
-  synthesizes the final view from its own session record.  Under the
-  ``on_close`` log policy the worker's durable close protocol (a
-  write-ahead close intent plus an idempotent log flush — see
-  ``docs/cluster.md``) guarantees the session's records are already in
-  the shared log by the time the delete runs; before synthesizing, the
-  router additionally asks a survivor to roll forward any orphaned
-  intent (``OP_RECOVER``), so even a kill *between* intent and flush
-  loses nothing.
+Every client op settles through one loop, ``ClusterRouter._settle``.  When
+a worker dies mid-request, an item is re-sent to a survivor, but a write
+first asks the shared store (the source of truth) what the lost reply may
+have committed: an ``open`` discards any half-open session; a
+``feedback`` round already persisted is *recovered* from the store, never
+re-scored; a ``close`` whose session is gone has a survivor roll forward
+any orphaned close intent, and the router builds the final view from its
+own record.  ``docs/cluster.md`` has the table.  The items of a wave
+settle independently: the router books every success, then raises the
+first failure.
 
 Every failure surfaces as a typed :class:`~repro.exceptions.ClusterError`
-subclass bounded by ``request_timeout`` — a degraded cluster degrades
+subclass bounded by :data:`REQUEST_TIMEOUT` — a degraded cluster degrades
 loudly, it never hangs.
 """
 
@@ -76,6 +65,7 @@ from repro.exceptions import (
     ClusterTimeoutError,
     FaultInjectedError,
     NoWorkersError,
+    ReproError,
     SessionError,
     ValidationError,
     WorkerDiedError,
@@ -92,6 +82,7 @@ from repro.service.dtos import (
     coerce_feedback,
     coerce_search,
 )
+from repro.service.service import DEFAULT_ALGORITHM
 from repro.utils.faults import trip as _fault_trip
 
 from repro.cluster.messages import (
@@ -115,6 +106,13 @@ __all__ = ["ClusterRouter", "rendezvous_owner"]
 #: Seconds a receiver waits on an empty response queue before it checks
 #: that its worker process is still running.
 _LIVENESS_POLL = 0.05
+
+#: Seconds a client call waits for its replies before it raises
+#: :class:`~repro.exceptions.ClusterTimeoutError`: the no-hang bound.
+REQUEST_TIMEOUT = 30.0
+
+#: Times an item is re-sent after worker deaths before its error surfaces.
+RETRY_LIMIT = 2
 
 
 def rendezvous_owner(session_id: str, worker_ids: Sequence[int]) -> int:
@@ -145,12 +143,16 @@ def rendezvous_owner(session_id: str, worker_ids: Sequence[int]) -> int:
 class _PendingItem:
     """One client request in flight: payload out, outcome (or error) back."""
 
-    __slots__ = ("op", "payload", "session_id", "event", "outcome", "error")
+    __slots__ = ("op", "payload", "session_id", "deadline", "event", "outcome",
+                 "error")
 
     def __init__(self, op: str, payload: Any, session_id: str) -> None:
         self.op = op
         self.payload = payload
         self.session_id = session_id
+        # Shipped together, a wave's items share one bound: settling them
+        # one after another never stacks their timeouts.
+        self.deadline = time.monotonic() + REQUEST_TIMEOUT
         self.event = threading.Event()
         self.outcome = None
         self.error: Optional[BaseException] = None
@@ -313,13 +315,9 @@ class ClusterRouter:
         prepared = [
             self._prepare_open(coerce_search(request, {})) for request in requests
         ]
-        items = self._enqueue(
-            OP_OPEN, prepared, [request.session_id for request in prepared]
+        return self._settle(
+            OP_OPEN, prepared, lost=self._open_lost, book=self._remember_open
         )
-        return [
-            self._finish_open(request, item)
-            for request, item in zip(prepared, items)
-        ]
 
     def submit_feedback(
         self,
@@ -337,18 +335,18 @@ class ClusterRouter:
         self, requests: Sequence[FeedbackRequest]
     ) -> List[RankingResponse]:
         """Run one feedback round per session (shipped together)."""
-        prepared = check_feedback_batch(requests)
-        expected = []
-        for request in prepared:
-            record = self._get_record(request.session_id)
-            expected.append(record.rounds if record is not None else None)
-        items = self._enqueue(
-            OP_FEEDBACK, prepared, [request.session_id for request in prepared]
+        started = time.perf_counter()
+
+        def book(request: FeedbackRequest, response: RankingResponse) -> None:
+            self._remember_round(request, response)
+            get_hub().observe(
+                "cluster.round.latency_seconds", time.perf_counter() - started
+            )
+
+        return self._settle(
+            OP_FEEDBACK, check_feedback_batch(requests),
+            lost=self._feedback_lost, book=book,
         )
-        return [
-            self._finish_feedback(request, rounds, item)
-            for request, rounds, item in zip(prepared, expected, items)
-        ]
 
     def close_session(self, session_id: str) -> SessionView:
         """Close one session, flushing its rounds into the shared log."""
@@ -356,28 +354,22 @@ class ClusterRouter:
 
     def close_sessions(self, session_ids: Sequence[str]) -> List[SessionView]:
         """Close a wave of sessions (shipped together)."""
-        session_ids = check_session_ids(session_ids)
-        items = self._enqueue(OP_CLOSE, session_ids, session_ids)
-        return [
-            self._finish_close(session_id, item)
-            for session_id, item in zip(session_ids, items)
-        ]
+        return self._settle(
+            OP_CLOSE, check_session_ids(session_ids),
+            lost=self._close_lost, book=self._forget,
+        )
 
     def discard_session(self, session_id: str) -> None:
         """Abandon a session without recording anything."""
-        check_session_id(session_id)
-        self._retrying_call(OP_DISCARD, session_id, session_id)
-        self._forget(session_id)
+        self._settle(OP_DISCARD, [check_session_id(session_id)], book=self._forget)
 
     def get_session(self, session_id: str) -> SessionView:
         """Read-only snapshot of one open session (idempotent; retried)."""
-        check_session_id(session_id)
-        return self._retrying_call(OP_VIEW, session_id, session_id)
+        return self._call(OP_VIEW, check_session_id(session_id))
 
     def last_response(self, session_id: str) -> Optional[RankingResponse]:
         """The session's last persisted ranking (idempotent; retried)."""
-        check_session_id(session_id)
-        return self._retrying_call(OP_LAST, session_id, session_id)
+        return self._call(OP_LAST, check_session_id(session_id))
 
     # --------------------------------------------------------- introspection
     def ping(self) -> Dict[int, str]:
@@ -430,129 +422,129 @@ class ClusterRouter:
             slot = self._slots[worker_id]
         slot.worker.kill()
 
-    # ------------------------------------------------------------- recovery
-    def _finish_open(
-        self, request: SearchRequest, item: _PendingItem
-    ) -> RankingResponse:
-        attempts = 0
-        hub = get_hub()
-        while True:
-            try:
-                response = self._await(item)
-            except WorkerDiedError:
-                attempts += 1
-                hub.count("cluster.router.retries")
-                if attempts > self.config.retry_limit:
-                    raise
-                # The dead worker may have persisted the session before the
-                # reply was lost; clear any half-open state so the re-send
-                # is idempotent, then re-route (the dead worker is already
-                # off the hash ring).
-                self._discard_quietly(request.session_id)
-                hub.count("cluster.router.reroutes")
-                (item,) = self._enqueue(OP_OPEN, [request], [request.session_id])
-                continue
-            self._remember_open(request)
-            return response
-
-    def _finish_feedback(
+    # ------------------------------------------------------------- settling
+    def _settle(
         self,
-        request: FeedbackRequest,
-        expected_rounds: Optional[int],
+        op: str,
+        payloads: Sequence[Any],
+        lost: Optional[Callable[[Any, WorkerDiedError], Any]] = None,
+        book: Optional[Callable[[Any, Any], None]] = None,
+    ) -> List[Any]:
+        """Ship *payloads* as one wave and settle every item.
+
+        Each success is booked with ``book(payload, result)``; the first
+        failure is raised only once every item has settled.  A wave spans
+        workers, so unlike the service the router cannot refuse it whole,
+        and it must not lose track of the items that did commit.
+        """
+        results, failure = [], None
+        for item in self._enqueue(op, payloads):
+            try:
+                result = self._settle_one(item, lost)
+            except ReproError as error:
+                failure = failure or error
+                continue
+            if book is not None:
+                book(item.payload, result)
+            results.append(result)
+        if failure is not None:
+            raise failure
+        return results
+
+    def _settle_one(
+        self,
         item: _PendingItem,
-    ) -> RankingResponse:
-        attempts = 0
+        lost: Optional[Callable[[Any, WorkerDiedError], Any]],
+    ) -> Any:
+        """*item*'s answer, re-sent after each worker death (the dead worker
+        is already off the hash ring) up to :data:`RETRY_LIMIT` times.
+
+        Before a write is re-sent, ``lost(payload, error)`` says what the
+        lost reply may have committed: the committed answer, or ``None``
+        when a re-send is safe.  Reads pass no *lost* and are re-sent.
+        """
         hub = get_hub()
-        started = time.perf_counter()
+        attempts = 0
         while True:
             try:
-                response = self._await(item)
-            except WorkerDiedError:
+                return self._await(item)
+            except WorkerDiedError as error:
                 attempts += 1
                 hub.count("cluster.router.retries")
-                if attempts > self.config.retry_limit:
+                if attempts > RETRY_LIMIT:
                     raise
-                hub.count("cluster.router.reroutes")
-                recovered = self._reconcile_feedback(request, expected_rounds)
-                if recovered is not None:
-                    response = recovered
-                else:
-                    (item,) = self._enqueue(
-                        OP_FEEDBACK, [request], [request.session_id]
-                    )
-                    continue
-            self._remember_round(request, response)
-            hub.observe(
-                "cluster.round.latency_seconds", time.perf_counter() - started
-            )
-            return response
+                if lost is not None:
+                    hub.count("cluster.router.reroutes")
+                    committed = lost(item.payload, error)
+                    if committed is not None:
+                        return committed
+                (item,) = self._enqueue(item.op, [item.payload])
 
-    def _reconcile_feedback(
-        self, request: FeedbackRequest, expected_rounds: Optional[int]
-    ) -> Optional[RankingResponse]:
-        """Did the lost round commit?  ``None`` means no — safe to re-send."""
+    def _call(self, op: str, session_id: str) -> Any:
+        """One item of *op* for *session_id*: a read, or a write that a
+        re-send cannot repeat."""
+        return self._settle(op, [session_id])[0]
+
+    def _open_lost(self, request: SearchRequest, error: WorkerDiedError) -> None:
+        # The dead worker may have stored the session before its reply was
+        # lost; discard it so the re-send is idempotent.
         try:
-            last = self._retrying_call(
-                OP_LAST, request.session_id, request.session_id
-            )
+            self._call(OP_DISCARD, request.session_id)
+        except ClusterError:
+            pass  # best effort; the re-send itself surfaces a real outage
+
+    def _feedback_lost(
+        self, request: FeedbackRequest, error: WorkerDiedError
+    ) -> Optional[RankingResponse]:
+        """The lost round's ranking if it committed, ``None`` if it did not.
+
+        The router books a round only once it settles, so its count is
+        still the one the lost round was sent against.
+        """
+        record = self._get_record(request.session_id)
+        try:
+            last = self._call(OP_LAST, request.session_id)
         except (WorkerDiedError, NoWorkersError, ClusterTimeoutError):
             return None  # can't reach the store; the re-send path will
             # surface NoWorkersError if the cluster is truly gone
-        if last is None or expected_rounds is None:
+        if last is None or record is None:
             # No persisted ranking, or a session this router didn't open
             # (no round book-keeping): cannot prove the round committed,
             # so re-send.  Sessions opened through the router always
             # reconcile exactly.
             return None
-        if last.round_index == expected_rounds + 1:
+        if last.round_index == record.rounds + 1:
             return last  # committed before the death: recovered, not re-run
-        if last.round_index == expected_rounds:
+        if last.round_index == record.rounds:
             return None  # never committed: re-send is exactly-once
         raise ClusterError(
-            f"session {request.session_id!r} is {last.round_index - expected_rounds - 1} "
+            f"session {request.session_id!r} is {last.round_index - record.rounds - 1} "
             "rounds ahead of this router's book-keeping — refusing to re-send "
             "a feedback round that may already be applied"
         )
 
-    def _finish_close(self, session_id: str, item: _PendingItem) -> SessionView:
-        attempts = 0
-        hub = get_hub()
-        while True:
-            try:
-                view = self._await(item)
-            except WorkerDiedError:
-                attempts += 1
-                hub.count("cluster.router.retries")
-                if attempts > self.config.retry_limit:
-                    raise
-                hub.count("cluster.router.reroutes")
-                probed = self._probe_session(session_id)
-                if probed is not None:
-                    # Still in the store: the close never committed its
-                    # delete, so re-sending runs it exactly once (the
-                    # worker's close protocol is idempotent end to end).
-                    (item,) = self._enqueue(OP_CLOSE, [session_id], [session_id])
-                    continue
-                # State is gone — have a survivor roll forward any orphaned
-                # close intent so the log flush is certain before we report
-                # the session closed.
-                self._recover_intents(session_id)
-                view = self._synthetic_closed_view(session_id)
-                if view is None:
-                    raise  # foreign session, state gone: nothing to return
-            self._forget(session_id)
-            return view
-
-    def _probe_session(self, session_id: str) -> Optional[SessionView]:
+    def _close_lost(
+        self, session_id: str, error: WorkerDiedError
+    ) -> Optional[SessionView]:
         try:
-            return self._retrying_call(OP_VIEW, session_id, session_id)
+            self._call(OP_VIEW, session_id)
         except SessionError:
+            pass  # gone: the close committed its delete
+        else:
+            # Still in the store: re-sending runs the close exactly once
+            # (the worker's close protocol is idempotent end to end).
             return None
-
-    def _synthetic_closed_view(self, session_id: str) -> Optional[SessionView]:
+        # Have a survivor roll forward any orphaned close intent so the log
+        # flush is certain before the session is reported closed.  Best
+        # effort: worker-restart replay covers the same intent later, and
+        # the flush is idempotent however many replays run.
+        try:
+            self._call(OP_RECOVER, session_id)
+        except ClusterError:
+            pass
         record = self._get_record(session_id)
         if record is None:
-            return None
+            raise error  # foreign session, state gone: nothing to return
         return SessionView(
             session_id=session_id,
             query=record.request.query,
@@ -563,37 +555,6 @@ class ClusterRouter:
             last_active=record.last_active,
             closed=True,
         )
-
-    def _recover_intents(self, session_id: str) -> None:
-        """Best-effort: ask a survivor to replay the session's close intent.
-
-        Failures are swallowed — worker-restart replay and store-level
-        reconciliation cover the same intent later, and the flush is
-        idempotent however many of them run.
-        """
-        try:
-            self._retrying_call(OP_RECOVER, session_id, session_id)
-        except ClusterError:
-            pass
-
-    def _discard_quietly(self, session_id: str) -> None:
-        try:
-            self._retrying_call(OP_DISCARD, session_id, session_id)
-        except ClusterError:
-            pass  # best effort; the re-send itself will surface real outages
-
-    def _retrying_call(self, op: str, payload: Any, session_id: str) -> Any:
-        """Ship one idempotent request, retrying across worker deaths."""
-        attempts = 0
-        while True:
-            try:
-                (item,) = self._enqueue(op, [payload], [session_id])
-                return self._await(item)
-            except WorkerDiedError:
-                attempts += 1
-                get_hub().count("cluster.router.retries")
-                if attempts > self.config.retry_limit:
-                    raise
 
     # ------------------------------------------------------------- plumbing
     def _prepare_open(self, request: SearchRequest) -> SearchRequest:
@@ -611,26 +572,28 @@ class ClusterRouter:
     def _mint_session_id(self) -> str:
         return f"{self._run_tag}-{next(self._session_counter):06d}"
 
-    def _enqueue(
-        self, op: str, payloads: Sequence[Any], session_ids: Sequence[str]
-    ) -> List[_PendingItem]:
+    def _enqueue(self, op: str, payloads: Sequence[Any]) -> List[_PendingItem]:
         """Ship one call's items from the calling thread, without waiting."""
         if not self._started or self._stopped:
             raise ClusterError("router is not running")
         items = [
-            _PendingItem(op, payload, session_id)
-            for payload, session_id in zip(payloads, session_ids)
+            _PendingItem(
+                op,
+                payload,
+                payload if isinstance(payload, str) else payload.session_id,
+            )
+            for payload in payloads
         ]
         get_hub().count("cluster.router.requests", len(items))
         self._dispatch(items)
         return items
 
     def _await(self, item: _PendingItem) -> Any:
-        if not item.event.wait(self.config.request_timeout):
+        if not item.event.wait(max(0.0, item.deadline - time.monotonic())):
             get_hub().count("cluster.router.timeouts")
             raise ClusterTimeoutError(
                 f"{item.op} for session {item.session_id!r} timed out after "
-                f"{self.config.request_timeout}s"
+                f"{REQUEST_TIMEOUT}s"
             )
         if item.error is not None:
             raise item.error
@@ -755,17 +718,9 @@ class ClusterRouter:
     # ------------------------------------------------------------- liveness
     def _worker_died(self, slot: _WorkerSlot) -> None:
         worker_id = slot.worker.worker_id
-        self._mark_dead(worker_id, slot)
-        if self.config.auto_restart and not self._stopping.is_set():
-            self._restart(worker_id)
-
-    def _mark_dead(self, worker_id: int, slot: _WorkerSlot) -> None:
         with slot.lock:
             slot.alive = False
-            orphaned = [
-                (request_id, items)
-                for request_id, items in slot.outstanding.items()
-            ]
+            orphaned = list(slot.outstanding.items())
             slot.outstanding.clear()
         get_hub().count("cluster.worker.deaths")
         self._publish_alive()
@@ -777,6 +732,8 @@ class ClusterRouter:
                         f"(request {request_id})"
                     )
                 )
+        if self.config.auto_restart and not self._stopping.is_set():
+            self._restart(worker_id)
 
     def _restart(self, worker_id: int) -> None:
         worker = ClusterWorker.spawn(
@@ -803,8 +760,8 @@ class ClusterRouter:
         get_hub().set_gauge("cluster.workers.alive", alive)
 
     # ---------------------------------------------------------- bookkeeping
-    def _remember_open(self, request: SearchRequest) -> None:
-        algorithm = request.algorithm or self.config.default_algorithm
+    def _remember_open(self, request: SearchRequest, _: RankingResponse) -> None:
+        algorithm = request.algorithm or DEFAULT_ALGORITHM
         with self._sessions_lock:
             self._sessions[request.session_id] = _SessionRecord(
                 request, str(algorithm)
@@ -824,6 +781,6 @@ class ClusterRouter:
         with self._sessions_lock:
             return self._sessions.get(session_id)
 
-    def _forget(self, session_id: str) -> None:
+    def _forget(self, session_id: str, _: Any = None) -> None:
         with self._sessions_lock:
             self._sessions.pop(session_id, None)

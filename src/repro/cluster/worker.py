@@ -104,12 +104,7 @@ def build_worker_service(
     else:
         database = ImageDatabase(built, log_database=log_store)
         database.build_index("brute-force")
-    return RetrievalService(
-        database,
-        store=FileSessionStore(config.session_dir),
-        default_algorithm=config.default_algorithm,
-        log_policy=config.log_policy,
-    )
+    return RetrievalService(database, store=FileSessionStore(config.session_dir))
 
 
 class _WorkerServer:
@@ -227,10 +222,6 @@ def run_worker(
     plan = active_plan()
     if plan is not None:
         install_plan(plan, worker_id=worker_id)
-    if config.observability:
-        from repro.obs import configure
-
-        configure()
     service = build_worker_service(dataset_factory, config)
     server = _WorkerServer(worker_id, service, blas_threads)
     while True:
@@ -280,7 +271,7 @@ def run_worker(
                 _fault_trip("worker.before_wave", op=envelope.op)
                 outcomes = server.handle(envelope.op, merged)
             except BaseException as exc:  # belt and braces: never die silently
-                outcomes = [_portable_failure(exc) for _ in merged]
+                outcomes = [ItemOutcome(False, _portable(exc)) for _ in merged]
             # The "work committed, response lost" crash window: an "exit"
             # rule here dies after the service's effects are durable but
             # before any outcome ships back.
@@ -294,10 +285,6 @@ def run_worker(
                     )
                 )
                 offset += count
-
-
-def _portable_failure(exc: BaseException) -> ItemOutcome:
-    return ItemOutcome(False, _portable(exc))
 
 
 class ClusterWorker:

@@ -86,6 +86,10 @@ __all__ = ["RetrievalService", "LOG_POLICIES"]
 #: ``off`` never appends (evaluation runs).
 LOG_POLICIES = ("on_close", "off")
 
+#: The scheme of a session whose request names none, unless the service
+#: is built with another.
+DEFAULT_ALGORITHM = "lrf-csvm"
+
 
 class RetrievalService:
     """Session-oriented retrieval service over one shared image database.
@@ -118,7 +122,7 @@ class RetrievalService:
         database: ImageDatabase,
         *,
         store: Optional[SessionStore] = None,
-        default_algorithm: Union[str, RelevanceFeedbackAlgorithm] = "lrf-csvm",
+        default_algorithm: Union[str, RelevanceFeedbackAlgorithm] = DEFAULT_ALGORITHM,
         log_policy: str = "on_close",
     ) -> None:
         if log_policy not in LOG_POLICIES:

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter, rendezvous_owner
+from repro.cluster import router as router_module
 from repro.cluster.faults import WORKER_BEFORE_WAVE, WORKER_MID_WAVE
 from repro.cluster.messages import WorkerRequest
 from repro.datasets.pool import GaussianPoolConfig, make_pool_dataset
@@ -66,8 +67,6 @@ def _config(tmp_path, **overrides):
         session_dir=tmp_path / "sessions",
         log_dir=tmp_path / "log",
         num_workers=2,
-        request_timeout=20.0,
-        retry_limit=3,
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
@@ -86,20 +85,9 @@ class TestConfigValidation:
         good = dict(session_dir=tmp_path / "s", log_dir=tmp_path / "l")
         with pytest.raises(ValidationError, match="num_workers"):
             ClusterConfig(num_workers=0, **good)
-        with pytest.raises(ValidationError, match="log_policy"):
-            ClusterConfig(log_policy="sometimes", **good)
-        with pytest.raises(ValidationError, match="retry_limit"):
-            ClusterConfig(retry_limit=-1, **good)
-        # Counts must be integers: a fraction is rejected, not truncated.
+        # The count must be an integer: a fraction is rejected, not truncated.
         with pytest.raises(ValidationError, match="num_workers"):
             ClusterConfig(num_workers=2.5, **good)
-        with pytest.raises(ValidationError, match="retry_limit"):
-            ClusterConfig(retry_limit=1.5, **good)
-        # A non-finite timeout passes a sign check but breaks every
-        # call's wait.
-        for value in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValidationError, match="request_timeout"):
-                ClusterConfig(request_timeout=value, **good)
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ValidationError, match="unknown cluster op"):
@@ -385,21 +373,60 @@ class TestErrorPropagation:
         assert cluster.get_session("taken").rounds_completed == 0
         cluster.close_session("taken")
 
-    def test_bad_item_in_coalesced_wave_fails_alone(self, tmp_path):
-        # One malformed request shipped in a wave with a healthy one must
-        # not fail the healthy request (per-item fallback).  One call on
-        # one worker makes the two requests one envelope.
-        with ClusterRouter(_factory, _config(tmp_path, num_workers=1)) as router:
-            router.open_session(0, session_id="dup", algorithm="euclidean")
-            good = SearchRequest(query=1, algorithm="euclidean",
-                                 session_id="fresh")
-            bad = SearchRequest(query=2, algorithm="euclidean",
-                                session_id="dup")
-            with pytest.raises(SessionError):
-                router.open_sessions([good, bad])
-            assert router.get_session("fresh").rounds_completed == 0
-            router.close_session("fresh")
-            router.close_session("dup")
+    @pytest.mark.parametrize("op", ["open", "feedback", "close"])
+    def test_bad_item_in_coalesced_wave_fails_alone(self, tmp_path, op):
+        # A malformed request shipped first in one envelope with a healthy
+        # one fails alone (per-item fallback), and the router books the
+        # healthy one before it raises.  Mutation caught: raising a wave's
+        # first failure before its later items are settled — the healthy
+        # session then goes missing from session_ids(), stays listed after
+        # its close, or reads "rounds ahead" when a later reply is lost.
+        home = 0
+        bad, good = (
+            next(
+                candidate
+                for candidate in (f"{name}-{salt}" for salt in range(256))
+                if rendezvous_owner(candidate, [0, 1]) == home
+            )
+            for name in ("bad", "good")
+        )
+        plan = FaultPlan.single(
+            WORKER_MID_WAVE, action="exit", worker_id=home,
+            match={"op": "feedback"}, at=2,
+        )
+        with installed(plan), ClusterRouter(_factory, _config(tmp_path)) as router:
+            if op == "open":
+                with pytest.raises(ValidationError, match="unknown algorithm 'nope'"):
+                    router.open_sessions([
+                        SearchRequest(query=0, algorithm="nope", session_id=bad),
+                        SearchRequest(query=1, algorithm="euclidean", session_id=good),
+                    ])
+                assert router.session_ids() == [good]
+                assert router.close_session(good).rounds_completed == 0
+            elif op == "feedback":
+                router.open_sessions([
+                    SearchRequest(query=i, top_k=8, algorithm="euclidean", session_id=sid)
+                    for i, sid in enumerate((bad, good))
+                ])
+                with pytest.raises(ValidationError):
+                    router.submit_feedback_batch([
+                        FeedbackRequest(bad, {10**6: 1}),
+                        FeedbackRequest(good, {0: 1}),
+                    ])
+                assert router.get_session(good).rounds_completed == 1
+                # The home worker dies after committing the next round but
+                # before replying: the round is recovered from the store
+                # only if the router booked the first one.
+                assert router.submit_feedback(good, {1: 1}).round_index == 2
+                assert router.alive_worker_ids == [1 - home]
+                assert router.close_session(good).rounds_completed == 2
+            else:
+                router.open_session(0, session_id=good, algorithm="euclidean")
+                with pytest.raises(SessionError):
+                    router.close_sessions([bad, good])
+                assert router.session_ids() == []
+                with pytest.raises(SessionError):
+                    router.get_session(good)
 
 
 class TestWorkerDeath:
@@ -472,11 +499,10 @@ class TestWorkerDeath:
             )
             assert counts == {i: 2 for i in range(6)}
 
-    def test_all_workers_dead_raises_no_workers_not_deadlock(self, tmp_path):
-        config = _config(
-            tmp_path, num_workers=2, request_timeout=5.0, retry_limit=1
-        )
-        with ClusterRouter(_factory, config) as router:
+    def test_all_workers_dead_raises_no_workers_not_deadlock(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(router_module, "REQUEST_TIMEOUT", 5.0)
+        monkeypatch.setattr(router_module, "RETRY_LIMIT", 1)
+        with ClusterRouter(_factory, _config(tmp_path)) as router:
             opened = router.open_session(0, top_k=5, algorithm="euclidean")
             for worker_id in list(router.alive_worker_ids):
                 router.kill_worker(worker_id)
@@ -489,14 +515,12 @@ class TestWorkerDeath:
                     opened.session_id, {int(opened.image_indices[0]): 1}
                 )
             # Typed failure well inside the timeout bound: no hang.
-            assert time.time() - started < config.request_timeout + 5.0
+            assert time.time() - started < router_module.REQUEST_TIMEOUT + 5.0
 
     def test_auto_restart_restores_capacity_and_counts(self, tmp_path):
         configure()  # fresh hub: the restart counter starts at zero
         try:
-            config = _config(
-                tmp_path, num_workers=2, auto_restart=True, retry_limit=3
-            )
+            config = _config(tmp_path, auto_restart=True)
             with ClusterRouter(_factory, config) as router:
                 victim = router.worker_for("anything")
                 router.kill_worker(victim)

@@ -53,8 +53,6 @@ def _config(tmp_path, **overrides):
         session_dir=tmp_path / "sessions",
         log_dir=tmp_path / "log",
         num_workers=2,
-        request_timeout=20.0,
-        retry_limit=3,
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)

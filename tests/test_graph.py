@@ -605,8 +605,6 @@ class TestClusterIntegration:
             session_dir=tmp_path / "sessions",
             log_dir=tmp_path / "log",
             num_workers=2,
-            request_timeout=30.0,
-            retry_limit=3,
         )
         local = RetrievalService(
             ImageDatabase(_cluster_dataset_factory()),

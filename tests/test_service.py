@@ -249,7 +249,9 @@ class TestServingSettings:
         parameters = inspect.signature(RetrievalService).parameters
         assert list(parameters) == ["database", "store", "default_algorithm", "log_policy"]
         assert "index" not in inspect.signature(SearchEngine).parameters
-        assert len(dataclasses.fields(ClusterConfig)) == 9
+        assert [field.name for field in dataclasses.fields(ClusterConfig)] == [
+            "session_dir", "log_dir", "num_workers", "auto_restart"
+        ]
         assert LOG_POLICIES == ("on_close", "off")
 
 

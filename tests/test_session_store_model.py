@@ -7,15 +7,20 @@ that dies at its fault point.  After every step the store holds exactly
 the model's ids, and every stored state's ``last_result()`` is the
 recorded ranking bit for bit (dtype, shape, bytes, label): a Euclidean
 round is answered from that ranking, so a store that rounds or drops it
-changes answers.  Mutations caught (each checked on a broken copy):
-``_encode_array`` writing ``float32`` bytes; ``from_payload`` ignoring
-``last_algorithm_label``; a ``FileSessionStore.delete`` that keeps the
-document on disk; a ``FileSessionStore.put`` that writes before its fault
-point.
+changes answers.  A fault point either raises in the test process or, in
+a forked writer over the same directory, kills the writer the way a
+SIGKILL would: no ``except`` or ``finally`` block runs.  Mutations caught
+(each checked on a broken copy): ``_encode_array`` writing ``float32``
+bytes; ``from_payload`` ignoring ``last_algorithm_label``; a
+``FileSessionStore.delete`` that keeps the document on disk; a
+``FileSessionStore.put`` that writes before its fault point; and, by the
+killed writer only, a ``put`` that writes before its fault point and
+restores the previous document in an ``except`` handler.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import shutil
 import tempfile
 from pathlib import Path
@@ -29,7 +34,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import FaultInjectedError, SessionError
 from repro.service import FileSessionStore, InMemorySessionStore, SessionState
-from repro.utils.faults import FaultPlan, installed
+from repro.utils.faults import _EXIT_CODE, FaultPlan, installed
 
 _IDS = st.sampled_from(["a", "b", "c"])
 _SCORES = hnp.arrays(
@@ -38,6 +43,16 @@ _SCORES = hnp.arrays(
     elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
 )
 _LABELS = st.sampled_from(["euclidean", "lrf-csvm", ""])
+
+
+def _write_until_killed(directory, session_id, point):
+    """Child process: a put or delete on *directory* that dies at *point*."""
+    store = FileSessionStore(directory)
+    with installed(FaultPlan.single(point, action="exit")):
+        if point == "store.before_put":
+            store.put(SessionState(session_id=session_id, query=Query(query_index=99)))
+        else:
+            store.delete(session_id)
 
 
 @st.composite
@@ -115,6 +130,18 @@ class _SessionStoreMachine(RuleBasedStateMachine):
                 pass
             else:
                 raise AssertionError(f"{point} did not fire")
+
+    @precondition(lambda self: self.backend == "file")
+    @rule(session_id=_IDS, point=st.sampled_from(["store.before_put", "store.before_delete"]))
+    def killed_writer(self, session_id, point):
+        """A writer process killed at its fault point changes nothing."""
+        writer = multiprocessing.get_context("fork").Process(
+            target=_write_until_killed,
+            args=(self.directory / "sessions", session_id, point),
+        )
+        writer.start()
+        writer.join(30)
+        assert writer.exitcode == _EXIT_CODE, f"{point} did not kill the writer"
 
     @invariant()
     def holds_exactly_the_model(self):
