@@ -20,7 +20,6 @@ __all__ = [
     "precision_curve",
     "average_precision_at_cutoffs",
     "mean_average_precision",
-    "ranked_average_precision",
 ]
 
 #: The cutoffs reported in Tables 1 and 2 of the paper.
@@ -81,21 +80,3 @@ def mean_average_precision(average_precisions: Dict[int, float]) -> float:
     if not average_precisions:
         raise EvaluationError("mean_average_precision needs at least one cutoff value")
     return float(np.mean(list(average_precisions.values())))
-
-
-def ranked_average_precision(ranked_indices: Sequence[int], relevant: np.ndarray) -> float:
-    """Classic (TREC-style) average precision of a full ranking.
-
-    Not the paper's headline metric, but useful as an additional diagnostic
-    in ablation studies: it rewards placing relevant images early without
-    committing to a single cutoff.
-    """
-    ranking = np.asarray(ranked_indices, dtype=np.int64).ravel()
-    flags = np.asarray(relevant, dtype=bool)[ranking]
-    total_relevant = int(np.asarray(relevant, dtype=bool).sum())
-    if total_relevant == 0:
-        return 0.0
-    hits = np.cumsum(flags)
-    positions = np.arange(1, ranking.shape[0] + 1)
-    precisions = hits / positions
-    return float(np.sum(precisions[flags]) / total_relevant)

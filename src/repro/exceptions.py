@@ -14,7 +14,6 @@ __all__ = [
     "ValidationError",
     "FeatureExtractionError",
     "SolverError",
-    "ConvergenceWarning",
     "DatabaseError",
     "LogDatabaseError",
     "EvaluationError",
@@ -45,10 +44,6 @@ class FeatureExtractionError(ReproError):
 
 class SolverError(ReproError):
     """The SVM solver could not produce a usable model."""
-
-
-class ConvergenceWarning(UserWarning):
-    """The iterative optimisation stopped before reaching its tolerance."""
 
 
 class DatabaseError(ReproError):

@@ -1,15 +1,16 @@
-"""Configuration of one end-to-end paper experiment.
+"""Configuration of one end-to-end paper experiment, and the table builders.
 
 The paper-scale protocol (2 000–5 000 images, 150 log sessions, 200 queries)
-takes minutes on a laptop; tests and quick benches use scaled-down variants
-that keep every code path identical while shrinking the workload.  The
-``scale`` presets encapsulate both.
+is what :func:`table1_config` and :func:`table2_config` build by default.
+Every measured claim of this repo also runs at one scaled size,
+:data:`SCALED`, which keeps every code path identical while shrinking the
+workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.core.coupled_svm import CoupledSVMConfig
 from repro.datasets.corel import CorelDatasetConfig
@@ -17,7 +18,7 @@ from repro.exceptions import ConfigurationError
 from repro.evaluation.protocol import ProtocolConfig
 from repro.logdb.simulation import LogSimulationConfig
 
-__all__ = ["ExperimentConfig", "PAPER_SCALE", "SMOKE_SCALE", "BENCH_SCALE"]
+__all__ = ["ExperimentConfig", "SCALED", "table1_config", "table2_config"]
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,12 @@ class ExperimentConfig:
         Coupled-SVM hyper-parameters used by LRF-CSVM.
     num_unlabeled:
         Number of unlabeled samples ``N'`` engaged by LRF-CSVM.
-    svm_C:
-        Soft-margin parameter of the visual SVMs (RF-SVM and the visual half
-        of LRF-2SVMs).
-    svm_C_log:
-        Soft-margin parameter of the log SVM in LRF-2SVMs.
+    selection:
+        LRF-CSVM's unlabeled-selection strategy (``"near-labeled"``,
+        ``"boundary"`` or ``"random"``).
     algorithms:
-        The schemes to evaluate, in table column order.
+        The schemes to evaluate, in table column order.  Every scheme but
+        LRF-CSVM runs with its registry defaults.
     """
 
     dataset: CorelDatasetConfig = field(default_factory=CorelDatasetConfig)
@@ -50,17 +50,12 @@ class ExperimentConfig:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     coupled: CoupledSVMConfig = field(default_factory=CoupledSVMConfig)
     num_unlabeled: int = 20
-    svm_C: float = 10.0
-    svm_C_log: float = 0.5
+    selection: str = "near-labeled"
     algorithms: Tuple[str, ...] = ("euclidean", "rf-svm", "lrf-2svms", "lrf-csvm")
 
     def __post_init__(self) -> None:
         if self.num_unlabeled < 2:
             raise ConfigurationError(f"num_unlabeled must be >= 2, got {self.num_unlabeled}")
-        if self.svm_C <= 0:
-            raise ConfigurationError(f"svm_C must be positive, got {self.svm_C}")
-        if self.svm_C_log <= 0:
-            raise ConfigurationError(f"svm_C_log must be positive, got {self.svm_C_log}")
         if not self.algorithms:
             raise ConfigurationError("algorithms must not be empty")
         max_cutoff = max(self.protocol.cutoffs)
@@ -70,46 +65,53 @@ class ExperimentConfig:
                 f"({self.dataset.total_images})"
             )
 
-    # ---------------------------------------------------------------- presets
-    def scaled(
-        self,
-        *,
-        images_per_category: Optional[int] = None,
-        num_queries: Optional[int] = None,
-        num_sessions: Optional[int] = None,
-    ) -> "ExperimentConfig":
-        """Return a copy with a smaller workload but identical structure."""
-        dataset = self.dataset
-        if images_per_category is not None:
-            dataset = replace(dataset, images_per_category=images_per_category)
-        log = self.log
-        if num_sessions is not None:
-            log = replace(log, num_sessions=num_sessions)
-        protocol = self.protocol
-        if num_queries is not None:
-            protocol = replace(protocol, num_queries=num_queries)
-        return replace(self, dataset=dataset, log=log, protocol=protocol)
 
-
-#: Paper-scale preset: 100 images per category, 150 log sessions, 200 queries.
-PAPER_SCALE = {
-    "images_per_category": 100,
-    "num_sessions": 150,
-    "num_queries": 200,
-}
-
-#: Scaled preset (``--quick`` runs, paper-fidelity tests): small enough
-#: for a run of seconds while still exercising every stage at a
-#: statistically meaningful size.
-BENCH_SCALE = {
+#: The scaled size of every measured claim (scaled Table 1 in ``PAPER.md``,
+#: the paper-fidelity fixtures): a run of seconds per seed.
+SCALED = {
     "images_per_category": 30,
-    "num_sessions": 60,
+    "num_sessions": 90,
     "num_queries": 30,
 }
 
-#: Smoke-test preset used by the integration tests.
-SMOKE_SCALE = {
-    "images_per_category": 12,
-    "num_sessions": 20,
-    "num_queries": 6,
-}
+
+def _table_config(
+    num_categories: int,
+    images_per_category: int,
+    num_sessions: int,
+    num_queries: int,
+    seed: int,
+) -> ExperimentConfig:
+    return ExperimentConfig(
+        dataset=CorelDatasetConfig(
+            num_categories=num_categories, images_per_category=images_per_category, seed=seed
+        ),
+        log=LogSimulationConfig(num_sessions=num_sessions, seed=seed + 1),
+        protocol=ProtocolConfig(num_queries=num_queries),
+    )
+
+
+def table1_config(
+    *,
+    images_per_category: int = 100,
+    num_sessions: int = 150,
+    num_queries: int = 200,
+    seed: int = 7,
+) -> ExperimentConfig:
+    """Build the Table 1 / Figure 3 configuration (20 categories).
+
+    The defaults reproduce the paper-scale protocol; ``table1_config(**SCALED)``
+    is the scaled one.  The dataset is drawn at *seed*, its log at ``seed + 1``.
+    """
+    return _table_config(20, images_per_category, num_sessions, num_queries, seed)
+
+
+def table2_config(
+    *,
+    images_per_category: int = 100,
+    num_sessions: int = 150,
+    num_queries: int = 200,
+    seed: int = 11,
+) -> ExperimentConfig:
+    """Build the Table 2 / Figure 4 configuration (50 categories)."""
+    return _table_config(50, images_per_category, num_sessions, num_queries, seed)

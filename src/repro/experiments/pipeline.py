@@ -12,15 +12,11 @@ from repro.evaluation.results import ResultsTable
 from repro.evaluation.runner import ExperimentRunner
 from repro.experiments.config import ExperimentConfig
 from repro.feedback.base import RelevanceFeedbackAlgorithm
-from repro.feedback.euclidean import EuclideanFeedback
-from repro.feedback.lrf_2svms import LRF2SVMs
-from repro.feedback.rf_svm import RFSVM
+from repro.feedback.registry import make_algorithm
 from repro.logdb.simulation import collect_feedback_log
-from repro.service.service import RetrievalService
 
 __all__ = [
     "build_environment",
-    "build_service",
     "build_algorithms",
     "run_paper_experiment",
 ]
@@ -35,45 +31,23 @@ def build_environment(
     return dataset, ImageDatabase(dataset, log_database=log)
 
 
-def build_service(
-    config: ExperimentConfig,
-    *,
-    environment: Optional[Tuple[ImageDataset, ImageDatabase]] = None,
-    log_policy: str = "off",
-    show_progress: bool = False,
-) -> RetrievalService:
-    """Build the retrieval service an experiment's simulated users hit.
-
-    The evaluation default is ``log_policy="off"`` — the controlled
-    comparison must not grow the very log it evaluates; pass ``"on_close"``
-    to study the paper's log-accumulation loop instead.
-    """
-    if environment is None:
-        _, database = build_environment(config, show_progress=show_progress)
-    else:
-        _, database = environment
-    return RetrievalService(database, log_policy=log_policy)
-
-
 def build_algorithms(config: ExperimentConfig) -> Dict[str, RelevanceFeedbackAlgorithm]:
-    """Instantiate the schemes named in ``config.algorithms`` with its parameters."""
+    """Instantiate the schemes named in ``config.algorithms``.
+
+    LRF-CSVM takes the config's coupled-SVM settings, ``N'`` and selection
+    strategy, seeded by the protocol; every other scheme its registry
+    defaults.
+    """
     catalogue: Dict[str, RelevanceFeedbackAlgorithm] = {}
     for name in config.algorithms:
-        if name == "euclidean":
-            catalogue[name] = EuclideanFeedback()
-        elif name == "rf-svm":
-            catalogue[name] = RFSVM(C=config.svm_C)
-        elif name == "lrf-2svms":
-            catalogue[name] = LRF2SVMs(C_visual=config.svm_C, C_log=config.svm_C_log)
-        elif name == "lrf-csvm":
+        if name == "lrf-csvm":
             catalogue[name] = LRFCSVM(
                 config=config.coupled,
                 num_unlabeled=config.num_unlabeled,
+                selection=config.selection,
                 random_state=config.protocol.seed,
             )
         else:
-            from repro.feedback.registry import make_algorithm
-
             catalogue[name] = make_algorithm(name)
     return catalogue
 
@@ -93,15 +67,12 @@ def run_paper_experiment(
     show_progress:
         Print progress lines for feature extraction and evaluation.
     environment:
-        Optional pre-built ``(dataset, database)`` pair — the ablation
-        drivers reuse one environment across many configurations.
+        Optional pre-built ``(dataset, database)`` pair —
+        :func:`repro.experiments.claims.sweep` reuses one across many
+        configurations.
     """
     if environment is None:
-        dataset, database = build_environment(config, show_progress=show_progress)
-    else:
-        dataset, database = environment
-    service = build_service(config, environment=(dataset, database))
-    runner = ExperimentRunner(
-        dataset, database, protocol=config.protocol, service=service
-    )
+        environment = build_environment(config, show_progress=show_progress)
+    dataset, database = environment
+    runner = ExperimentRunner(dataset, database, protocol=config.protocol)
     return runner.run(build_algorithms(config), show_progress=show_progress)

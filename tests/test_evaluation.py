@@ -12,7 +12,6 @@ from repro.evaluation.metrics import (
     mean_average_precision,
     precision_at_k,
     precision_curve,
-    ranked_average_precision,
 )
 from repro.evaluation.protocol import EvaluationProtocol, ProtocolConfig
 from repro.evaluation.reporting import render_improvement_table, render_series
@@ -53,14 +52,6 @@ class TestMetrics:
 
     def test_map_is_mean_of_cutoffs(self):
         assert mean_average_precision({10: 0.4, 20: 0.2}) == pytest.approx(0.3)
-
-    def test_ranked_average_precision_perfect(self):
-        relevant = np.array([True, True, False, False])
-        assert ranked_average_precision([0, 1, 2, 3], relevant) == pytest.approx(1.0)
-
-    def test_ranked_average_precision_no_relevant(self):
-        relevant = np.zeros(4, dtype=bool)
-        assert ranked_average_precision([0, 1, 2, 3], relevant) == 0.0
 
     @given(st.integers(1, 50), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -1,23 +1,20 @@
-"""Tests for the experiment drivers (configs, pipeline, ablations)."""
+"""Tests for the experiment drivers (configs, pipeline, the claims driver)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import json
+
 import numpy as np
 import pytest
+from scipy.stats import binomtest
 
 from repro.datasets.corel import CorelDatasetConfig
 from repro.evaluation.protocol import ProtocolConfig
 from repro.exceptions import ConfigurationError
-from repro.experiments.ablations import (
-    run_log_ablation,
-    run_rho_ablation,
-    run_selection_ablation,
-)
-from repro.experiments.config import BENCH_SCALE, PAPER_SCALE, SMOKE_SCALE, ExperimentConfig
-from repro.experiments.corel20 import table1_config
-from repro.experiments.corel50 import table2_config
+from repro.experiments.claims import PAIRS, TIE, claims, sweep
+from repro.experiments.config import SCALED, ExperimentConfig, table1_config, table2_config
 from repro.experiments.pipeline import build_algorithms, build_environment, run_paper_experiment
 from repro.logdb.simulation import LogSimulationConfig
 
@@ -39,18 +36,19 @@ class TestExperimentConfig:
     def test_paper_defaults(self):
         config = table1_config()
         assert config.dataset.num_categories == 20
-        assert config.dataset.images_per_category == PAPER_SCALE["images_per_category"]
-        assert config.log.num_sessions == PAPER_SCALE["num_sessions"]
-        assert config.protocol.num_queries == PAPER_SCALE["num_queries"]
+        assert config.dataset.images_per_category == 100
+        assert config.log.num_sessions == 150
+        assert config.protocol.num_queries == 200
 
     def test_table2_has_50_categories(self):
         assert table2_config().dataset.num_categories == 50
 
     def test_scaled_preserves_structure(self):
-        config = table1_config(**{k: v for k, v in BENCH_SCALE.items()})
+        config = table1_config(**SCALED)
         assert config.dataset.num_categories == 20
-        assert config.dataset.images_per_category == BENCH_SCALE["images_per_category"]
-        assert config.protocol.num_queries == BENCH_SCALE["num_queries"]
+        assert config.dataset.images_per_category == SCALED["images_per_category"]
+        assert config.log.num_sessions == SCALED["num_sessions"]
+        assert config.protocol.num_queries == SCALED["num_queries"]
 
     def test_cutoff_vs_dataset_size_checked(self):
         with pytest.raises(ConfigurationError):
@@ -63,12 +61,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             _ = replace(_tiny_config(), num_unlabeled=1)
         with pytest.raises(ConfigurationError):
-            _ = replace(_tiny_config(), svm_C=0.0)
-        with pytest.raises(ConfigurationError):
             _ = replace(_tiny_config(), algorithms=())
-
-    def test_smoke_scale_exists(self):
-        assert SMOKE_SCALE["images_per_category"] < BENCH_SCALE["images_per_category"]
 
 
 class TestPipeline:
@@ -98,26 +91,92 @@ class TestPipeline:
         assert len(table) == 2
 
 
+@pytest.fixture(scope="module")
+def tiny_lrf_csvm():
+    """The LRF-CSVM-only tiny config and its environment, shared by the sweeps."""
+    config = _tiny_config(algorithms=("lrf-csvm",))
+    return config, build_environment(config)
+
+
+def _lrf_csvm_maps(tables):
+    return [table.result("lrf-csvm").map_score for table in tables]
+
+
 class TestAblations:
-    def test_rho_ablation_structure(self):
-        config = _tiny_config(algorithms=("lrf-csvm",))
-        result = run_rho_ablation(config, rho_values=(0.02, 0.2))
-        assert result.parameter == "rho"
-        assert result.values == (0.02, 0.2)
-        assert len(result.map_scores) == 2
-        assert all(0.0 <= score <= 1.0 for score in result.map_scores)
-        assert result.best_value() in result.values
-        assert len(result.as_rows()) == 2
+    def test_rho_ablation_structure(self, tiny_lrf_csvm):
+        config, environment = tiny_lrf_csvm
+        tables = sweep(config, "rho", (0.02, 0.2), environment=environment)
+        maps = _lrf_csvm_maps(tables)
+        assert len(maps) == 2
+        assert all(0.0 <= score <= 1.0 for score in maps)
+        assert [table.methods for table in tables] == [["lrf-csvm"], ["lrf-csvm"]]
 
-    def test_selection_ablation_structure(self):
-        config = _tiny_config(algorithms=("lrf-csvm",))
-        result = run_selection_ablation(config, strategies=("near-labeled", "random"))
-        assert result.values == ("near-labeled", "random")
-        assert len(result.tables) == 2
+    def test_selection_ablation_structure(self, tiny_lrf_csvm):
+        config, environment = tiny_lrf_csvm
+        tables = sweep(config, "selection", ("near-labeled", "random"), environment=environment)
+        assert len(tables) == 2
 
-    def test_log_ablation_includes_cold_start(self):
-        config = _tiny_config(algorithms=("lrf-csvm",))
-        result = run_log_ablation(config, session_counts=(0, 12), noise_rates=(0.1,))
-        assert len(result.map_scores) == 2
+    def test_log_ablation_includes_cold_start(self, tiny_lrf_csvm):
+        config, environment = tiny_lrf_csvm
+        maps = _lrf_csvm_maps(sweep(config, "log_sessions", (0, 12), environment=environment))
+        assert len(maps) == 2
         # Cold start (0 sessions) still produces a valid score.
-        assert all(np.isfinite(score) for score in result.map_scores)
+        assert all(np.isfinite(score) for score in maps)
+
+    def test_a_sweep_equals_the_replaced_config(self, tiny_lrf_csvm):
+        """A sweep value is ``run_paper_experiment`` on the config with that one
+        field replaced, a log axis on a log collected for the new log config."""
+        config, environment = tiny_lrf_csvm
+        (rho,) = _lrf_csvm_maps(sweep(config, "rho", (0.2,), environment=environment))
+        varied = replace(config, coupled=replace(config.coupled, rho=0.2))
+        expected = run_paper_experiment(varied, environment=environment)
+        assert rho == expected.result("lrf-csvm").map_score
+        (sessions,) = _lrf_csvm_maps(sweep(config, "log_sessions", (12,), environment=environment))
+        varied = replace(config, log=replace(config.log, num_sessions=12))
+        expected = run_paper_experiment(varied, environment=(environment[0], build_environment(varied)[1]))
+        assert sessions == expected.result("lrf-csvm").map_score
+
+
+class TestClaims:
+    def test_paired_differences_and_sign_test_per_seed(self):
+        """Each per-seed difference is the two MAPs of ``run_paper_experiment``
+        on that seed's own corpus and log.  Catches swapped operands in a
+        pair, a seed's log drawn at the wrong seed, and a sign test that
+        counts ties: at seed 26 LRF-2SVMs and RF-SVM differ by -1.1e-16,
+        float noise within ``TIE``, so the log's p is ``binomtest(2, 2)`` =
+        0.5, not ``binomtest(2, 3)`` = 0.75."""
+        config = _tiny_config(algorithms=("euclidean", "rf-svm", "lrf-2svms", "lrf-csvm"))
+        seeds = (21, 22, 26)
+        record = claims(config, seeds)
+        assert [run["seed"] for run in record["per_seed"]] == list(seeds)
+        expected = [
+            run_paper_experiment(
+                replace(
+                    config,
+                    dataset=replace(config.dataset, seed=seed),
+                    log=replace(config.log, seed=seed + 1),
+                )
+            )
+            for seed in seeds
+        ]
+        summary = record["summary"]["base"]
+        assert list(summary) == [f"{a} - {b}" for a, b in PAIRS]
+        for a, b in PAIRS:
+            stats = summary[f"{a} - {b}"]
+            diffs = [t.result(a).map_score - t.result(b).map_score for t in expected]
+            assert stats["diffs"] == diffs
+            wins, losses = sum(d > TIE for d in diffs), sum(d < -TIE for d in diffs)
+            assert (stats["wins"], stats["losses"]) == (wins, losses)
+            assert stats["median"] == float(np.median(diffs))
+            assert (stats["min"], stats["max"]) == (min(diffs), max(diffs))
+            assert stats["p"] == binomtest(wins, wins + losses).pvalue
+            per_query = np.subtract(
+                [np.mean(list(c.values())) for t in expected for c in t.result(a).per_query],
+                [np.mean(list(c.values())) for t in expected for c in t.result(b).per_query],
+            )
+            assert stats["query_wins"] == int((per_query > 0).sum())
+            assert stats["query_losses"] == int((per_query < 0).sum())
+        log = summary["lrf-2svms - rf-svm"]
+        assert -TIE < log["diffs"][2] < 0.0
+        assert (log["wins"], log["losses"], log["p"]) == (2, 0, 0.5)
+        assert json.loads(json.dumps(record)) == record

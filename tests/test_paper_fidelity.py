@@ -25,14 +25,8 @@ from repro.core.unlabeled_selection import NearLabeledSelection
 from repro.datasets.splits import relevance_labels
 from repro.evaluation.reporting import render_improvement_table
 from repro.cbir.database import ImageDatabase
-from repro.experiments.ablations import (
-    run_log_ablation,
-    run_rho_ablation,
-    run_selection_ablation,
-)
-from repro.experiments.config import BENCH_SCALE
-from repro.experiments.corel20 import table1_config
-from repro.experiments.corel50 import table2_config
+from repro.experiments.claims import sweep
+from repro.experiments.config import SCALED, table1_config, table2_config
 from repro.experiments.pipeline import build_environment, run_paper_experiment
 from repro.svm.svc import SVC
 
@@ -57,17 +51,13 @@ MAX_SOLVE_PAIRS_PER_FIT = 6
 
 @pytest.fixture(scope="module")
 def corel20_config():
-    return table1_config(
-        images_per_category=BENCH_SCALE["images_per_category"],
-        num_sessions=90,
-        num_queries=BENCH_SCALE["num_queries"],
-    )
+    return table1_config(**SCALED)
 
 
 @pytest.fixture(scope="module")
 def corel50_config():
     return table2_config(
-        images_per_category=20, num_sessions=120, num_queries=BENCH_SCALE["num_queries"]
+        images_per_category=20, num_sessions=120, num_queries=SCALED["num_queries"]
     )
 
 
@@ -125,39 +115,36 @@ class TestTables:
         assert improvement20 >= improvement50 - 0.05
 
 
+def _lrf_csvm_sweep(config, environment, axis, values):
+    """LRF-CSVM's MAP at each value of *axis*, on the shared Corel-20 environment."""
+    tables = sweep(replace(config, algorithms=("lrf-csvm",)), axis, values, environment=environment)
+    return [table.result("lrf-csvm").map_score for table in tables]
+
+
 class TestAblations:
     def test_rho_sweep_prefers_a_small_weight(self, corel20_config, corel20_environment):
         rho_values = (0.01, 0.02, 0.05, 0.1, 0.25)
-        result = run_rho_ablation(
-            corel20_config, rho_values=rho_values, environment=corel20_environment
-        )
-        assert len(result.map_scores) == len(rho_values)
-        assert all(0.0 <= score <= 1.0 for score in result.map_scores)
+        maps = _lrf_csvm_sweep(corel20_config, corel20_environment, "rho", rho_values)
+        assert len(maps) == len(rho_values)
+        assert all(0.0 <= score <= 1.0 for score in maps)
         # Pseudo-labels are noisy, so an aggressive transductive weight
         # must not be the optimum.
-        assert result.best_value() <= 0.1
+        assert rho_values[int(np.argmax(maps))] <= 0.1
 
     def test_near_labeled_selection_not_worse_than_boundary(
         self, corel20_config, corel20_environment
     ):
         strategies = ("near-labeled", "boundary", "random")
-        result = run_selection_ablation(
-            corel20_config, strategies=strategies, environment=corel20_environment
-        )
-        scores = dict(zip(result.values, result.map_scores))
-        assert set(scores) == set(strategies)
+        maps = _lrf_csvm_sweep(corel20_config, corel20_environment, "selection", strategies)
+        scores = dict(zip(strategies, maps))
+        assert len(maps) == len(strategies)
         assert scores["near-labeled"] >= scores["boundary"] - 0.02
 
     def test_full_log_beats_cold_start(self, corel20_config, corel20_environment):
         session_counts = (0, 30, 90)
-        result = run_log_ablation(
-            corel20_config,
-            session_counts=session_counts,
-            noise_rates=(corel20_config.log.noise_rate,),
-            dataset=corel20_environment[0],
-        )
-        scores = {n: score for (n, _), score in zip(result.values, result.map_scores)}
-        assert len(result.map_scores) == len(session_counts)
+        maps = _lrf_csvm_sweep(corel20_config, corel20_environment, "log_sessions", session_counts)
+        scores = dict(zip(session_counts, maps))
+        assert len(maps) == len(session_counts)
         assert scores[90] >= scores[0] - 0.01
 
     def test_graph_and_svm_beat_random_in_both_regimes(self, corel20_config, corel20_environment):
