@@ -49,9 +49,7 @@ def main() -> None:
 
     # The service refines with the paper's LRF-CSVM and logs every completed
     # round when the session closes.
-    service = RetrievalService(
-        database, default_algorithm="lrf-csvm", log_policy="on_close"
-    )
+    service = RetrievalService(database, log_policy="on_close")
     user = SimulatedUser(dataset, noise_rate=0.05, random_state=21)
 
     query_index = int(dataset.indices_of_category(3)[0])
@@ -60,7 +58,7 @@ def main() -> None:
           f"(category '{dataset.category_name_of(query_index)}')")
 
     sessions_before = len(database.log_database)
-    result = service.open_session(query_index, top_k=TOP_K)
+    result = service.open_session(query_index, top_k=TOP_K, algorithm="lrf-csvm")
     session_id = result.session_id
     print(f"  round 0 (no learning)     P@{TOP_K} = {precision(result, relevant):.2f}")
 

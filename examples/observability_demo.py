@@ -65,13 +65,12 @@ def main() -> None:
     exporter = InMemoryExporter()
     configure(exporters=[exporter])
     try:
-        service = RetrievalService(
-            database,
-            default_algorithm="lrf-csvm",
-            log_policy="on_close",
-        )
+        service = RetrievalService(database, log_policy="on_close")
         responses = service.open_sessions(
-            [SearchRequest(query=i, top_k=TOP_K) for i in range(NUM_SESSIONS)]
+            [
+                SearchRequest(query=i, top_k=TOP_K, algorithm="lrf-csvm")
+                for i in range(NUM_SESSIONS)
+            ]
         )
         for _ in range(NUM_ROUNDS):
             responses = service.submit_feedback_batch(

@@ -47,7 +47,9 @@ def judge(dataset, query_index, image_indices):
 
 def drive_session(service, dataset, query_index):
     """One complete session: open → feedback rounds → close."""
-    response = service.open_session(SearchRequest(query=query_index, top_k=TOP_K))
+    response = service.open_session(
+        SearchRequest(query=query_index, top_k=TOP_K, algorithm="rf-svm")
+    )
     rankings = [np.asarray(response.image_indices)]
     for _ in range(NUM_ROUNDS):
         response = service.submit_feedback(
@@ -76,14 +78,14 @@ def main() -> None:
 
     # ---- serial baseline: one session at a time --------------------------
     database = ImageDatabase(dataset, log_database=collect_feedback_log(dataset))
-    serial_service = RetrievalService(database, default_algorithm="rf-svm")
+    serial_service = RetrievalService(database)
     start = time.perf_counter()
     serial_rankings = [drive_session(serial_service, dataset, q) for q in queries]
     serial_seconds = time.perf_counter() - start
 
     # ---- threaded run: 8 client threads, one shared service --------------
     database = ImageDatabase(dataset, log_database=collect_feedback_log(dataset))
-    service = RetrievalService(database, default_algorithm="rf-svm")
+    service = RetrievalService(database)
     threaded_rankings = {}
     barrier = threading.Barrier(NUM_CLIENT_THREADS)
 

@@ -52,14 +52,12 @@ def main() -> None:
     log = collect_feedback_log(dataset)
     database = ImageDatabase(dataset, log_database=log)
 
-    service = RetrievalService(
-        database, default_algorithm="lrf-csvm", log_policy="on_close"
-    )
+    service = RetrievalService(database, log_policy="on_close")
 
     # ---- a wave of users opens sessions: ONE batched first-round search --
     queries = [user * 15 for user in range(NUM_USERS)]  # one per category
     responses = service.open_sessions(
-        [SearchRequest(query=q, top_k=TOP_K) for q in queries]
+        [SearchRequest(query=q, top_k=TOP_K, algorithm="lrf-csvm") for q in queries]
     )
     print(f"\nOpened {len(responses)} sessions in one batched search")
 

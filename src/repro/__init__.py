@@ -19,8 +19,8 @@ Quick start (the session-oriented service API)::
                                                      images_per_category=20))
     log = collect_feedback_log(dataset)
     database = ImageDatabase(dataset, log_database=log)
-    service = RetrievalService(database, default_algorithm="lrf-csvm")
-    initial = service.open_session(0, top_k=20)
+    service = RetrievalService(database)
+    initial = service.open_session(0, top_k=20, algorithm="lrf-csvm")
     refined = service.submit_feedback(
         initial.session_id,
         {int(i): (+1 if dataset.category_of(int(i)) ==

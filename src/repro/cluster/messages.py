@@ -39,7 +39,6 @@ __all__ = [
     "OP_DISCARD",
     "OP_RECOVER",
     "OP_STATS",
-    "OP_PING",
     "OP_SHUTDOWN",
 ]
 
@@ -54,7 +53,6 @@ OP_LAST = "last"
 OP_DISCARD = "discard"
 OP_RECOVER = "recover"
 OP_STATS = "stats"
-OP_PING = "ping"
 OP_SHUTDOWN = "shutdown"
 
 _ALL_OPS = (
@@ -66,7 +64,6 @@ _ALL_OPS = (
     OP_DISCARD,
     OP_RECOVER,
     OP_STATS,
-    OP_PING,
     OP_SHUTDOWN,
 )
 

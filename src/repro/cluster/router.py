@@ -67,7 +67,6 @@ from repro.exceptions import (
     NoWorkersError,
     ReproError,
     SessionError,
-    ValidationError,
     WorkerDiedError,
 )
 from repro.obs import get_hub
@@ -92,7 +91,6 @@ from repro.cluster.messages import (
     OP_FEEDBACK,
     OP_LAST,
     OP_OPEN,
-    OP_PING,
     OP_RECOVER,
     OP_STATS,
     OP_VIEW,
@@ -215,10 +213,6 @@ class ClusterRouter:
     The constructor spawns the workers and starts one receiver thread per
     worker; :meth:`start` is idempotent, so ``with ClusterRouter(...)`` is
     safe.
-
-    Sessions must use registry-*named* feedback algorithms — strategy
-    instances cannot cross the process boundary (the same rule the
-    file-backed session store enforces).
     """
 
     def __init__(
@@ -372,10 +366,6 @@ class ClusterRouter:
         return self._call(OP_LAST, check_session_id(session_id))
 
     # --------------------------------------------------------- introspection
-    def ping(self) -> Dict[int, str]:
-        """Round-trip every alive worker; maps worker id to its reply."""
-        return self._broadcast(OP_PING)
-
     def stats(self) -> Dict[str, Any]:
         """Cluster-wide health: per-worker stats plus router counters."""
         with self._slots_lock:
@@ -558,13 +548,7 @@ class ClusterRouter:
 
     # ------------------------------------------------------------- plumbing
     def _prepare_open(self, request: SearchRequest) -> SearchRequest:
-        """*request* checked for a named algorithm, with an id minted if it
-        has none."""
-        if request.algorithm is not None and not isinstance(request.algorithm, str):
-            raise ValidationError(
-                "cluster sessions need registry-named algorithms; strategy "
-                "instances cannot cross the process boundary"
-            )
+        """*request* with an id minted if it has none."""
         if request.session_id is None:
             request = replace(request, session_id=self._mint_session_id())
         return request

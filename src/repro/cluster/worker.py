@@ -44,7 +44,6 @@ from repro.cluster.messages import (
     OP_FEEDBACK,
     OP_LAST,
     OP_OPEN,
-    OP_PING,
     OP_RECOVER,
     OP_SHUTDOWN,
     OP_STATS,
@@ -151,8 +150,6 @@ class _WorkerServer:
             )
         if op == OP_STATS:
             return self._each(lambda _payload: self._stats(), items)
-        if op == OP_PING:
-            return self._each(lambda _payload: "pong", items)
         return [
             ItemOutcome(False, ClusterError(f"unhandled op {op!r}"))
             for _ in items

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -110,8 +110,19 @@ class EvaluationProtocol:
     def build_context(self, query_index: int) -> FeedbackContext:
         """Initial retrieval + automatic labelling for one query."""
         query = Query(query_index=int(query_index))
-        initial = self._search.search(query, top_k=self.config.num_labeled)
-        return self._context_from_initial(int(query_index), initial.image_indices)
+        labeled_indices = self._search.search(
+            query, top_k=self.config.num_labeled
+        ).image_indices
+        labels = relevance_labels(self.dataset, query.query_index, labeled_indices)
+        labels = self._maybe_add_noise(labels)
+        labels = self._ensure_two_classes(labels)
+        return FeedbackContext(
+            database=self.database,
+            query=query,
+            labeled_indices=labeled_indices,
+            labels=labels,
+            log=self.log_snapshot(),
+        )
 
     def log_snapshot(self):
         """One immutable log snapshot shared by a whole evaluation sweep.
@@ -131,35 +142,7 @@ class EvaluationProtocol:
         """Boolean relevance of every database image for *query_index*."""
         return relevance_ground_truth(self.dataset, int(query_index))
 
-    def context_from_initial(
-        self, query_index: int, labeled_indices: Sequence[int]
-    ) -> FeedbackContext:
-        """Automatic labelling for an initial retrieval produced elsewhere.
-
-        The runner feeds the service's micro-batched round-0 rankings back
-        through this, so the (algorithm-independent) initial search is not
-        repeated just to label it.
-        """
-        return self._context_from_initial(
-            int(query_index), np.asarray(labeled_indices, dtype=np.int64)
-        )
-
     # ------------------------------------------------------------- internals
-    def _context_from_initial(
-        self, query_index: int, labeled_indices: np.ndarray
-    ) -> FeedbackContext:
-        """Automatic labelling of one initial retrieval (shared tail)."""
-        labels = relevance_labels(self.dataset, query_index, labeled_indices)
-        labels = self._maybe_add_noise(labels)
-        labels = self._ensure_two_classes(labeled_indices, labels, query_index)
-        return FeedbackContext(
-            database=self.database,
-            query=Query(query_index=query_index),
-            labeled_indices=labeled_indices,
-            labels=labels,
-            log=self.log_snapshot(),
-        )
-
     def _maybe_add_noise(self, labels: np.ndarray) -> np.ndarray:
         noise = self.config.feedback_noise
         if noise <= 0:
@@ -169,9 +152,8 @@ class EvaluationProtocol:
         noisy[flips] = -noisy[flips]
         return noisy
 
-    def _ensure_two_classes(
-        self, labeled_indices: np.ndarray, labels: np.ndarray, query_index: int
-    ) -> np.ndarray:
+    @staticmethod
+    def _ensure_two_classes(labels: np.ndarray) -> np.ndarray:
         """Guarantee the feedback contains both classes whenever possible.
 
         If every one of the top-``num_labeled`` images happens to share the

@@ -1,16 +1,17 @@
 """The experiment runner: evaluate several schemes under one protocol.
 
-Since the service redesign the runner is literally "N simulated users
-hitting the service": for every scheme it opens one
-:class:`~repro.service.RetrievalService` session per evaluation query (the
-whole wave's first-round searches are micro-batched), submits the
-protocol's automatic judgements as one batched feedback round, and scores
-the refined rankings — so the evaluation exercises exactly the surface
-production traffic uses.
+The protocol builds one feedback context per evaluation query (initial
+Euclidean retrieval plus the automatic judgements); every scheme then
+scores all of them in one :meth:`~repro.feedback.base.RelevanceFeedbackAlgorithm.rank_batch`
+call, each context carrying a fresh
+:class:`~repro.feedback.base.FeedbackMemory` — the state a newly opened
+session would bring to its first round.  The comparison is offline: no
+sessions, session stores or locks are involved, and the log is only read.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.cbir.database import ImageDatabase
@@ -19,10 +20,8 @@ from repro.evaluation.metrics import average_precision_at_cutoffs, precision_cur
 from repro.evaluation.protocol import EvaluationProtocol, ProtocolConfig
 from repro.evaluation.results import MethodResult, ResultsTable
 from repro.exceptions import EvaluationError
-from repro.feedback.base import RelevanceFeedbackAlgorithm
+from repro.feedback.base import FeedbackMemory, RelevanceFeedbackAlgorithm
 from repro.feedback.registry import make_algorithm
-from repro.service.dtos import FeedbackRequest, SearchRequest
-from repro.service.service import RetrievalService
 from repro.utils.progress import ProgressReporter
 from repro.utils.rng import RandomState
 
@@ -44,12 +43,6 @@ class ExperimentRunner:
         Protocol configuration (queries, labelled images, cutoffs).
     random_state:
         Overrides the protocol seed for query sampling / feedback noise.
-    service:
-        The retrieval service the simulated users hit.  Defaults to a
-        fresh service over *database* with ``log_policy="off"`` — the
-        controlled comparison must not grow the log it is evaluating —
-        but a log-growing service can be injected for closed-loop
-        experiments.
     """
 
     def __init__(
@@ -59,18 +52,12 @@ class ExperimentRunner:
         *,
         protocol: Optional[ProtocolConfig] = None,
         random_state: RandomState = None,
-        service: Optional[RetrievalService] = None,
     ) -> None:
         self.dataset = dataset
         self.database = database
         self.protocol_config = protocol if protocol is not None else ProtocolConfig()
         self.protocol = EvaluationProtocol(
             dataset, database, self.protocol_config, random_state=random_state
-        )
-        self.service = (
-            service
-            if service is not None
-            else RetrievalService(database, log_policy="off")
         )
 
     def run(
@@ -102,12 +89,9 @@ class ExperimentRunner:
                 f"({self.dataset.num_images})"
             )
 
-        # The first scheme's micro-batched round-0 wave doubles as the
-        # protocol's initial retrieval (it is algorithm-independent), so
-        # every query is searched once for labelling, not once per scheme
-        # plus once for the protocol.  Every scheme receives *identical*
-        # feedback, submitted in ranking order.
-        contexts: Optional[List] = None
+        # Every scheme receives *identical* contexts: the same queries, the
+        # same initial retrieval and the same judgements, in ranking order.
+        contexts = [self.protocol.build_context(int(q)) for q in queries]
         relevant = {int(q): self.protocol.ground_truth(int(q)) for q in queries}
 
         reporter = ProgressReporter(
@@ -117,42 +101,16 @@ class ExperimentRunner:
         )
         table = ResultsTable(dataset_name=self.dataset.name)
         for name, algorithm in schemes.items():
-            responses = self.service.open_sessions(
-                [
-                    SearchRequest(
-                        query=int(q),
-                        top_k=self.protocol_config.num_labeled,
-                        algorithm=algorithm,
-                    )
-                    for q in queries
-                ]
+            ranked = algorithm.rank_batch(
+                [replace(context, memory=FeedbackMemory()) for context in contexts],
+                top_k=max_cutoff,
             )
-            if contexts is None:
-                contexts = [
-                    self.protocol.context_from_initial(
-                        int(q), response.result.image_indices
-                    )
-                    for q, response in zip(queries, responses)
-                ]
-            feedback = [
-                FeedbackRequest(
-                    session_id=response.session_id,
-                    judgements={
-                        int(i): int(l)
-                        for i, l in zip(context.labeled_indices, context.labels)
-                    },
-                    top_k=max_cutoff,
-                )
-                for response, context in zip(responses, contexts)
-            ]
-            ranked = self.service.submit_feedback_batch(feedback)
-            self.service.close_sessions([r.session_id for r in responses])
 
             curves: List[Dict[int, float]] = []
-            for query_index, response in zip(queries, ranked):
+            for query_index, result in zip(queries, ranked):
                 curves.append(
                     precision_curve(
-                        response.result.image_indices,
+                        result.image_indices,
                         relevant[int(query_index)],
                         cutoffs,
                     )

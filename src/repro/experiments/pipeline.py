@@ -1,4 +1,4 @@
-"""Shared experiment pipeline: corpus → features → log → service → evaluation."""
+"""Shared experiment pipeline: corpus → features → log → evaluation."""
 
 from __future__ import annotations
 

@@ -97,14 +97,6 @@ class RelevanceMatrix:
         return int((self._matrix.data < 0).sum())
 
     # ---------------------------------------------------------------- queries
-    def log_vector(self, image_index: int) -> np.ndarray:
-        """Dense user-log vector ``r_i`` (length = number of sessions)."""
-        if not 0 <= image_index < self.num_images:
-            raise LogDatabaseError(
-                f"image_index must be in [0, {self.num_images}), got {image_index}"
-            )
-        return np.asarray(self._matrix[:, image_index].todense()).ravel()
-
     def log_vectors(self, image_indices: Sequence[int]) -> np.ndarray:
         """Dense matrix of user-log vectors, one **row per image**.
 
@@ -243,10 +235,6 @@ class LogSnapshot:
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_images):
             raise LogDatabaseError("image_indices out of range")
         return self.log_rows()[indices].toarray()
-
-    def log_vector(self, image_index: int) -> np.ndarray:
-        """Dense user-log vector ``r_i`` of one image."""
-        return self.matrix.log_vector(image_index)
 
     def log_rows(self) -> sparse.csr_matrix:
         """The user-log vectors of **every** image as a shared sparse matrix.

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import ValidationError
-from repro.feedback.base import RelevanceFeedbackAlgorithm
 from repro.utils.validation import check_top_k
 
 __all__ = [
@@ -78,12 +77,10 @@ class SearchRequest:
     top_k:
         Size of the initial ranking (``None`` returns the full ranking).
     algorithm:
-        Feedback scheme for this session's rounds: a registry name
-        (serializable sessions) or an already-built strategy instance
-        (shared-instance sessions; these cannot be persisted to disk).
-        ``None`` uses the service default.
+        Registry name of the feedback scheme for this session's rounds;
+        ``None`` uses :data:`~repro.service.service.DEFAULT_ALGORITHM`.
     algorithm_params:
-        Constructor parameters for a *named* algorithm.
+        JSON-serialisable constructor parameters of the named scheme.
     session_id:
         Optional client-chosen id (letters, digits, ``. _ -``); the service
         assigns one when omitted.
@@ -91,7 +88,7 @@ class SearchRequest:
 
     query: Union[int, np.integer, np.ndarray, Query]
     top_k: Optional[int] = 20
-    algorithm: Union[None, str, RelevanceFeedbackAlgorithm] = None
+    algorithm: Optional[str] = None
     algorithm_params: Mapping[str, Any] = field(default_factory=dict)
     session_id: Optional[str] = None
 
@@ -108,7 +105,12 @@ class SearchRequest:
             )
         object.__setattr__(self, "query", query)
         object.__setattr__(self, "top_k", check_top_k(self.top_k))
-        if self.algorithm_params and not isinstance(self.algorithm, str):
+        if not (self.algorithm is None or isinstance(self.algorithm, str)):
+            raise ValidationError(
+                "algorithm must be a registry-named scheme (a str) or None, "
+                f"got {type(self.algorithm).__name__}"
+            )
+        if self.algorithm_params and self.algorithm is None:
             raise ValidationError(
                 "algorithm_params only apply to a registry-named algorithm"
             )

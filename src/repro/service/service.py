@@ -38,10 +38,9 @@ matrix while appends continue.
 
 A wave runs on its calling thread: client threads are what parallelise
 in-process serving (NumPy releases the GIL in the dense kernels), and the
-process cluster (:mod:`repro.cluster`) is the scale-out path.  Strategy
-instances passed by the caller (instance-backed sessions) are never cloned —
-their thread safety remains the caller's responsibility; registry-named
-algorithms are materialised per round and are fully safe.
+process cluster (:mod:`repro.cluster`) is the scale-out path.  A session
+names its scheme in the registry, and the strategy is materialised per
+round, so no two rounds share mutable strategy state.
 """
 
 from __future__ import annotations
@@ -83,11 +82,10 @@ __all__ = ["RetrievalService", "LOG_POLICIES"]
 #: When closed sessions' judgements reach the shared log database:
 #: ``on_close`` appends one log session per completed round at close time
 #: (the service default — in-flight sessions never contaminate each other),
-#: ``off`` never appends (evaluation runs).
+#: ``off`` never appends (benchmarks and replays at a fixed log version).
 LOG_POLICIES = ("on_close", "off")
 
-#: The scheme of a session whose request names none, unless the service
-#: is built with another.
+#: The scheme of a session whose request names none.
 DEFAULT_ALGORITHM = "lrf-csvm"
 
 
@@ -100,8 +98,6 @@ class RetrievalService:
         The shared corpus (features + feedback log).
     store:
         Session storage backend; defaults to an in-memory store.
-    default_algorithm:
-        Scheme used when a :class:`SearchRequest` names none.
     log_policy:
         One of :data:`LOG_POLICIES`.
 
@@ -122,7 +118,6 @@ class RetrievalService:
         database: ImageDatabase,
         *,
         store: Optional[SessionStore] = None,
-        default_algorithm: Union[str, RelevanceFeedbackAlgorithm] = DEFAULT_ALGORITHM,
         log_policy: str = "on_close",
     ) -> None:
         if log_policy not in LOG_POLICIES:
@@ -134,7 +129,6 @@ class RetrievalService:
         self.store: SessionStore = (
             store if store is not None else InMemorySessionStore()
         )
-        self.default_algorithm = default_algorithm
         self.log_policy = log_policy
         self._id_counter = itertools.count(1)
         # Strategy configurations (``_group_key`` without a ranking size)
@@ -241,16 +235,12 @@ class RetrievalService:
                     f"session '{state.session_id}' is requested twice in one wave"
                 )
             wave_ids.add(state.session_id)
-            # Fail states the backend cannot persist (e.g. instance-backed
-            # against the file store) BEFORE serving any of the wave.
-            self.store.check_storable(state)
             # A strategy that cannot be built would fail every round of its
             # session: refuse it now, before anything of the wave is stored.
-            if state.instance is None:
-                strategy = self._group_key(state, None)
-                if strategy not in self._buildable:
-                    self._materialize(state)
-                    self._buildable.add(strategy)
+            strategy = self._group_key(state, None)
+            if strategy not in self._buildable:
+                self._materialize(state)
+                self._buildable.add(strategy)
             states.append(state)
         hub = get_hub()
         with hub.span("service.open_sessions", wave=len(states)) as span:
@@ -779,9 +769,7 @@ class RetrievalService:
         order inside every group:
 
         * a group whose algorithm overrides ``rank_batch`` (a genuinely
-          vectorised batch path) — or whose sessions share a caller-owned
-          instance — is one ``rank_batch`` call, keeping the vectorised
-          win / the caller's sequencing;
+          vectorised batch path) is one ``rank_batch`` call;
         * every other round is ranked by a **freshly materialised**
           strategy, so no two rounds share mutable strategy state.
         """
@@ -796,18 +784,10 @@ class RetrievalService:
             lead_state = states[positions[0]]
             top_k = coerced[positions[0]].top_k
             algorithm = self._materialize(lead_state)
-            label = (
-                lead_state.algorithm
-                if lead_state.instance is None
-                else type(lead_state.instance).__name__
-            )
-            if (
-                lead_state.instance is not None
-                or type(algorithm).rank_batch
-                is not RelevanceFeedbackAlgorithm.rank_batch
-            ):
+            if type(algorithm).rank_batch is not RelevanceFeedbackAlgorithm.rank_batch:
                 with self._traced_round(
-                    [states[position].session_id for position in positions], label
+                    [states[position].session_id for position in positions],
+                    lead_state.algorithm,
                 ):
                     outcome = algorithm.rank_batch(
                         [contexts[position] for position in positions], top_k=top_k
@@ -816,11 +796,13 @@ class RetrievalService:
                     results[position] = result
             else:
                 for position in positions:
-                    # The probe instance serves the group's first round (it
+                    # The probe build serves the group's first round (it
                     # is fresh and unshared); the rest materialise their own.
                     if position != positions[0]:
                         algorithm = self._materialize(states[position])
-                    with self._traced_round([states[position].session_id], label):
+                    with self._traced_round(
+                        [states[position].session_id], lead_state.algorithm
+                    ):
                         results[position] = algorithm.rank(
                             contexts[position], top_k=top_k
                         )
@@ -843,23 +825,17 @@ class RetrievalService:
 
     def _new_state(self, request: SearchRequest, now: float) -> SessionState:
         """Build the fresh state of one request (existence checked later)."""
-        session_id = request.session_id or self._new_id()
-        algorithm = (
-            self.default_algorithm if request.algorithm is None else request.algorithm
-        )
-        state = SessionState(
-            session_id=session_id,
+        return SessionState(
+            session_id=request.session_id or self._new_id(),
             query=request.query,
+            algorithm=(
+                DEFAULT_ALGORITHM if request.algorithm is None else request.algorithm
+            ),
+            algorithm_params=dict(request.algorithm_params),
             top_k=request.top_k,
             created_at=now,
             last_active=now,
         )
-        if isinstance(algorithm, str):
-            state.algorithm = algorithm
-            state.algorithm_params = dict(request.algorithm_params)
-        else:
-            state.instance = algorithm
-        return state
 
     def _new_id(self) -> str:
         """Mint a service-assigned session id (the counter is race-free)."""
@@ -876,15 +852,11 @@ class RetrievalService:
         return state
 
     def _materialize(self, state: SessionState) -> RelevanceFeedbackAlgorithm:
-        """The strategy serving *state*: its instance, or a fresh build."""
-        if state.instance is not None:
-            return state.instance
+        """A fresh build of the strategy serving *state*."""
         return make_algorithm(state.algorithm, **state.algorithm_params)
 
     def _group_key(self, state: SessionState, top_k: Optional[int]) -> object:
         """Batch-grouping key: same strategy configuration + ranking size."""
-        if state.instance is not None:
-            return (id(state.instance), top_k)
         return (
             state.algorithm,
             json.dumps(state.algorithm_params, sort_keys=True, default=str),

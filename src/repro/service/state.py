@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.cbir.query import Query, RetrievalResult
 from repro.exceptions import SessionError, ValidationError
-from repro.feedback.base import FeedbackMemory, RelevanceFeedbackAlgorithm
+from repro.feedback.base import FeedbackMemory
 from repro.service.dtos import SessionView
 
 __all__ = ["SessionState"]
@@ -46,9 +46,7 @@ class SessionState:
     query:
         The query being refined (internal index or external vector).
     algorithm:
-        Registry name of the session's feedback scheme (empty string for
-        instance-backed sessions, which carry the strategy in ``instance``
-        and cannot be serialised).
+        Registry name of the session's feedback scheme.
     algorithm_params:
         Constructor parameters of a named algorithm.
     top_k:
@@ -79,8 +77,6 @@ class SessionState:
     last_indices: Optional[np.ndarray] = None
     last_scores: Optional[np.ndarray] = None
     last_algorithm_label: str = ""
-    #: Strategy instance for instance-backed sessions (never serialised).
-    instance: Optional[RelevanceFeedbackAlgorithm] = None
 
     # ------------------------------------------------------------------ info
     @property
@@ -88,19 +84,12 @@ class SessionState:
         """Number of feedback rounds scored so far."""
         return len(self.round_judgements)
 
-    @property
-    def algorithm_label(self) -> str:
-        """Display name of the session's scheme."""
-        if self.instance is not None:
-            return self.instance.name
-        return self.algorithm
-
     def view(self) -> SessionView:
         """A read-only :class:`SessionView` snapshot."""
         return SessionView(
             session_id=self.session_id,
             query=self.query,
-            algorithm=self.algorithm_label,
+            algorithm=self.algorithm,
             rounds_completed=self.rounds_completed,
             judgements=dict(self.judgements),
             created_at=self.created_at,
@@ -183,11 +172,6 @@ class SessionState:
         integer keys, and the SVM stages consume the labelled set in arrival
         order).
         """
-        if self.instance is not None:
-            raise ValidationError(
-                "instance-backed sessions cannot be serialised; open the "
-                "session with a registry-named algorithm instead"
-            )
         return {
             "version": _STATE_VERSION,
             "session_id": self.session_id,

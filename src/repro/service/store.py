@@ -113,16 +113,6 @@ class SessionStore(abc.ABC):
         return []
 
     # ---------------------------------------------------------------- shared
-    def check_storable(self, state: SessionState) -> None:
-        """Raise if :meth:`put` would reject *state* (cheap pre-validation).
-
-        The service calls this for every session of an open wave *before*
-        serving any of them, so a state this backend cannot persist (e.g.
-        an instance-backed session against the file store) fails the wave
-        up front instead of after siblings were already stored.  The base
-        accepts everything (the in-memory store stores anything).
-        """
-
     def exists(self, session_id: str) -> bool:
         """Whether *session_id* is stored — O(1) in both shipped backends.
 
@@ -192,8 +182,6 @@ class FileSessionStore(SessionStore):
     Arrays ride inside the document losslessly (dtype, shape and raw
     bytes), so a session reloaded by a fresh service continues
     bit-identically — the property the persistence tests assert.
-    Instance-backed sessions (strategy objects instead of registry names)
-    cannot be serialised and are rejected by :meth:`SessionState.to_payload`.
 
     Crash safety
     ------------
@@ -239,30 +227,13 @@ class FileSessionStore(SessionStore):
         self._cache_mutex = threading.Lock()
 
     # ------------------------------------------------------------------- api
-    def check_storable(self, state: SessionState) -> None:
-        """Reject up front what :meth:`put` would reject (see base class).
-
-        Raises
-        ------
-        ValidationError
-            If the state is instance-backed (not serialisable) or its id is
-            not filesystem-safe.
-        """
-        if state.instance is not None:
-            raise ValidationError(
-                "instance-backed sessions cannot be serialised; open the "
-                "session with a registry-named algorithm instead"
-            )
-        check_session_id(state.session_id)
-
     def put(self, state: SessionState) -> None:
         """Persist *state* as its one JSON document, atomically (see above).
 
         Raises
         ------
         ValidationError
-            If the state is instance-backed (not serialisable) or its id is
-            not filesystem-safe.
+            If the state's id is not filesystem-safe.
         """
         _fault_trip("store.before_put", session_id=state.session_id)
         json_path = self._json_path(state.session_id)

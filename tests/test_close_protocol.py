@@ -43,13 +43,14 @@ def _service(dataset, tmp_path):
     return RetrievalService(
         database,
         store=FileSessionStore(tmp_path / "sessions"),
-        default_algorithm="euclidean",
         log_policy="on_close",
     )
 
 
 def _open_with_round(service, session_id="s1", query=0):
-    opened = service.open_session(query, top_k=8, session_id=session_id)
+    opened = service.open_session(
+        query, top_k=8, session_id=session_id, algorithm="euclidean"
+    )
     service.submit_feedback(session_id, {int(opened.image_indices[0]): 1})
     return opened
 
@@ -73,7 +74,7 @@ class TestHappyPath:
 
     def test_zero_round_close_skips_the_intent_machinery(self, dataset, tmp_path):
         service = _service(dataset, tmp_path)
-        service.open_session(0, top_k=8, session_id="s1")
+        service.open_session(0, top_k=8, session_id="s1", algorithm="euclidean")
         # A fault armed on the intent-write step must never fire: sessions
         # with no completed rounds have nothing to lose.
         with installed(FaultPlan.single("store.after_intent_write")):
@@ -191,7 +192,9 @@ class TestRestartRecovery:
                 service.close_session("s1")
         assert service.store.close_intent_ids() == ["s1"]
         service.discard_session("s1")
-        service.open_session(1, top_k=8, session_id="s1")  # new epoch
+        service.open_session(  # new epoch
+            1, top_k=8, session_id="s1", algorithm="euclidean"
+        )
         del service
 
         restarted = _service(dataset, tmp_path)

@@ -39,6 +39,7 @@ from repro.exceptions import (
     ValidationError,
     WorkerDiedError,
 )
+from repro.feedback.rf_svm import RFSVM
 from repro.logdb import FileLogStore
 from repro.obs import configure, get_hub
 from repro.service import FeedbackRequest, RetrievalService, SearchRequest
@@ -143,7 +144,6 @@ class TestLifecycle:
         local = RetrievalService(
             ImageDatabase(_factory()),
             store=FileSessionStore(tmp_path / "local-sessions"),
-            default_algorithm="euclidean",
         )
         for query, algorithm in ((0, "euclidean"), (7, "rf-svm")):
             remote0 = cluster.open_session(query, top_k=12, algorithm=algorithm)
@@ -210,7 +210,8 @@ class TestLifecycle:
             assert router.close_session(opened.session_id).closed
 
     def test_ping_and_stats(self, cluster):
-        assert cluster.ping() == {0: "pong", 1: "pong"}
+        # Every alive worker answers a round trip before any session exists.
+        assert set(cluster.stats()["per_worker"]) == {0, 1}
         cluster.open_session(1, top_k=5, algorithm="euclidean")
         stats = cluster.stats()
         assert stats["alive_workers"] == 2
@@ -225,7 +226,7 @@ class TestLifecycle:
         configure()  # fresh hub: the death counter starts at zero
         try:
             router = ClusterRouter(_factory, _config(tmp_path))
-            router.ping()
+            router.stats()
             cluster_threads = [
                 t for t in threading.enumerate() if t.name.startswith("cluster-")
             ]
@@ -324,6 +325,29 @@ class TestErrorPropagation:
                     ])
                 with pytest.raises(SessionError):
                     client.get_session("valid-2")
+        finally:
+            stop()
+
+    @pytest.mark.parametrize("front", ["service", "cluster"])
+    def test_a_strategy_instance_is_refused_at_the_request(self, tmp_path, front):
+        # A session names its scheme in the registry: an instance could be
+        # neither stored as JSON nor shipped to a worker.  Mutation caught:
+        # SearchRequest accepting a non-str algorithm (the service then
+        # opened an instance-backed session; with the instance branches
+        # gone, both fronts fail later with "unknown algorithm").
+        with pytest.raises(ValidationError, match="registry-named"):
+            SearchRequest(query=0, algorithm=RFSVM())
+        if front == "service":
+            client = RetrievalService(ImageDatabase(_factory()))
+            stop = client.shutdown
+        else:
+            client = ClusterRouter(_factory, _config(tmp_path))
+            stop = client.stop
+        try:
+            with pytest.raises(ValidationError, match="registry-named"):
+                client.open_session(0, top_k=5, session_id="held", algorithm=RFSVM())
+            with pytest.raises(SessionError):
+                client.get_session("held")
         finally:
             stop()
 

@@ -20,6 +20,7 @@ from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query, RetrievalResult
 from repro.cbir.search import SearchEngine
 from repro.core.lrf_csvm import LRFCSVM
+from repro.feedback import registry
 from repro.feedback.base import FeedbackContext, RelevanceFeedbackAlgorithm
 from repro.feedback.euclidean import EuclideanFeedback
 from repro.logdb.session import LogSession
@@ -82,8 +83,10 @@ class TestEuclideanWave:
         """Catches a round that scans again (two scans per wave) and a batch
         that snapshots the log eagerly (one snapshot per round)."""
         snapshots = _count_snapshots(monkeypatch, database)
-        service = RetrievalService(database, default_algorithm="euclidean")
-        opened = service.open_sessions([SearchRequest(query=i, top_k=10) for i in range(8)])
+        service = RetrievalService(database)
+        opened = service.open_sessions(
+            [SearchRequest(query=i, top_k=10, algorithm="euclidean") for i in range(8)]
+        )
         rounds = service.submit_feedback_batch(
             [_round(r.session_id, top_k=10) for r in opened]
         )
@@ -130,10 +133,11 @@ class TestEuclideanWave:
                     context.database.features_of(np.array([0]))
                 )[0]
 
+        monkeypatch.setitem(registry._FACTORIES, "appending-reader", AppendingReader)
         service = RetrievalService(database, log_policy="off")
         opened = service.open_sessions(
             [
-                SearchRequest(query=1, top_k=10, algorithm=AppendingReader()),
+                SearchRequest(query=1, top_k=10, algorithm="appending-reader"),
                 SearchRequest(query=2, top_k=10, algorithm="euclidean"),
                 SearchRequest(query=3, top_k=10, algorithm="lrf-2svms"),
                 SearchRequest(query=4, top_k=10, algorithm="lrf-2svms"),
@@ -167,9 +171,11 @@ class TestReuseIsExact:
         scan of the same batch.  Catches a prefix of the wrong length, a
         ranking taken from another session of the wave, and scores that are
         not the scan's."""
-        service = RetrievalService(database, default_algorithm="euclidean")
+        service = RetrievalService(database)
         queries = [Query(query_index=i) for i in (3, 17, 40, 41, 59)]
-        opened = service.open_sessions([SearchRequest(query=q, top_k=open_k) for q in queries])
+        opened = service.open_sessions(
+            [SearchRequest(query=q, top_k=open_k, algorithm="euclidean") for q in queries]
+        )
         del scans[:]
         rounds = service.submit_feedback_batch(
             [_round(r.session_id, top_k=round_k) for r in opened]
@@ -186,9 +192,11 @@ class TestReuseIsExact:
         """A larger ``top_k``, or a full ranking after a top-k open, scans
         once for the batch.  Catches a reuse that skips the length check
         (it would answer with the short ranking)."""
-        service = RetrievalService(database, default_algorithm="euclidean")
+        service = RetrievalService(database)
         queries = [Query(query_index=i) for i in (0, 9, 33)]
-        opened = service.open_sessions([SearchRequest(query=q, top_k=open_k) for q in queries])
+        opened = service.open_sessions(
+            [SearchRequest(query=q, top_k=open_k, algorithm="euclidean") for q in queries]
+        )
         del scans[:]
         rounds = service.submit_feedback_batch(
             [_round(r.session_id, top_k=round_k) for r in opened]
@@ -201,9 +209,12 @@ class TestReuseIsExact:
     def test_only_the_sessions_that_need_it_scan(self, database, scans):
         """A batch of one covered and one short session scans only the
         short one.  Catches an all-or-nothing reuse."""
-        service = RetrievalService(database, default_algorithm="euclidean")
+        service = RetrievalService(database)
         covered, short = service.open_sessions(
-            [SearchRequest(query=4, top_k=12), SearchRequest(query=8, top_k=3)]
+            [
+                SearchRequest(query=4, top_k=12, algorithm="euclidean"),
+                SearchRequest(query=8, top_k=3, algorithm="euclidean"),
+            ]
         )
         del scans[:]
         got = service.submit_feedback_batch(
@@ -223,12 +234,14 @@ class TestReuseIsExact:
         re-encodes ``last_indices`` / ``last_scores`` on the way to disk,
         and a service that does not hand the stored ranking to the round."""
         first = RetrievalService(
-            database, store=FileSessionStore(tmp_path / "s"), default_algorithm="euclidean"
+            database, store=FileSessionStore(tmp_path / "s")
         )
-        opened = first.open_sessions([SearchRequest(query=q, top_k=10) for q in (5, 6)])
+        opened = first.open_sessions(
+            [SearchRequest(query=q, top_k=10, algorithm="euclidean") for q in (5, 6)]
+        )
         del first, scans[:]
         resumed = RetrievalService(
-            database, store=FileSessionStore(tmp_path / "s"), default_algorithm="euclidean"
+            database, store=FileSessionStore(tmp_path / "s")
         )
         rounds = resumed.submit_feedback_batch([_round(r.session_id, top_k=8) for r in opened])
         assert scans == []

@@ -257,11 +257,11 @@ NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["n
 class TestNonFiniteQueries:
     @NON_FINITE
     def test_service_refuses_the_vector(self, small_dataset, value):
-        service = RetrievalService(ImageDatabase(small_dataset), default_algorithm="euclidean")
+        service = RetrievalService(ImageDatabase(small_dataset))
         vector = np.zeros(small_dataset.features.shape[1])
         vector[2] = value
         with pytest.raises(ValidationError, match="finite"):
-            service.open_session(SearchRequest(query=vector))
+            service.open_session(SearchRequest(query=vector, algorithm="euclidean"))
         assert len(service.store) == 0
 
     @NON_FINITE

@@ -609,7 +609,6 @@ class TestClusterIntegration:
         local = RetrievalService(
             ImageDatabase(_cluster_dataset_factory()),
             store=FileSessionStore(tmp_path / "local-sessions"),
-            default_algorithm="lrf-graph",
         )
         with ClusterRouter(_cluster_dataset_factory, config) as router:
             for query in (0, 7):

@@ -1,11 +1,17 @@
-"""Every import under ``src/repro`` is read by the module that makes it.
+"""Static ``ast`` checks of the imports under ``src/repro``.
 
-A static ``ast`` check (the toolchain has no pyflakes or ruff).  A module
-reads an imported name when the name appears as an identifier anywhere in
-it, inside a quoted annotation (``"VectorIndex"``,
-``Optional["LogSnapshot"]``), or in its ``__all__``.  Package
-``__init__.py`` files, whose imports are re-exports, and ``from __future__``
-imports are not checked.
+The toolchain has no pyflakes or ruff, so two rules are checked here:
+
+* Every import is read by the module that makes it.  A module reads an
+  imported name when the name appears as an identifier anywhere in it,
+  inside a quoted annotation (``"VectorIndex"``,
+  ``Optional["LogSnapshot"]``), or in its ``__all__``.  Package
+  ``__init__.py`` files, whose imports are re-exports, and
+  ``from __future__`` imports are not checked.
+* The serving tiers sit on top: no module outside ``repro/service/``,
+  ``repro/cluster/`` and the top-level ``repro/__init__.py`` imports
+  ``repro.service`` or ``repro.cluster``.  The algorithm, log and
+  evaluation layers run without sessions.
 """
 
 from __future__ import annotations
@@ -67,6 +73,57 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: The packages only the serving tiers themselves may import.
+SERVING = ("repro.service", "repro.cluster")
+
+BELOW_SERVING = sorted(
+    path
+    for path in SRC.rglob("*.py")
+    if path.relative_to(SRC).parts[0] not in ("service", "cluster")
+    and path != SRC / "__init__.py"
+)
+
+
+def serving_imports(source):
+    """``(line, module)`` of each import in *source* of a :data:`SERVING` package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules = [node.module]
+            if node.module == "repro":
+                modules += [f"repro.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.extend(
+            (node.lineno, module)
+            for module in modules
+            if any(module == top or module.startswith(top + ".") for top in SERVING)
+        )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", BELOW_SERVING, ids=lambda path: str(path.relative_to(SRC)))
+def test_no_layer_below_the_serving_tiers_imports_them(path):
+    assert serving_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from repro.service.service import RetrievalService\n",
+         [(1, "repro.service.service")]),
+        ("import repro.cluster.router\n", [(1, "repro.cluster.router")]),
+        ("def f():\n    from repro import service\n", [(2, "repro.service")]),
+        ("from repro.services import x\nfrom repro.feedback import base\n", []),
+    ],
+    ids=["from-submodule", "dotted-import", "lazy-from-package", "look-alikes"],
+)
+def test_the_layering_check_sees_what_it_claims(source, found):
+    assert serving_imports(source) == found
 
 
 @pytest.mark.parametrize(

@@ -133,7 +133,7 @@ class TestRelevanceMatrix:
 
     def test_log_vector_is_column(self):
         matrix = RelevanceMatrix.from_sessions(self._sessions(), num_images=5)
-        np.testing.assert_array_equal(matrix.log_vector(1), [-1.0, 1.0])
+        np.testing.assert_array_equal(matrix.log_vectors([1])[0], [-1.0, 1.0])
 
     def test_log_vectors_are_rows_per_image(self):
         matrix = RelevanceMatrix.from_sessions(self._sessions(), num_images=5)
@@ -157,7 +157,7 @@ class TestRelevanceMatrix:
         extended = matrix.append_sessions([LogSession(judgements={2: 1})])
         assert extended.num_sessions == 1
         assert matrix.num_sessions == 0  # original is immutable
-        np.testing.assert_array_equal(extended.log_vector(2), [1.0])
+        np.testing.assert_array_equal(extended.log_vectors([2])[0], [1.0])
 
     @given(
         st.lists(

@@ -121,7 +121,7 @@ class TestLogStoreProtocol:
         any_store.append(_session({1: 1}))
         matrix = any_store.relevance_matrix()
         assert matrix.shape == (2, 9)
-        np.testing.assert_array_equal(matrix.log_vector(1), [-1.0, 1.0])
+        np.testing.assert_array_equal(matrix.log_vectors([1])[0], [-1.0, 1.0])
         assert any_store.snapshot().matrix is matrix
         assert any_store.store is any_store
 
@@ -496,11 +496,9 @@ class TestSimulationAndServiceIntegration:
 
         def run(log_database):
             database = ImageDatabase(small_dataset, log_database=log_database)
-            service = RetrievalService(
-                database, default_algorithm="rf-svm", log_policy="on_close"
-            )
+            service = RetrievalService(database, log_policy="on_close")
             for query in (0, 13, 25):
-                initial = service.open_session(query, top_k=10)
+                initial = service.open_session(query, top_k=10, algorithm="rf-svm")
                 judgements = {
                     int(i): (
                         1

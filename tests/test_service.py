@@ -18,6 +18,7 @@ from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
 from repro.cbir.search import SearchEngine
 from repro.cluster import ClusterConfig
+from repro.evaluation.metrics import precision_curve
 from repro.evaluation.protocol import EvaluationProtocol, ProtocolConfig
 from repro.evaluation.runner import ExperimentRunner
 from repro.exceptions import SessionError, ValidationError
@@ -247,7 +248,7 @@ class TestServingSettings:
         # No TTL, clock or index keyword on the service; no fault plan on
         # the cluster config; no mid-session log policy.
         parameters = inspect.signature(RetrievalService).parameters
-        assert list(parameters) == ["database", "store", "default_algorithm", "log_policy"]
+        assert list(parameters) == ["database", "store", "log_policy"]
         assert "index" not in inspect.signature(SearchEngine).parameters
         assert [field.name for field in dataclasses.fields(ClusterConfig)] == [
             "session_dir", "log_dir", "num_workers", "auto_restart"
@@ -302,13 +303,6 @@ class TestSessionStores:
         np.testing.assert_array_equal(
             loaded.query.feature_vector, state.query.feature_vector
         )
-
-    def test_instance_backed_state_not_serialisable(self, tmp_path):
-        state = SessionState(
-            session_id="inst", query=Query(query_index=0), instance=RFSVM()
-        )
-        with pytest.raises(ValidationError):
-            FileSessionStore(tmp_path).put(state)
 
     def test_stores_share_protocol(self, tmp_path):
         for store in (InMemorySessionStore(), FileSessionStore(tmp_path)):
@@ -699,8 +693,6 @@ class TestRunnerThroughService:
 
         protocol = EvaluationProtocol(small_dataset, small_database, config)
         queries = protocol.sample_queries()
-        from repro.evaluation.metrics import precision_curve
-
         for position, query_index in enumerate(queries):
             context = protocol.build_context(int(query_index))
             direct = algorithm.rank(context, top_k=20)
@@ -709,24 +701,41 @@ class TestRunnerThroughService:
             )
             assert table.result("rf-svm").per_query[position] == expected
 
+    @pytest.mark.parametrize("scheme", ["euclidean", "rf-svm", "lrf-2svms", "lrf-csvm"])
+    def test_runner_ranks_as_a_served_first_round(
+        self, small_dataset, fresh_database, scheme
+    ):
+        """The offline runner and a session's first served round agree,
+        query by query.  Catches a runner context without the fresh memory
+        a new session brings (LRF-CSVM then resolves its RBF bandwidth per
+        stage), other judgements than the protocol's, or another log."""
+        config = ProtocolConfig(num_queries=4, num_labeled=8, cutoffs=(10, 20), seed=3)
+        table = ExperimentRunner(small_dataset, fresh_database, protocol=config).run(
+            [scheme]
+        )
+        protocol = EvaluationProtocol(small_dataset, fresh_database, config)
+        service = RetrievalService(fresh_database, log_policy="off")
+        for position, query_index in enumerate(protocol.sample_queries()):
+            context = protocol.build_context(int(query_index))
+            opened = service.open_session(
+                int(query_index), top_k=config.num_labeled, algorithm=scheme
+            )
+            np.testing.assert_array_equal(opened.image_indices, context.labeled_indices)
+            served = service.submit_feedback(
+                opened.session_id,
+                {int(i): int(l) for i, l in zip(context.labeled_indices, context.labels)},
+                top_k=20,
+            )
+            assert table.result(scheme).per_query[position] == precision_curve(
+                served.image_indices, protocol.ground_truth(int(query_index)), (10, 20)
+            )
+
     def test_runner_leaves_log_untouched(self, small_dataset, fresh_database):
         config = ProtocolConfig(num_queries=3, num_labeled=6, cutoffs=(10,), seed=5)
         before = len(fresh_database.log_database)
         runner = ExperimentRunner(small_dataset, fresh_database, protocol=config)
         runner.run(["euclidean", "rf-svm"])
         assert len(fresh_database.log_database) == before
-        assert runner.service.num_open_sessions == 0
-
-    def test_runner_with_log_growing_service(self, small_dataset, fresh_database):
-        config = ProtocolConfig(num_queries=3, num_labeled=6, cutoffs=(10,), seed=5)
-        service = RetrievalService(fresh_database, log_policy="on_close")
-        before = len(fresh_database.log_database)
-        runner = ExperimentRunner(
-            small_dataset, fresh_database, protocol=config, service=service
-        )
-        runner.run(["euclidean"])
-        # one round per query per scheme lands in the log at close time
-        assert len(fresh_database.log_database) == before + 3
 
 
 class TestBatchRobustness:

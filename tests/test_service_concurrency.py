@@ -25,7 +25,8 @@ import pytest
 
 from repro.cbir.database import ImageDatabase
 from repro.cbir.query import Query
-from repro.exceptions import SessionError, ValidationError
+from repro.exceptions import SessionError
+from repro.feedback import registry
 from repro.service import (
     FeedbackRequest,
     FileSessionStore,
@@ -285,7 +286,7 @@ class TestWaveServing:
 
         batch_width = 4
         service = RetrievalService(
-            fresh_database, log_policy="on_close", default_algorithm="rf-svm"
+            fresh_database, log_policy="on_close"
         )
         log_before = len(fresh_database.log_database)
         barrier = threading.Barrier(NUM_THREADS)
@@ -299,7 +300,7 @@ class TestWaveServing:
                     for i in range(batch_width)
                 ]
                 responses = service.open_sessions(
-                    [SearchRequest(query=q, top_k=10) for q in queries]
+                    [SearchRequest(query=q, top_k=10, algorithm="rf-svm") for q in queries]
                 )
                 submitted, rankings = [], []
                 barrier.wait(timeout=30)
@@ -365,11 +366,13 @@ class TestWaveServing:
 
         # -- every thread got its own sessions' rankings (serial replay) ---
         replay = RetrievalService(
-            fresh_database, log_policy="off", default_algorithm="rf-svm"
+            fresh_database, log_policy="off"
         )
         for queries, submitted, rankings in served.values():
             for position, query_index in enumerate(queries):
-                session_id = replay.open_session(query_index, top_k=10).session_id
+                session_id = replay.open_session(
+                    query_index, top_k=10, algorithm="rf-svm"
+                ).session_id
                 for judgements, ranking in zip(submitted, rankings):
                     response = replay.submit_feedback(
                         session_id, judgements[position], top_k=10
@@ -417,7 +420,7 @@ class TestFlushAndLogRobustness:
         assert len(log) == before  # nothing half-applied
 
     def test_scoring_failure_rolls_back_every_session_in_batch(
-        self, small_dataset, fresh_database
+        self, small_dataset, fresh_database, monkeypatch
     ):
         """A strategy blowing up mid-batch must leave no phantom rounds or
         half-mutated memory on any session of the batch."""
@@ -429,10 +432,11 @@ class TestFlushAndLogRobustness:
             def score(self, context):
                 raise RuntimeError("solver blew up")
 
+        monkeypatch.setitem(registry._FACTORIES, "exploding", Exploding)
         service = RetrievalService(fresh_database, log_policy="on_close")
         good = service.open_session(SearchRequest(query=0, top_k=6, algorithm="rf-svm"))
         bad = service.open_session(
-            SearchRequest(query=1, top_k=6, algorithm=Exploding())
+            SearchRequest(query=1, top_k=6, algorithm="exploding")
         )
         judgements = _category_judgements(small_dataset, 0, good.image_indices)
         with pytest.raises(RuntimeError, match="solver blew up"):
@@ -495,25 +499,6 @@ class TestFlushAndLogRobustness:
         # A clean close still works and logs exactly once.
         service.close_session(response.session_id)
         assert len(fresh_database.log_database) == log_before + 1
-
-    def test_open_wave_rejects_unstorable_state_before_serving(
-        self, fresh_database, tmp_path
-    ):
-        """An instance-backed request against the file store fails the wave
-        up front — no sibling session is persisted."""
-        from repro.feedback.rf_svm import RFSVM
-
-        service = RetrievalService(
-            fresh_database, store=FileSessionStore(tmp_path / "sessions")
-        )
-        with pytest.raises(ValidationError, match="instance-backed"):
-            service.open_sessions(
-                [
-                    SearchRequest(query=0, top_k=5),
-                    SearchRequest(query=1, top_k=5, algorithm=RFSVM()),
-                ]
-            )
-        assert service.num_open_sessions == 0
 
 
 class TestAtomicFileStore:
